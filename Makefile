@@ -1,5 +1,6 @@
-# Developer targets. `make check` is the full gate: build, vet, tests, and
-# the race detector — the parallel experiment scheduler must stay race-clean.
+# Developer targets. `make check` is the full gate: build, vet, tests, the
+# race detector — the parallel experiment scheduler must stay race-clean —
+# and gofmt.
 
 GO ?= go
 
@@ -41,10 +42,14 @@ race-rack:
 race-fault:
 	$(GO) test -race ./internal/fault/ ./internal/transport/ ./internal/experiments/
 
-# Datapath microbenchmarks plus the zero-allocation guard (driver-to-endpoint
-# over pooled NIC rings; net-tx must be 0 allocs/op).
+# Datapath microbenchmarks plus the zero-allocation guards (driver-to-endpoint
+# over pooled NIC rings; net-tx must be 0 allocs/op), and the block backend
+# under them: a 4 KiB device write+read and a 4 KiB reassembly (the store
+# write and the device read fill must be 0 allocs/op).
 bench-datapath:
-	$(GO) test -run TestHotPathZeroAlloc -bench 'BenchmarkDatapath' -benchmem ./internal/transport/
+	$(GO) test -run 'TestHotPathZeroAlloc|TestStoreWriteAndDeviceReadZeroAlloc' \
+		-bench 'BenchmarkDatapath|BenchmarkDeviceRW4K|BenchmarkReassemble4K' -benchmem \
+		./internal/transport/ ./internal/blockdev/ ./internal/ethernet/
 
 # Sharded-fabric wall-clock benchmark: the 16-rack cross-rack workload at 1
 # worker vs GOMAXPROCS workers (the shard_speedup of BENCH json).
@@ -120,3 +125,4 @@ memprofile:
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
 check: build vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol doccheck loadgen-smoke
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above are not formatted"; exit 1; }

@@ -172,7 +172,7 @@ func TestDeviceReadWriteData(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("read: %v", r.Err)
 		}
-		got = r.Data
+		got = append([]byte(nil), r.Data...) // r.Data is borrowed
 	})
 	e.Run()
 	if !bytes.Equal(got, payload) {

@@ -56,7 +56,10 @@ type Request struct {
 // Response is a completed request.
 type Response struct {
 	Err error
-	// Data holds read results.
+	// Data holds read results. It is borrowed: the backend may reuse the
+	// buffer once the completion callback returns, so a consumer that needs
+	// the bytes later (a deferred reply, a cache) copies them inside the
+	// callback.
 	Data []byte
 	// Version is the replica's extent version at serve time, set on
 	// successful OpVolRead completions. Rebuild and heal copies stamp their
@@ -65,7 +68,8 @@ type Response struct {
 }
 
 // Backend is anything that serves block requests asynchronously: a local
-// Device, or a vRIO remote device behind the transport.
+// Device, or a vRIO remote device behind the transport. A Response's Data
+// is valid only until done returns.
 type Backend interface {
 	Submit(req Request, done func(Response))
 }
@@ -79,15 +83,23 @@ type Device struct {
 	latency sim.Time
 	ways    int // parallel banks
 
-	busy    int
-	waiting []queued
-	// wHead indexes the front of waiting; popping advances it instead of
-	// re-slicing, so the queue's capacity is reused across bursts.
-	wHead int
+	// inService holds the requests occupying banks in start order. Every
+	// request waits the same latency, and the engine runs same-instant
+	// events in scheduling order, so they complete in that order too: one
+	// prebound completion event (finishFn) serves them all without a
+	// per-request closure.
+	inService fifo
+	waiting   fifo
+	finishFn  func()
 
 	// replica, when non-nil, lets the device serve OpVolWrite/OpVolRead
 	// with per-extent version checks (see AttachReplica).
 	replica *ReplicaState
+
+	// rbuf is the read buffer every read fills and lends to its completion
+	// callback. Reads execute one event at a time and the callback runs
+	// right after, so one buffer serves every bank.
+	rbuf []byte
 
 	// FailNext injects a failure into the next request (fault testing).
 	FailNext bool
@@ -101,6 +113,37 @@ type queued struct {
 	done func(Response)
 }
 
+// fifo is a queue of requests over one slice whose capacity is reused:
+// pops advance head, and a push into a full slice first slides the live
+// entries down, so a queue that never drains stays bounded.
+type fifo struct {
+	q    []queued
+	head int
+}
+
+func (f *fifo) len() int { return len(f.q) - f.head }
+
+func (f *fifo) push(x queued) {
+	if len(f.q) == cap(f.q) && f.head > 0 {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:]) // drop references for the collector
+		f.q = f.q[:n]
+		f.head = 0
+	}
+	f.q = append(f.q, x)
+}
+
+func (f *fifo) pop() queued {
+	x := f.q[f.head]
+	f.q[f.head] = queued{} // drop references for the collector
+	f.head++
+	if f.head == len(f.q) {
+		f.q = f.q[:0]
+		f.head = 0
+	}
+	return x
+}
+
 // NewDevice builds a device over store. ways is the internal parallelism
 // (>=1); latency is per-request access time.
 func NewDevice(eng *sim.Engine, store *Store, latency sim.Time, ways int) *Device {
@@ -110,7 +153,9 @@ func NewDevice(eng *sim.Engine, store *Store, latency sim.Time, ways int) *Devic
 	if latency < 0 {
 		panic("blockdev: negative latency")
 	}
-	return &Device{eng: eng, store: store, latency: latency, ways: ways}
+	d := &Device{eng: eng, store: store, latency: latency, ways: ways}
+	d.finishFn = d.finish
+	return d
 }
 
 // Store exposes the backing store (for test setup and verification).
@@ -130,13 +175,13 @@ func (d *Device) AttachReplica(rs *ReplicaState) {
 func (d *Device) Replica() *ReplicaState { return d.replica }
 
 // QueueLen reports requests waiting for a free bank.
-func (d *Device) QueueLen() int { return len(d.waiting) - d.wHead }
+func (d *Device) QueueLen() int { return d.waiting.len() }
 
 // InFlight reports requests currently occupying a bank. QueueLen alone
 // under-reports device load: a device with every bank busy but an empty
 // backlog shows 0 there, so rebalancers and the metrics rollup also need
 // the in-service count.
-func (d *Device) InFlight() int { return d.busy }
+func (d *Device) InFlight() int { return d.inService.len() }
 
 // Ways reports the device's internal parallelism.
 func (d *Device) Ways() int { return d.ways }
@@ -146,31 +191,27 @@ func (d *Device) Submit(req Request, done func(Response)) {
 	if done == nil {
 		panic("blockdev: Submit requires a completion callback")
 	}
-	if d.busy >= d.ways {
-		d.waiting = append(d.waiting, queued{req, done})
+	if d.inService.len() >= d.ways {
+		d.waiting.push(queued{req, done})
 		return
 	}
-	d.start(req, done)
+	d.start(queued{req, done})
 }
 
-func (d *Device) start(req Request, done func(Response)) {
-	d.busy++
-	d.eng.After(d.latency, func() {
-		resp := d.execute(req)
-		d.busy--
-		d.Served++
-		if d.QueueLen() > 0 {
-			next := d.waiting[d.wHead]
-			d.waiting[d.wHead] = queued{} // drop references for the collector
-			d.wHead++
-			if d.wHead == len(d.waiting) {
-				d.waiting = d.waiting[:0]
-				d.wHead = 0
-			}
-			d.start(next.req, next.done)
-		}
-		done(resp)
-	})
+func (d *Device) start(q queued) {
+	d.inService.push(q)
+	d.eng.After(d.latency, d.finishFn)
+}
+
+// finish completes the oldest request in service.
+func (d *Device) finish() {
+	q := d.inService.pop()
+	resp := d.execute(q.req)
+	d.Served++
+	if d.waiting.len() > 0 {
+		d.start(d.waiting.pop())
+	}
+	q.done(resp)
 }
 
 func (d *Device) execute(req Request) Response {
@@ -182,7 +223,7 @@ func (d *Device) execute(req Request) Response {
 	case OpWrite:
 		return Response{Err: d.store.Write(req.Sector, req.Data)}
 	case OpRead:
-		data, err := d.store.Read(req.Sector, req.Sectors)
+		data, err := d.read(req.Sector, req.Sectors)
 		return Response{Err: err, Data: data}
 	case OpFlush:
 		return Response{} // the in-memory store is always durable
@@ -224,11 +265,26 @@ func (d *Device) execute(req Request) Response {
 			return Response{Err: fmt.Errorf("%w: extent %d has v%d, read demands v%d",
 				ErrStaleReplica, req.Extent, d.replica.Version(req.Extent), req.Version)}
 		}
-		data, err := d.store.Read(req.Sector, req.Sectors)
+		data, err := d.read(req.Sector, req.Sectors)
 		return Response{Err: err, Data: data, Version: d.replica.Version(req.Extent)}
 	default:
 		return Response{Err: fmt.Errorf("%w: %d", ErrBadOp, req.Op)}
 	}
+}
+
+// read fills the device's read buffer with n sectors from sector on. The
+// result is borrowed (see Response.Data).
+func (d *Device) read(sector uint64, n int) ([]byte, error) {
+	if err := d.store.checkRead(sector, n); err != nil {
+		return nil, err
+	}
+	size := n * d.store.sectorSize
+	if cap(d.rbuf) < size {
+		d.rbuf = make([]byte, size)
+	}
+	buf := d.rbuf[:size]
+	d.store.copyOut(buf, sector)
+	return buf, nil
 }
 
 // Scheduler is the guest OS disk scheduler (§4.5): it reorders requests so

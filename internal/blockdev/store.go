@@ -1,9 +1,13 @@
-// Package blockdev implements the storage substrate: an in-memory sector
+// Package blockdev implements the storage substrate: an in-memory paged
 // store (the ramdisk of §5 "Making a Local Device Remote"), latency-modelled
 // devices (ramdisk and SATA-SSD profiles), the §4.4 sector-alignment
 // zero-copy accounting, and the guest disk scheduler that guarantees at most
 // one outstanding request per block — the property §4.5's retransmission
 // correctness argument rests on.
+//
+// The store keeps its bytes in fixed 4 KiB pages keyed by page index; a page
+// is allocated on its first write and written in place after that, so
+// steady-state writes and device reads do not allocate.
 package blockdev
 
 import (
@@ -11,12 +15,19 @@ import (
 	"fmt"
 )
 
+// pageSize is the store's allocation unit in bytes. Sector offsets map to
+// bytes linearly, so a request may span pages, and a sector larger than a
+// page simply spans several.
+const pageSize = 4096
+
+type page [pageSize]byte
+
 // Store is an in-memory sector-addressed disk. Unwritten sectors read as
 // zeros. The zero value is not usable; call NewStore.
 type Store struct {
 	sectorSize int
 	capacity   uint64 // in sectors
-	data       map[uint64][]byte
+	pages      map[uint64]*page
 }
 
 // Errors returned by Store.
@@ -39,7 +50,7 @@ func NewStore(sectorSize int, capacitySectors uint64) *Store {
 	return &Store{
 		sectorSize: sectorSize,
 		capacity:   capacitySectors,
-		data:       make(map[uint64][]byte),
+		pages:      make(map[uint64]*page),
 	}
 }
 
@@ -49,6 +60,15 @@ func (s *Store) SectorSize() int { return s.sectorSize }
 // Capacity reports the device size in sectors.
 func (s *Store) Capacity() uint64 { return s.capacity }
 
+// checkRange rejects an access of n (> 0) sectors from sector that runs
+// past the capacity; the form of the test cannot overflow.
+func (s *Store) checkRange(sector, n uint64) error {
+	if sector >= s.capacity || n > s.capacity-sector {
+		return fmt.Errorf("%w: sector %d + %d > %d", ErrOutOfRange, sector, n, s.capacity)
+	}
+	return nil
+}
+
 // Write stores data (a whole number of sectors) starting at sector.
 func (s *Store) Write(sector uint64, data []byte) error {
 	if len(data) == 0 {
@@ -57,33 +77,56 @@ func (s *Store) Write(sector uint64, data []byte) error {
 	if len(data)%s.sectorSize != 0 {
 		return fmt.Errorf("%w: %d bytes", ErrUnaligned, len(data))
 	}
-	n := uint64(len(data) / s.sectorSize)
-	if sector+n > s.capacity {
-		return fmt.Errorf("%w: sector %d + %d > %d", ErrOutOfRange, sector, n, s.capacity)
+	if err := s.checkRange(sector, uint64(len(data)/s.sectorSize)); err != nil {
+		return err
 	}
-	for i := uint64(0); i < n; i++ {
-		sec := make([]byte, s.sectorSize)
-		copy(sec, data[int(i)*s.sectorSize:])
-		s.data[sector+i] = sec
+	off := sector * uint64(s.sectorSize)
+	for len(data) > 0 {
+		idx := off / pageSize
+		p := s.pages[idx]
+		if p == nil {
+			p = new(page)
+			s.pages[idx] = p
+		}
+		n := copy(p[off%pageSize:], data)
+		data = data[n:]
+		off += uint64(n)
 	}
 	return nil
 }
 
-// Read returns n sectors starting at sector.
+// Read returns n sectors starting at sector in a fresh buffer.
 func (s *Store) Read(sector uint64, n int) ([]byte, error) {
-	if n <= 0 {
-		return nil, ErrZeroSectors
-	}
-	if sector+uint64(n) > s.capacity {
-		return nil, fmt.Errorf("%w: sector %d + %d > %d", ErrOutOfRange, sector, n, s.capacity)
+	if err := s.checkRead(sector, n); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n*s.sectorSize)
-	for i := 0; i < n; i++ {
-		if sec, ok := s.data[sector+uint64(i)]; ok {
-			copy(out[i*s.sectorSize:], sec)
-		}
-	}
+	s.copyOut(out, sector)
 	return out, nil
+}
+
+func (s *Store) checkRead(sector uint64, n int) error {
+	if n <= 0 {
+		return ErrZeroSectors
+	}
+	return s.checkRange(sector, uint64(n))
+}
+
+// copyOut fills dst from the bytes at sector on; unwritten pages read as
+// zeros. The range must already be checked.
+func (s *Store) copyOut(dst []byte, sector uint64) {
+	off := sector * uint64(s.sectorSize)
+	for len(dst) > 0 {
+		var n int
+		if p := s.pages[off/pageSize]; p != nil {
+			n = copy(dst, p[off%pageSize:])
+		} else {
+			n = min(len(dst), pageSize-int(off%pageSize))
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		off += uint64(n)
+	}
 }
 
 // AlignmentCopy reports how many bytes of a write buffer must be copied

@@ -97,7 +97,10 @@ func replicaDevice(t *testing.T) (*sim.Engine, *Device) {
 func submit(t *testing.T, eng *sim.Engine, dev *Device, req Request) Response {
 	t.Helper()
 	var got *Response
-	dev.Submit(req, func(r Response) { got = &r })
+	dev.Submit(req, func(r Response) {
+		r.Data = append([]byte(nil), r.Data...) // r.Data is borrowed
+		got = &r
+	})
 	eng.Run()
 	if got == nil {
 		t.Fatal("request never completed")

@@ -203,9 +203,7 @@ func (h *BaselineHost) hostReceive(bg *baselineGuest, frames [][]byte) {
 // --- block path ---
 
 func (h *BaselineHost) guestBlkWrite(bg *baselineGuest, sector uint64, data []byte, done func(error)) {
-	req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(nil)
-	req = append(req, data...)
-	h.guestBlkSubmit(bg, req, 1, func(resp []byte, err error) {
+	h.guestBlkSubmit(bg, blkWriteReq(sector, data), 1, func(resp []byte, err error) {
 		if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
 			err = blockdev.ErrDeviceFailed
 		}
@@ -262,14 +260,10 @@ func (h *BaselineHost) serveBlk(bg *baselineGuest) {
 		h.completeBlk(bg)
 		return
 	}
-	respond := func(resp blockdev.Response, data []byte) {
-		status := []byte{virtio.BlkOK}
-		if resp.Err != nil {
-			status[0] = virtio.BlkIOErr
-		}
+	respond := func(resp []byte) {
 		// Completion: physical-style device interrupt on the host.
 		hypervisor.HostIRQ(h.ioCore, h.p, &bg.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
-			bg.blkQ.hostComplete(c, append(status, data...))
+			bg.blkQ.hostComplete(c, resp)
 			h.completeBlk(bg)
 		})
 	}
@@ -278,14 +272,15 @@ func (h *BaselineHost) serveBlk(bg *baselineGuest) {
 		// The baseline's vhost path copies block payloads.
 		h.ioCore.Exec(bg.id, cpu.KindBusy, perByte(h.p.HostPerByte, len(body)), func() {
 			bg.blk.Submit(blockdev.Request{Op: blockdev.OpWrite, Sector: bh.Sector, Data: body},
-				func(r blockdev.Response) { respond(r, nil) })
+				func(r blockdev.Response) { respond(blkReply(r.Err, nil)) })
 		})
 	case virtio.BlkIn:
 		n := int(binary.LittleEndian.Uint32(body))
 		bg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n},
 			func(r blockdev.Response) {
+				out := blkReply(r.Err, r.Data) // copies the borrowed read data
 				h.ioCore.Exec(bg.id, cpu.KindBusy, perByte(h.p.HostPerByte, len(r.Data)), func() {
-					respond(r, r.Data)
+					respond(out)
 				})
 			})
 	default:

@@ -23,6 +23,7 @@ import (
 	"vrio/internal/guestos"
 	"vrio/internal/hypervisor"
 	"vrio/internal/sim"
+	"vrio/internal/virtio"
 )
 
 // ModelName identifies an I/O model in results tables.
@@ -151,4 +152,24 @@ func (g *Guest) Compute(d sim.Time, fn func()) { g.VM.Compute(d, fn) }
 // perByte converts a ns-per-byte rate into a duration for n bytes.
 func perByte(rate float64, n int) sim.Time {
 	return sim.Time(rate * float64(n))
+}
+
+// blkReply builds a [status][data] block completion in one exact-size
+// buffer. data may be a backend's borrowed Response.Data, so host block
+// paths build the reply inside the backend callback.
+func blkReply(err error, data []byte) []byte {
+	out := make([]byte, 1+len(data))
+	out[0] = virtio.BlkOK
+	if err != nil {
+		out[0] = virtio.BlkIOErr
+	}
+	copy(out[1:], data)
+	return out
+}
+
+// blkWriteReq builds a BlkOut request, header and payload, in one
+// exact-size buffer.
+func blkWriteReq(sector uint64, data []byte) []byte {
+	req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(make([]byte, 0, virtio.BlkHdrSize+len(data)))
+	return append(req, data...)
 }

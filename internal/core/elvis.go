@@ -117,9 +117,7 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 			return h.p.GuestNetStackCost + h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
 		eg.g.blkWrite = func(sector uint64, data []byte, done func(error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(nil)
-			req = append(req, data...)
-			h.guestBlkSubmit(eg, req, 1, func(resp []byte, err error) {
+			h.guestBlkSubmit(eg, blkWriteReq(sector, data), 1, func(resp []byte, err error) {
 				if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
 					err = blockdev.ErrDeviceFailed
 				}
@@ -292,13 +290,6 @@ func (h *ElvisHost) serveBlk(i int, eg *elvisGuest, c virtio.Chain) {
 			h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
 			return
 		}
-		respond := func(r blockdev.Response, data []byte) {
-			status := []byte{virtio.BlkOK}
-			if r.Err != nil {
-				status[0] = virtio.BlkIOErr
-			}
-			h.completeBlk(eg, c, append(status, data...))
-		}
 		switch bh.Type {
 		case virtio.BlkOut:
 			payload, icost, perr := eg.chain.Process(interpose.ToDevice, uint16(eg.id), body)
@@ -308,7 +299,7 @@ func (h *ElvisHost) serveBlk(i int, eg *elvisGuest, c virtio.Chain) {
 			}
 			doSubmit := func() {
 				eg.blk.Submit(blockdev.Request{Op: blockdev.OpWrite, Sector: bh.Sector, Data: payload},
-					func(r blockdev.Response) { respond(r, nil) })
+					func(r blockdev.Response) { h.completeBlk(eg, c, blkReply(r.Err, nil)) })
 			}
 			if icost > 0 {
 				sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, doSubmit)
@@ -320,7 +311,7 @@ func (h *ElvisHost) serveBlk(i int, eg *elvisGuest, c virtio.Chain) {
 			eg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n},
 				func(r blockdev.Response) {
 					if r.Err != nil {
-						respond(r, nil)
+						h.completeBlk(eg, c, blkReply(r.Err, nil))
 						return
 					}
 					data, icost, perr := eg.chain.Process(interpose.ToGuest, uint16(eg.id), r.Data)
@@ -328,10 +319,11 @@ func (h *ElvisHost) serveBlk(i int, eg *elvisGuest, c virtio.Chain) {
 						h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
 						return
 					}
+					out := blkReply(nil, data) // copies the borrowed read data
 					if icost > 0 {
-						sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, func() { respond(r, data) })
+						sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, func() { h.completeBlk(eg, c, out) })
 					} else {
-						respond(r, data)
+						h.completeBlk(eg, c, out)
 					}
 				})
 		default:

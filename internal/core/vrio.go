@@ -197,8 +197,7 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 				h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
 		writeQ := func(queue uint8, sector uint64, data []byte, done func(error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(nil)
-			req = append(req, data...)
+			req := blkWriteReq(sector, data)
 			cost := h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, len(data))
 			c.Guest.VM.Compute(cost, func() {
 				c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, queue, req, func(resp []byte, err error) {

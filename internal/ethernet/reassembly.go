@@ -3,6 +3,7 @@ package ethernet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"vrio/internal/bufpool"
 )
@@ -41,7 +42,7 @@ type reassemblyKey struct {
 
 type partialMsg struct {
 	buf      []byte
-	have     []bool // per-byte coverage bitmap, indexed by offset
+	have     []uint64 // coverage bitset: bit i%64 of word i/64 marks byte i
 	covered  uint32
 	total    uint32
 	deviceID uint16
@@ -92,7 +93,7 @@ func (r *Reassembler) Pending() int { return len(r.partial) }
 func (r *Reassembler) Evictions() uint64 { return r.evictions }
 
 // acquire returns a recycled (or fresh) partial with buf/have sized for
-// total bytes.
+// total bytes and no byte covered.
 func (r *Reassembler) acquire(total uint32) *partialMsg {
 	var p *partialMsg
 	if n := len(r.free); n > 0 {
@@ -108,15 +109,12 @@ func (r *Reassembler) acquire(total uint32) *partialMsg {
 	} else {
 		p.buf = make([]byte, total)
 	}
-	// Coverage is byte-granular; +1 so total==0 still has a slot.
-	want := int(total) + 1
-	if cap(p.have) < want {
-		p.have = make([]bool, want)
+	words := (int(total) + 63) / 64
+	if cap(p.have) < words {
+		p.have = make([]uint64, words)
 	} else {
-		p.have = p.have[:want]
-		for i := range p.have {
-			p.have[i] = false
-		}
+		p.have = p.have[:words]
+		clear(p.have)
 	}
 	p.total = total
 	return p
@@ -142,6 +140,11 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
+	if seg.Total > MaxMessage {
+		// No sender builds one; refusing it keeps a forged length from
+		// sizing the message buffer.
+		return nil, fmt.Errorf("%w: total %d (msg %d)", ErrMessageTooBig, seg.Total, seg.MsgID)
+	}
 	key := reassemblyKey{src, seg.MsgID}
 	p := r.partial[key]
 	if p == nil {
@@ -160,14 +163,7 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 	// Coverage is tracked per byte via the range [Offset, Offset+len).
 	// Fragments from SegmentMessage never overlap, but retransmitted frames
 	// can duplicate; only newly covered bytes count.
-	newBytes := uint32(0)
-	for i := range seg.Payload {
-		idx := int(seg.Offset) + i
-		if !p.have[idx] {
-			p.have[idx] = true
-			newBytes++
-		}
-	}
+	newBytes := cover(p.have, int(seg.Offset), int(seg.Offset)+len(seg.Payload))
 	if newBytes > 0 {
 		copy(p.buf[seg.Offset:], seg.Payload)
 		p.covered += newBytes
@@ -188,6 +184,25 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 	}
 	r.recycle(p)
 	return &r.done, nil
+}
+
+// cover marks bytes [lo, hi) in the bitset have and returns how many of
+// them were not marked before.
+func cover(have []uint64, lo, hi int) uint32 {
+	added := 0
+	for lo < hi {
+		bit := lo & 63
+		n := min(hi-lo, 64-bit)
+		mask := ^uint64(0)
+		if n < 64 {
+			mask = (uint64(1)<<n - 1) << bit
+		}
+		w := &have[lo>>6]
+		added += bits.OnesCount64(mask &^ *w)
+		*w |= mask
+		lo += n
+	}
+	return uint32(added)
 }
 
 func (r *Reassembler) evictOldest() {

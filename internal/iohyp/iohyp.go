@@ -1159,12 +1159,13 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 				}
 				copyCost := sim.Time(h.p.CopyPenaltyPerByte * float64(len(data)))
 				h.Counters.Inc("copy_bytes", uint64(len(data)))
+				// resp.Data is borrowed until this callback returns, so the
+				// status+data reply is built now; RespondBlk borrows it in
+				// turn, so it goes back to the pool right after the call.
+				out := h.bufPool().GetRaw(1 + len(data))
+				out[0] = virtio.BlkOK
+				copy(out[1:], data)
 				execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, icost+copyCost, func() {
-					// RespondBlk borrows the response, so the status+data
-					// buffer is pooled and returned right after the call.
-					out := h.bufPool().GetRaw(1 + len(data))
-					out[0] = virtio.BlkOK
-					copy(out[1:], data)
 					h.respondBlk(src, hdr, out)
 					h.bufPool().PutRaw(out)
 				})
@@ -1249,14 +1250,15 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 				}
 				copyCost := sim.Time(h.p.CopyPenaltyPerByte * float64(len(data)))
 				h.Counters.Inc("copy_bytes", uint64(len(data)))
+				// Successful vol-reads answer [BlkOK][version:8][data]: the
+				// serving replica's extent version lets rebuild and heal
+				// copies stamp their target honestly. Built now, as for
+				// BlkIn, because resp.Data is borrowed.
+				out := h.bufPool().GetRaw(1 + virtio.VolReadVerSize + len(data))
+				out[0] = virtio.BlkOK
+				binary.LittleEndian.PutUint64(out[1:], resp.Version)
+				copy(out[1+virtio.VolReadVerSize:], data)
 				execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, icost+copyCost, func() {
-					// Successful vol-reads answer [BlkOK][version:8][data]:
-					// the serving replica's extent version lets rebuild and
-					// heal copies stamp their target honestly.
-					out := h.bufPool().GetRaw(1 + virtio.VolReadVerSize + len(data))
-					out[0] = virtio.BlkOK
-					binary.LittleEndian.PutUint64(out[1:], resp.Version)
-					copy(out[1+virtio.VolReadVerSize:], data)
 					h.respondBlk(src, hdr, out)
 					h.bufPool().PutRaw(out)
 				})

@@ -392,10 +392,10 @@ type Switch struct {
 	fib     map[ethernet.MAC]int
 
 	// Fabric role state, all nil/zero for a classic rack switch.
-	rack      int                               // this leaf's rack id
-	locate    func(ethernet.MAC) (int, bool)    // MAC -> owning rack
-	uplinks   []int                             // leaf: uplink port indices
-	rackPorts map[int][]int                     // spine: rack -> ports
+	rack      int                            // this leaf's rack id
+	locate    func(ethernet.MAC) (int, bool) // MAC -> owning rack
+	uplinks   []int                          // leaf: uplink port indices
+	rackPorts map[int][]int                  // spine: rack -> ports
 
 	// Forwarded and Flooded count frames by forwarding decision; Drops
 	// tallies frames the switch discarded (runts that failed to decode,

@@ -43,13 +43,15 @@ race-fault:
 	$(GO) test -race ./internal/fault/ ./internal/transport/ ./internal/experiments/
 
 # Datapath microbenchmarks plus the zero-allocation guards (driver-to-endpoint
-# over pooled NIC rings; net-tx must be 0 allocs/op), and the block backend
-# under them: a 4 KiB device write+read and a 4 KiB reassembly (the store
-# write and the device read fill must be 0 allocs/op).
+# over pooled NIC rings; net-tx must be 0 allocs/op), the block backend
+# under them (a 4 KiB device write+read and a 4 KiB reassembly; the store
+# write and the device read fill must be 0 allocs/op), and the per-packet
+# bookkeeping (histogram Record, counter Inc, a frame through the switch, a
+# single-fragment reassembly; all must be 0 allocs/op).
 bench-datapath:
-	$(GO) test -run 'TestHotPathZeroAlloc|TestStoreWriteAndDeviceReadZeroAlloc' \
-		-bench 'BenchmarkDatapath|BenchmarkDeviceRW4K|BenchmarkReassemble4K' -benchmem \
-		./internal/transport/ ./internal/blockdev/ ./internal/ethernet/
+	$(GO) test -run 'TestHotPathZeroAlloc|TestStoreWriteAndDeviceReadZeroAlloc|TestRecordAndIncZeroAlloc|TestSwitchForwardZeroAlloc|TestSingleFragmentAddZeroAlloc' \
+		-bench 'BenchmarkDatapath|BenchmarkDeviceRW4K|BenchmarkReassemble4K|BenchmarkHistogramRecord|BenchmarkCountersInc|BenchmarkSwitchForward' -benchmem \
+		./internal/transport/ ./internal/blockdev/ ./internal/ethernet/ ./internal/stats/ ./internal/link/
 
 # Sharded-fabric wall-clock benchmark: the 16-rack cross-rack workload at 1
 # worker vs GOMAXPROCS workers (the shard_speedup of BENCH json).

@@ -88,8 +88,8 @@ type Device struct {
 	// events in scheduling order, so they complete in that order too: one
 	// prebound completion event (finishFn) serves them all without a
 	// per-request closure.
-	inService fifo
-	waiting   fifo
+	inService sim.FIFO[queued]
+	waiting   sim.FIFO[queued]
 	finishFn  func()
 
 	// replica, when non-nil, lets the device serve OpVolWrite/OpVolRead
@@ -111,37 +111,6 @@ type Device struct {
 type queued struct {
 	req  Request
 	done func(Response)
-}
-
-// fifo is a queue of requests over one slice whose capacity is reused:
-// pops advance head, and a push into a full slice first slides the live
-// entries down, so a queue that never drains stays bounded.
-type fifo struct {
-	q    []queued
-	head int
-}
-
-func (f *fifo) len() int { return len(f.q) - f.head }
-
-func (f *fifo) push(x queued) {
-	if len(f.q) == cap(f.q) && f.head > 0 {
-		n := copy(f.q, f.q[f.head:])
-		clear(f.q[n:]) // drop references for the collector
-		f.q = f.q[:n]
-		f.head = 0
-	}
-	f.q = append(f.q, x)
-}
-
-func (f *fifo) pop() queued {
-	x := f.q[f.head]
-	f.q[f.head] = queued{} // drop references for the collector
-	f.head++
-	if f.head == len(f.q) {
-		f.q = f.q[:0]
-		f.head = 0
-	}
-	return x
 }
 
 // NewDevice builds a device over store. ways is the internal parallelism
@@ -175,13 +144,13 @@ func (d *Device) AttachReplica(rs *ReplicaState) {
 func (d *Device) Replica() *ReplicaState { return d.replica }
 
 // QueueLen reports requests waiting for a free bank.
-func (d *Device) QueueLen() int { return d.waiting.len() }
+func (d *Device) QueueLen() int { return d.waiting.Len() }
 
 // InFlight reports requests currently occupying a bank. QueueLen alone
 // under-reports device load: a device with every bank busy but an empty
 // backlog shows 0 there, so rebalancers and the metrics rollup also need
 // the in-service count.
-func (d *Device) InFlight() int { return d.inService.len() }
+func (d *Device) InFlight() int { return d.inService.Len() }
 
 // Ways reports the device's internal parallelism.
 func (d *Device) Ways() int { return d.ways }
@@ -191,25 +160,25 @@ func (d *Device) Submit(req Request, done func(Response)) {
 	if done == nil {
 		panic("blockdev: Submit requires a completion callback")
 	}
-	if d.inService.len() >= d.ways {
-		d.waiting.push(queued{req, done})
+	if d.inService.Len() >= d.ways {
+		d.waiting.Push(queued{req, done})
 		return
 	}
 	d.start(queued{req, done})
 }
 
 func (d *Device) start(q queued) {
-	d.inService.push(q)
+	d.inService.Push(q)
 	d.eng.After(d.latency, d.finishFn)
 }
 
 // finish completes the oldest request in service.
 func (d *Device) finish() {
-	q := d.inService.pop()
+	q := d.inService.Pop()
 	resp := d.execute(q.req)
 	d.Served++
-	if d.waiting.len() > 0 {
-		d.start(d.waiting.pop())
+	if d.waiting.Len() > 0 {
+		d.start(d.waiting.Pop())
 	}
 	q.done(resp)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"vrio/internal/sim"
 	"vrio/internal/virtio"
 )
 
@@ -22,8 +23,9 @@ const (
 type netQueues struct {
 	tx *virtio.Ring
 	rx *virtio.Ring
-	// rxFree are host-side pre-popped guest buffers awaiting frames.
-	rxFree []virtio.Chain
+	// rxFree are host-side pre-popped guest buffers awaiting frames, filled
+	// oldest first.
+	rxFree sim.FIFO[virtio.Chain]
 	// RxDrops counts frames dropped for want of guest rx buffers.
 	RxDrops uint64
 	// reap is the reusable completion batch (TX and RX reaps are fully
@@ -60,7 +62,7 @@ func (q *netQueues) stockRx(n int) {
 		if err != nil || !ok {
 			break
 		}
-		q.rxFree = append(q.rxFree, c)
+		q.rxFree.Push(c)
 	}
 }
 
@@ -97,13 +99,11 @@ func (q *netQueues) guestReapTx() int {
 // hostDeliver fills one guest rx buffer with the frame (host side). False
 // means no buffer was available and the frame is dropped.
 func (q *netQueues) hostDeliver(frame []byte) bool {
-	if len(q.rxFree) == 0 {
+	if q.rxFree.Len() == 0 {
 		q.RxDrops++
 		return false
 	}
-	c := q.rxFree[0]
-	q.rxFree = q.rxFree[1:]
-	q.rx.Push(c, frame)
+	q.rx.Push(q.rxFree.Pop(), frame)
 	return true
 }
 

@@ -44,30 +44,75 @@ func (o *byteOracle) add(seg Segment, wireLen int) (done bool, frags int, zeroCo
 	return done, frags, zeroCopy
 }
 
-// checkAgainstOracle feeds frames to r and to o and fails on the first
-// disagreement; every completed message must equal msgByte at each offset.
-func checkAgainstOracle(t *testing.T, r *Reassembler, o *byteOracle, frames [][]byte, msgByte func(int) byte) int {
+// oracleTally counts what checkAgainstOracle saw. Whole-message fragments
+// (offset 0, covering the total) reach Add's single-fragment path when no
+// partial message is pending (fast) and the partial map otherwise
+// (bypassed); a property run must see both.
+type oracleTally struct{ completions, fast, bypassed int }
+
+// oracleSet holds one per-byte oracle per message id, created on first use.
+type oracleSet map[uint32]*byteOracle
+
+func (s oracleSet) get(id uint32) *byteOracle {
+	if s[id] == nil {
+		s[id] = &byteOracle{}
+	}
+	return s[id]
+}
+
+// inProgress counts messages begun and not yet complete: the partial
+// messages the reassembler must be holding.
+func (s oracleSet) inProgress() int {
+	n := 0
+	for _, o := range s {
+		if o.have != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// checkAgainstOracle feeds frames to r and to each message id's oracle and
+// fails on the first disagreement, including in the number of partial
+// messages pending; every completed message must equal msgByte at each
+// offset.
+func checkAgainstOracle(t *testing.T, r *Reassembler, oracles oracleSet, frames [][]byte, msgByte func(id uint32, off int) byte) oracleTally {
 	t.Helper()
-	completions := 0
+	var tally oracleTally
 	for i, fr := range frames {
 		seg, err := DecodeSegment(fr)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		total := int(seg.Total)
-		wantDone, wantFrags, wantZC := o.add(seg, len(fr))
+		if seg.Offset == 0 && total > 0 && len(seg.Payload) == total {
+			if r.Pending() == 0 {
+				tally.fast++
+			} else {
+				tally.bypassed++
+			}
+		}
+		wantDone, wantFrags, wantZC := oracles.get(seg.MsgID).add(seg, len(fr))
 		m, err := r.Add(NewMAC(1), fr)
 		if err != nil {
 			t.Fatalf("frame %d: Add: %v", i, err)
 		}
+		if r.Pending() != oracles.inProgress() {
+			t.Fatalf("frame %d (msg %d): %d partial messages pending, oracle %d",
+				i, seg.MsgID, r.Pending(), oracles.inProgress())
+		}
 		if (m != nil) != wantDone {
-			t.Fatalf("frame %d (total %d, off %d, len %d): completed=%v, oracle %v",
-				i, total, seg.Offset, len(seg.Payload), m != nil, wantDone)
+			t.Fatalf("frame %d (msg %d, total %d, off %d, len %d): completed=%v, oracle %v",
+				i, seg.MsgID, total, seg.Offset, len(seg.Payload), m != nil, wantDone)
 		}
 		if m == nil {
 			continue
 		}
-		completions++
+		tally.completions++
+		if m.MsgID != seg.MsgID || m.DeviceID != seg.DeviceID || m.Src != NewMAC(1) {
+			t.Fatalf("frame %d: completed msg %d dev %d src %v, want msg %d dev %d",
+				i, m.MsgID, m.DeviceID, m.Src, seg.MsgID, seg.DeviceID)
+		}
 		if m.Fragments != wantFrags || m.ZeroCopy != wantZC {
 			t.Fatalf("frame %d: Fragments=%d ZeroCopy=%v, oracle %d %v",
 				i, m.Fragments, m.ZeroCopy, wantFrags, wantZC)
@@ -76,18 +121,21 @@ func checkAgainstOracle(t *testing.T, r *Reassembler, o *byteOracle, frames [][]
 			t.Fatalf("frame %d: message of %d bytes, want %d", i, len(m.Data), total)
 		}
 		for j, b := range m.Data {
-			if b != msgByte(j) {
-				t.Fatalf("frame %d: message byte %d = %#x, want %#x", i, j, b, msgByte(j))
+			if b != msgByte(seg.MsgID, j) {
+				t.Fatalf("frame %d: message byte %d = %#x, want %#x", i, j, b, msgByte(seg.MsgID, j))
 			}
 		}
 	}
-	return completions
+	return tally
 }
 
 // Property: for totals at and around the 64-bit word edges and the largest
 // message, shuffled fragments cut at one MTU, re-fragmented at a second
 // (overlapping the first) and partly duplicated complete at the same frame,
-// with the same Fragments and ZeroCopy, as the per-byte oracle.
+// with the same Fragments and ZeroCopy, as the per-byte oracle. Whole
+// single-fragment messages of other ids are interleaved, so Add's
+// single-fragment path runs both with nothing pending and, bypassed, while
+// the big message is half built.
 func TestReassemblerCoverageMatchesByteOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randMTU := func() int {
@@ -102,15 +150,16 @@ func TestReassemblerCoverageMatchesByteOracle(t *testing.T) {
 			return MaxMTU
 		}
 	}
+	var sum oracleTally
 	for _, total := range []int{0, 1, 63, 64, 65, 8100, MaxMessage} {
 		for trial := 0; trial < 6; trial++ {
-			msg := make([]byte, total)
-			rng.Read(msg)
-			frames, err := SegmentMessage(9, 3, msg, randMTU())
+			msgs := map[uint32][]byte{9: make([]byte, total)}
+			rng.Read(msgs[9])
+			frames, err := SegmentMessage(9, 3, msgs[9], randMTU())
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := SegmentMessage(9, 3, msg, randMTU())
+			second, err := SegmentMessage(9, 3, msgs[9], randMTU())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,29 +174,56 @@ func TestReassemblerCoverageMatchesByteOracle(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
-			var o byteOracle
-			if checkAgainstOracle(t, NewReassembler(0), &o, frames, func(j int) byte { return msg[j] }) == 0 {
-				t.Fatalf("total %d: message never completed", total)
+			insert := func(fr []byte) {
+				at := rng.Intn(len(frames) + 1)
+				frames = append(frames[:at], append([][]byte{fr}, frames[at:]...)...)
 			}
+			if whole, _ := SegmentMessage(9, 3, msgs[9], MaxMTU); total > 0 && len(whole) == 1 {
+				insert(whole[0]) // may land on the message's own pending partial
+			}
+			for k := 0; k < 4; k++ {
+				id := uint32(100 + k)
+				msgs[id] = make([]byte, 1+rng.Intn(MaxMTU-EncapOverhead))
+				rng.Read(msgs[id])
+				single, err := SegmentMessage(id, uint16(k), msgs[id], MaxMTU)
+				if err != nil || len(single) != 1 {
+					t.Fatalf("single-fragment message: %d frames, %v", len(single), err)
+				}
+				insert(single[0])
+			}
+			tally := checkAgainstOracle(t, NewReassembler(0), oracleSet{}, frames,
+				func(id uint32, j int) byte { return msgs[id][j] })
+			if tally.completions < 5 {
+				t.Fatalf("total %d: %d completions, want the big message and 4 singles", total, tally.completions)
+			}
+			sum.fast += tally.fast
+			sum.bypassed += tally.bypassed
 		}
+	}
+	if sum.fast == 0 || sum.bypassed == 0 {
+		t.Errorf("single-fragment path taken %d times, bypassed %d: want both", sum.fast, sum.bypassed)
 	}
 }
 
-func fuzzByte(id, off int) byte { return byte(off*7 + id*101 + off>>8) }
+func fuzzByte(id uint32, off int) byte { return byte(off*7 + int(id)*101 + off>>8) }
 
 // FuzzReassemblerAdd drives the reassembler with arbitrary bytes as a frame
-// and with arbitrary segment sequences over two messages: nothing panics,
-// and a message completes exactly when the per-byte oracle says every byte
-// of it is covered, carrying the bytes its fragments carried.
+// and with arbitrary segment sequences over two messages, interleaved with
+// whole single-fragment messages: nothing panics, and a message completes
+// exactly when the per-byte oracle says every byte of it is covered,
+// carrying the bytes its fragments carried.
 //
 // Input layout: totals of messages 0 and 1 (two little-endian uint16s),
 // then up to 64 5-byte records [flags][offset:2][length:2]; flags bit 0
-// picks the message, bit 1 sets PSH. Offset and length are reduced into
-// range. The record cap keeps one input's work bounded.
+// picks the message, bit 1 sets PSH, and bit 2 instead sends one whole
+// message of id 2 (its total is length, reduced to a non-empty frame).
+// Offset and length are reduced into range. The record cap keeps one
+// input's work bounded.
 func FuzzReassemblerAdd(f *testing.F) {
 	f.Add([]byte{0x40, 0, 0x41, 0, 0, 0, 0, 0x40, 0, 1, 0, 0, 0x41, 0})
 	f.Add([]byte{0, 0x10, 0, 0, 2, 0, 0, 0, 0x08, 3, 0, 0, 0, 0, 0, 0x08, 0, 0, 0x08})
 	f.Add([]byte{0xff, 0xff, 1, 0, 0, 0x10, 0, 0xff, 0xff, 1, 0, 0, 1, 0})
+	f.Add([]byte{0x40, 0, 0x10, 0, 4, 0, 0, 0x20, 0, 0, 0, 0, 0x20, 0, 4, 0, 0, 0x10, 0, 0, 0x20, 0, 0x20, 0})
 	f.Add(func() []byte {
 		fr, _ := SegmentMessage(1, 1, make([]byte, 100), 1500)
 		return fr[0]
@@ -161,13 +237,18 @@ func FuzzReassemblerAdd(f *testing.F) {
 		}
 		totals := [2]int{int(binary.LittleEndian.Uint16(in)), int(binary.LittleEndian.Uint16(in[2:]))}
 		r := NewReassembler(0)
-		var oracles [2]byteOracle
+		oracles := oracleSet{}
 		rec := in[4:]
 		for k := 0; k < 64 && len(rec) >= 5; k, rec = k+1, rec[5:] {
-			id := int(rec[0] & 1)
+			id := uint32(rec[0] & 1)
 			total := totals[id]
 			off := int(binary.LittleEndian.Uint16(rec[1:])) % (total + 1)
 			n := int(binary.LittleEndian.Uint16(rec[3:])) % (total - off + 1)
+			if rec[0]&4 != 0 {
+				id, off = 2, 0
+				total = 1 + int(binary.LittleEndian.Uint16(rec[3:]))%(0xffff-EncapOverhead)
+				n = total
+			}
 			n = min(n, 0xffff-EncapOverhead) // the IPv4 total-length field
 			payload := make([]byte, n)
 			for i := range payload {
@@ -175,10 +256,10 @@ func FuzzReassemblerAdd(f *testing.F) {
 			}
 			frame := make([]byte, EncapOverhead+n)
 			EncapSegmentInto(frame, Segment{
-				MsgID: uint32(id), DeviceID: 7, Offset: uint32(off), Total: uint32(total),
+				MsgID: id, DeviceID: 7, Offset: uint32(off), Total: uint32(total),
 				Last: rec[0]&2 != 0, Payload: payload,
 			})
-			checkAgainstOracle(t, r, &oracles[id], [][]byte{frame}, func(j int) byte { return fuzzByte(id, j) })
+			checkAgainstOracle(t, r, oracles, [][]byte{frame}, fuzzByte)
 		}
 	})
 }
@@ -215,5 +296,30 @@ func BenchmarkReassemble4K(b *testing.B) {
 				pool.PutRaw(m.Data)
 			}
 		}
+	}
+}
+
+// A single-fragment message with a pool attached, its buffer returned with
+// PutRaw, must reassemble without allocating: the fast path neither creates
+// a partial-map entry nor takes a fresh buffer once the pool is warm.
+func TestSingleFragmentAddZeroAlloc(t *testing.T) {
+	r := NewReassembler(0)
+	pool := bufpool.New()
+	r.SetPool(pool)
+	frames, err := SegmentMessage(1, 1, bytes.Repeat([]byte{0x5a}, 4096+64), 8100)
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("%d frames, %v; want one", len(frames), err)
+	}
+	src := NewMAC(1)
+	add := func() {
+		m, err := r.Add(src, frames[0])
+		if err != nil || m == nil || m.Fragments != 1 {
+			t.Fatalf("Add = %+v, %v; want a one-fragment message", m, err)
+		}
+		pool.PutRaw(m.Data)
+	}
+	add()
+	if n := testing.AllocsPerRun(1000, add); n != 0 {
+		t.Errorf("single-fragment Add: %v allocs/op, want 0", n)
 	}
 }

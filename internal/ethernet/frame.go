@@ -20,6 +20,13 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
+// Key packs the address into the low 48 bits of a uint64, big-endian, so
+// MAC-keyed tables hash one machine word instead of a 6-byte array. Distinct
+// addresses have distinct keys.
+func (m MAC) Key() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(binary.BigEndian.Uint32(m[2:]))
+}
+
 // Broadcast is the all-ones broadcast address.
 var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 

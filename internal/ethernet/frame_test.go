@@ -13,6 +13,21 @@ func TestMACString(t *testing.T) {
 	}
 }
 
+// Key is the address read as a 48-bit big-endian number, so two MACs share
+// a key exactly when they are equal.
+func TestMACKey(t *testing.T) {
+	if got := (MAC{0x02, 0x10, 0xde, 0xad, 0xbe, 0xef}).Key(); got != 0x0210deadbeef {
+		t.Errorf("Key = %#x, want 0x0210deadbeef", got)
+	}
+	if got := Broadcast.Key(); got != 1<<48-1 {
+		t.Errorf("Broadcast.Key = %#x", got)
+	}
+	f := func(a, b MAC) bool { return (a.Key() == b.Key()) == (a == b) && a.Key() < 1<<48 }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestNewMACDistinctAndUnicast(t *testing.T) {
 	a := NewMAC(1)
 	b := NewMAC(2)

@@ -104,11 +104,7 @@ func (r *Reassembler) acquire(total uint32) *partialMsg {
 	} else {
 		p = &partialMsg{}
 	}
-	if r.pool != nil {
-		p.buf = r.pool.GetRaw(int(total))
-	} else {
-		p.buf = make([]byte, total)
-	}
+	p.buf = r.getBuf(total)
 	words := (int(total) + 63) / 64
 	if cap(p.have) < words {
 		p.have = make([]uint64, words)
@@ -118,6 +114,15 @@ func (r *Reassembler) acquire(total uint32) *partialMsg {
 	}
 	p.total = total
 	return p
+}
+
+// getBuf returns a message buffer of total bytes, from the pool if one is
+// attached.
+func (r *Reassembler) getBuf(total uint32) []byte {
+	if r.pool != nil {
+		return r.pool.GetRaw(int(total))
+	}
+	return make([]byte, total)
 }
 
 // recycle returns a partial's bookkeeping to the free list. The message
@@ -144,6 +149,17 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 		// No sender builds one; refusing it keeps a forged length from
 		// sizing the message buffer.
 		return nil, fmt.Errorf("%w: total %d (msg %d)", ErrMessageTooBig, seg.Total, seg.MsgID)
+	}
+	if len(r.partial) == 0 && seg.Offset == 0 && seg.Total > 0 && uint32(len(seg.Payload)) == seg.Total {
+		// Single-fragment message with nothing else reassembling (every net
+		// and 4 KiB block message at the paper's MTU): no entry for this
+		// key can exist, so complete it without touching the partial map.
+		// The result, buffer source and seq advance are what the map path
+		// below would produce.
+		buf := r.getBuf(seg.Total)
+		copy(buf, seg.Payload)
+		r.seq++
+		return r.complete(src, seg, buf, FragmentPages(len(raw)), 1), nil
 	}
 	key := reassemblyKey{src, seg.MsgID}
 	p := r.partial[key]
@@ -174,16 +190,23 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 		return nil, nil
 	}
 	delete(r.partial, key)
+	m := r.complete(src, seg, p.buf, p.pages, p.frags)
+	r.recycle(p)
+	return m, nil
+}
+
+// complete fills the completion scratch with the message seg finished:
+// data in buf, spread over frags fragments taking pages pages.
+func (r *Reassembler) complete(src MAC, seg Segment, buf []byte, pages, frags int) *Message {
 	r.done = Message{
 		Src:       src,
 		MsgID:     seg.MsgID,
-		DeviceID:  p.deviceID,
-		Data:      p.buf,
-		ZeroCopy:  p.pages <= MaxZeroCopyPages,
-		Fragments: p.frags,
+		DeviceID:  seg.DeviceID,
+		Data:      buf,
+		ZeroCopy:  pages <= MaxZeroCopyPages,
+		Fragments: frags,
 	}
-	r.recycle(p)
-	return &r.done, nil
+	return &r.done
 }
 
 // cover marks bytes [lo, hi) in the bitset have and returns how many of

@@ -148,9 +148,8 @@ type Wire struct {
 	// per-frame closures this replaces — and the datapath sheds one
 	// allocation per frame. Jitter-delayed frames bypass this queue via a
 	// per-frame closure, keeping the FIFO invariant intact.
-	pend     []pendFrame
-	pendHead int
-	deliver  func()
+	pend    sim.FIFO[pendFrame]
+	deliver func()
 
 	// remote, when set, diverts delivery across a shard boundary: instead
 	// of scheduling on the local engine, the wire hands (deliverAt, frame)
@@ -191,13 +190,7 @@ func NewWire(eng *sim.Engine, bps float64, latency sim.Time, dst Receiver) *Wire
 	}
 	w := &Wire{eng: eng, bps: bps, lat: latency, dst: dst}
 	w.deliver = func() {
-		f := w.pend[w.pendHead]
-		w.pend[w.pendHead] = pendFrame{}
-		w.pendHead++
-		if w.pendHead == len(w.pend) {
-			w.pend = w.pend[:0]
-			w.pendHead = 0
-		}
+		f := w.pend.Pop()
 		w.handoff(f.b, f.fcs, f.check)
 	}
 	return w
@@ -301,7 +294,7 @@ func (w *Wire) Send(frame []byte) {
 		w.sendFaulted(frame, deliverAt)
 		return
 	}
-	w.pend = append(w.pend, pendFrame{b: frame})
+	w.pend.Push(pendFrame{b: frame})
 	w.eng.At(deliverAt, w.deliver)
 }
 
@@ -323,7 +316,7 @@ func (w *Wire) sendFaulted(frame []byte, deliverAt sim.Time) {
 		w.eng.At(deliverAt+v.Extra, func() { w.handoff(frame, fcs, true) })
 		return
 	}
-	w.pend = append(w.pend, pendFrame{b: frame, fcs: fcs, check: true})
+	w.pend.Push(pendFrame{b: frame, fcs: fcs, check: true})
 	w.eng.At(deliverAt, w.deliver)
 }
 
@@ -389,7 +382,15 @@ type Switch struct {
 	eng     *sim.Engine
 	latency sim.Time
 	ports   []swPort
-	fib     map[ethernet.MAC]int
+	fib     map[uint64]int // MAC.Key -> port
+
+	// inflight holds frames inside the store-and-forward delay, drained by
+	// the prebound egressFn, so no frame needs a closure of its own. The
+	// delay is one constant, so egress instants are nondecreasing in
+	// arrival order, and the engine breaks same-instant ties FIFO: the k-th
+	// egress event is the k-th frame to arrive, on any port.
+	inflight sim.FIFO[swFrame]
+	egressFn func()
 
 	// Fabric role state, all nil/zero for a classic rack switch.
 	rack      int                            // this leaf's rack id
@@ -420,7 +421,20 @@ func (s *Switch) drop(r DropReason) {
 
 // NewSwitch builds a switch with the given store-and-forward latency.
 func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
-	return &Switch{eng: eng, latency: latency, fib: make(map[ethernet.MAC]int)}
+	s := &Switch{eng: eng, latency: latency, fib: make(map[uint64]int)}
+	s.egressFn = func() {
+		f := s.inflight.Pop()
+		s.egress(f.port, f.dst, f.frame)
+	}
+	return s
+}
+
+// swFrame is one frame inside the switch's store-and-forward delay: its
+// ingress port, decoded destination, and encoded bytes.
+type swFrame struct {
+	port  int
+	dst   ethernet.MAC
+	frame []byte
 }
 
 // AttachPort plugs a host-facing cable into the switch: frames arriving on
@@ -485,8 +499,9 @@ func (s *Switch) ingress(port int, frame []byte) {
 		s.drop(DropRunt)
 		return
 	}
-	s.fib[f.Src] = port
-	s.eng.After(s.latency, func() { s.egress(port, f.Dst, frame) })
+	s.fib[f.Src.Key()] = port
+	s.inflight.Push(swFrame{port, f.Dst, frame})
+	s.eng.After(s.latency, s.egressFn)
 }
 
 func (s *Switch) egress(ingress int, dst ethernet.MAC, frame []byte) {
@@ -501,7 +516,7 @@ func (s *Switch) egress(ingress int, dst ethernet.MAC, frame []byte) {
 				return
 			}
 		}
-		if out, ok := s.fib[dst]; ok {
+		if out, ok := s.fib[dst.Key()]; ok {
 			if out != ingress {
 				s.Forwarded++
 				s.ports[out].tx.Send(frame)

@@ -50,15 +50,14 @@ type NIC struct {
 	name string
 	cfg  Config
 	tx   *link.Wire
-	vfs  map[ethernet.MAC]*VF
+	vfs  map[uint64]*VF // MAC.Key -> VF
 
 	pool *bufpool.Pool
 
 	// txq holds frames awaiting their ProcessCost delay before hitting the
 	// wire, drained FIFO by the prebound txFlush (the delay is one constant,
 	// so FIFO order is exactly the event order the per-frame closures had).
-	txq     [][]byte
-	txHead  int
+	txq     sim.FIFO[[]byte]
 	txFlush func()
 
 	// UnknownDst counts frames that matched no VF.
@@ -75,17 +74,8 @@ func New(eng *sim.Engine, name string, cfg Config, tx *link.Wire) *NIC {
 	if cfg.RxRingSize <= 0 {
 		panic("nic: RxRingSize must be positive")
 	}
-	n := &NIC{eng: eng, name: name, cfg: cfg, tx: tx, vfs: make(map[ethernet.MAC]*VF)}
-	n.txFlush = func() {
-		f := n.txq[n.txHead]
-		n.txq[n.txHead] = nil
-		n.txHead++
-		if n.txHead == len(n.txq) {
-			n.txq = n.txq[:0]
-			n.txHead = 0
-		}
-		n.tx.Send(f)
-	}
+	n := &NIC{eng: eng, name: name, cfg: cfg, tx: tx, vfs: make(map[uint64]*VF)}
+	n.txFlush = func() { n.tx.Send(n.txq.Pop()) }
 	return n
 }
 
@@ -107,24 +97,24 @@ func (n *NIC) Pool() *bufpool.Pool {
 
 // queueTx schedules one encoded frame onto the wire after NIC processing.
 func (n *NIC) queueTx(frame []byte) {
-	n.txq = append(n.txq, frame)
+	n.txq.Push(frame)
 	n.eng.After(n.cfg.ProcessCost, n.txFlush)
 }
 
 // VFByMAC returns the VF carved out for mac, or nil. Re-homing a client
 // back onto a cable it used before reuses the existing virtual function
 // instead of carving a duplicate.
-func (n *NIC) VFByMAC(mac ethernet.MAC) *VF { return n.vfs[mac] }
+func (n *NIC) VFByMAC(mac ethernet.MAC) *VF { return n.vfs[mac.Key()] }
 
 // AddVF carves out an SRIOV virtual function with its own MAC.
 func (n *NIC) AddVF(mac ethernet.MAC, mode DeliveryMode) *VF {
-	if _, dup := n.vfs[mac]; dup {
+	if _, dup := n.vfs[mac.Key()]; dup {
 		panic(fmt.Sprintf("nic %s: duplicate VF MAC %s", n.name, mac))
 	}
 	vf := &VF{nic: n, mac: mac, mode: mode}
 	vf.deliverFn = vf.deliverOne
 	vf.fireFn = vf.fireIRQ
-	n.vfs[mac] = vf
+	n.vfs[mac.Key()] = vf
 	return vf
 }
 
@@ -140,7 +130,7 @@ func (n *NIC) ReceiveFrame(frame []byte) {
 		}
 		return
 	}
-	vf := n.vfs[f.Dst]
+	vf := n.vfs[f.Dst.Key()]
 	if vf == nil {
 		vf = n.Promiscuous
 	}
@@ -160,8 +150,7 @@ type VF struct {
 	// pendq holds frames inside their NIC ProcessCost window, drained FIFO
 	// by the prebound deliverFn (one constant delay, so FIFO order matches
 	// the per-frame closures it replaced).
-	pendq    [][]byte
-	pendHead int
+	pendq sim.FIFO[[]byte]
 
 	// rxq is the receive ring. rxHead is the consumed prefix: poll-mode
 	// drains advance it and the backing array is reused once empty;
@@ -241,19 +230,13 @@ func (v *VF) ingress(frame []byte) {
 		return
 	}
 	// NIC processing latency before the frame is visible to software.
-	v.pendq = append(v.pendq, frame)
+	v.pendq.Push(frame)
 	v.nic.eng.After(v.nic.cfg.ProcessCost, v.deliverFn)
 }
 
 // deliverOne lands the oldest in-flight frame in the rx ring.
 func (v *VF) deliverOne() {
-	frame := v.pendq[v.pendHead]
-	v.pendq[v.pendHead] = nil
-	v.pendHead++
-	if v.pendHead == len(v.pendq) {
-		v.pendq = v.pendq[:0]
-		v.pendHead = 0
-	}
+	frame := v.pendq.Pop()
 	if v.QueueLen() >= v.ringSize() {
 		v.Drops++
 		return
@@ -335,7 +318,7 @@ func (v *VF) SendFrame(f ethernet.Frame) error {
 	ethernet.PutHeader(b, f.Dst, f.Src, f.EtherType)
 	copy(b[ethernet.HeaderSize:], f.Payload)
 	v.TxFrames++
-	if sibling, local := v.nic.vfs[f.Dst]; local && sibling != v {
+	if sibling, local := v.nic.vfs[f.Dst.Key()]; local && sibling != v {
 		v.nic.eng.After(v.nic.cfg.ProcessCost, func() { sibling.ingress(b) })
 		return nil
 	}

@@ -2,27 +2,41 @@
 // reproduction: streaming moments, log-bucketed latency histograms with
 // percentile queries (Table 4), named counters (Table 3), and time-series
 // samplers (Figure 15).
+//
+// Histogram.Record and Counters.Inc run for every exit, interrupt and
+// sidecore work item a simulated packet causes, so both are hash-free and,
+// once warm, allocation-free: histogram buckets are a dense slice indexed by
+// bucket number, and counters are a short slice of names matched by string
+// comparison.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // Histogram is a log-linear latency histogram, HDR-style: values are bucketed
 // with bounded relative error (~1/32) so tail percentiles up to 100% stay
 // accurate without storing every sample. Values are int64 (the reproduction
 // records nanoseconds). The zero value is ready to use.
+//
+// Counts live in a dense slice indexed by bucket and grown on demand to the
+// highest bucket recorded, so a warm Record neither hashes nor allocates.
 type Histogram struct {
-	counts map[int]uint64
+	counts []uint64
 	total  uint64
 	sum    float64
 	min    int64
 	max    int64
 }
 
-const histSubBuckets = 32 // per power of two; relative error <= 1/32
+const (
+	histSubBuckets = 32 // per power of two; relative error <= 1/32
+	// histBuckets bounds bucketIndex, whose largest result (top bit 62)
+	// is (62-4)*32+31 = 1887.
+	histBuckets = 60 * histSubBuckets
+)
 
 // bucketIndex maps a value to its bucket.
 func bucketIndex(v int64) int {
@@ -33,7 +47,7 @@ func bucketIndex(v int64) int {
 		return int(v)
 	}
 	// Position of the highest set bit.
-	exp := 63 - leadingZeros(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	// Top 5 bits below the leading bit select the sub-bucket.
 	sub := int((uint64(v) >> (uint(exp) - 5)) & (histSubBuckets - 1))
 	return (exp-4)*histSubBuckets + sub
@@ -50,16 +64,16 @@ func bucketLow(i int) int64 {
 	return (1 << uint(exp)) | (int64(sub) << uint(exp-5))
 }
 
-func leadingZeros(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
+// grow makes bucket i addressable. Capacity at least doubles, capped at
+// histBuckets. The slice never shrinks, so counts[len:cap] was never written
+// and the buckets grow exposes start empty.
+func (h *Histogram) grow(i int) {
+	if i >= cap(h.counts) {
+		counts := make([]uint64, len(h.counts), min(max(2*cap(h.counts), i+1), histBuckets))
+		copy(counts, h.counts)
+		h.counts = counts
 	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
+	h.counts = h.counts[:i+1]
 }
 
 // Record adds one observation. Negative values are clamped to zero.
@@ -67,8 +81,7 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
+	if h.total == 0 {
 		h.min = v
 		h.max = v
 	}
@@ -78,7 +91,11 @@ func (h *Histogram) Record(v int64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.counts[bucketIndex(v)]++
+	i := bucketIndex(v)
+	if i >= len(h.counts) {
+		h.grow(i)
+	}
+	h.counts[i]++
 	h.total++
 	h.sum += float64(v)
 }
@@ -126,14 +143,9 @@ func (h *Histogram) Percentile(p float64) int64 {
 	if rank == 0 {
 		rank = 1
 	}
-	idxs := make([]int, 0, len(h.counts))
-	for i := range h.counts {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
 	var cum uint64
-	for _, i := range idxs {
-		cum += h.counts[i]
+	for i, c := range h.counts {
+		cum += c
 		if cum >= rank {
 			v := bucketLow(i)
 			if v < h.min {
@@ -159,34 +171,27 @@ func (h *Histogram) CountAbove(v int64) uint64 {
 	if v >= h.max {
 		return 0
 	}
-	cut := bucketIndex(v)
 	var n uint64
-	for i, c := range h.counts {
-		if i > cut {
-			n += c
-		}
+	for _, c := range h.counts[min(bucketIndex(v)+1, len(h.counts)):] {
+		n += c
 	}
 	return n
 }
 
 // Reset discards all observations.
-func (h *Histogram) Reset() {
-	h.counts = nil
-	h.total = 0
-	h.sum = 0
-	h.min = 0
-	h.max = 0
-}
+func (h *Histogram) Reset() { *h = Histogram{} }
 
 // Merge folds other's observations into h.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
+	if h.total == 0 {
 		h.min = other.min
 		h.max = other.max
+	}
+	if n := len(other.counts); n > len(h.counts) {
+		h.grow(n - 1)
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c

@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -53,7 +53,13 @@ func (m *Mean) RelStddev() float64 {
 // Counters is a set of named monotonically increasing counters, used for the
 // Table 3 exit/interrupt accounting. The zero value is ready to use.
 //
-// Counters is NOT safe for concurrent use: Inc mutates a plain map with no
+// Names and values live in two parallel slices kept sorted by name. Inc
+// finds a name by a linear string comparison: a set holds about twenty
+// names at most, all package constants, so the scan beats hashing, and a
+// known name is incremented without allocating. A new name is inserted in order,
+// which keeps Names and String free of sorting.
+//
+// Counters is NOT safe for concurrent use: Inc mutates the slices with no
 // locking. This is deliberate — counters sit on the simulation hot path, and
 // each simulation cell is single-threaded. The parallel experiment runner
 // (experiments.RunAllParallel) keeps this sound by giving every cell its own
@@ -61,48 +67,56 @@ func (m *Mean) RelStddev() float64 {
 // the worker goroutines have been joined. Never share one Counters between
 // cells, and never call Inc or Merge from more than one goroutine at a time.
 type Counters struct {
-	m map[string]uint64
+	names []string
+	vals  []uint64
 }
 
 // Inc adds delta to the named counter.
 func (c *Counters) Inc(name string, delta uint64) {
-	if c.m == nil {
-		c.m = make(map[string]uint64)
+	for i, n := range c.names {
+		if n == name {
+			c.vals[i] += delta
+			return
+		}
 	}
-	c.m[name] += delta
+	i, _ := slices.BinarySearch(c.names, name)
+	c.names = slices.Insert(c.names, i, name)
+	c.vals = slices.Insert(c.vals, i, delta)
 }
 
 // Get reads the named counter (0 if never incremented).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
+func (c *Counters) Get(name string) uint64 {
+	for i, n := range c.names {
+		if n == name {
+			return c.vals[i]
+		}
+	}
+	return 0
+}
 
 // Names returns the counter names in sorted order.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for n := range c.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return append(make([]string, 0, len(c.names)), c.names...)
 }
 
 // Merge folds other's counters into c.
 func (c *Counters) Merge(other *Counters) {
-	for n, v := range other.m {
-		c.Inc(n, v)
+	for i, n := range other.names {
+		c.Inc(n, other.vals[i])
 	}
 }
 
 // Reset zeroes all counters.
-func (c *Counters) Reset() { c.m = nil }
+func (c *Counters) Reset() { *c = Counters{} }
 
 // String renders "name=value" pairs sorted by name.
 func (c *Counters) String() string {
 	var b strings.Builder
-	for i, n := range c.Names() {
+	for i, n := range c.names {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", n, c.m[n])
+		fmt.Fprintf(&b, "%s=%d", n, c.vals[i])
 	}
 	return b.String()
 }

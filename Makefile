@@ -1,6 +1,8 @@
 # Developer targets. `make check` is the full gate: build, vet, tests, the
-# race detector — the parallel experiment scheduler must stay race-clean —
-# and gofmt.
+# race detector over every package (once) — the parallel experiment
+# scheduler must stay race-clean — the zero-allocation guards, doccheck, the
+# loopback smoke test and gofmt. The race-* targets re-run subsets of `race`
+# for focused local work; `check` does not repeat them.
 
 GO ?= go
 
@@ -126,5 +128,5 @@ memprofile:
 	$(GO) run ./cmd/vrio-experiments -run all -quick -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
-check: build vet test race race-fault race-shard race-trace race-mq race-vol bench-mq bench-vol doccheck loadgen-smoke
+check: build vet test race bench-mq bench-vol doccheck loadgen-smoke
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above are not formatted"; exit 1; }

@@ -131,14 +131,6 @@ type Spec struct {
 	// so the same workload can replay under different fault draws. Zero
 	// derives it from Seed.
 	FaultSeed uint64
-	// Carrier selects what carries §4.2 transport messages in this testbed:
-	// CarrierSim (the default) cables the rack with simulated link.Wires on
-	// the build engine. CarrierUDP/CarrierTCP name the real-socket carriers
-	// of internal/netwire; those run one process per side of the wire, so a
-	// single-process Build cannot assemble them — Build rejects them with a
-	// pointer at cmd/vrio-loadgen, which is the process pair that does.
-	// Anything else is a typo and also rejected.
-	Carrier string
 	// MACOffset shifts every MAC this testbed mints (guests, transports,
 	// stations, IOhosts) by a constant, so several racks built into one
 	// fabric own disjoint address blocks. The fabric builder gives rack r
@@ -149,16 +141,6 @@ type Spec struct {
 	Params *params.P
 	Seed   uint64
 }
-
-// Carrier names for Spec.Carrier.
-const (
-	// CarrierSim is the simulated-cable carrier (link.Wire); the default.
-	CarrierSim = "sim"
-	// CarrierUDP and CarrierTCP are the real-socket carriers implemented by
-	// internal/netwire and assembled by the cmd/vrio-loadgen process pair.
-	CarrierUDP = "udp"
-	CarrierTCP = "tcp"
-)
 
 // Testbed is an assembled rack.
 type Testbed struct {
@@ -277,9 +259,6 @@ func (s *Spec) defaults() {
 	if s.NumIOhosts == 0 {
 		s.NumIOhosts = 1
 	}
-	if s.Carrier == "" {
-		s.Carrier = CarrierSim
-	}
 	if s.VolReplicas > 0 {
 		if s.VolQuorum == 0 {
 			s.VolQuorum = s.VolReplicas // write-all
@@ -314,14 +293,6 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 	}
 	if spec.BlockLatency == 0 {
 		spec.BlockLatency = p.RamdiskLatency
-	}
-	switch spec.Carrier {
-	case "", CarrierSim:
-		// Simulated cables, built below.
-	case CarrierUDP, CarrierTCP:
-		panic(fmt.Sprintf("cluster: the %q carrier is a real-socket transport spanning two processes; run cmd/vrio-loadgen -serve/-drive instead of a single-process Build", spec.Carrier))
-	default:
-		panic(fmt.Sprintf("cluster: unknown carrier %q (want %q, %q, or %q)", spec.Carrier, CarrierSim, CarrierUDP, CarrierTCP))
 	}
 	isVRIO := spec.Model == core.ModelVRIO || spec.Model == core.ModelVRIONoPoll
 	if spec.NumIOhosts > 1 && spec.SecondaryIOhost {
@@ -401,7 +372,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 	case core.ModelOptimum:
 		tb.buildLocal(nicCfg, func(hostIdx int, hostNIC *nic.NIC) localHost {
 			h := core.NewOptimumHost(tb.Eng, p, fmt.Sprintf("vmhost%d", hostIdx), hostNIC)
-			return localHost{addVM: func(id int, c *cpu.Core, mac ethernet.MAC, _ blockdev.Backend, _ *interpose.Chain) *core.Guest {
+			return localHost{addVM: func(id int, c *cpu.Core, mac ethernet.MAC, _ blockdev.Backend, _, _ *interpose.Chain) *core.Guest {
 				return h.AddVM(id, c, mac)
 			}}
 		})
@@ -451,7 +422,7 @@ func (tb *Testbed) newNIC(name string, cfg nic.Config, tx *link.Wire) *nic.NIC {
 
 // localHost abstracts the three local models' AddVM signatures.
 type localHost struct {
-	addVM func(id int, c *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, chain *interpose.Chain) *core.Guest
+	addVM func(id int, c *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, netChain, blkChain *interpose.Chain) *core.Guest
 }
 
 // buildLocal assembles optimum/baseline/elvis VMhosts on the switch.
@@ -474,14 +445,14 @@ func (tb *Testbed) buildLocal(nicCfg nic.Config, mkHost func(hostIdx int, hostNI
 			if spec.WithBlock {
 				backend = tb.newBlockDevice()
 			}
-			var chain *interpose.Chain
+			var netChain, blkChain *interpose.Chain
 			if spec.NetChain != nil {
-				chain = spec.NetChain(hostIdx, v)
+				netChain = spec.NetChain(hostIdx, v)
 			}
-			if spec.BlkChain != nil && chain == nil {
-				chain = spec.BlkChain(hostIdx, v)
+			if spec.BlkChain != nil {
+				blkChain = spec.BlkChain(hostIdx, v)
 			}
-			g := h.addVM(vmID, vmCore, tb.mac(macGuestBase+uint32(vmID)), backend, chain)
+			g := h.addVM(vmID, vmCore, tb.mac(macGuestBase+uint32(vmID)), backend, netChain, blkChain)
 			tb.attachThreads(g)
 			tb.Guests = append(tb.Guests, g)
 			tb.GuestHost = append(tb.GuestHost, hostIdx)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"vrio/internal/blockdev"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
@@ -29,14 +27,13 @@ type BaselineHost struct {
 }
 
 type baselineGuest struct {
-	g       *Guest
-	id      int
-	netQ    *netQueues
-	blkQ    *blkQueue
-	blkDone map[uint16]func([]byte, error) // per-chain completion, keyed by head
-	vf      *nic.VF
-	chain   *interpose.Chain
-	blk     blockdev.Backend
+	g     *Guest
+	id    int
+	netQ  *netQueues
+	blkQ  *blkQueue
+	vf    *nic.VF
+	chain *interpose.Chain
+	blk   virtio.BlkServer
 }
 
 // NewBaselineHost builds the host. ioCore is the shared core Linux uses for
@@ -54,18 +51,26 @@ func (h *BaselineHost) Name() string { return h.name }
 func (h *BaselineHost) IOCore() *cpu.Core { return h.ioCore }
 
 // AddVM provisions a VM with a virtio net device and, when blk is non-nil,
-// a virtio block device backed by it. chain (optional) interposes on net
-// traffic in the host backend.
-func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, chain *interpose.Chain) *Guest {
-	if chain == nil {
-		chain = interpose.NewChain()
+// a virtio block device backed by it. netChain and blkChain (optional)
+// interpose on net and block traffic in the host backend.
+func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, netChain, blkChain *interpose.Chain) *Guest {
+	if netChain == nil {
+		netChain = interpose.NewChain()
+	}
+	if blkChain == nil {
+		blkChain = interpose.NewChain()
 	}
 	bg := &baselineGuest{
 		g:     &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
 		id:    id,
 		netQ:  newNetQueues(),
-		chain: chain,
-		blk:   blk,
+		chain: netChain,
+		// The vhost path copies block payloads both ways; its fixed service
+		// cost is charged in guestBlkSubmit.
+		blk: virtio.BlkServer{
+			Backend: blk, Chain: blkChain, Device: uint16(id),
+			Cost: virtio.BlkCost{PerByte: h.p.HostPerByte},
+		},
 	}
 	bg.vf = h.nic.AddVF(mac, nic.ModeInterrupt)
 	h.guests = append(h.guests, bg)
@@ -75,18 +80,15 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 
 	if blk != nil {
 		bg.blkQ = newBlkQueue()
-		bg.blkDone = make(map[uint16]func([]byte, error))
 		// Guest-side per-op CPU: stack + kick exit + injected completion
 		// (guest IRQ handler + EOI exit).
 		bg.g.blkCPU = func(int) sim.Time {
 			return h.p.GuestNetStackCost + 2*h.p.ExitCost + h.p.GuestIRQCost
 		}
-		bg.g.blkWrite = func(sector uint64, data []byte, done func(error)) {
-			h.guestBlkWrite(bg, sector, data, done)
+		bg.g.blkSubmit = func(req []byte, sectors int, done func([]byte, error)) {
+			h.guestBlkSubmit(bg, req, 1+sectors*h.p.SectorSize, done)
 		}
-		bg.g.blkRead = func(sector uint64, sectors int, done func([]byte, error)) {
-			h.guestBlkRead(bg, sector, sectors, done)
-		}
+		bg.g.blkWrite, bg.g.blkRead = bg.g.ringWrite, bg.g.ringRead
 	}
 	return bg.g
 }
@@ -202,102 +204,51 @@ func (h *BaselineHost) hostReceive(bg *baselineGuest, frames [][]byte) {
 
 // --- block path ---
 
-func (h *BaselineHost) guestBlkWrite(bg *baselineGuest, sector uint64, data []byte, done func(error)) {
-	h.guestBlkSubmit(bg, blkWriteReq(sector, data), 1, func(resp []byte, err error) {
-		if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
-			err = blockdev.ErrDeviceFailed
-		}
-		done(err)
-	})
-}
-
-func (h *BaselineHost) guestBlkRead(bg *baselineGuest, sector uint64, sectors int, done func([]byte, error)) {
-	req := virtio.BlkHdr{Type: virtio.BlkIn, Sector: sector}.Encode(nil)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(sectors))
-	req = append(req, n[:]...)
-	h.guestBlkSubmit(bg, req, 1+sectors*h.p.SectorSize, func(resp []byte, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		if len(resp) < 1 || resp[0] != virtio.BlkOK {
-			done(nil, blockdev.ErrDeviceFailed)
-			return
-		}
-		done(resp[1:], nil)
-	})
-}
-
 // guestBlkSubmit: ring -> exit -> vhost wakeup -> backend -> device ->
 // host IRQ -> injected completion -> reap.
 func (h *BaselineHost) guestBlkSubmit(bg *baselineGuest, req []byte, respCap int, done func([]byte, error)) {
 	bg.g.VM.Compute(h.p.GuestNetStackCost, func() {
-		head, ok := bg.blkQ.guestSubmit(req, respCap)
-		if !ok {
+		if !bg.blkQ.guestSubmit(req, respCap, done) {
 			done(nil, virtio.ErrRingFull)
 			return
 		}
-		bg.blkDone[head] = done
 		bg.g.VM.Exit(func() {
 			hypervisor.VhostWakeup(h.ioCore, h.p, func() {
 				h.ioCore.Exec(bg.id, cpu.KindBusy, h.p.BlockServiceCost, func() {
-					h.serveBlk(bg)
+					c, ok := bg.blkQ.hostPop()
+					if !ok {
+						return // already served by an earlier kick's drain
+					}
+					bg.blk.Serve(&baselineBlk{h: h, bg: bg, c: c}, c.Out)
 				})
 			})
 		})
 	})
 }
 
-func (h *BaselineHost) serveBlk(bg *baselineGuest) {
-	c, ok := bg.blkQ.hostPop()
-	if !ok {
-		return // already served by an earlier kick's drain
-	}
-	bh, body, err := virtio.DecodeBlkHdr(c.Out)
-	if err != nil {
-		bg.blkQ.hostComplete(c, []byte{virtio.BlkIOErr})
-		h.completeBlk(bg)
-		return
-	}
-	respond := func(resp []byte) {
-		// Completion: physical-style device interrupt on the host.
-		hypervisor.HostIRQ(h.ioCore, h.p, &bg.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
-			bg.blkQ.hostComplete(c, resp)
-			h.completeBlk(bg)
-		})
-	}
-	switch bh.Type {
-	case virtio.BlkOut:
-		// The baseline's vhost path copies block payloads.
-		h.ioCore.Exec(bg.id, cpu.KindBusy, perByte(h.p.HostPerByte, len(body)), func() {
-			bg.blk.Submit(blockdev.Request{Op: blockdev.OpWrite, Sector: bh.Sector, Data: body},
-				func(r blockdev.Response) { respond(blkReply(r.Err, nil)) })
-		})
-	case virtio.BlkIn:
-		n := int(binary.LittleEndian.Uint32(body))
-		bg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n},
-			func(r blockdev.Response) {
-				out := blkReply(r.Err, r.Data) // copies the borrowed read data
-				h.ioCore.Exec(bg.id, cpu.KindBusy, perByte(h.p.HostPerByte, len(r.Data)), func() {
-					respond(out)
-				})
-			})
-	default:
-		bg.blkQ.hostComplete(c, []byte{virtio.BlkUnsupp})
-		h.completeBlk(bg)
-	}
+// baselineBlk is the baseline's virtio.BlkSite for one request: the shared
+// vhost core serves it, and the completion takes a host interrupt before it
+// is injected into the guest.
+type baselineBlk struct {
+	h  *BaselineHost
+	bg *baselineGuest
+	c  virtio.Chain
 }
 
-// completeBlk injects the completion interrupt; the guest reaps every
-// finished chain and routes each to its submitter.
-func (h *BaselineHost) completeBlk(bg *baselineGuest) {
-	bg.g.VM.GuestIRQInjected(h.ioCore, func() {
-		for _, comp := range bg.blkQ.guestReap() {
-			if done := bg.blkDone[comp.Head]; done != nil {
-				delete(bg.blkDone, comp.Head)
-				done(comp.In, nil)
-			}
-		}
+// Charge implements virtio.BlkSite.
+func (b *baselineBlk) Charge(cost sim.Time, fn func()) {
+	b.h.ioCore.Exec(b.bg.id, cpu.KindBusy, cost, fn)
+}
+
+// Completed implements virtio.BlkSite.
+func (b *baselineBlk) Completed() {}
+
+// Reply takes the device interrupt on the host, then completes the chain
+// and injects the completion.
+func (b *baselineBlk) Reply(resp []byte) {
+	resp = append([]byte(nil), resp...) // resp is only valid during the call
+	hypervisor.HostIRQ(b.h.ioCore, b.h.p, &b.bg.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
+		b.bg.blkQ.hostComplete(b.c, resp)
+		b.bg.g.VM.GuestIRQInjected(b.h.ioCore, b.bg.blkQ.reapFn)
 	})
 }

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"vrio/internal/blockdev"
 	"vrio/internal/ethernet"
 	"vrio/internal/guestos"
 	"vrio/internal/hypervisor"
@@ -55,6 +56,11 @@ type Guest struct {
 	blkWrite func(sector uint64, data []byte, done func(error))
 	blkRead  func(sector uint64, sectors int, done func([]byte, error))
 	blkCPU   func(bytes int) sim.Time
+	// blkSubmit posts a block request on the guest's ring, reserving room
+	// for a reply of `sectors` sectors of data, and calls done with the
+	// reply. Models whose host serves the ring (Elvis, baseline) set it and
+	// use ringWrite/ringRead as blkWrite/blkRead.
+	blkSubmit func(req []byte, sectors int, done func([]byte, error))
 	// Multi-queue variants; set only by models that support per-queue block
 	// submission (the vRIO transport). When unset, WriteBlockQ/ReadBlockQ
 	// fall back to the single-queue hooks and the queue id is ignored.
@@ -154,22 +160,28 @@ func perByte(rate float64, n int) sim.Time {
 	return sim.Time(rate * float64(n))
 }
 
-// blkReply builds a [status][data] block completion in one exact-size
-// buffer. data may be a backend's borrowed Response.Data, so host block
-// paths build the reply inside the backend callback.
-func blkReply(err error, data []byte) []byte {
-	out := make([]byte, 1+len(data))
-	out[0] = virtio.BlkOK
-	if err != nil {
-		out[0] = virtio.BlkIOErr
-	}
-	copy(out[1:], data)
-	return out
+// ringWrite is the block write front end over blkSubmit.
+func (g *Guest) ringWrite(sector uint64, data []byte, done func(error)) {
+	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data}.Append(nil)
+	g.blkSubmit(req, 0, func(resp []byte, err error) {
+		_, err = ringReply(resp, err)
+		done(err)
+	})
 }
 
-// blkWriteReq builds a BlkOut request, header and payload, in one
-// exact-size buffer.
-func blkWriteReq(sector uint64, data []byte) []byte {
-	req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: sector}.Encode(make([]byte, 0, virtio.BlkHdrSize+len(data)))
-	return append(req, data...)
+// ringRead is the block read front end over blkSubmit.
+func (g *Guest) ringRead(sector uint64, sectors int, done func([]byte, error)) {
+	req := virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors}.Append(nil)
+	g.blkSubmit(req, sectors, func(resp []byte, err error) { done(ringReply(resp, err)) })
+}
+
+// ringReply checks a ring reply's status byte and returns its data.
+func ringReply(resp []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	if len(resp) < 1 || resp[0] != virtio.BlkOK {
+		return nil, blockdev.ErrDeviceFailed
+	}
+	return resp[1:], nil
 }

@@ -148,6 +148,45 @@ func TestInterpositionAppliesToLocalModels(t *testing.T) {
 			t.Errorf("%s: firewall dropped %d", m, fw.Dropped)
 		}
 	}
+
+	// An AES chain on the block device must encrypt at rest and decrypt on
+	// the way back, and the VM's net firewall must not see block payloads.
+	for _, m := range []core.ModelName{core.ModelElvis, core.ModelBaseline} {
+		aes, err := interpose.NewAES(bytes.Repeat([]byte{7}, 32), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := cluster.Build(cluster.Spec{
+			Model: m, VMsPerHost: 1, WithBlock: true, NoJitter: true, Seed: 43,
+			NetChain: func(host, vm int) *interpose.Chain {
+				return interpose.NewChain(interpose.NewFirewall(0, []byte("BLOCKME")))
+			},
+			BlkChain: func(host, vm int) *interpose.Chain { return interpose.NewChain(aes) },
+		})
+		g := tb.Guests[0]
+		plain := append([]byte("BLOCKME at rest"), make([]byte, 4096-15)...)
+		var got []byte
+		g.WriteBlock(8, plain, func(err error) {
+			if err != nil {
+				t.Errorf("%s write: %v", m, err)
+				return
+			}
+			g.ReadBlock(8, 8, func(data []byte, err error) {
+				if err != nil {
+					t.Errorf("%s read: %v", m, err)
+				}
+				got = append([]byte{}, data...)
+			})
+		})
+		tb.Eng.RunUntil(10 * sim.Millisecond)
+		if !bytes.Equal(got, plain) {
+			t.Errorf("%s: AES block round trip returned %d bytes, not the plaintext", m, len(got))
+		}
+		atRest, err := tb.BlockDevices[0].Store().Read(8, 8)
+		if err != nil || bytes.Equal(atRest, plain) {
+			t.Errorf("%s: block payload is not encrypted at rest (err %v)", m, err)
+		}
+	}
 }
 
 func TestBaselineGeneratesExitsOthersDoNot(t *testing.T) {

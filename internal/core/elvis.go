@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"vrio/internal/blockdev"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
@@ -33,14 +31,13 @@ type ElvisHost struct {
 }
 
 type elvisGuest struct {
-	g       *Guest
-	id      int
-	netQ    *netQueues
-	blkQ    *blkQueue
-	blkDone map[uint16]func([]byte, error)
-	vf      *nic.VF
-	chain   *interpose.Chain
-	blk     blockdev.Backend
+	g     *Guest
+	id    int
+	netQ  *netQueues
+	blkQ  *blkQueue
+	vf    *nic.VF
+	chain *interpose.Chain
+	blk   virtio.BlkServer
 	// side is the sidecore serving this guest (round-robin assignment,
 	// matching Elvis's static VM-to-sidecore mapping).
 	side int
@@ -72,17 +69,24 @@ func (h *ElvisHost) Name() string { return h.name }
 func (h *ElvisHost) Sidecores() []*cpu.Core { return h.sidecores }
 
 // AddVM provisions a VM, statically assigned to a sidecore round-robin.
-func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, chain *interpose.Chain) *Guest {
-	if chain == nil {
-		chain = interpose.NewChain()
+// When blk is non-nil the VM gets a block device backed by it. netChain and
+// blkChain (optional) interpose on the VM's net and block traffic.
+func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, netChain, blkChain *interpose.Chain) *Guest {
+	if netChain == nil {
+		netChain = interpose.NewChain()
+	}
+	if blkChain == nil {
+		blkChain = interpose.NewChain()
 	}
 	eg := &elvisGuest{
 		g:     &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
 		id:    id,
 		netQ:  newNetQueues(),
-		chain: chain,
-		blk:   blk,
-		side:  len(h.guests) % len(h.sidecores),
+		chain: netChain,
+		// Elvis charges its block service in scan; the back end adds only
+		// interposition.
+		blk:  virtio.BlkServer{Backend: blk, Chain: blkChain, Device: uint16(id)},
+		side: len(h.guests) % len(h.sidecores),
 	}
 	eg.vf = h.nic.AddVF(mac, nic.ModeInterrupt)
 	h.guests = append(h.guests, eg)
@@ -111,48 +115,24 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 
 	if blk != nil {
 		eg.blkQ = newBlkQueue()
-		eg.blkDone = make(map[uint16]func([]byte, error))
 		// Guest-side per-op CPU: stack + exitless completion.
 		eg.g.blkCPU = func(int) sim.Time {
 			return h.p.GuestNetStackCost + h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
-		eg.g.blkWrite = func(sector uint64, data []byte, done func(error)) {
-			h.guestBlkSubmit(eg, blkWriteReq(sector, data), 1, func(resp []byte, err error) {
-				if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
-					err = blockdev.ErrDeviceFailed
-				}
-				done(err)
-			})
+		eg.g.blkSubmit = func(req []byte, sectors int, done func([]byte, error)) {
+			h.guestBlkSubmit(eg, req, 1+sectors*h.p.SectorSize, done)
 		}
-		eg.g.blkRead = func(sector uint64, sectors int, done func([]byte, error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkIn, Sector: sector}.Encode(nil)
-			var n [4]byte
-			binary.LittleEndian.PutUint32(n[:], uint32(sectors))
-			req = append(req, n[:]...)
-			h.guestBlkSubmit(eg, req, 1+sectors*h.p.SectorSize, func(resp []byte, err error) {
-				if err != nil {
-					done(nil, err)
-					return
-				}
-				if len(resp) < 1 || resp[0] != virtio.BlkOK {
-					done(nil, blockdev.ErrDeviceFailed)
-					return
-				}
-				done(resp[1:], nil)
-			})
-		}
+		eg.g.blkWrite, eg.g.blkRead = eg.g.ringWrite, eg.g.ringRead
 	}
 	return eg.g
 }
 
 func (h *ElvisHost) guestBlkSubmit(eg *elvisGuest, req []byte, respCap int, done func([]byte, error)) {
 	eg.g.VM.Compute(h.p.GuestNetStackCost, func() {
-		head, ok := eg.blkQ.guestSubmit(req, respCap)
-		if !ok {
+		if !eg.blkQ.guestSubmit(req, respCap, done) {
 			done(nil, virtio.ErrRingFull)
 			return
 		}
-		eg.blkDone[head] = done
 		h.armScan(eg.side) // no exit
 	})
 }
@@ -193,7 +173,8 @@ func (h *ElvisHost) scan(i int) {
 					break
 				}
 				found = true
-				h.serveBlk(i, eg, c)
+				call := &elvisBlk{h: h, eg: eg, c: c}
+				h.sidecores[i].Exec(cpu.NoOwner, cpu.KindBusy, h.p.SidecoreServiceCost+h.p.BlockServiceCost, call.serve)
 			}
 		}
 	}
@@ -279,67 +260,27 @@ func (h *ElvisHost) hostReceive(eg *elvisGuest, frames [][]byte) {
 	})
 }
 
-// serveBlk: sidecore executes the block request on the local backend; the
-// ramdisk completion returns on the sidecore, which notifies the guest
-// exitless.
-func (h *ElvisHost) serveBlk(i int, eg *elvisGuest, c virtio.Chain) {
-	sc := h.sidecores[i]
-	sc.Exec(cpu.NoOwner, cpu.KindBusy, h.p.SidecoreServiceCost+h.p.BlockServiceCost, func() {
-		bh, body, err := virtio.DecodeBlkHdr(c.Out)
-		if err != nil {
-			h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
-			return
-		}
-		switch bh.Type {
-		case virtio.BlkOut:
-			payload, icost, perr := eg.chain.Process(interpose.ToDevice, uint16(eg.id), body)
-			if perr != nil {
-				h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
-				return
-			}
-			doSubmit := func() {
-				eg.blk.Submit(blockdev.Request{Op: blockdev.OpWrite, Sector: bh.Sector, Data: payload},
-					func(r blockdev.Response) { h.completeBlk(eg, c, blkReply(r.Err, nil)) })
-			}
-			if icost > 0 {
-				sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, doSubmit)
-			} else {
-				doSubmit()
-			}
-		case virtio.BlkIn:
-			n := int(binary.LittleEndian.Uint32(body))
-			eg.blk.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n},
-				func(r blockdev.Response) {
-					if r.Err != nil {
-						h.completeBlk(eg, c, blkReply(r.Err, nil))
-						return
-					}
-					data, icost, perr := eg.chain.Process(interpose.ToGuest, uint16(eg.id), r.Data)
-					if perr != nil {
-						h.completeBlk(eg, c, []byte{virtio.BlkIOErr})
-						return
-					}
-					out := blkReply(nil, data) // copies the borrowed read data
-					if icost > 0 {
-						sc.Exec(cpu.NoOwner, cpu.KindBusy, icost, func() { h.completeBlk(eg, c, out) })
-					} else {
-						h.completeBlk(eg, c, out)
-					}
-				})
-		default:
-			h.completeBlk(eg, c, []byte{virtio.BlkUnsupp})
-		}
-	})
+// elvisBlk is Elvis's virtio.BlkSite for one request: the guest's sidecore
+// serves it and notifies the guest exitless.
+type elvisBlk struct {
+	h  *ElvisHost
+	eg *elvisGuest
+	c  virtio.Chain
 }
 
-func (h *ElvisHost) completeBlk(eg *elvisGuest, c virtio.Chain, resp []byte) {
-	eg.blkQ.hostComplete(c, resp)
-	eg.g.VM.GuestIRQExitless(func() {
-		for _, comp := range eg.blkQ.guestReap() {
-			if done := eg.blkDone[comp.Head]; done != nil {
-				delete(eg.blkDone, comp.Head)
-				done(comp.In, nil)
-			}
-		}
-	})
+// serve runs the request through the guest's block back end.
+func (b *elvisBlk) serve() { b.eg.blk.Serve(b, b.c.Out) }
+
+// Charge implements virtio.BlkSite.
+func (b *elvisBlk) Charge(cost sim.Time, fn func()) {
+	b.h.sidecores[b.eg.side].Exec(cpu.NoOwner, cpu.KindBusy, cost, fn)
+}
+
+// Completed implements virtio.BlkSite.
+func (b *elvisBlk) Completed() {}
+
+// Reply completes the chain and notifies the guest exitless.
+func (b *elvisBlk) Reply(resp []byte) {
+	b.eg.blkQ.hostComplete(b.c, resp)
+	b.eg.g.VM.GuestIRQExitless(b.eg.blkQ.reapFn)
 }

@@ -131,8 +131,12 @@ func (q *netQueues) txPending() bool { return q.tx.HasAvail() }
 // and reserve in-space for status (+ read data).
 type blkQueue struct {
 	ring *virtio.Ring
-	// reap is the reusable completion batch for guestReap.
-	reap virtio.ReapBatch
+	// done routes each posted chain's reply to its submitter, by head.
+	done map[uint16]func([]byte, error)
+	// reap is the reusable completion batch for guestReap; reapFn is
+	// guestReap bound once, for completion interrupts.
+	reap   virtio.ReapBatch
+	reapFn func()
 }
 
 func newBlkQueue() *blkQueue {
@@ -142,14 +146,21 @@ func newBlkQueue() *blkQueue {
 	if err != nil {
 		panic(err)
 	}
-	return &blkQueue{ring: ring}
+	q := &blkQueue{ring: ring, done: make(map[uint16]func([]byte, error))}
+	q.reapFn = q.guestReap
+	return q
 }
 
 // guestSubmit posts one block request; respCap reserves room for the
-// response (1 status byte, plus data for reads). It reports ring-full.
-func (q *blkQueue) guestSubmit(req []byte, respCap int) (uint16, bool) {
+// response (1 status byte, plus data for reads), and done receives it. It
+// reports ring-full.
+func (q *blkQueue) guestSubmit(req []byte, respCap int, done func([]byte, error)) bool {
 	head, err := q.ring.Add(req, respCap)
-	return head, err == nil
+	if err != nil {
+		return false
+	}
+	q.done[head] = done
+	return true
 }
 
 // hostPop takes the next request (host side). It deliberately uses the
@@ -169,12 +180,16 @@ func (q *blkQueue) hostComplete(c virtio.Chain, resp []byte) {
 	q.ring.Push(c, resp)
 }
 
-// guestReap collects completed requests. The returned slice and each
-// completion's In data are valid until the next guestReap on this queue;
-// callers consume them synchronously.
-func (q *blkQueue) guestReap() []virtio.Completion {
+// guestReap collects completed requests and hands each response to its
+// submitter; the response is valid only during that call.
+func (q *blkQueue) guestReap() {
 	q.ring.ReapInto(&q.reap, 0)
-	return q.reap.Completions
+	for _, comp := range q.reap.Completions {
+		if done := q.done[comp.Head]; done != nil {
+			delete(q.done, comp.Head)
+			done(comp.In, nil)
+		}
+	}
 }
 
 // pending reports whether requests await the host (poll predicate).

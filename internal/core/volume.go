@@ -238,9 +238,7 @@ func (r *VolumeRouter) Write(sector uint64, data []byte, done func(error)) {
 	r.verAlloc[extent] = v
 	op.version = v
 
-	op.req = virtio.BlkHdr{Type: virtio.BlkVolOut, Sector: sector}.Encode(op.req[:0])
-	op.req = virtio.VolHdr{Extent: extent, Version: v}.Encode(op.req)
-	op.req = append(op.req, data...)
+	op.req = virtio.BlkReq{Type: virtio.BlkVolOut, Sector: sector, Extent: extent, Version: v, Data: data}.Append(op.req[:0])
 	op.sent, op.pending, op.needed = n, n, r.spec.WriteQuorum
 	op.done = done
 	r.Counters.Inc("vol_writes", 1)
@@ -355,10 +353,10 @@ func (r *VolumeRouter) Read(sector uint64, sectors int, done func(data []byte, e
 	op.done = done
 	op.queue = uint8(extent % uint64(r.spec.Queues))
 
-	op.req = virtio.BlkHdr{Type: virtio.BlkVolIn, Sector: sector}.Encode(op.req[:0])
-	op.req = virtio.VolHdr{Extent: extent, Version: r.committed[extent]}.Encode(op.req)
-	op.req = append(op.req,
-		byte(sectors), byte(sectors>>8), byte(sectors>>16), byte(sectors>>24))
+	op.req = virtio.BlkReq{
+		Type: virtio.BlkVolIn, Sector: sector, Sectors: sectors,
+		Extent: extent, Version: r.committed[extent],
+	}.Append(op.req[:0])
 	r.Counters.Inc("vol_reads", 1)
 	op.try()
 }
@@ -580,9 +578,7 @@ func (r *VolumeRouter) startRebuild(job rebuildJob) {
 
 	// Read the whole extent from the source at the committed version. The
 	// rebuild path allocates freely — it runs only during recovery.
-	req := virtio.BlkHdr{Type: virtio.BlkVolIn, Sector: sector}.Encode(nil)
-	req = virtio.VolHdr{Extent: e, Version: ver}.Encode(req)
-	req = append(req, byte(sectors), byte(sectors>>8), byte(sectors>>16), byte(sectors>>24))
+	req := virtio.BlkReq{Type: virtio.BlkVolIn, Sector: sector, Sectors: int(sectors), Extent: e, Version: ver}.Append(nil)
 	r.loads[src]++
 	r.drivers[src].SendBlkQ(uint8(virtio.DeviceBlk), r.deviceID, q, req, func(resp []byte, err error) {
 		r.loads[src]--
@@ -601,9 +597,7 @@ func (r *VolumeRouter) startRebuild(job rebuildJob) {
 		// the target never saw.
 		vsrc := binary.LittleEndian.Uint64(resp[1:])
 		data := append([]byte(nil), resp[1+virtio.VolReadVerSize:]...) // resp is borrowed
-		wreq := virtio.BlkHdr{Type: virtio.BlkVolOut, Sector: sector}.Encode(nil)
-		wreq = virtio.VolHdr{Extent: e, Version: vsrc}.Encode(wreq)
-		wreq = append(wreq, data...)
+		wreq := virtio.BlkReq{Type: virtio.BlkVolOut, Sector: sector, Extent: e, Version: vsrc, Data: data}.Append(nil)
 		r.loads[target]++
 		r.drivers[target].SendBlkQ(uint8(virtio.DeviceBlk), r.deviceID, q, wreq, func(resp []byte, err error) {
 			r.loads[target]--

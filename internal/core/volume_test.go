@@ -90,33 +90,29 @@ func TestVolumeRouterReadRoundtrip(t *testing.T) {
 	r := transport.NewRig()
 	// Endpoint serves reads with a recognizable payload and acks writes.
 	r.Endpoint.BlkReq = func(src ethernet.MAC, h transport.Header, req *bufpool.Frame) {
-		bh, body, err := virtio.DecodeBlkHdr(req.B)
+		br, err := virtio.DecodeBlkReq(req.B)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		switch bh.Type {
+		switch br.Type {
 		case virtio.BlkVolOut:
 			r.Endpoint.RespondBlk(src, h, []byte{virtio.BlkOK})
 		case virtio.BlkVolIn:
-			vh, rest, err := virtio.DecodeVolHdr(body)
-			if err != nil || len(rest) < 4 {
-				t.Fatalf("vol decode: %v", err)
+			if br.Extent != 0 {
+				t.Errorf("extent = %d, want 0", br.Extent)
 			}
-			if vh.Extent != 0 {
-				t.Errorf("extent = %d, want 0", vh.Extent)
-			}
-			n := int(rest[0]) | int(rest[1])<<8
+			n := br.Sectors
 			// Successful vol-reads carry the serving replica's extent
 			// version between the status byte and the data.
 			out := make([]byte, 1+virtio.VolReadVerSize+n*512)
 			out[0] = virtio.BlkOK
-			binary.LittleEndian.PutUint64(out[1:], vh.Version)
+			binary.LittleEndian.PutUint64(out[1:], br.Version)
 			for i := 1 + virtio.VolReadVerSize; i < len(out); i++ {
 				out[i] = 0x5A
 			}
 			r.Endpoint.RespondBlk(src, h, out)
 		default:
-			t.Errorf("unexpected blk type %d", bh.Type)
+			t.Errorf("unexpected blk type %d", br.Type)
 		}
 		req.Release()
 	}

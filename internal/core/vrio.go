@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
 	"vrio/internal/hypervisor"
@@ -197,7 +195,7 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 				h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
 		writeQ := func(queue uint8, sector uint64, data []byte, done func(error)) {
-			req := blkWriteReq(sector, data)
+			req := virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data}.Append(nil)
 			cost := h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, len(data))
 			c.Guest.VM.Compute(cost, func() {
 				c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, queue, req, func(resp []byte, err error) {
@@ -209,10 +207,7 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 			})
 		}
 		readQ := func(queue uint8, sector uint64, sectors int, done func([]byte, error)) {
-			req := virtio.BlkHdr{Type: virtio.BlkIn, Sector: sector}.Encode(nil)
-			var n [4]byte
-			binary.LittleEndian.PutUint32(n[:], uint32(sectors))
-			req = append(req, n[:]...)
+			req := virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors}.Append(nil)
 			// The response data pays decapsulation per byte, charged with
 			// the request for simplicity (same VCPU either way).
 			cost := h.p.GuestNetStackCost + h.p.EncapCost +

@@ -9,8 +9,6 @@
 package iohyp
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"vrio/internal/blockdev"
@@ -65,9 +63,8 @@ type netDevice struct {
 // table replaces the old single completion slot so any number of requests
 // per queue can be outstanding at the backend.
 type blkDevice struct {
-	key     devKey
-	backend blockdev.Backend
-	chain   *interpose.Chain
+	key devKey
+	srv virtio.BlkServer
 
 	queues int
 	// qworker pins each queue to a worker; nil for single-queue devices,
@@ -80,9 +77,6 @@ type blkDevice struct {
 	// qdepth is the per-queue total of in-flight executions (the gauge the
 	// metrics registry reads without walking the maps).
 	qdepth []int
-	// vol marks a volume-replica registration: only these serve the
-	// versioned BlkVolOut/BlkVolIn ops (plain devices answer BlkUnsupp).
-	vol bool
 }
 
 // blkQueue resolves the submission queue of a block id on this device,
@@ -546,9 +540,18 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 		panic("iohyp: queue id is one byte; at most 256 queues per device")
 	}
 	d := &blkDevice{
-		key:      devKey{client: client, id: id},
-		backend:  backend,
-		chain:    chain,
+		key: devKey{client: client, id: id},
+		srv: virtio.BlkServer{
+			Backend: backend, Chain: chain, Device: id,
+			Cost: virtio.BlkCost{
+				Service: h.p.BlockServiceCost,
+				PerByte: h.p.CopyPenaltyPerByte,
+				// §4.4: aligned inner portions are zero-copied; edges are copied.
+				WriteCopy: func(n int) int { return copiedEdgeBytes(n, h.p.SectorSize) },
+			},
+			Pool:     h.bufPool(),
+			Counters: &h.Counters,
+		},
 		queues:   queues,
 		inflight: make([]map[uint64]int, queues),
 		qdepth:   make([]int, queues),
@@ -574,7 +577,7 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 // VolHdr demands the router's committed version.
 func (h *IOHypervisor) RegisterVolReplica(client ethernet.MAC, id uint16, backend blockdev.Backend, chain *interpose.Chain, queues int) {
 	h.RegisterBlkDeviceMQ(client, id, backend, chain, queues)
-	h.blkDevs[devKey{client: client, id: id}].vol = true
+	h.blkDevs[devKey{client: client, id: id}].srv.Replica = true
 }
 
 // workerIndex resolves a worker's position in the sidecore list (-1 when
@@ -1023,46 +1026,14 @@ func (h *IOHypervisor) handleNetTx(src ethernet.MAC, deviceID uint16, frame []by
 	h.txInterrupt()
 }
 
-// Shared status-only block responses (RespondBlk borrows and copies, so
-// these read-only singletons are safe to reuse).
-var (
-	respBlkOK     = []byte{virtio.BlkOK}
-	respBlkIOErr  = []byte{virtio.BlkIOErr}
-	respBlkUnsupp = []byte{virtio.BlkUnsupp}
-	respBlkStale  = []byte{virtio.BlkStale}
-	respBlkGap    = []byte{virtio.BlkGap}
-)
+// respBlkUnsupp answers requests for unknown devices (RespondBlk borrows and
+// copies, so the read-only slice is safe to reuse).
+var respBlkUnsupp = []byte{virtio.BlkUnsupp}
 
-func statusResp(err error) []byte {
-	if err != nil {
-		return respBlkIOErr
-	}
-	return respBlkOK
-}
-
-// volStatusResp maps a replica completion to a status byte: version fencing
-// (a stale writer, or a replica behind the reader's committed minimum)
-// answers BlkStale, and a replica that provably missed an earlier write
-// answers BlkGap — so the router can distinguish "retry elsewhere / give up
-// cleanly" and "heal this replica" from a real I/O failure.
-func volStatusResp(err error) []byte {
-	switch {
-	case err == nil:
-		return respBlkOK
-	case errors.Is(err, blockdev.ErrStaleWrite), errors.Is(err, blockdev.ErrStaleReplica):
-		return respBlkStale
-	case errors.Is(err, blockdev.ErrVersionGap):
-		return respBlkGap
-	default:
-		return respBlkIOErr
-	}
-}
-
-// handleBlkReq decodes a virtio-blk request, interposes, executes it on the
-// backend, and responds. req is a leased buffer: this handler releases it on
-// every path — immediately once the payload has been consumed (reads,
-// flushes, errors), or from the backend completion for writes, whose
-// interposed payload may alias the lease.
+// handleBlkReq serves a virtio-blk request through its device's BlkServer.
+// req is a leased buffer, released once the request's bytes are consumed:
+// right away for everything but a submitted write, whose interposed payload
+// may alias the lease until the backend completes.
 func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req *bufpool.Frame) {
 	dev := h.blkDevs[devKey{client: src, id: hdr.DeviceID}]
 	if dev == nil {
@@ -1071,215 +1042,67 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 		req.Release()
 		return
 	}
-	bh, body, err := virtio.DecodeBlkHdr(req.B)
-	if err != nil {
-		h.Counters.Inc("bad_msgs", 1)
-		h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
+	c := &blkCall{h: h, dev: dev, src: src, hdr: hdr, q: dev.blkQueue(hdr.OrigID)}
+	op, ok := dev.srv.Serve(c, req.B)
+	if !ok {
 		req.Release()
 		return
 	}
-	h.Counters.Inc("blk_reqs", 1)
-	// Backend stages of a multi-queue request run on the queue's pinned
-	// worker (passthrough affinity end to end); single-queue devices keep
-	// the legacy least-loaded pick.
-	q := dev.blkQueue(hdr.OrigID)
-	execWorker := func() *Worker {
-		if dev.qworker != nil {
-			return dev.qworker[q]
-		}
-		return h.pickWorker()
+	// Serve has only queued the charge that precedes the backend, so the
+	// in-flight entry and the blockdev span below still open before it runs.
+	// A write's payload may alias the lease until the backend completes; any
+	// other request is fully decoded into values by now.
+	if op == blockdev.OpWrite || op == blockdev.OpVolWrite {
+		c.lease = req
+	} else {
+		req.Release()
 	}
 	// Blockdev spans cover handoff-to-backend through backend completion,
 	// parented under the request's guest_ring root (left linked until the
 	// driver consumes the completion).
-	root := h.Tracer.Lookup(trace.FlowKey{
-		Kind: transport.FlowBlkRoot, A: trace.Key48(src), B: hdr.OrigID,
-	})
+	root := h.Tracer.Lookup(trace.FlowKey{Kind: transport.FlowBlkRoot, A: trace.Key48(src), B: hdr.OrigID})
+	c.bd = h.Tracer.BeginArg(trace.CatBlockdev, op.String(), root, hdr.OrigID)
+	dev.track(c.q, hdr.OrigID)
+}
 
-	switch bh.Type {
-	case virtio.BlkOut: // write
-		payload, icost, err := dev.chain.Process(interpose.ToDevice, hdr.DeviceID, body)
-		if err != nil {
-			h.Counters.Inc("interpose_drops", 1)
-			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
-			req.Release()
-			return
-		}
-		// §4.4: aligned inner portions are zero-copied; edges are copied.
-		copied := copiedEdgeBytes(len(payload), h.p.SectorSize)
-		cost := h.p.BlockServiceCost + icost + sim.Time(h.p.CopyPenaltyPerByte*float64(copied))
-		if copied > 0 {
-			h.Counters.Inc("copy_bytes", uint64(copied))
-		}
-		bd := h.Tracer.BeginArg(trace.CatBlockdev, "write", root, hdr.OrigID)
-		// The interposed payload may alias the leased request buffer, and the
-		// backend holds it until completion — the lease is released from the
-		// completion callback. The in-flight table entry lives from here to
-		// backend completion; the completion always runs (even on a crashed
-		// host, where only the response is suppressed), so tables drain
-		// exactly once.
-		dev.track(q, hdr.OrigID)
-		execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, func() {
-			dev.backend.Submit(blockdev.Request{Op: blockdev.OpWrite, Sector: bh.Sector, Data: payload}, func(resp blockdev.Response) {
-				dev.untrack(q, hdr.OrigID)
-				h.Tracer.End(bd)
-				req.Release()
-				h.respondBlk(src, hdr, statusResp(resp.Err))
-			})
-		})
-	case virtio.BlkIn:
-		// Read length travels as the body: a 4-byte little-endian sector
-		// count (the front-end convention; see the core package).
-		n := 0
-		if len(body) >= 4 {
-			n = int(uint32(body[0]) | uint32(body[1])<<8 | uint32(body[2])<<16 | uint32(body[3])<<24)
-		}
-		// The body is fully consumed (bh.Sector and n are values now); the
-		// lease can go back to the pool before the backend runs.
-		req.Release()
-		if n <= 0 {
-			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
-			return
-		}
-		bd := h.Tracer.BeginArg(trace.CatBlockdev, "read", root, hdr.OrigID)
-		dev.track(q, hdr.OrigID)
-		execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, h.p.BlockServiceCost, func() {
-			dev.backend.Submit(blockdev.Request{Op: blockdev.OpRead, Sector: bh.Sector, Sectors: n}, func(resp blockdev.Response) {
-				dev.untrack(q, hdr.OrigID)
-				h.Tracer.End(bd)
-				if resp.Err != nil {
-					h.respondBlk(src, hdr, respBlkIOErr)
-					return
-				}
-				// §4.4: reads cannot zero-copy at the IOhost.
-				data, icost, err := dev.chain.Process(interpose.ToGuest, hdr.DeviceID, resp.Data)
-				if err != nil {
-					h.respondBlk(src, hdr, respBlkIOErr)
-					return
-				}
-				copyCost := sim.Time(h.p.CopyPenaltyPerByte * float64(len(data)))
-				h.Counters.Inc("copy_bytes", uint64(len(data)))
-				// resp.Data is borrowed until this callback returns, so the
-				// status+data reply is built now; RespondBlk borrows it in
-				// turn, so it goes back to the pool right after the call.
-				out := h.bufPool().GetRaw(1 + len(data))
-				out[0] = virtio.BlkOK
-				copy(out[1:], data)
-				execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, icost+copyCost, func() {
-					h.respondBlk(src, hdr, out)
-					h.bufPool().PutRaw(out)
-				})
-			})
-		})
-	case virtio.BlkVolOut: // versioned replica write
-		if !dev.vol {
-			h.endpoint.RespondBlk(src, hdr, respBlkUnsupp)
-			req.Release()
-			return
-		}
-		vh, volBody, err := virtio.DecodeVolHdr(body)
-		if err != nil {
-			h.Counters.Inc("bad_msgs", 1)
-			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
-			req.Release()
-			return
-		}
-		payload, icost, err := dev.chain.Process(interpose.ToDevice, hdr.DeviceID, volBody)
-		if err != nil {
-			h.Counters.Inc("interpose_drops", 1)
-			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
-			req.Release()
-			return
-		}
-		copied := copiedEdgeBytes(len(payload), h.p.SectorSize)
-		cost := h.p.BlockServiceCost + icost + sim.Time(h.p.CopyPenaltyPerByte*float64(copied))
-		if copied > 0 {
-			h.Counters.Inc("copy_bytes", uint64(copied))
-		}
-		bd := h.Tracer.BeginArg(trace.CatBlockdev, "vol-write", root, hdr.OrigID)
-		// Same lifetime rules as BlkOut: payload may alias the lease, so the
-		// release happens in the backend completion; the completion always
-		// runs (response-only suppression on a crashed host), so the
-		// in-flight tables drain exactly once.
-		dev.track(q, hdr.OrigID)
-		execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, func() {
-			dev.backend.Submit(blockdev.Request{
-				Op: blockdev.OpVolWrite, Sector: bh.Sector, Data: payload,
-				Extent: vh.Extent, Version: vh.Version,
-			}, func(resp blockdev.Response) {
-				dev.untrack(q, hdr.OrigID)
-				h.Tracer.End(bd)
-				req.Release()
-				h.respondBlk(src, hdr, volStatusResp(resp.Err))
-			})
-		})
-	case virtio.BlkVolIn: // versioned replica read
-		if !dev.vol {
-			h.endpoint.RespondBlk(src, hdr, respBlkUnsupp)
-			req.Release()
-			return
-		}
-		vh, volBody, err := virtio.DecodeVolHdr(body)
-		n := 0
-		if err == nil && len(volBody) >= 4 {
-			n = int(uint32(volBody[0]) | uint32(volBody[1])<<8 | uint32(volBody[2])<<16 | uint32(volBody[3])<<24)
-		}
-		req.Release() // header and count are values now
-		if err != nil || n <= 0 {
-			h.Counters.Inc("bad_msgs", 1)
-			h.endpoint.RespondBlk(src, hdr, respBlkIOErr)
-			return
-		}
-		bd := h.Tracer.BeginArg(trace.CatBlockdev, "vol-read", root, hdr.OrigID)
-		dev.track(q, hdr.OrigID)
-		execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, h.p.BlockServiceCost, func() {
-			dev.backend.Submit(blockdev.Request{
-				Op: blockdev.OpVolRead, Sector: bh.Sector, Sectors: n,
-				Extent: vh.Extent, Version: vh.Version,
-			}, func(resp blockdev.Response) {
-				dev.untrack(q, hdr.OrigID)
-				h.Tracer.End(bd)
-				if resp.Err != nil {
-					h.respondBlk(src, hdr, volStatusResp(resp.Err))
-					return
-				}
-				data, icost, err := dev.chain.Process(interpose.ToGuest, hdr.DeviceID, resp.Data)
-				if err != nil {
-					h.respondBlk(src, hdr, respBlkIOErr)
-					return
-				}
-				copyCost := sim.Time(h.p.CopyPenaltyPerByte * float64(len(data)))
-				h.Counters.Inc("copy_bytes", uint64(len(data)))
-				// Successful vol-reads answer [BlkOK][version:8][data]: the
-				// serving replica's extent version lets rebuild and heal
-				// copies stamp their target honestly. Built now, as for
-				// BlkIn, because resp.Data is borrowed.
-				out := h.bufPool().GetRaw(1 + virtio.VolReadVerSize + len(data))
-				out[0] = virtio.BlkOK
-				binary.LittleEndian.PutUint64(out[1:], resp.Version)
-				copy(out[1+virtio.VolReadVerSize:], data)
-				execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, icost+copyCost, func() {
-					h.respondBlk(src, hdr, out)
-					h.bufPool().PutRaw(out)
-				})
-			})
-		})
-	case virtio.BlkFlush:
-		req.Release() // flush carries no payload
-		bd := h.Tracer.BeginArg(trace.CatBlockdev, "flush", root, hdr.OrigID)
-		dev.track(q, hdr.OrigID)
-		execWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, h.p.BlockServiceCost, func() {
-			dev.backend.Submit(blockdev.Request{Op: blockdev.OpFlush}, func(resp blockdev.Response) {
-				dev.untrack(q, hdr.OrigID)
-				h.Tracer.End(bd)
-				h.respondBlk(src, hdr, statusResp(resp.Err))
-			})
-		})
-	default:
-		h.endpoint.RespondBlk(src, hdr, respBlkUnsupp)
-		req.Release()
+// blkCall is the IOhost's BlkSite for one request: it charges the IOhost
+// workers and answers over the transport.
+type blkCall struct {
+	h   *IOHypervisor
+	dev *blkDevice
+	src ethernet.MAC
+	hdr transport.Header
+	q   int
+	// lease holds a write's request buffer until the backend completes.
+	lease *bufpool.Frame
+	bd    trace.SpanID
+}
+
+// Charge runs the backend stages of a multi-queue request on the queue's
+// pinned worker (passthrough affinity end to end); single-queue devices take
+// the least loaded worker.
+func (c *blkCall) Charge(cost sim.Time, fn func()) {
+	w := c.dev.qworker
+	if w == nil {
+		c.h.pickWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, fn)
+		return
+	}
+	w[c.q].Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, fn)
+}
+
+// Completed ends the request's in-flight entry and blockdev span. The
+// backend completion always runs, even on a crashed host (where only the
+// response is suppressed), so the in-flight tables drain exactly once.
+func (c *blkCall) Completed() {
+	c.dev.untrack(c.q, c.hdr.OrigID)
+	c.h.Tracer.End(c.bd)
+	if c.lease != nil {
+		c.lease.Release()
 	}
 }
+
+// Reply implements virtio.BlkSite.
+func (c *blkCall) Reply(resp []byte) { c.h.respondBlk(c.src, c.hdr, resp) }
 
 func (h *IOHypervisor) respondBlk(src ethernet.MAC, hdr transport.Header, resp []byte) {
 	if h.failed {

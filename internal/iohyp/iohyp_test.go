@@ -2,7 +2,6 @@ package iohyp
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"vrio/internal/blockdev"
@@ -92,8 +91,7 @@ func TestBlockWriteReadThroughIOhost(t *testing.T) {
 
 	// Write 4 KiB.
 	payload := bytes.Repeat([]byte{0xCD}, 4096)
-	req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: 64}.Encode(nil)
-	req = append(req, payload...)
+	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 64, Data: payload}.Append(nil)
 	wrote := false
 	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, req, func(resp []byte, err error) {
 		if err != nil || len(resp) != 1 || resp[0] != virtio.BlkOK {
@@ -111,10 +109,7 @@ func TestBlockWriteReadThroughIOhost(t *testing.T) {
 	}
 
 	// Read it back through the stack.
-	rd := virtio.BlkHdr{Type: virtio.BlkIn, Sector: 64}.Encode(nil)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(4096/r.p.SectorSize))
-	rd = append(rd, n[:]...)
+	rd := virtio.BlkReq{Type: virtio.BlkIn, Sector: 64, Sectors: 4096 / r.p.SectorSize}.Append(nil)
 	var readBack []byte
 	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, rd, func(resp []byte, err error) {
 		if err != nil || len(resp) < 1 || resp[0] != virtio.BlkOK {
@@ -143,8 +138,7 @@ func TestBlockAESInterposition(t *testing.T) {
 	r.hyp.RegisterBlkDevice(r.clientMAC, 1, dev, interpose.NewChain(aes))
 
 	plain := bytes.Repeat([]byte{0x11}, 512)
-	req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: 0}.Encode(nil)
-	req = append(req, plain...)
+	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 0, Data: plain}.Append(nil)
 	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, req, func(resp []byte, err error) {
 		if err != nil {
 			t.Errorf("write: %v", err)
@@ -159,10 +153,7 @@ func TestBlockAESInterposition(t *testing.T) {
 	}
 
 	// Reading through the chain decrypts.
-	rd := virtio.BlkHdr{Type: virtio.BlkIn, Sector: 0}.Encode(nil)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], 1)
-	rd = append(rd, n[:]...)
+	rd := virtio.BlkReq{Type: virtio.BlkIn, Sector: 0, Sectors: 1}.Append(nil)
 	var back []byte
 	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, rd, func(resp []byte, err error) {
 		if err == nil && len(resp) > 0 && resp[0] == virtio.BlkOK {
@@ -280,8 +271,7 @@ func TestPerDeviceOrderPreservedAcrossWorkers(t *testing.T) {
 	completed := 0
 	for i := 0; i < writes; i++ {
 		data := bytes.Repeat([]byte{byte(i + 1)}, 512)
-		req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: 7}.Encode(nil)
-		req = append(req, data...)
+		req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 7, Data: data}.Append(nil)
 		r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, req, func(resp []byte, err error) {
 			if err != nil {
 				t.Errorf("write: %v", err)
@@ -333,8 +323,7 @@ func TestInterruptModeCountsIOhostInterrupts(t *testing.T) {
 
 func TestUnknownBlockDeviceGetsUnsupp(t *testing.T) {
 	r := newRig(t, 1, ModePolling)
-	req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: 0}.Encode(nil)
-	req = append(req, make([]byte, 512)...)
+	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 0, Data: make([]byte, 512)}.Append(nil)
 	var status byte = 0xFF
 	r.driver.SendBlk(uint8(virtio.DeviceBlk), 9, req, func(resp []byte, err error) {
 		if err == nil && len(resp) == 1 {
@@ -357,8 +346,7 @@ func TestWorkersShareLoad(t *testing.T) {
 	}
 	done := 0
 	for i := 0; i < 200; i++ {
-		req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: uint64(i * 8)}.Encode(nil)
-		req = append(req, make([]byte, 512)...)
+		req := virtio.BlkReq{Type: virtio.BlkOut, Sector: uint64(i * 8), Data: make([]byte, 512)}.Append(nil)
 		r.driver.SendBlk(uint8(virtio.DeviceBlk), uint16(1+i%8), req, func(resp []byte, err error) {
 			if err != nil {
 				t.Errorf("req: %v", err)
@@ -534,8 +522,7 @@ func TestMultiQueueStableWorkerAffinity(t *testing.T) {
 
 	done := 0
 	for i := 0; i < 64; i++ {
-		req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: uint64(i * 8)}.Encode(nil)
-		req = append(req, make([]byte, 512)...)
+		req := virtio.BlkReq{Type: virtio.BlkOut, Sector: uint64(i * 8), Data: make([]byte, 512)}.Append(nil)
 		r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 1, uint8(i%4), req, func(resp []byte, err error) {
 			if err != nil {
 				t.Errorf("req: %v", err)
@@ -578,8 +565,7 @@ func TestMultiQueuePerQueueFIFO(t *testing.T) {
 	for i := 0; i < perQueue; i++ {
 		for q := 0; q < 4; q++ {
 			data := bytes.Repeat([]byte{byte(i + 1)}, 512)
-			req := virtio.BlkHdr{Type: virtio.BlkOut, Sector: uint64(q)}.Encode(nil)
-			req = append(req, data...)
+			req := virtio.BlkReq{Type: virtio.BlkOut, Sector: uint64(q), Data: data}.Append(nil)
 			r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 1, uint8(q), req, func(resp []byte, err error) {
 				if err != nil {
 					t.Errorf("write: %v", err)

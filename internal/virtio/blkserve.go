@@ -1,0 +1,237 @@
+package virtio
+
+import (
+	"encoding/binary"
+	"errors"
+
+	"vrio/internal/blockdev"
+	"vrio/internal/bufpool"
+	"vrio/internal/interpose"
+	"vrio/internal/sim"
+	"vrio/internal/stats"
+)
+
+// BlkServer is the paravirtual block back end of one device. The baseline,
+// Elvis and vRIO models all run it (§2–§4): it decodes a request,
+// interposes it toward the device, submits it to the backend, interposes
+// the result toward the guest and encodes the reply. What differs between
+// the models is left to a BlkSite.
+type BlkServer struct {
+	Backend blockdev.Backend
+	Chain   *interpose.Chain
+	// Device is the device id the chain sees.
+	Device uint16
+	// Replica serves the versioned BlkVolOut/BlkVolIn ops; other devices
+	// answer them BlkUnsupp.
+	Replica bool
+	Cost    BlkCost
+	// Pool lends the buffers read replies are built in; nil gives the
+	// server a private one.
+	Pool *bufpool.Pool
+	// Counters, when set, counts blk_reqs (decoded requests), bad_msgs
+	// (undecodable ones), interpose_drops (writes the chain refused) and
+	// copy_bytes (the bytes Cost copies).
+	Counters *stats.Counters
+
+	free []*blkOp
+}
+
+// BlkCost is a model's block back-end CPU cost, charged on its site's core
+// on top of the interposition chain's own cost.
+type BlkCost struct {
+	// Service is charged before every backend submission.
+	Service sim.Time
+	// PerByte is charged per copied byte: a write's payload before the
+	// backend, a read's data after it.
+	PerByte float64
+	// WriteCopy gives how many bytes of an n-byte write are copied; nil
+	// copies all of them.
+	WriteCopy func(n int) int
+}
+
+// BlkSite is one request's view of the host serving it: the part of the
+// back end the I/O models do differently. Each charges the work on its own
+// core (the vhost core, a sidecore, an IOhost worker) and tells the guest of
+// the completion its own way (an injected IRQ, an exitless IPI, a transport
+// response).
+type BlkSite interface {
+	// Charge runs fn after cost of CPU time on the serving core. cost is
+	// always positive.
+	Charge(cost sim.Time, fn func())
+	// Completed runs when the backend has finished the request, before its
+	// reply is built.
+	Completed()
+	// Reply delivers the reply: the status byte, then for a successful read
+	// the data (for BlkVolIn, the replica's version and then the data).
+	// resp is valid only during the call. Reply is the request's last hook.
+	Reply(resp []byte)
+}
+
+// Serve serves one request. raw must stay valid until Serve returns or, for
+// a write it submits, until Completed. Serve reports the backend op it
+// submitted; ok is false when the request was answered without reaching the
+// backend. Backend completions are asynchronous, so Completed never runs
+// before Serve returns.
+func (s *BlkServer) Serve(site BlkSite, raw []byte) (op blockdev.Op, ok bool) {
+	r, err := DecodeBlkReq(raw)
+	if err != nil {
+		s.count("bad_msgs", 1)
+		site.Reply(statusReply(BlkIOErr))
+		return 0, false
+	}
+	s.count("blk_reqs", 1)
+	switch {
+	case r.Type == BlkOut:
+		op = blockdev.OpWrite
+	case r.Type == BlkIn:
+		op = blockdev.OpRead
+	case r.Type == BlkFlush:
+		op = blockdev.OpFlush
+	case r.Type == BlkVolOut && s.Replica:
+		op = blockdev.OpVolWrite
+	case r.Type == BlkVolIn && s.Replica:
+		op = blockdev.OpVolRead
+	default:
+		site.Reply(statusReply(BlkUnsupp))
+		return 0, false
+	}
+	cost := s.Cost.Service
+	var data []byte
+	if op == blockdev.OpWrite || op == blockdev.OpVolWrite {
+		var icost sim.Time
+		data, icost, err = s.Chain.Process(interpose.ToDevice, s.Device, r.Data)
+		if err != nil {
+			s.count("interpose_drops", 1)
+			site.Reply(statusReply(BlkIOErr))
+			return 0, false
+		}
+		copied := len(data)
+		if s.Cost.WriteCopy != nil {
+			copied = s.Cost.WriteCopy(copied)
+		}
+		cost += icost + s.copyCost(copied)
+	}
+	o := s.getOp()
+	o.site = site
+	o.req = blockdev.Request{Op: op, Sector: r.Sector, Data: data, Sectors: r.Sectors, Extent: r.Extent, Version: r.Version}
+	s.charge(site, cost, o.submitFn)
+	return op, true
+}
+
+// blkOp is one request between backend submission and reply. Ops are
+// recycled through BlkServer.free with prebound callbacks, so serving a
+// request does not allocate.
+type blkOp struct {
+	s    *BlkServer
+	site BlkSite
+	req  blockdev.Request
+	out  []byte // a read's reply, built while the backend's data is lent
+
+	submitFn func()
+	doneFn   func(blockdev.Response)
+	replyFn  func()
+}
+
+func (s *BlkServer) getOp() *blkOp {
+	if n := len(s.free); n > 0 {
+		o := s.free[n-1]
+		s.free = s.free[:n-1]
+		return o
+	}
+	o := &blkOp{s: s}
+	o.submitFn = func() { s.Backend.Submit(o.req, o.doneFn) }
+	o.doneFn = o.complete
+	o.replyFn = func() {
+		out := o.out
+		o.reply(out)
+		s.Pool.PutRaw(out)
+	}
+	return o
+}
+
+// reply delivers resp and recycles the op.
+func (o *blkOp) reply(resp []byte) {
+	site := o.site
+	*o = blkOp{s: o.s, submitFn: o.submitFn, doneFn: o.doneFn, replyFn: o.replyFn}
+	o.s.free = append(o.s.free, o)
+	site.Reply(resp)
+}
+
+// complete finishes a request the backend has served.
+func (o *blkOp) complete(resp blockdev.Response) {
+	s := o.s
+	o.site.Completed()
+	if resp.Err != nil || (o.req.Op != blockdev.OpRead && o.req.Op != blockdev.OpVolRead) {
+		o.reply(statusReply(blkStatus(resp.Err)))
+		return
+	}
+	data, icost, err := s.Chain.Process(interpose.ToGuest, s.Device, resp.Data)
+	if err != nil {
+		o.reply(statusReply(BlkIOErr))
+		return
+	}
+	// resp.Data is borrowed until this callback returns, so the reply is
+	// built now.
+	n := 1
+	if o.req.Op == blockdev.OpVolRead {
+		n += VolReadVerSize
+	}
+	if s.Pool == nil {
+		s.Pool = bufpool.New()
+	}
+	o.out = s.Pool.GetRaw(n + len(data))
+	o.out[0] = BlkOK
+	if o.req.Op == blockdev.OpVolRead {
+		binary.LittleEndian.PutUint64(o.out[1:], resp.Version)
+	}
+	copy(o.out[n:], data)
+	s.charge(o.site, icost+s.copyCost(len(data)), o.replyFn)
+}
+
+// charge runs fn after cost on the site's core, or directly when the cost
+// is zero.
+func (s *BlkServer) charge(site BlkSite, cost sim.Time, fn func()) {
+	if cost > 0 {
+		site.Charge(cost, fn)
+		return
+	}
+	fn()
+}
+
+// copyCost counts n copied bytes and returns their cost.
+func (s *BlkServer) copyCost(n int) sim.Time {
+	if n > 0 {
+		s.count("copy_bytes", uint64(n))
+	}
+	return sim.Time(s.Cost.PerByte * float64(n))
+}
+
+func (s *BlkServer) count(name string, n uint64) {
+	if s.Counters != nil {
+		s.Counters.Inc(name, n)
+	}
+}
+
+// blkStatus maps a backend completion error to its status byte. Version
+// fencing (a stale writer, or a replica behind the reader's committed
+// minimum) answers BlkStale, and a replica that provably missed an earlier
+// write answers BlkGap, so the volume router can tell "retry elsewhere" and
+// "heal this replica" from an I/O failure. Plain ops never fail with these.
+func blkStatus(err error) byte {
+	switch {
+	case err == nil:
+		return BlkOK
+	case errors.Is(err, blockdev.ErrStaleWrite), errors.Is(err, blockdev.ErrStaleReplica):
+		return BlkStale
+	case errors.Is(err, blockdev.ErrVersionGap):
+		return BlkGap
+	default:
+		return BlkIOErr
+	}
+}
+
+// statusBytes backs the status-only replies, indexed by status.
+var statusBytes = [...]byte{BlkOK, BlkIOErr, BlkUnsupp, BlkStale, BlkGap}
+
+// statusReply returns the read-only one-byte reply carrying status st.
+func statusReply(st byte) []byte { return statusBytes[st : st+1 : st+1] }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Device types carried in vRIO metadata (§4.1: "the front-end device
@@ -119,66 +120,93 @@ const (
 // writes it might not hold.
 const VolReadVerSize = 8
 
-// BlkHdr is the virtio-blk request header (type, reserved, sector).
-type BlkHdr struct {
-	Type   uint32
-	Sector uint64
-}
-
-// BlkHdrSize is the encoded size of BlkHdr.
+// BlkHdrSize is the size of the virtio-blk request header: type (4 bytes),
+// reserved (4), sector (8).
 const BlkHdrSize = 16
 
-// Encode appends the wire form of h to dst and returns the result.
-func (h BlkHdr) Encode(dst []byte) []byte {
-	var b [BlkHdrSize]byte
-	binary.LittleEndian.PutUint32(b[0:], h.Type)
-	// bytes 4..8 reserved
-	binary.LittleEndian.PutUint64(b[8:], h.Sector)
-	return append(dst, b[:]...)
+// VolHdrSize is the size of the volume header that follows the BlkHdr on
+// BlkVolOut/BlkVolIn requests: extent (8 bytes), version (8).
+const VolHdrSize = 16
+
+// ErrBadBlkReq reports a block request whose body does not fit its type: a
+// read without a 4-byte sector count, or one asking for zero sectors.
+var ErrBadBlkReq = errors.New("virtio: malformed block request")
+
+// BlkReq is one virtio-blk request. On the wire it is the BlkHdr, then for
+// BlkVolOut/BlkVolIn the VolHdr, then the body: the payload for writes, a
+// 4-byte little-endian sector count for reads, nothing otherwise.
+type BlkReq struct {
+	Type   uint32
+	Sector uint64
+	// Sectors is the read length (BlkIn, BlkVolIn).
+	Sectors int
+	// Extent names the stripe unit of a BlkVolOut/BlkVolIn request; Version
+	// is the writer's per-extent version counter (on reads: the minimum
+	// committed version the replica must hold to answer).
+	Extent  uint64
+	Version uint64
+	// Data is the write payload (BlkOut, BlkVolOut). A decoded request's
+	// Data aliases the decoded buffer.
+	Data []byte
 }
 
-// DecodeBlkHdr parses a BlkHdr from b, returning the header and remaining
-// payload.
-func DecodeBlkHdr(b []byte) (BlkHdr, []byte, error) {
-	if len(b) < BlkHdrSize {
-		return BlkHdr{}, nil, ErrShortHeader
+// vol reports whether the request type carries a VolHdr.
+func (r *BlkReq) vol() bool { return r.Type == BlkVolOut || r.Type == BlkVolIn }
+
+// Append appends the wire form of r to dst and returns the result.
+func (r BlkReq) Append(dst []byte) []byte {
+	var b [BlkHdrSize + VolHdrSize + 4]byte
+	binary.LittleEndian.PutUint32(b[0:], r.Type)
+	// bytes 4..8 reserved
+	binary.LittleEndian.PutUint64(b[8:], r.Sector)
+	n := BlkHdrSize
+	if r.vol() {
+		binary.LittleEndian.PutUint64(b[n:], r.Extent)
+		binary.LittleEndian.PutUint64(b[n+8:], r.Version)
+		n += VolHdrSize
 	}
-	h := BlkHdr{
+	var data []byte
+	switch r.Type {
+	case BlkIn, BlkVolIn:
+		binary.LittleEndian.PutUint32(b[n:], uint32(r.Sectors))
+		n += 4
+	case BlkOut, BlkVolOut:
+		data = r.Data
+	}
+	dst = slices.Grow(dst, n+len(data))
+	return append(append(dst, b[:n]...), data...)
+}
+
+// DecodeBlkReq parses a block request. A type it does not know decodes
+// from its BlkHdr alone, so the server can answer it BlkUnsupp.
+func DecodeBlkReq(b []byte) (BlkReq, error) {
+	if len(b) < BlkHdrSize {
+		return BlkReq{}, ErrShortHeader
+	}
+	r := BlkReq{
 		Type:   binary.LittleEndian.Uint32(b[0:]),
 		Sector: binary.LittleEndian.Uint64(b[8:]),
 	}
-	return h, b[BlkHdrSize:], nil
-}
-
-// VolHdr follows BlkHdr on BlkVolOut/BlkVolIn requests. Extent names the
-// stripe unit the sectors fall in; Version is the writer's per-extent
-// version counter (on reads: the minimum committed version the replica must
-// hold to answer).
-type VolHdr struct {
-	Extent  uint64
-	Version uint64
-}
-
-// VolHdrSize is the encoded size of VolHdr.
-const VolHdrSize = 16
-
-// Encode appends the wire form of h to dst and returns the result.
-func (h VolHdr) Encode(dst []byte) []byte {
-	var b [VolHdrSize]byte
-	binary.LittleEndian.PutUint64(b[0:], h.Extent)
-	binary.LittleEndian.PutUint64(b[8:], h.Version)
-	return append(dst, b[:]...)
-}
-
-// DecodeVolHdr parses a VolHdr from b, returning the header and remaining
-// payload.
-func DecodeVolHdr(b []byte) (VolHdr, []byte, error) {
-	if len(b) < VolHdrSize {
-		return VolHdr{}, nil, ErrShortHeader
+	body := b[BlkHdrSize:]
+	if r.vol() {
+		if len(body) < VolHdrSize {
+			return BlkReq{}, ErrShortHeader
+		}
+		r.Extent = binary.LittleEndian.Uint64(body[0:])
+		r.Version = binary.LittleEndian.Uint64(body[8:])
+		body = body[VolHdrSize:]
 	}
-	h := VolHdr{
-		Extent:  binary.LittleEndian.Uint64(b[0:]),
-		Version: binary.LittleEndian.Uint64(b[8:]),
+	switch r.Type {
+	case BlkIn, BlkVolIn:
+		if len(body) < 4 {
+			return BlkReq{}, ErrBadBlkReq
+		}
+		r.Sectors = int(binary.LittleEndian.Uint32(body))
+		if r.Sectors == 0 {
+			return BlkReq{}, ErrBadBlkReq
+		}
+	case BlkOut, BlkVolOut:
+		r.Data = body
 	}
-	return h, b[VolHdrSize:], nil
+	return r, nil
 }

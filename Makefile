@@ -1,7 +1,8 @@
-# Developer targets. `make check` is the full gate: build, vet, tests, the
-# race detector over every package (once) — the parallel experiment
-# scheduler must stay race-clean — the zero-allocation guards, doccheck, the
-# loopback smoke test and gofmt. The race-* targets re-run subsets of `race`
+# Developer targets. `make check` is the full gate: build, vet, tests (the
+# engine's zero-allocation guards and the seed corpus of FuzzEngineSchedule
+# among them), the race detector over every package (once) — the parallel
+# experiment scheduler must stay race-clean — the zero-allocation guards,
+# doccheck, the loopback smoke test and gofmt. The race-* targets re-run subsets of `race`
 # for focused local work; `check` does not repeat them.
 
 GO ?= go
@@ -26,9 +27,13 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkRunAll' -benchmem .
 
-# Engine hot-path microbenchmarks (schedule/cancel/pending).
+# Engine hot-path microbenchmarks (schedule/cancel/pending, the net-rr delay
+# mix, retransmit-style timers beyond the wheel's horizon) plus the engine's
+# zero-allocation guards and the seed corpus of its differential fuzz target
+# (all three also run under `test`, and so in `check`).
 bench-engine:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/
+	$(GO) test -run 'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' \
+		-bench . -benchmem ./internal/sim/
 
 # Rack control-plane macrobenchmark (imbalance healing end to end).
 bench-rack:

@@ -131,8 +131,9 @@ func (q *netQueues) txPending() bool { return q.tx.HasAvail() }
 // and reserve in-space for status (+ read data).
 type blkQueue struct {
 	ring *virtio.Ring
-	// done routes each posted chain's reply to its submitter, by head.
-	done map[uint16]func([]byte, error)
+	// done routes each posted chain's reply to its submitter, indexed by
+	// chain head (heads are below the ring's queue size).
+	done []func([]byte, error)
 	// reap is the reusable completion batch for guestReap; reapFn is
 	// guestReap bound once, for completion interrupts.
 	reap   virtio.ReapBatch
@@ -146,7 +147,7 @@ func newBlkQueue() *blkQueue {
 	if err != nil {
 		panic(err)
 	}
-	q := &blkQueue{ring: ring, done: make(map[uint16]func([]byte, error))}
+	q := &blkQueue{ring: ring, done: make([]func([]byte, error), ring.QueueSize())}
 	q.reapFn = q.guestReap
 	return q
 }
@@ -186,7 +187,7 @@ func (q *blkQueue) guestReap() {
 	q.ring.ReapInto(&q.reap, 0)
 	for _, comp := range q.reap.Completions {
 		if done := q.done[comp.Head]; done != nil {
-			delete(q.done, comp.Head)
+			q.done[comp.Head] = nil
 			done(comp.In, nil)
 		}
 	}

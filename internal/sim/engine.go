@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -59,7 +60,21 @@ var totalExecuted atomic.Uint64
 // count lags each engine's in-progress Run until that Run returns.
 func TotalExecuted() uint64 { return totalExecuted.Load() }
 
-// event is a pooled heap entry. gen distinguishes incarnations of the same
+// The event queue is a timing wheel (a calendar queue, Brown, CACM 1988)
+// with a heap behind it for the far future. Simulated time is cut into
+// buckets of 2^bucketShift ns; the wheel holds the wheelBuckets buckets from
+// the cursor (now >> bucketShift) on, a horizon of 65.5 µs. The geometry
+// fits the measured delay mix: in net-rr 99.5% of events are scheduled
+// under 8 µs ahead and its top dozen delays (460 ns-6.4 µs) carry 86-99% of
+// pushes, so a bucket holds a handful of events and nearly every push is a
+// tail append to a short list.
+const (
+	bucketShift  = 8
+	wheelBuckets = 256
+	wheelMask    = wheelBuckets - 1
+)
+
+// event is a pooled queue entry. gen distinguishes incarnations of the same
 // struct across free-list reuse, so a stale EventID can never cancel an
 // unrelated later event.
 type event struct {
@@ -67,8 +82,12 @@ type event struct {
 	seq      uint64 // FIFO tie-break for events at the same instant
 	fn       func()
 	gen      uint64
+	next     *event // bucket list, or the free list once recycled
 	canceled bool
 }
+
+// bucket is one wheel slot: an intrusive list in (at, seq) order.
+type bucket struct{ head, tail *event }
 
 // EventID identifies a scheduled event so it can be cancelled.
 type EventID struct {
@@ -81,16 +100,29 @@ type EventID struct {
 type Engine struct {
 	now Time
 	seq uint64
-	// heap is a monomorphic 4-ary min-heap on (at, seq). Four-way fan-out
-	// halves the tree depth of a binary heap, and sift operations compare
-	// siblings that sit in the same cache line; with no interface
-	// boundary the comparisons inline.
+	// wheel holds every queued event due before the horizon: bucket
+	// tick&wheelMask lists the events of tick = at >> bucketShift, for
+	// ticks in [cursor, cursor+wheelBuckets), so scanning the buckets
+	// circularly from the cursor visits them in time order. occupied has
+	// one bit per non-empty bucket and the scan is a TrailingZeros64 per
+	// word. The cursor follows the clock and nothing else: it moves only
+	// when now moves, never on a peek or on discarding a tombstone, so
+	// At(t) for any t >= now lands inside the window.
+	wheel    [wheelBuckets]bucket
+	occupied [wheelBuckets / 64]uint64
+	inWheel  int
+	cursor   int64
+	// heap is the overflow: a monomorphic 4-ary min-heap on (at, seq) of
+	// the events at or beyond the horizon. When the cursor advances, the
+	// events it brings within the horizon migrate into the wheel, so every
+	// wheel event precedes every overflow event and the queue's minimum is
+	// the first occupied bucket's head, or else the heap top.
 	heap []*event
-	// free recycles popped/compacted event structs so steady-state
-	// scheduling does not allocate.
-	free []*event
+	// free recycles run and compacted event structs through their next
+	// links, so steady-state scheduling does not allocate.
+	free *event
 	// pending counts live (scheduled, not yet run or cancelled) events;
-	// tombstones counts cancelled entries still parked in the heap.
+	// tombstones counts cancelled entries still parked in the queue.
 	pending    int
 	tombstones int
 	stopped    bool
@@ -121,24 +153,113 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // cancelled. It is a live counter: O(1), never a queue scan.
 func (e *Engine) Pending() int { return e.pending }
 
-// NextAt reports the timestamp of the earliest scheduled event, or false if
-// none remain. A cancelled tombstone at the head is reported as-is; running
-// until that time executes nothing but clears it, so callers stepping with
-// RunUntil(NextAt()) still make progress.
+// NextAt reports the timestamp of the earliest live event, or false if none
+// remain. Cancelled tombstones ahead of it are discarded on the way; the
+// clock does not move.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.pending == 0 {
 		return 0, false
 	}
-	for len(e.heap) > 0 {
-		next := e.heap[0]
+	for {
+		next, b := e.first()
 		if !next.canceled {
 			return next.at, true
 		}
-		e.heapPop()
+		if b >= 0 {
+			e.unlink(b)
+		} else {
+			e.heapPop()
+		}
 		e.tombstones--
 		e.recycle(next)
 	}
-	return 0, false
+}
+
+// first returns the queue's minimum and where it sits: a wheel bucket
+// index, or -1 for the overflow heap top. The queue must not be empty.
+func (e *Engine) first() (*event, int) {
+	if e.inWheel == 0 {
+		return e.heap[0], -1
+	}
+	b := e.firstBucket()
+	return e.wheel[b].head, b
+}
+
+// firstBucket returns the first occupied bucket at or after the cursor's,
+// circularly. The wheel must not be empty.
+func (e *Engine) firstBucket() int {
+	c := int(e.cursor) & wheelMask
+	w := c >> 6
+	m := e.occupied[w] & (^uint64(0) << (c & 63))
+	// Past the cursor's word, wrap round to the start word, whose bits at
+	// and above c are known clear: the buckets behind the cursor hold the
+	// ticks furthest ahead.
+	for m == 0 {
+		w = (w + 1) & (len(e.occupied) - 1)
+		m = e.occupied[w]
+	}
+	return w<<6 + bits.TrailingZeros64(m)
+}
+
+// unlink drops bucket b's head.
+func (e *Engine) unlink(b int) {
+	bk := &e.wheel[b]
+	bk.head = bk.head.next
+	e.inWheel--
+	if bk.head == nil {
+		bk.tail = nil
+		e.occupied[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+// push queues ev in the wheel when it falls before the horizon, else in the
+// overflow heap. ev.next must be nil.
+func (e *Engine) push(ev *event) {
+	tick := int64(ev.at) >> bucketShift
+	if tick-e.cursor >= wheelBuckets {
+		e.heap = append(e.heap, ev)
+		e.siftUp(len(e.heap) - 1)
+		return
+	}
+	e.inWheel++
+	b := int(tick & wheelMask)
+	bk := &e.wheel[b]
+	switch {
+	case bk.tail == nil:
+		bk.head, bk.tail = ev, ev
+		e.occupied[b>>6] |= 1 << (b & 63)
+	case !eventLess(ev, bk.tail):
+		bk.tail.next = ev
+		bk.tail = ev
+	case eventLess(ev, bk.head):
+		ev.next = bk.head
+		bk.head = ev
+	default:
+		p := bk.head
+		for !eventLess(ev, p.next) {
+			p = p.next
+		}
+		ev.next = p.next
+		p.next = ev
+	}
+}
+
+// advance moves the clock to t (t >= now) and the cursor with it.
+func (e *Engine) advance(t Time) {
+	e.now = t
+	if c := int64(t) >> bucketShift; c != e.cursor {
+		e.moveCursor(c)
+	}
+}
+
+// moveCursor sets the cursor to tick c, past every queued wheel event's
+// tick, and migrates the overflow events the new horizon covers into the
+// wheel.
+func (e *Engine) moveCursor(c int64) {
+	e.cursor = c
+	for len(e.heap) > 0 && int64(e.heap[0].at)>>bucketShift-c < wheelBuckets {
+		e.push(e.heapPop())
+	}
 }
 
 func eventLess(a, b *event) bool {
@@ -192,12 +313,7 @@ func (e *Engine) siftDown(ev *event, i int) {
 	h[i] = ev
 }
 
-func (e *Engine) heapPush(ev *event) {
-	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// heapPop removes and returns the minimum element.
+// heapPop removes and returns the overflow's minimum element.
 func (e *Engine) heapPop() *event {
 	h := e.heap
 	top := h[0]
@@ -216,7 +332,8 @@ func (e *Engine) heapPop() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -228,18 +345,17 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
+		ev.next = nil
 	} else {
 		ev = &event{}
 	}
 	ev.at, ev.seq, ev.fn, ev.canceled = t, e.seq, fn, false
 	e.seq++
 	e.pending++
-	e.heapPush(ev)
+	e.push(ev)
 	return EventID{ev, ev.gen}
 }
 
@@ -250,7 +366,7 @@ func (e *Engine) After(d Time, fn func()) EventID {
 
 // Cancel removes a scheduled event. Cancelling an already-run or
 // already-cancelled event is a harmless no-op. The entry is tombstoned in
-// place — O(1) — and discarded when it surfaces at the top of the queue (or
+// place — O(1) — and discarded when it surfaces at the head of the queue (or
 // when tombstones pile up enough to warrant a compaction).
 func (e *Engine) Cancel(id EventID) {
 	ev := id.ev
@@ -258,17 +374,38 @@ func (e *Engine) Cancel(id EventID) {
 		return
 	}
 	ev.canceled = true
-	ev.fn = nil // release the closure now; the shell stays in the heap
+	ev.fn = nil // release the closure now; the shell stays queued
 	e.pending--
 	e.tombstones++
-	if e.tombstones > 64 && e.tombstones > len(e.heap)/2 {
+	if e.tombstones > 64 && e.tombstones > (e.pending+e.tombstones)/2 {
 		e.compact()
 	}
 }
 
-// compact rebuilds the heap without its tombstones. Runs only when more
-// than half the queue is dead, so its amortized cost per Cancel is O(1).
+// compact drops every tombstone from the wheel and the overflow. Runs only
+// when more than half the queue is dead, so its amortized cost per Cancel
+// is O(1).
 func (e *Engine) compact() {
+	occupied := e.occupied
+	clear(e.occupied[:])
+	e.inWheel = 0
+	for w, word := range occupied {
+		for ; word != 0; word &= word - 1 {
+			bk := &e.wheel[w<<6+bits.TrailingZeros64(word)]
+			ev := bk.head
+			*bk = bucket{}
+			for ev != nil {
+				next := ev.next
+				ev.next = nil
+				if ev.canceled {
+					e.recycle(ev)
+				} else {
+					e.push(ev) // back to its bucket's tail, order kept
+				}
+				ev = next
+			}
+		}
+	}
 	live := e.heap[:0]
 	for _, ev := range e.heap {
 		if ev.canceled {
@@ -277,9 +414,7 @@ func (e *Engine) compact() {
 			live = append(live, ev)
 		}
 	}
-	for i := len(live); i < len(live)+e.tombstones && i < cap(live); i++ {
-		e.heap[i] = nil
-	}
+	clear(e.heap[len(live):])
 	e.heap = live
 	e.tombstones = 0
 	for i := (len(live) - 2) >> 2; i >= 0; i-- {
@@ -306,25 +441,31 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.running = false
 		totalExecuted.Add(e.executed - startExecuted)
 	}()
-	for len(e.heap) > 0 && !e.stopped {
+	for !e.stopped {
+		if e.inWheel == 0 && len(e.heap) == 0 {
+			break
+		}
+		next, b := e.first()
 		if e.executed&255 == 0 && e.interrupted.Load() {
 			return
 		}
-		next := e.heap[0]
-		if next.canceled {
+		if next.at > deadline && !next.canceled {
+			if e.now < deadline {
+				e.advance(deadline)
+			}
+			return
+		}
+		if b >= 0 {
+			e.unlink(b)
+		} else {
 			e.heapPop()
+		}
+		if next.canceled {
 			e.tombstones--
 			e.recycle(next)
 			continue
 		}
-		if next.at > deadline {
-			if e.now < deadline {
-				e.now = deadline
-			}
-			return
-		}
-		e.heapPop()
-		e.now = next.at
+		e.advance(next.at)
 		e.pending--
 		e.executed++
 		fn := next.fn
@@ -332,7 +473,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		fn()
 	}
 	if !e.stopped && e.now < deadline && deadline != MaxTime {
-		e.now = deadline
+		e.advance(deadline)
 	}
 }
 
@@ -359,18 +500,18 @@ func (e *Engine) Ticker(period Time, fn func()) (stop func()) {
 		panic("sim: non-positive ticker period")
 	}
 	stopped := false
-	var schedule func()
-	schedule = func() {
-		e.After(period, func() {
-			if stopped {
-				return
-			}
-			fn()
-			if !stopped {
-				schedule()
-			}
-		})
+	// tick is bound once and reschedules itself each period, so a running
+	// ticker costs one pooled event per tick and no closure.
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
+		}
+		fn()
+		if !stopped {
+			e.After(period, tick)
+		}
 	}
-	schedule()
+	e.After(period, tick)
 	return func() { stopped = true }
 }

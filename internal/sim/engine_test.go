@@ -165,6 +165,61 @@ func TestEngineTicker(t *testing.T) {
 	}
 }
 
+// A running ticker reschedules one bound callback: 0 allocs per tick.
+func TestEngineTickerZeroAllocPerTick(t *testing.T) {
+	e := NewEngine()
+	ticks := 0
+	stop := e.Ticker(10*Microsecond, func() { ticks++ })
+	defer stop()
+	e.RunUntil(100 * Microsecond) // warm-up: the event pool
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 10*Microsecond) })
+	if allocs != 0 {
+		t.Errorf("ticker: %.1f allocs per tick, want 0", allocs)
+	}
+	if want := 10 + 101; ticks != want {
+		t.Errorf("ticks = %d, want %d", ticks, want)
+	}
+}
+
+// After warm-up the engine schedules into the wheel and the overflow,
+// migrates overflow events into the wheel as the clock nears them, runs,
+// cancels and compacts without allocating.
+func TestEngineSteadyStateZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	ids := make([]EventID, 0, 120)
+	compactions := 0
+	round := func() {
+		for i := 0; i < 40; i++ {
+			e.After(Time(i*97), fn) // wheel
+		}
+		for i := 0; i < 8; i++ {
+			e.After(200*Microsecond+Time(i)*Microsecond, fn) // overflow, then migrated
+		}
+		ids = ids[:0]
+		for i := 0; i < 120; i++ {
+			ids = append(ids, e.After(Millisecond+Time(i), fn)) // overflow
+		}
+		for _, id := range ids {
+			e.Cancel(id) // past half the queue dead: compaction
+		}
+		if e.tombstones < len(ids) {
+			compactions++
+		}
+		e.RunUntil(e.Now() + 300*Microsecond)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("engine steady state: %.1f allocs per round, want 0", allocs)
+	}
+	if compactions == 0 {
+		t.Error("no round compacted; the guard does not cover compaction")
+	}
+	if e.Executed() != 102*48 { // AllocsPerRun adds a warm-up call
+		t.Errorf("executed %d events, want %d", e.Executed(), 102*48)
+	}
+}
+
 func TestEngineTickerPeriodValidation(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -55,8 +55,9 @@ type Ring struct {
 	freeHead    uint16
 	numFree     int
 	lastUsedIdx uint16
-	pending     map[uint16]*token // head -> in-flight request bookkeeping
-	tokFree     []*token          // recycled tokens: Add/Reap do not allocate in steady state
+	pending     []*token // indexed by chain head: in-flight request bookkeeping
+	inFlight    int      // non-nil entries of pending
+	tokFree     []*token // recycled tokens: Add/Reap do not allocate in steady state
 
 	// Device-private state.
 	lastAvailIdx uint16
@@ -112,7 +113,7 @@ func NewRing(qsize, segSize int) (*Ring, error) {
 		used:    make([]byte, ringHdrSize+qsize*usedElemSize),
 		buf:     make([]byte, qsize*segSize),
 		numFree: qsize,
-		pending: make(map[uint16]*token),
+		pending: make([]*token, qsize),
 	}
 	// Chain all descriptors into the free list.
 	for i := 0; i < qsize; i++ {
@@ -248,6 +249,7 @@ func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
 		tok.span = r.Tracer.BeginArg(trace.CatGuestRing, r.SpanName, 0, uint64(head))
 	}
 	r.pending[head] = tok
+	r.inFlight++
 
 	// Publish: write head into the avail ring, then bump idx (the memory
 	// barrier in real hardware; ordering is trivially preserved here).
@@ -310,12 +312,16 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 		id, length := r.usedEntry(r.lastUsedIdx)
 		r.lastUsedIdx++
 		head := uint16(id)
-		tok := r.pending[head]
+		var tok *token
+		if int(head) < len(r.pending) {
+			tok = r.pending[head]
+		}
 		if tok == nil {
 			// The device completed something we never posted: protocol bug.
 			panic(fmt.Sprintf("virtio: used entry for unknown head %d", head))
 		}
-		delete(r.pending, head)
+		r.pending[head] = nil
+		r.inFlight--
 		r.Tracer.End(tok.span)
 		c := b.next()
 		c.Head = head
@@ -338,7 +344,7 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 }
 
 // InFlight reports the number of posted-but-not-reaped requests.
-func (r *Ring) InFlight() int { return len(r.pending) }
+func (r *Ring) InFlight() int { return r.inFlight }
 
 func (r *Ring) freeChain(tok *token) {
 	for _, d := range tok.outDescs {

@@ -2,6 +2,7 @@ package virtio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -282,6 +283,26 @@ func TestRingInFlight(t *testing.T) {
 	r.Reap(0)
 	if r.InFlight() != 1 {
 		t.Errorf("InFlight = %d, want 1", r.InFlight())
+	}
+}
+
+// A used entry naming a head the driver never posted — free, or beyond the
+// queue size — is a device protocol bug and panics.
+func TestRingReapUnknownHeadPanics(t *testing.T) {
+	for _, id := range []uint32{5, 16, 1000} {
+		r := mustRing(t, 16, 64)
+		r.Add([]byte{1}, 0)
+		r.setUsedEntry(r.usedIdx(), id, 0)
+		r.setUsedIdx(r.usedIdx() + 1)
+		func() {
+			defer func() {
+				want := fmt.Sprintf("virtio: used entry for unknown head %d", id)
+				if got := recover(); got != want {
+					t.Errorf("head %d: recovered %v, want %q", id, got, want)
+				}
+			}()
+			r.Reap(0)
+		}()
 	}
 }
 

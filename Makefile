@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke benchjson memprofile check
+.PHONY: build test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke memprofile check
 
 build:
 	$(GO) build ./...
@@ -61,7 +61,8 @@ bench-datapath:
 		./internal/transport/ ./internal/blockdev/ ./internal/ethernet/ ./internal/stats/ ./internal/link/
 
 # Sharded-fabric wall-clock benchmark: the 16-rack cross-rack workload at 1
-# worker vs GOMAXPROCS workers (the shard_speedup of BENCH json).
+# worker vs GOMAXPROCS workers (vriobench's traced run reports the same ratio
+# as sim.shard_speedup).
 bench-fabric:
 	$(GO) test -run xxx -bench 'BenchmarkFabricSharded' -benchtime 2x .
 
@@ -92,7 +93,7 @@ loadgen-smoke:
 	./scripts/loadgen_smoke.sh
 
 # Multi-queue block path: the QD=8 x NQ=4 datapath benchmark plus its
-# zero-allocation guard (datapath_blk_mq_* in BENCH json must stay 0
+# zero-allocation guard (TestHotPathZeroAllocMQ: the path must stay at 0
 # allocs/op).
 bench-mq:
 	$(GO) test -run TestHotPathZeroAllocMQ -bench 'BenchmarkDatapathBlkMQ' -benchmem ./internal/transport/
@@ -105,8 +106,8 @@ race-mq:
 	$(GO) test -race -run 'MQ|Queue|Scheduler' ./internal/transport/ ./internal/iohyp/ ./internal/blockdev/ ./internal/experiments/
 
 # Distributed-volume write path: the R=1 quorum write benchmark plus its
-# zero-allocation guard (vol_write_quorum_* in BENCH json must stay 0
-# allocs/op on the fast path).
+# zero-allocation guard (TestVolumeWriteQuorumZeroAlloc: the fast path must
+# stay at 0 allocs/op).
 bench-vol:
 	$(GO) test -run TestVolumeWriteQuorumZeroAlloc -bench 'BenchmarkVolumeWriteQuorum' -benchmem ./internal/core/
 
@@ -117,15 +118,10 @@ bench-vol:
 race-vol:
 	$(GO) test -race -run 'Vol|Quorum|Rebuild|Replica' ./internal/blockdev/ ./internal/core/ ./internal/cluster/ ./internal/experiments/
 
-# Documentation gate: every exported symbol in blockdev/iohyp/cluster has a
-# doc comment, and README's architecture map covers every internal/ package.
+# Documentation gate: every exported symbol in blockdev/iohyp/cluster/virtio/
+# core has a doc comment, and README's architecture map covers every internal/ package.
 doccheck:
 	./scripts/doccheck.sh
-
-# Benchmark-trajectory record: writes BENCH_<date>.json with wall clock and
-# events/sec for serial vs parallel RunAll.
-benchjson:
-	$(GO) run ./cmd/vrio-experiments -quick -benchjson
 
 # Heap profile of a full quick evaluation run: mem.pprof records alloc_space,
 # the before/after ledger of the buffer-pooling work (see EXPERIMENTS.md).

@@ -119,7 +119,7 @@ func BenchmarkFabricScaling(b *testing.B) { runExperiment(b, "fabricscaling") }
 
 // BenchmarkFabricSharded runs the 16-rack cross-rack workload under the
 // conservative shard coordinator at 1 and GOMAXPROCS workers; the wall-clock
-// ratio is the shard_speedup recorded in BENCH json.
+// ratio is what vriobench's traced run reports as sim.shard_speedup.
 func BenchmarkFabricSharded(b *testing.B) {
 	for _, c := range []struct {
 		name    string

@@ -6,37 +6,23 @@
 //	vrio-experiments -run fig7
 //	vrio-experiments -run all [-quick] [-parallel] [-workers N]
 //	vrio-experiments -run fabricscaling [-racks 32] [-shards 8] [-oversub 8]
-//	vrio-experiments -benchjson [-quick]            # emit BENCH_<date>.json
 //	vrio-experiments -run all -cpuprofile cpu.pprof -memprofile mem.pprof
 //	vrio-experiments -trace [-trace-out out.json] [-metrics-interval 500us]
 //	vrio-experiments -trace -racks 4 [-shards 2]    # traced spine-leaf fabric
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
-	"vrio/internal/blockdev"
-	"vrio/internal/bufpool"
-	"vrio/internal/cluster"
-	"vrio/internal/core"
-	"vrio/internal/ethernet"
 	"vrio/internal/experiments"
 	"vrio/internal/fault"
-	"vrio/internal/netwire"
-	"vrio/internal/rack"
 	"vrio/internal/sim"
-	"vrio/internal/trace"
-	"vrio/internal/transport"
-	"vrio/internal/virtio"
-	"vrio/internal/workload"
 )
 
 func main() {
@@ -47,8 +33,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for -parallel (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchjson := flag.Bool("benchjson", false, "time serial vs parallel runs and write BENCH_<date>.json")
-	benchout := flag.String("benchout", "", "override the -benchjson output path")
 	doTrace := flag.Bool("trace", false, "run a traced vRIO netperf+block run and export span/metric artifacts")
 	traceOut := flag.String("trace-out", "trace.json", "Chrome trace-event output path for -trace (spans/metrics written alongside)")
 	traceSeed := flag.Uint64("trace-seed", 1, "simulation seed for -trace (same seed => byte-identical output)")
@@ -71,14 +55,14 @@ func main() {
 	experiments.SetFabricOptions(*racks, *shards, *oversub)
 	experiments.SetVolOptions(*volReplicas, *volQuorum)
 
-	if err := realMain(*list, *run, *quick, *parallel, *workers, *cpuprofile, *memprofile, *benchjson, *benchout,
+	if err := realMain(*list, *run, *quick, *parallel, *workers, *cpuprofile, *memprofile,
 		*doTrace, *traceOut, *traceSeed, *metricsInterval, *racks, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 }
 
-func realMain(list bool, run string, quick, parallel bool, workers int, cpuprofile, memprofile string, benchjson bool, benchout string,
+func realMain(list bool, run string, quick, parallel bool, workers int, cpuprofile, memprofile string,
 	doTrace bool, traceOut string, traceSeed uint64, metricsInterval time.Duration, racks, shards int) error {
 	if list {
 		for _, id := range experiments.IDs() {
@@ -119,10 +103,6 @@ func realMain(list bool, run string, quick, parallel bool, workers int, cpuprofi
 			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 		}
 	}()
-
-	if benchjson {
-		return writeBenchJSON(quick, workers, benchout)
-	}
 
 	var ids []string
 	if run == "all" {
@@ -218,592 +198,5 @@ func writeFabricTrace(outPath string, seed uint64, interval time.Duration, racks
 	}
 	fmt.Println()
 	fmt.Print(res.Summary)
-	return nil
-}
-
-// benchRun is one timed pass for BENCH_<date>.json.
-type benchRun struct {
-	Workers      int     `json:"workers"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is wall time relative to the sweep's workers=1 entry. A single
-	// scalar hid the scaling curve (and looked absurd on a loaded machine);
-	// the sweep shows where the curve flattens against num_cpu.
-	Speedup float64 `json:"speedup"`
-}
-
-// benchReport is the benchmark-trajectory record: one file per run date, so
-// successive perf PRs leave a comparable trail.
-type benchReport struct {
-	Date        string `json:"date"`
-	Quick       bool   `json:"quick"`
-	NumCPU      int    `json:"num_cpu"`
-	GoMaxProcs  int    `json:"go_max_procs"`
-	GoVersion   string `json:"go_version"`
-	Experiments int    `json:"experiments"`
-	// WorkerSweep times the full evaluation (independent cells fanned out
-	// across workers) at 1/2/4/8 workers, capped at num_cpu.
-	WorkerSweep     []benchRun `json:"worker_sweep"`
-	IdenticalOutput bool       `json:"identical_output"`
-	// ShardSweep times the fabricscaling 16-rack cross-rack workload under
-	// the conservative shard coordinator at the same worker counts; every
-	// run is byte-identical, only wall clock changes. ShardSpeedup is the
-	// best sweep entry (1.0 on a single-CPU machine, where the sweep has
-	// only its serial entry).
-	ShardSweep   []benchRun `json:"shard_sweep"`
-	ShardSpeedup float64    `json:"shard_speedup"`
-	// Engine hot-path microbenchmarks (see internal/sim's benchmarks):
-	// schedule+run cost per event, bare and with a disabled tracer guard in
-	// the loop. The two should be within noise of each other — that is the
-	// zero-overhead-when-disabled contract.
-	EngineScheduleNsOp int64 `json:"engine_schedule_ns_op"`
-	TraceDisabledNsOp  int64 `json:"trace_disabled_ns_op"`
-	// FabricTraceOverheadNsOp is the sharded-datapath version of the same
-	// contract: one ShardGroup synchronization window (two shards, one pooled
-	// event each) with a disabled-tracer guard in the loop, minus the bare
-	// window. Best-of-three per side; must be noise (~0 ns).
-	FabricTraceOverheadNsOp int64 `json:"fabric_trace_overhead_ns_op"`
-	// Control-plane macrobenchmark (internal/rack BenchmarkRackRebalance):
-	// one full imbalance-healing run — 2 IOhosts, all-on-one placement,
-	// heartbeats and rebalancing on, 20 ms of sim traffic.
-	RackRebalanceNsOp int64 `json:"rack_rebalance_ns_op"`
-	// Datapath microbenchmarks (internal/transport's Rig — driver to
-	// endpoint over pooled NIC rings and a 40G wire): one steady-state
-	// 1400 B net-tx message, and one 4 KiB block echo roundtrip. The
-	// allocs/op figures are the zero-allocation contract made visible;
-	// TestHotPathZeroAlloc enforces net-tx at exactly 0.
-	DatapathNetTxNsOp     int64 `json:"datapath_nettx_ns_op"`
-	DatapathNetTxAllocsOp int64 `json:"datapath_nettx_allocs_op"`
-	DatapathBlkNsOp       int64 `json:"datapath_blk_ns_op"`
-	DatapathBlkAllocsOp   int64 `json:"datapath_blk_allocs_op"`
-	// Fault-injection overhead contract: the net-tx benchmark repeated on a
-	// rig where an EMPTY fault plan was built and attached to the cable.
-	// An empty plan installs no wire hooks, so the delta vs the baseline
-	// must be noise (~0 ns) and the allocs/op must stay 0 — faults cost
-	// nothing unless a profile actually asks for them.
-	FaultOverheadNsOp  int64 `json:"fault_overhead_ns_op"`
-	FaultNetTxAllocsOp int64 `json:"fault_nettx_allocs_op"`
-	// Real-wire carrier benchmarks (internal/netwire): the per-frame
-	// seal/decode overhead the carrier adds to every transport message, and
-	// one 4 KiB block echo over real UDP loopback sockets — the socket-borne
-	// sibling of the datapath_blk figure. Both must stay at 0 allocs/op in
-	// steady state: the zero-allocation contract holds on a real wire, not
-	// just simulated cables.
-	RealwireSealNsOp       int64 `json:"realwire_seal_ns_op"`
-	RealwireSealAllocsOp   int64 `json:"realwire_seal_allocs_op"`
-	RealwireUDPBlkNsOp     int64 `json:"realwire_udp_blk_ns_op"`
-	RealwireUDPBlkAllocsOp int64 `json:"realwire_udp_blk_allocs_op"`
-	// Multi-queue block datapath (internal/transport BenchmarkDatapathBlkMQ):
-	// 32 outstanding 4 KiB echoes — QD=8 over NQ=4 queue-tagged queues — with
-	// completions reissuing on their own queue. The allocs/op figure is the
-	// zero-allocation contract extended to the queue-pair path;
-	// TestHotPathZeroAllocMQ enforces it at exactly 0.
-	DatapathBlkMQNsOp     int64 `json:"datapath_blk_mq_ns_op"`
-	DatapathBlkMQAllocsOp int64 `json:"datapath_blk_mq_allocs_op"`
-	// Distributed-volume quorum write (internal/core
-	// BenchmarkVolumeWriteQuorum): one R=1 quorum write through the volume
-	// router and the full rig datapath — version allocation, header encode,
-	// chunked transport round trip, ack counting, commit.
-	// TestVolumeWriteQuorumZeroAlloc enforces the allocs/op figure at
-	// exactly 0 on this fast path.
-	VolWriteQuorumNsOp     int64 `json:"vol_write_quorum_ns_op"`
-	VolWriteQuorumAllocsOp int64 `json:"vol_write_quorum_allocs_op"`
-	// Notes carries caveats about the machine the numbers came from.
-	Notes []string `json:"notes"`
-}
-
-// sweep1Speedup computes a sweep entry's speedup against the sweep's
-// workers=1 entry (1.0 for the serial entry itself).
-func sweep1Speedup(sweep []benchRun, br benchRun) float64 {
-	if len(sweep) == 0 || br.WallSeconds == 0 {
-		return 1.0
-	}
-	return sweep[0].WallSeconds / br.WallSeconds
-}
-
-// benchEngine mirrors internal/sim BenchmarkEngineSchedule: one After + one
-// RunUntil per iteration.
-func benchEngine(withTracer bool) int64 {
-	var tr *trace.Tracer // nil: the disabled tracer
-	res := testing.Benchmark(func(b *testing.B) {
-		e := sim.NewEngine()
-		fn := func() {}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if withTracer && tr.Enabled() {
-				id := tr.BeginArg(trace.CatWorker, "bench", 0, uint64(i))
-				tr.End(id)
-			}
-			e.After(1, fn)
-			e.RunUntil(e.Now() + 1)
-		}
-	})
-	return res.NsPerOp()
-}
-
-// benchShardGroup mirrors internal/sim's BenchmarkShardGroupBare /
-// BenchmarkShardGroupTraceDisabled: one conservative synchronization window
-// over two shards with a pooled event each, optionally guarded by the
-// disabled-tracer check every instrumented component runs per event.
-func benchShardGroup(withTracer bool) int64 {
-	var tr *trace.Tracer // nil: the disabled tracer
-	res := testing.Benchmark(func(b *testing.B) {
-		g := sim.NewShardGroup(100, 0)
-		g.AddShard()
-		g.AddShard()
-		fn := func() {}
-		var deadline sim.Time
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if withTracer && tr.Enabled() {
-				id := tr.BeginArg(trace.CatWorker, "bench", 0, uint64(i))
-				tr.End(id)
-			}
-			for _, s := range g.Shards() {
-				s.Eng.After(1, fn)
-			}
-			deadline += 100
-			g.RunUntil(deadline, 1)
-		}
-	})
-	return res.NsPerOp()
-}
-
-// benchRack mirrors internal/rack BenchmarkRackRebalance: a two-IOhost rack
-// with an all-on-one placement, the controller heartbeating and rebalancing
-// while RR traffic flows for 20 ms of sim time.
-func benchRack() int64 {
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tb := cluster.Build(cluster.Spec{
-				Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 2,
-				NumIOhosts: 2, Placement: rack.Placement(rack.Static(0), 2),
-				NoJitter: true, StationPerVM: true, Seed: 7,
-			})
-			c := rack.New(tb, rack.Config{
-				HeartbeatInterval: sim.Millisecond / 2,
-				RebalanceInterval: 2 * sim.Millisecond,
-			})
-			c.Start()
-			for g, guest := range tb.Guests {
-				workload.InstallRRServer(guest, tb.P.NetperfRRProcessCost)
-				rr := workload.NewRR(tb.StationFor(g), guest.MAC(), 16)
-				rr.Start()
-			}
-			tb.Eng.RunUntil(20 * sim.Millisecond)
-			if c.Counters.Get("rebalances") == 0 {
-				b.Fatal("benchmark run never rebalanced")
-			}
-		}
-	})
-	return res.NsPerOp()
-}
-
-// benchDatapathNetTx mirrors internal/transport BenchmarkDatapathNetTx: a
-// 1400 B net-tx message through the full rig per iteration, after warmup.
-func benchDatapathNetTx() (nsOp, allocsOp int64) {
-	res := testing.Benchmark(func(b *testing.B) {
-		r := transport.NewRig()
-		frame := make([]byte, 1400)
-		for i := 0; i < 100; i++ {
-			r.Driver.SendNet(1, 3, frame)
-			r.Step()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Driver.SendNet(1, 3, frame)
-			r.Step()
-		}
-	})
-	return res.NsPerOp(), res.AllocsPerOp()
-}
-
-// benchDatapathBlk mirrors BenchmarkDatapathBlkRoundtrip: a 4 KiB block
-// request echoed back by the endpoint, chunked and reassembled both ways.
-func benchDatapathBlk() (nsOp, allocsOp int64) {
-	res := testing.Benchmark(func(b *testing.B) {
-		r := transport.NewRig()
-		req := make([]byte, 4096)
-		complete := func(resp []byte, err error) {
-			if err != nil {
-				b.Fatalf("blk roundtrip: %v", err)
-			}
-		}
-		send := func() {
-			r.Driver.SendBlk(2, 1, req, complete)
-			r.Step()
-		}
-		for i := 0; i < 100; i++ {
-			send()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			send()
-		}
-	})
-	return res.NsPerOp(), res.AllocsPerOp()
-}
-
-// benchDatapathBlkMQ mirrors BenchmarkDatapathBlkMQ: QD=8 over NQ=4 queues,
-// 32 outstanding 4 KiB echoes, completions reissuing on their own queue.
-func benchDatapathBlkMQ() (nsOp, allocsOp int64) {
-	const nq, qd = 4, 8
-	res := testing.Benchmark(func(b *testing.B) {
-		r := transport.NewRig()
-		req := make([]byte, 4096)
-		remaining := 0
-		var cbs [nq]transport.BlkCallback
-		for q := 0; q < nq; q++ {
-			queue := uint8(q)
-			var cb transport.BlkCallback
-			cb = func(resp []byte, err error) {
-				if err != nil {
-					b.Fatalf("blk mq roundtrip: %v", err)
-				}
-				if remaining > 0 {
-					remaining--
-					r.Driver.SendBlkQ(2, 1, queue, req, cb)
-				}
-			}
-			cbs[q] = cb
-		}
-		run := func(n int) {
-			inflight := n
-			if inflight > nq*qd {
-				inflight = nq * qd
-			}
-			remaining = n - inflight
-			for i := 0; i < inflight; i++ {
-				q := i % nq
-				r.Driver.SendBlkQ(2, 1, uint8(q), req, cbs[q])
-			}
-			r.Step()
-		}
-		run(100)
-		b.ReportAllocs()
-		b.ResetTimer()
-		run(b.N)
-	})
-	return res.NsPerOp(), res.AllocsPerOp()
-}
-
-// benchVolWriteQuorum mirrors internal/core BenchmarkVolumeWriteQuorum: one
-// R=1 quorum write through the VolumeRouter over the rig datapath per
-// iteration, after warmup.
-func benchVolWriteQuorum() (nsOp, allocsOp int64) {
-	res := testing.Benchmark(func(b *testing.B) {
-		r := transport.NewRig()
-		okResp := []byte{virtio.BlkOK}
-		r.Endpoint.BlkReq = func(src ethernet.MAC, h transport.Header, req *bufpool.Frame) {
-			r.Endpoint.RespondBlk(src, h, okResp)
-			req.Release()
-		}
-		spec := blockdev.VolumeSpec{
-			Stripes: 1, Replicas: 1, WriteQuorum: 1,
-			ExtentSectors: 128, CapacitySectors: 4096, Queues: 4,
-		}
-		vr := core.NewVolumeRouter(r.Eng, spec, 7, []*transport.Driver{r.Driver})
-		data := make([]byte, 4096)
-		cb := func(err error) {
-			if err != nil {
-				b.Fatalf("vol write: %v", err)
-			}
-		}
-		send := func() {
-			vr.Write(0, data, cb)
-			r.Step()
-		}
-		for i := 0; i < 100; i++ {
-			send()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			send()
-		}
-	})
-	return res.NsPerOp(), res.AllocsPerOp()
-}
-
-// benchDatapathNetTxFaulted repeats the net-tx benchmark with an empty
-// fault plan built and attached to the rig's cable. The attach is a no-op
-// for an inert plan, so this measures the contract that the fault subsystem
-// costs nothing when no profile is configured.
-func benchDatapathNetTxFaulted() (nsOp, allocsOp int64) {
-	res := testing.Benchmark(func(b *testing.B) {
-		r := transport.NewRig()
-		pl := fault.NewPlan(r.Eng, nil, 1)
-		pl.AttachCable(fault.Channels, 0, 0, r.Cable)
-		pl.Start()
-		if pl.Active() {
-			b.Fatal("empty fault plan must stay inert")
-		}
-		frame := make([]byte, 1400)
-		for i := 0; i < 100; i++ {
-			r.Driver.SendNet(1, 3, frame)
-			r.Step()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.Driver.SendNet(1, 3, frame)
-			r.Step()
-		}
-	})
-	return res.NsPerOp(), res.AllocsPerOp()
-}
-
-// benchRealwireSeal mirrors internal/netwire BenchmarkSealDecode: the
-// CRC32 preamble seal plus the receiver's validation for a 1400 B frame —
-// the only per-frame work the real-wire carrier adds to the §4.2 bytes.
-func benchRealwireSeal() (nsOp, allocsOp int64) {
-	res := testing.Benchmark(func(b *testing.B) {
-		src, dst := ethernet.NewMAC(1), ethernet.NewMAC(2)
-		buf := make([]byte, netwire.PreambleSize+1400)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			netwire.SealFrame(buf, netwire.KindData, src, dst)
-			if _, _, err := netwire.DecodeFrame(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return res.NsPerOp(), res.AllocsPerOp()
-}
-
-// benchRealwireUDPBlk mirrors internal/netwire BenchmarkUDPLoopbackRoundtrip:
-// one 4 KiB block echo end to end over real loopback sockets — driver cell,
-// UDP datagrams both ways, endpoint cell — after pools, timer shells, and
-// reader scratch have warmed up.
-func benchRealwireUDPBlk() (nsOp, allocsOp int64) {
-	res := testing.Benchmark(func(b *testing.B) {
-		cfg := transport.Config{MaxChunk: 32 << 10, InitialTimeout: 50 * sim.Millisecond}
-
-		sLoop := netwire.NewLoop()
-		sMAC := ethernet.NewMAC(2)
-		srv, err := netwire.ListenUDP(sLoop, bufpool.New(), sMAC, "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ep *transport.Endpoint
-		srv.OnMessage = func(src ethernet.MAC, msg []byte) { _ = ep.Deliver(src, msg) }
-		ep = transport.NewEndpoint(sLoop, srv, cfg)
-		ep.BlkReq = func(src ethernet.MAC, h transport.Header, req *bufpool.Frame) {
-			ep.RespondBlk(src, h, req.B)
-			req.Release()
-		}
-		go sLoop.Run()
-		defer sLoop.Close()
-		defer srv.Close()
-
-		cLoop := netwire.NewLoop()
-		cli, err := netwire.ListenUDP(cLoop, bufpool.New(), ethernet.NewMAC(1), "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cli.AddPeer(sMAC, srv.LocalAddrPort())
-		var drv *transport.Driver
-		cli.OnMessage = func(_ ethernet.MAC, msg []byte) { _ = drv.Deliver(msg) }
-		drv = transport.NewDriver(cLoop, cli, sMAC, cfg)
-		go cLoop.Run()
-		defer cLoop.Close()
-		defer cli.Close()
-
-		req := make([]byte, 4096)
-		done := make(chan error, 1)
-		complete := func(resp []byte, err error) { done <- err }
-		submit := func() { drv.SendBlk(2, 1, req, complete) }
-		roundtrip := func() {
-			cLoop.Post(submit)
-			if err := <-done; err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := 0; i < 200; i++ {
-			roundtrip()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			roundtrip()
-		}
-	})
-	return res.NsPerOp(), res.AllocsPerOp()
-}
-
-// sweepWorkers is the BENCH worker ladder: 1/2/4/8, capped at the machine's
-// CPU count so a 1-CPU box degrades to a serial-only sweep instead of timing
-// oversubscribed goroutines.
-func sweepWorkers() []int {
-	ws := []int{1}
-	for _, w := range []int{2, 4, 8} {
-		if w <= runtime.NumCPU() {
-			ws = append(ws, w)
-		}
-	}
-	return ws
-}
-
-func writeBenchJSON(quick bool, workers int, outPath string) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	timeRun := func(w int, f func() []experiments.Result) ([]experiments.Result, benchRun) {
-		ev0 := sim.TotalExecuted()
-		t0 := time.Now()
-		res := f()
-		wall := time.Since(t0).Seconds()
-		events := sim.TotalExecuted() - ev0
-		return res, benchRun{
-			Workers:      w,
-			WallSeconds:  wall,
-			Events:       events,
-			EventsPerSec: float64(events) / wall,
-		}
-	}
-
-	// Worker sweep: the whole evaluation, cells fanned out across w workers.
-	var (
-		sweep     []benchRun
-		serialRes []experiments.Result
-		identical = true
-	)
-	for _, w := range sweepWorkers() {
-		w := w
-		var res []experiments.Result
-		var br benchRun
-		if w == 1 {
-			res, br = timeRun(w, func() []experiments.Result { return experiments.RunAll(quick) })
-			serialRes = res
-		} else {
-			res, br = timeRun(w, func() []experiments.Result { return experiments.RunAllParallel(quick, w) })
-			if len(res) != len(serialRes) {
-				identical = false
-			} else {
-				for i := range serialRes {
-					if experiments.Format(serialRes[i]) != experiments.Format(res[i]) {
-						identical = false
-						break
-					}
-				}
-			}
-		}
-		br.Speedup = sweep1Speedup(sweep, br)
-		sweep = append(sweep, br)
-	}
-
-	// Shard sweep: the 16-rack fabric under the conservative coordinator.
-	var shardSweep []benchRun
-	shardSpeedup := 1.0
-	for _, w := range sweepWorkers() {
-		t0 := time.Now()
-		events := experiments.FabricBenchRun(quick, w)
-		wall := time.Since(t0).Seconds()
-		br := benchRun{
-			Workers: w, WallSeconds: wall,
-			Events: events, EventsPerSec: float64(events) / wall,
-		}
-		br.Speedup = sweep1Speedup(shardSweep, br)
-		shardSweep = append(shardSweep, br)
-		if br.Speedup > shardSpeedup {
-			shardSpeedup = br.Speedup
-		}
-	}
-
-	report := benchReport{
-		Date:               time.Now().Format("2006-01-02"),
-		Quick:              quick,
-		NumCPU:             runtime.NumCPU(),
-		GoMaxProcs:         runtime.GOMAXPROCS(0),
-		GoVersion:          runtime.Version(),
-		Experiments:        len(serialRes),
-		WorkerSweep:        sweep,
-		IdenticalOutput:    identical,
-		ShardSweep:         shardSweep,
-		ShardSpeedup:       shardSpeedup,
-		EngineScheduleNsOp: benchEngine(false),
-		TraceDisabledNsOp:  benchEngine(true),
-		RackRebalanceNsOp:  benchRack(),
-	}
-	report.DatapathNetTxNsOp, report.DatapathNetTxAllocsOp = benchDatapathNetTx()
-	report.DatapathBlkNsOp, report.DatapathBlkAllocsOp = benchDatapathBlk()
-	// Machine-load noise on a ~1.5µs op easily exceeds the true delta
-	// (zero), so compare best-of-three on each side.
-	bestNs := func(f func() (int64, int64)) (int64, int64) {
-		ns, allocs := f()
-		for i := 0; i < 2; i++ {
-			n, a := f()
-			if n < ns {
-				ns = n
-			}
-			if a > allocs {
-				allocs = a
-			}
-		}
-		return ns, allocs
-	}
-	plainNs, _ := bestNs(benchDatapathNetTx)
-	faultedNs, faultedAllocs := bestNs(benchDatapathNetTxFaulted)
-	report.FaultOverheadNsOp = faultedNs - plainNs
-	report.FaultNetTxAllocsOp = faultedAllocs
-	bestShard := func(withTracer bool) int64 {
-		ns := benchShardGroup(withTracer)
-		for i := 0; i < 2; i++ {
-			if n := benchShardGroup(withTracer); n < ns {
-				ns = n
-			}
-		}
-		return ns
-	}
-	report.FabricTraceOverheadNsOp = bestShard(true) - bestShard(false)
-	report.RealwireSealNsOp, report.RealwireSealAllocsOp = benchRealwireSeal()
-	report.RealwireUDPBlkNsOp, report.RealwireUDPBlkAllocsOp = benchRealwireUDPBlk()
-	report.DatapathBlkMQNsOp, report.DatapathBlkMQAllocsOp = benchDatapathBlkMQ()
-	report.VolWriteQuorumNsOp, report.VolWriteQuorumAllocsOp = benchVolWriteQuorum()
-	if runtime.NumCPU() == 1 {
-		report.Notes = append(report.Notes,
-			"num_cpu:1 — the mqscaling worker-count speedups are capped by a single host CPU; re-run on a multi-core machine for the paper's worker-scaling figures")
-	}
-	if outPath == "" {
-		outPath = fmt.Sprintf("BENCH_%s.json", report.Date)
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	for _, br := range sweep {
-		fmt.Printf("eval  %d worker(s)  %.2fs  %d events  %.0f events/sec  %.2fx\n",
-			br.Workers, br.WallSeconds, br.Events, br.EventsPerSec, br.Speedup)
-	}
-	for _, br := range shardSweep {
-		fmt.Printf("shard %d worker(s)  %.2fs  %d events  %.0f events/sec  %.2fx\n",
-			br.Workers, br.WallSeconds, br.Events, br.EventsPerSec, br.Speedup)
-	}
-	fmt.Printf("shard_speedup %.2fx  identical=%v  -> %s\n", report.ShardSpeedup, identical, outPath)
-	fmt.Printf("datapath net-tx %d ns/op (%d allocs/op)  blk %d ns/op (%d allocs/op)\n",
-		report.DatapathNetTxNsOp, report.DatapathNetTxAllocsOp,
-		report.DatapathBlkNsOp, report.DatapathBlkAllocsOp)
-	fmt.Printf("datapath blk-mq %d ns/op (%d allocs/op) at QD=8 x NQ=4\n",
-		report.DatapathBlkMQNsOp, report.DatapathBlkMQAllocsOp)
-	fmt.Printf("vol write quorum %d ns/op (%d allocs/op) on the R=1 fast path\n",
-		report.VolWriteQuorumNsOp, report.VolWriteQuorumAllocsOp)
-	fmt.Printf("fault overhead  %+d ns/op (%d allocs/op) with an empty fault plan attached\n",
-		report.FaultOverheadNsOp, report.FaultNetTxAllocsOp)
-	fmt.Printf("fabric trace overhead %+d ns/op on the sharded window path with tracing disabled\n",
-		report.FabricTraceOverheadNsOp)
-	if !identical {
-		return fmt.Errorf("parallel output diverged from serial")
-	}
 	return nil
 }

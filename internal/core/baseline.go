@@ -23,17 +23,13 @@ type BaselineHost struct {
 	name   string
 	ioCore *cpu.Core
 	nic    *nic.NIC
-	guests []*baselineGuest
 }
 
 type baselineGuest struct {
-	g     *Guest
-	id    int
-	netQ  *netQueues
-	blkQ  *blkQueue
-	vf    *nic.VF
-	chain *interpose.Chain
-	blk   virtio.BlkServer
+	g    *Guest
+	id   int
+	blkQ *blkQueue
+	blk  virtio.BlkServer
 }
 
 // NewBaselineHost builds the host. ioCore is the shared core Linux uses for
@@ -47,24 +43,16 @@ func NewBaselineHost(eng *sim.Engine, p *params.P, name string, ioCore *cpu.Core
 // Name reports the host name.
 func (h *BaselineHost) Name() string { return h.name }
 
-// IOCore exposes the shared vhost core.
-func (h *BaselineHost) IOCore() *cpu.Core { return h.ioCore }
-
 // AddVM provisions a VM with a virtio net device and, when blk is non-nil,
 // a virtio block device backed by it. netChain and blkChain (optional)
 // interpose on net and block traffic in the host backend.
 func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, netChain, blkChain *interpose.Chain) *Guest {
-	if netChain == nil {
-		netChain = interpose.NewChain()
-	}
 	if blkChain == nil {
 		blkChain = interpose.NewChain()
 	}
 	bg := &baselineGuest{
-		g:     &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
-		id:    id,
-		netQ:  newNetQueues(),
-		chain: netChain,
+		g:  &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
+		id: id,
 		// The vhost path copies block payloads both ways; its fixed service
 		// cost is charged in guestBlkSubmit.
 		blk: virtio.BlkServer{
@@ -72,11 +60,16 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 			Cost: virtio.BlkCost{PerByte: h.p.HostPerByte},
 		},
 	}
-	bg.vf = h.nic.AddVF(mac, nic.ModeInterrupt)
-	h.guests = append(h.guests, bg)
-
-	bg.g.sendNet = func(f ethernet.Frame) { h.guestSendNet(bg, f) }
-	bg.vf.OnInterrupt(func(frames [][]byte) { h.hostReceive(bg, frames) })
+	// The vhost thread serves the device on the shared I/O core. The guest
+	// kicks with exits (bulk payloads once per BaselineKickBytes, small
+	// messages once), each waking the vhost thread; completions are
+	// injected, and the guest's EOI write exits again (Table 3).
+	n := newHostNet(h.eng, h.p, bg.g, id, h.nic, netChain)
+	n.core, n.owner = h.ioCore, id
+	n.cost, n.perByte = h.p.HostBackendCost, h.p.HostPerByte
+	wake := func() { hypervisor.VhostWakeup(h.ioCore, h.p, func() { n.drainTx() }) }
+	n.kick = func(size int) { bg.g.VM.ExitN(1+(size-1)/h.p.BaselineKickBytes, wake) }
+	n.notify = func(fn func()) { bg.g.VM.GuestIRQInjected(h.ioCore, fn) }
 
 	if blk != nil {
 		bg.blkQ = newBlkQueue()
@@ -91,115 +84,6 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		bg.g.blkWrite, bg.g.blkRead = bg.g.ringWrite, bg.g.ringRead
 	}
 	return bg.g
-}
-
-// guestSendNet: guest stack -> ring -> exit (kick) -> vhost wakeup ->
-// backend -> wire.
-func (h *BaselineHost) guestSendNet(bg *baselineGuest, f ethernet.Frame) {
-	stack := h.p.GuestNetStackCost + perByte(h.p.GuestTxPerByte, len(f.Payload))
-	bg.g.VM.Compute(stack, func() {
-		raw, err := f.Encode(0)
-		if err != nil {
-			panic(err)
-		}
-		// A full TX ring blocks the guest's send path (backpressure), as
-		// virtio does; retry until a descriptor frees up.
-		var post func()
-		post = func() {
-			if !bg.netQ.guestSend(raw) {
-				h.eng.After(20*sim.Microsecond, post)
-				return
-			}
-			// Bulk payloads kick the queue repeatedly (one exit per
-			// BaselineKickBytes); small messages kick once.
-			kicks := 1 + (len(f.Payload)-1)/h.p.BaselineKickBytes
-			if len(f.Payload) == 0 {
-				kicks = 1
-			}
-			bg.g.VM.ExitN(kicks, func() { // the kick(s) trap
-				hypervisor.VhostWakeup(h.ioCore, h.p, func() {
-					h.drainGuestTx(bg)
-				})
-			})
-		}
-		post()
-	})
-}
-
-func (h *BaselineHost) drainGuestTx(bg *baselineGuest) {
-	frames := bg.netQ.hostPopTx(0)
-	for _, raw := range frames {
-		raw := raw
-		cost := h.p.HostBackendCost + perByte(h.p.HostPerByte, len(raw))
-		h.ioCore.Exec(bg.id, cpu.KindBusy, cost, func() {
-			f, err := ethernet.Decode(raw)
-			if err != nil {
-				return
-			}
-			payload, icost, err := bg.chain.Process(interpose.ToDevice, uint16(bg.id), f.Payload)
-			if err != nil {
-				return // dropped by policy
-			}
-			out := f
-			out.Payload = payload
-			finish := func() {
-				if err := bg.vf.SendFrame(out); err != nil {
-					panic(err)
-				}
-				// TX-completion interrupt from the physical NIC; the host
-				// then injects the completion into the guest (whose EOI
-				// write exits — baseline exit #2 or #3 of Table 3).
-				hypervisor.HostIRQ(h.ioCore, h.p, &bg.g.VM.Counters,
-					hypervisor.CounterHostIRQs, func() {
-						bg.g.VM.GuestIRQInjected(h.ioCore, func() { bg.netQ.guestReapTx() })
-					})
-			}
-			if icost > 0 {
-				h.ioCore.Exec(bg.id, cpu.KindBusy, icost, finish)
-			} else {
-				finish()
-			}
-		})
-	}
-}
-
-// hostReceive: physical IRQ on the host core -> backend copies frames into
-// the guest rx ring -> injected interrupt -> guest reaps (EOI exits).
-func (h *BaselineHost) hostReceive(bg *baselineGuest, frames [][]byte) {
-	hypervisor.HostIRQ(h.ioCore, h.p, &bg.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
-		cost := h.p.HostBackendCost * sim.Time(len(frames))
-		h.ioCore.Exec(bg.id, cpu.KindBusy, cost, func() {
-			delivered := 0
-			for _, raw := range frames {
-				f, err := ethernet.Decode(raw)
-				if err != nil {
-					continue
-				}
-				payload, _, err := bg.chain.Process(interpose.ToGuest, uint16(bg.id), f.Payload)
-				if err != nil {
-					continue
-				}
-				in := f
-				in.Payload = payload
-				enc, _ := in.Encode(0)
-				if bg.netQ.hostDeliver(enc) {
-					delivered++
-				}
-			}
-			if delivered == 0 {
-				return
-			}
-			bg.g.VM.GuestIRQInjected(h.ioCore, func() {
-				for _, raw := range bg.netQ.guestReapRx() {
-					f, err := ethernet.Decode(raw)
-					if err != nil {
-						continue
-					}
-					bg.g.VM.Compute(h.p.GuestNetStackCost, func() { bg.g.deliverNet(f) })
-				}
-			})
-		})
-	})
 }
 
 // --- block path ---

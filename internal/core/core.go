@@ -51,6 +51,10 @@ type Guest struct {
 
 	netMAC ethernet.MAC
 
+	// net is the guest's net device when its host serves the rings
+	// (baseline, Elvis); ringSend and ringReap are the front end over it.
+	net *hostNet
+
 	// Model-wired hooks; set by the host implementations.
 	sendNet  func(f ethernet.Frame)
 	blkWrite func(sector uint64, data []byte, done func(error))
@@ -92,13 +96,21 @@ func (g *Guest) SendNet(f ethernet.Frame) {
 	g.sendNet(f)
 }
 
-// deliverNet hands a received frame to the workload.
-func (g *Guest) deliverNet(f ethernet.Frame) {
-	g.RxFrames++
-	g.RxBytes += uint64(len(f.Payload))
-	if g.onNetRx != nil {
-		g.onNetRx(f)
+// receiveNet runs a received frame through the guest stack, which costs
+// stack, and hands it to the workload. Frames too short to decode are
+// dropped.
+func (g *Guest) receiveNet(raw []byte, stack sim.Time) {
+	f, err := ethernet.Decode(raw)
+	if err != nil {
+		return
 	}
+	g.VM.Compute(stack, func() {
+		g.RxFrames++
+		g.RxBytes += uint64(len(f.Payload))
+		if g.onNetRx != nil {
+			g.onNetRx(f)
+		}
+	})
 }
 
 // WriteBlock writes data at the given sector through the guest's

@@ -31,13 +31,9 @@ type ElvisHost struct {
 }
 
 type elvisGuest struct {
-	g     *Guest
-	id    int
-	netQ  *netQueues
-	blkQ  *blkQueue
-	vf    *nic.VF
-	chain *interpose.Chain
-	blk   virtio.BlkServer
+	g    *Guest
+	blkQ *blkQueue
+	blk  virtio.BlkServer
 	// side is the sidecore serving this guest (round-robin assignment,
 	// matching Elvis's static VM-to-sidecore mapping).
 	side int
@@ -72,46 +68,25 @@ func (h *ElvisHost) Sidecores() []*cpu.Core { return h.sidecores }
 // When blk is non-nil the VM gets a block device backed by it. netChain and
 // blkChain (optional) interpose on the VM's net and block traffic.
 func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, netChain, blkChain *interpose.Chain) *Guest {
-	if netChain == nil {
-		netChain = interpose.NewChain()
-	}
 	if blkChain == nil {
 		blkChain = interpose.NewChain()
 	}
 	eg := &elvisGuest{
-		g:     &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
-		id:    id,
-		netQ:  newNetQueues(),
-		chain: netChain,
+		g: &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
 		// Elvis charges its block service in scan; the back end adds only
 		// interposition.
 		blk:  virtio.BlkServer{Backend: blk, Chain: blkChain, Device: uint16(id)},
 		side: len(h.guests) % len(h.sidecores),
 	}
-	eg.vf = h.nic.AddVF(mac, nic.ModeInterrupt)
+	// The guest's sidecore serves the device: posting a frame costs no exit
+	// (the sidecore's poll loop notices), and completions reach the guest
+	// exitless (ELI).
+	n := newHostNet(h.eng, h.p, eg.g, id, h.nic, netChain)
+	n.core, n.owner = h.sidecores[eg.side], cpu.NoOwner
+	n.cost, n.perByte = h.p.SidecoreServiceCost, h.p.SidecorePerByte
+	n.kick = func(int) { h.armScan(eg.side) }
+	n.notify = eg.g.VM.GuestIRQExitless
 	h.guests = append(h.guests, eg)
-
-	eg.g.sendNet = func(f ethernet.Frame) {
-		stack := h.p.GuestNetStackCost + perByte(h.p.GuestTxPerByte, len(f.Payload))
-		eg.g.VM.Compute(stack, func() {
-			raw, err := f.Encode(0)
-			if err != nil {
-				panic(err)
-			}
-			// Backpressure on a full ring, as with the baseline.
-			var post func()
-			post = func() {
-				if !eg.netQ.guestSend(raw) {
-					h.eng.After(20*sim.Microsecond, post)
-					return
-				}
-				h.armScan(eg.side) // no exit: the sidecore will notice
-			}
-			post()
-		})
-	}
-
-	eg.vf.OnInterrupt(func(frames [][]byte) { h.hostReceive(eg, frames) })
 
 	if blk != nil {
 		eg.blkQ = newBlkQueue()
@@ -162,9 +137,8 @@ func (h *ElvisHost) scan(i int) {
 		if eg.side != i {
 			continue
 		}
-		for _, raw := range eg.netQ.hostPopTx(0) {
+		if eg.g.net.drainTx() > 0 {
 			found = true
-			h.serveNetTx(i, eg, raw)
 		}
 		if eg.blkQ != nil {
 			for {
@@ -181,83 +155,6 @@ func (h *ElvisHost) scan(i int) {
 	if found {
 		h.armScan(i)
 	}
-}
-
-// serveNetTx: sidecore processes one transmitted frame and hands it to the
-// physical NIC.
-func (h *ElvisHost) serveNetTx(i int, eg *elvisGuest, raw []byte) {
-	cost := h.p.SidecoreServiceCost + perByte(h.p.SidecorePerByte, len(raw))
-	h.sidecores[i].Exec(cpu.NoOwner, cpu.KindBusy, cost, func() {
-		f, err := ethernet.Decode(raw)
-		if err != nil {
-			return
-		}
-		payload, icost, err := eg.chain.Process(interpose.ToDevice, uint16(eg.id), f.Payload)
-		if err != nil {
-			return
-		}
-		out := f
-		out.Payload = payload
-		send := func() {
-			if err := eg.vf.SendFrame(out); err != nil {
-				panic(err)
-			}
-			// The physical NIC raises a TX-completion interrupt, handled
-			// by the sidecore — the second host interrupt of Table 3 and
-			// the load that lets vRIO overtake Elvis at high N (§4.2).
-			hypervisor.HostIRQ(h.sidecores[i], h.p, &eg.g.VM.Counters,
-				hypervisor.CounterHostIRQs, func() {
-					// The sidecore then notifies the guest exitless, and
-					// the guest reclaims its TX descriptors.
-					eg.g.VM.GuestIRQExitless(func() { eg.netQ.guestReapTx() })
-				})
-		}
-		if icost > 0 {
-			h.sidecores[i].Exec(cpu.NoOwner, cpu.KindBusy, icost, send)
-		} else {
-			send()
-		}
-	})
-}
-
-// hostReceive: the physical NIC interrupts the sidecore (Elvis's extra
-// cost); the sidecore fills guest rx buffers and sends an exitless IPI.
-func (h *ElvisHost) hostReceive(eg *elvisGuest, frames [][]byte) {
-	sc := h.sidecores[eg.side]
-	hypervisor.HostIRQ(sc, h.p, &eg.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
-		cost := h.p.SidecoreServiceCost * sim.Time(len(frames))
-		sc.Exec(cpu.NoOwner, cpu.KindBusy, cost, func() {
-			delivered := 0
-			for _, raw := range frames {
-				f, err := ethernet.Decode(raw)
-				if err != nil {
-					continue
-				}
-				payload, _, err := eg.chain.Process(interpose.ToGuest, uint16(eg.id), f.Payload)
-				if err != nil {
-					continue
-				}
-				in := f
-				in.Payload = payload
-				enc, _ := in.Encode(0)
-				if eg.netQ.hostDeliver(enc) {
-					delivered++
-				}
-			}
-			if delivered == 0 {
-				return
-			}
-			eg.g.VM.GuestIRQExitless(func() {
-				for _, raw := range eg.netQ.guestReapRx() {
-					f, err := ethernet.Decode(raw)
-					if err != nil {
-						continue
-					}
-					eg.g.VM.Compute(h.p.GuestNetStackCost, func() { eg.g.deliverNet(f) })
-				}
-			})
-		})
-	})
 }
 
 // elvisBlk is Elvis's virtio.BlkSite for one request: the guest's sidecore

@@ -54,11 +54,7 @@ func (h *OptimumHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC) *Guest {
 		// guest stack then processes each frame of the coalesced batch.
 		g.VM.GuestIRQExitless(func() {
 			for _, raw := range frames {
-				f, err := ethernet.Decode(raw)
-				if err != nil {
-					continue
-				}
-				g.VM.Compute(h.p.GuestNetStackCost, func() { g.deliverNet(f) })
+				g.receiveNet(raw, h.p.GuestNetStackCost)
 			}
 		})
 	})

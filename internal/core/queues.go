@@ -74,27 +74,21 @@ func (q *netQueues) guestSend(frame []byte) bool {
 	return err == nil
 }
 
-// hostPopTx drains up to max pending TX frames (host side). The scratch
-// chain is reusable because each chain is pushed back before the next pop;
-// frames are cloned since they outlive the descriptors.
-func (q *netQueues) hostPopTx(max int) [][]byte {
-	var out [][]byte
-	for max <= 0 || len(out) < max {
-		ok, err := q.tx.PopInto(&q.pop)
-		if err != nil || !ok {
-			break
-		}
-		frame := append([]byte{}, q.pop.Out...)
-		q.tx.Push(q.pop, nil)
-		out = append(out, frame)
+// hostPopTx takes the next pending TX frame (host side). The scratch chain
+// is reusable because it is pushed back before the next pop; the frame is
+// cloned since it outlives the descriptor.
+func (q *netQueues) hostPopTx() ([]byte, bool) {
+	ok, err := q.tx.PopInto(&q.pop)
+	if err != nil || !ok {
+		return nil, false
 	}
-	return out
+	frame := append([]byte{}, q.pop.Out...)
+	q.tx.Push(q.pop, nil)
+	return frame, true
 }
 
 // guestReapTx frees completed TX descriptors (guest side).
-func (q *netQueues) guestReapTx() int {
-	return q.tx.ReapInto(&q.reap, 0)
-}
+func (q *netQueues) guestReapTx() { q.tx.ReapInto(&q.reap, 0) }
 
 // hostDeliver fills one guest rx buffer with the frame (host side). False
 // means no buffer was available and the frame is dropped.
@@ -121,10 +115,6 @@ func (q *netQueues) guestReapRx() [][]byte {
 	q.stockRx(n)
 	return frames
 }
-
-// txPending reports whether the TX ring has unpopped requests (the Elvis
-// sidecore's poll predicate).
-func (q *netQueues) txPending() bool { return q.tx.HasAvail() }
 
 // blkQueue is the shared-memory state of one paravirtual block device: a
 // single virtqueue whose chains carry a virtio-blk header plus data out,
@@ -192,6 +182,3 @@ func (q *blkQueue) guestReap() {
 		}
 	}
 }
-
-// pending reports whether requests await the host (poll predicate).
-func (q *blkQueue) pending() bool { return q.ring.HasAvail() }

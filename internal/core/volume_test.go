@@ -175,7 +175,7 @@ func TestVolumeWriteQuorumZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkVolumeWriteQuorum measures the R=1 quorum write round trip over
-// the rig datapath (vol_write_quorum_* in BENCH json).
+// the rig datapath (`make bench-vol`).
 func BenchmarkVolumeWriteQuorum(b *testing.B) {
 	r, vr := volRig()
 	data := make([]byte, 4096)

@@ -100,8 +100,8 @@ func fabricFingerprint(f *cluster.Fabric, rrs []*workload.RR) string {
 }
 
 // fabOut is one fabricscaling cell's measurements. Only sim-time observables
-// appear here — wall-clock speedups are machine-dependent and live in the
-// BENCH json, never in a Result row.
+// appear here — wall-clock speedups are machine-dependent and are measured
+// by BenchmarkFabricSharded and vriobench, never in a Result row.
 type fabOut struct {
 	name       string
 	racks      int
@@ -275,8 +275,9 @@ func fabricScalingPlan(quick bool) Plan {
 // FabricBenchRun builds the 16-rack scale fabric (honoring the -racks and
 // -oversub overrides) and runs the cross-rack RR workload with the given
 // worker count, returning total simulated events executed. The caller times
-// it — this is the body of the BENCH json's shard_sweep, kept here so the
-// sweep measures exactly the workload the fabricscaling experiment reports.
+// it — this is the body of BenchmarkFabricSharded and of vriobench's
+// sim.shard_speedup, kept here so both measure exactly the workload the
+// fabricscaling experiment reports.
 func FabricBenchRun(quick bool, workers int) uint64 {
 	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
 	racks := 16

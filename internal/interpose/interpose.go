@@ -58,14 +58,12 @@ var ErrDropped = errors.New("interpose: dropped by policy")
 // CPU cost. Dropped traffic returns ErrDropped.
 func (c *Chain) Process(dir Direction, deviceID uint16, payload []byte) ([]byte, sim.Time, error) {
 	var total sim.Time
-	order := c.services
-	if dir == ToGuest {
-		order = make([]Service, len(c.services))
-		for i, s := range c.services {
-			order[len(c.services)-1-i] = s
+	n := len(c.services)
+	for i := range n {
+		s := c.services[i]
+		if dir == ToGuest {
+			s = c.services[n-1-i]
 		}
-	}
-	for _, s := range order {
 		out, cost, err := s.Process(dir, deviceID, payload)
 		total += cost
 		if err != nil {

@@ -202,3 +202,18 @@ func TestChainInverseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Running a chain guest-bound walks its services in reverse without copying
+// the service list: a pass that drops nothing allocates nothing.
+func TestChainToGuestZeroAlloc(t *testing.T) {
+	c := NewChain(NewFirewall(5, []byte("DENY")), Null{})
+	payload := []byte("inbound frame")
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := c.Process(ToGuest, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ToGuest pass: %v allocs, want 0", allocs)
+	}
+}

@@ -49,11 +49,20 @@ type devKey struct {
 	q      uint8
 }
 
-// netDevice is a registered paravirtual net front-end.
+// netDevice is a registered paravirtual net front-end. Its back end serves
+// three paths, each its own virtio.NetSite: the device itself for the frames
+// it sends, local for frames another device sends it through the IOhost,
+// and in for frames from the uplink.
 type netDevice struct {
+	h     *IOHypervisor
 	key   devKey
 	fMAC  ethernet.MAC // the front-end's outward-facing MAC (§4.6: "F")
-	chain *interpose.Chain
+	srv   virtio.NetServer
+	local netLocal
+	in    netIn
+	// keepSrc marks the stand-in for an unregistered sender, whose frames
+	// leave with their own source address.
+	keepSrc bool
 }
 
 // blkDevice is a registered paravirtual block front-end. A multi-queue
@@ -508,12 +517,19 @@ func (h *IOHypervisor) UnregisterClient(client ethernet.MAC) {
 // RegisterNetDevice creates a net front-end: fMAC is the device's
 // outward-facing address. A nil chain means no interposition.
 func (h *IOHypervisor) RegisterNetDevice(client ethernet.MAC, id uint16, fMAC ethernet.MAC, chain *interpose.Chain) {
+	d := h.newNetDevice(devKey{client: client, id: id}, fMAC, chain)
+	h.netDevs[d.key] = d
+	h.fib[fMAC] = d
+}
+
+// newNetDevice builds a net device; a nil chain means no interposition.
+func (h *IOHypervisor) newNetDevice(key devKey, fMAC ethernet.MAC, chain *interpose.Chain) *netDevice {
 	if chain == nil {
 		chain = h.defaultCh
 	}
-	d := &netDevice{key: devKey{client: client, id: id}, fMAC: fMAC, chain: chain}
-	h.netDevs[d.key] = d
-	h.fib[fMAC] = d
+	d := &netDevice{h: h, key: key, fMAC: fMAC, srv: virtio.NetServer{Chain: chain, Device: key.id, Counters: &h.Counters}}
+	d.local.d, d.in.d = d, d
+	return d
 }
 
 // RegisterBlkDevice creates a single-queue block front-end served by backend.
@@ -790,6 +806,7 @@ func (h *IOHypervisor) ingressPlain(frame []byte) {
 	}
 	f, err := ethernet.Decode(frame)
 	if err != nil {
+		h.Counters.Inc("bad_msgs", 1)
 		return
 	}
 	dev := h.fib[f.Dst]
@@ -798,18 +815,32 @@ func (h *IOHypervisor) ingressPlain(frame []byte) {
 		return
 	}
 	h.Counters.Inc("net_in", 1)
-	payload, icost, err := dev.chain.Process(interpose.ToGuest, dev.key.id, f.Payload)
-	if err != nil {
-		h.Counters.Inc("interpose_drops", 1)
-		return
-	}
-	inner := ethernet.Frame{Dst: f.Dst, Src: f.Src, EtherType: f.EtherType, Payload: payload}
-	raw, _ := inner.Encode(0)
-	cost := h.p.WorkerServiceCost + h.p.EncapCost + icost
+	dev.srv.Interpose(&dev.in, interpose.ToGuest, f)
+}
+
+// netIn is a device's virtio.NetSite for frames from the uplink: the chain's
+// cost joins the steered net-in item that pushes the frame to the client.
+type netIn struct {
+	d    *netDevice
+	cost sim.Time
+}
+
+// Charge implements virtio.NetSite.
+func (s *netIn) Charge(cost sim.Time, fn func()) {
+	s.cost = cost
+	fn()
+}
+
+// Forward implements virtio.NetSite: the frame is steered to a worker as a
+// net-in item.
+func (s *netIn) Forward(f ethernet.Frame) {
+	h, dev := s.d.h, s.d
+	raw, _ := f.Encode(0)
 	it := h.getSteer()
 	it.op = steerOpNetIn
 	it.key = dev.key
-	it.cost = cost
+	it.cost = h.p.WorkerServiceCost + h.p.EncapCost + s.cost
+	s.cost = 0
 	it.name = "net-in"
 	if h.Tracer.Enabled() {
 		// Inbound uplink frames are how cross-rack requests arrive; keying
@@ -964,51 +995,37 @@ func (it *steerItem) run() {
 
 // --- transport-level handlers (run inside steered work items) ---
 
-// handleNetTx forwards a guest-transmitted frame: locally to another
-// IOclient device, or out the uplink.
+// handleNetTx forwards a guest-transmitted frame through its device's back
+// end: locally to another IOclient device, or out the uplink.
 func (h *IOHypervisor) handleNetTx(src ethernet.MAC, deviceID uint16, frame []byte) {
 	if h.failed {
 		return
 	}
-	dev := h.netDevs[devKey{client: src, id: deviceID}]
-	chain := h.defaultCh
-	if dev != nil {
-		chain = dev.chain
+	key := devKey{client: src, id: deviceID}
+	dev := h.netDevs[key]
+	if dev == nil {
+		dev = h.newNetDevice(key, ethernet.MAC{}, nil)
+		dev.keepSrc = true
 	}
-	f, err := ethernet.Decode(frame)
-	if err != nil {
-		h.Counters.Inc("bad_msgs", 1)
-		return
-	}
-	payload, icost, err := chain.Process(interpose.ToDevice, deviceID, f.Payload)
-	if err != nil {
-		h.Counters.Inc("interpose_drops", 1)
-		return
-	}
-	// Interposition cost is charged to the current worker asynchronously
-	// (the message's service cost was charged at steer time; chain cost is
-	// charged now on the least loaded worker to keep the model simple).
-	if icost > 0 {
-		h.pickWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, icost, nil)
-	}
-	out := ethernet.Frame{Dst: f.Dst, Src: f.Src, EtherType: f.EtherType, Payload: payload}
+	dev.srv.Serve(dev, interpose.ToDevice, frame)
+}
 
+// Charge implements virtio.NetSite for the frames the device sends: the
+// least loaded worker pays without delaying the frame (the message's service
+// cost was charged at steer time, and this keeps the model simple).
+func (d *netDevice) Charge(cost sim.Time, fn func()) {
+	d.h.pickWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, nil)
+	fn()
+}
+
+// Forward implements virtio.NetSite for the frames the device sends: to
+// the device owning the destination F address, else out the uplink.
+func (d *netDevice) Forward(f ethernet.Frame) {
+	h := d.h
 	if local := h.fib[f.Dst]; local != nil {
 		// VM-to-VM through the IOhost: deliver to the destination device.
 		h.Counters.Inc("net_fwd_local", 1)
-		inPayload, inCost, err := local.chain.Process(interpose.ToGuest, local.key.id, out.Payload)
-		if err != nil {
-			h.Counters.Inc("interpose_drops", 1)
-			return
-		}
-		if inCost > 0 {
-			h.pickWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, inCost, nil)
-		}
-		final := out
-		final.Payload = inPayload
-		raw, _ := final.Encode(0)
-		h.endpoint.SendNetRx(local.key.client, local.key.id, raw)
-		h.txInterrupt()
+		local.srv.Interpose(&local.local, interpose.ToGuest, f)
 		return
 	}
 	if h.uplink == nil {
@@ -1017,12 +1034,28 @@ func (h *IOHypervisor) handleNetTx(src ethernet.MAC, deviceID uint16, frame []by
 	}
 	h.Counters.Inc("net_fwd_uplink", 1)
 	// Transmit with the device's F MAC as source so replies route back.
-	if dev != nil {
-		out.Src = dev.fMAC
+	if !d.keepSrc {
+		f.Src = d.fMAC
 	}
-	if err := h.uplink.SendFrame(out); err != nil {
+	if err := h.uplink.SendFrame(f); err != nil {
 		h.Counters.Inc("bad_msgs", 1)
 	}
+	h.txInterrupt()
+}
+
+// netLocal is a device's virtio.NetSite for frames another device sends it
+// through the IOhost: the chain's cost is billed like the sender's, and the
+// frame goes to the client as net-rx.
+type netLocal struct{ d *netDevice }
+
+// Charge implements virtio.NetSite.
+func (s *netLocal) Charge(cost sim.Time, fn func()) { s.d.Charge(cost, fn) }
+
+// Forward implements virtio.NetSite.
+func (s *netLocal) Forward(f ethernet.Frame) {
+	h := s.d.h
+	raw, _ := f.Encode(0)
+	h.endpoint.SendNetRx(s.d.key.client, s.d.key.id, raw)
 	h.txInterrupt()
 }
 

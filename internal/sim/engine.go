@@ -51,8 +51,8 @@ func (t Time) String() string {
 }
 
 // totalExecuted counts events executed across every engine in the process.
-// It exists only for throughput reporting (events/sec in BENCH_*.json); the
-// engines themselves never read it. Updated once per Run, not per event.
+// It exists only for throughput reporting (events/sec); the engines
+// themselves never read it. Updated once per Run, not per event.
 var totalExecuted atomic.Uint64
 
 // TotalExecuted reports how many events all engines in this process have

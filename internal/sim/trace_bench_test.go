@@ -109,9 +109,8 @@ func TestTraceDisabledZeroAllocOnShardGroupRunPath(t *testing.T) {
 
 // BenchmarkShardGroupBare times the sharded window step without any tracer
 // guard; BenchmarkShardGroupTraceDisabled adds the disabled-tracer guard.
-// Their delta is the BENCH json's fabric_trace_overhead_ns_op — the cost the
-// observability plane adds to the sharded datapath when nobody asked for a
-// trace, which must be noise.
+// Their delta is the cost the observability plane adds to the sharded
+// datapath when nobody asked for a trace, which must be noise.
 func BenchmarkShardGroupBare(b *testing.B) {
 	g := sim.NewShardGroup(100, 0)
 	g.AddShard()

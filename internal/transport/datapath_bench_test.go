@@ -6,8 +6,8 @@ import (
 
 // Datapath benchmarks over the full wire path (Rig): driver send → TSO
 // segmentation into pooled frames → NIC rings → wire → reassembly into a
-// pooled buffer → endpoint handler, plus ack/response traffic back. These
-// are the numbers BENCH_*.json records as datapath_* metrics.
+// pooled buffer → endpoint handler, plus ack/response traffic back
+// (`make bench-datapath`).
 
 func benchPayload(n int) []byte {
 	b := make([]byte, n)
@@ -71,8 +71,7 @@ func BenchmarkDatapathBlkRoundtrip(b *testing.B) {
 // BenchmarkDatapathBlkMQ measures the multi-queue block path at QD=8 over
 // NQ=4 queues: 32 outstanding 4 KiB requests, every completion reissuing on
 // its own queue, echoed back through the endpoint. This is the submission
-// shape the mqscaling experiment drives; BENCH_*.json records it as
-// datapath_blk_mq_*.
+// shape the mqscaling experiment drives (`make bench-mq`).
 func BenchmarkDatapathBlkMQ(b *testing.B) {
 	const nq, qd = 4, 8
 	r := NewRig()

@@ -30,60 +30,8 @@ func (d DeviceType) String() string {
 	}
 }
 
-// NetHdr is the virtio-net per-packet header (virtio_net_hdr), 12 bytes on
-// the wire. GSO fields are what the vRIO transport reuses to drive TSO.
-type NetHdr struct {
-	Flags      uint8
-	GSOType    uint8
-	HdrLen     uint16
-	GSOSize    uint16
-	CsumStart  uint16
-	CsumOffset uint16
-	NumBuffers uint16
-}
-
-// NetHdrSize is the encoded size of NetHdr.
-const NetHdrSize = 12
-
-// GSO types from the virtio spec.
-const (
-	GSONone  = 0
-	GSOTcpv4 = 1
-)
-
-// Encode appends the wire form of h to dst and returns the result.
-func (h NetHdr) Encode(dst []byte) []byte {
-	var b [NetHdrSize]byte
-	b[0] = h.Flags
-	b[1] = h.GSOType
-	binary.LittleEndian.PutUint16(b[2:], h.HdrLen)
-	binary.LittleEndian.PutUint16(b[4:], h.GSOSize)
-	binary.LittleEndian.PutUint16(b[6:], h.CsumStart)
-	binary.LittleEndian.PutUint16(b[8:], h.CsumOffset)
-	binary.LittleEndian.PutUint16(b[10:], h.NumBuffers)
-	return append(dst, b[:]...)
-}
-
 // ErrShortHeader reports a truncated header buffer.
 var ErrShortHeader = errors.New("virtio: short header")
-
-// DecodeNetHdr parses a NetHdr from b, returning the header and the
-// remaining payload.
-func DecodeNetHdr(b []byte) (NetHdr, []byte, error) {
-	if len(b) < NetHdrSize {
-		return NetHdr{}, nil, ErrShortHeader
-	}
-	h := NetHdr{
-		Flags:      b[0],
-		GSOType:    b[1],
-		HdrLen:     binary.LittleEndian.Uint16(b[2:]),
-		GSOSize:    binary.LittleEndian.Uint16(b[4:]),
-		CsumStart:  binary.LittleEndian.Uint16(b[6:]),
-		CsumOffset: binary.LittleEndian.Uint16(b[8:]),
-		NumBuffers: binary.LittleEndian.Uint16(b[10:]),
-	}
-	return h, b[NetHdrSize:], nil
-}
 
 // Block request types (virtio_blk_req.type). BlkVolOut/BlkVolIn are the
 // vRIO extension for distributed volumes: the same sector-addressed

@@ -6,43 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestNetHdrRoundTrip(t *testing.T) {
-	f := func(flags, gso uint8, hdrLen, gsoSize, cs, co, nb uint16) bool {
-		h := NetHdr{flags, gso, hdrLen, gsoSize, cs, co, nb}
-		enc := h.Encode(nil)
-		if len(enc) != NetHdrSize {
-			return false
-		}
-		dec, rest, err := DecodeNetHdr(enc)
-		return err == nil && len(rest) == 0 && dec == h
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNetHdrDecodeLeavesPayload(t *testing.T) {
-	h := NetHdr{GSOType: GSOTcpv4, GSOSize: 1448}
-	buf := h.Encode(nil)
-	buf = append(buf, []byte("payload")...)
-	dec, rest, err := DecodeNetHdr(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.GSOType != GSOTcpv4 || dec.GSOSize != 1448 {
-		t.Errorf("decoded %+v", dec)
-	}
-	if string(rest) != "payload" {
-		t.Errorf("rest = %q", rest)
-	}
-}
-
-func TestNetHdrShort(t *testing.T) {
-	if _, _, err := DecodeNetHdr(make([]byte, NetHdrSize-1)); err != ErrShortHeader {
-		t.Errorf("err = %v, want ErrShortHeader", err)
-	}
-}
-
 func TestBlkHdrRoundTrip(t *testing.T) {
 	f := func(typ uint32, sector, extent, version uint64, sectors uint32, data []byte) bool {
 		r := BlkReq{Type: typ % 10, Sector: sector}

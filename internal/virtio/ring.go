@@ -125,9 +125,6 @@ func NewRing(qsize, segSize int) (*Ring, error) {
 // QueueSize reports the number of descriptors.
 func (r *Ring) QueueSize() int { return r.qsize }
 
-// SegmentSize reports the per-descriptor buffer size.
-func (r *Ring) SegmentSize() int { return r.segSize }
-
 // FreeDescriptors reports how many descriptors are currently free.
 func (r *Ring) FreeDescriptors() int { return r.numFree }
 

@@ -2,10 +2,11 @@
 # doccheck: the documentation gate `make check` runs.
 #
 # 1. Every exported top-level symbol (func, method, type, var, const) in the
-#    audited packages — internal/blockdev, internal/iohyp, internal/cluster —
-#    must carry a doc comment on the preceding line. This is a grep-level
-#    gate, not a full go/doc parse: it catches the common case (a bare
-#    exported declaration) cheaply and deterministically.
+#    audited packages — internal/blockdev, internal/iohyp, internal/cluster,
+#    internal/virtio, internal/core — must carry a doc comment on the
+#    preceding line. This is a grep-level gate, not a full go/doc parse: it
+#    catches the common case (a bare exported declaration) cheaply and
+#    deterministically.
 # 2. README.md's architecture map must mention every internal/ package, so a
 #    new package cannot land without a row in the map.
 set -euo pipefail
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-for pkg in internal/blockdev internal/iohyp internal/cluster; do
+for pkg in internal/blockdev internal/iohyp internal/cluster internal/virtio internal/core; do
   for f in "$pkg"/*.go; do
     case "$f" in
       *_test.go) continue ;;

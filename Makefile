@@ -1,13 +1,14 @@
 # Developer targets. `make check` is the full gate: build, vet, tests (the
 # engine's zero-allocation guards and the seed corpus of FuzzEngineSchedule
 # among them), the race detector over every package (once) — the parallel
-# experiment scheduler must stay race-clean — the zero-allocation guards,
-# doccheck, the loopback smoke test and gofmt. The race-* targets re-run subsets of `race`
-# for focused local work; `check` does not repeat them.
+# experiment scheduler must stay race-clean — every zero-allocation guard
+# with its microbenchmarks (`bench-guards`), doccheck, the loopback smoke
+# test and gofmt. The race-* targets re-run subsets of `race` for focused
+# local work; `check` does not repeat them.
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-engine bench-rack bench-datapath bench-fabric bench-realwire bench-mq bench-vol race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke memprofile check
+.PHONY: build test vet race bench bench-guards bench-rack bench-fabric race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke memprofile check
 
 build:
 	$(GO) build ./...
@@ -27,13 +28,36 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkRunAll' -benchmem .
 
-# Engine hot-path microbenchmarks (schedule/cancel/pending, the net-rr delay
-# mix, retransmit-style timers beyond the wheel's horizon) plus the engine's
-# zero-allocation guards and the seed corpus of its differential fuzz target
-# (all three also run under `test`, and so in `check`).
-bench-engine:
-	$(GO) test -run 'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' \
-		-bench . -benchmem ./internal/sim/
+# Zero-allocation guards and the microbenchmarks they guard, one row per
+# package: the package, the guard tests (`-run`), the benchmarks (`-bench`).
+#   sim:       engine schedule/cancel/pending, the net-rr delay mix and
+#              retransmit-style timers beyond the wheel's horizon; the
+#              steady-state and ticker guards; FuzzEngineSchedule's seed corpus.
+#   transport: driver-to-endpoint over pooled NIC rings (net-tx, block
+#              roundtrip) and the QD=8 x NQ=4 multi-queue block path.
+#   blockdev:  a 4 KiB store write + device read fill.
+#   ethernet:  a 4 KiB and a single-fragment reassembly.
+#   stats:     histogram Record, counter Inc.
+#   link:      a frame through the switch.
+#   netwire:   frame seal+decode, a 4 KiB block roundtrip over loopback UDP.
+#   core:      the R=1 distributed-volume quorum write.
+# Every guard must stay at 0 allocs/op. The guards also run under `test`.
+BENCH_GUARDS = \
+	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
+	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ' 'BenchmarkDatapath' \
+	./internal/blockdev/  'TestStoreWriteAndDeviceReadZeroAlloc'        'BenchmarkDeviceRW4K' \
+	./internal/ethernet/  'TestSingleFragmentAddZeroAlloc'              'BenchmarkReassemble4K' \
+	./internal/stats/     'TestRecordAndIncZeroAlloc'                   'BenchmarkHistogramRecord|BenchmarkCountersInc' \
+	./internal/link/      'TestSwitchForwardZeroAlloc'                  'BenchmarkSwitchForward' \
+	./internal/netwire/   'TestSealDecodeNoAlloc'                       . \
+	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum'
+
+bench-guards:
+	@set -- $(BENCH_GUARDS); while [ $$# -gt 0 ]; do \
+		echo "$(GO) test -run '$$2' -bench '$$3' -benchmem $$1"; \
+		$(GO) test -run "$$2" -bench "$$3" -benchmem "$$1" || exit 1; \
+		shift 3; \
+	done
 
 # Rack control-plane macrobenchmark (imbalance healing end to end).
 bench-rack:
@@ -48,17 +72,6 @@ race-rack:
 # (whose cells run concurrently under -parallel).
 race-fault:
 	$(GO) test -race ./internal/fault/ ./internal/transport/ ./internal/experiments/
-
-# Datapath microbenchmarks plus the zero-allocation guards (driver-to-endpoint
-# over pooled NIC rings; net-tx must be 0 allocs/op), the block backend
-# under them (a 4 KiB device write+read and a 4 KiB reassembly; the store
-# write and the device read fill must be 0 allocs/op), and the per-packet
-# bookkeeping (histogram Record, counter Inc, a frame through the switch, a
-# single-fragment reassembly; all must be 0 allocs/op).
-bench-datapath:
-	$(GO) test -run 'TestHotPathZeroAlloc|TestStoreWriteAndDeviceReadZeroAlloc|TestRecordAndIncZeroAlloc|TestSwitchForwardZeroAlloc|TestSingleFragmentAddZeroAlloc' \
-		-bench 'BenchmarkDatapath|BenchmarkDeviceRW4K|BenchmarkReassemble4K|BenchmarkHistogramRecord|BenchmarkCountersInc|BenchmarkSwitchForward' -benchmem \
-		./internal/transport/ ./internal/blockdev/ ./internal/ethernet/ ./internal/stats/ ./internal/link/
 
 # Sharded-fabric wall-clock benchmark: the 16-rack cross-rack workload at 1
 # worker vs GOMAXPROCS workers (vriobench's traced run reports the same ratio
@@ -81,22 +94,11 @@ race-shard:
 race-trace:
 	$(GO) test -race -run 'Trace|Flight|Rollup|Merge' ./internal/trace/ ./internal/sim/ ./internal/rack/ ./internal/experiments/
 
-# Real-wire microbenchmarks: frame seal+decode overhead and a 4 KiB block
-# roundtrip over real loopback UDP sockets (both must stay 0 allocs/op).
-bench-realwire:
-	$(GO) test -run TestSealDecodeNoAlloc -bench . -benchmem ./internal/netwire/
-
 # Two-process loopback smoke test for the real-wire carrier: vrio-loadgen
 # server+driver over 127.0.0.1, once over UDP with injected loss (retransmit
 # recovery) and once over TCP+TLS. Hash-verified, bounded wall time.
 loadgen-smoke:
 	./scripts/loadgen_smoke.sh
-
-# Multi-queue block path: the QD=8 x NQ=4 datapath benchmark plus its
-# zero-allocation guard (TestHotPathZeroAllocMQ: the path must stay at 0
-# allocs/op).
-bench-mq:
-	$(GO) test -run TestHotPathZeroAllocMQ -bench 'BenchmarkDatapathBlkMQ' -benchmem ./internal/transport/
 
 # The multi-queue submission path under the race detector: queue-tagged
 # transport ids, per-queue in-flight tables and pinned workers in iohyp, the
@@ -104,12 +106,6 @@ bench-mq:
 # under -parallel).
 race-mq:
 	$(GO) test -race -run 'MQ|Queue|Scheduler' ./internal/transport/ ./internal/iohyp/ ./internal/blockdev/ ./internal/experiments/
-
-# Distributed-volume write path: the R=1 quorum write benchmark plus its
-# zero-allocation guard (TestVolumeWriteQuorumZeroAlloc: the fast path must
-# stay at 0 allocs/op).
-bench-vol:
-	$(GO) test -run TestVolumeWriteQuorumZeroAlloc -bench 'BenchmarkVolumeWriteQuorum' -benchmem ./internal/core/
 
 # The distributed-volume layer under the race detector: extent maps and
 # versioned replica state, the volume router's quorum/rebuild machinery, the
@@ -129,5 +125,5 @@ memprofile:
 	$(GO) run ./cmd/vrio-experiments -run all -quick -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
-check: build vet test race bench-mq bench-vol doccheck loadgen-smoke
+check: build vet test race bench-guards doccheck loadgen-smoke
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above are not formatted"; exit 1; }

@@ -53,7 +53,10 @@ func main() {
 	}
 	experiments.SetFaultOptions(prof, *faultSeed)
 	experiments.SetFabricOptions(*racks, *shards, *oversub)
-	experiments.SetVolOptions(*volReplicas, *volQuorum)
+	if err := experiments.SetVolOptions(*volReplicas, *volQuorum); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if err := realMain(*list, *run, *quick, *parallel, *workers, *cpuprofile, *memprofile,
 		*doTrace, *traceOut, *traceSeed, *metricsInterval, *racks, *shards); err != nil {

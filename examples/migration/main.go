@@ -1,6 +1,7 @@
 // Live migration and IOhost failover (§4.6 extensions): move a running
-// vRIO guest between VMhosts, then crash the primary IOhost and watch the
-// rack fail over to the secondary — both with traffic flowing.
+// vRIO guest between VMhosts, then crash IOhost 0 of a two-IOhost rack and
+// watch the rack controller re-home every guest onto the idle IOhost 1 —
+// both with traffic flowing.
 //
 //	go run ./examples/migration
 package main
@@ -10,6 +11,7 @@ import (
 
 	"vrio"
 	"vrio/internal/cluster"
+	"vrio/internal/rack"
 	"vrio/internal/sim"
 	"vrio/internal/workload"
 )
@@ -48,11 +50,13 @@ func demoMigration() {
 }
 
 func demoFailover() {
-	fmt.Println("== IOhost failure with a secondary fallback ==")
+	fmt.Println("== IOhost failure: IOhost 1 is the idle fallback of a two-IOhost rack ==")
 	tb := cluster.Build(cluster.Spec{
 		Model: vrio.ModelVRIO, VMHosts: 2, VMsPerHost: 2,
-		WithBlock: true, SecondaryIOhost: true, Seed: 12,
+		WithBlock: true, NumIOhosts: 2, Seed: 12,
 	})
+	ctrl := rack.New(tb, rack.Config{})
+	ctrl.Start()
 	var rrs []*workload.RR
 	for i, g := range tb.Guests {
 		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
@@ -71,15 +75,21 @@ func demoFailover() {
 	var atCrash uint64
 	tb.Eng.At(40*sim.Millisecond, func() {
 		atCrash = total()
-		fmt.Printf("  t=40ms   %5d transactions; primary IOhost crashes\n", atCrash)
-		tb.FailOverIOhost()
+		fmt.Printf("  t=40ms   %5d transactions; IOhost 0 crashes\n", atCrash)
+		tb.IOHyp.Fail()
 	})
 	tb.Eng.RunUntil(200 * sim.Millisecond)
+	for _, ev := range ctrl.Events {
+		if ev.Kind == rack.EventDetect {
+			fmt.Printf("  t=%v  heartbeat declares IOhost %d dead; %d guests re-homed\n",
+				ev.T, ev.IOhost, ctrl.Counters.Get("rehomes"))
+		}
+	}
 	fmt.Printf("  t=200ms  %5d transactions (%d served after the crash)\n",
 		total(), total()-atCrash)
-	fmt.Printf("  fallback processed %d messages; gratuitous announcements: %d\n",
-		tb.SecondaryIOHyp.Counters.Get("msgs"),
-		tb.SecondaryIOHyp.Counters.Get("announcements"))
+	fmt.Printf("  IOhost 1 processed %d messages; gratuitous announcements: %d\n",
+		tb.IOHyps[1].Counters.Get("msgs"),
+		tb.IOHyps[1].Counters.Get("announcements"))
 	fmt.Println()
 	fmt.Println("Paper §4.6 sketches both mechanisms (and the cabling cost of the")
 	fmt.Println("fallback); this repository implements and measures them.")

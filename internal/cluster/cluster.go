@@ -5,6 +5,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"vrio/internal/blockdev"
@@ -104,18 +105,11 @@ type Spec struct {
 	// testbed's engine and threads it through the transport drivers and the
 	// I/O hypervisor. Off (the default) costs the datapath nothing.
 	Trace bool
-	// SecondaryIOhost cables every VMhost to a fallback IOhost as well
-	// (§4.6 "Fault Tolerance": "connecting VMhosts to a secondary fallback
-	// IOhost ... requires additional cables and matching ports"). The
-	// fallback mirrors all device registrations and shares the block
-	// backends (distributed-storage assumption); FailOverIOhost switches
-	// the clients onto it.
-	SecondaryIOhost bool
-	// NumIOhosts builds a rack with N active IOhosts (vRIO models only;
-	// default 1). Every VMhost is cabled — VF plus MessagePort — to every
-	// IOhost, and Placement decides which IOhost serves each guest's
-	// devices. Mutually exclusive with SecondaryIOhost, which instead adds
-	// one cold-standby mirror of a single active IOhost.
+	// NumIOhosts builds a rack with N IOhosts (vRIO models only; default
+	// 1). Every VMhost is cabled — VF plus MessagePort — to every IOhost,
+	// and Placement decides which IOhost serves each guest's devices. §4.6's
+	// fallback IOhost is NumIOhosts: 2 with default placement: IOhost 1 is
+	// cabled but idle until the rack controller re-homes guests onto it.
 	NumIOhosts int
 	// Placement maps guest vm (GLOBAL index, host-major — unlike
 	// NetChain/BlkChain, whose vm is per-host) on VMhost host to the IOhost
@@ -164,9 +158,7 @@ type Testbed struct {
 
 	// IOHyp is non-nil for the vRIO models: the first (or only) IOhost.
 	IOHyp *iohyp.IOHypervisor
-	// IOHyps lists every active IOhost's hypervisor (IOHyps[0] == IOHyp).
-	// The legacy SecondaryIOhost mirror is NOT in this list — it serves no
-	// devices until FailOverIOhost.
+	// IOHyps lists every IOhost's hypervisor (IOHyps[0] == IOHyp).
 	IOHyps []*iohyp.IOHypervisor
 	// SidecoresByIOhost groups Sidecores per active IOhost (vRIO models).
 	SidecoresByIOhost [][]*cpu.Core
@@ -191,9 +183,6 @@ type Testbed struct {
 	// VolReplicaDevices[vm][io] is the replica device backing guest vm's
 	// volume on IOhost io (test verification reads its Store and Replica).
 	VolReplicaDevices [][]*blockdev.Device
-
-	// SecondaryIOHyp is the fallback I/O hypervisor (when configured).
-	SecondaryIOHyp *iohyp.IOHypervisor
 
 	// Fault is the instantiated fault plan (inert when Spec.Fault is nil).
 	// Its counters and wire tallies are registered as "fault" metrics.
@@ -220,9 +209,7 @@ type Testbed struct {
 	// channels[i][h] is VMhost h's cable into IOhost i, for live migration
 	// and re-homing.
 	channels [][]vrioChannel
-	// secondaryChannels mirrors channels[0] toward the legacy fallback.
-	secondaryChannels []vrioChannel
-	nextTMAC          uint32
+	nextTMAC uint32
 }
 
 // vrioChannel is one VMhost's cable into one IOhost.
@@ -275,6 +262,36 @@ func (s *Spec) defaults() {
 	}
 }
 
+// Validate reports the first combination of options Build cannot assemble,
+// judged after defaults are applied (so a zero VolQuorum means write-all).
+// Build panics with the same error; callers taking options from a user
+// check here first.
+func (s Spec) Validate() error {
+	s.defaults()
+	isVRIO := s.Model == core.ModelVRIO || s.Model == core.ModelVRIONoPoll
+	if (s.NumIOhosts > 1 || s.Placement != nil) && !isVRIO {
+		return fmt.Errorf("cluster: NumIOhosts/Placement require a vRIO model, got %q", s.Model)
+	}
+	if s.BlkQueues > 1 && !isVRIO {
+		return fmt.Errorf("cluster: BlkQueues requires a vRIO model, got %q", s.Model)
+	}
+	if s.BlkQueues > 256 {
+		return errors.New("cluster: queue ids are one byte; BlkQueues must be <= 256")
+	}
+	if s.VolReplicas > 0 {
+		if !isVRIO {
+			return fmt.Errorf("cluster: VolReplicas requires a vRIO model, got %q", s.Model)
+		}
+		if s.VolReplicas > s.NumIOhosts {
+			return fmt.Errorf("cluster: VolReplicas (%d) cannot exceed NumIOhosts (%d)", s.VolReplicas, s.NumIOhosts)
+		}
+		if s.VolQuorum > s.VolReplicas {
+			return fmt.Errorf("cluster: VolQuorum (%d) cannot exceed VolReplicas (%d)", s.VolQuorum, s.VolReplicas)
+		}
+	}
+	return nil
+}
+
 // Build assembles the testbed on a fresh engine.
 func Build(spec Spec) *Testbed { return BuildOn(spec, sim.NewEngine()) }
 
@@ -294,29 +311,8 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 	if spec.BlockLatency == 0 {
 		spec.BlockLatency = p.RamdiskLatency
 	}
-	isVRIO := spec.Model == core.ModelVRIO || spec.Model == core.ModelVRIONoPoll
-	if spec.NumIOhosts > 1 && spec.SecondaryIOhost {
-		panic("cluster: NumIOhosts > 1 and SecondaryIOhost are mutually exclusive — with multiple active IOhosts the survivors are the fallback")
-	}
-	if (spec.NumIOhosts > 1 || spec.Placement != nil) && !isVRIO {
-		panic(fmt.Sprintf("cluster: NumIOhosts/Placement require a vRIO model, got %q", spec.Model))
-	}
-	if spec.BlkQueues > 1 && !isVRIO {
-		panic(fmt.Sprintf("cluster: BlkQueues requires a vRIO model, got %q", spec.Model))
-	}
-	if spec.BlkQueues > 256 {
-		panic("cluster: queue ids are one byte; BlkQueues must be <= 256")
-	}
-	if spec.VolReplicas > 0 {
-		if !isVRIO {
-			panic(fmt.Sprintf("cluster: VolReplicas requires a vRIO model, got %q", spec.Model))
-		}
-		if spec.VolReplicas > spec.NumIOhosts {
-			panic(fmt.Sprintf("cluster: VolReplicas (%d) cannot exceed NumIOhosts (%d)", spec.VolReplicas, spec.NumIOhosts))
-		}
-		if spec.VolQuorum > spec.VolReplicas {
-			panic(fmt.Sprintf("cluster: VolQuorum (%d) cannot exceed VolReplicas (%d)", spec.VolQuorum, spec.VolReplicas))
-		}
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
 
 	tb := &Testbed{
@@ -462,8 +458,8 @@ func (tb *Testbed) buildLocal(nicCfg nic.Config, mkHost func(hostIdx int, hostNI
 }
 
 // iohostName numbers IOhosts the way the testbed always has: the first is
-// plain "iohost", extras are "iohost2", "iohost3", ... — slot 1 matches the
-// legacy secondary's naming and MAC plan.
+// plain "iohost", extras are "iohost2", "iohost3", ... Core and NIC names
+// derive from it, and every multi-IOhost output uses those names.
 func iohostName(i int) string {
 	if i == 0 {
 		return "iohost"
@@ -483,8 +479,8 @@ func (tb *Testbed) newIOHyp(i int, mode iohyp.Mode) *iohyp.IOHypervisor {
 	}
 	seed := tb.Spec.Seed
 	if i > 0 {
-		// Slot 1 keeps the legacy fallback's seed derivation; further slots
-		// decorrelate by index.
+		// Extra IOhosts decorrelate by index. Slot 1's seed (Seed^0xfa11) is
+		// fixed history: every NumIOhosts > 1 result depends on it.
 		seed = tb.Spec.Seed ^ 0xfa11 ^ uint64(i-1)<<20
 	}
 	h := iohyp.New(tb.Eng, iohyp.Config{
@@ -548,24 +544,6 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 	}
 	// IOhost 0 — the paper's rack IOhost.
 	tb.IOHyp = tb.newIOHyp(0, mode)
-	if spec.SecondaryIOhost {
-		var sides2 []*cpu.Core
-		for s := 0; s < spec.IOhostSidecores; s++ {
-			sc := cpu.New(tb.Eng, fmt.Sprintf("iohost2-side%d", s), p.ContextSwitchCost)
-			sides2 = append(sides2, sc)
-		}
-		tb.SecondaryIOHyp = iohyp.New(tb.Eng, iohyp.Config{
-			Params: p, Mode: mode, Sidecores: sides2, Seed: spec.Seed ^ 0xfa11,
-			Tracer: tb.Tracer,
-		})
-		up2 := link.NewDuplex(tb.Eng, p.LinkBandwidth40G, p.WireLatency)
-		tb.Switch.AttachPort(up2)
-		up2NIC := tb.newNIC("iohost2-uplink", nicCfg, up2.AtoB)
-		up2.BtoA.SetReceiver(up2NIC)
-		up2VF := up2NIC.AddVF(tb.mac(macIOHostBase+100), nic.ModePoll)
-		up2NIC.Promiscuous = up2VF
-		tb.SecondaryIOHyp.AttachUplink(up2VF)
-	}
 
 	// IOhost uplinks to the switch, then the extra IOhosts (2..N) with
 	// theirs. For NumIOhosts: 1 this reduces exactly to the original
@@ -580,19 +558,6 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 	for hostIdx := 0; hostIdx < spec.VMHosts; hostIdx++ {
 		// Dedicated channels: VMhost <-> each IOhost, 40G direct cables.
 		tb.cableChannel(0, hostIdx, nicCfg)
-		if spec.SecondaryIOhost {
-			// A second cable from this VMhost to the fallback IOhost.
-			ch2 := link.NewDuplex(tb.Eng, p.LinkBandwidth40G, p.WireLatency)
-			vmhost2NIC := tb.newNIC(fmt.Sprintf("vmhost%d-ch2", hostIdx), nicCfg, ch2.AtoB)
-			iohost2NIC := tb.newNIC(fmt.Sprintf("iohost2-ch%d", hostIdx), nicCfg, ch2.BtoA)
-			ch2.AtoB.SetReceiver(iohost2NIC)
-			ch2.BtoA.SetReceiver(vmhost2NIC)
-			io2VF := iohost2NIC.AddVF(tb.mac(macIOHostBase+101+uint32(hostIdx)), nic.ModePoll)
-			port2 := tb.SecondaryIOHyp.AttachChannelNIC(io2VF)
-			tb.secondaryChannels = append(tb.secondaryChannels, vrioChannel{
-				vmhostNIC: vmhost2NIC, iohostMAC: io2VF.MAC(), port: port2,
-			})
-		}
 		for i := 1; i < numIO; i++ {
 			tb.cableChannel(i, hostIdx, nicCfg)
 		}
@@ -629,9 +594,7 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 				client.AttachChannel(vf, ch.iohostMAC)
 			}
 			// Port faults target the client's channel VF as it stands after
-			// placement. (The legacy SecondaryIOhost mirror cables are
-			// deliberately not faulted — they carry no traffic until
-			// FailOverIOhost.)
+			// placement.
 			tb.Fault.AttachVF(vmID, client.Port.VF())
 			hyp := tb.IOHyps[io]
 			hyp.BindClient(tMAC, tb.channels[io][hostIdx].port)
@@ -657,15 +620,6 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 					tb.BlockSchedulers = append(tb.BlockSchedulers, blkBackend.(*blockdev.Scheduler))
 				}
 				hyp.RegisterBlkDeviceMQ(tMAC, client.BlkDeviceID(), blkBackend, blkChain, spec.BlkQueues)
-			}
-			if spec.SecondaryIOhost {
-				// Mirror the registrations on the fallback: the F address
-				// and the (shared, distributed-storage) block backend.
-				tb.SecondaryIOHyp.BindClient(tMAC, tb.secondaryChannels[hostIdx].port)
-				tb.SecondaryIOHyp.RegisterNetDevice(tMAC, client.NetDeviceID(), fMAC, netChain)
-				if blkBackend != nil {
-					tb.SecondaryIOHyp.RegisterBlkDeviceMQ(tMAC, client.BlkDeviceID(), blkBackend, blkChain, spec.BlkQueues)
-				}
 			}
 			if spec.VolReplicas > 0 {
 				tb.buildGuestVolume(hostIdx, vmID)
@@ -893,31 +847,6 @@ func (tb *Testbed) RehomeClient(vm, dst int) {
 	}
 	tb.ClientIOhost[vm] = dst
 	hyp.AnnounceAddresses()
-}
-
-// FailOverIOhost crashes the primary IOhost and re-attaches every IOclient
-// to the secondary fallback (§4.6 "Fault Tolerance"). Net traffic recovers
-// once the switch re-learns the F addresses from the fallback's uplink;
-// in-flight block requests ride across on §4.5 retransmission, since the
-// fallback shares the (distributed) block backends.
-func (tb *Testbed) FailOverIOhost() {
-	if tb.SecondaryIOHyp == nil {
-		panic("cluster: no secondary IOhost configured")
-	}
-	tb.IOHyp.Fail()
-	for i, client := range tb.VRIOClients {
-		host := tb.GuestHost[i]
-		ch := tb.secondaryChannels[host]
-		tb.nextTMAC++
-		// The client keeps its transport MAC: the fallback already has its
-		// registrations under that address; only the VF and cable change.
-		vf := ch.vmhostNIC.AddVF(client.TransportMAC(), nic.ModeInterrupt)
-		client.AttachChannel(vf, ch.iohostMAC)
-	}
-	// Gratuitous announcements: the switch must re-learn every F address
-	// on the fallback's uplink port, or traffic keeps flowing to the dead
-	// primary.
-	tb.SecondaryIOHyp.AnnounceAddresses()
 }
 
 // StationFor returns the load generator driving guest i: its own station

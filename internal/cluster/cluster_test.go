@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"vrio/internal/core"
@@ -79,26 +81,69 @@ func TestMultiIOhostTopology(t *testing.T) {
 	}
 }
 
+func TestSpecValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want string // substring of the error; "" means valid
+	}{
+		{"single-IOhost vrio", Spec{Model: core.ModelVRIO}, ""},
+		{"two-IOhost standby", Spec{Model: core.ModelVRIO, NumIOhosts: 2}, ""},
+		{"NumIOhosts on elvis", Spec{Model: core.ModelElvis, NumIOhosts: 2},
+			"NumIOhosts/Placement require a vRIO model"},
+		{"Placement on baseline", Spec{Model: core.ModelBaseline,
+			Placement: func(host, vm int) int { return 0 }},
+			"NumIOhosts/Placement require a vRIO model"},
+		{"BlkQueues on optimum", Spec{Model: core.ModelOptimum, BlkQueues: 2},
+			"BlkQueues requires a vRIO model"},
+		{"BlkQueues past one byte", Spec{Model: core.ModelVRIO, BlkQueues: 257},
+			"BlkQueues must be <= 256"},
+		{"VolReplicas on elvis", Spec{Model: core.ModelElvis, VolReplicas: 1},
+			"VolReplicas requires a vRIO model"},
+		{"VolReplicas past NumIOhosts", Spec{Model: core.ModelVRIO, NumIOhosts: 3, VolReplicas: 9},
+			"VolReplicas (9) cannot exceed NumIOhosts (3)"},
+		{"VolQuorum past VolReplicas", Spec{Model: core.ModelVRIO, NumIOhosts: 3, VolReplicas: 2, VolQuorum: 7},
+			"VolQuorum (7) cannot exceed VolReplicas (2)"},
+		{"VolQuorum defaults to write-all", Spec{Model: core.ModelVRIO, NumIOhosts: 3, VolReplicas: 3}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.spec.Validate()
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("unexpected error %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Errorf("error %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestNumIOhostsValidation: Build panics with Validate's error, and with
+// its own for a Placement that answers out of range (only known once the
+// policy is consulted during assembly).
 func TestNumIOhostsValidation(t *testing.T) {
-	expectPanic := func(name string, spec Spec) {
+	expectPanic := func(name string, spec Spec, want string) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			r := recover()
+			if r == nil {
 				t.Errorf("%s did not panic", name)
+				return
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Errorf("%s panicked with %q, want one containing %q", name, msg, want)
 			}
 		}()
 		Build(spec)
 	}
-	expectPanic("NumIOhosts+SecondaryIOhost", Spec{
-		Model: core.ModelVRIO, NumIOhosts: 2, SecondaryIOhost: true, Seed: 1,
-	})
 	expectPanic("NumIOhosts on elvis", Spec{
 		Model: core.ModelElvis, NumIOhosts: 2, Seed: 1,
-	})
+	}, "NumIOhosts/Placement require a vRIO model")
 	expectPanic("Placement out of range", Spec{
 		Model: core.ModelVRIO, NumIOhosts: 2, Seed: 1,
 		Placement: func(host, vm int) int { return 5 },
-	})
+	}, "out of range")
 }
 
 func TestRRAllModelsComplete(t *testing.T) {

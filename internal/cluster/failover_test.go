@@ -6,103 +6,12 @@ import (
 
 	"vrio/internal/core"
 	"vrio/internal/sim"
-	"vrio/internal/workload"
 )
 
-func buildWithFallback(t *testing.T) *Testbed {
-	t.Helper()
-	return Build(Spec{
-		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
-		WithBlock: true, SecondaryIOhost: true, NoJitter: true, Seed: 71,
-	})
-}
-
-func TestFailoverTrafficResumesOnSecondary(t *testing.T) {
-	tb := buildWithFallback(t)
-	g := tb.Guests[0]
-	workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-	rr := workload.NewRR(tb.Stations[0], g.MAC(), 16)
-	rr.Start()
-	rr.Results.StartMeasuring()
-
-	var opsAtFailure uint64
-	tb.Eng.At(20*sim.Millisecond, func() {
-		opsAtFailure = rr.Results.Ops
-		tb.FailOverIOhost()
-	})
-	tb.Eng.RunUntil(150 * sim.Millisecond)
-
-	if opsAtFailure == 0 {
-		t.Fatal("no traffic before the failure")
-	}
-	if rr.Results.Ops <= opsAtFailure+20 {
-		t.Errorf("traffic did not resume on the fallback IOhost: %d -> %d",
-			opsAtFailure, rr.Results.Ops)
-	}
-	if !tb.IOHyp.Failed() {
-		t.Error("primary not marked failed")
-	}
-	if tb.SecondaryIOHyp.Counters.Get("msgs") == 0 {
-		t.Error("fallback IOhost processed nothing")
-	}
-	// The crashed primary must process nothing after the failure.
-	if tb.IOHyp.Counters.Get("net_in") > opsAtFailure+5 {
-		t.Error("primary kept serving after Fail()")
-	}
-}
-
-func TestFailoverBlockRequestsSurvive(t *testing.T) {
-	tb := Build(Spec{
-		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
-		WithBlock: true, SecondaryIOhost: true, NoJitter: true, Seed: 71,
-		// A slow device so the crash lands while the request is in flight.
-		BlockLatency: 5 * sim.Millisecond,
-	})
-	g := tb.Guests[0]
-	payload := bytes.Repeat([]byte{0x3C}, 4096)
-	completed := false
-	var werr error
-	tb.Eng.At(1*sim.Millisecond, func() {
-		g.WriteBlock(40, payload, func(err error) {
-			completed = true
-			werr = err
-		})
-	})
-	// Crash the primary after the request reached it but before its 5 ms
-	// device access completes.
-	tb.Eng.At(2*sim.Millisecond, func() { tb.FailOverIOhost() })
-	tb.Eng.RunUntil(500 * sim.Millisecond)
-	if !completed {
-		t.Fatal("block write never completed across the failover")
-	}
-	if werr != nil {
-		t.Fatalf("block write failed: %v", werr)
-	}
-	got, err := tb.BlockDevices[0].Store().Read(40, 8)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Error("shared store missing the write served by the fallback")
-	}
-	if tb.VRIOClients[0].Driver.Counters.Get("retransmits") == 0 {
-		t.Error("failover recovery did not exercise retransmission")
-	}
-}
-
-func TestFailoverWithoutSecondaryPanics(t *testing.T) {
-	tb := Build(Spec{Model: core.ModelVRIO, VMsPerHost: 1, NoJitter: true, Seed: 72})
-	defer func() {
-		if recover() == nil {
-			t.Error("FailOverIOhost without a secondary did not panic")
-		}
-	}()
-	tb.FailOverIOhost()
-}
-
 func TestRehomeBlockRequestsSurvive(t *testing.T) {
-	// The multi-IOhost equivalent of TestFailoverBlockRequestsSurvive: two
-	// ACTIVE IOhosts, no standby mirror, and a manual RehomeClient while a
-	// write is in flight. The §4.5 retransmission machinery plus the
-	// destination's fresh registrations must deliver the completion exactly
-	// once.
+	// Two IOhosts and a manual RehomeClient while a write is in flight. The
+	// §4.5 retransmission machinery plus the destination's fresh
+	// registrations must deliver the completion exactly once.
 	tb := Build(Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
 		NumIOhosts: 2, WithBlock: true, NoJitter: true, Seed: 74,

@@ -50,11 +50,6 @@ func (tb *Testbed) registerMetrics() {
 	for i, h := range tb.IOHyps {
 		registerIOhyp(r, IOhypComponent(i), h)
 	}
-	if h := tb.SecondaryIOHyp; h != nil {
-		// The legacy cold-standby mirror reports under slot 1's name — it is
-		// the rack's second IOhost, it just serves nothing until failover.
-		registerIOhyp(r, IOhypComponent(1), h)
-	}
 	for i, dev := range tb.BlockDevices {
 		comp := fmt.Sprintf("blkdev%d", i)
 		r.Gauge(comp, "served", func() float64 { return float64(dev.Served) })

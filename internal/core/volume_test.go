@@ -175,7 +175,7 @@ func TestVolumeWriteQuorumZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkVolumeWriteQuorum measures the R=1 quorum write round trip over
-// the rig datapath (`make bench-vol`).
+// the rig datapath (`make bench-guards`).
 func BenchmarkVolumeWriteQuorum(b *testing.B) {
 	r, vr := volRig()
 	data := make([]byte, 4096)

@@ -160,3 +160,23 @@ func TestFig7ShapeQuick(t *testing.T) {
 		t.Errorf("vrio-optimum gap = %.1f, want ≈12", gap)
 	}
 }
+
+// TestFailoverClaim: §4.6's fallback IOhost as a two-IOhost rack. The
+// heartbeat detects the crash within its miss window, every guest lands on
+// the idle IOhost 1, and post-failover RR throughput is back to at least
+// 95% of the pre-failure phase (the phases are equally long).
+func TestFailoverClaim(t *testing.T) {
+	o := runFailover()
+	if o.before == 0 {
+		t.Fatal("no RR traffic before the crash")
+	}
+	if o.after*100 < o.before*95 {
+		t.Errorf("after failover %d transactions, want >= 95%% of the %d before", o.after, o.before)
+	}
+	if o.detect <= o.crash || o.detect > o.bound {
+		t.Errorf("detection at %v, want within (%v, %v]", o.detect, o.crash, o.bound)
+	}
+	if o.survivor != 1 || o.survivorMsgs == 0 {
+		t.Errorf("survivor IOhost %d served %d msgs, want IOhost 1 serving traffic", o.survivor, o.survivorMsgs)
+	}
+}

@@ -264,7 +264,7 @@ func fabricScalingPlan(quick bool) Plan {
 				"Every transaction crosses the spine tier twice (request and reply); station r drives the guests of rack r+1.",
 				"The equivalence cell runs the same fabric serially (workers=1) and sharded (one worker per core): 'identical' compares ops, latency histograms, per-shard event counts, and switch counters byte for byte.",
 				"Oversubscription divides the per-uplink bandwidth (downlink capacity / ratio x uplinks); the sweep pins each rack to one VMhost so the uplink stays the contended resource — latency rises and throughput falls as the ratio grows.",
-				"Wall-clock shard speedup is machine-dependent and reported in the BENCH json (shard_sweep), not here — these rows are byte-reproducible per seed.",
+				"Wall-clock shard speedup is machine-dependent and reported by vriobench (sim.shard_speedup), not here — these rows are byte-reproducible per seed.",
 				"no_route sums the DropNoRoute gauges over every ToR and spine switch (0 in a healthy fabric); ecmp is the worst rack's uplink imbalance — max uplink frames over the even share, 1.0 = perfectly spread.",
 			)
 			return res

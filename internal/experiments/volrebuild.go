@@ -26,10 +26,13 @@ var (
 
 // SetVolOptions overrides the recovery cells' replication factor and write
 // quorum (zero keeps the defaults R=2, W=1). Call before running; the
-// options are read at plan-build time.
-func SetVolOptions(replicas, quorum int) {
+// options are read at plan-build time. It returns the recovery testbed's
+// validation error when the overrides cannot be built (say, more replicas
+// than IOhosts), so a bad flag is reported instead of panicking mid-run.
+func SetVolOptions(replicas, quorum int) error {
 	volReplicasOverride = replicas
 	volQuorumOverride = quorum
+	return volRecoverySpec().Validate()
 }
 
 func volRecoveryRW() (r, w int) {
@@ -41,6 +44,17 @@ func volRecoveryRW() (r, w int) {
 		w = volQuorumOverride
 	}
 	return r, w
+}
+
+// volRecoverySpec is the recovery cells' testbed: a three-IOhost rack with
+// one striped volume per guest at the (possibly overridden) R and W.
+func volRecoverySpec() cluster.Spec {
+	r, w := volRecoveryRW()
+	return cluster.Spec{
+		Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
+		VolReplicas: r, VolQuorum: w, VolQueues: 2,
+		NoJitter: true, Seed: 922,
+	}
 }
 
 // volWriter is one volume's closed-loop quorum write load with the same
@@ -190,12 +204,7 @@ type volRebuildOut struct {
 // bytes and bandwidth, and the exactly-once ledger.
 func runVolRebuildCell(quick bool, rebuildConc int) volRebuildOut {
 	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	r, wq := volRecoveryRW()
-	tb := cluster.Build(cluster.Spec{
-		Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
-		VolReplicas: r, VolQuorum: wq, VolQueues: 2,
-		NoJitter: true, Seed: 922,
-	})
+	tb := cluster.Build(volRecoverySpec())
 	for _, vol := range tb.Volumes {
 		vol.RebuildConcurrency = rebuildConc
 	}

@@ -211,8 +211,8 @@ func (c *Controller) heartbeatTick() {
 }
 
 // declareDead records the detection and re-homes every guest the dead
-// IOhost served onto the least-loaded survivors — the automatic version of
-// the testbed's manual FailOverIOhost.
+// IOhost served onto the least-loaded survivors (§4.6's fallback IOhost,
+// generalized to any surviving IOhost in the rack).
 func (c *Controller) declareDead(i int) {
 	c.alive[i] = false
 	c.Counters.Inc("detections", 1)

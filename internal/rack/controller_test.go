@@ -97,7 +97,7 @@ func TestHeartbeatDetectsFailureAndRehomes(t *testing.T) {
 		for _, rr := range rrs {
 			opsAtFailure += rr.Results.Ops
 		}
-		tb.IOHyps[1].Fail() // no manual FailOverIOhost anywhere
+		tb.IOHyps[1].Fail() // detection and re-homing are the controller's job
 	})
 	tb.Eng.RunUntil(100 * sim.Millisecond)
 
@@ -145,6 +145,79 @@ func TestHeartbeatDetectsFailureAndRehomes(t *testing.T) {
 	}
 	if opsEnd <= opsAtFailure+40 {
 		t.Errorf("traffic did not resume on survivors: %d -> %d", opsAtFailure, opsEnd)
+	}
+}
+
+// TestStandbyIOhostTakesOver is §4.6's fallback IOhost as a rack: two
+// IOhosts, default placement (every guest on IOhost 0), so IOhost 1 is a
+// cabled, idle standby. IOhost 0 crashes with RR traffic running and a
+// 4 KiB write in flight; the controller alone must move everything onto
+// the standby.
+func TestStandbyIOhostTakesOver(t *testing.T) {
+	tb := cluster.Build(cluster.Spec{
+		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
+		NumIOhosts: 2, WithBlock: true, NoJitter: true, Seed: 71,
+		BlockLatency: 5 * sim.Millisecond, // keep the write in flight
+	})
+	c := New(tb, Config{})
+	c.Start()
+	g := tb.Guests[0]
+	workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
+	rr := workload.NewRR(tb.Stations[0], g.MAC(), 16)
+	rr.Start()
+	rr.Results.StartMeasuring()
+
+	payload := bytes.Repeat([]byte{0x3C}, 4096)
+	completions := 0
+	var werr error
+	tb.Eng.At(19*sim.Millisecond, func() {
+		tb.Guests[1].WriteBlock(40, payload, func(err error) {
+			completions++
+			werr = err
+		})
+	})
+	var opsAtCrash, netInAtCrash, standbyAtCrash uint64
+	primary, standby := tb.IOHyps[0], tb.IOHyps[1]
+	tb.Eng.At(20*sim.Millisecond, func() {
+		opsAtCrash = rr.Results.Ops
+		netInAtCrash = primary.Counters.Get("net_in")
+		standbyAtCrash = standby.Counters.Get("msgs")
+		primary.Fail()
+	})
+	tb.Eng.RunUntil(150 * sim.Millisecond)
+
+	if opsAtCrash == 0 {
+		t.Fatal("no traffic before the crash")
+	}
+	if standbyAtCrash != 0 {
+		t.Errorf("standby served %d msgs before the crash, want an idle standby", standbyAtCrash)
+	}
+	if rr.Results.Ops <= opsAtCrash+20 {
+		t.Errorf("traffic did not resume on the standby: %d -> %d", opsAtCrash, rr.Results.Ops)
+	}
+	if standby.Counters.Get("msgs") == 0 {
+		t.Error("standby IOhost processed nothing")
+	}
+	if got := primary.Counters.Get("net_in"); got != netInAtCrash {
+		t.Errorf("crashed primary's net_in grew %d -> %d", netInAtCrash, got)
+	}
+	for vm, io := range tb.ClientIOhost {
+		if io != 1 {
+			t.Errorf("vm %d homed on IOhost %d, want the standby", vm, io)
+		}
+	}
+	if completions != 1 {
+		t.Fatalf("block completion arrived %d times, want exactly once", completions)
+	}
+	if werr != nil {
+		t.Fatalf("block write failed: %v", werr)
+	}
+	got, err := tb.BlockDevices[1].Store().Read(40, 8)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Error("shared store missing the write served by the standby")
+	}
+	if tb.VRIOClients[1].Driver.Counters.Get("retransmits") == 0 {
+		t.Error("recovery did not exercise §4.5 retransmission")
 	}
 }
 

@@ -41,6 +41,8 @@ bench:
 #   link:      a frame through the switch.
 #   netwire:   frame seal+decode, a 4 KiB block roundtrip over loopback UDP.
 #   core:      the R=1 distributed-volume quorum write.
+#   cluster:   a netperf RR transaction on the net-rr rack, per I/O model
+#              (optimum, vrio, elvis, baseline), testbed end to end.
 # Every guard must stay at 0 allocs/op. The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
@@ -50,7 +52,8 @@ BENCH_GUARDS = \
 	./internal/stats/     'TestRecordAndIncZeroAlloc'                   'BenchmarkHistogramRecord|BenchmarkCountersInc' \
 	./internal/link/      'TestSwitchForwardZeroAlloc'                  'BenchmarkSwitchForward' \
 	./internal/netwire/   'TestSealDecodeNoAlloc'                       . \
-	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum'
+	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum' \
+	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc'               'BenchmarkNetRRTransaction'
 
 bench-guards:
 	@set -- $(BENCH_GUARDS); while [ $$# -gt 0 ]; do \

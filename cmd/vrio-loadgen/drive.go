@@ -139,10 +139,6 @@ func newWorker(cfg *config, id int, quota uint64, readyCh chan<- int, tlsConf *t
 		w.drv = transport.NewDriver(w.loop, c, serverMAC(), tcfg)
 	}
 	w.drv.NetRx = w.netRx
-	// netRx verifies the echo digest synchronously and never retains the
-	// frame, so the rx buffer can go straight back to the worker's pool —
-	// this is what keeps the net path allocation-free in steady state.
-	w.drv.RecycleNetRx = true
 	w.helloFn = w.hello
 	return w, nil
 }

@@ -111,6 +111,11 @@ func (p *Pool) GetRaw(n int) []byte {
 	return make([]byte, n, classSize(c))
 }
 
+// Clone copies b into a slab of its own from the pool: the way a borrower
+// keeps bytes past the call that lent them, and the way one frame reaches
+// several receivers that each release what they are given.
+func (p *Pool) Clone(b []byte) []byte { return append(p.GetRaw(len(b))[:0], b...) }
+
 // PutRaw returns a slab to the pool. Only slabs whose capacity is exactly a
 // class size are adopted (this is how buffers allocated by a peer's pool —
 // or by this one — are recognized); anything else is declined and left to

@@ -335,6 +335,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 	tb.Fault = fault.NewPlan(tb.Eng, spec.Fault, fseed)
 	tb.Fault.Tracer = tb.Tracer
 	tb.Switch = link.NewSwitch(tb.Eng, p.SwitchLatency)
+	tb.Switch.SetPool(tb.pool)
 	tb.Switch.OnDrop = func(r link.DropReason) {
 		tb.Flight.Record(tb.Eng.Now(), "switch_drop", r.String(), 0)
 	}
@@ -758,20 +759,19 @@ func (tb *Testbed) attachJitter() {
 	cores = append(cores, tb.IOCores...)
 	cores = append(cores, tb.GenCores...)
 	for _, c := range cores {
-		c := c
 		r := rng.Fork()
-		var loop func()
-		loop = func() {
-			tb.Eng.After(r.Exp(tb.P.JitterInterval), func() {
-				d := r.Exp(tb.P.JitterMean)
-				if r.Bool(tb.P.JitterSpikeProb) {
-					d += tb.P.JitterSpike
-				}
-				c.Exec(cpu.NoOwner, cpu.KindIRQ, d, nil)
-				loop()
-			})
+		// One jitter event per core is pending at a time, so its callback
+		// is bound once.
+		var fire func()
+		fire = func() {
+			d := r.Exp(tb.P.JitterMean)
+			if r.Bool(tb.P.JitterSpikeProb) {
+				d += tb.P.JitterSpike
+			}
+			c.Exec(cpu.NoOwner, cpu.KindIRQ, d, nil)
+			tb.Eng.After(r.Exp(tb.P.JitterInterval), fire)
 		}
-		loop()
+		tb.Eng.After(r.Exp(tb.P.JitterInterval), fire)
 	}
 }
 

@@ -51,7 +51,7 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		blkChain = interpose.NewChain()
 	}
 	bg := &baselineGuest{
-		g:  &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
+		g:  newGuest(hypervisor.NewVM(h.eng, h.p, id, core), mac, h.nic.Pool()),
 		id: id,
 		// The vhost path copies block payloads both ways; its fixed service
 		// cost is charged in guestBlkSubmit.
@@ -67,7 +67,7 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 	n := newHostNet(h.eng, h.p, bg.g, id, h.nic, netChain)
 	n.core, n.owner = h.ioCore, id
 	n.cost, n.perByte = h.p.HostBackendCost, h.p.HostPerByte
-	wake := func() { hypervisor.VhostWakeup(h.ioCore, h.p, func() { n.drainTx() }) }
+	wake := func() { hypervisor.VhostWakeup(h.ioCore, h.p, n.drainFn) }
 	n.kick = func(size int) { bg.g.VM.ExitN(1+(size-1)/h.p.BaselineKickBytes, wake) }
 	n.notify = func(fn func()) { bg.g.VM.GuestIRQInjected(h.ioCore, fn) }
 

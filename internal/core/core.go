@@ -20,6 +20,7 @@ package core
 
 import (
 	"vrio/internal/blockdev"
+	"vrio/internal/bufpool"
 	"vrio/internal/ethernet"
 	"vrio/internal/guestos"
 	"vrio/internal/hypervisor"
@@ -74,6 +75,15 @@ type Guest struct {
 	// onNetRx is the workload's receive handler.
 	onNetRx func(f ethernet.Frame)
 
+	// pool is the cell's buffer pool. Frames the guest holds across a work
+	// item live in its slabs: received frames waiting out the guest stack
+	// (rxq, drained by rxFn) and encoded frames waiting out the send path's
+	// cost (txq, drained by the model's txFn). The VCPU completes work in
+	// order, so the k-th callback takes the k-th frame.
+	pool       *bufpool.Pool
+	rxq, txq   sim.FIFO[[]byte]
+	rxFn, txFn func()
+
 	// TxFrames/RxFrames count guest-observed traffic.
 	TxFrames uint64
 	RxFrames uint64
@@ -84,11 +94,21 @@ type Guest struct {
 // MAC reports the guest's outward-facing (F) address.
 func (g *Guest) MAC() ethernet.MAC { return g.netMAC }
 
-// OnNetRx registers the workload's frame handler.
+// newGuest builds the model-independent half of a guest: its VM and its
+// receive path, holding frames in slabs of pool.
+func newGuest(vm *hypervisor.VM, mac ethernet.MAC, pool *bufpool.Pool) *Guest {
+	g := &Guest{VM: vm, netMAC: mac, pool: pool}
+	g.rxFn = g.deliverNet
+	return g
+}
+
+// OnNetRx registers the workload's frame handler. The handler borrows the
+// frame for the duration of the call; it copies what it keeps.
 func (g *Guest) OnNetRx(fn func(f ethernet.Frame)) { g.onNetRx = fn }
 
 // SendNet transmits a frame from inside the guest. The source address is
-// filled with the guest's MAC.
+// filled with the guest's MAC. The frame is only borrowed for the duration
+// of the call.
 func (g *Guest) SendNet(f ethernet.Frame) {
 	f.Src = g.netMAC
 	g.TxFrames++
@@ -96,21 +116,36 @@ func (g *Guest) SendNet(f ethernet.Frame) {
 	g.sendNet(f)
 }
 
+// queueSend encodes f into a pooled slab on txq and runs the model's txFn
+// after cost of guest CPU; txFn pops the frame and releases it.
+func (g *Guest) queueSend(f ethernet.Frame, cost sim.Time) {
+	g.txq.Push(f.EncodeTo(g.pool.GetRaw(f.Len())))
+	g.VM.Compute(cost, g.txFn)
+}
+
 // receiveNet runs a received frame through the guest stack, which costs
-// stack, and hands it to the workload. Frames too short to decode are
-// dropped.
+// stack, and hands it to the workload. The guest takes ownership of raw, a
+// pooled slab, and releases it once the workload's handler returns. Frames
+// too short to decode are dropped.
 func (g *Guest) receiveNet(raw []byte, stack sim.Time) {
-	f, err := ethernet.Decode(raw)
-	if err != nil {
+	if len(raw) < ethernet.HeaderSize {
+		g.pool.PutRaw(raw)
 		return
 	}
-	g.VM.Compute(stack, func() {
-		g.RxFrames++
-		g.RxBytes += uint64(len(f.Payload))
-		if g.onNetRx != nil {
-			g.onNetRx(f)
-		}
-	})
+	g.rxq.Push(raw)
+	g.VM.Compute(stack, g.rxFn)
+}
+
+// deliverNet hands the oldest received frame to the workload.
+func (g *Guest) deliverNet() {
+	raw := g.rxq.Pop()
+	f, _ := ethernet.Decode(raw) // receiveNet checked the length
+	g.RxFrames++
+	g.RxBytes += uint64(len(f.Payload))
+	if g.onNetRx != nil {
+		g.onNetRx(f)
+	}
+	g.pool.PutRaw(raw)
 }
 
 // WriteBlock writes data at the given sector through the guest's

@@ -86,7 +86,7 @@ func TestVMToVMWithinVRIOHost(t *testing.T) {
 	tb := build(t, core.ModelVRIO, 2, false)
 	a, b := tb.Guests[0], tb.Guests[1]
 	var payload []byte
-	b.OnNetRx(func(f ethernet.Frame) { payload = f.Payload })
+	b.OnNetRx(func(f ethernet.Frame) { payload = append([]byte(nil), f.Payload...) }) // lent for the call only
 	a.SendNet(ethernet.Frame{Dst: b.MAC(), EtherType: ethernet.EtherTypePlain, Payload: []byte("east-west")})
 	tb.Eng.RunUntil(10 * sim.Millisecond)
 	if string(payload) != "east-west" {

@@ -26,6 +26,9 @@ type ElvisHost struct {
 
 	sidecores []*cpu.Core
 	scanArmed []bool
+	// scanFns are the prebound poll-timer callbacks, one per sidecore (at
+	// most one in flight each, guarded by scanArmed).
+	scanFns []func()
 
 	guests []*elvisGuest
 }
@@ -51,9 +54,12 @@ func NewElvisHost(eng *sim.Engine, p *params.P, name string, sidecores []*cpu.Co
 		rng:       sim.NewRNG(seed ^ 0xe15715),
 	}
 	for i, sc := range sidecores {
-		i := i
 		sc.Polling = true
 		sc.OnIdle = func() { h.armScan(i) }
+		h.scanFns = append(h.scanFns, func() {
+			h.scanArmed[i] = false
+			h.scan(i)
+		})
 	}
 	return h
 }
@@ -72,7 +78,7 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 		blkChain = interpose.NewChain()
 	}
 	eg := &elvisGuest{
-		g: &Guest{VM: hypervisor.NewVM(h.eng, h.p, id, core), netMAC: mac},
+		g: newGuest(hypervisor.NewVM(h.eng, h.p, id, core), mac, h.nic.Pool()),
 		// Elvis charges its block service in scan; the back end adds only
 		// interposition.
 		blk:  virtio.BlkServer{Backend: blk, Chain: blkChain, Device: uint16(id)},
@@ -124,10 +130,7 @@ func (h *ElvisHost) armScan(i int) {
 	if h.p.MwaitEnabled {
 		delay += h.p.MwaitWakeLatency // §4.6: low-power wait, slower wake
 	}
-	h.eng.After(delay, func() {
-		h.scanArmed[i] = false
-		h.scan(i)
-	})
+	h.eng.After(delay, h.scanFns[i])
 }
 
 // scan drains the rings of every guest assigned to sidecore i.

@@ -8,4 +8,4 @@ func SubmitRawBlk(g *Guest, req []byte, sectors int, done func([]byte, error)) {
 
 // SendRawNet posts raw as-is on the TX ring of an Elvis or baseline guest
 // and kicks the host.
-func SendRawNet(g *Guest, raw []byte) { g.ringPost(raw, len(raw)) }
+func SendRawNet(g *Guest, raw []byte) { g.net.ringPost(raw) }

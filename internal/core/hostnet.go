@@ -40,8 +40,22 @@ type hostNet struct {
 
 	rx hostNetRx
 
+	// Frames waiting on the serving core, which completes work in order:
+	// TX frames copied off the ring (txq, for serveTxFn), TX frames whose
+	// chain cost the core is paying (chargedq, for sendFn; charge is the
+	// cost Charge billed for the next Forward), and received interrupt
+	// batches with their sizes (rxb and rxSizes, for the IRQ's rxIRQFn and
+	// then serveRxFn). retryq holds encoded frames waiting out the constant
+	// backoff for room on a full TX ring, for retryFn.
+	txq, chargedq, retryq sim.FIFO[[]byte]
+	charge                sim.Time
+	rxb                   nic.BatchQueue
+	rxSizes               sim.FIFO[int]
+
 	// Prebound callbacks, so serving a frame builds no closure for them.
 	txDoneFn, reapTxFn, rxDoneFn, reapRxFn func()
+	serveTxFn, sendFn, rxIRQFn, serveRxFn  func()
+	drainFn, retryFn                       func()
 }
 
 // hostNetRx is the RX direction's virtio.NetSite: frames go into the guest's
@@ -69,6 +83,20 @@ func newHostNet(eng *sim.Engine, p *params.P, g *Guest, id int, hostNIC *nic.NIC
 	n.txDoneFn = func() { n.notify(n.reapTxFn) }
 	n.reapRxFn = g.ringReap
 	n.rxDoneFn = func() { n.notify(n.reapRxFn) }
+	n.serveTxFn = n.serveTx
+	n.sendFn = func() {
+		raw := n.chargedq.Pop()
+		f, _ := ethernet.Decode(raw)
+		n.send(f)
+		n.g.pool.PutRaw(raw)
+	}
+	n.rxIRQFn = func() {
+		n.core.Exec(n.owner, cpu.KindBusy, n.cost*sim.Time(n.rxSizes.Pop()), n.serveRxFn)
+	}
+	n.serveRxFn = func() { n.serveRx(n.rxb.Pop()) }
+	n.drainFn = func() { n.drainTx() }
+	n.retryFn = func() { n.ringPost(n.retryq.Pop()) }
+	g.txFn = func() { n.ringPost(g.txq.Pop()) }
 	n.vf.OnInterrupt(n.receive)
 	g.net = n
 	g.sendNet = g.ringSend
@@ -79,25 +107,45 @@ func newHostNet(eng *sim.Engine, p *params.P, g *Guest, id int, hostNIC *nic.NIC
 // item on the serving core, and reports how many there were.
 func (n *hostNet) drainTx() (served int) {
 	for {
-		raw, ok := n.q.hostPopTx()
+		raw, ok := n.q.hostPopTx(n.g.pool)
 		if !ok {
 			return served
 		}
 		served++
-		n.core.Exec(n.owner, cpu.KindBusy, n.cost+perByte(n.perByte, len(raw)), func() {
-			n.srv.Serve(n, interpose.ToDevice, raw)
-		})
+		n.txq.Push(raw)
+		n.core.Exec(n.owner, cpu.KindBusy, n.cost+perByte(n.perByte, len(raw)), n.serveTxFn)
 	}
 }
 
-// Charge implements virtio.NetSite: fn runs once the serving core has paid.
-func (n *hostNet) Charge(cost sim.Time, fn func()) { n.core.Exec(n.owner, cpu.KindBusy, cost, fn) }
+// serveTx runs the oldest TX frame through the back end and releases it.
+func (n *hostNet) serveTx() {
+	raw := n.txq.Pop()
+	n.srv.Serve(n, interpose.ToDevice, raw)
+	n.g.pool.PutRaw(raw)
+}
 
-// Forward implements virtio.NetSite: the frame leaves through the VF, whose
-// TX-completion interrupt the serving core takes (for Elvis, the load that
-// lets vRIO overtake it at high N, §4.2) before it notifies the guest, which
-// reclaims its TX descriptors.
+// Charge implements virtio.NetSite: the next frame forwarded leaves once
+// the serving core has paid.
+func (n *hostNet) Charge(cost sim.Time) { n.charge = cost }
+
+// Forward implements virtio.NetSite: the frame is sent at once, or, when a
+// chain cost was charged for it, encoded into a pooled slab that waits on
+// the serving core for the cost.
 func (n *hostNet) Forward(f ethernet.Frame) {
+	if n.charge > 0 {
+		n.chargedq.Push(f.EncodeTo(n.g.pool.GetRaw(f.Len())))
+		n.core.Exec(n.owner, cpu.KindBusy, n.charge, n.sendFn)
+		n.charge = 0
+		return
+	}
+	n.send(f)
+}
+
+// send puts the frame out through the VF, whose TX-completion interrupt the
+// serving core takes (for Elvis, the load that lets vRIO overtake it at
+// high N, §4.2) before it notifies the guest, which reclaims its TX
+// descriptors.
+func (n *hostNet) send(f ethernet.Frame) {
 	if err := n.vf.SendFrame(f); err != nil {
 		panic(err)
 	}
@@ -108,15 +156,18 @@ func (n *hostNet) Forward(f ethernet.Frame) {
 // core, which serves the batch into the guest's rx ring and notifies the
 // guest once.
 func (n *hostNet) receive(frames [][]byte) {
-	hypervisor.HostIRQ(n.core, n.p, &n.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
-		n.core.Exec(n.owner, cpu.KindBusy, n.cost*sim.Time(len(frames)), func() { n.serveRx(frames) })
-	})
+	n.rxb.Push(frames)
+	n.rxSizes.Push(len(frames))
+	hypervisor.HostIRQ(n.core, n.p, &n.g.VM.Counters, hypervisor.CounterHostIRQs, n.rxIRQFn)
 }
 
+// serveRx serves a received batch into the guest's rx ring, releasing each
+// frame once its bytes are in the ring.
 func (n *hostNet) serveRx(frames [][]byte) {
 	n.rx.cost, n.rx.delivered = 0, 0
 	for _, raw := range frames {
 		n.srv.Serve(&n.rx, interpose.ToGuest, raw)
+		n.g.pool.PutRaw(raw)
 	}
 	done := n.rxDoneFn
 	if n.rx.delivered == 0 {
@@ -130,46 +181,44 @@ func (n *hostNet) serveRx(frames [][]byte) {
 }
 
 // Charge implements virtio.NetSite: the cost joins the batch's.
-func (r *hostNetRx) Charge(cost sim.Time, fn func()) {
-	r.cost += cost
-	fn()
-}
+func (r *hostNetRx) Charge(cost sim.Time) { r.cost += cost }
 
 // Forward implements virtio.NetSite: the frame fills a guest rx buffer, or
 // is dropped when none is free.
 func (r *hostNetRx) Forward(f ethernet.Frame) {
-	raw, _ := f.Encode(0) // an mtu of 0 skips the only check that fails
+	pool := r.n.g.pool
+	raw := f.EncodeTo(pool.GetRaw(f.Len()))
 	if r.n.q.hostDeliver(raw) {
 		r.delivered++
 	}
+	pool.PutRaw(raw)
 }
 
 // ringSend is the net front end of a guest whose host serves its rings
 // (baseline, Elvis): the guest stack encodes the frame and posts it.
 func (g *Guest) ringSend(f ethernet.Frame) {
 	p := g.net.p
-	g.VM.Compute(p.GuestNetStackCost+perByte(p.GuestTxPerByte, len(f.Payload)), func() {
-		f := f                // encode a copy, so the closure holds f by value
-		raw, _ := f.Encode(0) // an mtu of 0 skips the only check that fails
-		g.ringPost(raw, len(f.Payload))
-	})
+	g.queueSend(f, p.GuestNetStackCost+perByte(p.GuestTxPerByte, len(f.Payload)))
 }
 
-// ringPost puts an encoded frame with n payload bytes on the TX ring and
-// kicks the host. A full ring blocks the send path (backpressure), as virtio
-// does: the post is retried every 20 µs until a descriptor frees up.
-func (g *Guest) ringPost(raw []byte, n int) {
-	if !g.net.q.guestSend(raw) {
-		g.net.eng.After(20*sim.Microsecond, func() { g.ringPost(raw, n) })
+// ringPost puts the encoded frame raw on the TX ring, releases it and kicks
+// the host. A full ring blocks the send path (backpressure), as virtio does:
+// the post is retried every 20 µs until a descriptor frees up. The retry
+// delay is one constant, so retries wait FIFO in retryq for retryFn.
+func (n *hostNet) ringPost(raw []byte) {
+	if !n.q.guestSend(raw) {
+		n.retryq.Push(raw)
+		n.eng.After(20*sim.Microsecond, n.retryFn)
 		return
 	}
-	g.net.kick(n)
+	n.g.pool.PutRaw(raw)
+	n.kick(len(raw) - ethernet.HeaderSize)
 }
 
 // ringReap is the front end's receive interrupt handler: every frame the
 // host filled in goes through the guest stack to the workload.
 func (g *Guest) ringReap() {
-	for _, raw := range g.net.q.guestReapRx() {
+	for _, raw := range g.net.q.guestReapRx(g.pool) {
 		g.receiveNet(raw, g.net.p.GuestNetStackCost)
 	}
 }

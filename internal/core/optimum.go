@@ -31,32 +31,37 @@ func (h *OptimumHost) Name() string { return h.name }
 // paravirtual block path (§5: "there is no such thing as an SRIOV
 // ramdisk").
 func (h *OptimumHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC) *Guest {
-	g := &Guest{
-		VM:     hypervisor.NewVM(h.eng, h.p, id, core),
-		netMAC: mac,
-	}
 	vf := h.nic.AddVF(mac, nic.ModeInterrupt)
+	g := newGuest(hypervisor.NewVM(h.eng, h.p, id, core), mac, vf.Pool())
 
+	// TX-completion interrupt, delivered exitless — the second guest
+	// interrupt of Table 3.
+	txIRQ := func() { g.VM.GuestIRQExitless(nil) }
+	g.txFn = func() {
+		raw := g.txq.Pop()
+		f, _ := ethernet.Decode(raw)
+		if err := vf.SendFrame(f); err != nil {
+			panic(err)
+		}
+		g.pool.PutRaw(raw)
+		h.eng.After(h.p.NICProcessCost, txIRQ)
+	}
 	g.sendNet = func(f ethernet.Frame) {
 		// Guest network stack, then straight to the VF: no exit, no host.
-		g.VM.Compute(h.p.GuestNetStackCost+perByte(h.p.GuestTxPerByte, len(f.Payload)), func() {
-			if err := vf.SendFrame(f); err != nil {
-				panic(err)
-			}
-			// TX-completion interrupt, delivered exitless — the second
-			// guest interrupt of Table 3.
-			h.eng.After(h.p.NICProcessCost, func() { g.VM.GuestIRQExitless(nil) })
-		})
+		g.queueSend(f, h.p.GuestNetStackCost+perByte(h.p.GuestTxPerByte, len(f.Payload)))
 	}
 
+	// ELI delivers the device interrupt directly to the guest; the guest
+	// stack then processes each frame of the coalesced batch.
+	var irqs nic.BatchQueue
+	rx := func() {
+		for _, raw := range irqs.Pop() {
+			g.receiveNet(raw, h.p.GuestNetStackCost)
+		}
+	}
 	vf.OnInterrupt(func(frames [][]byte) {
-		// ELI delivers the device interrupt directly to the guest; the
-		// guest stack then processes each frame of the coalesced batch.
-		g.VM.GuestIRQExitless(func() {
-			for _, raw := range frames {
-				g.receiveNet(raw, h.p.GuestNetStackCost)
-			}
-		})
+		irqs.Push(frames)
+		g.VM.GuestIRQExitless(rx)
 	})
 	return g
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 	"vrio/internal/virtio"
 )
@@ -24,8 +25,10 @@ type netQueues struct {
 	tx *virtio.Ring
 	rx *virtio.Ring
 	// rxFree are host-side pre-popped guest buffers awaiting frames, filled
-	// oldest first.
-	rxFree sim.FIFO[virtio.Chain]
+	// oldest first; rxSpare are filled chains kept for their slices, which
+	// the next stockRx pops into.
+	rxFree  sim.FIFO[virtio.Chain]
+	rxSpare []virtio.Chain
 	// RxDrops counts frames dropped for want of guest rx buffers.
 	RxDrops uint64
 	// reap is the reusable completion batch (TX and RX reaps are fully
@@ -33,6 +36,8 @@ type netQueues struct {
 	// scratch chain for the immediate-push TX drain.
 	reap virtio.ReapBatch
 	pop  virtio.Chain
+	// rxOut is the reusable frame list guestReapRx returns.
+	rxOut [][]byte
 }
 
 func newNetQueues() *netQueues {
@@ -58,8 +63,14 @@ func (q *netQueues) stockRx(n int) {
 		}
 	}
 	for {
-		c, ok, err := q.rx.Pop()
+		var c virtio.Chain
+		if n := len(q.rxSpare); n > 0 {
+			c = q.rxSpare[n-1]
+			q.rxSpare = q.rxSpare[:n-1]
+		}
+		ok, err := q.rx.PopInto(&c)
 		if err != nil || !ok {
+			q.rxSpare = append(q.rxSpare, c)
 			break
 		}
 		q.rxFree.Push(c)
@@ -76,13 +87,14 @@ func (q *netQueues) guestSend(frame []byte) bool {
 
 // hostPopTx takes the next pending TX frame (host side). The scratch chain
 // is reusable because it is pushed back before the next pop; the frame is
-// cloned since it outlives the descriptor.
-func (q *netQueues) hostPopTx() ([]byte, bool) {
+// copied into a slab from pool, which the caller owns, since it outlives
+// the descriptor.
+func (q *netQueues) hostPopTx(pool *bufpool.Pool) ([]byte, bool) {
 	ok, err := q.tx.PopInto(&q.pop)
 	if err != nil || !ok {
 		return nil, false
 	}
-	frame := append([]byte{}, q.pop.Out...)
+	frame := pool.Clone(q.pop.Out)
 	q.tx.Push(q.pop, nil)
 	return frame, true
 }
@@ -97,23 +109,27 @@ func (q *netQueues) hostDeliver(frame []byte) bool {
 		q.RxDrops++
 		return false
 	}
-	q.rx.Push(q.rxFree.Pop(), frame)
+	c := q.rxFree.Pop()
+	q.rx.Push(c, frame)
+	q.rxSpare = append(q.rxSpare, c)
 	return true
 }
 
 // guestReapRx collects received frames and restocks the buffers. Frames are
-// cloned out of the reusable batch because they escape into the guest stack.
-func (q *netQueues) guestReapRx() [][]byte {
+// copied out of the reusable batch into slabs from pool, which the caller
+// owns, because they outlive the batch in the guest stack. The returned
+// list is valid until the next call.
+func (q *netQueues) guestReapRx(pool *bufpool.Pool) [][]byte {
 	n := q.rx.ReapInto(&q.reap, 0)
+	q.rxOut = q.rxOut[:0]
 	if n == 0 {
 		return nil
 	}
-	frames := make([][]byte, 0, n)
 	for i := range q.reap.Completions {
-		frames = append(frames, append([]byte{}, q.reap.Completions[i].In...))
+		q.rxOut = append(q.rxOut, pool.Clone(q.reap.Completions[i].In))
 	}
 	q.stockRx(n)
-	return frames
+	return q.rxOut
 }
 
 // blkQueue is the shared-memory state of one paravirtual block device: a

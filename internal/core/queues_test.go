@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"vrio/internal/bufpool"
 )
 
 // The host fills guest rx buffers oldest first and the guest restocks what
@@ -24,7 +26,7 @@ func TestNetQueuesRxFreeListCycles(t *testing.T) {
 			t.Fatalf("round %d: %d drops after a burst of %d, want %d", round, q.RxDrops, burst, want)
 		}
 		q.RxDrops = 0
-		got := q.guestReapRx()
+		got := q.guestReapRx(bufpool.New())
 		if len(got) != min(burst, rxBuffers) {
 			t.Fatalf("round %d: reaped %d frames, want %d", round, len(got), min(burst, rxBuffers))
 		}

@@ -56,6 +56,11 @@ type VRIOClient struct {
 
 	// DroppedWhilePaused counts frames lost during a migration blackout.
 	DroppedWhilePaused uint64
+
+	// irqs holds the channel's interrupt batches until the guest's handler
+	// runs deliverFn on the VCPU; txIRQFn is the TX-completion interrupt.
+	irqs               nic.BatchQueue
+	deliverFn, txIRQFn func()
 }
 
 // Pause freezes the client for live migration (§4.6): transmissions stop
@@ -89,13 +94,16 @@ func (c *VRIOClient) wireChannel(vf *nic.VF) {
 	vf.OnInterrupt(func(frames [][]byte) {
 		if c.paused {
 			c.DroppedWhilePaused += uint64(len(frames))
+			for _, f := range frames {
+				vf.Pool().PutRaw(f)
+			}
 			return
 		}
-		deliver := func() { c.Port.HandleBatch(frames) }
+		c.irqs.Push(frames)
 		if c.bare {
-			hypervisor.HostIRQ(c.Guest.VM.Core, h.p, &c.Guest.VM.Counters, hypervisor.CounterHostIRQs, deliver)
+			hypervisor.HostIRQ(c.Guest.VM.Core, h.p, &c.Guest.VM.Counters, hypervisor.CounterHostIRQs, c.deliverFn)
 		} else {
-			c.Guest.VM.GuestIRQExitless(deliver)
+			c.Guest.VM.GuestIRQExitless(c.deliverFn)
 		}
 	})
 	c.Port.OnMessage = func(_ ethernet.MAC, msg []byte, _ bool, _ int) {
@@ -129,14 +137,16 @@ type VMConfig struct {
 // AddClient provisions an IOclient (VM or bare-metal OS) on this host.
 // Device ids: net = 2*ID, blk = 2*ID+1, unique per client.
 func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
+	vf := h.chNIC.AddVF(cfg.TransportMAC, nic.ModeInterrupt)
 	c := &VRIOClient{
-		Guest: &Guest{VM: hypervisor.NewVM(h.eng, h.p, cfg.ID, cfg.Core), netMAC: cfg.NetMAC},
+		Guest: newGuest(hypervisor.NewVM(h.eng, h.p, cfg.ID, cfg.Core), cfg.NetMAC, vf.Pool()),
 		host:  h,
 		bare:  cfg.Bare,
 		netID: uint16(2 * cfg.ID),
 		blkID: uint16(2*cfg.ID + 1),
 	}
-	vf := h.chNIC.AddVF(cfg.TransportMAC, nic.ModeInterrupt)
+	g := c.Guest
+	c.deliverFn = func() { c.Port.HandleBatch(c.irqs.Pop()) }
 	c.Port = nic.NewMessagePort(vf, h.p.MTU)
 	c.Driver = transport.NewDriver(h.eng, c.Port, h.iohost, transport.Config{
 		InitialTimeout: h.p.RetransmitTimeout,
@@ -152,30 +162,32 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 	// Net front-end.
 	c.Driver.NetRx = func(_ uint16, raw []byte) {
 		// Decapsulation already charged via the IRQ; the guest stack
-		// processes the frame.
-		c.Guest.receiveNet(raw, h.p.GuestNetStackCost+h.p.EncapCost)
+		// processes a copy of the frame, which the driver only lends.
+		g.receiveNet(g.pool.Clone(raw), h.p.GuestNetStackCost+h.p.EncapCost)
 	}
-	c.Guest.sendNet = func(f ethernet.Frame) {
+	// TX-completion interrupt from the channel VF, exitless.
+	c.txIRQFn = func() {
+		if cfg.Bare {
+			hypervisor.HostIRQ(cfg.Core, h.p, &g.VM.Counters, hypervisor.CounterHostIRQs, nil)
+		} else {
+			g.VM.GuestIRQExitless(nil)
+		}
+	}
+	g.txFn = func() {
+		raw := g.txq.Pop()
+		c.Driver.SendNet(uint8(virtio.DeviceNet), c.netID, raw)
+		g.pool.PutRaw(raw)
+		h.eng.After(h.p.NICProcessCost, c.txIRQFn)
+	}
+	g.sendNet = func(f ethernet.Frame) {
 		if c.paused {
 			c.DroppedWhilePaused++
 			return // migration blackout: the guest is suspended
 		}
-		raw, _ := f.Encode(0) // an mtu of 0 skips the only check that fails
 		// Guest stack + transport encapsulation (§4.3's added processing,
 		// the +9% of Figure 10), then out the VF — no exit.
-		cost := h.p.GuestNetStackCost + h.p.EncapCost +
-			perByte(h.p.GuestTxPerByte+h.p.EncapPerByte, len(f.Payload))
-		c.Guest.VM.Compute(cost, func() {
-			c.Driver.SendNet(uint8(virtio.DeviceNet), c.netID, raw)
-			// TX-completion interrupt from the channel VF, exitless.
-			h.eng.After(h.p.NICProcessCost, func() {
-				if cfg.Bare {
-					hypervisor.HostIRQ(cfg.Core, h.p, &c.Guest.VM.Counters, hypervisor.CounterHostIRQs, nil)
-				} else {
-					c.Guest.VM.GuestIRQExitless(nil)
-				}
-			})
-		})
+		g.queueSend(f, h.p.GuestNetStackCost+h.p.EncapCost+
+			perByte(h.p.GuestTxPerByte+h.p.EncapPerByte, len(f.Payload)))
 	}
 
 	// Block front-end.

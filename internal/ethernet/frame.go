@@ -98,11 +98,21 @@ func (f *Frame) Encode(mtu int) ([]byte, error) {
 	if mtu > 0 && len(f.Payload) > mtu {
 		return nil, fmt.Errorf("%w: %d > %d", ErrOversize, len(f.Payload), mtu)
 	}
-	b := make([]byte, HeaderSize+len(f.Payload))
+	return f.EncodeTo(make([]byte, HeaderSize+len(f.Payload))), nil
+}
+
+// EncodeTo serializes the frame into b, which must hold at least
+// HeaderSize+len(f.Payload) bytes, and returns that prefix of b. The datapath
+// encodes into pooled slabs with it: f.EncodeTo(pool.GetRaw(f.Len())).
+func (f *Frame) EncodeTo(b []byte) []byte {
+	b = b[:HeaderSize+len(f.Payload)]
 	PutHeader(b, f.Dst, f.Src, f.EtherType)
 	copy(b[HeaderSize:], f.Payload)
-	return b, nil
+	return b
 }
+
+// Len reports the encoded size of the frame: header plus payload.
+func (f *Frame) Len() int { return HeaderSize + len(f.Payload) }
 
 // PutHeader writes the 14-byte Ethernet header into b, which must be at
 // least HeaderSize long. The TSO send path uses it to build header,

@@ -33,11 +33,27 @@ type VM struct {
 
 	// Counters accumulates the Table 3 event counts for this VM.
 	Counters stats.Counters
+
+	// Injected interrupts in flight: the handlers waiting on the host core
+	// for the injection (injq) and on the VCPU for the guest handler (eoiq),
+	// drained FIFO by the prebound injectFn and eoiFn. Each stage runs on
+	// one core, which completes work in order, so no interrupt needs a
+	// closure of its own.
+	injCore         *cpu.Core
+	injq, eoiq      sim.FIFO[func()]
+	injectFn, eoiFn func()
 }
 
 // NewVM builds a VM on the given core.
 func NewVM(eng *sim.Engine, p *params.P, id int, core *cpu.Core) *VM {
-	return &VM{eng: eng, p: p, ID: id, Core: core}
+	vm := &VM{eng: eng, p: p, ID: id, Core: core}
+	vm.injectFn = func() {
+		vm.Counters.Inc(CounterGuestIRQs, 1)
+		vm.eoiq.Push(vm.injq.Pop())
+		vm.Core.Exec(vm.ID, cpu.KindIRQ, vm.p.GuestIRQCost, vm.eoiFn)
+	}
+	vm.eoiFn = func() { vm.Exit(vm.eoiq.Pop()) } // EOI write traps without ELI
+	return vm
 }
 
 // Compute runs guest work (application + guest kernel time) on the VCPU.
@@ -72,15 +88,17 @@ func (vm *VM) GuestIRQExitless(fn func()) {
 
 // GuestIRQInjected delivers a virtual interrupt the baseline way: the host
 // injects it (cost on hostCore), the guest handles it, and the guest's EOI
-// write traps (one more exit).
+// write traps (one more exit); fn runs after that exit. Every injection into
+// one VM must come from the same host core.
 func (vm *VM) GuestIRQInjected(hostCore *cpu.Core, fn func()) {
+	if vm.injCore == nil {
+		vm.injCore = hostCore
+	} else if hostCore != vm.injCore {
+		panic("hypervisor: a VM's interrupts must be injected from one host core")
+	}
 	vm.Counters.Inc(CounterInjections, 1)
-	hostCore.Exec(cpu.NoOwner, cpu.KindIRQ, vm.p.InjectCost, func() {
-		vm.Counters.Inc(CounterGuestIRQs, 1)
-		vm.Core.Exec(vm.ID, cpu.KindIRQ, vm.p.GuestIRQCost, func() {
-			vm.Exit(fn) // EOI write traps without ELI
-		})
-	})
+	vm.injq.Push(fn)
+	hostCore.Exec(cpu.NoOwner, cpu.KindIRQ, vm.p.InjectCost, vm.injectFn)
 }
 
 // HostIRQ models a physical interrupt handled by a host core (the Elvis

@@ -10,6 +10,7 @@ package iohyp
 
 import (
 	"fmt"
+	"slices"
 
 	"vrio/internal/blockdev"
 	"vrio/internal/bufpool"
@@ -137,9 +138,12 @@ type IOHypervisor struct {
 	// nil when all traffic is client-to-client.
 	uplink *nic.VF
 
-	netDevs   map[devKey]*netDevice
-	blkDevs   map[devKey]*blkDevice
-	fib       map[ethernet.MAC]*netDevice // F MAC -> device, for local delivery
+	netDevs map[devKey]*netDevice
+	blkDevs map[devKey]*blkDevice
+	fib     map[ethernet.MAC]*netDevice // F MAC -> device, for local delivery
+	// fibOrder lists fib's addresses in registration order, the order
+	// AnnounceAddresses announces them in.
+	fibOrder  []ethernet.MAC
 	defaultCh *interpose.Chain
 
 	// Steering state (§4.1's ordering policy).
@@ -324,7 +328,7 @@ func (h *IOHypervisor) AnnounceAddresses() {
 	if h.uplink == nil || h.failed {
 		return
 	}
-	for fMAC := range h.fib {
+	for _, fMAC := range h.fibOrder {
 		_ = h.uplink.SendFrame(ethernet.Frame{
 			Dst:       ethernet.Broadcast,
 			Src:       fMAC,
@@ -403,7 +407,9 @@ func (h *IOHypervisor) AttachChannelNIC(vf *nic.VF) *nic.MessagePort {
 	case ModeInterrupt:
 		vf.SetMode(nic.ModeInterrupt)
 		vf.OnInterrupt(func(frames [][]byte) {
-			// The interrupt itself costs a worker core.
+			// The interrupt itself costs a worker core. The batch is only
+			// lent to the handler, so the work item keeps a copy.
+			frames = slices.Clone(frames)
 			w := h.pickWorker()
 			h.Counters.Inc("iohost_irqs", 1)
 			w.Core.Exec(cpu.NoOwner, cpu.KindIRQ, h.p.HostIRQCost, func() {
@@ -424,12 +430,11 @@ func (h *IOHypervisor) AttachUplink(vf *nic.VF) {
 	case ModeInterrupt:
 		vf.SetMode(nic.ModeInterrupt)
 		vf.OnInterrupt(func(frames [][]byte) {
+			frames = slices.Clone(frames) // lent only for the call
 			w := h.pickWorker()
 			h.Counters.Inc("iohost_irqs", 1)
 			w.Core.Exec(cpu.NoOwner, cpu.KindIRQ, h.p.HostIRQCost, func() {
-				for _, fr := range frames {
-					h.ingressPlain(fr)
-				}
+				h.ingressUplink(frames)
 			})
 		})
 	}
@@ -494,6 +499,7 @@ func (h *IOHypervisor) UnregisterClient(client ethernet.MAC) {
 		delete(h.netDevs, k)
 		if h.fib[d.fMAC] == d {
 			delete(h.fib, d.fMAC)
+			h.fibOrder = slices.DeleteFunc(h.fibOrder, func(m ethernet.MAC) bool { return m == d.fMAC })
 		}
 	}
 	for k := range h.blkDevs {
@@ -519,6 +525,9 @@ func (h *IOHypervisor) UnregisterClient(client ethernet.MAC) {
 func (h *IOHypervisor) RegisterNetDevice(client ethernet.MAC, id uint16, fMAC ethernet.MAC, chain *interpose.Chain) {
 	d := h.newNetDevice(devKey{client: client, id: id}, fMAC, chain)
 	h.netDevs[d.key] = d
+	if h.fib[fMAC] == nil {
+		h.fibOrder = append(h.fibOrder, fMAC)
+	}
 	h.fib[fMAC] = d
 }
 
@@ -700,9 +709,9 @@ func (h *IOHypervisor) pickWorker() *Worker {
 // scan is the worker poll loop body: drain every ring in batches into the
 // worker's reusable scratch, handing frames to the reassembly ports;
 // complete messages are steered as work items. The scratch batch is safe to
-// reuse across rings because HandleBatch/ingressPlain fully consume each
-// frame before returning (fragments are copied into reassembly buffers and
-// recycled; plain frames are decoded and re-encoded).
+// reuse across rings because HandleBatch/ingressUplink fully consume each
+// frame before returning (fragments are copied into reassembly buffers,
+// plain frames are decoded and re-encoded) and release it.
 func (w *Worker) scan() {
 	h := w.hyp
 	found := false
@@ -717,9 +726,7 @@ func (w *Worker) scan() {
 		w.scratch = w.scratch[:0]
 		if h.uplink.PollInto(&w.scratch, 64) > 0 {
 			found = true
-			for _, fr := range w.scratch {
-				h.ingressPlain(fr)
-			}
+			h.ingressUplink(w.scratch)
 		}
 	}
 	if found {
@@ -798,8 +805,18 @@ func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy boo
 	h.steer(it)
 }
 
+// ingressUplink handles a batch of frames from the uplink, releasing each
+// once it is consumed.
+func (h *IOHypervisor) ingressUplink(frames [][]byte) {
+	pool := h.uplink.Pool()
+	for _, fr := range frames {
+		h.ingressPlain(fr)
+		pool.PutRaw(fr)
+	}
+}
+
 // ingressPlain handles a frame from the uplink (external party -> some VM's
-// F address).
+// F address). The frame is only borrowed.
 func (h *IOHypervisor) ingressPlain(frame []byte) {
 	if h.failed {
 		return
@@ -826,16 +843,13 @@ type netIn struct {
 }
 
 // Charge implements virtio.NetSite.
-func (s *netIn) Charge(cost sim.Time, fn func()) {
-	s.cost = cost
-	fn()
-}
+func (s *netIn) Charge(cost sim.Time) { s.cost = cost }
 
 // Forward implements virtio.NetSite: the frame is steered to a worker as a
-// net-in item.
+// net-in item, which holds it encoded in a pooled slab.
 func (s *netIn) Forward(f ethernet.Frame) {
 	h, dev := s.d.h, s.d
-	raw, _ := f.Encode(0)
+	raw := f.EncodeTo(h.bufPool().GetRaw(f.Len()))
 	it := h.getSteer()
 	it.op = steerOpNetIn
 	it.key = dev.key
@@ -989,6 +1003,9 @@ func (it *steerItem) run() {
 		}
 		h.endTxBatch()
 	}
+	if it.op == steerOpNetIn {
+		h.bufPool().PutRaw(it.raw)
+	}
 	*it = steerItem{h: it.h, fn: it.fn}
 	h.steerFree = append(h.steerFree, it)
 }
@@ -1013,9 +1030,8 @@ func (h *IOHypervisor) handleNetTx(src ethernet.MAC, deviceID uint16, frame []by
 // Charge implements virtio.NetSite for the frames the device sends: the
 // least loaded worker pays without delaying the frame (the message's service
 // cost was charged at steer time, and this keeps the model simple).
-func (d *netDevice) Charge(cost sim.Time, fn func()) {
+func (d *netDevice) Charge(cost sim.Time) {
 	d.h.pickWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, nil)
-	fn()
 }
 
 // Forward implements virtio.NetSite for the frames the device sends: to
@@ -1049,13 +1065,14 @@ func (d *netDevice) Forward(f ethernet.Frame) {
 type netLocal struct{ d *netDevice }
 
 // Charge implements virtio.NetSite.
-func (s *netLocal) Charge(cost sim.Time, fn func()) { s.d.Charge(cost, fn) }
+func (s *netLocal) Charge(cost sim.Time) { s.d.Charge(cost) }
 
 // Forward implements virtio.NetSite.
 func (s *netLocal) Forward(f ethernet.Frame) {
 	h := s.d.h
-	raw, _ := f.Encode(0)
+	raw := f.EncodeTo(h.bufPool().GetRaw(f.Len()))
 	h.endpoint.SendNetRx(s.d.key.client, s.d.key.id, raw)
+	h.bufPool().PutRaw(raw)
 	h.txInterrupt()
 }
 

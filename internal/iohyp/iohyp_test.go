@@ -201,7 +201,7 @@ func TestExternalFrameDeliveredToClient(t *testing.T) {
 	var gotFrame []byte
 	r.driver.NetRx = func(deviceID uint16, frame []byte) {
 		gotDev = deviceID
-		gotFrame = frame
+		gotFrame = append([]byte(nil), frame...) // lent for the call only
 	}
 	r.extVF.SendFrame(ethernet.Frame{Dst: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("inbound")})
 	r.eng.Run()

@@ -12,6 +12,7 @@
 package link
 
 import (
+	"vrio/internal/bufpool"
 	"vrio/internal/ethernet"
 	"vrio/internal/sim"
 	"vrio/internal/trace"
@@ -392,6 +393,10 @@ type Switch struct {
 	inflight sim.FIFO[swFrame]
 	egressFn func()
 
+	// pool supplies the copies a flood sends: every receiver releases the
+	// frame it is given, so no two may share one.
+	pool *bufpool.Pool
+
 	// Fabric role state, all nil/zero for a classic rack switch.
 	rack      int                            // this leaf's rack id
 	locate    func(ethernet.MAC) (int, bool) // MAC -> owning rack
@@ -427,6 +432,35 @@ func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
 		s.egress(f.port, f.dst, f.frame)
 	}
 	return s
+}
+
+// SetPool attaches the cell's buffer pool, which flood copies come from. A
+// switch without one lazily creates its own.
+func (s *Switch) SetPool(p *bufpool.Pool) { s.pool = p }
+
+// fanout sends one frame to several wires, in the order they are added.
+// Each receiver but the last gets its own pooled copy (the last gets the
+// frame itself), so every receiver may release what it is given.
+type fanout struct {
+	s     *Switch
+	frame []byte
+	prev  *Wire
+}
+
+func (f *fanout) add(w *Wire) {
+	if f.prev != nil {
+		if f.s.pool == nil {
+			f.s.pool = bufpool.New()
+		}
+		f.prev.Send(f.s.pool.Clone(f.frame))
+	}
+	f.prev = w
+}
+
+func (f *fanout) done() {
+	if f.prev != nil {
+		f.prev.Send(f.frame)
+	}
 }
 
 // swFrame is one frame inside the switch's store-and-forward delay: its
@@ -529,19 +563,20 @@ func (s *Switch) egress(ingress int, dst ethernet.MAC, frame []byte) {
 	// frame additionally rides one hash-chosen uplink so broadcasts reach
 	// the rest of the fabric exactly once.
 	s.Flooded++
+	out := fanout{s: s, frame: frame}
 	for i, p := range s.ports {
 		if i != ingress && !p.uplink {
-			p.tx.Send(frame)
+			out.add(p.tx)
 		}
 	}
 	if len(s.uplinks) > 0 && !s.ports[ingress].uplink {
 		// Suppress the uplink copy when the locator proves the destination
 		// is local to this rack — the flood above already covers it.
 		if rack, ok := s.locateRack(dst); !ok || rack != s.rack {
-			out := s.uplinks[macHash(dst)%uint32(len(s.uplinks))]
-			s.ports[out].tx.Send(frame)
+			out.add(s.ports[s.uplinks[macHash(dst)%uint32(len(s.uplinks))]].tx)
 		}
 	}
+	out.done()
 }
 
 // locateRack wraps locate for callers that must tolerate a nil locator.
@@ -573,11 +608,13 @@ func (s *Switch) egressRemote(ingress int, dst ethernet.MAC, frame []byte) {
 func (s *Switch) egressSpine(ingress int, dst ethernet.MAC, frame []byte) {
 	if dst == ethernet.Broadcast {
 		s.Flooded++
+		out := fanout{s: s, frame: frame}
 		for i, p := range s.ports {
 			if i != ingress {
-				p.tx.Send(frame)
+				out.add(p.tx)
 			}
 		}
+		out.done()
 		return
 	}
 	if rack, ok := s.locateRack(dst); ok {

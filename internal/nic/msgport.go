@@ -57,32 +57,32 @@ func (p *MessagePort) Send(dst ethernet.MAC, payload []byte) {
 	}
 }
 
-// HandleFrame ingests one received frame (from Poll or an interrupt batch).
-// vRIO fragments are consumed: their payload is copied into the reassembly
-// buffer and the frame slab is recycled, so a fragment buffer must not be
-// shared with another port. Plain (tenant) frames are passed through and
-// never recycled. A completed message's Data is handed to OnMessage, whose
-// consumer owns it (and returns it to the pool when done).
+// HandleFrame ingests one received frame (from Poll or an interrupt batch)
+// and takes ownership of it: every frame is consumed and its slab returned
+// to the pool. vRIO fragments are copied into the reassembly buffer, so a
+// fragment buffer must not be shared with another port. Plain (tenant)
+// frames are lent to OnPlainFrame for the duration of the call. A completed
+// message's Data is handed to OnMessage, whose consumer owns it (and returns
+// it to the pool when done).
 func (p *MessagePort) HandleFrame(frame []byte) {
+	pool := p.vf.nic.Pool()
 	f, err := ethernet.Decode(frame)
-	if err != nil {
-		p.Errors++
-		return
-	}
-	if f.EtherType != ethernet.EtherTypeVRIO {
-		if p.OnPlainFrame != nil {
+	if err != nil || f.EtherType != ethernet.EtherTypeVRIO {
+		if err != nil {
+			p.Errors++
+		} else if p.OnPlainFrame != nil {
 			p.OnPlainFrame(f)
 		}
+		pool.PutRaw(frame)
 		return
 	}
-	pool := p.vf.nic.Pool()
 	p.asm.SetPool(pool) // stays in sync if the NIC's pool is rebound
 	msg, err := p.asm.Add(f.Src, f.Payload)
+	pool.PutRaw(frame)
 	if err != nil {
 		p.Errors++
 		return
 	}
-	pool.PutRaw(frame)
 	if msg != nil && p.OnMessage != nil {
 		p.OnMessage(msg.Src, msg.Data, msg.ZeroCopy, msg.Fragments)
 	}

@@ -4,10 +4,16 @@
 // poll-mode draining (the vRIO IOhost polls its NICs, §4.2), and TSO
 // transmission of vRIO messages.
 //
-// The datapath is allocation-free in steady state: TSO fragments are built
-// inside pooled buffers (header + encapsulation + payload in one pass), NIC
-// processing delays run through prebound FIFO queues instead of per-frame
-// closures, and poll-mode receive rings reuse their backing storage.
+// The datapath is allocation-free in steady state: frames and TSO fragments
+// are built inside pooled buffers (header + encapsulation + payload in one
+// pass), NIC processing delays run through prebound FIFO queues instead of
+// per-frame closures, and the receive ring reuses its backing storage in
+// both delivery modes. That rests on one contract for received frames: a
+// frame handed to software (an interrupt batch, PollInto) belongs to the
+// consumer, which returns it to the pool once (PutRaw) or drops it; and an
+// interrupt batch — the slice, not the frames — is valid only during the
+// OnInterrupt call. A handler that defers work copies the batch, usually
+// into a BatchQueue.
 package nic
 
 import (
@@ -51,6 +57,8 @@ type NIC struct {
 	cfg  Config
 	tx   *link.Wire
 	vfs  map[uint64]*VF // MAC.Key -> VF
+	// vfList holds the VFs in AddVF order: broadcasts reach them in it.
+	vfList []*VF
 
 	pool *bufpool.Pool
 
@@ -59,6 +67,10 @@ type NIC struct {
 	// so FIFO order is exactly the event order the per-frame closures had).
 	txq     sim.FIFO[[]byte]
 	txFlush func()
+	// sibq holds frames switched between sibling VFs, delayed by the same
+	// ProcessCost and drained FIFO by the prebound sibFlush.
+	sibq     sim.FIFO[sibFrame]
+	sibFlush func()
 
 	// UnknownDst counts frames that matched no VF.
 	UnknownDst uint64
@@ -76,7 +88,17 @@ func New(eng *sim.Engine, name string, cfg Config, tx *link.Wire) *NIC {
 	}
 	n := &NIC{eng: eng, name: name, cfg: cfg, tx: tx, vfs: make(map[uint64]*VF)}
 	n.txFlush = func() { n.tx.Send(n.txq.Pop()) }
+	n.sibFlush = func() {
+		f := n.sibq.Pop()
+		f.vf.ingress(f.frame)
+	}
 	return n
+}
+
+// sibFrame is one frame on its way to a sibling VF.
+type sibFrame struct {
+	vf    *VF
+	frame []byte
 }
 
 // Name reports the NIC name.
@@ -115,6 +137,7 @@ func (n *NIC) AddVF(mac ethernet.MAC, mode DeliveryMode) *VF {
 	vf.deliverFn = vf.deliverOne
 	vf.fireFn = vf.fireIRQ
 	n.vfs[mac.Key()] = vf
+	n.vfList = append(n.vfList, vf)
 	return vf
 }
 
@@ -125,8 +148,15 @@ func (n *NIC) ReceiveFrame(frame []byte) {
 		return
 	}
 	if f.Dst == ethernet.Broadcast {
-		for _, vf := range n.vfs {
-			vf.ingress(frame)
+		// Every VF but the last gets its own pooled copy, since each
+		// receiver releases the frame it is given.
+		last := len(n.vfList) - 1
+		for i, vf := range n.vfList {
+			fr := frame
+			if i < last {
+				fr = n.Pool().Clone(frame)
+			}
+			vf.ingress(fr)
 		}
 		return
 	}
@@ -154,8 +184,8 @@ type VF struct {
 
 	// rxq is the receive ring. rxHead is the consumed prefix: poll-mode
 	// drains advance it and the backing array is reused once empty;
-	// interrupt delivery hands the backing to the handler (which may retain
-	// the batch) and starts a fresh one.
+	// interrupt delivery lends the whole ring to the handler as its batch
+	// and reuses the backing array once the handler returns.
 	rxq    [][]byte
 	rxHead int
 
@@ -197,7 +227,9 @@ func (v *VF) Mode() DeliveryMode { return v.mode }
 func (v *VF) SetMode(m DeliveryMode) { v.mode = m }
 
 // OnInterrupt registers the interrupt handler for ModeInterrupt delivery.
-// The handler receives the drained frame batch and owns it.
+// The handler receives the drained frame batch. The batch slice is valid only
+// during the call (the VF reuses it); each frame in it belongs to the
+// handler, which returns it to the pool exactly once or drops it.
 func (v *VF) OnInterrupt(fn func(frames [][]byte)) { v.onIRQ = fn }
 
 // QueueLen reports frames waiting in the rx ring.
@@ -224,9 +256,14 @@ func (v *VF) ringSize() int {
 	return v.nic.cfg.RxRingSize
 }
 
+// Pool returns the buffer pool of the VF's NIC, which received frames
+// return to.
+func (v *VF) Pool() *bufpool.Pool { return v.nic.Pool() }
+
 func (v *VF) ingress(frame []byte) {
 	if v.linkDown {
 		v.FlapDrops++
+		v.nic.Pool().PutRaw(frame)
 		return
 	}
 	// NIC processing latency before the frame is visible to software.
@@ -239,6 +276,7 @@ func (v *VF) deliverOne() {
 	frame := v.pendq.Pop()
 	if v.QueueLen() >= v.ringSize() {
 		v.Drops++
+		v.nic.Pool().PutRaw(frame)
 		return
 	}
 	v.rxq = append(v.rxq, frame)
@@ -257,17 +295,20 @@ func (v *VF) fireIRQ() {
 	if v.onIRQ == nil || v.QueueLen() == 0 {
 		return
 	}
-	// Hand the backing array to the handler (it may retain the batch past
-	// this call) and start fresh.
+	// Lend the ring to the handler and empty it. No frame lands while the
+	// handler runs (delivery is an event of its own), so the backing array
+	// is free for the next frames once it returns.
 	batch := v.rxq[v.rxHead:]
-	v.rxq = nil
+	v.rxq = v.rxq[:0]
 	v.rxHead = 0
 	v.onIRQ(batch)
+	clear(batch) // drop the frame references for the collector
 }
 
 // Poll drains up to max frames (all if max <= 0). Poll-mode software calls
 // this from its sidecore loop. The returned slice is freshly allocated;
 // steady-state pollers use PollInto with a reused scratch batch instead.
+// The caller owns the drained frames, as with PollInto.
 func (v *VF) Poll(max int) [][]byte {
 	var out [][]byte
 	v.PollInto(&out, max)
@@ -311,15 +352,14 @@ func (v *VF) SendFrame(f ethernet.Frame) error {
 	if f.Src == (ethernet.MAC{}) {
 		f.Src = v.mac
 	}
-	// Encode into a pooled buffer (header + payload in one pass). Ownership
-	// moves to the receiver; plain tenant frames that escape into guest
-	// stacks simply fall back to the garbage collector.
-	b := v.nic.Pool().GetRaw(ethernet.HeaderSize + len(f.Payload))
-	ethernet.PutHeader(b, f.Dst, f.Src, f.EtherType)
-	copy(b[ethernet.HeaderSize:], f.Payload)
+	// Encode into a pooled buffer (header + payload in one pass); f is
+	// only borrowed. Ownership of the buffer moves to the receiver, which
+	// returns it to the pool.
+	b := f.EncodeTo(v.nic.Pool().GetRaw(f.Len()))
 	v.TxFrames++
 	if sibling, local := v.nic.vfs[f.Dst.Key()]; local && sibling != v {
-		v.nic.eng.After(v.nic.cfg.ProcessCost, func() { sibling.ingress(b) })
+		v.nic.sibq.Push(sibFrame{sibling, b})
+		v.nic.eng.After(v.nic.cfg.ProcessCost, v.nic.sibFlush)
 		return nil
 	}
 	v.nic.queueTx(b)
@@ -373,4 +413,33 @@ func (v *VF) SendMessage(dst ethernet.MAC, deviceID uint16, msg []byte, mtu int)
 		}
 	}
 	return nil
+}
+
+// BatchQueue holds the interrupt batches an OnInterrupt handler defers to
+// later work items. Push copies the batch's frame references (the batch
+// itself is only lent to the handler), and Pop returns the oldest batch.
+// Deferring through a FIFO is exact when the work items complete in the
+// order they were queued, as on one core. The zero value is empty.
+type BatchQueue struct {
+	frames sim.FIFO[[]byte]
+	sizes  sim.FIFO[int]
+	out    [][]byte
+}
+
+// Push queues a copy of batch.
+func (q *BatchQueue) Push(batch [][]byte) {
+	for _, f := range batch {
+		q.frames.Push(f)
+	}
+	q.sizes.Push(len(batch))
+}
+
+// Pop dequeues the oldest batch. The returned slice is valid until the next
+// Pop; the frames in it belong to the caller.
+func (q *BatchQueue) Pop() [][]byte {
+	q.out = q.out[:0]
+	for n := q.sizes.Pop(); n > 0; n-- {
+		q.out = append(q.out, q.frames.Pop())
+	}
+	return q.out
 }

@@ -220,7 +220,8 @@ func TestMessagePortPlainFramePassthrough(t *testing.T) {
 	dstVF := b.AddVF(ethernet.NewMAC(2), ModePoll)
 	dstPort := NewMessagePort(dstVF, 8100)
 	var plain []byte
-	dstPort.OnPlainFrame = func(f ethernet.Frame) { plain = f.Payload }
+	// The frame is lent for the call only: keep a copy.
+	dstPort.OnPlainFrame = func(f ethernet.Frame) { plain = append([]byte(nil), f.Payload...) }
 	srcVF.SendFrame(ethernet.Frame{
 		Dst: dstVF.MAC(), EtherType: ethernet.EtherTypePlain, Payload: []byte("tenant"),
 	})

@@ -105,15 +105,10 @@ type Driver struct {
 	asmFree []*chunkAsm
 
 	// NetRx is invoked for every frame the IOhost delivers to a net
-	// front-end. The frame may be retained by the guest (it escapes into
-	// the tenant stack), so net-rx buffers are never recycled by default.
+	// front-end. The frame is only borrowed for the duration of the call:
+	// its buffer returns to the pool as soon as NetRx returns, so a
+	// receiver that defers work copies the frame first.
 	NetRx func(deviceID uint16, frame []byte)
-	// RecycleNetRx tightens the NetRx contract: when set, the frame is
-	// only borrowed for the duration of the callback and its buffer is
-	// returned to the pool as soon as NetRx returns. Opt in only when the
-	// receiver consumes frames synchronously (vrio-loadgen does; the
-	// simulated guest stack, which defers processing, must not).
-	RecycleNetRx bool
 	// CreateDev / DestroyDev are invoked for I/O-hypervisor control
 	// commands (§4.1: "receiving commands from the I/O hypervisor to
 	// create and destroy paravirtual devices").
@@ -509,9 +504,8 @@ func (d *Driver) expire(p *pendingBlk) {
 
 // Deliver ingests one transport message arriving from the channel. The NIC
 // model calls this once a full message is reassembled from wire fragments.
-// The driver takes ownership of payload: block-response and control buffers
-// are recycled to the pool; net-rx frames escape into the guest and are
-// left to the garbage collector unless RecycleNetRx is set.
+// The driver takes ownership of payload and recycles it to the pool once the
+// message is handled (a net-rx frame after NetRx returns).
 func (d *Driver) Deliver(payload []byte) error {
 	h, body, err := Decode(payload)
 	if err != nil {
@@ -528,9 +522,7 @@ func (d *Driver) Deliver(payload []byte) error {
 		if d.NetRx != nil {
 			d.NetRx(h.DeviceID, body)
 		}
-		if d.RecycleNetRx {
-			d.pool().PutRaw(payload)
-		}
+		d.pool().PutRaw(payload)
 	case MsgBlkResp:
 		d.deliverBlkResp(h, body)
 		d.pool().PutRaw(payload)

@@ -271,13 +271,13 @@ func TestNetTxRx(t *testing.T) {
 	var hostGot []byte
 	var hostDev uint16
 	h.endpoint.NetTx = func(src ethernet.MAC, deviceID uint16, frame []byte) {
-		hostGot = frame
+		hostGot = append([]byte(nil), frame...) // lent for the call only
 		hostDev = deviceID
 		// Reflect a frame back down to the client.
 		h.endpoint.SendNetRx(src, deviceID, []byte("pong"))
 	}
 	var clientGot []byte
-	h.driver.NetRx = func(deviceID uint16, frame []byte) { clientGot = frame }
+	h.driver.NetRx = func(deviceID uint16, frame []byte) { clientGot = append([]byte(nil), frame...) }
 	h.driver.SendNet(1, 3, []byte("ping"))
 	h.eng.Run()
 	if string(hostGot) != "ping" || hostDev != 3 {
@@ -288,25 +288,40 @@ func TestNetTxRx(t *testing.T) {
 	}
 }
 
-// RecycleNetRx tightens the net-rx contract: the frame is only borrowed for
-// the callback, and the payload slab goes straight back to the pool — the
-// steady state takes no allocations. Off (the default), the buffer escapes
-// to the garbage collector exactly as before.
+// The net-rx contract: the frame is only borrowed for the duration of the
+// NetRx callback, and the driver returns the payload slab to the pool once
+// NetRx returns, so the steady state takes no allocations.
 func TestNetRxRecycle(t *testing.T) {
 	h := newHarness(t, Config{})
-	h.driver.RecycleNetRx = true
 	got := 0
-	h.driver.NetRx = func(_ uint16, frame []byte) { got++ }
+	var lent []byte
+	h.driver.NetRx = func(_ uint16, frame []byte) {
+		got++
+		lent = frame
+		if string(frame) != "inbound-frame-bytes" {
+			t.Errorf("NetRx frame = %q", frame)
+		}
+	}
 	p := h.driver.pool()
 	payload := []byte("inbound-frame-bytes")
-	deliver := func() {
+	deliver := func() []byte {
 		buf := p.GetRaw(EncodedSize(len(payload)))
 		EncodeInto(buf, Header{Type: MsgNetRx, DeviceID: 1, ReqID: 1, ChunkCount: 1}, payload)
 		if err := h.driver.Deliver(buf); err != nil {
 			t.Fatal(err)
 		}
+		return buf
 	}
-	deliver() // first delivery warms the size class
+	buf := deliver() // first delivery warms the size class
+	if &lent[0] != &buf[HeaderSize] {
+		t.Error("NetRx frame does not alias the delivered buffer")
+	}
+	// The recycled buffer is the next one handed out.
+	if again := p.GetRaw(len(buf)); &again[0] != &buf[0] {
+		t.Error("delivered buffer not back in the pool after NetRx returned")
+	} else {
+		p.PutRaw(again)
+	}
 	base := p.Stats.Misses
 	for i := 0; i < 100; i++ {
 		deliver()
@@ -316,15 +331,6 @@ func TestNetRxRecycle(t *testing.T) {
 	}
 	if p.Stats.Misses != base {
 		t.Errorf("misses grew %d -> %d; recycled slab not reused", base, p.Stats.Misses)
-	}
-
-	// Default contract unchanged: the slab leaves the pool and never
-	// returns (the guest may retain it).
-	h.driver.RecycleNetRx = false
-	free := p.FreeSlabs()
-	deliver()
-	if p.FreeSlabs() != free-1 {
-		t.Errorf("FreeSlabs = %d after escaping delivery, want %d", p.FreeSlabs(), free-1)
 	}
 }
 

@@ -25,12 +25,12 @@ type NetServer struct {
 // frame's destination (the wire, the uplink, the guest's rx ring, the
 // transport).
 type NetSite interface {
-	// Charge bills cost of CPU time to the serving core and runs fn. Whether
-	// fn waits for the cost is the site's charging rule. cost is always
-	// positive.
-	Charge(cost sim.Time, fn func())
+	// Charge bills cost of CPU time to the serving core for the frame the
+	// next Forward sends. Whether that frame waits for the cost is the
+	// site's charging rule. cost is always positive.
+	Charge(cost sim.Time)
 	// Forward sends the interposed frame on. Its payload may alias the
-	// served bytes, so it is valid only as long as they are.
+	// served bytes, so the frame is only lent for the call.
 	Forward(f ethernet.Frame)
 }
 
@@ -55,12 +55,10 @@ func (s *NetServer) Interpose(site NetSite, dir interpose.Direction, f ethernet.
 		return
 	}
 	f.Payload = payload
-	if cost <= 0 {
-		site.Forward(f)
-		return
+	if cost > 0 {
+		site.Charge(cost)
 	}
-	out := f
-	site.Charge(cost, func() { site.Forward(out) })
+	site.Forward(f)
 }
 
 func (s *NetServer) count(name string) {

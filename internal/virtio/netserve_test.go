@@ -16,10 +16,7 @@ type recordSite struct {
 	got     []ethernet.Frame
 }
 
-func (s *recordSite) Charge(cost sim.Time, fn func()) {
-	s.charged += cost
-	fn()
-}
+func (s *recordSite) Charge(cost sim.Time) { s.charged += cost }
 
 func (s *recordSite) Forward(f ethernet.Frame) { s.got = append(s.got, f) }
 

@@ -15,16 +15,24 @@ type RR struct {
 	target  ethernet.MAC
 	seq     uint64
 	sentAt  map[uint64]sim.Time
-	size    int
 	stopped bool
+	// req is the request payload, rewritten for every request (Send only
+	// borrows it). timers holds the sequence number of each armed loss
+	// timer: the timeout is one constant, so they fire FIFO, each running
+	// the prebound expireFn.
+	req      []byte
+	timers   sim.FIFO[uint64]
+	expireFn func()
 }
 
 // NewRR wires a generator station against a server endpoint (install the
 // server with InstallRRServer first). size is the request/response payload
 // size (Netperf RR uses 1 byte; we carry 16 bytes of framing).
 func NewRR(station *Station, target ethernet.MAC, size int) *RR {
-	rr := &RR{station: station, target: target, size: size, sentAt: make(map[uint64]sim.Time)}
-	station.Subscribe(target, func(f ethernet.Frame) { rr.handleResponse(f) })
+	rr := &RR{station: station, target: target, sentAt: make(map[uint64]sim.Time)}
+	rr.req = seqPayload(0, 0, size)
+	rr.expireFn = func() { rr.expire(rr.timers.Pop()) }
+	station.Subscribe(target, rr.handleResponse)
 	return rr
 }
 
@@ -44,14 +52,16 @@ func (rr *RR) sendNext() {
 		return
 	}
 	rr.seq++
-	seq := rr.seq
-	rr.sentAt[seq] = rr.station.eng.Now()
+	now := rr.station.eng.Now()
+	rr.sentAt[rr.seq] = now
+	putSeq(rr.req, rr.seq, now)
 	rr.station.Send(ethernet.Frame{
 		Dst:       rr.target,
 		EtherType: ethernet.EtherTypePlain,
-		Payload:   seqPayload(seq, rr.station.eng.Now(), rr.size),
+		Payload:   rr.req,
 	}, nil)
-	rr.station.eng.After(rrTimeout, func() { rr.expire(seq) })
+	rr.timers.Push(rr.seq)
+	rr.station.eng.After(rrTimeout, rr.expireFn)
 }
 
 // expire abandons a presumably lost transaction and restarts the loop.
@@ -81,15 +91,39 @@ func (rr *RR) handleResponse(f ethernet.Frame) {
 // InstallRRServer makes a guest echo RR requests after serviceCost of
 // guest CPU (the netperf server loop).
 func InstallRRServer(g netServer, serviceCost sim.Time) {
+	s := &rrServer{g: g}
+	s.echoFn = s.echo
 	g.OnNetRx(func(f ethernet.Frame) {
-		g.Compute(serviceCost, func() {
-			g.SendNet(ethernet.Frame{
-				Dst:       f.Src,
-				EtherType: ethernet.EtherTypePlain,
-				Payload:   f.Payload,
-			})
+		// The frame is only lent to the handler: keep a copy of the
+		// request for the echo.
+		var buf []byte
+		if n := len(s.free); n > 0 {
+			buf, s.free = s.free[n-1], s.free[:n-1]
+		}
+		s.replies.Push(ethernet.Frame{
+			Dst:       f.Src,
+			EtherType: ethernet.EtherTypePlain,
+			Payload:   append(buf, f.Payload...),
 		})
+		g.Compute(serviceCost, s.echoFn)
 	})
+}
+
+// rrServer is one guest's netperf RR server loop. The guest's CPU completes
+// work in order, so replies wait FIFO for the prebound echoFn; their
+// payload buffers are recycled through free.
+type rrServer struct {
+	g       netServer
+	replies sim.FIFO[ethernet.Frame]
+	free    [][]byte
+	echoFn  func()
+}
+
+// echo sends the oldest reply (SendNet only borrows it).
+func (s *rrServer) echo() {
+	f := s.replies.Pop()
+	s.g.SendNet(f)
+	s.free = append(s.free, f.Payload[:0])
 }
 
 // Stream is the Netperf TCP stream benchmark (§5): the guest pushes a
@@ -108,8 +142,11 @@ type Stream struct {
 	inFlight int
 	seq      uint64
 	sentAt   map[uint64]sim.Time
-	acked    map[uint64]struct{}
-	stopped  bool
+	// outstanding holds the chunks sent and neither acked nor presumed lost
+	// (at most window of them). An ack for any other chunk is a duplicate,
+	// or late after the chunk's loss timer fired, and is ignored.
+	outstanding map[uint64]struct{}
+	stopped     bool
 
 	// Lost counts chunks presumed lost and recovered by timeout.
 	Lost uint64
@@ -123,8 +160,8 @@ func NewStream(guest netServer, station *Station, chunkSize int, perChunk sim.Ti
 	st := &Stream{
 		guest: guest, station: station, chunkSize: chunkSize,
 		perChunk: perChunk, window: window,
-		sentAt: make(map[uint64]sim.Time),
-		acked:  make(map[uint64]struct{}),
+		sentAt:      make(map[uint64]sim.Time),
+		outstanding: make(map[uint64]struct{}),
 	}
 	// The station acks every chunk (a tiny frame back to the guest).
 	station.Subscribe(guest.MAC(), func(f ethernet.Frame) {
@@ -155,10 +192,10 @@ func NewStream(guest netServer, station *Station, chunkSize int, perChunk sim.Ti
 		if !ok {
 			return
 		}
-		if _, live := st.acked[seq]; live {
-			return // duplicate ack after a timeout-based retransmission
+		if _, live := st.outstanding[seq]; !live {
+			return // duplicate ack, or late after the loss timer fired
 		}
-		st.acked[seq] = struct{}{}
+		delete(st.outstanding, seq)
 		st.inFlight--
 		st.pump()
 	})
@@ -183,6 +220,7 @@ func (st *Stream) pump() {
 		st.seq++
 		seq := st.seq
 		st.sentAt[seq] = st.station.eng.Now()
+		st.outstanding[seq] = struct{}{}
 		st.guest.Compute(st.perChunk, func() {
 			st.guest.SendNet(ethernet.Frame{
 				Dst:       st.station.MAC(),
@@ -197,14 +235,14 @@ func (st *Stream) pump() {
 // expire recovers the window when a chunk is presumed lost (e.g. dropped by
 // a full virtio TX ring under overload).
 func (st *Stream) expire(seq uint64) {
-	if _, done := st.acked[seq]; done {
+	if _, live := st.outstanding[seq]; !live {
 		return
 	}
 	if _, live := st.sentAt[seq]; !live {
 		return
 	}
 	delete(st.sentAt, seq)
-	st.acked[seq] = struct{}{}
+	delete(st.outstanding, seq)
 	st.Lost++
 	st.inFlight--
 	st.pump()

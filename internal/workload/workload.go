@@ -9,6 +9,7 @@ package workload
 import (
 	"encoding/binary"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
 	"vrio/internal/hypervisor"
@@ -30,6 +31,16 @@ type Station struct {
 	// subs demuxes received frames by source MAC, so one station can drive
 	// several server VMs (as the paper's generators do).
 	subs map[ethernet.MAC]func(f ethernet.Frame)
+
+	// Work waiting on the generator core, which completes it in order:
+	// interrupt batches (irqs, for rxFn) and frames to send with their
+	// continuations (txq and thens, for txFn). Queued frames hold their
+	// payloads in slabs of pool.
+	pool       *bufpool.Pool
+	irqs       nic.BatchQueue
+	txq        sim.FIFO[ethernet.Frame]
+	thens      sim.FIFO[func()]
+	rxFn, txFn func()
 }
 
 // NewStation builds a generator around its NIC VF (interrupt mode).
@@ -37,44 +48,61 @@ func NewStation(eng *sim.Engine, p *params.P, genCore *cpu.Core, vf *nic.VF) *St
 	s := &Station{
 		eng: eng, p: p, core: genCore, vf: vf, mac: vf.MAC(),
 		subs: make(map[ethernet.MAC]func(ethernet.Frame)),
+		pool: vf.Pool(),
 	}
+	s.rxFn = s.receive
+	s.txFn = s.transmit
 	vf.OnInterrupt(func(frames [][]byte) {
 		// Generator-side IRQ + stack handling.
-		genCore.Exec(cpu.NoOwner, cpu.KindIRQ, p.HostIRQCost, func() {
-			for _, raw := range frames {
-				f, err := ethernet.Decode(raw)
-				if err != nil {
-					continue
-				}
-				if fn := s.subs[f.Src]; fn != nil {
-					fn(f)
-				}
-			}
-		})
+		s.irqs.Push(frames)
+		genCore.Exec(cpu.NoOwner, cpu.KindIRQ, p.HostIRQCost, s.rxFn)
 	})
 	return s
+}
+
+// receive hands the oldest interrupt batch to the subscribers, releasing
+// each frame once its handler returns.
+func (s *Station) receive() {
+	for _, raw := range s.irqs.Pop() {
+		if f, err := ethernet.Decode(raw); err == nil {
+			if fn := s.subs[f.Src]; fn != nil {
+				fn(f)
+			}
+		}
+		s.pool.PutRaw(raw)
+	}
 }
 
 // MAC reports the station's address.
 func (s *Station) MAC() ethernet.MAC { return s.mac }
 
-// Subscribe routes frames from src to fn.
+// Subscribe routes frames from src to fn. fn borrows each frame for the
+// duration of the call; it copies what it keeps.
 func (s *Station) Subscribe(src ethernet.MAC, fn func(f ethernet.Frame)) {
 	s.subs[src] = fn
 }
 
 // Send transmits a frame after the generator's per-transaction service
-// time.
+// time, then runs then (optional). The frame is only borrowed for the
+// duration of the call.
 func (s *Station) Send(f ethernet.Frame, then func()) {
 	f.Src = s.mac
-	s.core.Exec(cpu.NoOwner, cpu.KindBusy, s.p.GenServiceCost, func() {
-		if err := s.vf.SendFrame(f); err != nil {
-			panic(err)
-		}
-		if then != nil {
-			then()
-		}
-	})
+	f.Payload = s.pool.Clone(f.Payload)
+	s.txq.Push(f)
+	s.thens.Push(then)
+	s.core.Exec(cpu.NoOwner, cpu.KindBusy, s.p.GenServiceCost, s.txFn)
+}
+
+// transmit sends the oldest queued frame.
+func (s *Station) transmit() {
+	f := s.txq.Pop()
+	if err := s.vf.SendFrame(f); err != nil {
+		panic(err)
+	}
+	s.pool.PutRaw(f.Payload)
+	if then := s.thens.Pop(); then != nil {
+		then()
+	}
 }
 
 // netServer is the interface both core.Guest and Station satisfy for
@@ -147,9 +175,14 @@ func seqPayload(seq uint64, now sim.Time, size int) []byte {
 		size = 16
 	}
 	b := make([]byte, size)
+	putSeq(b, seq, now)
+	return b
+}
+
+// putSeq writes seqPayload's sequence number and timestamp into b.
+func putSeq(b []byte, seq uint64, now sim.Time) {
 	binary.LittleEndian.PutUint64(b[0:], seq)
 	binary.LittleEndian.PutUint64(b[8:], uint64(now))
-	return b
 }
 
 func parseSeqPayload(b []byte) (seq uint64, sent sim.Time, ok bool) {

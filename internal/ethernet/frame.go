@@ -98,7 +98,7 @@ func (f *Frame) Encode(mtu int) ([]byte, error) {
 	if mtu > 0 && len(f.Payload) > mtu {
 		return nil, fmt.Errorf("%w: %d > %d", ErrOversize, len(f.Payload), mtu)
 	}
-	return f.EncodeTo(make([]byte, HeaderSize+len(f.Payload))), nil
+	return f.EncodeTo(make([]byte, f.Len())), nil
 }
 
 // EncodeTo serializes the frame into b, which must hold at least

@@ -55,8 +55,9 @@ func TestNetRRSteadyStateZeroAlloc(t *testing.T) {
 		t.Run(string(m), func(t *testing.T) {
 			tb, rrs := netRRTestbed(m)
 			before := netRROps(rrs)
-			// Each 100 µs advance carries dozens of transactions, so one
-			// allocation per packet or transaction shows as dozens per run.
+			// Each 100 µs advance carries some twenty transactions, so one
+			// allocation per packet or transaction shows as twenty or more
+			// per run.
 			// The average admits the rare, amortized growth of a queue or
 			// histogram to a new high-water mark.
 			allocs := testing.AllocsPerRun(100, func() {

@@ -42,7 +42,9 @@ bench:
 #   netwire:   frame seal+decode, a 4 KiB block roundtrip over loopback UDP.
 #   core:      the R=1 distributed-volume quorum write.
 #   cluster:   a netperf RR transaction on the net-rr rack, per I/O model
-#              (optimum, vrio, elvis, baseline), testbed end to end.
+#              (optimum, vrio, elvis, baseline), and a blk-rw block op on
+#              each block pipeline (vrio, vrio-volume, elvis, baseline),
+#              testbed end to end.
 # Every guard must stay at 0 allocs/op. The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
@@ -53,7 +55,7 @@ BENCH_GUARDS = \
 	./internal/link/      'TestSwitchForwardZeroAlloc'                  'BenchmarkSwitchForward' \
 	./internal/netwire/   'TestSealDecodeNoAlloc'                       . \
 	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum' \
-	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc'               'BenchmarkNetRRTransaction'
+	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp'
 
 bench-guards:
 	@set -- $(BENCH_GUARDS); while [ $$# -gt 0 ]; do \

@@ -260,18 +260,40 @@ func (d *Device) read(sector uint64, n int) ([]byte, error) {
 // each sector range has at most one outstanding request, queueing
 // conflicting requests until the outstanding one completes. This is what
 // makes blind retransmission of block requests safe.
+//
+// Requests travel in ops recycled through free with their completion bound
+// once, and ranges are checked against short slices rather than per-sector
+// sets, so scheduling does not allocate in steady state.
 type Scheduler struct {
 	backend    Backend
 	sectorSize int
-	// locked marks sectors with an outstanding request.
-	locked  map[uint64]bool
-	waiting []queued
-	// blocked is drain's scratch set of ranges held back by an earlier
-	// deferred request; kept across calls so draining never allocates.
-	blocked map[uint64]bool
+	// active holds the requests at the backend; their ranges are disjoint.
+	active []*schedOp
+	// waiting holds deferred requests in submission order.
+	waiting []*schedOp
+	// blocked is drain's scratch list of the ranges of requests still
+	// waiting, kept across calls so draining never allocates.
+	blocked []sectorRange
+	free    []*schedOp
 
 	// Deferred counts requests that had to wait for an overlapping range.
 	Deferred uint64
+}
+
+// sectorRange is the half-open sector range [lo, hi).
+type sectorRange struct{ lo, hi uint64 }
+
+// overlaps reports whether r and o share a sector.
+func (r sectorRange) overlaps(o sectorRange) bool { return r.lo < o.hi && o.lo < r.hi }
+
+// schedOp is one request inside the scheduler, from Submit until the
+// backend completes it.
+type schedOp struct {
+	s      *Scheduler
+	req    Request
+	done   func(Response)
+	r      sectorRange
+	doneFn func(Response) // complete, bound once
 }
 
 // NewScheduler wraps a backend. sectorSize must match the backing device's.
@@ -279,24 +301,26 @@ func NewScheduler(backend Backend, sectorSize int) *Scheduler {
 	if sectorSize <= 0 {
 		panic("blockdev: scheduler needs a positive sector size")
 	}
-	return &Scheduler{backend: backend, sectorSize: sectorSize, locked: make(map[uint64]bool)}
+	return &Scheduler{backend: backend, sectorSize: sectorSize}
 }
 
-func (s *Scheduler) span(req Request) (uint64, uint64) {
+// span is the sector range a request locks: a flush locks its sector, and
+// every other request at least one.
+func (s *Scheduler) span(req Request) sectorRange {
 	n := uint64(req.Sectors)
 	if req.Op == OpWrite || req.Op == OpVolWrite {
 		n = uint64((len(req.Data) + s.sectorSize - 1) / s.sectorSize)
 	}
 	if req.Op == OpFlush || n == 0 {
-		return req.Sector, 1
+		n = 1
 	}
-	return req.Sector, n
+	return sectorRange{req.Sector, req.Sector + n}
 }
 
-// conflict reports whether any sector of [sector, sector+n) is locked.
-func (s *Scheduler) conflict(sector, n uint64) bool {
-	for i := uint64(0); i < n; i++ {
-		if s.locked[sector+i] {
+// conflict reports whether r overlaps a request at the backend.
+func (s *Scheduler) conflict(r sectorRange) bool {
+	for _, o := range s.active {
+		if o.r.overlaps(r) {
 			return true
 		}
 	}
@@ -305,26 +329,50 @@ func (s *Scheduler) conflict(sector, n uint64) bool {
 
 // Submit dispatches or defers the request.
 func (s *Scheduler) Submit(req Request, done func(Response)) {
-	sector, n := s.span(req)
-	if s.conflict(sector, n) {
+	o := s.getOp()
+	o.req, o.done, o.r = req, done, s.span(req)
+	if s.conflict(o.r) {
 		s.Deferred++
-		s.waiting = append(s.waiting, queued{req, done})
+		s.waiting = append(s.waiting, o)
 		return
 	}
-	s.dispatch(req, done, sector, n)
+	s.dispatch(o)
 }
 
-func (s *Scheduler) dispatch(req Request, done func(Response), sector, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.locked[sector+i] = true
+func (s *Scheduler) getOp() *schedOp {
+	if n := len(s.free); n > 0 {
+		o := s.free[n-1]
+		s.free = s.free[:n-1]
+		return o
 	}
-	s.backend.Submit(req, func(resp Response) {
-		for i := uint64(0); i < n; i++ {
-			delete(s.locked, sector+i)
+	o := &schedOp{s: s}
+	o.doneFn = o.complete
+	return o
+}
+
+func (s *Scheduler) dispatch(o *schedOp) {
+	s.active = append(s.active, o)
+	s.backend.Submit(o.req, o.doneFn)
+}
+
+// complete unlocks o's range, dispatches what that unblocks, recycles o and
+// hands the response to o's submitter.
+func (o *schedOp) complete(resp Response) {
+	s := o.s
+	for i, a := range s.active {
+		if a == o {
+			last := len(s.active) - 1
+			s.active[i] = s.active[last]
+			s.active[last] = nil
+			s.active = s.active[:last]
+			break
 		}
-		s.drain()
-		done(resp)
-	})
+	}
+	done := o.done
+	*o = schedOp{s: s, doneFn: o.doneFn}
+	s.free = append(s.free, o)
+	s.drain()
+	done(resp)
 }
 
 // drain re-attempts deferred requests in order, preserving per-range FIFO.
@@ -332,39 +380,31 @@ func (s *Scheduler) drain() {
 	if len(s.waiting) == 0 {
 		return
 	}
-	if s.blocked == nil {
-		s.blocked = make(map[uint64]bool)
-	}
-	blockedRanges := s.blocked
-	for k := range blockedRanges {
-		delete(blockedRanges, k)
-	}
+	s.blocked = s.blocked[:0]
 	remaining := s.waiting[:0]
-	for _, q := range s.waiting {
-		sector, n := s.span(q.req)
+	for _, o := range s.waiting {
 		// Preserve ordering: if an earlier deferred request overlaps this
-		// range, this one must keep waiting even if the lock cleared.
+		// range, this one must keep waiting even if the range is free.
 		blockedByEarlier := false
-		for i := uint64(0); i < n; i++ {
-			if blockedRanges[sector+i] {
+		for _, b := range s.blocked {
+			if b.overlaps(o.r) {
 				blockedByEarlier = true
 				break
 			}
 		}
-		if !blockedByEarlier && !s.conflict(sector, n) {
-			s.dispatch(q.req, q.done, sector, n)
+		if !blockedByEarlier && !s.conflict(o.r) {
+			s.dispatch(o)
 			continue
 		}
-		for i := uint64(0); i < n; i++ {
-			blockedRanges[sector+i] = true
-		}
-		remaining = append(remaining, q)
+		s.blocked = append(s.blocked, o.r)
+		remaining = append(remaining, o)
 	}
+	clear(s.waiting[len(remaining):])
 	s.waiting = remaining
 }
 
-// Outstanding reports requests currently locked at the backend.
-func (s *Scheduler) Outstanding() int { return len(s.locked) }
+// Outstanding reports requests currently at the backend.
+func (s *Scheduler) Outstanding() int { return len(s.active) }
 
 // Waiting reports deferred requests.
 func (s *Scheduler) Waiting() int { return len(s.waiting) }

@@ -207,12 +207,10 @@ func TestVolOpsNeedReplicaState(t *testing.T) {
 
 func TestSchedulerSpansVolOps(t *testing.T) {
 	s := NewScheduler(nil, 512)
-	sector, n := s.span(Request{Op: OpVolWrite, Sector: 4, Data: make([]byte, 1024)})
-	if sector != 4 || n != 2 {
-		t.Fatalf("vol-write span = (%d,%d), want (4,2)", sector, n)
+	if r := s.span(Request{Op: OpVolWrite, Sector: 4, Data: make([]byte, 1024)}); r != (sectorRange{4, 6}) {
+		t.Fatalf("vol-write span = [%d,%d), want [4,6)", r.lo, r.hi)
 	}
-	sector, n = s.span(Request{Op: OpVolRead, Sector: 4, Sectors: 3})
-	if sector != 4 || n != 3 {
-		t.Fatalf("vol-read span = (%d,%d), want (4,3)", sector, n)
+	if r := s.span(Request{Op: OpVolRead, Sector: 4, Sectors: 3}); r != (sectorRange{4, 7}) {
+		t.Fatalf("vol-read span = [%d,%d), want [4,7)", r.lo, r.hi)
 	}
 }

@@ -30,6 +30,12 @@ type baselineGuest struct {
 	id   int
 	blkQ *blkQueue
 	blk  virtio.BlkServer
+	// The block kick's stages, bound once: the exit wakes the vhost thread
+	// (wakeFn), which charges the service cost on the I/O core (execFn) and
+	// then pops and serves one request (serveFn).
+	wakeFn, execFn, serveFn func()
+	// sites recycles the block requests' sites and the chains they own.
+	sites []*baselineBlk
 }
 
 // NewBaselineHost builds the host. ioCore is the shared core Linux uses for
@@ -51,10 +57,10 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		blkChain = interpose.NewChain()
 	}
 	bg := &baselineGuest{
-		g:  newGuest(hypervisor.NewVM(h.eng, h.p, id, core), mac, h.nic.Pool()),
+		g:  newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, h.nic.Pool()),
 		id: id,
 		// The vhost path copies block payloads both ways; its fixed service
-		// cost is charged in guestBlkSubmit.
+		// cost is charged by execFn.
 		blk: virtio.BlkServer{
 			Backend: blk, Chain: blkChain, Device: uint16(id),
 			Cost: virtio.BlkCost{PerByte: h.p.HostPerByte},
@@ -78,45 +84,58 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		bg.g.blkCPU = func(int) sim.Time {
 			return h.p.GuestNetStackCost + 2*h.p.ExitCost + h.p.GuestIRQCost
 		}
-		bg.g.blkSubmit = func(req []byte, sectors int, done func([]byte, error)) {
-			h.guestBlkSubmit(bg, req, 1+sectors*h.p.SectorSize, done)
+		// ring -> exit -> vhost wakeup -> backend -> device -> host IRQ ->
+		// injected completion -> reap.
+		bg.g.blkStackCost = func(int) sim.Time { return h.p.GuestNetStackCost }
+		bg.g.blkPost = func(op *blkOp) {
+			if !bg.blkQ.guestSubmit(op.req, op.respCap, op.replyFn) {
+				op.replyFn(nil, virtio.ErrRingFull)
+				return
+			}
+			bg.g.VM.Exit(bg.wakeFn)
 		}
-		bg.g.blkWrite, bg.g.blkRead = bg.g.ringWrite, bg.g.ringRead
+		bg.g.blkBadStatus = blockdev.ErrDeviceFailed
+		bg.wakeFn = func() { hypervisor.VhostWakeup(h.ioCore, h.p, bg.execFn) }
+		bg.execFn = func() { h.ioCore.Exec(bg.id, cpu.KindBusy, h.p.BlockServiceCost, bg.serveFn) }
+		bg.serveFn = func() {
+			b := h.getSite(bg)
+			if ok, err := bg.blkQ.ring.PopInto(&b.c); err != nil || !ok {
+				bg.sites = append(bg.sites, b)
+				return // already served by an earlier kick's drain
+			}
+			bg.blk.Serve(b, b.c.Out)
+		}
 	}
 	return bg.g
 }
 
-// --- block path ---
-
-// guestBlkSubmit: ring -> exit -> vhost wakeup -> backend -> device ->
-// host IRQ -> injected completion -> reap.
-func (h *BaselineHost) guestBlkSubmit(bg *baselineGuest, req []byte, respCap int, done func([]byte, error)) {
-	bg.g.VM.Compute(h.p.GuestNetStackCost, func() {
-		if !bg.blkQ.guestSubmit(req, respCap, done) {
-			done(nil, virtio.ErrRingFull)
-			return
-		}
-		bg.g.VM.Exit(func() {
-			hypervisor.VhostWakeup(h.ioCore, h.p, func() {
-				h.ioCore.Exec(bg.id, cpu.KindBusy, h.p.BlockServiceCost, func() {
-					c, ok := bg.blkQ.hostPop()
-					if !ok {
-						return // already served by an earlier kick's drain
-					}
-					bg.blk.Serve(&baselineBlk{h: h, bg: bg, c: c}, c.Out)
-				})
-			})
-		})
-	})
-}
-
 // baselineBlk is the baseline's virtio.BlkSite for one request: the shared
 // vhost core serves it, and the completion takes a host interrupt before it
-// is injected into the guest.
+// is injected into the guest. The site owns the chain its request was
+// popped into, and a copy of the reply, until the interrupt has completed
+// the chain, which recycles it.
 type baselineBlk struct {
-	h  *BaselineHost
-	bg *baselineGuest
-	c  virtio.Chain
+	h     *BaselineHost
+	bg    *baselineGuest
+	c     virtio.Chain
+	resp  []byte
+	irqFn func()
+}
+
+// getSite returns a recycled (or new) site for one of bg's requests.
+func (h *BaselineHost) getSite(bg *baselineGuest) *baselineBlk {
+	if n := len(bg.sites); n > 0 {
+		b := bg.sites[n-1]
+		bg.sites = bg.sites[:n-1]
+		return b
+	}
+	b := &baselineBlk{h: h, bg: bg}
+	b.irqFn = func() {
+		bg.blkQ.ring.Push(b.c, b.resp)
+		bg.sites = append(bg.sites, b)
+		bg.g.VM.GuestIRQInjected(h.ioCore, bg.blkQ.reapFn)
+	}
+	return b
 }
 
 // Charge implements virtio.BlkSite.
@@ -128,11 +147,9 @@ func (b *baselineBlk) Charge(cost sim.Time, fn func()) {
 func (b *baselineBlk) Completed() {}
 
 // Reply takes the device interrupt on the host, then completes the chain
-// and injects the completion.
+// and injects the completion. resp is only valid during the call, so the
+// site keeps a copy for the interrupt.
 func (b *baselineBlk) Reply(resp []byte) {
-	resp = append([]byte(nil), resp...) // resp is only valid during the call
-	hypervisor.HostIRQ(b.h.ioCore, b.h.p, &b.bg.g.VM.Counters, hypervisor.CounterHostIRQs, func() {
-		b.bg.blkQ.hostComplete(b.c, resp)
-		b.bg.g.VM.GuestIRQInjected(b.h.ioCore, b.bg.blkQ.reapFn)
-	})
+	b.resp = append(b.resp[:0], resp...)
+	hypervisor.HostIRQ(b.h.ioCore, b.h.p, &b.bg.g.VM.Counters, hypervisor.CounterHostIRQs, b.irqFn)
 }

@@ -19,11 +19,11 @@
 package core
 
 import (
-	"vrio/internal/blockdev"
 	"vrio/internal/bufpool"
 	"vrio/internal/ethernet"
 	"vrio/internal/guestos"
 	"vrio/internal/hypervisor"
+	"vrio/internal/params"
 	"vrio/internal/sim"
 	"vrio/internal/virtio"
 )
@@ -46,6 +46,7 @@ const (
 type Guest struct {
 	// VM carries the VCPU core and the Table 3 event counters.
 	VM *hypervisor.VM
+	p  *params.P
 	// Threads is the in-guest thread scheduler, used by Filebench-style
 	// multi-threaded workloads (nil for single-flow workloads).
 	Threads *guestos.VCPU
@@ -57,20 +58,18 @@ type Guest struct {
 	net *hostNet
 
 	// Model-wired hooks; set by the host implementations.
-	sendNet  func(f ethernet.Frame)
-	blkWrite func(sector uint64, data []byte, done func(error))
-	blkRead  func(sector uint64, sectors int, done func([]byte, error))
-	blkCPU   func(bytes int) sim.Time
-	// blkSubmit posts a block request on the guest's ring, reserving room
-	// for a reply of `sectors` sectors of data, and calls done with the
-	// reply. Models whose host serves the ring (Elvis, baseline) set it and
-	// use ringWrite/ringRead as blkWrite/blkRead.
-	blkSubmit func(req []byte, sectors int, done func([]byte, error))
-	// Multi-queue variants; set only by models that support per-queue block
-	// submission (the vRIO transport). When unset, WriteBlockQ/ReadBlockQ
-	// fall back to the single-queue hooks and the queue id is ignored.
-	blkWriteQ func(queue uint8, sector uint64, data []byte, done func(error))
-	blkReadQ  func(queue uint8, sector uint64, sectors int, done func([]byte, error))
+	sendNet func(f ethernet.Frame)
+	blkCPU  func(bytes int) sim.Time
+
+	// Block front end, set by models that attach a block device. A request
+	// first pays blkStackCost (of its payload bytes) on the VCPU; then
+	// blkPost posts op.req (on the guest's ring, or over the vRIO
+	// transport) with op.replyFn as its completion. A reply whose status is
+	// not BlkOK fails with blkBadStatus. blkFree recycles the ops.
+	blkPost      func(op *blkOp)
+	blkStackCost func(bytes int) sim.Time
+	blkBadStatus error
+	blkFree      []*blkOp
 
 	// onNetRx is the workload's receive handler.
 	onNetRx func(f ethernet.Frame)
@@ -96,8 +95,8 @@ func (g *Guest) MAC() ethernet.MAC { return g.netMAC }
 
 // newGuest builds the model-independent half of a guest: its VM and its
 // receive path, holding frames in slabs of pool.
-func newGuest(vm *hypervisor.VM, mac ethernet.MAC, pool *bufpool.Pool) *Guest {
-	g := &Guest{VM: vm, netMAC: mac, pool: pool}
+func newGuest(vm *hypervisor.VM, p *params.P, mac ethernet.MAC, pool *bufpool.Pool) *Guest {
+	g := &Guest{VM: vm, p: p, netMAC: mac, pool: pool}
 	g.rxFn = g.deliverNet
 	return g
 }
@@ -151,42 +150,37 @@ func (g *Guest) deliverNet() {
 // WriteBlock writes data at the given sector through the guest's
 // paravirtual block device.
 func (g *Guest) WriteBlock(sector uint64, data []byte, done func(error)) {
-	if g.blkWrite == nil {
-		panic("core: guest has no block device")
-	}
-	g.blkWrite(sector, data, done)
+	g.WriteBlockQ(0, sector, data, done)
 }
 
 // ReadBlock reads sectors through the guest's paravirtual block device.
 func (g *Guest) ReadBlock(sector uint64, sectors int, done func([]byte, error)) {
-	if g.blkRead == nil {
-		panic("core: guest has no block device")
-	}
-	g.blkRead(sector, sectors, done)
+	g.ReadBlockQ(0, sector, sectors, done)
 }
 
 // WriteBlockQ writes through submission queue `queue` of the guest's block
-// device. Models without multi-queue support ignore the queue id.
+// device. Models without multi-queue support ignore the queue id. data is
+// copied into the request before WriteBlockQ returns.
 func (g *Guest) WriteBlockQ(queue uint8, sector uint64, data []byte, done func(error)) {
-	if g.blkWriteQ != nil {
-		g.blkWriteQ(queue, sector, data, done)
-		return
-	}
-	g.WriteBlock(sector, data, done)
+	op := g.getBlkOp()
+	op.req = virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data}.Append(op.req[:0])
+	op.queue, op.respCap, op.wdone = queue, 1, done
+	g.VM.Compute(g.blkStackCost(len(data)), op.postFn)
 }
 
 // ReadBlockQ reads through submission queue `queue` of the guest's block
-// device. Models without multi-queue support ignore the queue id.
+// device. Models without multi-queue support ignore the queue id. The data
+// passed to done is only valid during the call.
 func (g *Guest) ReadBlockQ(queue uint8, sector uint64, sectors int, done func([]byte, error)) {
-	if g.blkReadQ != nil {
-		g.blkReadQ(queue, sector, sectors, done)
-		return
-	}
-	g.ReadBlock(sector, sectors, done)
+	op := g.getBlkOp()
+	bytes := sectors * g.p.SectorSize
+	op.req = virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors}.Append(op.req[:0])
+	op.queue, op.respCap, op.rdone = queue, 1+bytes, done
+	g.VM.Compute(g.blkStackCost(bytes), op.postFn)
 }
 
 // HasBlock reports whether a block device is attached.
-func (g *Guest) HasBlock() bool { return g.blkWrite != nil }
+func (g *Guest) HasBlock() bool { return g.blkPost != nil }
 
 // BlockCPUCost reports the guest-side CPU consumed per block operation of
 // the given size under this guest's I/O model (stack, kicks/exits,
@@ -207,28 +201,56 @@ func perByte(rate float64, n int) sim.Time {
 	return sim.Time(rate * float64(n))
 }
 
-// ringWrite is the block write front end over blkSubmit.
-func (g *Guest) ringWrite(sector uint64, data []byte, done func(error)) {
-	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data}.Append(nil)
-	g.blkSubmit(req, 0, func(resp []byte, err error) {
-		_, err = ringReply(resp, err)
-		done(err)
-	})
+// blkOp is one block request from the guest's front end, drawn from the
+// guest's free list with its callbacks bound once, so a request allocates
+// nothing. The op owns req, the encoded request, from submission until its
+// reply: a ring copies req into its descriptors when it is posted, but the
+// vRIO transport's chunks alias it until the transport's callback fires,
+// because a retransmission resends them. The op is recycled just before its
+// submitter's done runs.
+type blkOp struct {
+	g       *Guest
+	req     []byte
+	queue   uint8
+	respCap int // reply bytes a ring reserves: the status, then read data
+	wdone   func(error)
+	rdone   func([]byte, error)
+	// postFn runs g.blkPost(op) once the guest stack has paid; replyFn takes
+	// the raw reply (status byte, then data) and completes the request.
+	postFn  func()
+	replyFn func([]byte, error)
 }
 
-// ringRead is the block read front end over blkSubmit.
-func (g *Guest) ringRead(sector uint64, sectors int, done func([]byte, error)) {
-	req := virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors}.Append(nil)
-	g.blkSubmit(req, sectors, func(resp []byte, err error) { done(ringReply(resp, err)) })
+func (g *Guest) getBlkOp() *blkOp {
+	if g.blkPost == nil {
+		panic("core: guest has no block device")
+	}
+	if n := len(g.blkFree); n > 0 {
+		op := g.blkFree[n-1]
+		g.blkFree = g.blkFree[:n-1]
+		return op
+	}
+	op := &blkOp{g: g}
+	op.postFn = func() { g.blkPost(op) }
+	op.replyFn = op.reply
+	return op
 }
 
-// ringReply checks a ring reply's status byte and returns its data.
-func ringReply(resp []byte, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
+// reply recycles the op, then completes its request with resp, the raw
+// reply, which is only valid during the call.
+func (op *blkOp) reply(resp []byte, err error) {
+	g, wdone, rdone := op.g, op.wdone, op.rdone
+	op.wdone, op.rdone = nil, nil
+	g.blkFree = append(g.blkFree, op)
+	if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
+		err = g.blkBadStatus
 	}
-	if len(resp) < 1 || resp[0] != virtio.BlkOK {
-		return nil, blockdev.ErrDeviceFailed
+	switch {
+	case wdone != nil:
+		wdone(err)
+	case err != nil:
+		rdone(nil, err)
+	default:
+		rdone(resp[1:], nil)
 	}
-	return resp[1:], nil
 }

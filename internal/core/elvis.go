@@ -37,6 +37,8 @@ type elvisGuest struct {
 	g    *Guest
 	blkQ *blkQueue
 	blk  virtio.BlkServer
+	// sites recycles the block requests' sites and the chains they own.
+	sites []*elvisBlk
 	// side is the sidecore serving this guest (round-robin assignment,
 	// matching Elvis's static VM-to-sidecore mapping).
 	side int
@@ -78,7 +80,7 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 		blkChain = interpose.NewChain()
 	}
 	eg := &elvisGuest{
-		g: newGuest(hypervisor.NewVM(h.eng, h.p, id, core), mac, h.nic.Pool()),
+		g: newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, h.nic.Pool()),
 		// Elvis charges its block service in scan; the back end adds only
 		// interposition.
 		blk:  virtio.BlkServer{Backend: blk, Chain: blkChain, Device: uint16(id)},
@@ -100,22 +102,17 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 		eg.g.blkCPU = func(int) sim.Time {
 			return h.p.GuestNetStackCost + h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
-		eg.g.blkSubmit = func(req []byte, sectors int, done func([]byte, error)) {
-			h.guestBlkSubmit(eg, req, 1+sectors*h.p.SectorSize, done)
+		eg.g.blkStackCost = func(int) sim.Time { return h.p.GuestNetStackCost }
+		eg.g.blkPost = func(op *blkOp) {
+			if !eg.blkQ.guestSubmit(op.req, op.respCap, op.replyFn) {
+				op.replyFn(nil, virtio.ErrRingFull)
+				return
+			}
+			h.armScan(eg.side) // no exit
 		}
-		eg.g.blkWrite, eg.g.blkRead = eg.g.ringWrite, eg.g.ringRead
+		eg.g.blkBadStatus = blockdev.ErrDeviceFailed
 	}
 	return eg.g
-}
-
-func (h *ElvisHost) guestBlkSubmit(eg *elvisGuest, req []byte, respCap int, done func([]byte, error)) {
-	eg.g.VM.Compute(h.p.GuestNetStackCost, func() {
-		if !eg.blkQ.guestSubmit(req, respCap, done) {
-			done(nil, virtio.ErrRingFull)
-			return
-		}
-		h.armScan(eg.side) // no exit
-	})
 }
 
 // armScan wakes sidecore i's poll loop within one poll interval, if it is
@@ -145,13 +142,13 @@ func (h *ElvisHost) scan(i int) {
 		}
 		if eg.blkQ != nil {
 			for {
-				c, ok := eg.blkQ.hostPop()
-				if !ok {
+				b := h.getSite(eg)
+				if ok, err := eg.blkQ.ring.PopInto(&b.c); err != nil || !ok {
+					eg.sites = append(eg.sites, b)
 					break
 				}
 				found = true
-				call := &elvisBlk{h: h, eg: eg, c: c}
-				h.sidecores[i].Exec(cpu.NoOwner, cpu.KindBusy, h.p.SidecoreServiceCost+h.p.BlockServiceCost, call.serve)
+				h.sidecores[i].Exec(cpu.NoOwner, cpu.KindBusy, h.p.SidecoreServiceCost+h.p.BlockServiceCost, b.serveFn)
 			}
 		}
 	}
@@ -161,15 +158,26 @@ func (h *ElvisHost) scan(i int) {
 }
 
 // elvisBlk is Elvis's virtio.BlkSite for one request: the guest's sidecore
-// serves it and notifies the guest exitless.
+// serves it and notifies the guest exitless. The site owns the chain its
+// request was popped into until Reply, which recycles it.
 type elvisBlk struct {
-	h  *ElvisHost
-	eg *elvisGuest
-	c  virtio.Chain
+	h       *ElvisHost
+	eg      *elvisGuest
+	c       virtio.Chain
+	serveFn func() // runs the request through the guest's block back end
 }
 
-// serve runs the request through the guest's block back end.
-func (b *elvisBlk) serve() { b.eg.blk.Serve(b, b.c.Out) }
+// getSite returns a recycled (or new) site for one of eg's requests.
+func (h *ElvisHost) getSite(eg *elvisGuest) *elvisBlk {
+	if n := len(eg.sites); n > 0 {
+		b := eg.sites[n-1]
+		eg.sites = eg.sites[:n-1]
+		return b
+	}
+	b := &elvisBlk{h: h, eg: eg}
+	b.serveFn = func() { eg.blk.Serve(b, b.c.Out) }
+	return b
+}
 
 // Charge implements virtio.BlkSite.
 func (b *elvisBlk) Charge(cost sim.Time, fn func()) {
@@ -179,8 +187,11 @@ func (b *elvisBlk) Charge(cost sim.Time, fn func()) {
 // Completed implements virtio.BlkSite.
 func (b *elvisBlk) Completed() {}
 
-// Reply completes the chain and notifies the guest exitless.
+// Reply completes the chain, recycles the site and notifies the guest
+// exitless.
 func (b *elvisBlk) Reply(resp []byte) {
-	b.eg.blkQ.hostComplete(b.c, resp)
-	b.eg.g.VM.GuestIRQExitless(b.eg.blkQ.reapFn)
+	eg := b.eg
+	eg.blkQ.ring.Push(b.c, resp)
+	eg.sites = append(eg.sites, b)
+	eg.g.VM.GuestIRQExitless(eg.blkQ.reapFn)
 }

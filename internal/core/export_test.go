@@ -3,7 +3,8 @@ package core
 // SubmitRawBlk posts req as-is on the block ring of an Elvis or baseline
 // guest, reserving room for a reply of `sectors` sectors of data.
 func SubmitRawBlk(g *Guest, req []byte, sectors int, done func([]byte, error)) {
-	g.blkSubmit(req, sectors, done)
+	op := &blkOp{g: g, req: req, respCap: 1 + sectors*g.p.SectorSize, replyFn: done}
+	g.VM.Compute(g.blkStackCost(0), func() { g.blkPost(op) })
 }
 
 // SendRawNet posts raw as-is on the TX ring of an Elvis or baseline guest

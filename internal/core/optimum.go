@@ -32,7 +32,7 @@ func (h *OptimumHost) Name() string { return h.name }
 // ramdisk").
 func (h *OptimumHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC) *Guest {
 	vf := h.nic.AddVF(mac, nic.ModeInterrupt)
-	g := newGuest(hypervisor.NewVM(h.eng, h.p, id, core), mac, vf.Pool())
+	g := newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, vf.Pool())
 
 	// TX-completion interrupt, delivered exitless — the second guest
 	// interrupt of Table 3.

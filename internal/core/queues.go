@@ -170,23 +170,6 @@ func (q *blkQueue) guestSubmit(req []byte, respCap int, done func([]byte, error)
 	return true
 }
 
-// hostPop takes the next request (host side). It deliberately uses the
-// allocating Pop: block chains are retained across asynchronous backend
-// completions, so a reusable scratch chain would be clobbered while still
-// referenced.
-func (q *blkQueue) hostPop() (virtio.Chain, bool) {
-	c, ok, err := q.ring.Pop()
-	if err != nil {
-		return virtio.Chain{}, false
-	}
-	return c, ok
-}
-
-// hostComplete pushes the response for a chain.
-func (q *blkQueue) hostComplete(c virtio.Chain, resp []byte) {
-	q.ring.Push(c, resp)
-}
-
 // guestReap collects completed requests and hands each response to its
 // submitter; the response is valid only during that call.
 func (q *blkQueue) guestReap() {

@@ -139,7 +139,7 @@ type VMConfig struct {
 func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 	vf := h.chNIC.AddVF(cfg.TransportMAC, nic.ModeInterrupt)
 	c := &VRIOClient{
-		Guest: newGuest(hypervisor.NewVM(h.eng, h.p, cfg.ID, cfg.Core), cfg.NetMAC, vf.Pool()),
+		Guest: newGuest(hypervisor.NewVM(h.eng, h.p, cfg.ID, cfg.Core), h.p, cfg.NetMAC, vf.Pool()),
 		host:  h,
 		bare:  cfg.Bare,
 		netID: uint16(2 * cfg.ID),
@@ -199,46 +199,17 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 				perByte(h.p.EncapPerByte, bytes) +
 				h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		}
-		writeQ := func(queue uint8, sector uint64, data []byte, done func(error)) {
-			req := virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data}.Append(nil)
-			cost := h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, len(data))
-			c.Guest.VM.Compute(cost, func() {
-				c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, queue, req, func(resp []byte, err error) {
-					if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
-						err = virtio.ErrBadChain
-					}
-					done(err)
-				})
-			})
+		// Before a request leaves, the guest pays its stack and the
+		// transport's encapsulation; a read's response data pays
+		// decapsulation per byte, charged with the request for simplicity
+		// (same VCPU either way).
+		g.blkStackCost = func(bytes int) sim.Time {
+			return h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, bytes)
 		}
-		readQ := func(queue uint8, sector uint64, sectors int, done func([]byte, error)) {
-			req := virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors}.Append(nil)
-			// The response data pays decapsulation per byte, charged with
-			// the request for simplicity (same VCPU either way).
-			cost := h.p.GuestNetStackCost + h.p.EncapCost +
-				perByte(h.p.EncapPerByte, sectors*h.p.SectorSize)
-			c.Guest.VM.Compute(cost, func() {
-				c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, queue, req, func(resp []byte, err error) {
-					if err != nil {
-						done(nil, err)
-						return
-					}
-					if len(resp) < 1 || resp[0] != virtio.BlkOK {
-						done(nil, virtio.ErrBadChain)
-						return
-					}
-					done(resp[1:], nil)
-				})
-			})
+		g.blkPost = func(op *blkOp) {
+			c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, op.queue, op.req, op.replyFn)
 		}
-		c.Guest.blkWriteQ = writeQ
-		c.Guest.blkReadQ = readQ
-		c.Guest.blkWrite = func(sector uint64, data []byte, done func(error)) {
-			writeQ(0, sector, data, done)
-		}
-		c.Guest.blkRead = func(sector uint64, sectors int, done func([]byte, error)) {
-			readQ(0, sector, sectors, done)
-		}
+		g.blkBadStatus = virtio.ErrBadChain
 	}
 	return c
 }

@@ -63,9 +63,13 @@ type Core struct {
 
 	csCost sim.Time
 
-	// queue is a head-indexed FIFO: qHead is the consumed prefix and the
-	// backing array is reused once drained, so steady-state execution does
-	// not allocate. cur/finish replace the per-item completion closure: only
+	// queue is a head-indexed FIFO: qHead is the consumed prefix. It is
+	// sim.FIFO's algorithm written out for work: the slice is reset when it
+	// drains, and a push into a full slice first slides the live items
+	// down, so the queue of a core that never idles stays bounded and
+	// steady-state execution does not allocate. (The generic sim.FIFO costs
+	// a few ns more per item, and cores run every work item of the
+	// simulation.) cur/finish replace the per-item completion closure: only
 	// one item runs at a time, so the prebound finish callback reads cur.
 	queue   []work
 	qHead   int
@@ -130,6 +134,12 @@ func (c *Core) Exec(owner int, kind Kind, d sim.Time, fn func()) {
 	}
 	if c.running {
 		c.Waited++
+	}
+	if len(c.queue) == cap(c.queue) && c.qHead > 0 {
+		n := copy(c.queue, c.queue[c.qHead:])
+		clear(c.queue[n:]) // drop references for the collector
+		c.queue = c.queue[:n]
+		c.qHead = 0
 	}
 	c.queue = append(c.queue, work{d: d, kind: kind, owner: owner, enq: c.eng.Now(), fn: fn})
 	if !c.running {

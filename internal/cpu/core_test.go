@@ -217,3 +217,32 @@ func TestCoreEnergyAccounting(t *testing.T) {
 		t.Errorf("halted energy = %v, want %v", got, want)
 	}
 }
+
+// TestCoreSaturatedQueueZeroAlloc holds a core busy without a break: every
+// completion queues one more item, so the run queue stays three or four
+// deep and never drains. Once warm, 100k further items must not allocate; a
+// queue whose slice is reset only on draining grows for as long as the core
+// stays busy.
+func TestCoreSaturatedQueueZeroAlloc(t *testing.T) {
+	const depth, items, d = 4, 100_000, 10
+	e := sim.NewEngine()
+	c := New(e, "c0", 0)
+	var fn func()
+	fn = func() { c.Exec(NoOwner, KindBusy, d, fn) }
+	for i := 0; i < depth; i++ {
+		c.Exec(NoOwner, KindBusy, d, fn)
+	}
+	run := func() { e.RunUntil(e.Now() + items*d) }
+	run()
+	// AllocsPerRun divides by the run count, so one run of 100k items
+	// reports every allocation among them.
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Errorf("%v allocs over %d items on a saturated core, want 0", allocs, items)
+	}
+	if c.QueueLen() > depth || !c.Busy() {
+		t.Errorf("queue length %d, busy %v: the core must stay saturated", c.QueueLen(), c.Busy())
+	}
+	if c.Executed < 3*items {
+		t.Errorf("executed %d items, want at least %d", c.Executed, 3*items)
+	}
+}

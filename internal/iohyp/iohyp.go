@@ -153,9 +153,11 @@ type IOHypervisor struct {
 
 	// bp is the IOhost-side buffer pool (normally the first channel NIC's,
 	// so wire buffers circulate IOhost-wide); steerFree recycles steered
-	// work items so the steady-state ingress path does not allocate.
+	// work items so the steady-state ingress path does not allocate;
+	// callFree recycles block requests' sites likewise.
 	bp        *bufpool.Pool
 	steerFree []*steerItem
+	callFree  []*blkCall
 
 	// txBatch/txPend implement TX-interrupt coalescing: while a steered work
 	// item runs, txInterrupt calls are latched and at most one interrupt
@@ -1092,7 +1094,8 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 		req.Release()
 		return
 	}
-	c := &blkCall{h: h, dev: dev, src: src, hdr: hdr, q: dev.blkQueue(hdr.OrigID)}
+	c := h.getCall()
+	c.dev, c.src, c.hdr, c.q = dev, src, hdr, dev.blkQueue(hdr.OrigID)
 	op, ok := dev.srv.Serve(c, req.B)
 	if !ok {
 		req.Release()
@@ -1116,7 +1119,8 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 }
 
 // blkCall is the IOhost's BlkSite for one request: it charges the IOhost
-// workers and answers over the transport.
+// workers and answers over the transport. Calls are recycled through
+// callFree once Reply, the request's last hook, has answered.
 type blkCall struct {
 	h   *IOHypervisor
 	dev *blkDevice
@@ -1151,8 +1155,22 @@ func (c *blkCall) Completed() {
 	}
 }
 
-// Reply implements virtio.BlkSite.
-func (c *blkCall) Reply(resp []byte) { c.h.respondBlk(c.src, c.hdr, resp) }
+// Reply answers the request and recycles the call.
+func (c *blkCall) Reply(resp []byte) {
+	h := c.h
+	h.respondBlk(c.src, c.hdr, resp)
+	*c = blkCall{h: h}
+	h.callFree = append(h.callFree, c)
+}
+
+func (h *IOHypervisor) getCall() *blkCall {
+	if n := len(h.callFree); n > 0 {
+		c := h.callFree[n-1]
+		h.callFree = h.callFree[:n-1]
+		return c
+	}
+	return &blkCall{h: h}
+}
 
 func (h *IOHypervisor) respondBlk(src ethernet.MAC, hdr transport.Header, resp []byte) {
 	if h.failed {

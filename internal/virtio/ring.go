@@ -39,7 +39,7 @@ var (
 
 // Ring is one virtqueue. The driver side (guest) posts buffers with Add and
 // reaps completions with Reap; the device side (host/sidecore/IOhost) polls
-// with Pop and completes with Push. A Ring is not safe for concurrent use;
+// with PopInto and completes with Push. A Ring is not safe for concurrent use;
 // the simulation is single-threaded by design.
 type Ring struct {
 	qsize   int
@@ -379,22 +379,12 @@ func (c *Chain) InCapacity() int {
 	return total
 }
 
-// Pop takes the next available chain, or ok=false when the ring is empty —
-// this is exactly what a sidecore's poll loop checks. Each call allocates a
-// fresh chain; hot loops that Push immediately use PopInto with a reused
-// scratch chain instead. (A chain held across an asynchronous completion —
-// e.g. a block request awaiting its backend — must NOT be a reused scratch
-// chain.)
-func (r *Ring) Pop() (Chain, bool, error) {
-	var c Chain
-	ok, err := r.PopInto(&c)
-	return c, ok, err
-}
-
 // PopInto fills c with the next available chain, reusing c's slice
-// capacity, and reports whether one was available. The chain's Out bytes
-// are copied out of the descriptor slots, so they remain valid until c is
-// reused.
+// capacity, and reports whether one was available (false when the ring is
+// empty — exactly what a sidecore's poll loop checks). The chain's Out
+// bytes are copied out of the descriptor slots, so they remain valid until
+// c is reused: a device that holds a request across an asynchronous
+// completion pops it into a chain that request owns.
 func (r *Ring) PopInto(c *Chain) (bool, error) {
 	if r.lastAvailIdx == r.availIdx() {
 		return false, nil
@@ -426,7 +416,7 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 	return true, nil
 }
 
-// HasAvail reports whether a Pop would find work (the poll predicate).
+// HasAvail reports whether a PopInto would find work (the poll predicate).
 func (r *Ring) HasAvail() bool { return r.lastAvailIdx != r.availIdx() }
 
 // Push completes a chain, writing data into its device-writable descriptors

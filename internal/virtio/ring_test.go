@@ -43,9 +43,10 @@ func TestRingEchoSingleSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, ok, err := r.Pop()
+	var c Chain
+	ok, err := r.PopInto(&c)
 	if err != nil || !ok {
-		t.Fatalf("Pop: ok=%v err=%v", ok, err)
+		t.Fatalf("PopInto: ok=%v err=%v", ok, err)
 	}
 	if c.Head != head {
 		t.Errorf("chain head %d, want %d", c.Head, head)
@@ -88,9 +89,10 @@ func TestRingMultiSegmentChain(t *testing.T) {
 	if free := r.FreeDescriptors(); free != 64-7 {
 		t.Errorf("free = %d, want %d", free, 64-7)
 	}
-	c, ok, err := r.Pop()
+	var c Chain
+	ok, err := r.PopInto(&c)
 	if err != nil || !ok {
-		t.Fatalf("Pop: %v %v", ok, err)
+		t.Fatalf("PopInto: %v %v", ok, err)
 	}
 	if !bytes.Equal(c.Out, msg) {
 		t.Errorf("multi-segment out data corrupted (len %d vs %d)", len(c.Out), len(msg))
@@ -111,7 +113,8 @@ func TestRingPushTruncatesToCapacity(t *testing.T) {
 	if _, err := r.Add([]byte("req"), 10); err != nil {
 		t.Fatal(err)
 	}
-	c, _, _ := r.Pop()
+	var c Chain
+	r.PopInto(&c)
 	n := r.Push(c, bytes.Repeat([]byte{1}, 100))
 	if n != 10 {
 		t.Errorf("Push wrote %d, want truncation to 10", n)
@@ -128,7 +131,8 @@ func TestRingOutOnlyAndInOnly(t *testing.T) {
 	if _, err := r.Add([]byte("tx"), 0); err != nil {
 		t.Fatal(err)
 	}
-	c, _, _ := r.Pop()
+	var c Chain
+	r.PopInto(&c)
 	if c.InCapacity() != 0 || string(c.Out) != "tx" {
 		t.Error("out-only chain wrong")
 	}
@@ -139,11 +143,11 @@ func TestRingOutOnlyAndInOnly(t *testing.T) {
 	if _, err := r.Add(nil, 100); err != nil {
 		t.Fatal(err)
 	}
-	c2, _, _ := r.Pop()
-	if c2.InCapacity() != 100 || len(c2.Out) != 0 {
+	r.PopInto(&c)
+	if c.InCapacity() != 100 || len(c.Out) != 0 {
 		t.Error("in-only chain wrong")
 	}
-	r.Push(c2, []byte("rx data"))
+	r.Push(c, []byte("rx data"))
 	comps := r.Reap(0)
 	if string(comps[0].In) != "rx data" {
 		t.Errorf("rx data = %q", comps[0].In)
@@ -168,11 +172,44 @@ func TestRingFullBehaviour(t *testing.T) {
 		t.Errorf("err = %v, want ErrRingFull", err)
 	}
 	// Device drains one; driver can post again.
-	c, _, _ := r.Pop()
+	var c Chain
+	r.PopInto(&c)
 	r.Push(c, nil)
 	r.Reap(0)
 	if _, err := r.Add([]byte{9}, 0); err != nil {
 		t.Errorf("Add after drain: %v", err)
+	}
+}
+
+// A device that holds requests across asynchronous completions pops each
+// into a chain of its own; held chains stay intact while later pops fill
+// others, and complete in any order.
+func TestRingHeldChainsAreIndependent(t *testing.T) {
+	r := mustRing(t, 16, 64)
+	var held [3]Chain
+	for i := range held {
+		if _, err := r.Add(bytes.Repeat([]byte{byte(i + 1)}, 100), 4); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := r.PopInto(&held[i]); !ok || err != nil {
+			t.Fatalf("PopInto %d: %v %v", i, ok, err)
+		}
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		if !bytes.Equal(held[i].Out, bytes.Repeat([]byte{byte(i + 1)}, 100)) {
+			t.Fatalf("held chain %d clobbered", i)
+		}
+		r.Push(held[i], []byte{byte(i + 1)})
+	}
+	comps := r.Reap(0)
+	for k, comp := range comps {
+		i := len(held) - 1 - k
+		if comp.Head != held[i].Head || !bytes.Equal(comp.In, []byte{byte(i + 1)}) {
+			t.Fatalf("completion %d: head %d reply %v, want head %d reply [%d]", k, comp.Head, comp.In, held[i].Head, i+1)
+		}
+	}
+	if r.FreeDescriptors() != 16 {
+		t.Errorf("descriptors leaked: %d free, want 16", r.FreeDescriptors())
 	}
 }
 
@@ -185,8 +222,9 @@ func TestRingTooLargeRejected(t *testing.T) {
 
 func TestRingPopEmptyRing(t *testing.T) {
 	r := mustRing(t, 16, 64)
-	if _, ok, err := r.Pop(); ok || err != nil {
-		t.Errorf("Pop on empty: ok=%v err=%v", ok, err)
+	var c Chain
+	if ok, err := r.PopInto(&c); ok || err != nil {
+		t.Errorf("PopInto on empty: ok=%v err=%v", ok, err)
 	}
 	if r.HasAvail() {
 		t.Error("HasAvail on empty ring")
@@ -204,10 +242,11 @@ func TestRingOrderPreserved(t *testing.T) {
 		}
 		heads[i] = h
 	}
+	var c Chain // one chain, reused: each is pushed before the next pop
 	for i := 0; i < n; i++ {
-		c, ok, err := r.Pop()
+		ok, err := r.PopInto(&c)
 		if !ok || err != nil {
-			t.Fatalf("Pop %d: %v %v", i, ok, err)
+			t.Fatalf("PopInto %d: %v %v", i, ok, err)
 		}
 		if c.Head != heads[i] {
 			t.Fatalf("Pop %d returned head %d, want %d (FIFO violated)", i, c.Head, heads[i])
@@ -232,8 +271,9 @@ func TestRingReapMax(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var c Chain
 	for i := 0; i < 5; i++ {
-		c, _, _ := r.Pop()
+		r.PopInto(&c)
 		r.Push(c, nil)
 	}
 	if got := len(r.Reap(2)); got != 2 {
@@ -248,14 +288,15 @@ func TestRingIndexWraparound(t *testing.T) {
 	r := mustRing(t, 4, 64)
 	// Push enough traffic through to wrap the 16-bit indices many times
 	// relative to qsize and ensure nothing corrupts.
+	var c Chain
 	for i := 0; i < 10000; i++ {
 		msg := []byte{byte(i), byte(i >> 8)}
 		if _, err := r.Add(msg, 8); err != nil {
 			t.Fatal(err)
 		}
-		c, ok, err := r.Pop()
+		ok, err := r.PopInto(&c)
 		if !ok || err != nil {
-			t.Fatalf("iter %d: Pop %v %v", i, ok, err)
+			t.Fatalf("iter %d: PopInto %v %v", i, ok, err)
 		}
 		if !bytes.Equal(c.Out, msg) {
 			t.Fatalf("iter %d: corrupt request", i)
@@ -278,7 +319,8 @@ func TestRingInFlight(t *testing.T) {
 	if r.InFlight() != 2 {
 		t.Errorf("InFlight = %d, want 2", r.InFlight())
 	}
-	c, _, _ := r.Pop()
+	var c Chain
+	r.PopInto(&c)
 	r.Push(c, nil)
 	r.Reap(0)
 	if r.InFlight() != 1 {
@@ -310,6 +352,7 @@ func TestRingReapUnknownHeadPanics(t *testing.T) {
 // never leaks descriptors.
 func TestRingEchoProperty(t *testing.T) {
 	r := mustRing(t, 256, 128)
+	var c Chain
 	f := func(payload []byte, inLen uint16) bool {
 		in := int(inLen % 2048)
 		if len(payload) == 0 && in == 0 {
@@ -323,8 +366,7 @@ func TestRingEchoProperty(t *testing.T) {
 			// Full is acceptable only if the request genuinely didn't fit.
 			return err == ErrRingFull || err == ErrTooLarge
 		}
-		c, ok, err := r.Pop()
-		if !ok || err != nil {
+		if ok, err := r.PopInto(&c); !ok || err != nil {
 			return false
 		}
 		if !bytes.Equal(c.Out, payload) {
@@ -361,11 +403,12 @@ func TestRingPollLoopSimulation(t *testing.T) {
 		})
 	}
 	// Sidecore polls every 3ns.
+	var c Chain
 	stop := e.Ticker(3, func() {
 		for r.HasAvail() {
-			c, ok, err := r.Pop()
+			ok, err := r.PopInto(&c)
 			if !ok || err != nil {
-				t.Fatalf("Pop: %v %v", ok, err)
+				t.Fatalf("PopInto: %v %v", ok, err)
 			}
 			r.Push(c, []byte("ok"))
 			served++

@@ -27,9 +27,9 @@ func TestRingTraceSpans(t *testing.T) {
 		t.Fatalf("spans after Add = %d, want 1", got)
 	}
 	e.At(500, func() {
-		c, ok, err := r.Pop()
-		if err != nil || !ok {
-			t.Fatalf("Pop = %v, %v", ok, err)
+		var c Chain
+		if ok, err := r.PopInto(&c); err != nil || !ok {
+			t.Fatalf("PopInto = %v, %v", ok, err)
 		}
 		r.Push(c, nil)
 	})
@@ -62,9 +62,9 @@ func TestRingNilTracerUntouched(t *testing.T) {
 	if _, err := r.Add([]byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
-	c, ok, _ := r.Pop()
-	if !ok {
-		t.Fatal("Pop found nothing")
+	var c Chain
+	if ok, _ := r.PopInto(&c); !ok {
+		t.Fatal("PopInto found nothing")
 	}
 	r.Push(c, nil)
 	if got := r.Reap(0); len(got) != 1 {

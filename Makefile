@@ -41,6 +41,9 @@ bench:
 #   link:      a frame through the switch.
 #   netwire:   frame seal+decode, a 4 KiB block roundtrip over loopback UDP.
 #   core:      the R=1 distributed-volume quorum write.
+#   iohyp:     IOhost dispatch: a net-tx message forwarded to the uplink, an
+#              uplink frame delivered to a client, an MQ block read served
+#              and answered.
 #   cluster:   a netperf RR transaction on the net-rr rack, per I/O model
 #              (optimum, vrio, elvis, baseline), and a blk-rw block op on
 #              each block pipeline (vrio, vrio-volume, elvis, baseline),
@@ -55,6 +58,7 @@ BENCH_GUARDS = \
 	./internal/link/      'TestSwitchForwardZeroAlloc'                  'BenchmarkSwitchForward' \
 	./internal/netwire/   'TestSealDecodeNoAlloc'                       . \
 	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum' \
+	./internal/iohyp/     'TestIOhostDispatchZeroAlloc'                 'BenchmarkIOhostDispatch' \
 	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp'
 
 bench-guards:
@@ -106,7 +110,7 @@ loadgen-smoke:
 	./scripts/loadgen_smoke.sh
 
 # The multi-queue submission path under the race detector: queue-tagged
-# transport ids, per-queue in-flight tables and pinned workers in iohyp, the
+# transport ids, per-queue depths and pinned workers in iohyp, the
 # range-conflict scheduler, and the mqscaling cells (which run concurrently
 # under -parallel).
 race-mq:

@@ -39,15 +39,70 @@ const (
 	ModeInterrupt
 )
 
-// devKey identifies a front-end device: the client's transport MAC plus the
-// device id. For multi-queue block devices the submission queue joins the
-// key, so each queue pair carries its own steering state; single-queue
-// devices (and the registration maps, which are per-device) keep q at 0 and
-// behave exactly as before.
-type devKey struct {
-	client ethernet.MAC
-	id     uint16
-	q      uint8
+// client is a registered IOclient, resolved once per message from its
+// transport MAC: the channel port its VMhost is cabled to, and its devices,
+// each kind in registration order. Each device id is registered once per
+// client (the front ends number net and block devices apart), and a client
+// has a device or two, so finding one by id is a short scan.
+type client struct {
+	mac  ethernet.MAC
+	port *nic.MessagePort
+	net  []*netDevice
+	blk  []*blkDevice
+}
+
+// netDev finds the client's net device id (nil for a nil client).
+func (c *client) netDev(id uint16) *netDevice {
+	if c == nil {
+		return nil
+	}
+	for _, d := range c.net {
+		if d.id == id {
+			return d
+		}
+	}
+	return nil
+}
+
+// blkDev finds the client's block device id (nil for a nil client).
+func (c *client) blkDev(id uint16) *blkDevice {
+	if c == nil {
+		return nil
+	}
+	for _, d := range c.blk {
+		if d.id == id {
+			return d
+		}
+	}
+	return nil
+}
+
+// steering resolves the steering state of a message for device id: the
+// device's own, or for a request to a multi-queue block device its queue's,
+// along with the worker that queue is pinned to. Nil when the client has no
+// such device.
+func (c *client) steering(id uint16, blkReq bool, origID uint64) (st *steerState, q int, pinned *Worker) {
+	if d := c.netDev(id); d != nil {
+		return &d.steer, 0, nil
+	}
+	d := c.blkDev(id)
+	if d == nil {
+		return nil, 0, nil
+	}
+	if blkReq && d.qworker != nil {
+		q = d.blkQueue(origID)
+		pinned = d.qworker[q]
+	}
+	return &d.steer[q], q, pinned
+}
+
+// steerState is §4.1's ordering state for one device, or for one queue of a
+// multi-queue block device: the worker that owns it while pending steered
+// items are queued. A pinned queue counts its items but never takes an
+// owner.
+type steerState struct {
+	owner   *Worker
+	pending int
 }
 
 // netDevice is a registered paravirtual net front-end. Its back end serves
@@ -56,11 +111,13 @@ type devKey struct {
 // and in for frames from the uplink.
 type netDevice struct {
 	h     *IOHypervisor
-	key   devKey
+	c     *client
+	id    uint16
 	fMAC  ethernet.MAC // the front-end's outward-facing MAC (§4.6: "F")
 	srv   virtio.NetServer
 	local netLocal
 	in    netIn
+	steer steerState
 	// keepSrc marks the stand-in for an unregistered sender, whose frames
 	// leave with their own source address.
 	keepSrc bool
@@ -69,24 +126,21 @@ type netDevice struct {
 // blkDevice is a registered paravirtual block front-end. A multi-queue
 // device (queues > 1) gets NVMe-style queue-pair passthrough: each
 // submission queue is pinned at registration time to one worker (qworker),
-// its requests never migrate workers mid-flight, and a per-queue in-flight
-// table replaces the old single completion slot so any number of requests
+// its requests never migrate workers mid-flight, and any number of requests
 // per queue can be outstanding at the backend.
 type blkDevice struct {
-	key devKey
+	id  uint16
 	srv virtio.BlkServer
 
 	queues int
 	// qworker pins each queue to a worker; nil for single-queue devices,
 	// which keep the legacy least-loaded/device-owner steering.
 	qworker []*Worker
-	// inflight counts outstanding backend executions per queue by OrigID.
-	// Values are counts, not booleans: a retransmitted request can be at
-	// the backend twice under the same OrigID.
-	inflight []map[uint64]int
-	// qdepth is the per-queue total of in-flight executions (the gauge the
-	// metrics registry reads without walking the maps).
+	// qdepth counts each queue's in-flight backend executions (a
+	// retransmitted request can be at the backend twice).
 	qdepth []int
+	// steer holds each queue's steering state.
+	steer []steerState
 }
 
 // blkQueue resolves the submission queue of a block id on this device,
@@ -103,22 +157,6 @@ func (d *blkDevice) blkQueue(origID uint64) int {
 	return q
 }
 
-// track records one backend execution entering queue q.
-func (d *blkDevice) track(q int, origID uint64) {
-	d.qdepth[q]++
-	d.inflight[q][origID]++
-}
-
-// untrack records one backend execution completing on queue q.
-func (d *blkDevice) untrack(q int, origID uint64) {
-	d.qdepth[q]--
-	if n := d.inflight[q][origID]; n <= 1 {
-		delete(d.inflight[q], origID)
-	} else {
-		d.inflight[q][origID] = n - 1
-	}
-}
-
 // IOHypervisor is the remote half of the split hypervisor.
 type IOHypervisor struct {
 	eng  *sim.Engine
@@ -130,26 +168,30 @@ type IOHypervisor struct {
 
 	// Channel plumbing: one MessagePort per channel NIC; clients are
 	// routed to the port their VMhost is cabled to.
-	ports      []*nic.MessagePort
-	clientPort map[ethernet.MAC]*nic.MessagePort
-	endpoint   *transport.Endpoint
+	ports    []*nic.MessagePort
+	endpoint *transport.Endpoint
 
 	// Uplink is the NIC VF facing the rack switch for external traffic;
 	// nil when all traffic is client-to-client.
 	uplink *nic.VF
 
-	netDevs map[devKey]*netDevice
-	blkDevs map[devKey]*blkDevice
-	fib     map[ethernet.MAC]*netDevice // F MAC -> device, for local delivery
-	// fibOrder lists fib's addresses in registration order, the order
-	// AnnounceAddresses announces them in.
-	fibOrder  []ethernet.MAC
+	// clients maps transport MACs (MAC.Key) to client records; order lists
+	// the records in registration order, the order AnnounceAddresses
+	// announces their F addresses in.
+	clients map[uint64]*client
+	order   []*client
+	// cur is the client last served: the sender of the steered message
+	// running now, or the destination of the response being sent. The
+	// transport handlers take the sender's devices from it and
+	// routerPort.Send its channel port, so neither looks the client up.
+	cur       *client
+	fib       map[uint64]*netDevice // F MAC (MAC.Key) -> device, for local delivery
 	defaultCh *interpose.Chain
 
-	// Steering state (§4.1's ordering policy).
-	devOwner   map[devKey]*Worker
-	devPending map[devKey]int
-	rrIdx      int
+	// unknown is the steering state every device no client registered
+	// shares, so their messages too keep their order.
+	unknown steerState
+	rrIdx   int
 
 	// bp is the IOhost-side buffer pool (normally the first channel NIC's,
 	// so wire buffers circulate IOhost-wide); steerFree recycles steered
@@ -217,18 +259,14 @@ func New(eng *sim.Engine, cfg Config) *IOHypervisor {
 		panic("iohyp: need at least one sidecore")
 	}
 	h := &IOHypervisor{
-		eng:        eng,
-		p:          cfg.Params,
-		mode:       cfg.Mode,
-		rng:        sim.NewRNG(cfg.Seed ^ 0x10457),
-		clientPort: make(map[ethernet.MAC]*nic.MessagePort),
-		netDevs:    make(map[devKey]*netDevice),
-		blkDevs:    make(map[devKey]*blkDevice),
-		fib:        make(map[ethernet.MAC]*netDevice),
-		devOwner:   make(map[devKey]*Worker),
-		devPending: make(map[devKey]int),
-		defaultCh:  interpose.NewChain(),
-		Tracer:     cfg.Tracer,
+		eng:       eng,
+		p:         cfg.Params,
+		mode:      cfg.Mode,
+		rng:       sim.NewRNG(cfg.Seed ^ 0x10457),
+		clients:   make(map[uint64]*client),
+		fib:       make(map[uint64]*netDevice),
+		defaultCh: interpose.NewChain(),
+		Tracer:    cfg.Tracer,
 	}
 	for _, core := range cfg.Sidecores {
 		if cfg.Mode == ModePolling {
@@ -330,12 +368,17 @@ func (h *IOHypervisor) AnnounceAddresses() {
 	if h.uplink == nil || h.failed {
 		return
 	}
-	for _, fMAC := range h.fibOrder {
-		_ = h.uplink.SendFrame(ethernet.Frame{
-			Dst:       ethernet.Broadcast,
-			Src:       fMAC,
-			EtherType: ethernet.EtherTypePlain,
-		})
+	for _, c := range h.order {
+		for _, d := range c.net {
+			if h.fib[d.fMAC.Key()] != d {
+				continue
+			}
+			_ = h.uplink.SendFrame(ethernet.Frame{
+				Dst:       ethernet.Broadcast,
+				Src:       d.fMAC,
+				EtherType: ethernet.EtherTypePlain,
+			})
+		}
 	}
 	h.Counters.Inc("announcements", uint64(len(h.fib)))
 }
@@ -380,18 +423,24 @@ func (h *IOHypervisor) bufPool() *bufpool.Pool {
 	return h.bp
 }
 
-// Send implements transport.Port.
+// Send implements transport.Port: to the channel port of the client being
+// served, or, for control traffic and for a client unregistered since, of
+// the client dst names.
 func (r routerPort) Send(dst ethernet.MAC, payload []byte) {
-	if r.h.failed {
+	h := r.h
+	if h.failed {
 		return // a crashed IOhost sends nothing
 	}
-	port := r.h.clientPort[dst]
-	if port == nil {
+	c := h.cur
+	if c == nil || c.port == nil || c.mac != dst {
+		c = h.clients[dst.Key()]
+	}
+	if c == nil || c.port == nil {
 		// Unknown client: nothing to do; the retransmission machinery (for
 		// control traffic) will give up eventually.
 		return
 	}
-	port.Send(dst, payload)
+	c.port.Send(dst, payload)
 }
 
 // AttachChannelNIC registers a channel-facing VF. Frames arriving on it are
@@ -402,29 +451,21 @@ func (h *IOHypervisor) AttachChannelNIC(vf *nic.VF) *nic.MessagePort {
 		h.ingressMessage(src, msg, zeroCopy)
 	}
 	h.ports = append(h.ports, port)
-	switch h.mode {
-	case ModePolling:
-		vf.SetMode(nic.ModePoll)
-		vf.NotifyRx = func() { h.armScan() }
-	case ModeInterrupt:
-		vf.SetMode(nic.ModeInterrupt)
-		vf.OnInterrupt(func(frames [][]byte) {
-			// The interrupt itself costs a worker core. The batch is only
-			// lent to the handler, so the work item keeps a copy.
-			frames = slices.Clone(frames)
-			w := h.pickWorker()
-			h.Counters.Inc("iohost_irqs", 1)
-			w.Core.Exec(cpu.NoOwner, cpu.KindIRQ, h.p.HostIRQCost, func() {
-				port.HandleBatch(frames)
-			})
-		})
-	}
+	h.attachVF(vf, port.HandleBatch)
 	return port
 }
 
 // AttachUplink registers the switch-facing VF for external traffic.
 func (h *IOHypervisor) AttachUplink(vf *nic.VF) {
 	h.uplink = vf
+	h.attachVF(vf, h.ingressUplink)
+}
+
+// attachVF sets a VF to the IOhost's mode: polled by idle workers, or in the
+// no-poll ablation interrupting a worker, which pays for the interrupt and
+// then hands the batch to handle. The batch is only lent to the interrupt
+// handler, so the work item keeps a copy.
+func (h *IOHypervisor) attachVF(vf *nic.VF, handle func(frames [][]byte)) {
 	switch h.mode {
 	case ModePolling:
 		vf.SetMode(nic.ModePoll)
@@ -432,113 +473,85 @@ func (h *IOHypervisor) AttachUplink(vf *nic.VF) {
 	case ModeInterrupt:
 		vf.SetMode(nic.ModeInterrupt)
 		vf.OnInterrupt(func(frames [][]byte) {
-			frames = slices.Clone(frames) // lent only for the call
+			frames = slices.Clone(frames)
 			w := h.pickWorker()
 			h.Counters.Inc("iohost_irqs", 1)
-			w.Core.Exec(cpu.NoOwner, cpu.KindIRQ, h.p.HostIRQCost, func() {
-				h.ingressUplink(frames)
-			})
+			w.Core.Exec(cpu.NoOwner, cpu.KindIRQ, h.p.HostIRQCost, func() { handle(frames) })
 		})
 	}
+}
+
+// client returns the record for a transport MAC, registering it on first
+// use.
+func (h *IOHypervisor) client(mac ethernet.MAC) *client {
+	c := h.clients[mac.Key()]
+	if c == nil {
+		c = &client{mac: mac}
+		h.clients[mac.Key()] = c
+		h.order = append(h.order, c)
+	}
+	return c
 }
 
 // BindClient routes a client's transport MAC to a channel port (its cabled
 // NIC).
 func (h *IOHypervisor) BindClient(client ethernet.MAC, port *nic.MessagePort) {
-	h.clientPort[client] = port
+	h.client(client).port = port
 }
 
 // RebindClient moves an IOclient to a new transport address and channel
 // port — the IOhost side of a live migration between VMhosts that share
-// this IOhost (§4.6). All the client's device registrations, the F-address
-// forwarding table, and any steering state follow. The client should be
-// paused while this runs.
+// this IOhost (§4.6). The client record, with its device registrations and
+// their steering state, moves to the new address; the F-address forwarding
+// table still points at the same devices. The client should be paused while
+// this runs.
 func (h *IOHypervisor) RebindClient(oldMAC, newMAC ethernet.MAC, port *nic.MessagePort) {
-	delete(h.clientPort, oldMAC)
-	h.clientPort[newMAC] = port
-	rekeyDev := func(old devKey) devKey { return devKey{newMAC, old.id, old.q} }
-	for k, d := range h.netDevs {
-		if k.client == oldMAC {
-			delete(h.netDevs, k)
-			d.key = rekeyDev(k)
-			h.netDevs[d.key] = d
-			h.fib[d.fMAC] = d
-		}
+	if c := h.clients[oldMAC.Key()]; c != nil {
+		delete(h.clients, oldMAC.Key())
+		c.mac = newMAC
+		h.clients[newMAC.Key()] = c
 	}
-	for k, d := range h.blkDevs {
-		if k.client == oldMAC {
-			delete(h.blkDevs, k)
-			d.key = rekeyDev(k)
-			h.blkDevs[d.key] = d
-		}
-	}
-	for k, w := range h.devOwner {
-		if k.client == oldMAC {
-			delete(h.devOwner, k)
-			h.devOwner[rekeyDev(k)] = w
-		}
-	}
-	for k, n := range h.devPending {
-		if k.client == oldMAC {
-			delete(h.devPending, k)
-			h.devPending[rekeyDev(k)] = n
-		}
-	}
+	h.BindClient(newMAC, port)
 	h.Counters.Inc("migrations", 1)
 }
 
-// UnregisterClient drops every binding and device registration for a
-// client's transport MAC — the source side of a re-home onto another IOhost
-// (§4.6). The F addresses leave the forwarding table so this IOhost stops
-// claiming them; queued steered work still executes (steer tolerates the
-// cleared pending counts). Safe to call on a crashed IOhost.
-func (h *IOHypervisor) UnregisterClient(client ethernet.MAC) {
-	delete(h.clientPort, client)
-	for k, d := range h.netDevs {
-		if k.client != client {
-			continue
-		}
-		delete(h.netDevs, k)
-		if h.fib[d.fMAC] == d {
-			delete(h.fib, d.fMAC)
-			h.fibOrder = slices.DeleteFunc(h.fibOrder, func(m ethernet.MAC) bool { return m == d.fMAC })
-		}
-	}
-	for k := range h.blkDevs {
-		if k.client == client {
-			delete(h.blkDevs, k)
-		}
-	}
-	for k := range h.devOwner {
-		if k.client == client {
-			delete(h.devOwner, k)
-		}
-	}
-	for k := range h.devPending {
-		if k.client == client {
-			delete(h.devPending, k)
-		}
-	}
+// UnregisterClient drops a client's record — its binding and every device
+// registration — the source side of a re-home onto another IOhost (§4.6).
+// The F addresses leave the forwarding table so this IOhost stops claiming
+// them. Queued steered work still executes and drains its devices' steering
+// state, but finds the record empty: its messages are served as an unknown
+// sender's and its responses go nowhere. Safe to call on a crashed IOhost.
+func (h *IOHypervisor) UnregisterClient(mac ethernet.MAC) {
 	h.Counters.Inc("unregisters", 1)
+	c := h.clients[mac.Key()]
+	if c == nil {
+		return
+	}
+	delete(h.clients, mac.Key())
+	h.order = slices.DeleteFunc(h.order, func(o *client) bool { return o == c })
+	for _, d := range c.net {
+		if h.fib[d.fMAC.Key()] == d {
+			delete(h.fib, d.fMAC.Key())
+		}
+	}
+	c.port, c.net, c.blk = nil, nil, nil
 }
 
 // RegisterNetDevice creates a net front-end: fMAC is the device's
 // outward-facing address. A nil chain means no interposition.
 func (h *IOHypervisor) RegisterNetDevice(client ethernet.MAC, id uint16, fMAC ethernet.MAC, chain *interpose.Chain) {
-	d := h.newNetDevice(devKey{client: client, id: id}, fMAC, chain)
-	h.netDevs[d.key] = d
-	if h.fib[fMAC] == nil {
-		h.fibOrder = append(h.fibOrder, fMAC)
-	}
-	h.fib[fMAC] = d
+	c := h.client(client)
+	d := h.newNetDevice(c, id, fMAC, chain)
+	c.net = append(c.net, d)
+	h.fib[fMAC.Key()] = d
 }
 
 // newNetDevice builds a net device; a nil chain means no interposition.
-func (h *IOHypervisor) newNetDevice(key devKey, fMAC ethernet.MAC, chain *interpose.Chain) *netDevice {
+func (h *IOHypervisor) newNetDevice(c *client, id uint16, fMAC ethernet.MAC, chain *interpose.Chain) *netDevice {
 	if chain == nil {
 		chain = h.defaultCh
 	}
-	d := &netDevice{h: h, key: key, fMAC: fMAC, srv: virtio.NetServer{Chain: chain, Device: key.id, Counters: &h.Counters}}
+	d := &netDevice{h: h, c: c, id: id, fMAC: fMAC, srv: virtio.NetServer{Chain: chain, Device: id, Counters: &h.Counters}}
 	d.local.d, d.in.d = d, d
 	return d
 }
@@ -567,7 +580,7 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 		panic("iohyp: queue id is one byte; at most 256 queues per device")
 	}
 	d := &blkDevice{
-		key: devKey{client: client, id: id},
+		id: id,
 		srv: virtio.BlkServer{
 			Backend: backend, Chain: chain, Device: id,
 			Cost: virtio.BlkCost{
@@ -579,12 +592,9 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 			Pool:     h.bufPool(),
 			Counters: &h.Counters,
 		},
-		queues:   queues,
-		inflight: make([]map[uint64]int, queues),
-		qdepth:   make([]int, queues),
-	}
-	for q := range d.inflight {
-		d.inflight[q] = make(map[uint64]int)
+		queues: queues,
+		qdepth: make([]int, queues),
+		steer:  make([]steerState, queues),
 	}
 	if queues > 1 {
 		d.qworker = make([]*Worker, queues)
@@ -592,7 +602,8 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 			d.qworker[q] = h.workers[q%len(h.workers)]
 		}
 	}
-	h.blkDevs[d.key] = d
+	c := h.client(client)
+	c.blk = append(c.blk, d)
 }
 
 // RegisterVolReplica creates a volume-replica block front-end: a multi-queue
@@ -604,24 +615,18 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 // VolHdr demands the router's committed version.
 func (h *IOHypervisor) RegisterVolReplica(client ethernet.MAC, id uint16, backend blockdev.Backend, chain *interpose.Chain, queues int) {
 	h.RegisterBlkDeviceMQ(client, id, backend, chain, queues)
-	h.blkDevs[devKey{client: client, id: id}].srv.Replica = true
+	h.blkDev(client, id).srv.Replica = true
 }
 
-// workerIndex resolves a worker's position in the sidecore list (-1 when
-// unknown); gauges report queue→worker affinity through it.
-func (h *IOHypervisor) workerIndex(w *Worker) int {
-	for i, cand := range h.workers {
-		if cand == w {
-			return i
-		}
-	}
-	return -1
+// blkDev finds a client's registered block device (nil when unregistered).
+func (h *IOHypervisor) blkDev(client ethernet.MAC, id uint16) *blkDevice {
+	return h.clients[client.Key()].blkDev(id)
 }
 
 // BlkQueues reports the submission-queue count of a registered block device
 // (0 when unregistered).
 func (h *IOHypervisor) BlkQueues(client ethernet.MAC, id uint16) int {
-	d := h.blkDevs[devKey{client: client, id: id}]
+	d := h.blkDev(client, id)
 	if d == nil {
 		return 0
 	}
@@ -631,7 +636,7 @@ func (h *IOHypervisor) BlkQueues(client ethernet.MAC, id uint16) int {
 // BlkQueueDepth reports the in-flight backend executions on queue q of a
 // client's block device (0 when unregistered or out of range).
 func (h *IOHypervisor) BlkQueueDepth(client ethernet.MAC, id uint16, q int) int {
-	d := h.blkDevs[devKey{client: client, id: id}]
+	d := h.blkDev(client, id)
 	if d == nil || q < 0 || q >= d.queues {
 		return 0
 	}
@@ -641,11 +646,11 @@ func (h *IOHypervisor) BlkQueueDepth(client ethernet.MAC, id uint16, q int) int 
 // BlkQueueWorker reports the sidecore index queue q is pinned to, or -1 for
 // single-queue devices (whose steering is dynamic).
 func (h *IOHypervisor) BlkQueueWorker(client ethernet.MAC, id uint16, q int) int {
-	d := h.blkDevs[devKey{client: client, id: id}]
+	d := h.blkDev(client, id)
 	if d == nil || d.qworker == nil || q < 0 || q >= d.queues {
 		return -1
 	}
-	return h.workerIndex(d.qworker[q])
+	return slices.Index(h.workers, d.qworker[q])
 }
 
 // BlkInFlight totals in-flight backend executions across every registered
@@ -653,9 +658,11 @@ func (h *IOHypervisor) BlkQueueWorker(client ethernet.MAC, id uint16, q int) int
 // drain: stalls and crashes must empty the per-queue tables exactly once.
 func (h *IOHypervisor) BlkInFlight() int {
 	total := 0
-	for _, d := range h.blkDevs {
-		for _, n := range d.qdepth {
-			total += n
+	for _, c := range h.order {
+		for _, d := range c.blk {
+			for _, n := range d.qdepth {
+				total += n
+			}
 		}
 	}
 	return total
@@ -750,22 +757,19 @@ func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy boo
 		cost += sim.Time(h.p.CopyPenaltyPerByte * float64(len(msg)))
 		h.Counters.Inc("copy_bytes", uint64(len(msg)))
 	}
-	// Peek at the device to steer before charging the worker.
+	// Peek at the device to steer before charging the worker. Multi-queue
+	// block requests steer by (device, queue) to the queue's pinned worker —
+	// passthrough affinity, decided before any worker is charged. Everything
+	// else keeps the legacy device-owner steering.
 	hdr, body, err := transport.Decode(msg)
-	key := devKey{client: src}
+	var id uint16
 	if err == nil {
-		key.id = hdr.DeviceID
+		id = hdr.DeviceID
 	}
-	// Multi-queue block requests steer by (device, queue) to the queue's
-	// pinned worker — passthrough affinity, decided before any worker is
-	// charged. Everything else keeps the legacy device-owner steering.
-	var pinned *Worker
-	if err == nil && hdr.Type == transport.MsgBlkReq {
-		if dev := h.blkDevs[key]; dev != nil && dev.qworker != nil {
-			q := dev.blkQueue(hdr.OrigID)
-			key.q = uint8(q)
-			pinned = dev.qworker[q]
-		}
+	c := h.clients[src.Key()]
+	st, q, pinned := c.steering(id, err == nil && hdr.Type == transport.MsgBlkReq, hdr.OrigID)
+	if st == nil {
+		st = &h.unknown
 	}
 	// Pick up the trace context the client driver linked: the wire span ends
 	// here (message picked up off the channel); the worker span the steered
@@ -794,16 +798,9 @@ func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy boo
 		}
 	}
 	it := h.getSteer()
-	it.op = steerOpDeliver
-	it.key = key
-	it.pinned = pinned
-	it.cost = cost
-	it.parent = parent
-	it.flow = flow
-	it.name = name
-	it.src = src
-	it.msg = msg
-	it.netRoot = netRoot
+	it.op, it.c, it.src, it.msg = steerOpDeliver, c, src, msg
+	it.st, it.id, it.q, it.pinned = st, id, uint8(q), pinned
+	it.cost, it.parent, it.netRoot, it.flow, it.name = cost, parent, netRoot, flow, name
 	h.steer(it)
 }
 
@@ -828,7 +825,7 @@ func (h *IOHypervisor) ingressPlain(frame []byte) {
 		h.Counters.Inc("bad_msgs", 1)
 		return
 	}
-	dev := h.fib[f.Dst]
+	dev := h.fib[f.Dst.Key()]
 	if dev == nil {
 		h.Counters.Inc("unknown_dst", 1)
 		return
@@ -853,8 +850,8 @@ func (s *netIn) Forward(f ethernet.Frame) {
 	h, dev := s.d.h, s.d
 	raw := f.EncodeTo(h.bufPool().GetRaw(f.Len()))
 	it := h.getSteer()
-	it.op = steerOpNetIn
-	it.key = dev.key
+	it.op, it.dev, it.raw = steerOpNetIn, dev, raw
+	it.st, it.id = &dev.steer, dev.id
 	it.cost = h.p.WorkerServiceCost + h.p.EncapCost + s.cost
 	s.cost = 0
 	it.name = "net-in"
@@ -864,8 +861,6 @@ func (s *netIn) Forward(f ethernet.Frame) {
 		// fabric hops in a merged export.
 		it.flow = trace.Key48(f.Dst)
 	}
-	it.dev = dev
-	it.raw = raw
 	h.steer(it)
 }
 
@@ -920,7 +915,9 @@ type steerItem struct {
 	h      *IOHypervisor
 	w      *Worker
 	op     int
-	key    devKey
+	st     *steerState // the device's (or queue's) steering state
+	id     uint16      // device id and queue, for the worker span
+	q      uint8
 	pinned *Worker // queue-pair affinity; overrides device-owner steering
 	cost   sim.Time
 	parent trace.SpanID
@@ -928,7 +925,9 @@ type steerItem struct {
 	flow   uint64 // fabric-global flow key for the worker span (0 = none)
 	fn     func()
 
-	// steerOpDeliver state.
+	// steerOpDeliver state: the sender and its record as resolved at
+	// ingress (nil for an unregistered sender).
+	c       *client
 	src     ethernet.MAC
 	msg     []byte
 	netRoot trace.SpanID
@@ -958,16 +957,15 @@ func (h *IOHypervisor) getSteer() *steerItem {
 // span is backdated by cost from inside the completion callback, so it
 // covers exactly the service window (queueing excluded).
 func (h *IOHypervisor) steer(it *steerItem) {
-	w := it.pinned
+	st, w := it.st, it.pinned
 	if w == nil {
-		w = h.devOwner[it.key]
-		if w == nil {
-			w = h.pickWorker()
-			h.devOwner[it.key] = w
+		if st.owner == nil {
+			st.owner = h.pickWorker()
 		}
+		w = st.owner
 	}
 	it.w = w
-	h.devPending[it.key]++
+	st.pending++
 	w.Core.Exec(cpu.NoOwner, cpu.KindBusy, it.cost, it.fn)
 }
 
@@ -978,29 +976,26 @@ func (it *steerItem) run() {
 		// The span arg packs the submission queue above the device id, so
 		// per-queue worker occupancy is visible in exports (0 for
 		// single-queue devices, leaving legacy traces untouched).
-		arg := uint64(it.key.id) | uint64(it.key.q)<<32
+		arg := uint64(it.id) | uint64(it.q)<<32
 		span := h.Tracer.BeginFlowAt(trace.CatWorker, it.name, it.parent, arg, it.flow, h.eng.Now()-it.cost)
 		defer h.Tracer.End(span)
 	}
 	it.w.Processed++
-	h.devPending[it.key]--
-	// <= 0 rather than == 0: UnregisterClient may have cleared the
-	// steering maps while this item was queued, recreating the entry at
-	// zero — don't let it stick at a negative count forever.
-	if h.devPending[it.key] <= 0 {
-		delete(h.devOwner, it.key)
-		delete(h.devPending, it.key)
+	if it.st.pending--; it.st.pending == 0 {
+		it.st.owner = nil
 	}
 	if !h.failed { // a crashed host executes nothing, even queued work
 		h.beginTxBatch()
 		switch it.op {
 		case steerOpDeliver:
+			h.cur = it.c
 			if err := h.endpoint.Deliver(it.src, it.msg); err != nil {
 				h.Counters.Inc("bad_msgs", 1)
 			}
 			h.Tracer.End(it.netRoot)
 		case steerOpNetIn:
-			h.endpoint.SendNetRx(it.dev.key.client, it.dev.key.id, it.raw)
+			h.cur = it.dev.c
+			h.endpoint.SendNetRx(it.dev.c.mac, it.dev.id, it.raw)
 			h.txInterrupt()
 		}
 		h.endTxBatch()
@@ -1015,15 +1010,15 @@ func (it *steerItem) run() {
 // --- transport-level handlers (run inside steered work items) ---
 
 // handleNetTx forwards a guest-transmitted frame through its device's back
-// end: locally to another IOclient device, or out the uplink.
-func (h *IOHypervisor) handleNetTx(src ethernet.MAC, deviceID uint16, frame []byte) {
+// end: locally to another IOclient device, or out the uplink. The sender is
+// h.cur.
+func (h *IOHypervisor) handleNetTx(_ ethernet.MAC, deviceID uint16, frame []byte) {
 	if h.failed {
 		return
 	}
-	key := devKey{client: src, id: deviceID}
-	dev := h.netDevs[key]
+	dev := h.cur.netDev(deviceID)
 	if dev == nil {
-		dev = h.newNetDevice(key, ethernet.MAC{}, nil)
+		dev = h.newNetDevice(h.cur, deviceID, ethernet.MAC{}, nil)
 		dev.keepSrc = true
 	}
 	dev.srv.Serve(dev, interpose.ToDevice, frame)
@@ -1040,7 +1035,7 @@ func (d *netDevice) Charge(cost sim.Time) {
 // the device owning the destination F address, else out the uplink.
 func (d *netDevice) Forward(f ethernet.Frame) {
 	h := d.h
-	if local := h.fib[f.Dst]; local != nil {
+	if local := h.fib[f.Dst.Key()]; local != nil {
 		// VM-to-VM through the IOhost: deliver to the destination device.
 		h.Counters.Inc("net_fwd_local", 1)
 		local.srv.Interpose(&local.local, interpose.ToGuest, f)
@@ -1073,7 +1068,8 @@ func (s *netLocal) Charge(cost sim.Time) { s.d.Charge(cost) }
 func (s *netLocal) Forward(f ethernet.Frame) {
 	h := s.d.h
 	raw := f.EncodeTo(h.bufPool().GetRaw(f.Len()))
-	h.endpoint.SendNetRx(s.d.key.client, s.d.key.id, raw)
+	h.cur = s.d.c
+	h.endpoint.SendNetRx(s.d.c.mac, s.d.id, raw)
 	h.bufPool().PutRaw(raw)
 	h.txInterrupt()
 }
@@ -1083,11 +1079,11 @@ func (s *netLocal) Forward(f ethernet.Frame) {
 var respBlkUnsupp = []byte{virtio.BlkUnsupp}
 
 // handleBlkReq serves a virtio-blk request through its device's BlkServer.
-// req is a leased buffer, released once the request's bytes are consumed:
-// right away for everything but a submitted write, whose interposed payload
-// may alias the lease until the backend completes.
+// The sender is h.cur. req is a leased buffer, released once the request's
+// bytes are consumed: right away for everything but a submitted write, whose
+// interposed payload may alias the lease until the backend completes.
 func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req *bufpool.Frame) {
-	dev := h.blkDevs[devKey{client: src, id: hdr.DeviceID}]
+	dev := h.cur.blkDev(hdr.DeviceID)
 	if dev == nil {
 		h.Counters.Inc("unknown_dev", 1)
 		h.endpoint.RespondBlk(src, hdr, respBlkUnsupp)
@@ -1095,7 +1091,7 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 		return
 	}
 	c := h.getCall()
-	c.dev, c.src, c.hdr, c.q = dev, src, hdr, dev.blkQueue(hdr.OrigID)
+	c.dev, c.c, c.src, c.hdr, c.q = dev, h.cur, src, hdr, dev.blkQueue(hdr.OrigID)
 	op, ok := dev.srv.Serve(c, req.B)
 	if !ok {
 		req.Release()
@@ -1115,7 +1111,7 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 	// driver consumes the completion).
 	root := h.Tracer.Lookup(trace.FlowKey{Kind: transport.FlowBlkRoot, A: trace.Key48(src), B: hdr.OrigID})
 	c.bd = h.Tracer.BeginArg(trace.CatBlockdev, op.String(), root, hdr.OrigID)
-	dev.track(c.q, hdr.OrigID)
+	dev.qdepth[c.q]++
 }
 
 // blkCall is the IOhost's BlkSite for one request: it charges the IOhost
@@ -1124,6 +1120,7 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 type blkCall struct {
 	h   *IOHypervisor
 	dev *blkDevice
+	c   *client
 	src ethernet.MAC
 	hdr transport.Header
 	q   int
@@ -1148,7 +1145,7 @@ func (c *blkCall) Charge(cost sim.Time, fn func()) {
 // backend completion always runs, even on a crashed host (where only the
 // response is suppressed), so the in-flight tables drain exactly once.
 func (c *blkCall) Completed() {
-	c.dev.untrack(c.q, c.hdr.OrigID)
+	c.dev.qdepth[c.q]--
 	c.h.Tracer.End(c.bd)
 	if c.lease != nil {
 		c.lease.Release()
@@ -1158,7 +1155,11 @@ func (c *blkCall) Completed() {
 // Reply answers the request and recycles the call.
 func (c *blkCall) Reply(resp []byte) {
 	h := c.h
-	h.respondBlk(c.src, c.hdr, resp)
+	if !h.failed { // completions from a crashed host never leave it
+		h.cur = c.c
+		h.endpoint.RespondBlk(c.src, c.hdr, resp)
+		h.txInterrupt()
+	}
 	*c = blkCall{h: h}
 	h.callFree = append(h.callFree, c)
 }
@@ -1170,14 +1171,6 @@ func (h *IOHypervisor) getCall() *blkCall {
 		return c
 	}
 	return &blkCall{h: h}
-}
-
-func (h *IOHypervisor) respondBlk(src ethernet.MAC, hdr transport.Header, resp []byte) {
-	if h.failed {
-		return // completions from a crashed host never leave it
-	}
-	h.endpoint.RespondBlk(src, hdr, resp)
-	h.txInterrupt()
 }
 
 // copiedEdgeBytes estimates the §4.4 edge copy for a write whose buffer

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vrio/internal/blockdev"
+	"vrio/internal/bufpool"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
 	"vrio/internal/interpose"
@@ -30,7 +31,7 @@ type rig struct {
 	extMAC ethernet.MAC
 }
 
-func newRig(t *testing.T, sidecores int, mode Mode) *rig {
+func newRig(t testing.TB, sidecores int, mode Mode) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(), p: params.Default()}
 	r.clientMAC = ethernet.NewMAC(1)
@@ -53,6 +54,12 @@ func newRig(t *testing.T, sidecores int, mode Mode) *rig {
 	iohostUpNIC := nic.New(r.eng, "iohost-up", nicCfg, upCable.BtoA)
 	upCable.AtoB.SetReceiver(iohostUpNIC)
 	upCable.BtoA.SetReceiver(extNIC)
+	// One buffer pool for the whole rig, as a testbed cell shares one, so
+	// buffers that cross NICs come back to the pool they left.
+	pool := bufpool.New()
+	for _, n := range []*nic.NIC{clientNIC, iohostChNIC, extNIC, iohostUpNIC} {
+		n.SetPool(pool)
+	}
 	r.extVF = extNIC.AddVF(r.extMAC, nic.ModePoll)
 	uplinkVF := iohostUpNIC.AddVF(ethernet.NewMAC(101), nic.ModePoll)
 	// The uplink terminates traffic for every F MAC behind the IOhost.

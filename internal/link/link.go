@@ -45,6 +45,10 @@ const (
 	// uplink (split horizon forbids re-forwarding it up), or a spine with
 	// no port registered for the destination's rack.
 	DropNoRoute
+	// DropHairpin: a switch had learned the destination behind the port
+	// the frame arrived on, so it filtered the frame rather than send it
+	// back out that port (standard bridge behaviour).
+	DropHairpin
 
 	// NumDropReasons sizes DropStats; new reasons append above.
 	NumDropReasons
@@ -61,6 +65,8 @@ func (r DropReason) String() string {
 		return "injected"
 	case DropNoRoute:
 		return "no_route"
+	case DropHairpin:
+		return "hairpin"
 	}
 	return "unknown"
 }
@@ -405,7 +411,9 @@ type Switch struct {
 
 	// Forwarded and Flooded count frames by forwarding decision; Drops
 	// tallies frames the switch discarded (runts that failed to decode,
-	// and fabric frames with no route toward their destination).
+	// frames for a destination behind their own ingress port, and fabric
+	// frames with no route toward their destination). Every frame that
+	// enters the switch lands in exactly one of the three.
 	Forwarded uint64
 	Flooded   uint64
 	Drops     DropStats
@@ -551,10 +559,7 @@ func (s *Switch) egress(ingress int, dst ethernet.MAC, frame []byte) {
 			}
 		}
 		if out, ok := s.fib[dst.Key()]; ok {
-			if out != ingress {
-				s.Forwarded++
-				s.ports[out].tx.Send(frame)
-			}
+			s.unicast(ingress, out, frame)
 			return
 		}
 	}
@@ -585,6 +590,17 @@ func (s *Switch) locateRack(m ethernet.MAC) (int, bool) {
 		return 0, false
 	}
 	return s.locate(m)
+}
+
+// unicast sends a frame out port out, or counts it as a hairpin drop when
+// out is the port it came in on.
+func (s *Switch) unicast(ingress, out int, frame []byte) {
+	if out == ingress {
+		s.drop(DropHairpin)
+		return
+	}
+	s.Forwarded++
+	s.ports[out].tx.Send(frame)
 }
 
 // egressRemote sends a unicast frame toward another rack via an uplink.
@@ -619,11 +635,7 @@ func (s *Switch) egressSpine(ingress int, dst ethernet.MAC, frame []byte) {
 	}
 	if rack, ok := s.locateRack(dst); ok {
 		if outs := s.rackPorts[rack]; len(outs) > 0 {
-			out := outs[macHash(dst)%uint32(len(outs))]
-			if out != ingress {
-				s.Forwarded++
-				s.ports[out].tx.Send(frame)
-			}
+			s.unicast(ingress, outs[macHash(dst)%uint32(len(outs))], frame)
 			return
 		}
 	}

@@ -186,6 +186,56 @@ func TestSwitchHairpinSuppressed(t *testing.T) {
 	if len(a.frames) != before {
 		t.Error("switch hairpinned a frame back out its ingress port")
 	}
+	if got := sw.Drops.Get(DropHairpin); got != 1 {
+		t.Errorf("hairpin drop tally = %d, want 1 — drops must never be silent", got)
+	}
+}
+
+// TestSwitchCountsEveryFrameOnce is the switch's conservation invariant:
+// every frame that enters it is counted exactly once, as Forwarded, Flooded
+// or under one drop reason, whatever mix of runts, broadcasts, unknown,
+// learned and hairpin destinations arrives.
+func TestSwitchCountsEveryFrameOnce(t *testing.T) {
+	e := sim.NewEngine()
+	sw := NewSwitch(e, 5)
+	eps := []*endpoint{
+		attachEndpoint(t, e, sw, 1),
+		attachEndpoint(t, e, sw, 2),
+		attachEndpoint(t, e, sw, 3),
+	}
+	rng := sim.NewRNG(7)
+	sent := uint64(0)
+	for i := 0; i < 500; i++ {
+		from := eps[rng.Intn(len(eps))]
+		var frame []byte
+		switch k := rng.Intn(6); k {
+		case 0:
+			frame = []byte{1, 2, 3} // runt
+		case 1:
+			frame = frameBytes(t, from.mac, ethernet.Broadcast, "b")
+		case 2:
+			frame = frameBytes(t, from.mac, ethernet.NewMAC(uint32(100+rng.Intn(4))), "unknown")
+		case 3:
+			frame = frameBytes(t, from.mac, from.mac, "hairpin")
+		default:
+			frame = frameBytes(t, from.mac, eps[rng.Intn(len(eps))].mac, "peer")
+		}
+		from.cable.AtoB.Send(frame)
+		sent++
+		if i%7 == 0 {
+			e.Run()
+		}
+	}
+	e.Run()
+	if got := sw.Forwarded + sw.Flooded + sw.Drops.Total(); got != sent {
+		t.Errorf("forwarded %d + flooded %d + drops %d = %d, want %d frames in",
+			sw.Forwarded, sw.Flooded, sw.Drops.Total(), got, sent)
+	}
+	for _, r := range []DropReason{DropRunt, DropHairpin} {
+		if sw.Drops.Get(r) == 0 {
+			t.Errorf("no %s drops in the mix", r)
+		}
+	}
 }
 
 func TestSwitchDropsRuntFrames(t *testing.T) {
@@ -338,6 +388,7 @@ func TestWireNilFaultUnchanged(t *testing.T) {
 func TestDropReasonStrings(t *testing.T) {
 	want := map[DropReason]string{
 		DropRunt: "runt", DropCorruptFCS: "corrupt_fcs", DropInjected: "injected",
+		DropNoRoute: "no_route", DropHairpin: "hairpin",
 		DropReason(99): "unknown",
 	}
 	for r, s := range want {

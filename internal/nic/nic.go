@@ -74,6 +74,8 @@ type NIC struct {
 
 	// UnknownDst counts frames that matched no VF.
 	UnknownDst uint64
+	// Runts counts frames too short to carry an Ethernet header.
+	Runts uint64
 
 	// Promiscuous, when set, receives frames that match no VF MAC — the
 	// IOhost's uplink port runs this way, since it terminates traffic for
@@ -145,6 +147,7 @@ func (n *NIC) AddVF(mac ethernet.MAC, mode DeliveryMode) *VF {
 func (n *NIC) ReceiveFrame(frame []byte) {
 	f, err := ethernet.Decode(frame)
 	if err != nil {
+		n.Runts++
 		return
 	}
 	if f.Dst == ethernet.Broadcast {

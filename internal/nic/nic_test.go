@@ -152,6 +152,22 @@ func TestNICRoutesByMACAndCountsUnknown(t *testing.T) {
 	}
 }
 
+// A frame too short to carry an Ethernet header is counted, not dropped
+// silently.
+func TestNICCountsRunts(t *testing.T) {
+	e := sim.NewEngine()
+	_, b := pair(e, testCfg(), testCfg())
+	vf := b.AddVF(ethernet.NewMAC(2), ModePoll)
+	b.ReceiveFrame([]byte{1, 2, 3})
+	e.Run()
+	if b.Runts != 1 {
+		t.Errorf("Runts = %d, want 1", b.Runts)
+	}
+	if n := len(vf.Poll(0)); n != 0 {
+		t.Errorf("runt delivered to a VF (%d frames)", n)
+	}
+}
+
 func TestNICBroadcastReachesAllVFs(t *testing.T) {
 	e := sim.NewEngine()
 	a, b := pair(e, testCfg(), Config{ProcessCost: 0, CoalesceDelay: 0, RxRingSize: 64})

@@ -28,9 +28,9 @@ type Station struct {
 	vf   *nic.VF
 	mac  ethernet.MAC
 
-	// subs demuxes received frames by source MAC, so one station can drive
-	// several server VMs (as the paper's generators do).
-	subs map[ethernet.MAC]func(f ethernet.Frame)
+	// subs demuxes received frames by source MAC (keyed by MAC.Key), so one
+	// station can drive several server VMs (as the paper's generators do).
+	subs map[uint64]func(f ethernet.Frame)
 
 	// Work waiting on the generator core, which completes it in order:
 	// interrupt batches (irqs, for rxFn) and frames to send with their
@@ -47,7 +47,7 @@ type Station struct {
 func NewStation(eng *sim.Engine, p *params.P, genCore *cpu.Core, vf *nic.VF) *Station {
 	s := &Station{
 		eng: eng, p: p, core: genCore, vf: vf, mac: vf.MAC(),
-		subs: make(map[ethernet.MAC]func(ethernet.Frame)),
+		subs: make(map[uint64]func(ethernet.Frame)),
 		pool: vf.Pool(),
 	}
 	s.rxFn = s.receive
@@ -65,7 +65,7 @@ func NewStation(eng *sim.Engine, p *params.P, genCore *cpu.Core, vf *nic.VF) *St
 func (s *Station) receive() {
 	for _, raw := range s.irqs.Pop() {
 		if f, err := ethernet.Decode(raw); err == nil {
-			if fn := s.subs[f.Src]; fn != nil {
+			if fn := s.subs[f.Src.Key()]; fn != nil {
 				fn(f)
 			}
 		}
@@ -79,7 +79,7 @@ func (s *Station) MAC() ethernet.MAC { return s.mac }
 // Subscribe routes frames from src to fn. fn borrows each frame for the
 // duration of the call; it copies what it keeps.
 func (s *Station) Subscribe(src ethernet.MAC, fn func(f ethernet.Frame)) {
-	s.subs[src] = fn
+	s.subs[src.Key()] = fn
 }
 
 // Send transmits a frame after the generator's per-transaction service

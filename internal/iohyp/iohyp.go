@@ -78,31 +78,30 @@ func (c *client) blkDev(id uint16) *blkDevice {
 }
 
 // steering resolves the steering state of a message for device id: the
-// device's own, or for a request to a multi-queue block device its queue's,
-// along with the worker that queue is pinned to. Nil when the client has no
-// such device.
-func (c *client) steering(id uint16, blkReq bool, origID uint64) (st *steerState, q int, pinned *Worker) {
+// device's own, or for a block request its queue's. Nil when the client has
+// no such device.
+func (c *client) steering(id uint16, blkReq bool, origID uint64) (st *steerState, q int) {
 	if d := c.netDev(id); d != nil {
-		return &d.steer, 0, nil
+		return &d.steer, 0
 	}
 	d := c.blkDev(id)
 	if d == nil {
-		return nil, 0, nil
+		return nil, 0
 	}
-	if blkReq && d.qworker != nil {
+	if blkReq {
 		q = d.blkQueue(origID)
-		pinned = d.qworker[q]
 	}
-	return &d.steer[q], q, pinned
+	return &d.steer[q], q
 }
 
 // steerState is §4.1's ordering state for one device, or for one queue of a
 // multi-queue block device: the worker that owns it while pending steered
-// items are queued. A pinned queue counts its items but never takes an
-// owner.
+// items are queued. A pinned state (a multi-queue device's queue) keeps its
+// owner for the device's lifetime.
 type steerState struct {
 	owner   *Worker
 	pending int
+	pinned  bool
 }
 
 // netDevice is a registered paravirtual net front-end. Its back end serves
@@ -125,17 +124,16 @@ type netDevice struct {
 
 // blkDevice is a registered paravirtual block front-end. A multi-queue
 // device (queues > 1) gets NVMe-style queue-pair passthrough: each
-// submission queue is pinned at registration time to one worker (qworker),
-// its requests never migrate workers mid-flight, and any number of requests
-// per queue can be outstanding at the backend.
+// submission queue is pinned at registration time to one worker (its
+// steering state's owner), its requests never migrate workers mid-flight,
+// and any number of requests per queue can be outstanding at the backend.
+// A single-queue device keeps the legacy least-loaded/device-owner
+// steering.
 type blkDevice struct {
 	id  uint16
 	srv virtio.BlkServer
 
 	queues int
-	// qworker pins each queue to a worker; nil for single-queue devices,
-	// which keep the legacy least-loaded/device-owner steering.
-	qworker []*Worker
 	// qdepth counts each queue's in-flight backend executions (a
 	// retransmitted request can be at the backend twice).
 	qdepth []int
@@ -597,9 +595,8 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 		steer:  make([]steerState, queues),
 	}
 	if queues > 1 {
-		d.qworker = make([]*Worker, queues)
-		for q := range d.qworker {
-			d.qworker[q] = h.workers[q%len(h.workers)]
+		for q := range d.steer {
+			d.steer[q] = steerState{owner: h.workers[q%len(h.workers)], pinned: true}
 		}
 	}
 	c := h.client(client)
@@ -647,10 +644,10 @@ func (h *IOHypervisor) BlkQueueDepth(client ethernet.MAC, id uint16, q int) int 
 // single-queue devices (whose steering is dynamic).
 func (h *IOHypervisor) BlkQueueWorker(client ethernet.MAC, id uint16, q int) int {
 	d := h.blkDev(client, id)
-	if d == nil || d.qworker == nil || q < 0 || q >= d.queues {
+	if d == nil || q < 0 || q >= d.queues || !d.steer[q].pinned {
 		return -1
 	}
-	return slices.Index(h.workers, d.qworker[q])
+	return slices.Index(h.workers, d.steer[q].owner)
 }
 
 // BlkInFlight totals in-flight backend executions across every registered
@@ -767,7 +764,7 @@ func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy boo
 		id = hdr.DeviceID
 	}
 	c := h.clients[src.Key()]
-	st, q, pinned := c.steering(id, err == nil && hdr.Type == transport.MsgBlkReq, hdr.OrigID)
+	st, q := c.steering(id, err == nil && hdr.Type == transport.MsgBlkReq, hdr.OrigID)
 	if st == nil {
 		st = &h.unknown
 	}
@@ -799,7 +796,7 @@ func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy boo
 	}
 	it := h.getSteer()
 	it.op, it.c, it.src, it.msg = steerOpDeliver, c, src, msg
-	it.st, it.id, it.q, it.pinned = st, id, uint8(q), pinned
+	it.st, it.id, it.q = st, id, uint8(q)
 	it.cost, it.parent, it.netRoot, it.flow, it.name = cost, parent, netRoot, flow, name
 	h.steer(it)
 }
@@ -918,7 +915,6 @@ type steerItem struct {
 	st     *steerState // the device's (or queue's) steering state
 	id     uint16      // device id and queue, for the worker span
 	q      uint8
-	pinned *Worker // queue-pair affinity; overrides device-owner steering
 	cost   sim.Time
 	parent trace.SpanID
 	name   string
@@ -957,16 +953,13 @@ func (h *IOHypervisor) getSteer() *steerItem {
 // span is backdated by cost from inside the completion callback, so it
 // covers exactly the service window (queueing excluded).
 func (h *IOHypervisor) steer(it *steerItem) {
-	st, w := it.st, it.pinned
-	if w == nil {
-		if st.owner == nil {
-			st.owner = h.pickWorker()
-		}
-		w = st.owner
+	st := it.st
+	if st.owner == nil {
+		st.owner = h.pickWorker()
 	}
-	it.w = w
+	it.w = st.owner
 	st.pending++
-	w.Core.Exec(cpu.NoOwner, cpu.KindBusy, it.cost, it.fn)
+	it.w.Core.Exec(cpu.NoOwner, cpu.KindBusy, it.cost, it.fn)
 }
 
 // run executes a steered work item on its worker and recycles it.
@@ -981,7 +974,7 @@ func (it *steerItem) run() {
 		defer h.Tracer.End(span)
 	}
 	it.w.Processed++
-	if it.st.pending--; it.st.pending == 0 {
+	if it.st.pending--; it.st.pending == 0 && !it.st.pinned {
 		it.st.owner = nil
 	}
 	if !h.failed { // a crashed host executes nothing, even queued work
@@ -1018,7 +1011,7 @@ func (h *IOHypervisor) handleNetTx(_ ethernet.MAC, deviceID uint16, frame []byte
 	}
 	dev := h.cur.netDev(deviceID)
 	if dev == nil {
-		dev = h.newNetDevice(h.cur, deviceID, ethernet.MAC{}, nil)
+		dev = h.newNetDevice(nil, deviceID, ethernet.MAC{}, nil)
 		dev.keepSrc = true
 	}
 	dev.srv.Serve(dev, interpose.ToDevice, frame)
@@ -1133,12 +1126,11 @@ type blkCall struct {
 // pinned worker (passthrough affinity end to end); single-queue devices take
 // the least loaded worker.
 func (c *blkCall) Charge(cost sim.Time, fn func()) {
-	w := c.dev.qworker
-	if w == nil {
-		c.h.pickWorker().Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, fn)
-		return
+	w := c.dev.steer[c.q].owner
+	if !c.dev.steer[c.q].pinned {
+		w = c.h.pickWorker()
 	}
-	w[c.q].Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, fn)
+	w.Core.Exec(cpu.NoOwner, cpu.KindBusy, cost, fn)
 }
 
 // Completed ends the request's in-flight entry and blockdev span. The

@@ -76,16 +76,15 @@ func (d *dispatchRig) settle() {
 	}
 }
 
-// dispatchPaths names the three paths for the guard and the benchmark, with
-// the IOhost counter each op must advance by one.
-func (d *dispatchRig) paths() []struct {
+// dispatchPath is one path for the guard and the benchmark, with the IOhost
+// counter each op must advance by one.
+type dispatchPath struct {
 	name, counter string
 	op            func()
-} {
-	return []struct {
-		name, counter string
-		op            func()
-	}{
+}
+
+func (d *dispatchRig) paths() []dispatchPath {
+	return []dispatchPath{
 		{"net-tx", "net_fwd_uplink", d.netTx},
 		{"net-in", "net_in", d.netIn},
 		{"blk-mq", "blk_reqs", d.blkMQ},

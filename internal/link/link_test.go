@@ -208,7 +208,7 @@ func TestSwitchCountsEveryFrameOnce(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		from := eps[rng.Intn(len(eps))]
 		var frame []byte
-		switch k := rng.Intn(6); k {
+		switch rng.Intn(6) {
 		case 0:
 			frame = []byte{1, 2, 3} // runt
 		case 1:

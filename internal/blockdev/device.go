@@ -3,6 +3,7 @@ package blockdev
 import (
 	"fmt"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 )
 
@@ -261,8 +262,8 @@ func (d *Device) read(sector uint64, n int) ([]byte, error) {
 // conflicting requests until the outstanding one completes. This is what
 // makes blind retransmission of block requests safe.
 //
-// Requests travel in ops recycled through free with their completion bound
-// once, and ranges are checked against short slices rather than per-sector
+// Requests travel in ops recycled through a bufpool.List with their
+// completion bound once, and ranges are checked against short slices rather than per-sector
 // sets, so scheduling does not allocate in steady state.
 type Scheduler struct {
 	backend    Backend
@@ -274,7 +275,7 @@ type Scheduler struct {
 	// blocked is drain's scratch list of the ranges of requests still
 	// waiting, kept across calls so draining never allocates.
 	blocked []sectorRange
-	free    []*schedOp
+	ops     *bufpool.List[schedOp]
 
 	// Deferred counts requests that had to wait for an overlapping range.
 	Deferred uint64
@@ -301,7 +302,13 @@ func NewScheduler(backend Backend, sectorSize int) *Scheduler {
 	if sectorSize <= 0 {
 		panic("blockdev: scheduler needs a positive sector size")
 	}
-	return &Scheduler{backend: backend, sectorSize: sectorSize}
+	s := &Scheduler{backend: backend, sectorSize: sectorSize}
+	s.ops = bufpool.NewList("blockdev sched ops", func() *schedOp {
+		o := &schedOp{s: s}
+		o.doneFn = o.complete
+		return o
+	})
+	return s
 }
 
 // span is the sector range a request locks: a flush locks its sector, and
@@ -329,7 +336,7 @@ func (s *Scheduler) conflict(r sectorRange) bool {
 
 // Submit dispatches or defers the request.
 func (s *Scheduler) Submit(req Request, done func(Response)) {
-	o := s.getOp()
+	o := s.ops.Get()
 	o.req, o.done, o.r = req, done, s.span(req)
 	if s.conflict(o.r) {
 		s.Deferred++
@@ -337,17 +344,6 @@ func (s *Scheduler) Submit(req Request, done func(Response)) {
 		return
 	}
 	s.dispatch(o)
-}
-
-func (s *Scheduler) getOp() *schedOp {
-	if n := len(s.free); n > 0 {
-		o := s.free[n-1]
-		s.free = s.free[:n-1]
-		return o
-	}
-	o := &schedOp{s: s}
-	o.doneFn = o.complete
-	return o
 }
 
 func (s *Scheduler) dispatch(o *schedOp) {
@@ -370,7 +366,7 @@ func (o *schedOp) complete(resp Response) {
 	}
 	done := o.done
 	*o = schedOp{s: s, doneFn: o.doneFn}
-	s.free = append(s.free, o)
+	s.ops.Put(o)
 	s.drain()
 	done(resp)
 }

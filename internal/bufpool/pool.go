@@ -79,8 +79,11 @@ type Stats struct {
 // use New.
 type Pool struct {
 	classes  [numClasses][][]byte
-	frames   []*Frame
+	frames   *List[Frame]
 	classCap int
+	// pooled marks, by address, the slabs in the class lists (race builds
+	// only; see check.go).
+	pooled map[uintptr]bool
 
 	// Stats is exported for tests and profiling narratives.
 	Stats Stats
@@ -88,7 +91,12 @@ type Pool struct {
 
 // New returns an empty pool.
 func New() *Pool {
-	return &Pool{classCap: defaultClassCap}
+	p := &Pool{classCap: defaultClassCap}
+	p.frames = NewList("bufpool frames", func() *Frame { return &Frame{pool: p} })
+	if RaceEnabled {
+		p.pooled = make(map[uintptr]bool)
+	}
+	return p
 }
 
 // GetRaw returns a slab of length n whose capacity is the exact class size
@@ -105,6 +113,9 @@ func (p *Pool) GetRaw(n int) []byte {
 		b := free[len(free)-1]
 		free[len(free)-1] = nil
 		p.classes[c] = free[:len(free)-1]
+		if RaceEnabled {
+			p.checkPoison(b)
+		}
 		return b[:n]
 	}
 	p.Stats.Misses++
@@ -132,6 +143,9 @@ func (p *Pool) PutRaw(b []byte) bool {
 		p.Stats.Dropped++
 		return false
 	}
+	if RaceEnabled {
+		p.poison(b)
+	}
 	p.classes[cls] = append(p.classes[cls], b[:0])
 	p.Stats.Adopted++
 	return true
@@ -151,9 +165,9 @@ type Frame struct {
 
 // Get leases a frame of n bytes with an initial reference count of 1.
 func (p *Pool) Get(n int) *Frame {
-	f := p.newFrame()
+	f := p.frames.Get()
 	f.slab = p.GetRaw(n)
-	f.B = f.slab
+	f.B, f.refs = f.slab, 1
 	return f
 }
 
@@ -161,21 +175,9 @@ func (p *Pool) Get(n int) *Frame {
 // message payload behind a transport header. The whole slab is recycled on
 // the final Release, so the caller transfers ownership of slab here.
 func (p *Pool) Wrap(slab, view []byte) *Frame {
-	f := p.newFrame()
-	f.slab = slab
-	f.B = view
+	f := p.frames.Get()
+	f.slab, f.B, f.refs = slab, view, 1
 	return f
-}
-
-func (p *Pool) newFrame() *Frame {
-	if n := len(p.frames); n > 0 {
-		f := p.frames[n-1]
-		p.frames[n-1] = nil
-		p.frames = p.frames[:n-1]
-		f.refs = 1
-		return f
-	}
-	return &Frame{pool: p, refs: 1}
 }
 
 // Bytes returns the leased view (nil for a nil frame).
@@ -218,9 +220,7 @@ func (f *Frame) Release() {
 	}
 	f.slab = nil
 	f.B = nil
-	if len(p.frames) < p.classCap {
-		p.frames = append(p.frames, f)
-	}
+	p.frames.Put(f)
 }
 
 // Refs reports the current reference count (0 after the final Release).

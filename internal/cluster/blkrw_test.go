@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/core"
 	"vrio/internal/fault"
 	"vrio/internal/sim"
@@ -258,7 +259,7 @@ func blkRWTestbed(t testing.TB, bed blkRWBed) (*Testbed, []*blkRWGuest) {
 // workers, the range scheduler, the volume router and the devices — runs
 // without a heap allocation.
 func TestBlkRWSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, bed := range blkRWBeds(1) {

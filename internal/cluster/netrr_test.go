@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/core"
 	"vrio/internal/sim"
 	"vrio/internal/workload"
@@ -48,7 +49,7 @@ func netRROps(rrs []*workload.RR) uint64 {
 // host back ends, NICs, switch, transport and IOhost forwarding — runs
 // without a heap allocation.
 func TestNetRRSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	for _, m := range netRRModels {

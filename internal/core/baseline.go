@@ -2,6 +2,7 @@ package core
 
 import (
 	"vrio/internal/blockdev"
+	"vrio/internal/bufpool"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
 	"vrio/internal/hypervisor"
@@ -35,7 +36,7 @@ type baselineGuest struct {
 	// then pops and serves one request (serveFn).
 	wakeFn, execFn, serveFn func()
 	// sites recycles the block requests' sites and the chains they own.
-	sites []*baselineBlk
+	sites *bufpool.List[baselineBlk]
 }
 
 // NewBaselineHost builds the host. ioCore is the shared core Linux uses for
@@ -97,10 +98,19 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		bg.g.blkBadStatus = blockdev.ErrDeviceFailed
 		bg.wakeFn = func() { hypervisor.VhostWakeup(h.ioCore, h.p, bg.execFn) }
 		bg.execFn = func() { h.ioCore.Exec(bg.id, cpu.KindBusy, h.p.BlockServiceCost, bg.serveFn) }
+		bg.sites = bufpool.NewList("core baseline blk sites", func() *baselineBlk {
+			b := &baselineBlk{h: h, bg: bg}
+			b.irqFn = func() {
+				bg.blkQ.ring.Push(b.c, b.resp)
+				bg.sites.Put(b)
+				bg.g.VM.GuestIRQInjected(h.ioCore, bg.blkQ.reapFn)
+			}
+			return b
+		})
 		bg.serveFn = func() {
-			b := h.getSite(bg)
+			b := bg.sites.Get()
 			if ok, err := bg.blkQ.ring.PopInto(&b.c); err != nil || !ok {
-				bg.sites = append(bg.sites, b)
+				bg.sites.Put(b)
 				return // already served by an earlier kick's drain
 			}
 			bg.blk.Serve(b, b.c.Out)
@@ -120,22 +130,6 @@ type baselineBlk struct {
 	c     virtio.Chain
 	resp  []byte
 	irqFn func()
-}
-
-// getSite returns a recycled (or new) site for one of bg's requests.
-func (h *BaselineHost) getSite(bg *baselineGuest) *baselineBlk {
-	if n := len(bg.sites); n > 0 {
-		b := bg.sites[n-1]
-		bg.sites = bg.sites[:n-1]
-		return b
-	}
-	b := &baselineBlk{h: h, bg: bg}
-	b.irqFn = func() {
-		bg.blkQ.ring.Push(b.c, b.resp)
-		bg.sites = append(bg.sites, b)
-		bg.g.VM.GuestIRQInjected(h.ioCore, bg.blkQ.reapFn)
-	}
-	return b
 }
 
 // Charge implements virtio.BlkSite.

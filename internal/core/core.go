@@ -65,11 +65,11 @@ type Guest struct {
 	// first pays blkStackCost (of its payload bytes) on the VCPU; then
 	// blkPost posts op.req (on the guest's ring, or over the vRIO
 	// transport) with op.replyFn as its completion. A reply whose status is
-	// not BlkOK fails with blkBadStatus. blkFree recycles the ops.
+	// not BlkOK fails with blkBadStatus. blkOps recycles the ops.
 	blkPost      func(op *blkOp)
 	blkStackCost func(bytes int) sim.Time
 	blkBadStatus error
-	blkFree      []*blkOp
+	blkOps       *bufpool.List[blkOp]
 
 	// onNetRx is the workload's receive handler.
 	onNetRx func(f ethernet.Frame)
@@ -98,6 +98,12 @@ func (g *Guest) MAC() ethernet.MAC { return g.netMAC }
 func newGuest(vm *hypervisor.VM, p *params.P, mac ethernet.MAC, pool *bufpool.Pool) *Guest {
 	g := &Guest{VM: vm, p: p, netMAC: mac, pool: pool}
 	g.rxFn = g.deliverNet
+	g.blkOps = bufpool.NewList("core blk ops", func() *blkOp {
+		op := &blkOp{g: g}
+		op.postFn = func() { g.blkPost(op) }
+		op.replyFn = op.reply
+		return op
+	})
 	return g
 }
 
@@ -225,15 +231,7 @@ func (g *Guest) getBlkOp() *blkOp {
 	if g.blkPost == nil {
 		panic("core: guest has no block device")
 	}
-	if n := len(g.blkFree); n > 0 {
-		op := g.blkFree[n-1]
-		g.blkFree = g.blkFree[:n-1]
-		return op
-	}
-	op := &blkOp{g: g}
-	op.postFn = func() { g.blkPost(op) }
-	op.replyFn = op.reply
-	return op
+	return g.blkOps.Get()
 }
 
 // reply recycles the op, then completes its request with resp, the raw
@@ -241,7 +239,7 @@ func (g *Guest) getBlkOp() *blkOp {
 func (op *blkOp) reply(resp []byte, err error) {
 	g, wdone, rdone := op.g, op.wdone, op.rdone
 	op.wdone, op.rdone = nil, nil
-	g.blkFree = append(g.blkFree, op)
+	g.blkOps.Put(op)
 	if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
 		err = g.blkBadStatus
 	}

@@ -111,7 +111,7 @@ func TestBlockRoundTripAllModels(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s read: %v", m, err)
 				}
-				got = data
+				got = bytes.Clone(data) // lent for the call only
 			})
 		})
 		tb.Eng.RunUntil(50 * sim.Millisecond)

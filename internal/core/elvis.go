@@ -2,6 +2,7 @@ package core
 
 import (
 	"vrio/internal/blockdev"
+	"vrio/internal/bufpool"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
 	"vrio/internal/hypervisor"
@@ -38,7 +39,7 @@ type elvisGuest struct {
 	blkQ *blkQueue
 	blk  virtio.BlkServer
 	// sites recycles the block requests' sites and the chains they own.
-	sites []*elvisBlk
+	sites *bufpool.List[elvisBlk]
 	// side is the sidecore serving this guest (round-robin assignment,
 	// matching Elvis's static VM-to-sidecore mapping).
 	side int
@@ -98,6 +99,11 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 
 	if blk != nil {
 		eg.blkQ = newBlkQueue()
+		eg.sites = bufpool.NewList("core elvis blk sites", func() *elvisBlk {
+			b := &elvisBlk{h: h, eg: eg}
+			b.serveFn = func() { eg.blk.Serve(b, b.c.Out) }
+			return b
+		})
 		// Guest-side per-op CPU: stack + exitless completion.
 		eg.g.blkCPU = func(int) sim.Time {
 			return h.p.GuestNetStackCost + h.p.ELIDeliveryCost + h.p.GuestIRQCost
@@ -142,9 +148,9 @@ func (h *ElvisHost) scan(i int) {
 		}
 		if eg.blkQ != nil {
 			for {
-				b := h.getSite(eg)
+				b := eg.sites.Get()
 				if ok, err := eg.blkQ.ring.PopInto(&b.c); err != nil || !ok {
-					eg.sites = append(eg.sites, b)
+					eg.sites.Put(b)
 					break
 				}
 				found = true
@@ -167,18 +173,6 @@ type elvisBlk struct {
 	serveFn func() // runs the request through the guest's block back end
 }
 
-// getSite returns a recycled (or new) site for one of eg's requests.
-func (h *ElvisHost) getSite(eg *elvisGuest) *elvisBlk {
-	if n := len(eg.sites); n > 0 {
-		b := eg.sites[n-1]
-		eg.sites = eg.sites[:n-1]
-		return b
-	}
-	b := &elvisBlk{h: h, eg: eg}
-	b.serveFn = func() { eg.blk.Serve(b, b.c.Out) }
-	return b
-}
-
 // Charge implements virtio.BlkSite.
 func (b *elvisBlk) Charge(cost sim.Time, fn func()) {
 	b.h.sidecores[b.eg.side].Exec(cpu.NoOwner, cpu.KindBusy, cost, fn)
@@ -192,6 +186,6 @@ func (b *elvisBlk) Completed() {}
 func (b *elvisBlk) Reply(resp []byte) {
 	eg := b.eg
 	eg.blkQ.ring.Push(b.c, resp)
-	eg.sites = append(eg.sites, b)
+	eg.sites.Put(b)
 	eg.g.VM.GuestIRQExitless(eg.blkQ.reapFn)
 }

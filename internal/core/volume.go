@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vrio/internal/blockdev"
+	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 	"vrio/internal/stats"
 	"vrio/internal/transport"
@@ -58,8 +59,8 @@ type VolumeRouter struct {
 	// hostExtents counts replica cells per host (rebuild target choice).
 	hostExtents []int
 
-	writeFree []*volWriteOp
-	readFree  []*volReadOp
+	writeOps *bufpool.List[volWriteOp]
+	readOps  *bufpool.List[volReadOp]
 
 	// Rebuild engine state: a FIFO of lost (extent, slot) cells and heal
 	// jobs for gap-nacked live replicas, drained with bounded concurrency.
@@ -145,6 +146,19 @@ func NewVolumeRouter(eng *sim.Engine, spec blockdev.VolumeSpec, deviceID uint16,
 		healing:            make(map[uint64]uint8),
 		RebuildConcurrency: 2,
 	}
+	r.writeOps = bufpool.NewList("core volume write ops", func() *volWriteOp {
+		op := &volWriteOp{r: r}
+		for i := range op.cbs {
+			slot := i
+			op.cbs[i] = func(resp []byte, err error) { op.complete(slot, resp, err) }
+		}
+		return op
+	})
+	r.readOps = bufpool.NewList("core volume read ops", func() *volReadOp {
+		op := &volReadOp{r: r}
+		op.cb = func(resp []byte, err error) { op.complete(resp, err) }
+		return op
+	})
 	for i := range r.alive {
 		r.alive[i] = true
 	}
@@ -185,24 +199,10 @@ type volWriteOp struct {
 	done    func(error)
 }
 
-func (r *VolumeRouter) getWriteOp() *volWriteOp {
-	if n := len(r.writeFree); n > 0 {
-		op := r.writeFree[n-1]
-		r.writeFree = r.writeFree[:n-1]
-		return op
-	}
-	op := &volWriteOp{r: r}
-	for i := range op.cbs {
-		slot := i
-		op.cbs[i] = func(resp []byte, err error) { op.complete(slot, resp, err) }
-	}
-	return op
-}
-
 func (r *VolumeRouter) putWriteOp(op *volWriteOp) {
 	op.done = nil
 	op.acks, op.sent, op.pending, op.decided = 0, 0, 0, false
-	r.writeFree = append(r.writeFree, op)
+	r.writeOps.Put(op)
 }
 
 // Write stores data at sector, completing done after WriteQuorum replica
@@ -212,7 +212,7 @@ func (r *VolumeRouter) putWriteOp(op *volWriteOp) {
 // Write returns.
 func (r *VolumeRouter) Write(sector uint64, data []byte, done func(error)) {
 	extent := r.spec.ExtentOf(sector)
-	op := r.getWriteOp()
+	op := r.writeOps.Get()
 	op.extent = extent
 
 	// Fan out only to live replicas: a send to a detected-dead host would
@@ -302,21 +302,10 @@ type volReadOp struct {
 	done  func(data []byte, err error)
 }
 
-func (r *VolumeRouter) getReadOp() *volReadOp {
-	if n := len(r.readFree); n > 0 {
-		op := r.readFree[n-1]
-		r.readFree = r.readFree[:n-1]
-		return op
-	}
-	op := &volReadOp{r: r}
-	op.cb = func(resp []byte, err error) { op.complete(resp, err) }
-	return op
-}
-
 func (r *VolumeRouter) putReadOp(op *volReadOp) {
 	op.done = nil
 	op.n, op.next = 0, 0
-	r.readFree = append(r.readFree, op)
+	r.readOps.Put(op)
 }
 
 // Read fetches sectors sectors starting at sector, steering to the
@@ -326,7 +315,7 @@ func (r *VolumeRouter) putReadOp(op *volReadOp) {
 // to done is borrowed — it is only valid during the callback.
 func (r *VolumeRouter) Read(sector uint64, sectors int, done func(data []byte, err error)) {
 	extent := r.spec.ExtentOf(sector)
-	op := r.getReadOp()
+	op := r.readOps.Get()
 
 	// Candidates: live replicas, ascending outstanding-load, slot order
 	// breaking ties (deterministic). Insertion sort over at most R entries.

@@ -145,7 +145,7 @@ func TestVolumeRouterReadRoundtrip(t *testing.T) {
 // encode, transport round trip, ack counting, commit — performs zero heap
 // allocations.
 func TestVolumeWriteQuorumZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("race detector instruments allocations; guard runs in the non-race pass")
 	}
 	r, vr := volRig()

@@ -27,8 +27,8 @@ type Reassembler struct {
 	evictions  uint64
 	seq        uint64
 
-	pool *bufpool.Pool
-	free []*partialMsg
+	pool     *bufpool.Pool
+	partials *bufpool.List[partialMsg]
 	// done is the scratch for completed messages: Add's return value points
 	// at it and is valid until the next Add. Data ownership transfers to
 	// the caller (the buffer is not touched by the reassembler again).
@@ -60,6 +60,7 @@ func NewReassembler(maxPartial int) *Reassembler {
 	return &Reassembler{
 		partial:    make(map[reassemblyKey]*partialMsg),
 		maxPartial: maxPartial,
+		partials:   bufpool.NewList("ethernet partial messages", func() *partialMsg { return &partialMsg{} }),
 	}
 }
 
@@ -95,16 +96,8 @@ func (r *Reassembler) Evictions() uint64 { return r.evictions }
 // acquire returns a recycled (or fresh) partial with buf/have sized for
 // total bytes and no byte covered.
 func (r *Reassembler) acquire(total uint32) *partialMsg {
-	var p *partialMsg
-	if n := len(r.free); n > 0 {
-		p = r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-		*p = partialMsg{have: p.have}
-	} else {
-		p = &partialMsg{}
-	}
-	p.buf = r.getBuf(total)
+	p := r.partials.Get()
+	*p = partialMsg{have: p.have, buf: r.getBuf(total), total: total}
 	words := (int(total) + 63) / 64
 	if cap(p.have) < words {
 		p.have = make([]uint64, words)
@@ -112,7 +105,6 @@ func (r *Reassembler) acquire(total uint32) *partialMsg {
 		p.have = p.have[:words]
 		clear(p.have)
 	}
-	p.total = total
 	return p
 }
 
@@ -130,9 +122,7 @@ func (r *Reassembler) getBuf(total uint32) []byte {
 // consumer; on eviction it goes back to the pool by the caller.
 func (r *Reassembler) recycle(p *partialMsg) {
 	p.buf = nil
-	if len(r.free) < r.maxPartial {
-		r.free = append(r.free, p)
-	}
+	r.partials.Put(p)
 }
 
 // Add ingests one fragment (frame payload bytes). It returns a completed

@@ -192,12 +192,12 @@ type IOHypervisor struct {
 	rrIdx   int
 
 	// bp is the IOhost-side buffer pool (normally the first channel NIC's,
-	// so wire buffers circulate IOhost-wide); steerFree recycles steered
-	// work items so the steady-state ingress path does not allocate;
-	// callFree recycles block requests' sites likewise.
-	bp        *bufpool.Pool
-	steerFree []*steerItem
-	callFree  []*blkCall
+	// so wire buffers circulate IOhost-wide); steers recycles steered work
+	// items so the steady-state ingress path does not allocate; calls
+	// recycles block requests' sites likewise.
+	bp     *bufpool.Pool
+	steers *bufpool.List[steerItem]
+	calls  *bufpool.List[blkCall]
 
 	// txBatch/txPend implement TX-interrupt coalescing: while a steered work
 	// item runs, txInterrupt calls are latched and at most one interrupt
@@ -266,6 +266,12 @@ func New(eng *sim.Engine, cfg Config) *IOHypervisor {
 		defaultCh: interpose.NewChain(),
 		Tracer:    cfg.Tracer,
 	}
+	h.steers = bufpool.NewList("iohyp steer items", func() *steerItem {
+		it := &steerItem{h: h}
+		it.fn = it.run
+		return it
+	})
+	h.calls = bufpool.NewList("iohyp blk calls", func() *blkCall { return &blkCall{h: h} })
 	for _, core := range cfg.Sidecores {
 		if cfg.Mode == ModePolling {
 			core.Polling = true
@@ -794,7 +800,7 @@ func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy boo
 			flow = transport.NetFlow(body)
 		}
 	}
-	it := h.getSteer()
+	it := h.steers.Get()
 	it.op, it.c, it.src, it.msg = steerOpDeliver, c, src, msg
 	it.st, it.id, it.q = st, id, uint8(q)
 	it.cost, it.parent, it.netRoot, it.flow, it.name = cost, parent, netRoot, flow, name
@@ -846,7 +852,7 @@ func (s *netIn) Charge(cost sim.Time) { s.cost = cost }
 func (s *netIn) Forward(f ethernet.Frame) {
 	h, dev := s.d.h, s.d
 	raw := f.EncodeTo(h.bufPool().GetRaw(f.Len()))
-	it := h.getSteer()
+	it := h.steers.Get()
 	it.op, it.dev, it.raw = steerOpNetIn, dev, raw
 	it.st, it.id = &dev.steer, dev.id
 	it.cost = h.p.WorkerServiceCost + h.p.EncapCost + s.cost
@@ -906,7 +912,7 @@ const (
 )
 
 // steerItem is one steered unit of work. Items are recycled through
-// IOHypervisor.steerFree with a prebound run callback, so steady-state
+// IOHypervisor.steers with a prebound run callback, so steady-state
 // steering does not allocate.
 type steerItem struct {
 	h      *IOHypervisor
@@ -931,19 +937,6 @@ type steerItem struct {
 	// steerOpNetIn state.
 	dev *netDevice
 	raw []byte
-}
-
-// getSteer returns a recycled (or fresh) steered work item.
-func (h *IOHypervisor) getSteer() *steerItem {
-	if n := len(h.steerFree); n > 0 {
-		it := h.steerFree[n-1]
-		h.steerFree[n-1] = nil
-		h.steerFree = h.steerFree[:n-1]
-		return it
-	}
-	it := &steerItem{h: h}
-	it.fn = it.run
-	return it
 }
 
 // steer assigns a work item's device to its owning worker, or to the least
@@ -997,7 +990,7 @@ func (it *steerItem) run() {
 		h.bufPool().PutRaw(it.raw)
 	}
 	*it = steerItem{h: it.h, fn: it.fn}
-	h.steerFree = append(h.steerFree, it)
+	h.steers.Put(it)
 }
 
 // --- transport-level handlers (run inside steered work items) ---
@@ -1083,7 +1076,7 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 		req.Release()
 		return
 	}
-	c := h.getCall()
+	c := h.calls.Get()
 	c.dev, c.c, c.src, c.hdr, c.q = dev, h.cur, src, hdr, dev.blkQueue(hdr.OrigID)
 	op, ok := dev.srv.Serve(c, req.B)
 	if !ok {
@@ -1109,7 +1102,7 @@ func (h *IOHypervisor) handleBlkReq(src ethernet.MAC, hdr transport.Header, req 
 
 // blkCall is the IOhost's BlkSite for one request: it charges the IOhost
 // workers and answers over the transport. Calls are recycled through
-// callFree once Reply, the request's last hook, has answered.
+// IOHypervisor.calls once Reply, the request's last hook, has answered.
 type blkCall struct {
 	h   *IOHypervisor
 	dev *blkDevice
@@ -1153,16 +1146,7 @@ func (c *blkCall) Reply(resp []byte) {
 		h.txInterrupt()
 	}
 	*c = blkCall{h: h}
-	h.callFree = append(h.callFree, c)
-}
-
-func (h *IOHypervisor) getCall() *blkCall {
-	if n := len(h.callFree); n > 0 {
-		c := h.callFree[n-1]
-		h.callFree = h.callFree[:n-1]
-		return c
-	}
-	return &blkCall{h: h}
+	h.calls.Put(c)
 }
 
 // copiedEdgeBytes estimates the §4.4 edge copy for a write whose buffer

@@ -123,7 +123,7 @@ func TestBlockWriteReadThroughIOhost(t *testing.T) {
 			t.Errorf("read resp err=%v", err)
 			return
 		}
-		readBack = resp[1:]
+		readBack = bytes.Clone(resp[1:]) // lent for the call only
 	})
 	r.eng.Run()
 	if !bytes.Equal(readBack, payload) {
@@ -164,7 +164,7 @@ func TestBlockAESInterposition(t *testing.T) {
 	var back []byte
 	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, rd, func(resp []byte, err error) {
 		if err == nil && len(resp) > 0 && resp[0] == virtio.BlkOK {
-			back = resp[1:]
+			back = bytes.Clone(resp[1:]) // lent for the call only
 		}
 	})
 	r.eng.Run()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 )
 
@@ -26,8 +27,8 @@ type Loop struct {
 	quit  chan struct{}
 	once  sync.Once
 
-	// freeTimers recycles wallTimer shells; loop goroutine only.
-	freeTimers []*wallTimer
+	// timers recycles wallTimer shells; loop goroutine only.
+	timers *bufpool.List[wallTimer]
 
 	// Fired counts timer callbacks executed; Posted counts external Post
 	// calls accepted. Loop goroutine / informational.
@@ -57,11 +58,13 @@ type frameSink interface {
 // NewLoop returns a loop with its clock at zero. Call Run on the goroutine
 // that will own the transport stack.
 func NewLoop() *Loop {
-	return &Loop{
+	l := &Loop{
 		start: time.Now(),
 		work:  make(chan work, 512),
 		quit:  make(chan struct{}),
 	}
+	l.timers = bufpool.NewList("netwire timers", func() *wallTimer { return &wallTimer{loop: l} })
+	return l
 }
 
 // Now reports wall time since the loop was created, in sim.Time
@@ -139,7 +142,7 @@ func (wt *wallTimer) Stop() bool {
 	wt.armed = false
 	wt.fn = nil
 	wt.t.Stop()
-	wt.loop.freeTimers = append(wt.loop.freeTimers, wt)
+	wt.loop.timers.Put(wt)
 	return true
 }
 
@@ -152,14 +155,7 @@ func (l *Loop) AfterFunc(d sim.Time, fn func()) sim.TimerID {
 	if d < 0 {
 		d = 0
 	}
-	var wt *wallTimer
-	if n := len(l.freeTimers); n > 0 {
-		wt = l.freeTimers[n-1]
-		l.freeTimers[n-1] = nil
-		l.freeTimers = l.freeTimers[:n-1]
-	} else {
-		wt = &wallTimer{loop: l}
-	}
+	wt := l.timers.Get()
 	wt.fn = fn
 	wt.armed = true
 	wt.deadline = int64(l.Now()) + int64(d)
@@ -192,7 +188,7 @@ func (l *Loop) fire(wt *wallTimer) {
 	wt.armed = false
 	fn := wt.fn
 	wt.fn = nil
-	l.freeTimers = append(l.freeTimers, wt)
+	l.timers.Put(wt)
 	l.Fired++
 	fn()
 }

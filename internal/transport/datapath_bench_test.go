@@ -2,6 +2,8 @@ package transport
 
 import (
 	"testing"
+
+	"vrio/internal/bufpool"
 )
 
 // Datapath benchmarks over the full wire path (Rig): driver send → TSO
@@ -122,7 +124,7 @@ func BenchmarkDatapathBlkMQ(b *testing.B) {
 // SendBlkQ — queue-tagged ids, chunking, rings, wire, reassembly, echo, and
 // completion dispatch — performs zero heap allocations.
 func TestHotPathZeroAllocMQ(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("race detector instruments allocations; guard runs in the non-race pass")
 	}
 	const nq = 4
@@ -161,7 +163,7 @@ func TestHotPathZeroAllocMQ(t *testing.T) {
 // after warmup, a steady-state net-tx message through the full path — encode,
 // rings, wire, reassembly, delivery, ack — performs zero heap allocations.
 func TestHotPathZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if bufpool.RaceEnabled {
 		t.Skip("race detector instruments allocations; guard runs in the non-race pass")
 	}
 	r := NewRig()

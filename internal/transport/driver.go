@@ -100,9 +100,9 @@ type Driver struct {
 
 	respAsm map[uint64]*chunkAsm // block responses being reassembled, by OrigID
 
-	bp      *bufpool.Pool
-	pbFree  []*pendingBlk
-	asmFree []*chunkAsm
+	bp   *bufpool.Pool
+	pbs  *bufpool.List[pendingBlk]
+	asms *bufpool.List[chunkAsm]
 
 	// NetRx is invoked for every frame the IOhost delivers to a net
 	// front-end. The frame is only borrowed for the duration of the call:
@@ -270,14 +270,21 @@ func NewDriver(clk sim.Clock, port Port, iohost ethernet.MAC, cfg Config) *Drive
 	if cfg.MaxReassembly <= 0 {
 		cfg.MaxReassembly = DefaultConfig().MaxReassembly
 	}
-	return &Driver{
+	d := &Driver{
 		clk:     clk,
 		port:    port,
 		iohost:  iohost,
 		cfg:     cfg,
 		pending: make(map[uint64]*pendingBlk),
 		respAsm: make(map[uint64]*chunkAsm),
+		asms:    bufpool.NewList("transport driver assemblies", func() *chunkAsm { return &chunkAsm{} }),
 	}
+	d.pbs = bufpool.NewList("transport pending blks", func() *pendingBlk {
+		p := &pendingBlk{}
+		p.expireFn = func() { d.expire(p) }
+		return p
+	})
+	return d
 }
 
 // InFlightBlk reports how many block requests await completion.
@@ -323,20 +330,6 @@ func (d *Driver) tagID(queue uint8) uint64 {
 	return uint64(queue)<<QueueShift | d.allocID()
 }
 
-// getPending returns a recycled (or fresh) pendingBlk with its prebound
-// expiry callback.
-func (d *Driver) getPending() *pendingBlk {
-	if n := len(d.pbFree); n > 0 {
-		p := d.pbFree[n-1]
-		d.pbFree[n-1] = nil
-		d.pbFree = d.pbFree[:n-1]
-		return p
-	}
-	p := &pendingBlk{}
-	p.expireFn = func() { d.expire(p) }
-	return p
-}
-
 // recyclePending returns a completed pendingBlk to the free list. The
 // caller must have removed it from d.pending and canceled (or consumed)
 // its timer.
@@ -346,25 +339,18 @@ func (d *Driver) recyclePending(p *pendingBlk) {
 	p.span = 0
 	p.retries = 0
 	p.queue = 0
-	d.pbFree = append(d.pbFree, p)
+	d.pbs.Put(p)
 }
 
 func (d *Driver) getAsm(count int) *chunkAsm {
-	var a *chunkAsm
-	if n := len(d.asmFree); n > 0 {
-		a = d.asmFree[n-1]
-		d.asmFree[n-1] = nil
-		d.asmFree = d.asmFree[:n-1]
-	} else {
-		a = &chunkAsm{}
-	}
+	a := d.asms.Get()
 	a.reset(count, 0, d.cfg.MaxReassembly)
 	return a
 }
 
 func (d *Driver) recycleAsm(a *chunkAsm) {
 	a.release(d.pool())
-	d.asmFree = append(d.asmFree, a)
+	d.asms.Put(a)
 }
 
 // dropAsm discards any partial reassembly for origID, returning its pooled
@@ -431,7 +417,7 @@ func (d *Driver) SendBlkQ(devType uint8, deviceID uint16, queue uint8, req []byt
 		panic("transport: SendBlk requires a completion callback")
 	}
 	d.Counters.Inc("blk_sent", 1)
-	p := d.getPending()
+	p := d.pbs.Get()
 	p.origID = d.tagID(queue)
 	p.deviceID = deviceID
 	p.devType = devType

@@ -35,8 +35,8 @@ type Endpoint struct {
 	// Evictions counts abandoned partial assemblies.
 	Evictions uint64
 
-	bp      *bufpool.Pool
-	asmFree []*chunkAsm
+	bp   *bufpool.Pool
+	asms *bufpool.List[chunkAsm]
 
 	// NetTx is invoked when an IOclient's net front-end transmits a frame.
 	// The frame is only valid for the duration of the call (its buffer is
@@ -100,6 +100,7 @@ func NewEndpoint(clk sim.Clock, port Port, cfg Config) *Endpoint {
 		reqAsm: make(map[endpointKey]*chunkAsm),
 		maxAsm: 1024,
 		ctrl:   make(map[uint64]*pendingCtrl),
+		asms:   bufpool.NewList("transport endpoint assemblies", func() *chunkAsm { return &chunkAsm{} }),
 	}
 }
 
@@ -117,14 +118,7 @@ func (e *Endpoint) pool() *bufpool.Pool {
 }
 
 func (e *Endpoint) getAsm(count int) *chunkAsm {
-	var a *chunkAsm
-	if n := len(e.asmFree); n > 0 {
-		a = e.asmFree[n-1]
-		e.asmFree[n-1] = nil
-		e.asmFree = e.asmFree[:n-1]
-	} else {
-		a = &chunkAsm{}
-	}
+	a := e.asms.Get()
 	e.asmSeq++
 	a.reset(count, e.asmSeq, e.cfg.MaxReassembly)
 	return a
@@ -132,7 +126,7 @@ func (e *Endpoint) getAsm(count int) *chunkAsm {
 
 func (e *Endpoint) recycleAsm(a *chunkAsm) {
 	a.release(e.pool())
-	e.asmFree = append(e.asmFree, a)
+	e.asms.Put(a)
 }
 
 // sendEncoded encodes h+payload into a pooled buffer, transmits it, and

@@ -36,7 +36,7 @@ func TestChunkedRequestSurvivesPartialChunkLoss(t *testing.T) {
 		if err != nil {
 			t.Errorf("err: %v", err)
 		}
-		got = resp
+		got = bytes.Clone(resp) // lent for the call only
 	})
 	h.eng.Run()
 	if !bytes.Equal(got, req) {
@@ -102,7 +102,7 @@ func TestChunkedResponsePartialLoss(t *testing.T) {
 		if err != nil {
 			t.Errorf("err: %v", err)
 		}
-		got = resp
+		got = bytes.Clone(resp) // lent for the call only
 	})
 	h.eng.Run()
 	if calls != 1 {

@@ -109,7 +109,7 @@ func TestBlockRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Errorf("unexpected error: %v", err)
 		}
-		got = resp
+		got = bytes.Clone(resp) // lent for the call only
 	})
 	h.eng.Run()
 	if string(got) != "read sector 5" {
@@ -146,7 +146,7 @@ func TestBlockChunkingLargeRequestAndResponse(t *testing.T) {
 		if err != nil {
 			t.Errorf("err: %v", err)
 		}
-		got = resp
+		got = bytes.Clone(resp) // lent for the call only
 	})
 	h.eng.Run()
 	if !bytes.Equal(serverSaw, req) {
@@ -184,7 +184,7 @@ func TestBlockRetransmissionRecoversFromLoss(t *testing.T) {
 		if err != nil {
 			t.Errorf("err: %v", err)
 		}
-		got = resp
+		got = bytes.Clone(resp) // lent for the call only
 		doneAt = h.eng.Now()
 	})
 	h.eng.Run()

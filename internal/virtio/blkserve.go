@@ -33,7 +33,7 @@ type BlkServer struct {
 	// copy_bytes (the bytes Cost copies).
 	Counters *stats.Counters
 
-	free []*blkOp
+	ops *bufpool.List[blkOp]
 }
 
 // BlkCost is a model's block back-end CPU cost, charged on its site's core
@@ -119,7 +119,7 @@ func (s *BlkServer) Serve(site BlkSite, raw []byte) (op blockdev.Op, ok bool) {
 }
 
 // blkOp is one request between backend submission and reply. Ops are
-// recycled through BlkServer.free with prebound callbacks, so serving a
+// recycled through BlkServer.ops with prebound callbacks, so serving a
 // request does not allocate.
 type blkOp struct {
 	s    *BlkServer
@@ -133,11 +133,13 @@ type blkOp struct {
 }
 
 func (s *BlkServer) getOp() *blkOp {
-	if n := len(s.free); n > 0 {
-		o := s.free[n-1]
-		s.free = s.free[:n-1]
-		return o
+	if s.ops == nil {
+		s.ops = bufpool.NewList("virtio blk ops", s.newOp)
 	}
+	return s.ops.Get()
+}
+
+func (s *BlkServer) newOp() *blkOp {
 	o := &blkOp{s: s}
 	o.submitFn = func() { s.Backend.Submit(o.req, o.doneFn) }
 	o.doneFn = o.complete
@@ -153,7 +155,7 @@ func (s *BlkServer) getOp() *blkOp {
 func (o *blkOp) reply(resp []byte) {
 	site := o.site
 	*o = blkOp{s: o.s, submitFn: o.submitFn, doneFn: o.doneFn, replyFn: o.replyFn}
-	o.s.free = append(o.s.free, o)
+	o.s.ops.Put(o)
 	site.Reply(resp)
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/trace"
 )
 
@@ -55,9 +56,9 @@ type Ring struct {
 	freeHead    uint16
 	numFree     int
 	lastUsedIdx uint16
-	pending     []*token // indexed by chain head: in-flight request bookkeeping
-	inFlight    int      // non-nil entries of pending
-	tokFree     []*token // recycled tokens: Add/Reap do not allocate in steady state
+	pending     []*token             // indexed by chain head: in-flight request bookkeeping
+	inFlight    int                  // non-nil entries of pending
+	toks        *bufpool.List[token] // recycled: Add/Reap do not allocate in steady state
 
 	// Device-private state.
 	lastAvailIdx uint16
@@ -81,20 +82,6 @@ type token struct {
 	span     trace.SpanID
 }
 
-// getToken returns a recycled (or fresh) token with empty descriptor lists.
-func (r *Ring) getToken() *token {
-	if n := len(r.tokFree); n > 0 {
-		t := r.tokFree[n-1]
-		r.tokFree[n-1] = nil
-		r.tokFree = r.tokFree[:n-1]
-		t.outDescs = t.outDescs[:0]
-		t.inDescs = t.inDescs[:0]
-		t.span = 0
-		return t
-	}
-	return &token{}
-}
-
 // NewRing builds a virtqueue with qsize descriptors of segSize bytes each.
 // qsize must be a power of two in [2, 32768], matching hardware virtio.
 func NewRing(qsize, segSize int) (*Ring, error) {
@@ -114,6 +101,7 @@ func NewRing(qsize, segSize int) (*Ring, error) {
 		buf:     make([]byte, qsize*segSize),
 		numFree: qsize,
 		pending: make([]*token, qsize),
+		toks:    bufpool.NewList("virtio tokens", func() *token { return &token{} }),
 	}
 	// Chain all descriptors into the free list.
 	for i := 0; i < qsize; i++ {
@@ -210,7 +198,7 @@ func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
 		return 0, ErrRingFull
 	}
 
-	tok := r.getToken()
+	tok := r.toks.Get()
 	head := r.freeHead
 	cur := head
 	remaining := out
@@ -354,7 +342,8 @@ func (r *Ring) freeChain(tok *token) {
 		r.freeHead = d
 		r.numFree++
 	}
-	r.tokFree = append(r.tokFree, tok)
+	tok.outDescs, tok.inDescs, tok.span = tok.outDescs[:0], tok.inDescs[:0], 0
+	r.toks.Put(tok)
 }
 
 // --- device (host / sidecore / IOhost worker) side ---

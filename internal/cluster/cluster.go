@@ -65,8 +65,6 @@ type Spec struct {
 	// of the device. 0 or 1 keeps the legacy single-queue path (vRIO
 	// models only; local models have no queues to pin).
 	BlkQueues int
-	// BlockWays overrides the per-device bank parallelism (0 = 4).
-	BlockWays int
 	// VolReplicas > 0 attaches a distributed volume to every guest: extents
 	// striped across all NumIOhosts IOhosts with VolReplicas-way replication
 	// (DESIGN.md §16; vRIO models only, requires VolReplicas <= NumIOhosts).
@@ -671,11 +669,7 @@ func (tb *Testbed) buildGuestVolume(hostIdx, vmID int) {
 	devs := make([]*blockdev.Device, spec.NumIOhosts)
 	for io := 0; io < spec.NumIOhosts; io++ {
 		store := blockdev.NewStore(p.SectorSize, spec.VolCapacitySectors)
-		ways := spec.BlockWays
-		if ways == 0 {
-			ways = 4
-		}
-		dev := blockdev.NewDevice(tb.Eng, store, spec.BlockLatency, ways)
+		dev := blockdev.NewDevice(tb.Eng, store, spec.BlockLatency, blockWays)
 		dev.AttachReplica(blockdev.NewReplicaState(vspec))
 		devs[io] = dev
 		var backend blockdev.Backend = dev
@@ -720,15 +714,14 @@ func (tb *Testbed) IOhostDied(i int) {
 	}
 }
 
+// blockWays is every backing device's bank parallelism.
+const blockWays = 4
+
 // newBlockDevice builds one guest's 1 GB backing device.
 func (tb *Testbed) newBlockDevice() *blockdev.Device {
 	const gig = 1 << 30
-	ways := tb.Spec.BlockWays
-	if ways == 0 {
-		ways = 4
-	}
 	store := blockdev.NewStore(tb.P.SectorSize, gig/uint64(tb.P.SectorSize))
-	dev := blockdev.NewDevice(tb.Eng, store, tb.Spec.BlockLatency, ways)
+	dev := blockdev.NewDevice(tb.Eng, store, tb.Spec.BlockLatency, blockWays)
 	tb.BlockDevices = append(tb.BlockDevices, dev)
 	return dev
 }

@@ -120,8 +120,6 @@ type P struct {
 	// MTU is the vRIO dedicated-channel MTU. The paper chooses 8100 so a
 	// 64 KiB message reassembles into at most 17 4-KiB pages (zero copy).
 	MTU int
-	// MaxTSOMessage is the largest chunk TSO can offload (64 KiB).
-	MaxTSOMessage int
 	// RxRingSize is the IOhost communication-channel receive ring. §4.5:
 	// growing it from 512 to 4096 eliminated in-the-wild drops.
 	RxRingSize int
@@ -139,8 +137,6 @@ type P struct {
 
 	// RamdiskLatency is one 4 KiB ramdisk access.
 	RamdiskLatency sim.Time
-	// SSDLatency is one 4 KiB SATA SSD access.
-	SSDLatency sim.Time
 	// SectorSize is the block-device sector alignment unit.
 	SectorSize int
 	// BlockServiceCost is the host/IOhost per-request block backend cost.
@@ -265,15 +261,13 @@ func Default() P {
 		FabricLinkLatency: 4 * sim.Microsecond,
 		SpineLatency:      1500 * sim.Nanosecond,
 
-		MTU:           8100,
-		MaxTSOMessage: 64 * 1024,
-		RxRingSize:    4096,
+		MTU:        8100,
+		RxRingSize: 4096,
 
 		RetransmitTimeout: 10 * sim.Millisecond,
 		MaxRetransmits:    6,
 
 		RamdiskLatency:   2500 * sim.Nanosecond,
-		SSDLatency:       90 * sim.Microsecond,
 		SectorSize:       512,
 		BlockServiceCost: 1200 * sim.Nanosecond,
 
@@ -343,7 +337,6 @@ func (p *P) Validate() error {
 		{"NICProcessCost", p.NICProcessCost},
 		{"RetransmitTimeout", p.RetransmitTimeout},
 		{"RamdiskLatency", p.RamdiskLatency},
-		{"SSDLatency", p.SSDLatency},
 		{"BlockServiceCost", p.BlockServiceCost},
 		{"TimesliceMin", p.TimesliceMin},
 	} {
@@ -353,9 +346,6 @@ func (p *P) Validate() error {
 	}
 	if p.MTU < 1500 || p.MTU > 9000 {
 		return fmt.Errorf("params: MTU %d outside [1500, 9000]", p.MTU)
-	}
-	if p.MaxTSOMessage <= 0 {
-		return fmt.Errorf("params: MaxTSOMessage must be positive")
 	}
 	if p.RxRingSize <= 0 {
 		return fmt.Errorf("params: RxRingSize must be positive")

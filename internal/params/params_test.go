@@ -49,7 +49,6 @@ func TestValidateRejectsBadSectorSize(t *testing.T) {
 
 func TestValidateRejectsNonPositive(t *testing.T) {
 	cases := []func(*P){
-		func(p *P) { p.MaxTSOMessage = 0 },
 		func(p *P) { p.RxRingSize = 0 },
 		func(p *P) { p.MaxRetransmits = 0 },
 		func(p *P) { p.LinkBandwidth10G = 0 },

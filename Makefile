@@ -20,7 +20,9 @@ vet:
 	$(GO) vet ./...
 
 # The experiment scheduler fans simulation cells across goroutines; any
-# shared mutable state a future experiment sneaks in must fail here.
+# shared mutable state a future experiment sneaks in must fail here. Race
+# builds also turn on bufpool's ownership checks: a free-list item or a slab
+# put twice, and a slab written after PutRaw, panic.
 race:
 	$(GO) test -race ./...
 
@@ -124,7 +126,8 @@ race-vol:
 	$(GO) test -race -run 'Vol|Quorum|Rebuild|Replica' ./internal/blockdev/ ./internal/core/ ./internal/cluster/ ./internal/experiments/
 
 # Documentation gate: every exported symbol in blockdev/iohyp/cluster/virtio/
-# core has a doc comment, and README's architecture map covers every internal/ package.
+# core/bufpool/transport/ethernet/nic/sim has a doc comment, and README's
+# architecture map covers every internal/ package.
 doccheck:
 	./scripts/doccheck.sh
 

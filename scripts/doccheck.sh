@@ -3,8 +3,10 @@
 #
 # 1. Every exported top-level symbol (func, method, type, var, const) in the
 #    audited packages — internal/blockdev, internal/iohyp, internal/cluster,
-#    internal/virtio, internal/core — must carry a doc comment on the
-#    preceding line. This is a grep-level gate, not a full go/doc parse: it
+#    internal/virtio, internal/core, and the packages whose doc comments
+#    carry the buffer and frame ownership contracts: internal/bufpool,
+#    internal/transport, internal/ethernet, internal/nic, internal/sim —
+#    must carry a doc comment on the preceding line. This is a grep-level gate, not a full go/doc parse: it
 #    catches the common case (a bare exported declaration) cheaply and
 #    deterministically.
 # 2. README.md's architecture map must mention every internal/ package, so a
@@ -14,7 +16,8 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-for pkg in internal/blockdev internal/iohyp internal/cluster internal/virtio internal/core; do
+for pkg in internal/blockdev internal/iohyp internal/cluster internal/virtio internal/core \
+  internal/bufpool internal/transport internal/ethernet internal/nic internal/sim; do
   for f in "$pkg"/*.go; do
     case "$f" in
       *_test.go) continue ;;

@@ -46,11 +46,15 @@ bench:
 #   iohyp:     IOhost dispatch: a net-tx message forwarded to the uplink, an
 #              uplink frame delivered to a client, an MQ block read served
 #              and answered.
+#   virtio:    a frame through a free interposition chain; a request
+#              through a warm ring (Add, PopInto, Push, ReapInto).
 #   cluster:   a netperf RR transaction on the net-rr rack, per I/O model
 #              (optimum, vrio, elvis, baseline), and a blk-rw block op on
 #              each block pipeline (vrio, vrio-volume, elvis, baseline),
-#              testbed end to end.
-# Every guard must stay at 0 allocs/op. The guards also run under `test`.
+#              testbed end to end; building the net-rr rack per model.
+# Every guard must stay at 0 allocs/op, except TestBuildAllocBudget, which
+# holds Build of the net-rr rack under Elvis and the baseline below 1 MB.
+# The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
 	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ' 'BenchmarkDatapath' \
@@ -61,7 +65,8 @@ BENCH_GUARDS = \
 	./internal/netwire/   'TestSealDecodeNoAlloc'                       . \
 	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum' \
 	./internal/iohyp/     'TestIOhostDispatchZeroAlloc'                 'BenchmarkIOhostDispatch' \
-	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp'
+	./internal/virtio/    'TestNetServerFreeChainZeroAlloc|TestRingSteadyStateZeroAlloc' 'BenchmarkRingRoundTrip' \
+	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc|TestBuildAllocBudget' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp|BenchmarkBuild'
 
 bench-guards:
 	@set -- $(BENCH_GUARDS); while [ $$# -gt 0 ]; do \

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"vrio/internal/bufpool"
@@ -12,17 +13,22 @@ import (
 // netRRModels are the four I/O models of the net-rr benchmark.
 var netRRModels = []core.ModelName{core.ModelOptimum, core.ModelVRIO, core.ModelElvis, core.ModelBaseline}
 
-// netRRTestbed builds the net-rr benchmark's rack (8 VMs on 2 VMhosts, a
-// generator per VM, 2 sidecores) with a netperf RR server and client per
-// VM, started and warmed up past the generators' 30 ms loss timeout: until
-// then every transaction arms one more pending timer, so the engine's event
-// pool is still growing.
-func netRRTestbed(m core.ModelName) (*Testbed, []*workload.RR) {
-	tb := Build(Spec{
+// netRRSpec is the net-rr benchmark's rack: 8 VMs on 2 VMhosts, a
+// generator per VM, 2 sidecores.
+func netRRSpec(m core.ModelName) Spec {
+	return Spec{
 		Model: m, VMHosts: 2, VMsPerHost: 4,
 		SidecoresPerHost: 1, IOhostSidecores: 2,
 		StationPerVM: true, Seed: 1,
-	})
+	}
+}
+
+// netRRTestbed builds the net-rr rack with a netperf RR server and client
+// per VM, started and warmed up past the generators' 30 ms loss timeout:
+// until then every transaction arms one more pending timer, so the engine's
+// event pool is still growing.
+func netRRTestbed(m core.ModelName) (*Testbed, []*workload.RR) {
+	tb := Build(netRRSpec(m))
 	var rrs []*workload.RR
 	for i, g := range tb.Guests {
 		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
@@ -84,6 +90,41 @@ func BenchmarkNetRRTransaction(b *testing.B) {
 			b.ResetTimer()
 			for start := netRROps(rrs); netRROps(rrs)-start < uint64(b.N); {
 				tb.Eng.RunUntil(tb.Eng.Now() + 10*sim.Microsecond)
+			}
+		})
+	}
+}
+
+// TestBuildAllocBudget bounds the heap cluster.Build allocates for the
+// net-rr rack under the two models whose hosts keep virtio rings. Ring
+// buffers are drawn from the testbed's pool as descriptors carry data, so
+// an idle ring costs its descriptor table and rings, not a payload slab.
+func TestBuildAllocBudget(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const budget = 1 << 20
+	for _, m := range []core.ModelName{core.ModelElvis, core.ModelBaseline} {
+		t.Run(string(m), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			Build(netRRSpec(m))
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+				t.Errorf("Build allocated %d bytes, budget %d", got, budget)
+			}
+		})
+	}
+}
+
+// BenchmarkBuild reports the host cost of building the net-rr rack, per I/O
+// model.
+func BenchmarkBuild(b *testing.B) {
+	for _, m := range netRRModels {
+		b.Run(string(m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(netRRSpec(m))
 			}
 		})
 	}

@@ -79,7 +79,7 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 	n.notify = func(fn func()) { bg.g.VM.GuestIRQInjected(h.ioCore, fn) }
 
 	if blk != nil {
-		bg.blkQ = newBlkQueue()
+		bg.blkQ = newBlkQueue(bg.g.pool)
 		// Guest-side per-op CPU: stack + kick exit + injected completion
 		// (guest IRQ handler + EOI exit).
 		bg.g.blkCPU = func(int) sim.Time {

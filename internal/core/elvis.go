@@ -98,7 +98,7 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 	h.guests = append(h.guests, eg)
 
 	if blk != nil {
-		eg.blkQ = newBlkQueue()
+		eg.blkQ = newBlkQueue(eg.g.pool)
 		eg.sites = bufpool.NewList("core elvis blk sites", func() *elvisBlk {
 			b := &elvisBlk{h: h, eg: eg}
 			b.serveFn = func() { eg.blk.Serve(b, b.c.Out) }

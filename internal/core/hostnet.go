@@ -74,7 +74,7 @@ func newHostNet(eng *sim.Engine, p *params.P, g *Guest, id int, hostNIC *nic.NIC
 		chain = interpose.NewChain()
 	}
 	n := &hostNet{
-		eng: eng, p: p, g: g, q: newNetQueues(),
+		eng: eng, p: p, g: g, q: newNetQueues(g.pool),
 		vf:  hostNIC.AddVF(g.netMAC, nic.ModeInterrupt),
 		srv: virtio.NetServer{Chain: chain, Device: uint16(id)},
 	}

@@ -25,10 +25,8 @@ type netQueues struct {
 	tx *virtio.Ring
 	rx *virtio.Ring
 	// rxFree are host-side pre-popped guest buffers awaiting frames, filled
-	// oldest first; rxSpare are filled chains kept for their slices, which
-	// the next stockRx pops into.
-	rxFree  sim.FIFO[virtio.Chain]
-	rxSpare []virtio.Chain
+	// oldest first.
+	rxFree sim.FIFO[virtio.Chain]
 	// RxDrops counts frames dropped for want of guest rx buffers.
 	RxDrops uint64
 	// reap is the reusable completion batch (TX and RX reaps are fully
@@ -40,12 +38,13 @@ type netQueues struct {
 	rxOut [][]byte
 }
 
-func newNetQueues() *netQueues {
-	tx, err := virtio.NewRing(queueSize, segmentSize)
+// newNetQueues builds the device's rings over the cell's buffer pool.
+func newNetQueues(pool *bufpool.Pool) *netQueues {
+	tx, err := virtio.NewRing(queueSize, segmentSize, pool)
 	if err != nil {
 		panic(err)
 	}
-	rx, err := virtio.NewRing(queueSize, segmentSize)
+	rx, err := virtio.NewRing(queueSize, segmentSize, pool)
 	if err != nil {
 		panic(err)
 	}
@@ -64,13 +63,7 @@ func (q *netQueues) stockRx(n int) {
 	}
 	for {
 		var c virtio.Chain
-		if n := len(q.rxSpare); n > 0 {
-			c = q.rxSpare[n-1]
-			q.rxSpare = q.rxSpare[:n-1]
-		}
-		ok, err := q.rx.PopInto(&c)
-		if err != nil || !ok {
-			q.rxSpare = append(q.rxSpare, c)
+		if ok, err := q.rx.PopInto(&c); err != nil || !ok {
 			break
 		}
 		q.rxFree.Push(c)
@@ -109,9 +102,7 @@ func (q *netQueues) hostDeliver(frame []byte) bool {
 		q.RxDrops++
 		return false
 	}
-	c := q.rxFree.Pop()
-	q.rx.Push(c, frame)
-	q.rxSpare = append(q.rxSpare, c)
+	q.rx.Push(q.rxFree.Pop(), frame)
 	return true
 }
 
@@ -146,10 +137,10 @@ type blkQueue struct {
 	reapFn func()
 }
 
-func newBlkQueue() *blkQueue {
+func newBlkQueue(pool *bufpool.Pool) *blkQueue {
 	// Block chains move 4 KiB payloads: 2 KiB segments chain fine, but a
 	// larger ring keeps many requests in flight.
-	ring, err := virtio.NewRing(queueSize, segmentSize)
+	ring, err := virtio.NewRing(queueSize, segmentSize, pool)
 	if err != nil {
 		panic(err)
 	}

@@ -12,7 +12,8 @@ import (
 // buffers must drop exactly the excess, and every reaped buffer must return
 // to the free list.
 func TestNetQueuesRxFreeListCycles(t *testing.T) {
-	q := newNetQueues()
+	pool := bufpool.New()
+	q := newNetQueues(pool)
 	if q.rxFree.Len() != rxBuffers {
 		t.Fatalf("stocked %d rx buffers, want %d", q.rxFree.Len(), rxBuffers)
 	}
@@ -26,7 +27,7 @@ func TestNetQueuesRxFreeListCycles(t *testing.T) {
 			t.Fatalf("round %d: %d drops after a burst of %d, want %d", round, q.RxDrops, burst, want)
 		}
 		q.RxDrops = 0
-		got := q.guestReapRx(bufpool.New())
+		got := q.guestReapRx(pool)
 		if len(got) != min(burst, rxBuffers) {
 			t.Fatalf("round %d: reaped %d frames, want %d", round, len(got), min(burst, rxBuffers))
 		}

@@ -1,9 +1,12 @@
 // Package virtio reimplements the virtio virtqueue — the shared-memory ring
 // protocol that the baseline, Elvis, and vRIO I/O models all speak (§4.1:
-// "We directly reuse the virtio protocol"). The ring is laid out in a byte
-// slab exactly like guest shared memory (little-endian descriptor table,
-// avail ring, used ring), so the driver and device sides genuinely
-// communicate through encoded bytes rather than Go object graphs.
+// "We directly reuse the virtio protocol"). The descriptor table, avail ring
+// and used ring are bytes laid out exactly like guest shared memory
+// (little-endian), so the driver and device sides genuinely communicate
+// through encoded bytes rather than Go object graphs. The payload is not:
+// as in real virtio, a descriptor names a buffer the driver lends, here a
+// slab of the testbed's buffer pool held only while the descriptor carries
+// data, so ring memory is proportional to use.
 package virtio
 
 import (
@@ -42,23 +45,32 @@ var (
 // reaps completions with Reap; the device side (host/sidecore/IOhost) polls
 // with PopInto and completes with Push. A Ring is not safe for concurrent use;
 // the simulation is single-threaded by design.
+//
+// The descriptor table is the one record of a chain: every walk follows its
+// next and flags fields from the head, at most qsize hops, so a corrupt
+// table cannot hang the ring.
 type Ring struct {
 	qsize   int
 	segSize int
+	pool    *bufpool.Pool
 
-	// Shared memory regions, all living in one slab like guest RAM.
+	// Shared memory regions.
 	desc  []byte // descriptor table: qsize * descSize
 	avail []byte // avail ring: hdr + qsize * 2
 	used  []byte // used ring: hdr + qsize * usedElemSize
-	buf   []byte // payload slab: qsize * segSize (descriptor i owns slot i)
+	// bufs[i] is the pool slab descriptor i lends, nil while it carries no
+	// data: an out descriptor holds one from Add to PopInto, an in
+	// descriptor from Push to ReapInto. (The addr field stays zero.)
+	bufs [][]byte
 
-	// Driver-private state.
+	// Driver-private state. posted and spans are indexed by chain head:
+	// whether a request is in flight, and its guest_ring span.
 	freeHead    uint16
 	numFree     int
 	lastUsedIdx uint16
-	pending     []*token             // indexed by chain head: in-flight request bookkeeping
-	inFlight    int                  // non-nil entries of pending
-	toks        *bufpool.List[token] // recycled: Add/Reap do not allocate in steady state
+	posted      []bool
+	spans       []trace.SpanID
+	inFlight    int
 
 	// Device-private state.
 	lastAvailIdx uint16
@@ -76,15 +88,10 @@ type Ring struct {
 	SpanName string
 }
 
-type token struct {
-	inDescs  []uint16 // device-writable descriptors in chain order
-	outDescs []uint16
-	span     trace.SpanID
-}
-
-// NewRing builds a virtqueue with qsize descriptors of segSize bytes each.
-// qsize must be a power of two in [2, 32768], matching hardware virtio.
-func NewRing(qsize, segSize int) (*Ring, error) {
+// NewRing builds a virtqueue with qsize descriptors of up to segSize bytes
+// each, whose buffers come from pool. qsize must be a power of two in
+// [2, 32768], matching hardware virtio.
+func NewRing(qsize, segSize int, pool *bufpool.Pool) (*Ring, error) {
 	if qsize < minQueueSize || qsize > maxQueueSize || qsize&(qsize-1) != 0 {
 		return nil, fmt.Errorf("virtio: queue size %d must be a power of two in [%d, %d]",
 			qsize, minQueueSize, maxQueueSize)
@@ -95,13 +102,14 @@ func NewRing(qsize, segSize int) (*Ring, error) {
 	r := &Ring{
 		qsize:   qsize,
 		segSize: segSize,
+		pool:    pool,
 		desc:    make([]byte, qsize*descSize),
 		avail:   make([]byte, ringHdrSize+qsize*2),
 		used:    make([]byte, ringHdrSize+qsize*usedElemSize),
-		buf:     make([]byte, qsize*segSize),
+		bufs:    make([][]byte, qsize),
 		numFree: qsize,
-		pending: make([]*token, qsize),
-		toks:    bufpool.NewList("virtio tokens", func() *token { return &token{} }),
+		posted:  make([]bool, qsize),
+		spans:   make([]trace.SpanID, qsize),
 	}
 	// Chain all descriptors into the free list.
 	for i := 0; i < qsize; i++ {
@@ -126,15 +134,13 @@ func (r *Ring) Completions() uint64 { return r.completions }
 
 func (r *Ring) writeDesc(i uint16, length uint32, flags, next uint16) {
 	off := int(i) * descSize
-	binary.LittleEndian.PutUint64(r.desc[off:], uint64(int(i)*r.segSize)) // addr = slot offset
 	binary.LittleEndian.PutUint32(r.desc[off+8:], length)
 	binary.LittleEndian.PutUint16(r.desc[off+12:], flags)
 	binary.LittleEndian.PutUint16(r.desc[off+14:], next)
 }
 
-func (r *Ring) readDesc(i uint16) (addr uint64, length uint32, flags, next uint16) {
+func (r *Ring) readDesc(i uint16) (length uint32, flags, next uint16) {
 	off := int(i) * descSize
-	addr = binary.LittleEndian.Uint64(r.desc[off:])
 	length = binary.LittleEndian.Uint32(r.desc[off+8:])
 	flags = binary.LittleEndian.Uint16(r.desc[off+12:])
 	next = binary.LittleEndian.Uint16(r.desc[off+14:])
@@ -166,11 +172,6 @@ func (r *Ring) setUsedEntry(slot uint16, id, length uint32) {
 	binary.LittleEndian.PutUint32(r.used[off+4:], length)
 }
 
-func (r *Ring) slot(i uint16) []byte {
-	off := int(i) * r.segSize
-	return r.buf[off : off+r.segSize]
-}
-
 // --- driver (guest) side ---
 
 // segsNeeded reports how many descriptors a byte count occupies.
@@ -184,6 +185,8 @@ func (r *Ring) segsNeeded(n int) int {
 // Add posts one request: out is driver-provided data the device reads;
 // inLen is the number of device-writable bytes reserved for the response.
 // It returns the chain head, which identifies the request at completion.
+// Each out descriptor lends a pool slab holding its share of out; the in
+// descriptors lend nothing until the device writes them.
 func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
 	nOut := r.segsNeeded(len(out))
 	nIn := r.segsNeeded(inLen)
@@ -198,42 +201,32 @@ func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
 		return 0, ErrRingFull
 	}
 
-	tok := r.toks.Get()
 	head := r.freeHead
 	cur := head
-	remaining := out
 	for i := 0; i < total; i++ {
-		_, _, _, next := r.readDesc(cur)
+		_, _, next := r.readDesc(cur)
 		var flags uint16
-		var l uint32
+		var l int
 		if i < nOut {
-			n := copy(r.slot(cur), remaining)
-			remaining = remaining[n:]
-			l = uint32(n)
-			tok.outDescs = append(tok.outDescs, cur)
+			l = min(len(out), r.segSize)
+			r.bufs[cur] = r.pool.Clone(out[:l])
+			out = out[l:]
 		} else {
 			flags = descFlagWrite
-			want := inLen - (i-nOut)*r.segSize
-			if want > r.segSize {
-				want = r.segSize
-			}
-			l = uint32(want)
-			tok.inDescs = append(tok.inDescs, cur)
+			l = min(inLen-(i-nOut)*r.segSize, r.segSize)
 		}
 		if i < total-1 {
 			flags |= descFlagNext
-			r.writeDesc(cur, l, flags, next)
+			r.writeDesc(cur, uint32(l), flags, next)
 			cur = next
 		} else {
 			r.freeHead = next
-			r.writeDesc(cur, l, flags, 0)
+			r.writeDesc(cur, uint32(l), flags, 0)
 		}
 	}
 	r.numFree -= total
-	if r.Tracer.Enabled() {
-		tok.span = r.Tracer.BeginArg(trace.CatGuestRing, r.SpanName, 0, uint64(head))
-	}
-	r.pending[head] = tok
+	r.spans[head] = r.Tracer.BeginArg(trace.CatGuestRing, r.SpanName, 0, uint64(head))
+	r.posted[head] = true
 	r.inFlight++
 
 	// Publish: write head into the avail ring, then bump idx (the memory
@@ -249,7 +242,7 @@ func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
 type Completion struct {
 	Head uint16
 	// In holds the device-written response bytes (length as reported by the
-	// device), copied out of the descriptor slots into a per-batch-slot
+	// device), copied out of the descriptors' buffers into a per-batch-slot
 	// buffer — valid until the batch slot is reused by the next ReapInto.
 	In []byte
 }
@@ -286,8 +279,9 @@ func (r *Ring) Reap(max int) []Completion {
 }
 
 // ReapInto harvests at most max completed requests (all if max <= 0) into
-// b, resetting it first, and returns how many were reaped. Descriptors are
-// freed; response bytes are copied into b's reusable slot buffers.
+// b, resetting it first, and returns how many were reaped. Response bytes
+// are copied into b's reusable slot buffers; then the descriptors are freed
+// and their slabs returned to the pool.
 func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 	b.Completions = b.Completions[:0]
 	for r.lastUsedIdx != r.usedIdx() {
@@ -297,33 +291,35 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 		id, length := r.usedEntry(r.lastUsedIdx)
 		r.lastUsedIdx++
 		head := uint16(id)
-		var tok *token
-		if int(head) < len(r.pending) {
-			tok = r.pending[head]
-		}
-		if tok == nil {
+		if int(head) >= r.qsize || !r.posted[head] {
 			// The device completed something we never posted: protocol bug.
 			panic(fmt.Sprintf("virtio: used entry for unknown head %d", head))
 		}
-		r.pending[head] = nil
+		r.posted[head] = false
 		r.inFlight--
-		r.Tracer.End(tok.span)
+		r.Tracer.End(r.spans[head])
 		c := b.next()
 		c.Head = head
 		c.In = c.In[:0]
 		n := int(length)
-		for _, d := range tok.inDescs {
-			if n <= 0 {
+		d := head
+		for hops := 0; hops < r.qsize; hops++ {
+			_, flags, next := r.readDesc(d)
+			if buf := r.bufs[d]; buf != nil {
+				take := min(len(buf), n)
+				c.In = append(c.In, buf[:take]...)
+				n -= take
+				r.pool.PutRaw(buf)
+				r.bufs[d] = nil
+			}
+			r.writeDesc(d, 0, 0, r.freeHead)
+			r.freeHead = d
+			r.numFree++
+			if flags&descFlagNext == 0 {
 				break
 			}
-			take := n
-			if take > r.segSize {
-				take = r.segSize
-			}
-			c.In = append(c.In, r.slot(d)[:take]...)
-			n -= take
+			d = next
 		}
-		r.freeChain(tok)
 	}
 	return len(b.Completions)
 }
@@ -331,39 +327,32 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 // InFlight reports the number of posted-but-not-reaped requests.
 func (r *Ring) InFlight() int { return r.inFlight }
 
-func (r *Ring) freeChain(tok *token) {
-	for _, d := range tok.outDescs {
-		r.writeDesc(d, 0, 0, r.freeHead)
-		r.freeHead = d
-		r.numFree++
-	}
-	for _, d := range tok.inDescs {
-		r.writeDesc(d, 0, 0, r.freeHead)
-		r.freeHead = d
-		r.numFree++
-	}
-	tok.outDescs, tok.inDescs, tok.span = tok.outDescs[:0], tok.inDescs[:0], 0
-	r.toks.Put(tok)
-}
-
 // --- device (host / sidecore / IOhost worker) side ---
 
-// Chain is one request as seen by the device.
+// Chain is one request as seen by the device. Its device-writable
+// descriptors are found from Head in the ring's descriptor table; the
+// device responds via ring.Push.
 type Chain struct {
 	Head uint16
 	// Out is the driver-provided request data, concatenated.
-	Out []byte
-	// inDescs are the writable slots; the device responds via ring.Push.
-	inDescs []uint16
-	inLens  []uint32
-	ring    *Ring
+	Out  []byte
+	ring *Ring
 }
 
 // InCapacity reports how many response bytes the driver reserved.
 func (c *Chain) InCapacity() int {
+	r := c.ring
 	total := 0
-	for _, l := range c.inLens {
-		total += int(l)
+	d := c.Head
+	for hops := 0; hops < r.qsize; hops++ {
+		length, flags, next := r.readDesc(d)
+		if flags&descFlagWrite != 0 {
+			total += int(length)
+		}
+		if flags&descFlagNext == 0 {
+			break
+		}
+		d = next
 	}
 	return total
 }
@@ -371,9 +360,10 @@ func (c *Chain) InCapacity() int {
 // PopInto fills c with the next available chain, reusing c's slice
 // capacity, and reports whether one was available (false when the ring is
 // empty — exactly what a sidecore's poll loop checks). The chain's Out
-// bytes are copied out of the descriptor slots, so they remain valid until
-// c is reused: a device that holds a request across an asynchronous
-// completion pops it into a chain that request owns.
+// bytes are copied out of the descriptors' buffers, which return to the
+// pool, so they remain valid until c is reused: a device that holds a
+// request across an asynchronous completion pops it into a chain that
+// request owns.
 func (r *Ring) PopInto(c *Chain) (bool, error) {
 	if r.lastAvailIdx == r.availIdx() {
 		return false, nil
@@ -383,19 +373,16 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 	c.Head = head
 	c.ring = r
 	c.Out = c.Out[:0]
-	c.inDescs = c.inDescs[:0]
-	c.inLens = c.inLens[:0]
 	cur := head
 	for hops := 0; ; hops++ {
-		if hops > r.qsize {
+		if hops == r.qsize {
 			return false, ErrBadChain
 		}
-		_, length, flags, next := r.readDesc(cur)
-		if flags&descFlagWrite != 0 {
-			c.inDescs = append(c.inDescs, cur)
-			c.inLens = append(c.inLens, length)
-		} else {
-			c.Out = append(c.Out, r.slot(cur)[:length]...)
+		_, flags, next := r.readDesc(cur)
+		if buf := r.bufs[cur]; buf != nil {
+			c.Out = append(c.Out, buf...)
+			r.pool.PutRaw(buf)
+			r.bufs[cur] = nil
 		}
 		if flags&descFlagNext == 0 {
 			break
@@ -409,19 +396,24 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 func (r *Ring) HasAvail() bool { return r.lastAvailIdx != r.availIdx() }
 
 // Push completes a chain, writing data into its device-writable descriptors
-// and publishing a used-ring entry. It returns the number of bytes written
-// (truncated to the driver's reserved capacity).
+// — each written one draws a pool slab — and publishing a used-ring entry.
+// It returns the number of bytes written (truncated to the driver's
+// reserved capacity).
 func (r *Ring) Push(c Chain, data []byte) int {
 	written := 0
-	remaining := data
-	for i, d := range c.inDescs {
-		if len(remaining) == 0 {
+	d := c.Head
+	for hops := 0; hops < r.qsize && len(data) > 0; hops++ {
+		capHere, flags, next := r.readDesc(d)
+		if flags&descFlagWrite != 0 {
+			n := min(len(data), int(capHere))
+			r.bufs[d] = r.pool.Clone(data[:n])
+			data = data[n:]
+			written += n
+		}
+		if flags&descFlagNext == 0 {
 			break
 		}
-		capHere := int(c.inLens[i])
-		n := copy(r.slot(d)[:capHere], remaining)
-		remaining = remaining[n:]
-		written += n
+		d = next
 	}
 	idx := r.usedIdx()
 	r.setUsedEntry(idx, uint32(c.Head), uint32(written))

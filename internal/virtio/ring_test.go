@@ -6,12 +6,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 )
 
 func mustRing(t *testing.T, qsize, seg int) *Ring {
 	t.Helper()
-	r, err := NewRing(qsize, seg)
+	r, err := NewRing(qsize, seg, bufpool.New())
 	if err != nil {
 		t.Fatalf("NewRing(%d, %d): %v", qsize, seg, err)
 	}
@@ -23,13 +24,13 @@ func TestNewRingValidation(t *testing.T) {
 		{0, 4096}, {1, 4096}, {3, 4096}, {65536, 4096}, {256, 1}, {256, 0},
 	}
 	for _, c := range bad {
-		if _, err := NewRing(c.q, c.s); err == nil {
+		if _, err := NewRing(c.q, c.s, bufpool.New()); err == nil {
 			t.Errorf("NewRing(%d, %d) accepted", c.q, c.s)
 		}
 	}
 	good := []struct{ q, s int }{{2, 64}, {256, 4096}, {32768, 128}}
 	for _, c := range good {
-		if _, err := NewRing(c.q, c.s); err != nil {
+		if _, err := NewRing(c.q, c.s, bufpool.New()); err != nil {
 			t.Errorf("NewRing(%d, %d) rejected: %v", c.q, c.s, err)
 		}
 	}

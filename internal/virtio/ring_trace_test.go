@@ -3,6 +3,7 @@ package virtio
 import (
 	"testing"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 	"vrio/internal/trace"
 )
@@ -12,7 +13,7 @@ import (
 // head as the correlation arg.
 func TestRingTraceSpans(t *testing.T) {
 	e := sim.NewEngine()
-	r, err := NewRing(8, 256)
+	r, err := NewRing(8, 256, bufpool.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRingTraceSpans(t *testing.T) {
 // TestRingNilTracerUntouched pins that an untraced ring records nothing and
 // pays nothing (no panic on the nil path either).
 func TestRingNilTracerUntouched(t *testing.T) {
-	r, err := NewRing(4, 256)
+	r, err := NewRing(4, 256, bufpool.New())
 	if err != nil {
 		t.Fatal(err)
 	}

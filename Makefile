@@ -52,8 +52,11 @@ bench:
 #              (optimum, vrio, elvis, baseline), and a blk-rw block op on
 #              each block pipeline (vrio, vrio-volume, elvis, baseline),
 #              testbed end to end; building the net-rr rack per model.
-# Every guard must stay at 0 allocs/op, except TestBuildAllocBudget, which
-# holds Build of the net-rr rack under Elvis and the baseline below 1 MB.
+# Every guard must stay at 0 allocs/op, except two that bound bytes over a
+# cold window, not allocs/op: TestBuildAllocBudget holds Build of the
+# net-rr rack under Elvis and the baseline below 1 MB, and
+# TestNetRRColdStartAllocBudget holds a fresh net-rr testbed's first 10 ms
+# of traffic below 48 KiB per model.
 # The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
@@ -66,7 +69,7 @@ BENCH_GUARDS = \
 	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum' \
 	./internal/iohyp/     'TestIOhostDispatchZeroAlloc'                 'BenchmarkIOhostDispatch' \
 	./internal/virtio/    'TestNetServerFreeChainZeroAlloc|TestRingSteadyStateZeroAlloc' 'BenchmarkRingRoundTrip' \
-	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc|TestBuildAllocBudget' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp|BenchmarkBuild'
+	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc|TestBuildAllocBudget|TestNetRRColdStartAllocBudget' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp|BenchmarkBuild'
 
 bench-guards:
 	@set -- $(BENCH_GUARDS); while [ $$# -gt 0 ]; do \

@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"vrio/internal/bufpool"
 	"vrio/internal/core"
+	"vrio/internal/cpu"
+	"vrio/internal/ethernet"
 	"vrio/internal/sim"
 	"vrio/internal/workload"
 )
@@ -75,6 +78,104 @@ func TestNetRRSteadyStateZeroAlloc(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Errorf("%v allocs per 100 µs of net-rr, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestSidecoreWaitExport pins which cores record their queue waits: each
+// sidecore records into the histogram the registry exports as
+// sidecore<i>/wait_ns, one sample per item it dispatched, and no VM, IO or
+// generator core records at all.
+func TestSidecoreWaitExport(t *testing.T) {
+	for _, m := range []core.ModelName{core.ModelElvis, core.ModelVRIO} {
+		t.Run(string(m), func(t *testing.T) {
+			tb, _ := netRRTestbed(m)
+			if len(tb.Sidecores) == 0 {
+				t.Fatal("no sidecores")
+			}
+			for i, sc := range tb.Sidecores {
+				exported := tb.Metrics.Get(fmt.Sprintf("sidecore%d", i), "wait_ns")
+				if exported == nil || sc.Wait == nil || sc.Wait != exported.Hist() {
+					t.Fatalf("%s: Wait is not the exported sidecore%d/wait_ns", sc.Name(), i)
+				}
+				h := sc.Wait
+				dispatched := sc.Executed
+				if sc.Busy() {
+					dispatched++
+				}
+				if h.Count() == 0 || h.Count() != dispatched {
+					t.Errorf("%s: %d waits recorded, %d items dispatched", sc.Name(), h.Count(), dispatched)
+				}
+			}
+			for _, cores := range [][]*cpu.Core{tb.VMCores, tb.IOCores, tb.GenCores} {
+				for _, c := range cores {
+					if c.Wait != nil {
+						t.Errorf("%s records its queue waits", c.Name())
+					}
+				}
+			}
+		})
+	}
+}
+
+// pinger is a closed-loop RR client that allocates nothing of its own:
+// it resends one reused payload whenever the previous echo returns, and arms
+// no loss timer (workload.RR's 30 ms timers grow the engine's event pool).
+type pinger struct {
+	st  *workload.Station
+	dst ethernet.MAC
+	req []byte
+	ops uint64
+}
+
+func newPinger(st *workload.Station, dst ethernet.MAC) *pinger {
+	c := &pinger{st: st, dst: dst, req: make([]byte, 16)}
+	st.Subscribe(dst, func(ethernet.Frame) {
+		c.ops++
+		c.send()
+	})
+	return c
+}
+
+func (c *pinger) send() {
+	c.st.Send(ethernet.Frame{Dst: c.dst, EtherType: ethernet.EtherTypePlain, Payload: c.req}, nil)
+}
+
+// TestNetRRColdStartAllocBudget bounds the heap a fresh net-rr testbed
+// allocates over its first 10 ms of traffic, per I/O model. The steady-state
+// guard warms each testbed for 40 ms first, so it misses growth that every
+// new testbed pays, such as a histogram nothing reads filling its buckets.
+// The budget admits the first-use growth of queues, rings and pools.
+func TestNetRRColdStartAllocBudget(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const budget = 48 << 10
+	for _, m := range netRRModels {
+		t.Run(string(m), func(t *testing.T) {
+			tb := Build(netRRSpec(m))
+			var clients []*pinger
+			for i, g := range tb.Guests {
+				workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
+				clients = append(clients, newPinger(tb.StationFor(i), g.MAC()))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, c := range clients {
+				c.send()
+			}
+			tb.Eng.RunUntil(10 * sim.Millisecond)
+			runtime.ReadMemStats(&after)
+			for i, c := range clients {
+				if c.ops == 0 {
+					t.Fatalf("guest %d completed no transaction", i)
+				}
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("first 10 ms allocated %d bytes", got)
+			if got >= budget {
+				t.Errorf("first 10 ms allocated %d bytes, budget %d", got, budget)
 			}
 		})
 	}

@@ -86,9 +86,11 @@ type Core struct {
 	// transitions busy -> idle). Pollers use it to look for new ring work.
 	OnIdle func()
 
-	// Wait is the queueing-delay histogram (time from Exec to dispatch),
-	// feeding Figure 8's contention measurement.
-	Wait stats.Histogram
+	// Wait, if set, records each item's queueing delay (time from Exec to
+	// dispatch); nil records nothing. The testbed attaches one to each
+	// sidecore, the one wait distribution it exports. Figure 8's contention
+	// series reads WaitFraction, not this.
+	Wait *stats.Histogram
 	// Executed counts completed work items; Waited counts items that found
 	// the core busy on arrival.
 	Executed uint64
@@ -163,7 +165,9 @@ func (c *Core) runNext() {
 	w := c.queue[c.qHead]
 	c.queue[c.qHead] = work{}
 	c.qHead++
-	c.Wait.Record(int64(c.eng.Now() - w.enq))
+	if c.Wait != nil {
+		c.Wait.Record(int64(c.eng.Now() - w.enq))
+	}
 
 	total := w.d
 	if w.owner != NoOwner && c.lastOwner != NoOwner && w.owner != c.lastOwner && c.csCost > 0 {

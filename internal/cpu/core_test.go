@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vrio/internal/sim"
+	"vrio/internal/stats"
 )
 
 func TestCoreExecutesFIFO(t *testing.T) {
@@ -28,6 +29,7 @@ func TestCoreExecutesFIFO(t *testing.T) {
 func TestCoreQueueingDelay(t *testing.T) {
 	e := sim.NewEngine()
 	c := New(e, "c0", 0)
+	c.Wait = &stats.Histogram{}
 	var doneAt sim.Time
 	c.Exec(NoOwner, KindBusy, 100, nil)
 	e.At(10, func() {
@@ -41,8 +43,8 @@ func TestCoreQueueingDelay(t *testing.T) {
 	if c.Waited != 1 {
 		t.Errorf("Waited = %d, want 1", c.Waited)
 	}
-	if c.Wait.Max() != 90 {
-		t.Errorf("max wait = %d, want 90", c.Wait.Max())
+	if c.Wait.Max() != 90 || c.Wait.Count() != 2 {
+		t.Errorf("wait max = %d over %d items, want 90 over 2", c.Wait.Max(), c.Wait.Count())
 	}
 }
 

@@ -111,8 +111,8 @@ func (r *Registry) Histogram(component, name string) *stats.Histogram {
 	return h
 }
 
-// ObserveHistogram registers an existing component histogram (e.g. a
-// sidecore's queueing-delay histogram) without copying it.
+// ObserveHistogram registers an existing component histogram (e.g. a load
+// generator's latency histogram) without copying it.
 func (r *Registry) ObserveHistogram(component, name string, h *stats.Histogram) *Metric {
 	return r.add(&Metric{Component: component, Name: name, Kind: KindHistogram, hist: h})
 }

@@ -48,7 +48,11 @@ var (
 //
 // The descriptor table is the one record of a chain: every walk follows its
 // next and flags fields from the head, at most qsize hops, so a corrupt
-// table cannot hang the ring.
+// table cannot hang the ring. A walk also ends at a free descriptor (length
+// 0, flags 0, so no next flag) and Push at one it has already written, so a
+// chain that loops back on itself is freed, and filled, once. Descriptors
+// a corrupt chain cut off from its head return to the free list when the
+// ring drains.
 type Ring struct {
 	qsize   int
 	segSize int
@@ -111,11 +115,21 @@ func NewRing(qsize, segSize int, pool *bufpool.Pool) (*Ring, error) {
 		posted:  make([]bool, qsize),
 		spans:   make([]trace.SpanID, qsize),
 	}
-	// Chain all descriptors into the free list.
-	for i := 0; i < qsize; i++ {
+	r.freeAll()
+	return r, nil
+}
+
+// freeAll chains every descriptor into the free list, returning any slab
+// one still holds to the pool. It is only sound with nothing in flight.
+func (r *Ring) freeAll() {
+	for i, buf := range r.bufs {
+		if buf != nil {
+			r.pool.PutRaw(buf)
+			r.bufs[i] = nil
+		}
 		r.writeDesc(uint16(i), 0, 0, uint16(i+1))
 	}
-	return r, nil
+	r.freeHead, r.numFree = 0, r.qsize
 }
 
 // QueueSize reports the number of descriptors.
@@ -281,7 +295,9 @@ func (r *Ring) Reap(max int) []Completion {
 // ReapInto harvests at most max completed requests (all if max <= 0) into
 // b, resetting it first, and returns how many were reaped. Response bytes
 // are copied into b's reusable slot buffers; then the descriptors are freed
-// and their slabs returned to the pool.
+// and their slabs returned to the pool. When the ring drains with
+// descriptors still unaccounted for, which only a corrupt chain leaves,
+// every descriptor is freed.
 func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 	b.Completions = b.Completions[:0]
 	for r.lastUsedIdx != r.usedIdx() {
@@ -304,7 +320,10 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 		n := int(length)
 		d := head
 		for hops := 0; hops < r.qsize; hops++ {
-			_, flags, next := r.readDesc(d)
+			dlen, flags, next := r.readDesc(d)
+			if dlen == 0 && flags == 0 {
+				break // freed already: the chain looped back
+			}
 			if buf := r.bufs[d]; buf != nil {
 				take := min(len(buf), n)
 				c.In = append(c.In, buf[:take]...)
@@ -320,6 +339,9 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 			}
 			d = next
 		}
+	}
+	if r.inFlight == 0 && r.numFree != r.qsize {
+		r.freeAll()
 	}
 	return len(b.Completions)
 }
@@ -405,6 +427,9 @@ func (r *Ring) Push(c Chain, data []byte) int {
 	for hops := 0; hops < r.qsize && len(data) > 0; hops++ {
 		capHere, flags, next := r.readDesc(d)
 		if flags&descFlagWrite != 0 {
+			if r.bufs[d] != nil {
+				break // written already: the chain looped back
+			}
 			n := min(len(data), int(capHere))
 			r.bufs[d] = r.pool.Clone(data[:n])
 			data = data[n:]

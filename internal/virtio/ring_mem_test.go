@@ -226,7 +226,10 @@ func descs(r *Ring, head uint16) []uint16 {
 // A descriptor table rewritten into a cycle — a guest corrupting its shared
 // memory — makes every chain walk stop within the queue size: PopInto
 // reports ErrBadChain, and InCapacity, Push and ReapInto of a chain the
-// device already holds return.
+// device already holds return. The reap leaves the ring sound: its free
+// list holds each descriptor once and none in flight, and once the ring
+// drains every descriptor is free, every slab is back in the pool, and Add
+// hands out each descriptor once.
 func TestRingCorruptChainStops(t *testing.T) {
 	const qsize, seg = 8, 64
 	loop := func(r *Ring, from, to uint16) {
@@ -250,6 +253,9 @@ func TestRingCorruptChainStops(t *testing.T) {
 		if ok, err := r.PopInto(&c); !ok || err != nil {
 			t.Fatalf("PopInto: %v, %v", ok, err)
 		}
+		// other stays in flight across the corrupt reap, so the ring has
+		// not drained when its free list is checked.
+		other, _ := r.Add([]byte("other"), 0)
 		ds := descs(r, head)
 		if cycle == "in descriptors" {
 			loop(r, ds[len(ds)-1], ds[1])
@@ -264,6 +270,37 @@ func TestRingCorruptChainStops(t *testing.T) {
 		}
 		if n := r.ReapInto(&ReapBatch{}, 0); n != 1 {
 			t.Errorf("%s: reaped %d, want 1", cycle, n)
+		}
+		onList := map[uint16]bool{other: true}
+		for d, i := r.freeHead, 0; i < r.FreeDescriptors(); i++ {
+			if onList[d] {
+				t.Fatalf("%s: free list revisits descriptor %d or lists the one in flight", cycle, d)
+			}
+			onList[d] = true
+			_, _, d = r.readDesc(d)
+		}
+		var oc Chain
+		if ok, err := r.PopInto(&oc); !ok || err != nil || oc.Head != other {
+			t.Fatalf("%s: PopInto of the other request: %v, %v", cycle, ok, err)
+		}
+		r.Push(oc, nil)
+		if n := r.ReapInto(&ReapBatch{}, 0); n != 1 {
+			t.Errorf("%s: reaped %d of the other request, want 1", cycle, n)
+		}
+		if n := r.FreeDescriptors(); n != r.QueueSize() {
+			t.Errorf("%s: %d descriptors free after the reap, want %d", cycle, n, r.QueueSize())
+		}
+		if s := r.pool.Stats; s.Gets != s.Puts {
+			t.Errorf("%s: pool lent %d slabs and got %d back", cycle, s.Gets, s.Puts)
+		}
+		heads := map[uint16]bool{}
+		for i := 0; i < qsize; i++ {
+			h, err := r.Add([]byte("x"), 0)
+			if err != nil || heads[h] {
+				t.Errorf("%s: one-descriptor Add %d: head %d, %v; want a fresh head", cycle, i, h, err)
+				break
+			}
+			heads[h] = true
 		}
 	}
 }

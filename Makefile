@@ -47,16 +47,20 @@ bench:
 #              uplink frame delivered to a client, an MQ block read served
 #              and answered.
 #   virtio:    a frame through a free interposition chain; a request
-#              through a warm ring (Add, PopInto, Push, ReapInto).
+#              through a warm ring (Add, PopInto, Push, ReapInto) and the
+#              pool loans it takes.
 #   cluster:   a netperf RR transaction on the net-rr rack, per I/O model
 #              (optimum, vrio, elvis, baseline), and a blk-rw block op on
 #              each block pipeline (vrio, vrio-volume, elvis, baseline),
-#              testbed end to end; building the net-rr rack per model.
-# Every guard must stay at 0 allocs/op, except two that bound bytes over a
+#              testbed end to end, with the pool loans of each; building
+#              the net-rr rack per model.
+# Every guard must stay at 0 allocs/op, except three that bound bytes over a
 # cold window, not allocs/op: TestBuildAllocBudget holds Build of the
-# net-rr rack under Elvis and the baseline below 1 MB, and
+# net-rr rack under Elvis and the baseline below 1 MB,
 # TestNetRRColdStartAllocBudget holds a fresh net-rr testbed's first 10 ms
-# of traffic below 48 KiB per model.
+# of traffic below 48 KiB per model, and TestBlkColdStartAllocBudget holds
+# a fresh Elvis or baseline blk-rw testbed's first 10 ms of block I/O below
+# 768 KiB.
 # The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
@@ -69,7 +73,7 @@ BENCH_GUARDS = \
 	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum' \
 	./internal/iohyp/     'TestIOhostDispatchZeroAlloc'                 'BenchmarkIOhostDispatch' \
 	./internal/virtio/    'TestNetServerFreeChainZeroAlloc|TestRingSteadyStateZeroAlloc' 'BenchmarkRingRoundTrip' \
-	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc|TestBuildAllocBudget|TestNetRRColdStartAllocBudget' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp|BenchmarkBuild'
+	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc|TestBuildAllocBudget|TestNetRRColdStartAllocBudget|TestBlkColdStartAllocBudget' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp|BenchmarkBuild'
 
 bench-guards:
 	@set -- $(BENCH_GUARDS); while [ $$# -gt 0 ]; do \

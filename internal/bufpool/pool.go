@@ -31,6 +31,8 @@
 //     when done. The final Release recycles both slab and Frame.
 package bufpool
 
+import "math/bits"
+
 // Size classes are powers of two from 64 B to 128 KiB: Ethernet frames and
 // ring segments (2 KiB), jumbo TSO fragments (8–16 KiB), and full 64 KiB
 // transport messages plus headers all land on an exact class.
@@ -49,16 +51,13 @@ const (
 )
 
 // classFor returns the class index for a buffer of n bytes, or -1 when n
-// exceeds the largest class.
+// exceeds the largest class: the bit length of (n-1)/64, since class c
+// holds sizes up to 64<<c.
 func classFor(n int) int {
 	if n > MaxPooled {
 		return -1
 	}
-	c := 0
-	for sz := 1 << minClassShift; sz < n; sz <<= 1 {
-		c++
-	}
-	return c
+	return bits.Len(uint(max(n, 1)-1) >> minClassShift)
 }
 
 // classSize is the slab capacity of class c.

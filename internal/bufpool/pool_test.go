@@ -19,6 +19,39 @@ func TestClassRounding(t *testing.T) {
 	}
 }
 
+// classForLoop is classFor as it was first written: a walk up the classes.
+func classForLoop(n int) int {
+	if n > MaxPooled {
+		return -1
+	}
+	c := 0
+	for sz := 1 << minClassShift; sz < n; sz <<= 1 {
+		c++
+	}
+	return c
+}
+
+// classFor computes the class with bits.Len; it must agree with the walk up
+// the classes for every size, and each class must hold its own size and
+// not one byte more.
+func TestClassForMatchesLoop(t *testing.T) {
+	for n := 0; n <= MaxPooled+1; n++ {
+		if got, want := classFor(n), classForLoop(n); got != want {
+			t.Fatalf("classFor(%d) = %d, want %d", n, got, want)
+		}
+	}
+	for c := 0; c < numClasses; c++ {
+		next := c + 1
+		if next == numClasses {
+			next = -1
+		}
+		if sz := classSize(c); classFor(sz) != c || classFor(sz+1) != next {
+			t.Errorf("class %d: classFor(%d) = %d, classFor(%d) = %d; want %d, %d",
+				c, sz, classFor(sz), sz+1, classFor(sz+1), c, next)
+		}
+	}
+}
+
 func TestOversizeFallsThrough(t *testing.T) {
 	p := New()
 	b := p.GetRaw(MaxPooled + 1)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"vrio/internal/bufpool"
@@ -283,16 +284,19 @@ func TestBlkRWSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkBlkRWOp reports the host cost of one blk-rw block operation (ns
-// and allocs per op), per block pipeline.
+// and allocs per op), per block pipeline, and the testbed pool's loans per
+// operation (loans/op).
 func BenchmarkBlkRWOp(b *testing.B) {
 	for _, bed := range blkRWBeds(1) {
 		b.Run(bed.name, func(b *testing.B) {
 			tb, gs := blkRWTestbed(b, bed)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for start := blkRWOps(gs); blkRWOps(gs)-start < uint64(b.N); {
+			start, gets := blkRWOps(gs), tb.pool.Stats.Gets
+			for blkRWOps(gs)-start < uint64(b.N) {
 				tb.Eng.RunUntil(tb.Eng.Now() + 10*sim.Microsecond)
 			}
+			b.ReportMetric(float64(tb.pool.Stats.Gets-gets)/float64(blkRWOps(gs)-start), "loans/op")
 		})
 	}
 }
@@ -350,5 +354,96 @@ func TestBlkRWPayloadIntegrity(t *testing.T) {
 				t.Logf("%d ops, %d verified reads, %d errors", ops, verified, errs)
 			})
 		}
+	}
+}
+
+// coldBlkChain is one closed loop of the cold-start block driver: 70% reads
+// of blocks nothing wrote, which read as zeros, and 30% writes to the
+// blkRWHot blocks, written before the clock starts, so the backing store
+// allocates no page while measured. Its callbacks are bound once.
+type coldBlkChain struct {
+	g       *core.Guest
+	rng     *sim.RNG
+	queue   uint8
+	sector  uint64 // sectors per block
+	buf     []byte
+	ops     uint64
+	errs    uint64
+	readFn  func([]byte, error)
+	writeFn func(error)
+}
+
+func newColdBlkChain(g *core.Guest, rng *sim.RNG, queue uint8, sector uint64) *coldBlkChain {
+	ch := &coldBlkChain{g: g, rng: rng, queue: queue, sector: sector, buf: make([]byte, blkRWSize)}
+	ch.writeFn = func(err error) {
+		ch.ops++
+		if err != nil {
+			ch.errs++
+		}
+		ch.next()
+	}
+	ch.readFn = func(_ []byte, err error) { ch.writeFn(err) }
+	return ch
+}
+
+func (ch *coldBlkChain) next() {
+	if ch.rng.Float64() < 0.7 {
+		block := uint64(blkRWHot + ch.rng.Intn(blkRWBlocks-blkRWHot))
+		ch.g.ReadBlockQ(ch.queue, block*ch.sector, int(ch.sector), ch.readFn)
+		return
+	}
+	ch.g.WriteBlockQ(ch.queue, uint64(ch.rng.Intn(blkRWHot))*ch.sector, ch.buf, ch.writeFn)
+}
+
+// TestBlkColdStartAllocBudget bounds the heap a fresh blk-rw testbed of the
+// two ring models (Elvis, baseline) allocates over its first 10 ms of block
+// traffic, NQ4 x QD8 per guest. The steady-state guard warms each testbed
+// first, so it misses the growth every new testbed pays: the first loans of
+// the request and reply slabs, the ring's batches and the host sites. The
+// driver keeps store pages out of the window (see coldBlkChain), so the
+// budget measures the block path itself.
+func TestBlkColdStartAllocBudget(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const budget = 768 << 10
+	for _, bed := range blkRWBeds(1)[2:] {
+		t.Run(bed.name, func(t *testing.T) {
+			tb := Build(bed.spec)
+			var chains []*coldBlkChain
+			for i, g := range tb.Guests {
+				sector := uint64(blkRWSize / tb.P.SectorSize)
+				for b := uint64(0); b < blkRWHot; b++ {
+					if err := tb.BlockDevices[i].Store().Write(b*sector, make([]byte, blkRWSize)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rng := sim.NewRNG(uint64(i + 1))
+				for q := 0; q < blkRWQueues; q++ {
+					for d := 0; d < blkRWDepth; d++ {
+						chains = append(chains, newColdBlkChain(g, rng, uint8(q), sector))
+					}
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, ch := range chains {
+				ch.next()
+			}
+			tb.Eng.RunUntil(10 * sim.Millisecond)
+			runtime.ReadMemStats(&after)
+			var ops, errs uint64
+			for _, ch := range chains {
+				ops, errs = ops+ch.ops, errs+ch.errs
+			}
+			if ops == 0 || errs > 0 {
+				t.Fatalf("%d block ops completed, %d failed", ops, errs)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("first 10 ms (%d ops) allocated %d bytes", ops, got)
+			if got >= budget {
+				t.Errorf("first 10 ms allocated %d bytes, budget %d", got, budget)
+			}
+		})
 	}
 }

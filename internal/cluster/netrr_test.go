@@ -182,16 +182,19 @@ func TestNetRRColdStartAllocBudget(t *testing.T) {
 }
 
 // BenchmarkNetRRTransaction reports the host cost of one netperf RR
-// transaction (ns and allocs per op) on the net-rr rack, per I/O model.
+// transaction (ns and allocs per op) on the net-rr rack, per I/O model, and
+// the testbed pool's loans per transaction (loans/op).
 func BenchmarkNetRRTransaction(b *testing.B) {
 	for _, m := range netRRModels {
 		b.Run(string(m), func(b *testing.B) {
 			tb, rrs := netRRTestbed(m)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for start := netRROps(rrs); netRROps(rrs)-start < uint64(b.N); {
+			start, gets := netRROps(rrs), tb.pool.Stats.Gets
+			for netRROps(rrs)-start < uint64(b.N) {
 				tb.Eng.RunUntil(tb.Eng.Now() + 10*sim.Microsecond)
 			}
+			b.ReportMetric(float64(tb.pool.Stats.Gets-gets)/float64(netRROps(rrs)-start), "loans/op")
 		})
 	}
 }

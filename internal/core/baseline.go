@@ -27,10 +27,9 @@ type BaselineHost struct {
 }
 
 type baselineGuest struct {
-	g    *Guest
-	id   int
-	blkQ *blkQueue
-	blk  virtio.BlkServer
+	g   *Guest
+	id  int
+	blk virtio.BlkServer
 	// The block kick's stages, bound once: the exit wakes the vhost thread
 	// (wakeFn), which charges the service cost on the I/O core (execFn) and
 	// then pops and serves one request (serveFn).
@@ -57,14 +56,16 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 	if blkChain == nil {
 		blkChain = interpose.NewChain()
 	}
+	pool := h.nic.Pool()
 	bg := &baselineGuest{
-		g:  newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, h.nic.Pool()),
+		g:  newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, pool),
 		id: id,
 		// The vhost path copies block payloads both ways; its fixed service
 		// cost is charged by execFn.
 		blk: virtio.BlkServer{
 			Backend: blk, Chain: blkChain, Device: uint16(id),
 			Cost: virtio.BlkCost{PerByte: h.p.HostPerByte},
+			Pool: pool,
 		},
 	}
 	// The vhost thread serves the device on the shared I/O core. The guest
@@ -79,7 +80,8 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 	n.notify = func(fn func()) { bg.g.VM.GuestIRQInjected(h.ioCore, fn) }
 
 	if blk != nil {
-		bg.blkQ = newBlkQueue(bg.g.pool)
+		q := newBlkQueue(pool)
+		bg.g.blkQ = q
 		// Guest-side per-op CPU: stack + kick exit + injected completion
 		// (guest IRQ handler + EOI exit).
 		bg.g.blkCPU = func(int) sim.Time {
@@ -89,11 +91,9 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		// injected completion -> reap.
 		bg.g.blkStackCost = func(int) sim.Time { return h.p.GuestNetStackCost }
 		bg.g.blkPost = func(op *blkOp) {
-			if !bg.blkQ.guestSubmit(op.req, op.respCap, op.replyFn) {
-				op.replyFn(nil, virtio.ErrRingFull)
-				return
+			if q.guestSubmit(op) {
+				bg.g.VM.Exit(bg.wakeFn)
 			}
-			bg.g.VM.Exit(bg.wakeFn)
 		}
 		bg.g.blkBadStatus = blockdev.ErrDeviceFailed
 		bg.wakeFn = func() { hypervisor.VhostWakeup(h.ioCore, h.p, bg.execFn) }
@@ -101,19 +101,21 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		bg.sites = bufpool.NewList("core baseline blk sites", func() *baselineBlk {
 			b := &baselineBlk{h: h, bg: bg}
 			b.irqFn = func() {
-				bg.blkQ.ring.Push(b.c, b.resp)
+				q.ring.Push(b.c, b.resp)
+				releaseChain(pool, &b.c)
+				b.resp = nil
 				bg.sites.Put(b)
-				bg.g.VM.GuestIRQInjected(h.ioCore, bg.blkQ.reapFn)
+				bg.g.VM.GuestIRQInjected(h.ioCore, q.reapFn)
 			}
 			return b
 		})
 		bg.serveFn = func() {
 			b := bg.sites.Get()
-			if ok, err := bg.blkQ.ring.PopInto(&b.c); err != nil || !ok {
+			if ok, err := q.ring.PopInto(&b.c); err != nil || !ok {
 				bg.sites.Put(b)
 				return // already served by an earlier kick's drain
 			}
-			bg.blk.Serve(b, b.c.Out)
+			bg.blk.Serve(b, b.c.Out...)
 		}
 	}
 	return bg.g
@@ -122,8 +124,9 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 // baselineBlk is the baseline's virtio.BlkSite for one request: the shared
 // vhost core serves it, and the completion takes a host interrupt before it
 // is injected into the guest. The site owns the chain its request was
-// popped into, and a copy of the reply, until the interrupt has completed
-// the chain, which recycles it.
+// popped into, the request buffers the ring handed over and the reply the
+// server handed over, until the interrupt has completed the chain, which
+// recycles them.
 type baselineBlk struct {
 	h     *BaselineHost
 	bg    *baselineGuest
@@ -141,9 +144,9 @@ func (b *baselineBlk) Charge(cost sim.Time, fn func()) {
 func (b *baselineBlk) Completed() {}
 
 // Reply takes the device interrupt on the host, then completes the chain
-// and injects the completion. resp is only valid during the call, so the
-// site keeps a copy for the interrupt.
+// and injects the completion. The site keeps resp, handed over, for the
+// interrupt.
 func (b *baselineBlk) Reply(resp []byte) {
-	b.resp = append(b.resp[:0], resp...)
+	b.resp = resp
 	hypervisor.HostIRQ(b.h.ioCore, b.h.p, &b.bg.g.VM.Counters, hypervisor.CounterHostIRQs, b.irqFn)
 }

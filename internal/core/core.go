@@ -53,9 +53,11 @@ type Guest struct {
 
 	netMAC ethernet.MAC
 
-	// net is the guest's net device when its host serves the rings
-	// (baseline, Elvis); ringSend and ringReap are the front end over it.
-	net *hostNet
+	// net and blkQ are the guest's net device and block ring when its host
+	// serves the rings (baseline, Elvis); ringSend and ringReap are the net
+	// front end.
+	net  *hostNet
+	blkQ *blkQueue
 
 	// Model-wired hooks; set by the host implementations.
 	sendNet func(f ethernet.Frame)
@@ -169,7 +171,7 @@ func (g *Guest) ReadBlock(sector uint64, sectors int, done func([]byte, error)) 
 // copied into the request before WriteBlockQ returns.
 func (g *Guest) WriteBlockQ(queue uint8, sector uint64, data []byte, done func(error)) {
 	op := g.getBlkOp()
-	op.req = virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data}.Append(op.req[:0])
+	op.encode(virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data})
 	op.queue, op.respCap, op.wdone = queue, 1, done
 	g.VM.Compute(g.blkStackCost(len(data)), op.postFn)
 }
@@ -180,7 +182,7 @@ func (g *Guest) WriteBlockQ(queue uint8, sector uint64, data []byte, done func(e
 func (g *Guest) ReadBlockQ(queue uint8, sector uint64, sectors int, done func([]byte, error)) {
 	op := g.getBlkOp()
 	bytes := sectors * g.p.SectorSize
-	op.req = virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors}.Append(op.req[:0])
+	op.encode(virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors})
 	op.queue, op.respCap, op.rdone = queue, 1+bytes, done
 	g.VM.Compute(g.blkStackCost(bytes), op.postFn)
 }
@@ -209,14 +211,17 @@ func perByte(rate float64, n int) sim.Time {
 
 // blkOp is one block request from the guest's front end, drawn from the
 // guest's free list with its callbacks bound once, so a request allocates
-// nothing. The op owns req, the encoded request, from submission until its
-// reply: a ring copies req into its descriptors when it is posted, but the
-// vRIO transport's chunks alias it until the transport's callback fires,
-// because a retransmission resends them. The op is recycled just before its
+// nothing. req is the encoded request. For the vRIO transport it is the
+// op's own buffer, reused by the next request: the transport's chunks
+// alias it until the transport's callback fires, because a retransmission
+// resends them. A ring guest instead encodes into pool slabs, the header
+// in req and a write's payload in data, which the ring hands over to the
+// host when the op is posted. The op is recycled just before its
 // submitter's done runs.
 type blkOp struct {
 	g       *Guest
 	req     []byte
+	data    []byte
 	queue   uint8
 	respCap int // reply bytes a ring reserves: the status, then read data
 	wdone   func(error)
@@ -225,6 +230,22 @@ type blkOp struct {
 	// the raw reply (status byte, then data) and completes the request.
 	postFn  func()
 	replyFn func([]byte, error)
+}
+
+// encode builds the request r into the op, copying a write's payload. A
+// ring guest's payload gets a slab of its own, so a 4 KiB write stays in
+// the pool's exact 4 KiB class.
+func (op *blkOp) encode(r virtio.BlkReq) {
+	g := op.g
+	if g.blkQ == nil {
+		op.req = r.Append(op.req[:0])
+		return
+	}
+	if len(r.Data) > 0 {
+		op.data = g.pool.Clone(r.Data)
+		r.Data = nil
+	}
+	op.req = r.Append(g.pool.GetRaw(virtio.BlkHdrSize + 4)[:0])
 }
 
 func (g *Guest) getBlkOp() *blkOp {

@@ -35,9 +35,8 @@ type ElvisHost struct {
 }
 
 type elvisGuest struct {
-	g    *Guest
-	blkQ *blkQueue
-	blk  virtio.BlkServer
+	g   *Guest
+	blk virtio.BlkServer
 	// sites recycles the block requests' sites and the chains they own.
 	sites *bufpool.List[elvisBlk]
 	// side is the sidecore serving this guest (round-robin assignment,
@@ -80,11 +79,12 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 	if blkChain == nil {
 		blkChain = interpose.NewChain()
 	}
+	pool := h.nic.Pool()
 	eg := &elvisGuest{
-		g: newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, h.nic.Pool()),
+		g: newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, pool),
 		// Elvis charges its block service in scan; the back end adds only
 		// interposition.
-		blk:  virtio.BlkServer{Backend: blk, Chain: blkChain, Device: uint16(id)},
+		blk:  virtio.BlkServer{Backend: blk, Chain: blkChain, Device: uint16(id), Pool: pool},
 		side: len(h.guests) % len(h.sidecores),
 	}
 	// The guest's sidecore serves the device: posting a frame costs no exit
@@ -98,10 +98,10 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 	h.guests = append(h.guests, eg)
 
 	if blk != nil {
-		eg.blkQ = newBlkQueue(eg.g.pool)
+		eg.g.blkQ = newBlkQueue(pool)
 		eg.sites = bufpool.NewList("core elvis blk sites", func() *elvisBlk {
 			b := &elvisBlk{h: h, eg: eg}
-			b.serveFn = func() { eg.blk.Serve(b, b.c.Out) }
+			b.serveFn = func() { eg.blk.Serve(b, b.c.Out...) }
 			return b
 		})
 		// Guest-side per-op CPU: stack + exitless completion.
@@ -110,11 +110,9 @@ func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev
 		}
 		eg.g.blkStackCost = func(int) sim.Time { return h.p.GuestNetStackCost }
 		eg.g.blkPost = func(op *blkOp) {
-			if !eg.blkQ.guestSubmit(op.req, op.respCap, op.replyFn) {
-				op.replyFn(nil, virtio.ErrRingFull)
-				return
+			if eg.g.blkQ.guestSubmit(op) {
+				h.armScan(eg.side) // no exit
 			}
-			h.armScan(eg.side) // no exit
 		}
 		eg.g.blkBadStatus = blockdev.ErrDeviceFailed
 	}
@@ -146,10 +144,10 @@ func (h *ElvisHost) scan(i int) {
 		if eg.g.net.drainTx() > 0 {
 			found = true
 		}
-		if eg.blkQ != nil {
+		if q := eg.g.blkQ; q != nil {
 			for {
 				b := eg.sites.Get()
-				if ok, err := eg.blkQ.ring.PopInto(&b.c); err != nil || !ok {
+				if ok, err := q.ring.PopInto(&b.c); err != nil || !ok {
 					eg.sites.Put(b)
 					break
 				}
@@ -165,7 +163,8 @@ func (h *ElvisHost) scan(i int) {
 
 // elvisBlk is Elvis's virtio.BlkSite for one request: the guest's sidecore
 // serves it and notifies the guest exitless. The site owns the chain its
-// request was popped into until Reply, which recycles it.
+// request was popped into, and the request buffers the ring handed over,
+// until Reply, which recycles them.
 type elvisBlk struct {
 	h       *ElvisHost
 	eg      *elvisGuest
@@ -181,11 +180,12 @@ func (b *elvisBlk) Charge(cost sim.Time, fn func()) {
 // Completed implements virtio.BlkSite.
 func (b *elvisBlk) Completed() {}
 
-// Reply completes the chain, recycles the site and notifies the guest
-// exitless.
+// Reply hands resp to the chain, recycles the site and its request
+// buffers, and notifies the guest exitless.
 func (b *elvisBlk) Reply(resp []byte) {
 	eg := b.eg
-	eg.blkQ.ring.Push(b.c, resp)
+	eg.g.blkQ.ring.Push(b.c, resp)
+	releaseChain(eg.g.pool, &b.c)
 	eg.sites.Put(b)
-	eg.g.VM.GuestIRQExitless(eg.blkQ.reapFn)
+	eg.g.VM.GuestIRQExitless(eg.g.blkQ.reapFn)
 }

@@ -41,7 +41,7 @@ type hostNet struct {
 	rx hostNetRx
 
 	// Frames waiting on the serving core, which completes work in order:
-	// TX frames copied off the ring (txq, for serveTxFn), TX frames whose
+	// TX frames the ring handed over (txq, for serveTxFn), TX frames whose
 	// chain cost the core is paying (chargedq, for sendFn; charge is the
 	// cost Charge billed for the next Forward), and received interrupt
 	// batches with their sizes (rxb and rxSizes, for the IRQ's rxIRQFn and
@@ -74,7 +74,7 @@ func newHostNet(eng *sim.Engine, p *params.P, g *Guest, id int, hostNIC *nic.NIC
 		chain = interpose.NewChain()
 	}
 	n := &hostNet{
-		eng: eng, p: p, g: g, q: newNetQueues(g.pool),
+		eng: eng, p: p, g: g, q: newNetQueues(),
 		vf:  hostNIC.AddVF(g.netMAC, nic.ModeInterrupt),
 		srv: virtio.NetServer{Chain: chain, Device: uint16(id)},
 	}
@@ -107,7 +107,7 @@ func newHostNet(eng *sim.Engine, p *params.P, g *Guest, id int, hostNIC *nic.NIC
 // item on the serving core, and reports how many there were.
 func (n *hostNet) drainTx() (served int) {
 	for {
-		raw, ok := n.q.hostPopTx(n.g.pool)
+		raw, ok := n.q.hostPopTx()
 		if !ok {
 			return served
 		}
@@ -183,15 +183,16 @@ func (n *hostNet) serveRx(frames [][]byte) {
 // Charge implements virtio.NetSite: the cost joins the batch's.
 func (r *hostNetRx) Charge(cost sim.Time) { r.cost += cost }
 
-// Forward implements virtio.NetSite: the frame fills a guest rx buffer, or
-// is dropped when none is free.
+// Forward implements virtio.NetSite: the frame, encoded into a pool slab,
+// is handed to a guest rx buffer, or dropped when none is free.
 func (r *hostNetRx) Forward(f ethernet.Frame) {
 	pool := r.n.g.pool
 	raw := f.EncodeTo(pool.GetRaw(f.Len()))
-	if r.n.q.hostDeliver(raw) {
-		r.delivered++
+	if !r.n.q.hostDeliver(raw) {
+		pool.PutRaw(raw)
+		return
 	}
-	pool.PutRaw(raw)
+	r.delivered++
 }
 
 // ringSend is the net front end of a guest whose host serves its rings
@@ -201,8 +202,8 @@ func (g *Guest) ringSend(f ethernet.Frame) {
 	g.queueSend(f, p.GuestNetStackCost+perByte(p.GuestTxPerByte, len(f.Payload)))
 }
 
-// ringPost puts the encoded frame raw on the TX ring, releases it and kicks
-// the host. A full ring blocks the send path (backpressure), as virtio does:
+// ringPost hands the encoded frame raw to the TX ring and kicks the host.
+// A full ring blocks the send path (backpressure), as virtio does:
 // the post is retried every 20 µs until a descriptor frees up. The retry
 // delay is one constant, so retries wait FIFO in retryq for retryFn.
 func (n *hostNet) ringPost(raw []byte) {
@@ -211,14 +212,14 @@ func (n *hostNet) ringPost(raw []byte) {
 		n.eng.After(20*sim.Microsecond, n.retryFn)
 		return
 	}
-	n.g.pool.PutRaw(raw)
 	n.kick(len(raw) - ethernet.HeaderSize)
 }
 
 // ringReap is the front end's receive interrupt handler: every frame the
-// host filled in goes through the guest stack to the workload.
+// host filled in goes, handed over, through the guest stack to the
+// workload.
 func (g *Guest) ringReap() {
-	for _, raw := range g.net.q.guestReapRx(g.pool) {
-		g.receiveNet(raw, g.net.p.GuestNetStackCost)
+	for _, c := range g.net.q.guestReapRx() {
+		g.receiveNet(c.In, g.net.p.GuestNetStackCost)
 	}
 }

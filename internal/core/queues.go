@@ -6,21 +6,24 @@ import (
 	"vrio/internal/virtio"
 )
 
-// Queue geometry for the paravirtual devices. 256 descriptors of 2 KiB
-// cover plain Ethernet frames in one segment and 4 KiB block payloads in a
-// short chain.
+// Queue geometry for the paravirtual devices: 256 descriptors, each naming
+// one whole buffer; 128 receive buffers of 2 KiB, which hold a plain
+// Ethernet frame; and TX frames posted one descriptor per 2 KiB page, as a
+// guest driver posts a frame that spans pages, so a jumbo frame takes
+// several descriptors of the TX ring.
 const (
 	queueSize   = 256
-	segmentSize = 2048
 	rxBuffers   = 128
 	rxBufferLen = 2048
+	txPage      = 2048
 )
 
 // netQueues is the guest/host shared-memory state of one paravirtual net
 // device: a TX virtqueue carrying guest frames out, and an RX virtqueue the
 // guest stocks with empty buffers for the host to fill — both real
 // byte-level rings (package virtio), exactly the structures Elvis polls and
-// the baseline kicks.
+// the baseline kicks. Frames cross either ring as pool slabs handed over
+// with their ownership, never copied.
 type netQueues struct {
 	tx *virtio.Ring
 	rx *virtio.Ring
@@ -31,20 +34,20 @@ type netQueues struct {
 	RxDrops uint64
 	// reap is the reusable completion batch (TX and RX reaps are fully
 	// consumed before returning, so one batch serves both); pop is the
-	// scratch chain for the immediate-push TX drain.
-	reap virtio.ReapBatch
-	pop  virtio.Chain
-	// rxOut is the reusable frame list guestReapRx returns.
-	rxOut [][]byte
+	// scratch chain for the immediate-push TX drain, and pages the scratch
+	// list of a TX frame's pages.
+	reap  virtio.ReapBatch
+	pop   virtio.Chain
+	pages [][]byte
 }
 
-// newNetQueues builds the device's rings over the cell's buffer pool.
-func newNetQueues(pool *bufpool.Pool) *netQueues {
-	tx, err := virtio.NewRing(queueSize, segmentSize, pool)
+// newNetQueues builds the device's rings.
+func newNetQueues() *netQueues {
+	tx, err := virtio.NewRing(queueSize)
 	if err != nil {
 		panic(err)
 	}
-	rx, err := virtio.NewRing(queueSize, segmentSize, pool)
+	rx, err := virtio.NewRing(queueSize)
 	if err != nil {
 		panic(err)
 	}
@@ -70,24 +73,38 @@ func (q *netQueues) stockRx(n int) {
 	}
 }
 
-// guestSend places an encoded frame on the TX ring. It reports whether the
-// ring had room (a full ring drops, as a real overloaded virtio device
-// does).
+// guestSend hands an encoded frame, a pool slab, to the TX ring, one
+// descriptor per page. It reports whether the ring had room (a full ring
+// drops, as a real overloaded virtio device does); the guest keeps a frame
+// the ring refused.
 func (q *netQueues) guestSend(frame []byte) bool {
-	_, err := q.tx.Add(frame, 0)
+	q.pages = q.pages[:0]
+	for off := 0; off < len(frame); off += txPage {
+		q.pages = append(q.pages, frame[off:min(off+txPage, len(frame))])
+	}
+	_, err := q.tx.Add(q.pages, 0)
 	return err == nil
 }
 
-// hostPopTx takes the next pending TX frame (host side). The scratch chain
-// is reusable because it is pushed back before the next pop; the frame is
-// copied into a slab from pool, which the caller owns, since it outlives
-// the descriptor.
-func (q *netQueues) hostPopTx(pool *bufpool.Pool) ([]byte, bool) {
+// hostPopTx takes the next pending TX frame (host side), handed over by
+// the ring: the caller owns it and releases it. Its pages are consecutive
+// views of one slab, so the frame is the first page extended over them,
+// never past that slab even when a corrupt descriptor table mixed in pages
+// of other frames. The scratch chain is reusable because it is pushed back
+// before the next pop.
+func (q *netQueues) hostPopTx() ([]byte, bool) {
 	ok, err := q.tx.PopInto(&q.pop)
 	if err != nil || !ok {
 		return nil, false
 	}
-	frame := pool.Clone(q.pop.Out)
+	var frame []byte
+	if out := q.pop.Out; len(out) > 0 {
+		n := 0
+		for _, page := range out {
+			n += len(page)
+		}
+		frame = out[0][:min(n, cap(out[0]))]
+	}
 	q.tx.Push(q.pop, nil)
 	return frame, true
 }
@@ -95,8 +112,9 @@ func (q *netQueues) hostPopTx(pool *bufpool.Pool) ([]byte, bool) {
 // guestReapTx frees completed TX descriptors (guest side).
 func (q *netQueues) guestReapTx() { q.tx.ReapInto(&q.reap, 0) }
 
-// hostDeliver fills one guest rx buffer with the frame (host side). False
-// means no buffer was available and the frame is dropped.
+// hostDeliver hands the frame, a pool slab, to the oldest free guest rx
+// buffer (host side). False means no buffer was free: the frame is dropped
+// and stays the caller's.
 func (q *netQueues) hostDeliver(frame []byte) bool {
 	if q.rxFree.Len() == 0 {
 		q.RxDrops++
@@ -106,28 +124,23 @@ func (q *netQueues) hostDeliver(frame []byte) bool {
 	return true
 }
 
-// guestReapRx collects received frames and restocks the buffers. Frames are
-// copied out of the reusable batch into slabs from pool, which the caller
-// owns, because they outlive the batch in the guest stack. The returned
-// list is valid until the next call.
-func (q *netQueues) guestReapRx(pool *bufpool.Pool) [][]byte {
-	n := q.rx.ReapInto(&q.reap, 0)
-	q.rxOut = q.rxOut[:0]
-	if n == 0 {
-		return nil
+// guestReapRx collects received frames and restocks the buffers. Each
+// completion's In is a frame the ring hands over to the guest, which
+// releases it. The completions are valid until the next reap.
+func (q *netQueues) guestReapRx() []virtio.Completion {
+	if n := q.rx.ReapInto(&q.reap, 0); n > 0 {
+		q.stockRx(n)
 	}
-	for i := range q.reap.Completions {
-		q.rxOut = append(q.rxOut, pool.Clone(q.reap.Completions[i].In))
-	}
-	q.stockRx(n)
-	return q.rxOut
+	return q.reap.Completions
 }
 
 // blkQueue is the shared-memory state of one paravirtual block device: a
-// single virtqueue whose chains carry a virtio-blk header plus data out,
-// and reserve in-space for status (+ read data).
+// single virtqueue whose chains carry the virtio-blk header, a write's
+// payload in a descriptor of its own, and room for the reply (the status,
+// then a read's data).
 type blkQueue struct {
 	ring *virtio.Ring
+	pool *bufpool.Pool
 	// done routes each posted chain's reply to its submitter, indexed by
 	// chain head (heads are below the ring's queue size).
 	done []func([]byte, error)
@@ -137,32 +150,43 @@ type blkQueue struct {
 	reapFn func()
 }
 
+// newBlkQueue builds the ring of a block device whose buffers come from
+// pool.
 func newBlkQueue(pool *bufpool.Pool) *blkQueue {
-	// Block chains move 4 KiB payloads: 2 KiB segments chain fine, but a
-	// larger ring keeps many requests in flight.
-	ring, err := virtio.NewRing(queueSize, segmentSize, pool)
+	ring, err := virtio.NewRing(queueSize)
 	if err != nil {
 		panic(err)
 	}
-	q := &blkQueue{ring: ring, done: make([]func([]byte, error), ring.QueueSize())}
+	q := &blkQueue{ring: ring, pool: pool, done: make([]func([]byte, error), ring.QueueSize())}
 	q.reapFn = q.guestReap
 	return q
 }
 
-// guestSubmit posts one block request; respCap reserves room for the
-// response (1 status byte, plus data for reads), and done receives it. It
-// reports ring-full.
-func (q *blkQueue) guestSubmit(req []byte, respCap int, done func([]byte, error)) bool {
-	head, err := q.ring.Add(req, respCap)
+// guestSubmit hands op's request slabs (op.req, then op.data when it has
+// one) to the ring, reserving op.respCap bytes for the reply, which goes to
+// op.replyFn. It reports whether the ring had room; a full ring fails the
+// op with virtio.ErrRingFull and returns its slabs to the pool.
+func (q *blkQueue) guestSubmit(op *blkOp) bool {
+	out := [2][]byte{op.req, op.data}
+	n := 1
+	if op.data != nil {
+		n = 2
+	}
+	op.req, op.data = nil, nil
+	head, err := q.ring.Add(out[:n], op.respCap)
 	if err != nil {
+		for _, b := range out[:n] {
+			q.pool.PutRaw(b)
+		}
+		op.replyFn(nil, virtio.ErrRingFull)
 		return false
 	}
-	q.done[head] = done
+	q.done[head] = op.replyFn
 	return true
 }
 
-// guestReap collects completed requests and hands each response to its
-// submitter; the response is valid only during that call.
+// guestReap collects completed requests and hands each reply to its
+// submitter, releasing it once the submitter returns.
 func (q *blkQueue) guestReap() {
 	q.ring.ReapInto(&q.reap, 0)
 	for _, comp := range q.reap.Completions {
@@ -170,5 +194,14 @@ func (q *blkQueue) guestReap() {
 			q.done[comp.Head] = nil
 			done(comp.In, nil)
 		}
+		q.pool.PutRaw(comp.In)
+	}
+}
+
+// releaseChain returns the buffers of a chain the host has answered to
+// pool.
+func releaseChain(pool *bufpool.Pool, c *virtio.Chain) {
+	for _, b := range c.Out {
+		pool.PutRaw(b)
 	}
 }

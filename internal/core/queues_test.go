@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"testing"
-
-	"vrio/internal/bufpool"
 )
 
 // The host fills guest rx buffers oldest first and the guest restocks what
@@ -12,8 +10,7 @@ import (
 // buffers must drop exactly the excess, and every reaped buffer must return
 // to the free list.
 func TestNetQueuesRxFreeListCycles(t *testing.T) {
-	pool := bufpool.New()
-	q := newNetQueues(pool)
+	q := newNetQueues()
 	if q.rxFree.Len() != rxBuffers {
 		t.Fatalf("stocked %d rx buffers, want %d", q.rxFree.Len(), rxBuffers)
 	}
@@ -27,12 +24,12 @@ func TestNetQueuesRxFreeListCycles(t *testing.T) {
 			t.Fatalf("round %d: %d drops after a burst of %d, want %d", round, q.RxDrops, burst, want)
 		}
 		q.RxDrops = 0
-		got := q.guestReapRx(pool)
+		got := q.guestReapRx()
 		if len(got) != min(burst, rxBuffers) {
 			t.Fatalf("round %d: reaped %d frames, want %d", round, len(got), min(burst, rxBuffers))
 		}
-		for i, f := range got {
-			if !bytes.Equal(f, frame(round+i)) {
+		for i, c := range got {
+			if !bytes.Equal(c.In, frame(round+i)) {
 				t.Fatalf("round %d: frame %d out of order", round, i)
 			}
 		}

@@ -1137,7 +1137,8 @@ func (c *blkCall) Completed() {
 	}
 }
 
-// Reply answers the request and recycles the call.
+// Reply answers the request, releases resp (RespondBlk borrows it) and
+// recycles the call.
 func (c *blkCall) Reply(resp []byte) {
 	h := c.h
 	if !h.failed { // completions from a crashed host never leave it
@@ -1145,6 +1146,7 @@ func (c *blkCall) Reply(resp []byte) {
 		h.endpoint.RespondBlk(c.src, c.hdr, resp)
 		h.txInterrupt()
 	}
+	h.bufPool().PutRaw(resp)
 	*c = blkCall{h: h}
 	h.calls.Put(c)
 }

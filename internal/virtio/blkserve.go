@@ -25,8 +25,8 @@ type BlkServer struct {
 	// answer them BlkUnsupp.
 	Replica bool
 	Cost    BlkCost
-	// Pool lends the buffers read replies are built in; nil gives the
-	// server a private one.
+	// Pool lends the buffers read replies are built in, which Reply hands
+	// over; nil gives the server a private one.
 	Pool *bufpool.Pool
 	// Counters, when set, counts blk_reqs (decoded requests), bad_msgs
 	// (undecodable ones), interpose_drops (writes the chain refused) and
@@ -63,17 +63,28 @@ type BlkSite interface {
 	Completed()
 	// Reply delivers the reply: the status byte, then for a successful read
 	// the data (for BlkVolIn, the replica's version and then the data).
-	// resp is valid only during the call. Reply is the request's last hook.
+	// Reply is the request's last hook, and resp is handed over: the site
+	// releases it with PutRaw once done. A successful read's reply is a
+	// slab of the server's Pool; a status-only reply is a read-only byte
+	// that PutRaw declines.
 	Reply(resp []byte)
 }
 
-// Serve serves one request. raw must stay valid until Serve returns or, for
-// a write it submits, until Completed. Serve reports the backend op it
-// submitted; ok is false when the request was answered without reaching the
-// backend. Backend completions are asynchronous, so Completed never runs
-// before Serve returns.
-func (s *BlkServer) Serve(site BlkSite, raw []byte) (op blockdev.Op, ok bool) {
-	r, err := DecodeBlkReq(raw)
+// Serve serves one request, whose bytes arrive in bufs: the encoded request
+// in the first and, from a ring whose write payload has a descriptor of its
+// own, that payload in the second. The bytes must stay valid until Serve
+// returns or, for a write it submits, until Completed. Serve reports the
+// backend op it submitted; ok is false when the request was answered
+// without reaching the backend. Backend completions are asynchronous, so
+// Completed never runs before Serve returns.
+func (s *BlkServer) Serve(site BlkSite, bufs ...[]byte) (op blockdev.Op, ok bool) {
+	r, err := BlkReq{}, ErrShortHeader
+	if len(bufs) > 0 {
+		r, err = DecodeBlkReq(bufs[0])
+	}
+	if len(bufs) > 1 {
+		r.Data = bufs[1]
+	}
 	if err != nil {
 		s.count("bad_msgs", 1)
 		site.Reply(statusReply(BlkIOErr))
@@ -143,11 +154,7 @@ func (s *BlkServer) newOp() *blkOp {
 	o := &blkOp{s: s}
 	o.submitFn = func() { s.Backend.Submit(o.req, o.doneFn) }
 	o.doneFn = o.complete
-	o.replyFn = func() {
-		out := o.out
-		o.reply(out)
-		s.Pool.PutRaw(out)
-	}
+	o.replyFn = func() { o.reply(o.out) }
 	return o
 }
 

@@ -4,9 +4,11 @@
 // and used ring are bytes laid out exactly like guest shared memory
 // (little-endian), so the driver and device sides genuinely communicate
 // through encoded bytes rather than Go object graphs. The payload is not:
-// as in real virtio, a descriptor names a buffer the driver lends, here a
-// slab of the testbed's buffer pool held only while the descriptor carries
-// data, so ring memory is proportional to use.
+// as in real virtio, a descriptor names one whole buffer, here a slab of the
+// testbed's buffer pool, and the ring passes it on instead of copying it.
+// The driver's out buffers go to the device at PopInto and the device's
+// reply to the driver at ReapInto, each with its ownership, so ring memory
+// is proportional to use and a payload is never copied in or out.
 package virtio
 
 import (
@@ -14,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"vrio/internal/bufpool"
 	"vrio/internal/trace"
 )
 
@@ -25,20 +26,19 @@ const (
 )
 
 const (
-	descSize      = 16 // u64 addr, u32 len, u16 flags, u16 next
-	usedElemSize  = 8  // u32 id, u32 len
-	ringHdrSize   = 4  // u16 flags, u16 idx
-	maxQueueSize  = 32768
-	minQueueSize  = 2
-	minSegmentLen = 64
+	descSize     = 16 // u64 addr, u32 len, u16 flags, u16 next
+	usedElemSize = 8  // u32 id, u32 len
+	ringHdrSize  = 4  // u16 flags, u16 idx
+	maxQueueSize = 32768
+	minQueueSize = 2
 )
 
 // Errors returned by ring operations.
 var (
 	ErrRingFull     = errors.New("virtio: not enough free descriptors")
 	ErrBadChain     = errors.New("virtio: corrupt descriptor chain")
-	ErrTooLarge     = errors.New("virtio: buffer exceeds ring capacity")
-	ErrEmptyRequest = errors.New("virtio: request has no segments")
+	ErrTooLarge     = errors.New("virtio: request exceeds ring capacity")
+	ErrEmptyRequest = errors.New("virtio: request has no buffers, or an empty one")
 )
 
 // Ring is one virtqueue. The driver side (guest) posts buffers with Add and
@@ -49,22 +49,21 @@ var (
 // The descriptor table is the one record of a chain: every walk follows its
 // next and flags fields from the head, at most qsize hops, so a corrupt
 // table cannot hang the ring. A walk also ends at a free descriptor (length
-// 0, flags 0, so no next flag) and Push at one it has already written, so a
+// 0, flags 0, so no next flag) and Push fills one writable descriptor, so a
 // chain that loops back on itself is freed, and filled, once. Descriptors
 // a corrupt chain cut off from its head return to the free list when the
 // ring drains.
 type Ring struct {
-	qsize   int
-	segSize int
-	pool    *bufpool.Pool
+	qsize int
 
 	// Shared memory regions.
 	desc  []byte // descriptor table: qsize * descSize
 	avail []byte // avail ring: hdr + qsize * 2
 	used  []byte // used ring: hdr + qsize * usedElemSize
-	// bufs[i] is the pool slab descriptor i lends, nil while it carries no
-	// data: an out descriptor holds one from Add to PopInto, an in
-	// descriptor from Push to ReapInto. (The addr field stays zero.)
+	// bufs[i] is the buffer descriptor i carries, nil while it carries none:
+	// an out descriptor holds the driver's from Add to PopInto, an in
+	// descriptor the device's reply from Push to ReapInto. (The addr field
+	// stays zero.)
 	bufs [][]byte
 
 	// Driver-private state. posted and spans are indexed by chain head:
@@ -92,41 +91,32 @@ type Ring struct {
 	SpanName string
 }
 
-// NewRing builds a virtqueue with qsize descriptors of up to segSize bytes
-// each, whose buffers come from pool. qsize must be a power of two in
-// [2, 32768], matching hardware virtio.
-func NewRing(qsize, segSize int, pool *bufpool.Pool) (*Ring, error) {
+// NewRing builds a virtqueue with qsize descriptors. qsize must be a power
+// of two in [2, 32768], matching hardware virtio.
+func NewRing(qsize int) (*Ring, error) {
 	if qsize < minQueueSize || qsize > maxQueueSize || qsize&(qsize-1) != 0 {
 		return nil, fmt.Errorf("virtio: queue size %d must be a power of two in [%d, %d]",
 			qsize, minQueueSize, maxQueueSize)
 	}
-	if segSize < minSegmentLen {
-		return nil, fmt.Errorf("virtio: segment size %d below minimum %d", segSize, minSegmentLen)
-	}
 	r := &Ring{
-		qsize:   qsize,
-		segSize: segSize,
-		pool:    pool,
-		desc:    make([]byte, qsize*descSize),
-		avail:   make([]byte, ringHdrSize+qsize*2),
-		used:    make([]byte, ringHdrSize+qsize*usedElemSize),
-		bufs:    make([][]byte, qsize),
-		numFree: qsize,
-		posted:  make([]bool, qsize),
-		spans:   make([]trace.SpanID, qsize),
+		qsize:  qsize,
+		desc:   make([]byte, qsize*descSize),
+		avail:  make([]byte, ringHdrSize+qsize*2),
+		used:   make([]byte, ringHdrSize+qsize*usedElemSize),
+		bufs:   make([][]byte, qsize),
+		posted: make([]bool, qsize),
+		spans:  make([]trace.SpanID, qsize),
 	}
 	r.freeAll()
 	return r, nil
 }
 
-// freeAll chains every descriptor into the free list, returning any slab
-// one still holds to the pool. It is only sound with nothing in flight.
+// freeAll chains every descriptor into the free list. A buffer one still
+// holds, which only a corrupt chain strands, is dropped: the raw-loan rule
+// lets it fall to the collector. It is only sound with nothing in flight.
 func (r *Ring) freeAll() {
-	for i, buf := range r.bufs {
-		if buf != nil {
-			r.pool.PutRaw(buf)
-			r.bufs[i] = nil
-		}
+	clear(r.bufs)
+	for i := range r.bufs {
 		r.writeDesc(uint16(i), 0, 0, uint16(i+1))
 	}
 	r.freeHead, r.numFree = 0, r.qsize
@@ -188,23 +178,22 @@ func (r *Ring) setUsedEntry(slot uint16, id, length uint32) {
 
 // --- driver (guest) side ---
 
-// segsNeeded reports how many descriptors a byte count occupies.
-func (r *Ring) segsNeeded(n int) int {
-	if n == 0 {
-		return 0
+// Add posts one request: out are the buffers the device reads, one
+// descriptor each, and a positive inLen reserves one device-writable
+// descriptor for a reply of up to inLen bytes. It returns the chain head,
+// which identifies the request at completion. Add adopts the out buffers:
+// the driver hands them over, and PopInto hands them on to the device. A
+// failed Add leaves them with the driver.
+func (r *Ring) Add(out [][]byte, inLen int) (uint16, error) {
+	total := len(out)
+	if inLen > 0 {
+		total++
 	}
-	return (n + r.segSize - 1) / r.segSize
-}
-
-// Add posts one request: out is driver-provided data the device reads;
-// inLen is the number of device-writable bytes reserved for the response.
-// It returns the chain head, which identifies the request at completion.
-// Each out descriptor lends a pool slab holding its share of out; the in
-// descriptors lend nothing until the device writes them.
-func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
-	nOut := r.segsNeeded(len(out))
-	nIn := r.segsNeeded(inLen)
-	total := nOut + nIn
+	for _, b := range out {
+		if len(b) == 0 {
+			return 0, ErrEmptyRequest
+		}
+	}
 	if total == 0 {
 		return 0, ErrEmptyRequest
 	}
@@ -219,19 +208,13 @@ func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
 	cur := head
 	for i := 0; i < total; i++ {
 		_, _, next := r.readDesc(cur)
-		var flags uint16
-		var l int
-		if i < nOut {
-			l = min(len(out), r.segSize)
-			r.bufs[cur] = r.pool.Clone(out[:l])
-			out = out[l:]
-		} else {
-			flags = descFlagWrite
-			l = min(inLen-(i-nOut)*r.segSize, r.segSize)
+		l, flags := inLen, uint16(descFlagWrite)
+		if i < len(out) {
+			r.bufs[cur] = out[i]
+			l, flags = len(out[i]), 0
 		}
 		if i < total-1 {
-			flags |= descFlagNext
-			r.writeDesc(cur, uint32(l), flags, next)
+			r.writeDesc(cur, uint32(l), flags|descFlagNext, next)
 			cur = next
 		} else {
 			r.freeHead = next
@@ -255,29 +238,16 @@ func (r *Ring) Add(out []byte, inLen int) (uint16, error) {
 // Completion is one finished request as seen by the driver.
 type Completion struct {
 	Head uint16
-	// In holds the device-written response bytes (length as reported by the
-	// device), copied out of the descriptors' buffers into a per-batch-slot
-	// buffer — valid until the batch slot is reused by the next ReapInto.
+	// In is the reply the device pushed, handed over to the driver, which
+	// releases it once done with it; nil when the device wrote nothing.
 	In []byte
 }
 
 // ReapBatch is a reusable harvest: ReapInto refills Completions in place,
-// reusing each slot's In capacity, so a steady-state reap loop does not
-// allocate. One batch per reaping loop; its contents are invalidated by the
-// next ReapInto.
+// so a steady-state reap loop does not allocate. One batch per reaping
+// loop; its contents are invalidated by the next ReapInto.
 type ReapBatch struct {
 	Completions []Completion
-}
-
-// next extends the batch by one slot, resurrecting a previously used
-// element (and its In capacity) when possible.
-func (b *ReapBatch) next() *Completion {
-	if len(b.Completions) < cap(b.Completions) {
-		b.Completions = b.Completions[:len(b.Completions)+1]
-	} else {
-		b.Completions = append(b.Completions, Completion{})
-	}
-	return &b.Completions[len(b.Completions)-1]
 }
 
 // Reap collects at most max completed requests (all of them if max <= 0),
@@ -293,18 +263,17 @@ func (r *Ring) Reap(max int) []Completion {
 }
 
 // ReapInto harvests at most max completed requests (all if max <= 0) into
-// b, resetting it first, and returns how many were reaped. Response bytes
-// are copied into b's reusable slot buffers; then the descriptors are freed
-// and their slabs returned to the pool. When the ring drains with
-// descriptors still unaccounted for, which only a corrupt chain leaves,
-// every descriptor is freed.
+// b, resetting it first, and returns how many were reaped. Each reply
+// buffer passes to the driver in its completion's In, and the descriptors
+// are freed. When the ring drains with descriptors still unaccounted for,
+// which only a corrupt chain leaves, every descriptor is freed.
 func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 	b.Completions = b.Completions[:0]
 	for r.lastUsedIdx != r.usedIdx() {
 		if max > 0 && len(b.Completions) >= max {
 			break
 		}
-		id, length := r.usedEntry(r.lastUsedIdx)
+		id, _ := r.usedEntry(r.lastUsedIdx)
 		r.lastUsedIdx++
 		head := uint16(id)
 		if int(head) >= r.qsize || !r.posted[head] {
@@ -314,23 +283,18 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 		r.posted[head] = false
 		r.inFlight--
 		r.Tracer.End(r.spans[head])
-		c := b.next()
-		c.Head = head
-		c.In = c.In[:0]
-		n := int(length)
+		b.Completions = append(b.Completions, Completion{Head: head})
+		c := &b.Completions[len(b.Completions)-1]
 		d := head
 		for hops := 0; hops < r.qsize; hops++ {
 			dlen, flags, next := r.readDesc(d)
 			if dlen == 0 && flags == 0 {
 				break // freed already: the chain looped back
 			}
-			if buf := r.bufs[d]; buf != nil {
-				take := min(len(buf), n)
-				c.In = append(c.In, buf[:take]...)
-				n -= take
-				r.pool.PutRaw(buf)
-				r.bufs[d] = nil
+			if buf := r.bufs[d]; buf != nil && flags&descFlagWrite != 0 {
+				c.In = buf
 			}
+			r.bufs[d] = nil
 			r.writeDesc(d, 0, 0, r.freeHead)
 			r.freeHead = d
 			r.numFree++
@@ -351,41 +315,21 @@ func (r *Ring) InFlight() int { return r.inFlight }
 
 // --- device (host / sidecore / IOhost worker) side ---
 
-// Chain is one request as seen by the device. Its device-writable
-// descriptors are found from Head in the ring's descriptor table; the
-// device responds via ring.Push.
+// Chain is one request as seen by the device; the device answers it with
+// ring.Push.
 type Chain struct {
 	Head uint16
-	// Out is the driver-provided request data, concatenated.
-	Out  []byte
-	ring *Ring
-}
-
-// InCapacity reports how many response bytes the driver reserved.
-func (c *Chain) InCapacity() int {
-	r := c.ring
-	total := 0
-	d := c.Head
-	for hops := 0; hops < r.qsize; hops++ {
-		length, flags, next := r.readDesc(d)
-		if flags&descFlagWrite != 0 {
-			total += int(length)
-		}
-		if flags&descFlagNext == 0 {
-			break
-		}
-		d = next
-	}
-	return total
+	// Out holds the driver's buffers, one per out descriptor in chain
+	// order, handed over to the device, which releases each once done.
+	Out [][]byte
 }
 
 // PopInto fills c with the next available chain, reusing c's slice
 // capacity, and reports whether one was available (false when the ring is
-// empty — exactly what a sidecore's poll loop checks). The chain's Out
-// bytes are copied out of the descriptors' buffers, which return to the
-// pool, so they remain valid until c is reused: a device that holds a
-// request across an asynchronous completion pops it into a chain that
-// request owns.
+// empty — exactly what a sidecore's poll loop checks). It hands the chain's
+// buffers over in c.Out, which stays valid until c is reused: a device that
+// holds a request across an asynchronous completion pops it into a chain
+// that request owns.
 func (r *Ring) PopInto(c *Chain) (bool, error) {
 	if r.lastAvailIdx == r.availIdx() {
 		return false, nil
@@ -393,7 +337,6 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 	head := r.availEntry(r.lastAvailIdx)
 	r.lastAvailIdx++
 	c.Head = head
-	c.ring = r
 	c.Out = c.Out[:0]
 	cur := head
 	for hops := 0; ; hops++ {
@@ -402,8 +345,7 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 		}
 		_, flags, next := r.readDesc(cur)
 		if buf := r.bufs[cur]; buf != nil {
-			c.Out = append(c.Out, buf...)
-			r.pool.PutRaw(buf)
+			c.Out = append(c.Out, buf)
 			r.bufs[cur] = nil
 		}
 		if flags&descFlagNext == 0 {
@@ -417,23 +359,20 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 // HasAvail reports whether a PopInto would find work (the poll predicate).
 func (r *Ring) HasAvail() bool { return r.lastAvailIdx != r.availIdx() }
 
-// Push completes a chain, writing data into its device-writable descriptors
-// — each written one draws a pool slab — and publishing a used-ring entry.
-// It returns the number of bytes written (truncated to the driver's
-// reserved capacity).
+// Push completes a chain: it hands data over to the chain's first empty
+// device-writable descriptor, cut to the length the driver reserved there,
+// and publishes a used-ring entry. It returns the number of bytes written.
+// A chain with no such descriptor drops data, which the raw-loan rule lets
+// fall to the collector.
 func (r *Ring) Push(c Chain, data []byte) int {
 	written := 0
 	d := c.Head
 	for hops := 0; hops < r.qsize && len(data) > 0; hops++ {
 		capHere, flags, next := r.readDesc(d)
-		if flags&descFlagWrite != 0 {
-			if r.bufs[d] != nil {
-				break // written already: the chain looped back
-			}
-			n := min(len(data), int(capHere))
-			r.bufs[d] = r.pool.Clone(data[:n])
-			data = data[n:]
-			written += n
+		if flags&descFlagWrite != 0 && r.bufs[d] == nil {
+			written = min(len(data), int(capHere))
+			r.bufs[d] = data[:written]
+			break
 		}
 		if flags&descFlagNext == 0 {
 			break

@@ -6,40 +6,38 @@ import (
 	"testing"
 	"testing/quick"
 
-	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 )
 
-func mustRing(t *testing.T, qsize, seg int) *Ring {
+func mustRing(t *testing.T, qsize int) *Ring {
 	t.Helper()
-	r, err := NewRing(qsize, seg, bufpool.New())
+	r, err := NewRing(qsize)
 	if err != nil {
-		t.Fatalf("NewRing(%d, %d): %v", qsize, seg, err)
+		t.Fatalf("NewRing(%d): %v", qsize, err)
 	}
 	return r
 }
 
+// bufs is the out-buffer list of a request.
+func bufs(b ...[]byte) [][]byte { return b }
+
 func TestNewRingValidation(t *testing.T) {
-	bad := []struct{ q, s int }{
-		{0, 4096}, {1, 4096}, {3, 4096}, {65536, 4096}, {256, 1}, {256, 0},
-	}
-	for _, c := range bad {
-		if _, err := NewRing(c.q, c.s, bufpool.New()); err == nil {
-			t.Errorf("NewRing(%d, %d) accepted", c.q, c.s)
+	for _, q := range []int{0, 1, 3, 65536, -4} {
+		if _, err := NewRing(q); err == nil {
+			t.Errorf("NewRing(%d) accepted", q)
 		}
 	}
-	good := []struct{ q, s int }{{2, 64}, {256, 4096}, {32768, 128}}
-	for _, c := range good {
-		if _, err := NewRing(c.q, c.s, bufpool.New()); err != nil {
-			t.Errorf("NewRing(%d, %d) rejected: %v", c.q, c.s, err)
+	for _, q := range []int{2, 256, 32768} {
+		if _, err := NewRing(q); err != nil {
+			t.Errorf("NewRing(%d) rejected: %v", q, err)
 		}
 	}
 }
 
 func TestRingEchoSingleSegment(t *testing.T) {
-	r := mustRing(t, 16, 256)
+	r := mustRing(t, 16)
 	msg := []byte("hello from the guest")
-	head, err := r.Add(msg, 64)
+	head, err := r.Add(bufs(msg), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +50,8 @@ func TestRingEchoSingleSegment(t *testing.T) {
 	if c.Head != head {
 		t.Errorf("chain head %d, want %d", c.Head, head)
 	}
-	if !bytes.Equal(c.Out, msg) {
-		t.Errorf("device saw %q, want %q", c.Out, msg)
-	}
-	if c.InCapacity() != 64 {
-		t.Errorf("InCapacity = %d, want 64", c.InCapacity())
+	if len(c.Out) != 1 || !bytes.Equal(c.Out[0], msg) {
+		t.Errorf("device saw %q, want [%q]", c.Out, msg)
 	}
 
 	reply := []byte("response")
@@ -79,73 +74,82 @@ func TestRingEchoSingleSegment(t *testing.T) {
 	}
 }
 
+// A chain carries one descriptor per buffer: a block write's header,
+// payload and trailer arrive at the device as three buffers, in order.
 func TestRingMultiSegmentChain(t *testing.T) {
-	r := mustRing(t, 64, 64)
-	// 300 bytes out needs 5 segments of 64; 100 in needs 2.
-	msg := bytes.Repeat([]byte{0xAB}, 300)
-	msg[0], msg[299] = 1, 2
-	if _, err := r.Add(msg, 100); err != nil {
+	r := mustRing(t, 64)
+	hdr, trailer := []byte("header"), []byte{9}
+	msg := bytes.Repeat([]byte{0xAB}, 4096)
+	msg[0], msg[4095] = 1, 2
+	if _, err := r.Add(bufs(hdr, msg, trailer), 100); err != nil {
 		t.Fatal(err)
 	}
-	if free := r.FreeDescriptors(); free != 64-7 {
-		t.Errorf("free = %d, want %d", free, 64-7)
+	if free := r.FreeDescriptors(); free != 64-4 {
+		t.Errorf("free = %d, want %d", free, 64-4)
 	}
 	var c Chain
 	ok, err := r.PopInto(&c)
 	if err != nil || !ok {
 		t.Fatalf("PopInto: %v %v", ok, err)
 	}
-	if !bytes.Equal(c.Out, msg) {
-		t.Errorf("multi-segment out data corrupted (len %d vs %d)", len(c.Out), len(msg))
-	}
-	if c.InCapacity() != 100 {
-		t.Errorf("InCapacity = %d, want 100", c.InCapacity())
+	if len(c.Out) != 3 || !bytes.Equal(c.Out[0], hdr) || !bytes.Equal(c.Out[1], msg) || !bytes.Equal(c.Out[2], trailer) {
+		t.Errorf("device saw %d buffers, want header, payload and trailer in order", len(c.Out))
 	}
 	reply := bytes.Repeat([]byte{7}, 100)
 	r.Push(c, reply)
 	comps := r.Reap(0)
 	if len(comps) != 1 || !bytes.Equal(comps[0].In, reply) {
-		t.Error("multi-segment reply corrupted")
+		t.Error("multi-descriptor reply corrupted")
+	}
+	if r.FreeDescriptors() != 64 {
+		t.Errorf("descriptors leaked: %d free, want 64", r.FreeDescriptors())
 	}
 }
 
+// A reply longer than the reservation is cut to it; the driver still gets
+// the whole slab, so it can release it.
 func TestRingPushTruncatesToCapacity(t *testing.T) {
-	r := mustRing(t, 16, 64)
-	if _, err := r.Add([]byte("req"), 10); err != nil {
+	r := mustRing(t, 16)
+	if _, err := r.Add(bufs([]byte("req")), 10); err != nil {
 		t.Fatal(err)
 	}
 	var c Chain
 	r.PopInto(&c)
-	n := r.Push(c, bytes.Repeat([]byte{1}, 100))
+	reply := bytes.Repeat([]byte{1}, 100)
+	n := r.Push(c, reply)
 	if n != 10 {
 		t.Errorf("Push wrote %d, want truncation to 10", n)
 	}
 	comps := r.Reap(0)
-	if len(comps[0].In) != 10 {
-		t.Errorf("driver got %d bytes, want 10", len(comps[0].In))
+	if in := comps[0].In; len(in) != 10 || cap(in) != cap(reply) {
+		t.Errorf("driver got %d bytes of a %d-byte slab, want 10 of %d", len(in), cap(in), cap(reply))
 	}
 }
 
 func TestRingOutOnlyAndInOnly(t *testing.T) {
-	r := mustRing(t, 16, 128)
-	// Out-only (e.g. a net transmit).
-	if _, err := r.Add([]byte("tx"), 0); err != nil {
+	r := mustRing(t, 16)
+	// Out-only (e.g. a net transmit): a reply pushed to it has nowhere to go.
+	if _, err := r.Add(bufs([]byte("tx")), 0); err != nil {
 		t.Fatal(err)
 	}
 	var c Chain
 	r.PopInto(&c)
-	if c.InCapacity() != 0 || string(c.Out) != "tx" {
+	if len(c.Out) != 1 || string(c.Out[0]) != "tx" {
 		t.Error("out-only chain wrong")
 	}
-	r.Push(c, nil)
-	r.Reap(0)
+	if n := r.Push(c, []byte("stray")); n != 0 {
+		t.Errorf("Push into an out-only chain wrote %d bytes", n)
+	}
+	if comps := r.Reap(0); len(comps) != 1 || comps[0].In != nil {
+		t.Errorf("out-only completion = %+v, want no reply", comps)
+	}
 
 	// In-only (e.g. posting an rx buffer).
 	if _, err := r.Add(nil, 100); err != nil {
 		t.Fatal(err)
 	}
 	r.PopInto(&c)
-	if c.InCapacity() != 100 || len(c.Out) != 0 {
+	if len(c.Out) != 0 {
 		t.Error("in-only chain wrong")
 	}
 	r.Push(c, []byte("rx data"))
@@ -155,21 +159,28 @@ func TestRingOutOnlyAndInOnly(t *testing.T) {
 	}
 }
 
+// A request with no buffers, or with an empty one, is refused and takes no
+// descriptor.
 func TestRingEmptyRequestRejected(t *testing.T) {
-	r := mustRing(t, 16, 64)
-	if _, err := r.Add(nil, 0); err != ErrEmptyRequest {
-		t.Errorf("err = %v, want ErrEmptyRequest", err)
+	r := mustRing(t, 16)
+	for _, out := range [][][]byte{nil, bufs([]byte("a"), nil), bufs([]byte{})} {
+		if _, err := r.Add(out, 8*len(out)); err != ErrEmptyRequest {
+			t.Errorf("Add of %d buffers: err = %v, want ErrEmptyRequest", len(out), err)
+		}
+	}
+	if r.FreeDescriptors() != 16 || r.InFlight() != 0 {
+		t.Errorf("%d free, %d in flight after refused requests", r.FreeDescriptors(), r.InFlight())
 	}
 }
 
 func TestRingFullBehaviour(t *testing.T) {
-	r := mustRing(t, 4, 64)
+	r := mustRing(t, 4)
 	for i := 0; i < 4; i++ {
-		if _, err := r.Add([]byte{byte(i)}, 0); err != nil {
+		if _, err := r.Add(bufs([]byte{byte(i)}), 0); err != nil {
 			t.Fatalf("Add %d: %v", i, err)
 		}
 	}
-	if _, err := r.Add([]byte{9}, 0); err != ErrRingFull {
+	if _, err := r.Add(bufs([]byte{9}), 0); err != ErrRingFull {
 		t.Errorf("err = %v, want ErrRingFull", err)
 	}
 	// Device drains one; driver can post again.
@@ -177,7 +188,7 @@ func TestRingFullBehaviour(t *testing.T) {
 	r.PopInto(&c)
 	r.Push(c, nil)
 	r.Reap(0)
-	if _, err := r.Add([]byte{9}, 0); err != nil {
+	if _, err := r.Add(bufs([]byte{9}), 0); err != nil {
 		t.Errorf("Add after drain: %v", err)
 	}
 }
@@ -186,10 +197,10 @@ func TestRingFullBehaviour(t *testing.T) {
 // into a chain of its own; held chains stay intact while later pops fill
 // others, and complete in any order.
 func TestRingHeldChainsAreIndependent(t *testing.T) {
-	r := mustRing(t, 16, 64)
+	r := mustRing(t, 16)
 	var held [3]Chain
 	for i := range held {
-		if _, err := r.Add(bytes.Repeat([]byte{byte(i + 1)}, 100), 4); err != nil {
+		if _, err := r.Add(bufs(bytes.Repeat([]byte{byte(i + 1)}, 100)), 4); err != nil {
 			t.Fatal(err)
 		}
 		if ok, err := r.PopInto(&held[i]); !ok || err != nil {
@@ -197,7 +208,7 @@ func TestRingHeldChainsAreIndependent(t *testing.T) {
 		}
 	}
 	for i := len(held) - 1; i >= 0; i-- {
-		if !bytes.Equal(held[i].Out, bytes.Repeat([]byte{byte(i + 1)}, 100)) {
+		if !bytes.Equal(held[i].Out[0], bytes.Repeat([]byte{byte(i + 1)}, 100)) {
 			t.Fatalf("held chain %d clobbered", i)
 		}
 		r.Push(held[i], []byte{byte(i + 1)})
@@ -214,15 +225,18 @@ func TestRingHeldChainsAreIndependent(t *testing.T) {
 	}
 }
 
+// A request needing more descriptors than the ring has is refused outright
+// (a full ring would never take it).
 func TestRingTooLargeRejected(t *testing.T) {
-	r := mustRing(t, 4, 64)
-	if _, err := r.Add(make([]byte, 64*5), 0); err != ErrTooLarge {
+	r := mustRing(t, 4)
+	b := []byte{1}
+	if _, err := r.Add(bufs(b, b, b, b), 8); err != ErrTooLarge {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestRingPopEmptyRing(t *testing.T) {
-	r := mustRing(t, 16, 64)
+	r := mustRing(t, 16)
 	var c Chain
 	if ok, err := r.PopInto(&c); ok || err != nil {
 		t.Errorf("PopInto on empty: ok=%v err=%v", ok, err)
@@ -233,11 +247,11 @@ func TestRingPopEmptyRing(t *testing.T) {
 }
 
 func TestRingOrderPreserved(t *testing.T) {
-	r := mustRing(t, 64, 64)
+	r := mustRing(t, 64)
 	const n = 20
 	heads := make([]uint16, n)
 	for i := 0; i < n; i++ {
-		h, err := r.Add([]byte{byte(i)}, 0)
+		h, err := r.Add(bufs([]byte{byte(i)}), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,8 +266,8 @@ func TestRingOrderPreserved(t *testing.T) {
 		if c.Head != heads[i] {
 			t.Fatalf("Pop %d returned head %d, want %d (FIFO violated)", i, c.Head, heads[i])
 		}
-		if c.Out[0] != byte(i) {
-			t.Fatalf("Pop %d returned payload %d", i, c.Out[0])
+		if c.Out[0][0] != byte(i) {
+			t.Fatalf("Pop %d returned payload %d", i, c.Out[0][0])
 		}
 		r.Push(c, nil)
 	}
@@ -266,9 +280,9 @@ func TestRingOrderPreserved(t *testing.T) {
 }
 
 func TestRingReapMax(t *testing.T) {
-	r := mustRing(t, 64, 64)
+	r := mustRing(t, 64)
 	for i := 0; i < 5; i++ {
-		if _, err := r.Add([]byte{byte(i)}, 0); err != nil {
+		if _, err := r.Add(bufs([]byte{byte(i)}), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,23 +300,23 @@ func TestRingReapMax(t *testing.T) {
 }
 
 func TestRingIndexWraparound(t *testing.T) {
-	r := mustRing(t, 4, 64)
+	r := mustRing(t, 4)
 	// Push enough traffic through to wrap the 16-bit indices many times
 	// relative to qsize and ensure nothing corrupts.
 	var c Chain
 	for i := 0; i < 10000; i++ {
 		msg := []byte{byte(i), byte(i >> 8)}
-		if _, err := r.Add(msg, 8); err != nil {
+		if _, err := r.Add(bufs(msg), 8); err != nil {
 			t.Fatal(err)
 		}
 		ok, err := r.PopInto(&c)
 		if !ok || err != nil {
 			t.Fatalf("iter %d: PopInto %v %v", i, ok, err)
 		}
-		if !bytes.Equal(c.Out, msg) {
+		if !bytes.Equal(c.Out[0], msg) {
 			t.Fatalf("iter %d: corrupt request", i)
 		}
-		r.Push(c, []byte{c.Out[0]})
+		r.Push(c, []byte{c.Out[0][0]})
 		comps := r.Reap(0)
 		if len(comps) != 1 || comps[0].In[0] != byte(i) {
 			t.Fatalf("iter %d: corrupt completion", i)
@@ -314,9 +328,9 @@ func TestRingIndexWraparound(t *testing.T) {
 }
 
 func TestRingInFlight(t *testing.T) {
-	r := mustRing(t, 16, 64)
-	r.Add([]byte{1}, 0)
-	r.Add([]byte{2}, 0)
+	r := mustRing(t, 16)
+	r.Add(bufs([]byte{1}), 0)
+	r.Add(bufs([]byte{2}), 0)
 	if r.InFlight() != 2 {
 		t.Errorf("InFlight = %d, want 2", r.InFlight())
 	}
@@ -333,8 +347,8 @@ func TestRingInFlight(t *testing.T) {
 // queue size — is a device protocol bug and panics.
 func TestRingReapUnknownHeadPanics(t *testing.T) {
 	for _, id := range []uint32{5, 16, 1000} {
-		r := mustRing(t, 16, 64)
-		r.Add([]byte{1}, 0)
+		r := mustRing(t, 16)
+		r.Add(bufs([]byte{1}), 0)
 		r.setUsedEntry(r.usedIdx(), id, 0)
 		r.setUsedIdx(r.usedIdx() + 1)
 		func() {
@@ -349,37 +363,31 @@ func TestRingReapUnknownHeadPanics(t *testing.T) {
 	}
 }
 
-// Property: echoing arbitrary payloads through the ring preserves bytes and
-// never leaks descriptors.
+// Property: echoing arbitrary payloads through the ring — the device
+// pushes back the very buffer it was handed — preserves bytes and never
+// leaks descriptors.
 func TestRingEchoProperty(t *testing.T) {
-	r := mustRing(t, 256, 128)
+	r := mustRing(t, 256)
 	var c Chain
 	f := func(payload []byte, inLen uint16) bool {
 		in := int(inLen % 2048)
-		if len(payload) == 0 && in == 0 {
+		if len(payload) == 0 || in == 0 {
 			return true
 		}
-		if len(payload) > 8192 {
-			payload = payload[:8192]
-		}
+		want := bytes.Clone(payload[:min(len(payload), in)])
 		before := r.FreeDescriptors()
-		if _, err := r.Add(payload, in); err != nil {
-			// Full is acceptable only if the request genuinely didn't fit.
-			return err == ErrRingFull || err == ErrTooLarge
+		if _, err := r.Add(bufs(payload), in); err != nil {
+			return false
 		}
 		if ok, err := r.PopInto(&c); !ok || err != nil {
 			return false
 		}
-		if !bytes.Equal(c.Out, payload) {
+		if len(c.Out) != 1 || !bytes.Equal(c.Out[0], payload) {
 			return false
 		}
-		echo := payload
-		if len(echo) > in {
-			echo = echo[:in]
-		}
-		r.Push(c, echo)
+		r.Push(c, c.Out[0])
 		comps := r.Reap(0)
-		if len(comps) != 1 || !bytes.Equal(comps[0].In, echo) {
+		if len(comps) != 1 || !bytes.Equal(comps[0].In, want) {
 			return false
 		}
 		return r.FreeDescriptors() == before
@@ -392,13 +400,13 @@ func TestRingEchoProperty(t *testing.T) {
 // The ring is the mechanism Elvis polls; verify that the poll predicate is
 // cheap and correct across a simulated polling loop.
 func TestRingPollLoopSimulation(t *testing.T) {
-	r := mustRing(t, 16, 64)
+	r := mustRing(t, 16)
 	e := sim.NewEngine()
 	served := 0
 	// Guest posts 5 requests at t=10,20,...
 	for i := 1; i <= 5; i++ {
 		e.At(sim.Time(i*10), func() {
-			if _, err := r.Add([]byte("req"), 4); err != nil {
+			if _, err := r.Add(bufs([]byte("req")), 4); err != nil {
 				t.Errorf("Add: %v", err)
 			}
 		})

@@ -3,7 +3,6 @@ package virtio
 import (
 	"testing"
 
-	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 	"vrio/internal/trace"
 )
@@ -13,14 +12,14 @@ import (
 // head as the correlation arg.
 func TestRingTraceSpans(t *testing.T) {
 	e := sim.NewEngine()
-	r, err := NewRing(8, 256, bufpool.New())
+	r, err := NewRing(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Tracer = trace.New(e)
 	r.SpanName = "net-tx"
 
-	head, err := r.Add([]byte("frame"), 0)
+	head, err := r.Add([][]byte{[]byte("frame")}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +55,11 @@ func TestRingTraceSpans(t *testing.T) {
 // TestRingNilTracerUntouched pins that an untraced ring records nothing and
 // pays nothing (no panic on the nil path either).
 func TestRingNilTracerUntouched(t *testing.T) {
-	r, err := NewRing(4, 256, bufpool.New())
+	r, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Add([]byte("x"), 0); err != nil {
+	if _, err := r.Add([][]byte{[]byte("x")}, 0); err != nil {
 		t.Fatal(err)
 	}
 	var c Chain

@@ -37,14 +37,22 @@ func runExperiment(b *testing.B, id string) experiments.Result {
 	return last
 }
 
-// cell parses a numeric cell from an experiment row.
-func cell(b *testing.B, res experiments.Result, row, col int) float64 {
+// cell parses the numeric cell of an experiment row under the column headed
+// col, so a reordered or renamed column fails loudly instead of reporting
+// another series.
+func cell(b *testing.B, res experiments.Result, row int, col string) float64 {
 	b.Helper()
-	v, err := strconv.ParseFloat(res.Rows[row][col], 64)
-	if err != nil {
-		b.Fatalf("%s cell (%d,%d) = %q: %v", res.ID, row, col, res.Rows[row][col], err)
+	for i, h := range res.Header {
+		if h == col {
+			v, err := strconv.ParseFloat(res.Rows[row][i], 64)
+			if err != nil {
+				b.Fatalf("%s row %d %s = %q: %v", res.ID, row, col, res.Rows[row][i], err)
+			}
+			return v
+		}
 	}
-	return v
+	b.Fatalf("%s has no column %q (header %q)", res.ID, col, res.Header)
+	return 0
 }
 
 // --- §3: cost model ---
@@ -60,7 +68,7 @@ func BenchmarkTable3EventCounts(b *testing.B) {
 	res := runExperiment(b, "table3")
 	// Report the headline sums (paper: 2 / 2 / 4 / 6 / 9).
 	for i, name := range []string{"optimum", "vrio", "elvis", "vrio-nopoll", "baseline"} {
-		b.ReportMetric(cell(b, res, i, 6), "events/rr-"+name)
+		b.ReportMetric(cell(b, res, i, "sum"), "events/rr-"+name)
 	}
 }
 
@@ -69,9 +77,9 @@ func BenchmarkFig5ApachePolling(b *testing.B) { runExperiment(b, "fig5") }
 func BenchmarkFig7NetperfRRLatency(b *testing.B) {
 	res := runExperiment(b, "fig7")
 	last := len(res.Rows) - 1
-	b.ReportMetric(cell(b, res, 0, 4), "optimum-n1-us")
-	b.ReportMetric(cell(b, res, 0, 2), "vrio-n1-us")
-	b.ReportMetric(cell(b, res, last, 2), "vrio-max-us")
+	b.ReportMetric(cell(b, res, 0, "optimum"), "optimum-n1-us")
+	b.ReportMetric(cell(b, res, 0, "vrio"), "vrio-n1-us")
+	b.ReportMetric(cell(b, res, last, "vrio"), "vrio-max-us")
 }
 
 func BenchmarkFig8VrioContention(b *testing.B) { runExperiment(b, "fig8") }
@@ -79,13 +87,13 @@ func BenchmarkFig8VrioContention(b *testing.B) { runExperiment(b, "fig8") }
 func BenchmarkFig9StreamThroughput(b *testing.B) {
 	res := runExperiment(b, "fig9")
 	last := len(res.Rows) - 1
-	b.ReportMetric(cell(b, res, last, 1), "optimum-gbps")
-	b.ReportMetric(cell(b, res, last, 3), "vrio-gbps")
+	b.ReportMetric(cell(b, res, last, "optimum"), "optimum-gbps")
+	b.ReportMetric(cell(b, res, last, "vrio"), "vrio-gbps")
 }
 
 func BenchmarkFig10CyclesPerPacket(b *testing.B) {
 	res := runExperiment(b, "fig10")
-	b.ReportMetric(cell(b, res, 0, 1), "optimum-ns-per-chunk")
+	b.ReportMetric(cell(b, res, 0, "ns/chunk"), "optimum-ns-per-chunk")
 }
 
 func BenchmarkFig11EqualCores(b *testing.B)      { runExperiment(b, "fig11") }

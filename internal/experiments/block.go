@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"vrio/internal/cluster"
 	"vrio/internal/core"
@@ -12,26 +12,8 @@ import (
 	"vrio/internal/workload"
 )
 
-func init() {
-	register("fig14", fig14Plan)
-	register("fig15", fig15Plan)
-	register("fig16a", fig16aPlan)
-	register("fig16b", fig16bPlan)
-}
-
-// blockModels is the Figure 14/16 model set (no SRIOV ramdisk exists).
-var blockModels = []core.ModelName{core.ModelElvis, core.ModelVRIO, core.ModelBaseline}
-
-// filebenchRun runs the random-I/O personality with the given thread mix on
-// every guest, returning aggregate ops/sec.
-func filebenchRun(m core.ModelName, n, readers, writers int, warm, dur sim.Time) float64 {
-	tb := cluster.Build(cluster.Spec{
-		Model: m, VMsPerHost: n, WithBlock: true, WithThreads: true, Seed: 201,
-	})
-	return filebenchOn(tb, readers, writers, warm, dur)
-}
-
-// filebenchOn runs the personality on an already-built testbed.
+// filebenchOn runs the random-I/O personality with the given thread mix on
+// every guest of tb, returning aggregate ops/sec.
 func filebenchOn(tb *cluster.Testbed, readers, writers int, warm, dur sim.Time) float64 {
 	var fbs []*workload.Filebench
 	var cs []cluster.Measurable
@@ -56,65 +38,43 @@ func filebenchOn(tb *cluster.Testbed, readers, writers int, warm, dur sim.Time) 
 	return total
 }
 
-// fig14 runs Filebench on a per-VM ramdisk with growing concurrency. One
-// cell per (thread mix, N, model).
-func fig14Plan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 40*sim.Millisecond)
-	ns := []int{1, 3, 5, 7}
-	if quick {
-		ns = []int{1, 2}
-	}
-	mixes := []struct {
-		name             string
-		readers, writers int
-	}{
-		{"1 reader", 1, 0},
-		{"1 pair", 1, 1},
-		{"2 pairs", 2, 2},
-	}
-	var cells []Cell
-	for _, mix := range mixes {
-		for _, n := range ns {
-			for _, m := range blockModels {
-				mix, n, m := mix, n, m
-				cells = append(cells, func() any {
-					return filebenchRun(m, n, mix.readers, mix.writers, warm, dur)
-				})
-			}
+// fig14Mixes maps each thread mix to its reader and writer counts.
+var fig14Mixes = map[string][2]int{"1 reader": {1, 0}, "1 pair": {1, 1}, "2 pairs": {2, 2}}
+
+// fig14 runs Filebench on a per-VM ramdisk with growing concurrency.
+var fig14 = &Grid{
+	ID:    "fig14",
+	Title: "Filebench/ramdisk aggregate ops/sec vs number of VMs",
+	Axes: []Axis{axis("mix", "1 reader", "1 pair", "2 pairs"), {"VMs", func(quick bool) []string {
+		if quick {
+			return []string{"1", "2"}
 		}
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig14",
-			Title:  "Filebench/ramdisk aggregate ops/sec vs number of VMs",
-			Header: []string{"VMs", "mix", "elvis", "vrio", "baseline"},
-		}
-		next := cursor(outs)
-		for _, mix := range mixes {
-			for _, n := range ns {
-				row := []string{fmt.Sprintf("%d", n), mix.name}
-				for range blockModels {
-					row = append(row, fmt.Sprintf("%.0f", next().(float64)))
-				}
-				res.Rows = append(res.Rows, row)
-			}
-		}
-		res.Notes = append(res.Notes,
-			"paper shape: 1 reader: elvis > vrio (the 2.2x latency cost), vrio scales better than baseline; with 2 pairs vRIO counterintuitively overtakes elvis (involuntary context switches)")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+		return []string{"1", "3", "5", "7"}
+	}}, modelAxis(models(core.ModelElvis, core.ModelVRIO, core.ModelBaseline))},
+	Pivot: 1,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 40*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{
+			Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), WithBlock: true, WithThreads: true, Seed: 201,
+		})
+		mix := fig14Mixes[p["mix"]]
+		return one(Metrics{"ops/s": filebenchOn(tb, mix[0], mix[1], warm, dur)})
+	},
+	Cols: append([]Col{axisCol("VMs"), axisCol("mix")},
+		modelCols(models(core.ModelElvis, core.ModelVRIO, core.ModelBaseline), "ops/s", f0)...),
+	Claims: []Claim{
+		{At: Point{"mix": "1 reader", "VMs": "1", "model": "elvis"}, Vs: Point{"model": "vrio"}, By: Ratio, Metric: "ops/s", Paper: 2.2, Check: Within(0.1)},
+		{At: Point{"mix": "1 reader", "VMs": "7"}, Metric: "ops/s", Check: Ordered("model", "baseline", "vrio"), FullOnly: true},
+		{At: Point{"mix": "2 pairs", "VMs": "7"}, Metric: "ops/s", Check: Ordered("model", "elvis", "vrio"), Deviation: 4, FullOnly: true},
+	},
 }
 
-// webserverSetup builds the §5 "Improving Utilization" testbed: two
+// webserverSetup builds the §5 "Improving Utilization" testbed from s: two
 // VMhosts x five VMs, each with a remote/local 1GB ramdisk, running the
-// Webserver personality. Returns the testbed and the workload handles.
-func webserverSetup(m core.ModelName, sidecoresPerHost, iohostSidecores int, chain func(host, vm int) *interpose.Chain, activeHosts int, seed uint64) (*cluster.Testbed, []*workload.Webserver, []cluster.Measurable) {
-	tb := cluster.Build(cluster.Spec{
-		Model: m, VMHosts: 2, VMsPerHost: 5,
-		SidecoresPerHost: sidecoresPerHost, IOhostSidecores: iohostSidecores,
-		WithBlock: true, WithThreads: true, BlkChain: chain, Seed: seed,
-	})
+// Webserver personality on the guests of the first activeHosts VMhosts.
+func webserverSetup(s cluster.Spec, activeHosts int, seed0 uint64) (*cluster.Testbed, []*workload.Webserver, []cluster.Measurable) {
+	s.VMHosts, s.VMsPerHost, s.WithBlock, s.WithThreads = 2, 5, true, true
+	tb := cluster.Build(s)
 	var wss []*workload.Webserver
 	var cs []cluster.Measurable
 	for i, g := range tb.Guests {
@@ -131,7 +91,7 @@ func webserverSetup(m core.ModelName, sidecoresPerHost, iohostSidecores int, cha
 			LogWrite:        tb.P.WebserverLogWrite,
 			CapacitySectors: tb.BlockDevices[i].Store().Capacity(),
 			SectorSize:      tb.P.SectorSize,
-			Seed:            uint64(400 + i),
+			Seed:            seed0 + uint64(i),
 		})
 		ws.Start()
 		wss = append(wss, ws)
@@ -149,163 +109,99 @@ func aggMbps(wss []*workload.Webserver, dur sim.Time) float64 {
 	return total / 1e6
 }
 
-// fig15 samples sidecore utilization over the webserver run. One cell per
-// configuration, each returning its table rows.
-func fig15Plan(quick bool) Plan {
+// sidecoreSpecs names the webserver configurations of Figures 15 and 16 by
+// their printed label: model, sidecores per VMhost, IOhost sidecores.
+var sidecoreSpecs = map[string]cluster.Spec{
+	"elvis (1 sidecore/host)":         {Model: core.ModelElvis, SidecoresPerHost: 1},
+	"vrio (1 consolidated sidecore)":  {Model: core.ModelVRIO, IOhostSidecores: 1},
+	"elvis (2 sidecores)":             {Model: core.ModelElvis, SidecoresPerHost: 1},
+	"vrio (1 sidecore)":               {Model: core.ModelVRIO, IOhostSidecores: 1},
+	"baseline (N+1 cores)":            {Model: core.ModelBaseline},
+	"elvis (1 local sidecore usable)": {Model: core.ModelElvis, SidecoresPerHost: 1},
+	"vrio (2 consolidated sidecores)": {Model: core.ModelVRIO, IOhostSidecores: 2},
+}
+
+// fig15 samples sidecore utilization over the webserver run: one Line per
+// sidecore.
+var fig15 = &Grid{
+	ID:    "fig15",
+	Title: "Sidecore CPU utilization under the Webserver personality (2 VMhosts x 5 VMs)",
+	Axes:  []Axis{axis("config", "elvis (1 sidecore/host)", "vrio (1 consolidated sidecore)")},
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 5*sim.Millisecond, 100*sim.Millisecond)
+		s := sidecoreSpecs[p["config"]]
+		s.Seed = 211
+		tb, _, cs := webserverSetup(s, 2, 400)
+		var samplers []*cpu.Sampler
+		for _, sc := range tb.Sidecores {
+			samplers = append(samplers, cpu.NewSampler(tb.Eng, sc, sim.Millisecond))
+		}
+		tb.RunMeasured(warm, dur, cs...)
+		var out []Line
+		for i, sc := range tb.Sidecores {
+			elapsed := float64(tb.Eng.Now())
+			out = append(out, Line{strconv.Itoa(i), Metrics{"samples": float64(samplers[i].Series.Len()),
+				"busy": float64(sc.BusyTime()) / elapsed * 100, "poll": float64(sc.Accounted(cpu.KindPoll)) / elapsed * 100}})
+		}
+		return out
+	},
+	Cols: []Col{axisCol("config"),
+		{"sidecore", func(r Row) string { return r.Label() + " (samples=" + d(r.Get("samples")) + ")" }},
+		num("useful busy [%]", "busy", f1), num("wasted poll [%]", "poll", f1)},
+	Claims: []Claim{
+		{At: Point{"config": "elvis (1 sidecore/host)"}, Metric: "poll", Paper: 75, Check: Within(10)},
+		{At: Point{"line": "0"}, Metric: "poll", Check: Ordered("config", "vrio (1 consolidated sidecore)", "elvis (1 sidecore/host)")},
+		{At: Point{"line": "0"}, Metric: "busy", Check: Ordered("config", "elvis (1 sidecore/host)", "vrio (1 consolidated sidecore)")},
+	},
+}
+
+// webserverMbps runs the webserver testbed of config and returns its
+// aggregate throughput.
+func webserverMbps(quick bool, config string, seed uint64, activeHosts int, chain func(host, vm int) *interpose.Chain) float64 {
 	warm, dur := durations(quick, 5*sim.Millisecond, 100*sim.Millisecond)
-	type cfg struct {
-		name  string
-		model core.ModelName
-		side  int
-		iosc  int
-	}
-	cfgs := []cfg{
-		{"elvis (1 sidecore/host)", core.ModelElvis, 1, 0},
-		{"vrio (1 consolidated sidecore)", core.ModelVRIO, 0, 1},
-	}
-	var cells []Cell
-	for _, c := range cfgs {
-		c := c
-		cells = append(cells, func() any {
-			tb, _, cs := webserverSetup(c.model, c.side, c.iosc, nil, 2, 211)
-			var samplers []*cpu.Sampler
-			for _, sc := range tb.Sidecores {
-				samplers = append(samplers, cpu.NewSampler(tb.Eng, sc, sim.Millisecond))
-			}
-			tb.RunMeasured(warm, dur, cs...)
-			var rows [][]string
-			for i, sc := range tb.Sidecores {
-				elapsed := tb.Eng.Now()
-				busy := float64(sc.BusyTime()) / float64(elapsed) * 100
-				poll := float64(sc.Accounted(cpu.KindPoll)) / float64(elapsed) * 100
-				rows = append(rows, []string{
-					c.name, fmt.Sprintf("%d (samples=%d)", i, samplers[i].Series.Len()),
-					f1(busy), f1(poll),
-				})
-			}
-			return rows
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig15",
-			Title:  "Sidecore CPU utilization under the Webserver personality (2 VMhosts x 5 VMs)",
-			Header: []string{"config", "sidecore", "useful busy [%]", "wasted poll [%]"},
-		}
-		for _, o := range outs {
-			res.Rows = append(res.Rows, o.([][]string)...)
-		}
-		res.Notes = append(res.Notes,
-			"paper: the two Elvis sidecores together burn ≈150% CPU on useless polling; the consolidated vRIO sidecore is busier and wastes less")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+	s := sidecoreSpecs[config]
+	s.Seed, s.BlkChain = seed, chain
+	tb, wss, cs := webserverSetup(s, activeHosts, 400)
+	tb.RunMeasured(warm, dur, cs...)
+	return aggMbps(wss, dur)
 }
 
 // fig16a is the consolidation tradeoff: same workload, half the sidecores
-// for vRIO. One cell per configuration; the vs-elvis baseline is computed
-// at assembly.
-func fig16aPlan(quick bool) Plan {
-	warm, dur := durations(quick, 5*sim.Millisecond, 100*sim.Millisecond)
-	type cfg struct {
-		name  string
-		model core.ModelName
-		side  int
-		iosc  int
-	}
-	cfgs := []cfg{
-		{"elvis (2 sidecores)", core.ModelElvis, 1, 0},
-		{"vrio (1 sidecore)", core.ModelVRIO, 0, 1},
-		{"baseline (N+1 cores)", core.ModelBaseline, 0, 0},
-	}
-	var cells []Cell
-	for _, c := range cfgs {
-		c := c
-		cells = append(cells, func() any {
-			tb, wss, cs := webserverSetup(c.model, c.side, c.iosc, nil, 2, 221)
-			tb.RunMeasured(warm, dur, cs...)
-			return aggMbps(wss, dur)
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig16a",
-			Title:  "Webserver throughput [Mbps], sidecore consolidation 2=>1",
-			Header: []string{"config", "Mbps", "vs elvis"},
-		}
-		base := 0.0
-		for i, c := range cfgs {
-			mbps := outs[i].(float64)
-			rel := "0%"
-			if base == 0 {
-				base = mbps
-			} else {
-				rel = pct(mbps/base - 1)
-			}
-			res.Rows = append(res.Rows, []string{c.name, f1(mbps), rel})
-		}
-		res.Notes = append(res.Notes,
-			"paper: vrio -8% vs elvis with HALF the sidecores; baseline -51%")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+// for vRIO.
+var fig16a = &Grid{
+	ID:    "fig16a",
+	Title: "Webserver throughput [Mbps], sidecore consolidation 2=>1",
+	Axes:  []Axis{axis("config", "elvis (2 sidecores)", "vrio (1 sidecore)", "baseline (N+1 cores)")},
+	Cell: func(quick bool, p Point) []Line {
+		return one(Metrics{"Mbps": webserverMbps(quick, p["config"], 221, 2, nil)})
+	},
+	Cols: []Col{axisCol("config"), num("Mbps", "Mbps", f1), vsFirst("vs elvis", "Mbps", "0%")},
+	Claims: []Claim{
+		{At: Point{"config": "vrio (1 sidecore)"}, Vs: Point{"config": "elvis (2 sidecores)"}, By: Change, Metric: "Mbps", Paper: -0.08, Check: Within(0.03)},
+		{At: Point{"config": "baseline (N+1 cores)"}, Vs: Point{"config": "elvis (2 sidecores)"}, By: Change, Metric: "Mbps", Paper: -0.51, Check: Within(0.05), Deviation: 2},
+	},
 }
 
 // fig16b is the load-imbalance experiment: only one VMhost is active, its
 // I/O interposed with AES-256; both systems get a budget of two sidecores.
-func fig16bPlan(quick bool) Plan {
-	warm, dur := durations(quick, 5*sim.Millisecond, 100*sim.Millisecond)
-	aesChain := func(p sim.Time) func(host, vm int) *interpose.Chain {
-		return func(host, vm int) *interpose.Chain {
-			aes, err := interpose.NewAES([]byte("0123456789abcdef0123456789abcdef"), p)
+// Elvis has one sidecore per VMhost, and the active host can only use its
+// own; vRIO's two sidecores, consolidated at the IOhost, both serve it.
+var fig16b = &Grid{
+	ID:    "fig16b",
+	Title: "Webserver+AES throughput [Mbps] under load imbalance, 2=>2 sidecores",
+	Axes:  []Axis{axis("config", "elvis (1 local sidecore usable)", "vrio (2 consolidated sidecores)")},
+	Cell: func(quick bool, p Point) []Line {
+		aes := func(host, vm int) *interpose.Chain {
+			c, err := interpose.NewAES([]byte("0123456789abcdef0123456789abcdef"), params.Default().AESPerByteCost)
 			if err != nil {
 				panic(err)
 			}
-			return interpose.NewChain(aes)
+			return interpose.NewChain(c)
 		}
-	}
-	type cfg struct {
-		name  string
-		model core.ModelName
-		side  int
-		iosc  int
-	}
-	cfgs := []cfg{
-		// Elvis: one sidecore per VMhost; the active host can only use its
-		// own. vRIO: both sidecores consolidated at the IOhost serve the
-		// active host.
-		{"elvis (1 local sidecore usable)", core.ModelElvis, 1, 0},
-		{"vrio (2 consolidated sidecores)", core.ModelVRIO, 0, 2},
-	}
-	var cells []Cell
-	for _, c := range cfgs {
-		c := c
-		cells = append(cells, func() any {
-			tb, wss, cs := webserverSetup(c.model, c.side, c.iosc, aesChain(params.Default().AESPerByteCost), 1, 231)
-			tb.RunMeasured(warm, dur, cs...)
-			return aggMbps(wss, dur)
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig16b",
-			Title:  "Webserver+AES throughput [Mbps] under load imbalance, 2=>2 sidecores",
-			Header: []string{"config", "Mbps", "vs elvis"},
-		}
-		base := 0.0
-		for i, c := range cfgs {
-			mbps := outs[i].(float64)
-			rel := "0%"
-			if base == 0 {
-				base = mbps
-			} else {
-				rel = pct(mbps/base - 1)
-			}
-			res.Rows = append(res.Rows, []string{c.name, f1(mbps), rel})
-		}
-		res.Notes = append(res.Notes,
-			"paper: with the same two-sidecore budget, vRIO's consolidation gives the loaded host both sidecores: +82% over Elvis")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+		return one(Metrics{"Mbps": webserverMbps(quick, p["config"], 231, 1, aes)})
+	},
+	Cols: []Col{axisCol("config"), num("Mbps", "Mbps", f1), vsFirst("vs elvis", "Mbps", "0%")},
+	Claims: []Claim{
+		{At: Point{"config": "vrio (2 consolidated sidecores)"}, Vs: Point{"config": "elvis (1 local sidecore usable)"}, By: Change, Metric: "Mbps", Paper: 0.82, Check: Within(0.12)},
+	},
 }

@@ -1,11 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§3 and §5). Each experiment is a named Runner producing a
-// printable Result; cmd/vrio-experiments and the repository's benchmark
-// harness both drive this registry.
+// evaluation (§3 and §5) and the extensions built on it. Each experiment is
+// one Grid: its points, one cell function, the columns it prints, and the
+// paper's claims about it as checked data. cmd/vrio-experiments and the
+// repository's benchmark harness both drive this registry.
 package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"vrio/internal/cluster"
 	"vrio/internal/core"
@@ -28,88 +31,105 @@ type Result struct {
 // reports.
 type Runner func(quick bool) Result
 
-// Cell is one independent simulation unit of an experiment: it builds its
-// own Testbed (and therefore its own sim.Engine and RNGs) internally,
-// shares no mutable state with any other cell, and returns a value for the
-// experiment's Assemble step. Cells of all experiments may execute
-// concurrently; each cell is internally single-threaded and deterministic.
-type Cell func() any
-
-// Plan is an experiment decomposed for the scheduler: a list of
-// independent Cells plus an Assemble step that folds their outputs —
-// indexed in declaration order — into the final Result. Assemble must be
-// pure: row ordering and relative-percentage baselines are computed there,
-// never from cell execution order.
-type Plan struct {
-	Cells    []Cell
-	Assemble func(out []any) Result
+// grids is the registry, in the order IDs lists and the transcript prints.
+var grids = []*Grid{
+	ablationMTU, ablationRxRing, ablationRetransmit, ablationSteering,
+	fig14, fig15, fig16a, fig16b,
+	fig1, table1, table2, fig3, tablerack,
+	migration, failover, energy,
+	fabricScaling, fabricTrace, faultTolerance, mqScaling,
+	table3, fig5, fig7, fig8, fig9, fig10, fig11, table4, fig12, fig13, heterogeneity,
+	rackScaling, volRebuild,
 }
 
-// Planner builds a Plan for one quick/full configuration.
-type Planner func(quick bool) Plan
-
-var registry = map[string]Planner{}
-var order []string
-
-func register(id string, p Planner) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate id " + id)
-	}
-	registry[id] = p
-	order = append(order, id)
-}
-
-// single adapts a classic Runner — an experiment that is one indivisible
-// simulation or pure computation — into a one-cell Plan.
-func single(r Runner) Planner {
-	return func(quick bool) Plan {
-		return Plan{
-			Cells:    []Cell{func() any { return r(quick) }},
-			Assemble: func(out []any) Result { return out[0].(Result) },
+func lookup(id string) *Grid {
+	for _, g := range grids {
+		if g.ID == id {
+			return g
 		}
 	}
+	return nil
 }
 
-// runPlan executes a plan's cells serially, in declaration order.
-func runPlan(p Plan) Result {
-	out := make([]any, len(p.Cells))
-	for i, c := range p.Cells {
-		out[i] = c()
-	}
-	return p.Assemble(out)
-}
-
-// cursor yields successive cell outputs, letting Assemble mirror the loop
-// structure that declared the cells instead of doing index arithmetic.
-func cursor(out []any) func() any {
-	i := 0
-	return func() any {
-		v := out[i]
-		i++
-		return v
-	}
-}
-
-// IDs lists experiment ids in registration (paper) order.
+// IDs lists experiment ids in registration order.
 func IDs() []string {
-	out := append([]string{}, order...)
+	var out []string
+	for _, g := range grids {
+		out = append(out, g.ID)
+	}
 	return out
 }
 
 // Get returns a serial runner for id, or nil.
 func Get(id string) Runner {
-	p := registry[id]
-	if p == nil {
+	if lookup(id) == nil {
 		return nil
 	}
-	return func(quick bool) Result { return runPlan(p(quick)) }
+	return func(quick bool) Result { return run([]string{id}, quick, 1)[0].Result() }
 }
 
 // RunAll executes every experiment serially.
-func RunAll(quick bool) []Result {
+func RunAll(quick bool) []Result { return results(run(IDs(), quick, 1)) }
+
+// RunAllParallel executes every experiment with cells fanned out across a
+// bounded worker pool, and returns Results byte-identical to RunAll's, in
+// the same registration order. workers <= 0 means GOMAXPROCS.
+func RunAllParallel(quick bool, workers int) []Result {
+	return RunParallel(IDs(), quick, workers)
+}
+
+// RunParallel executes the named experiments (unknown ids are skipped),
+// scheduling the independent cells of ALL of them onto one shared pool of
+// workers. Each cell owns a private Testbed and engine, so cells never
+// share mutable state; determinism is per cell, which makes the combined
+// output independent of scheduling order. Results come in the order ids
+// were given.
+func RunParallel(ids []string, quick bool, workers int) []Result {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return results(run(ids, quick, workers))
+}
+
+// run plans the named grids and executes every cell of all of them on one
+// pool of workers, each cell writing its own slot of its table. The pool
+// sees one flat job list, so cells of cheap and expensive experiments
+// interleave; with one worker the cells run in point order.
+func run(ids []string, quick bool, workers int) []*Table {
+	var tabs []*Table
+	var jobs []func()
+	for _, id := range ids {
+		if g := lookup(id); g != nil {
+			t := g.plan(quick)
+			tabs = append(tabs, t)
+			for i := range t.Points {
+				jobs = append(jobs, func() { t.Out[i] = t.Cell(quick, t.Points[i]) })
+			}
+		}
+	}
+	ch := make(chan func())
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range ch {
+				j()
+			}
+		}()
+	}
+	for _, j := range jobs {
+		ch <- j
+	}
+	close(ch)
+	wg.Wait()
+	return tabs
+}
+
+func results(tabs []*Table) []Result {
 	var out []Result
-	for _, id := range IDs() {
-		out = append(out, runPlan(registry[id](quick)))
+	for _, t := range tabs {
+		out = append(out, t.Result())
 	}
 	return out
 }
@@ -159,16 +179,21 @@ func durations(quick bool, warmup, measure sim.Time) (sim.Time, sim.Time) {
 	return warmup, measure
 }
 
-// netModels is the Figure 7/9/12 model set, in plot order.
-var netModels = []core.ModelName{
-	core.ModelOptimum, core.ModelVRIO, core.ModelElvis, core.ModelBaseline,
+// models lists model names as axis values.
+func models(ms ...core.ModelName) []string {
+	var out []string
+	for _, m := range ms {
+		out = append(out, string(m))
+	}
+	return out
 }
 
+// netModels is the Figure 7/9/12 model set, in plot order.
+var netModels = models(core.ModelOptimum, core.ModelVRIO, core.ModelElvis, core.ModelBaseline)
+
 // fig5Models adds the no-poll ablation (Figure 5's set).
-var fig5Models = []core.ModelName{
-	core.ModelOptimum, core.ModelVRIO, core.ModelElvis,
-	core.ModelVRIONoPoll, core.ModelBaseline,
-}
+var fig5Models = models(core.ModelOptimum, core.ModelVRIO, core.ModelElvis,
+	core.ModelVRIONoPoll, core.ModelBaseline)
 
 // rrRun runs Netperf RR on every guest of a testbed and returns the RR
 // instances after the measured window.
@@ -247,6 +272,8 @@ func aggGbps(sts []*workload.Stream, dur sim.Time) float64 {
 	return total / 1e9
 }
 
+func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
+func d(v float64) string   { return fmt.Sprintf("%d", int64(v)) }
 func pct(v float64) string { return fmt.Sprintf("%+.0f%%", v*100) }

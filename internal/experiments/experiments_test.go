@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"strconv"
+	"math"
 	"strings"
 	"testing"
 )
@@ -16,9 +16,11 @@ func TestRegistryComplete(t *testing.T) {
 		"heterogeneity", "rackscaling", "tablerack", "fabricscaling",
 		"ablation-mtu", "ablation-rxring", "ablation-retransmit", "ablation-steering",
 	}
-	ids := IDs()
 	have := map[string]bool{}
-	for _, id := range ids {
+	for _, id := range IDs() {
+		if have[id] {
+			t.Errorf("experiment %q registered twice", id)
+		}
 		have[id] = true
 	}
 	for _, id := range want {
@@ -49,53 +51,6 @@ func TestFormatRendersAllCells(t *testing.T) {
 	}
 }
 
-// The cost experiments are cheap; assert their headline numbers precisely.
-func TestCostExperimentAnchors(t *testing.T) {
-	t2 := table2(true)
-	if len(t2.Rows) != 2 {
-		t.Fatalf("table2 rows = %d", len(t2.Rows))
-	}
-	if t2.Rows[0][5] != "-10%" || t2.Rows[1][5] != "-13%" {
-		t.Errorf("table2 diffs = %q, %q; want -10%%, -13%%", t2.Rows[0][5], t2.Rows[1][5])
-	}
-	f1r := fig1(true)
-	for _, row := range f1r.Rows {
-		if row[0] == "CPU" && row[4] != "below" {
-			t.Errorf("CPU pair %s not below the diagonal", row[1])
-		}
-		if row[0] == "NIC" && row[4] == "below" {
-			t.Errorf("NIC pair %s below the diagonal", row[1])
-		}
-	}
-}
-
-// One quick end-to-end shape check: Table 3's measured event sums must
-// reproduce the paper's ordering 2 <= 2 < 4 < 6 < 9.
-func TestTable3ShapeQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	res := table3(true)
-	if len(res.Rows) != 5 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	sum := map[string]float64{}
-	for _, row := range res.Rows {
-		v, err := strconv.ParseFloat(row[6], 64)
-		if err != nil {
-			t.Fatalf("bad sum cell %q", row[6])
-		}
-		sum[row[0]] = v
-	}
-	if !(sum["optimum"] < 3 && sum["vrio"] < 3) {
-		t.Errorf("optimum/vrio sums too high: %v", sum)
-	}
-	if !(sum["vrio"] < sum["elvis"] && sum["elvis"] < sum["vrio-nopoll"] &&
-		sum["vrio-nopoll"] < sum["baseline"]) {
-		t.Errorf("event-sum ordering violated: %v", sum)
-	}
-}
-
 // The rack-scaling study must be deterministic run-to-run (the acceptance
 // bar for the control plane: same seed => same moves, same detection
 // times, same formatted table).
@@ -103,61 +58,25 @@ func TestRackScalingDeterministicQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	ra := Get("rackscaling")(true)
-	rb := Get("rackscaling")(true)
-	a, b := Format(ra), Format(rb)
+	tab := run([]string{"rackscaling"}, true, 1)[0]
+	a, b := Format(tab.Result()), Format(Get("rackscaling")(true))
 	if a != b {
 		t.Errorf("rackscaling output differs between identical runs:\n%s\n---\n%s", a, b)
 	}
-	// Columns: config, IOhosts, kops/s, ratio W1, ratio W2, moves, rehomes,
-	// detect. The no-controller cell must stay badly imbalanced in W2 while
-	// the rebalanced 2-IOhost cell converges near 1.
-	ratio := func(cell string) float64 {
-		if cell == ">1000" {
-			return 1001
-		}
-		v, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
-			t.Fatalf("bad ratio cell %q", cell)
-		}
-		return v
-	}
-	if r := ratio(ra.Rows[0][4]); r < 10 {
+	// The no-controller cell must stay badly imbalanced in W2 while the
+	// rebalanced 2-IOhost cell converges near 1.
+	at := func(config string) Point { return Point{"config": config} }
+	if r := tab.Get(at("static"), "W2"); r < 10 {
 		t.Errorf("static no-controller W2 ratio = %.1f, want >= 10:\n%s", r, a)
 	}
-	if r := ratio(ra.Rows[1][4]); r > 2 {
+	if r := tab.Get(at("rebalance"), "W2"); r > 2 {
 		t.Errorf("rebalanced W2 ratio = %.1f, want <= 2:\n%s", r, a)
 	}
-	if ra.Rows[1][5] == "0" {
+	if tab.Get(at("rebalance"), "moves") == 0 {
 		t.Errorf("rebalanced cell made no moves:\n%s", a)
 	}
-	if ra.Rows[4][6] == "0" || ra.Rows[4][7] == "-" {
+	if tab.Get(at("crash"), "rehomes") == 0 || math.IsNaN(tab.Get(at("crash"), "detect")) {
 		t.Errorf("crash cell missing rehomes or detection:\n%s", a)
-	}
-}
-
-// Quick latency-shape check mirroring Figure 7's headline claims.
-func TestFig7ShapeQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	res := fig7(true)
-	get := func(row, col int) float64 {
-		v, err := strconv.ParseFloat(res.Rows[row][col], 64)
-		if err != nil {
-			t.Fatalf("bad cell: %q", res.Rows[row][col])
-		}
-		return v
-	}
-	// Columns: VMs, baseline, vrio, elvis, optimum.
-	optimum, elvis, vrio, base := get(0, 4), get(0, 3), get(0, 2), get(0, 1)
-	if !(optimum < elvis && elvis < vrio && vrio <= base*1.2) {
-		t.Errorf("N=1 ordering wrong: opt=%.1f elvis=%.1f vrio=%.1f base=%.1f",
-			optimum, elvis, vrio, base)
-	}
-	gap := vrio - optimum
-	if gap < 8 || gap > 18 {
-		t.Errorf("vrio-optimum gap = %.1f, want ≈12", gap)
 	}
 }
 

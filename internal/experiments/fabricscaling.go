@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 
@@ -10,10 +11,6 @@ import (
 	"vrio/internal/sim"
 	"vrio/internal/workload"
 )
-
-func init() {
-	register("fabricscaling", fabricScalingPlan)
-}
 
 // fabric options injected by cmd/vrio-experiments' -racks / -shards /
 // -oversub flags (see SetFabricOptions). Zero values keep the defaults.
@@ -26,8 +23,7 @@ var (
 // SetFabricOptions wires the CLI fabric flags into the fabricscaling
 // experiment: racks resizes the scale cell's fabric, shards caps the worker
 // count used to execute it, and oversub replaces the scale cell's
-// oversubscription ratio. Call before running; the options are read at
-// plan-build time.
+// oversubscription ratio. Call before running.
 func SetFabricOptions(racks, shards int, oversub float64) {
 	fabricRacksOverride = racks
 	fabricWorkersOverride = shards
@@ -99,177 +95,117 @@ func fabricFingerprint(f *cluster.Fabric, rrs []*workload.RR) string {
 	return b.String()
 }
 
-// fabOut is one fabricscaling cell's measurements. Only sim-time observables
-// appear here — wall-clock speedups are machine-dependent and are measured
-// by BenchmarkFabricSharded and vriobench, never in a Result row.
-type fabOut struct {
-	name       string
-	racks      int
-	vms        int
-	oversub    float64
-	kopsPerSec float64
-	p50, p99   float64
-	xshard     uint64
-	windows    uint64
-	noRoute    uint64  // DropNoRoute summed over every ToR and spine switch
-	ecmpImb    float64 // worst per-rack uplink ECMP imbalance (1.0 = even)
-	identical  string  // "yes"/"DIVERGED" for the equivalence cell, "-" otherwise
-}
-
-// fabricNoRoute sums the no-route drop gauges across every ToR registry and
-// the spine registry — the fabric's misrouting health signal.
-func fabricNoRoute(f *cluster.Fabric) uint64 {
-	var n float64
-	for _, tb := range f.Racks {
-		n += tb.Metrics.Value("switch", "drops_no_route")
-	}
-	for s := range f.Spines {
-		n += f.SpineMetrics.Value(fmt.Sprintf("spine%d", s), "drops_no_route")
-	}
-	return uint64(n)
-}
-
-// fabricECMPImbalance reports the worst rack's uplink imbalance gauge:
-// max-uplink frames over the even share. 1.0 is a perfectly even spread.
-func fabricECMPImbalance(f *cluster.Fabric) float64 {
-	var worst float64
-	for _, tb := range f.Racks {
-		if v := tb.Metrics.Value("fabric", "ecmp_imbalance"); v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
-// fabricScalingPlan is the tentpole's experiment: a serial-vs-sharded
-// equivalence cell, an oversubscription sweep, and the 16-rack scale cell,
-// all with every transaction crossing the spine fabric.
-func fabricScalingPlan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-	racks := 16
+// fabricRacks is the scale cell's rack count and oversubscription: 16 racks
+// (4 in quick mode) at 4:1, unless the -racks and -oversub options override.
+func fabricRacks(quick bool) (int, float64) {
+	racks, oversub := 16, 4.0
 	if fabricRacksOverride > 0 {
 		racks = fabricRacksOverride
 	} else if quick {
 		racks = 4
 	}
-	scaleOversub := 4.0
 	if fabricOversubOverride > 0 {
-		scaleOversub = fabricOversubOverride
+		oversub = fabricOversubOverride
 	}
+	return racks, oversub
+}
 
-	var cells []Cell
-	// Cell 0: equivalence — the same 4-rack fabric run serially and with
-	// every available worker must be byte-identical.
-	cells = append(cells, func() any {
-		run := func(workers int) (string, fabOut) {
-			f, err := cluster.BuildFabric(fabricScalingSpec(quick, 4, 4))
-			if err != nil {
-				panic(err)
+// fabricCell runs the cross-rack RR workload on the fabric of spec with the
+// given worker count and measures it. Only sim-time observables appear
+// here: wall-clock speedups are machine-dependent and are measured by
+// BenchmarkFabricSharded and vriobench, never in a Result row.
+func fabricCell(spec cluster.FabricSpec, warm, dur sim.Time, workers int) (Metrics, string) {
+	f, err := cluster.BuildFabric(spec)
+	if err != nil {
+		panic(err)
+	}
+	defer f.Close()
+	rrs := fabricRRRun(f, warm, dur, workers)
+	pc := latencyPercentilesMicros(rrs)
+	m := Metrics{
+		"racks": float64(spec.NumRacks), "VMs": float64(len(rrs)), "oversub": spec.Oversubscription,
+		"kops/s": float64(totalOps(rrs)) / dur.Seconds() / 1000, "p50": pc[0], "p99": pc[2],
+		"windows": float64(f.Group.Windows), "xshard": 0, "no_route": 0, "ecmp": 0, "identical": math.NaN(),
+	}
+	// no_route sums the no-route drop gauges of every ToR and spine switch,
+	// the fabric's misrouting health signal; ecmp is the worst rack's uplink
+	// imbalance, max-uplink frames over the even share (1.0 is even).
+	for _, tb := range f.Racks {
+		m["no_route"] += tb.Metrics.Value("switch", "drops_no_route")
+		m["ecmp"] = math.Max(m["ecmp"], tb.Metrics.Value("fabric", "ecmp_imbalance"))
+	}
+	for s := range f.Spines {
+		m["no_route"] += f.SpineMetrics.Value(fmt.Sprintf("spine%d", s), "drops_no_route")
+	}
+	for _, s := range f.Group.Shards() {
+		m["xshard"] += float64(s.Received) // cross-shard messages received
+	}
+	return m, fabricFingerprint(f, rrs)
+}
+
+// fabricScaling runs a serial-vs-sharded equivalence cell, an
+// oversubscription sweep, and the 16-rack scale cell, all with every
+// transaction crossing the spine fabric.
+var fabricScaling = &Grid{
+	ID:    "fabricscaling",
+	Title: "Spine-leaf fabric: sharded simulation equivalence, oversubscription, and rack scale-out",
+	Axes:  []Axis{axis("cell", "serial vs sharded", "oversub 1:1", "oversub 4:1", "oversub 8:1", "scale")},
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
+		switch c := p["cell"]; c {
+		case "serial vs sharded":
+			// The same 4-rack fabric run serially and with every available
+			// worker must be byte-identical.
+			m, serial := fabricCell(fabricScalingSpec(quick, 4, 4), warm, dur, 1)
+			_, sharded := fabricCell(fabricScalingSpec(quick, 4, 4), warm, dur, fabricWorkers())
+			m["identical"] = 0
+			if serial == sharded {
+				m["identical"] = 1
 			}
-			defer f.Close()
-			rrs := fabricRRRun(f, warm, dur, workers)
-			o := fabOut{
-				name: "serial vs sharded", racks: 4, vms: len(rrs), oversub: 4,
-				kopsPerSec: float64(totalOps(rrs)) / dur.Seconds() / 1000,
-				p50:        latencyPercentilesMicros(rrs)[0],
-				p99:        latencyPercentilesMicros(rrs)[2],
-				xshard:     fabricXshard(f),
-				windows:    f.Group.Windows,
-				noRoute:    fabricNoRoute(f),
-				ecmpImb:    fabricECMPImbalance(f),
-			}
-			return fabricFingerprint(f, rrs), o
-		}
-		serialFP, o := run(1)
-		shardedFP, _ := run(fabricWorkers())
-		o.identical = "yes"
-		if serialFP != shardedFP {
-			o.identical = "DIVERGED"
-		}
-		return o
-	})
-	// Cells 1..3: oversubscription sweep at a fixed small fabric. The rack
-	// population is pinned to one VMhost regardless of quick/full (only the
-	// duration grows) so the derived per-uplink capacity stays small enough
-	// for the latency-bound RR load to queue against — with a full rack the
-	// uplink capacity scales with the host count while closed-loop RR load
-	// does not, and every ratio would measure an idle uplink.
-	for _, ov := range []float64{1, 4, 8} {
-		ov := ov
-		cells = append(cells, func() any {
+			return one(m)
+		case "scale":
+			racks, oversub := fabricRacks(quick)
+			m, _ := fabricCell(fabricScalingSpec(quick, racks, oversub), warm, dur, fabricWorkers())
+			return one(m)
+		default:
+			// The oversubscription sweep pins the rack population to one
+			// VMhost regardless of quick/full (only the duration grows), so
+			// the derived per-uplink capacity stays small enough for the
+			// latency-bound RR load to queue against: with a full rack the
+			// uplink capacity scales with the host count while closed-loop RR
+			// load does not, and every ratio would measure an idle uplink.
+			var ov float64
+			fmt.Sscanf(c, "oversub %g:1", &ov)
 			spec := fabricScalingSpec(quick, 4, ov)
 			spec.Rack.VMHosts = 1
-			f, err := cluster.BuildFabric(spec)
-			if err != nil {
-				panic(err)
-			}
-			defer f.Close()
-			rrs := fabricRRRun(f, warm, dur, fabricWorkers())
-			pcts := latencyPercentilesMicros(rrs)
-			return fabOut{
-				name: fmt.Sprintf("oversub %g:1", ov), racks: 4, vms: len(rrs), oversub: ov,
-				kopsPerSec: float64(totalOps(rrs)) / dur.Seconds() / 1000,
-				p50:        pcts[0], p99: pcts[2],
-				xshard:    fabricXshard(f),
-				windows:   f.Group.Windows,
-				noRoute:   fabricNoRoute(f),
-				ecmpImb:   fabricECMPImbalance(f),
-				identical: "-",
-			}
-		})
-	}
-	// Cell 4: the scale cell — 16 racks (or -racks), sharded execution.
-	cells = append(cells, func() any {
-		f, err := cluster.BuildFabric(fabricScalingSpec(quick, racks, scaleOversub))
-		if err != nil {
-			panic(err)
+			m, _ := fabricCell(spec, warm, dur, fabricWorkers())
+			return one(m)
 		}
-		defer f.Close()
-		rrs := fabricRRRun(f, warm, dur, fabricWorkers())
-		pcts := latencyPercentilesMicros(rrs)
-		return fabOut{
-			name: fmt.Sprintf("scale, %d racks", racks), racks: racks, vms: len(rrs),
-			oversub:    scaleOversub,
-			kopsPerSec: float64(totalOps(rrs)) / dur.Seconds() / 1000,
-			p50:        pcts[0], p99: pcts[2],
-			xshard:    fabricXshard(f),
-			windows:   f.Group.Windows,
-			noRoute:   fabricNoRoute(f),
-			ecmpImb:   fabricECMPImbalance(f),
-			identical: "-",
-		}
-	})
-
-	return Plan{
-		Cells: cells,
-		Assemble: func(out []any) Result {
-			next := cursor(out)
-			res := Result{
-				ID:    "fabricscaling",
-				Title: "Spine-leaf fabric: sharded simulation equivalence, oversubscription, and rack scale-out",
-				Header: []string{"cell", "racks", "VMs", "oversub", "kops/s",
-					"p50 [µs]", "p99 [µs]", "xshard msgs", "windows", "no_route", "ecmp", "identical"},
+	},
+	Cols: []Col{
+		{"cell", func(r Row) string {
+			if r.Axis("cell") == "scale" {
+				return fmt.Sprintf("scale, %s racks", d(r.Get("racks")))
 			}
-			for range out {
-				o := next().(fabOut)
-				res.Rows = append(res.Rows, []string{
-					o.name, fmt.Sprintf("%d", o.racks), fmt.Sprintf("%d", o.vms),
-					fmt.Sprintf("%g:1", o.oversub), f1(o.kopsPerSec),
-					f1(o.p50), f1(o.p99),
-					fmt.Sprintf("%d", o.xshard), fmt.Sprintf("%d", o.windows),
-					fmt.Sprintf("%d", o.noRoute), fmt.Sprintf("%.2f", o.ecmpImb), o.identical,
-				})
+			return r.Axis("cell")
+		}},
+		num("racks", "racks", d), num("VMs", "VMs", d),
+		num("oversub", "oversub", func(v float64) string { return fmt.Sprintf("%g:1", v) }),
+		num("kops/s", "kops/s", f1), num("p50 [µs]", "p50", f1), num("p99 [µs]", "p99", f1),
+		num("xshard msgs", "xshard", d), num("windows", "windows", d), num("no_route", "no_route", d),
+		num("ecmp", "ecmp", f2), num("identical", "identical", orDash(func(v float64) string {
+			if v == 1 {
+				return "yes"
 			}
-			res.Notes = append(res.Notes,
-				"Every transaction crosses the spine tier twice (request and reply); station r drives the guests of rack r+1.",
-				"The equivalence cell runs the same fabric serially (workers=1) and sharded (one worker per core): 'identical' compares ops, latency histograms, per-shard event counts, and switch counters byte for byte.",
-				"Oversubscription divides the per-uplink bandwidth (downlink capacity / ratio x uplinks); the sweep pins each rack to one VMhost so the uplink stays the contended resource — latency rises and throughput falls as the ratio grows.",
-				"Wall-clock shard speedup is machine-dependent and reported by vriobench (sim.shard_speedup), not here — these rows are byte-reproducible per seed.",
-				"no_route sums the DropNoRoute gauges over every ToR and spine switch (0 in a healthy fabric); ecmp is the worst rack's uplink imbalance — max uplink frames over the even share, 1.0 = perfectly spread.",
-			)
-			return res
-		},
-	}
+			return "DIVERGED"
+		}))},
+	Notes: lines(
+		"Every transaction crosses the spine tier twice (request and reply); station r drives the guests of rack r+1.",
+		"The equivalence cell runs the same fabric serially (workers=1) and sharded (one worker per core): 'identical' compares ops, latency histograms, per-shard event counts, and switch counters byte for byte.",
+		"Oversubscription divides the per-uplink bandwidth (downlink capacity / ratio x uplinks); the sweep pins each rack to one VMhost so the uplink stays the contended resource — latency rises and throughput falls as the ratio grows.",
+		"Wall-clock shard speedup is machine-dependent and reported by vriobench (sim.shard_speedup), not here — these rows are byte-reproducible per seed.",
+		"no_route sums the DropNoRoute gauges over every ToR and spine switch (0 in a healthy fabric); ecmp is the worst rack's uplink imbalance — max uplink frames over the even share, 1.0 = perfectly spread.",
+	),
 }
 
 // FabricBenchRun builds the 16-rack scale fabric (honoring the -racks and
@@ -280,14 +216,7 @@ func fabricScalingPlan(quick bool) Plan {
 // fabricscaling experiment reports.
 func FabricBenchRun(quick bool, workers int) uint64 {
 	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-	racks := 16
-	if fabricRacksOverride > 0 {
-		racks = fabricRacksOverride
-	}
-	oversub := 4.0
-	if fabricOversubOverride > 0 {
-		oversub = fabricOversubOverride
-	}
+	racks, oversub := fabricRacks(false)
 	// Always the full per-rack population: quick shortens the run, not the
 	// racks — a near-empty rack has so little work per 4µs sync window that
 	// the sweep would measure barrier overhead instead of the simulator.
@@ -298,13 +227,4 @@ func FabricBenchRun(quick bool, workers int) uint64 {
 	defer f.Close()
 	fabricRRRun(f, warm, dur, workers)
 	return f.TotalExecuted()
-}
-
-// fabricXshard sums cross-shard messages received across all shards.
-func fabricXshard(f *cluster.Fabric) uint64 {
-	var n uint64
-	for _, s := range f.Group.Shards() {
-		n += s.Received
-	}
-	return n
 }

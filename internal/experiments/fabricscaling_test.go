@@ -11,20 +11,18 @@ func TestFabricScalingDeterministicQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	ra := Get("fabricscaling")(true)
-	rb := Get("fabricscaling")(true)
-	a, b := Format(ra), Format(rb)
+	tab := run([]string{"fabricscaling"}, true, 1)[0]
+	a, b := Format(tab.Result()), Format(Get("fabricscaling")(true))
 	if a != b {
 		t.Errorf("fabricscaling output differs between identical runs:\n%s\n---\n%s", a, b)
 	}
-	// The equivalence cell is the last column of row 0.
-	if got := ra.Rows[0][len(ra.Rows[0])-1]; got != "yes" {
-		t.Errorf("serial-vs-sharded equivalence = %q, want \"yes\":\n%s", got, a)
+	if got := tab.Get(Point{"cell": "serial vs sharded"}, "identical"); got != 1 {
+		t.Errorf("serial-vs-sharded equivalence = %v, want 1 (identical):\n%s", got, a)
 	}
 	// Cross-rack traffic must actually flow and cross shards in every cell.
-	for i, row := range ra.Rows {
-		if row[7] == "0" {
-			t.Errorf("row %d (%s): zero cross-shard messages", i, row[0])
+	for _, p := range tab.Points {
+		if tab.Get(p, "xshard") == 0 {
+			t.Errorf("%s: zero cross-shard messages", p["cell"])
 		}
 	}
 }

@@ -14,10 +14,6 @@ import (
 	"vrio/internal/workload"
 )
 
-func init() {
-	register("fabrictrace", fabricTracePlan)
-}
-
 // FabricTraceResult is one traced fabric run's exported observability
 // artifacts plus the programmatic views the experiment (and tests) inspect.
 type FabricTraceResult struct {
@@ -166,106 +162,94 @@ func requestHops(hops []trace.FlowHop) []trace.FlowHop {
 	return hops[start:]
 }
 
-// fabricTracePlan regenerates the observability walkthrough: a worker-count
+// fabricTrace regenerates the observability walkthrough: a worker-count
 // equivalence check over the exported artifacts, the probe request's
-// hop-by-hop latency attribution, and the flight-recorder anomaly path.
-func fabricTracePlan(quick bool) Plan {
-	warm, dur := durations(quick, sim.Millisecond, 4*sim.Millisecond)
-	const seed = 42
-	interval := sim.Millisecond
-
-	type eqOut struct {
-		spans     int
-		identical string
-	}
-	type hopOut struct{ hops []trace.FlowHop }
-	type flightOut struct{ dumps []trace.FlightDump }
-
-	var cells []Cell
-	// Cell 0: the exported spans and merged metrics stream must be
-	// byte-identical between serial and multi-worker execution.
-	cells = append(cells, func() any {
-		serial, err := fabricTraceRun(seed, interval, warm, dur, 4, 1, -1)
-		if err != nil {
-			panic(err)
-		}
-		sharded, err := fabricTraceRun(seed, interval, warm, dur, 4, fabricWorkers(), -1)
-		if err != nil {
-			panic(err)
-		}
-		o := eqOut{spans: serial.NumSpans, identical: "yes"}
-		if !bytes.Equal(serial.Spans, sharded.Spans) ||
-			!bytes.Equal(serial.Metrics, sharded.Metrics) ||
-			!bytes.Equal(serial.Anomalies, sharded.Anomalies) {
-			o.identical = "DIVERGED"
-		}
-		return o
-	})
-	// Cell 1: per-hop attribution of the probe request.
-	cells = append(cells, func() any {
-		res, err := fabricTraceRun(seed, interval, warm, dur, 4, fabricWorkers(), -1)
-		if err != nil {
-			panic(err)
-		}
-		return hopOut{hops: requestHops(res.Hops)}
-	})
-	// Cell 2: kill rack 1's IOhosts at measurement start; the rollup must
-	// trip and dump that shard's flight recorder. Fixed durations even in
-	// quick mode — the detector needs MissThreshold heartbeat periods plus a
-	// rollup tick to observe the dark rack.
-	cells = append(cells, func() any {
-		res, err := fabricTraceRun(seed, interval, sim.Millisecond, 6*sim.Millisecond, 4, fabricWorkers(), 1)
-		if err != nil {
-			panic(err)
-		}
-		return flightOut{dumps: res.Dumps}
-	})
-
-	return Plan{
-		Cells: cells,
-		Assemble: func(out []any) Result {
-			next := cursor(out)
-			res := Result{
-				ID:     "fabrictrace",
-				Title:  "Fabric observability: cross-shard flow tracing, rollup equivalence, and the flight recorder",
-				Header: []string{"cell", "detail", "value"},
+// hop-by-hop latency attribution (a Line per hop), and the flight-recorder
+// anomaly path.
+var fabricTrace = &Grid{
+	ID:    "fabrictrace",
+	Title: "Fabric observability: cross-shard flow tracing, rollup equivalence, and the flight recorder",
+	Axes:  []Axis{axis("cell", "equivalence", "hops", "flight")},
+	Cell: func(quick bool, p Point) []Line {
+		const seed = 42
+		warm, dur := durations(quick, sim.Millisecond, 4*sim.Millisecond)
+		run := func(warm, dur sim.Time, workers, failRack int) FabricTraceResult {
+			res, err := fabricTraceRun(seed, sim.Millisecond, warm, dur, 4, workers, failRack)
+			if err != nil {
+				panic(err)
 			}
-			eq := next().(eqOut)
-			res.Rows = append(res.Rows, []string{
-				"equivalence", "span+metrics+anomaly exports, serial vs sharded", eq.identical,
-			})
-			res.Rows = append(res.Rows, []string{
-				"equivalence", "merged spans", fmt.Sprintf("%d", eq.spans),
-			})
-			ho := next().(hopOut)
-			for i, h := range ho.hops {
-				res.Rows = append(res.Rows, []string{
-					fmt.Sprintf("hop %d", i),
-					fmt.Sprintf("%s %s (shard %d)", h.Cat, h.Name, h.Shard),
-					f1(float64(h.End-h.Start) / 1e3),
-				})
-			}
-			if n := len(ho.hops); n > 0 {
-				res.Rows = append(res.Rows, []string{
-					"flow", "probe request, guest ring to completion",
-					f1(float64(ho.hops[n-1].End-ho.hops[0].Start) / 1e3),
-				})
-			}
-			fl := next().(flightOut)
-			var triggers []string
-			for _, d := range fl.dumps {
-				triggers = append(triggers, d.Trigger)
-			}
-			res.Rows = append(res.Rows, []string{
-				"flight", "anomaly dumps after killing rack 1's IOhosts",
-				fmt.Sprintf("%d (%s)", len(fl.dumps), strings.Join(triggers, ", ")),
-			})
-			res.Notes = append(res.Notes,
-				"hop/flow rows report span durations in µs; the probe is one guest-to-guest frame whose destination no station drives, so its flow key isolates the request's path.",
-				"The spine downlink hop ends at delivery into the remote ToR; the remote IOhyp worker and completion spans pick up from there.",
-				"Equivalence compares the three exported artifacts byte for byte between workers=1 and one worker per core.",
-			)
 			return res
-		},
-	}
+		}
+		switch p["cell"] {
+		case "equivalence":
+			// The exported spans, merged metrics and anomalies must be
+			// byte-identical between serial and multi-worker execution.
+			serial, sharded := run(warm, dur, 1, -1), run(warm, dur, fabricWorkers(), -1)
+			same := 0.0
+			if bytes.Equal(serial.Spans, sharded.Spans) && bytes.Equal(serial.Metrics, sharded.Metrics) &&
+				bytes.Equal(serial.Anomalies, sharded.Anomalies) {
+				same = 1
+			}
+			return []Line{
+				{"span+metrics+anomaly exports, serial vs sharded", Metrics{"identical": same}},
+				{"merged spans", Metrics{"spans": float64(serial.NumSpans)}},
+			}
+		case "hops":
+			var out []Line
+			hops := requestHops(run(warm, dur, fabricWorkers(), -1).Hops)
+			for _, h := range hops {
+				out = append(out, Line{fmt.Sprintf("%s %s (shard %d)", h.Cat, h.Name, h.Shard), Metrics{"µs": float64(h.End-h.Start) / 1e3}})
+			}
+			if n := len(hops); n > 0 {
+				out = append(out, Line{"probe request, guest ring to completion", Metrics{"µs": float64(hops[n-1].End-hops[0].Start) / 1e3, "flow": 1}})
+			}
+			return out
+		default:
+			// Kill rack 1's IOhosts at measurement start; the rollup must
+			// trip and dump that shard's flight recorder. Fixed durations even
+			// in quick mode: the detector needs MissThreshold heartbeat periods
+			// plus a rollup tick to observe the dark rack.
+			var triggers []string
+			dumps := run(sim.Millisecond, 6*sim.Millisecond, fabricWorkers(), 1).Dumps
+			for _, dump := range dumps {
+				triggers = append(triggers, dump.Trigger)
+			}
+			return []Line{{strings.Join(triggers, ", "), Metrics{"dumps": float64(len(dumps))}}}
+		}
+	},
+	Cols: []Col{
+		{"cell", func(r Row) string {
+			switch {
+			case r.Axis("cell") != "hops":
+				return r.Axis("cell")
+			case r.Get("flow") == 1:
+				return "flow"
+			}
+			return fmt.Sprintf("hop %d", r.sub)
+		}},
+		{"detail", func(r Row) string {
+			if r.Axis("cell") == "flight" {
+				return "anomaly dumps after killing rack 1's IOhosts"
+			}
+			return r.Label()
+		}},
+		{"value", func(r Row) string {
+			switch {
+			case r.Axis("cell") == "flight":
+				return fmt.Sprintf("%s (%s)", d(r.Get("dumps")), r.Label())
+			case r.Axis("cell") == "hops":
+				return f1(r.Get("µs"))
+			case r.Label() == "merged spans":
+				return d(r.Get("spans"))
+			case r.Get("identical") == 1:
+				return "yes"
+			}
+			return "DIVERGED"
+		}},
+	},
+	Notes: lines(
+		"hop/flow rows report span durations in µs; the probe is one guest-to-guest frame whose destination no station drives, so its flow key isolates the request's path.",
+		"The spine downlink hop ends at delivery into the remote ToR; the remote IOhyp worker and completion spans pick up from there.",
+		"Equivalence compares the three exported artifacts byte for byte between workers=1 and one worker per core.",
+	),
 }

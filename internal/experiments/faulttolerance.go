@@ -2,18 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"vrio/internal/cluster"
 	"vrio/internal/core"
 	"vrio/internal/fault"
 	"vrio/internal/rack"
 	"vrio/internal/sim"
+	"vrio/internal/stats"
 	"vrio/internal/workload"
 )
-
-func init() {
-	register("faulttolerance", faultTolerancePlan)
-}
 
 // faultLossSweep is the channel frame-loss sweep (§4.5's validation regime:
 // "artificially dropping I/O requests"): 0 to 5% loss, each point also
@@ -30,7 +28,7 @@ var (
 // SetFaultOptions wires the CLI fault flags into the faulttolerance
 // experiment: a non-nil profile adds a "custom" row to the sweep, and a
 // non-zero seed replaces the default fault-draw seed in every cell. Call
-// before running; the options are read at plan-build time.
+// before running.
 func SetFaultOptions(prof *fault.Profile, seed uint64) {
 	faultExtraProfile = prof
 	faultSeedOverride = seed
@@ -43,69 +41,81 @@ func faultSeed() uint64 {
 	return 901
 }
 
-// ftOut is one fault-tolerance cell's measurements: throughput plus the
-// exactly-once ledger. Each cell stops issuing at the measure horizon and
-// then drains past the full retransmission budget, so by the time the
-// ledger is read every request has resolved — completed once, or errored
-// once after MaxRetransmits. "Exactly once" is then literal: dup and lost
-// must both be zero.
-type ftOut struct {
-	issued    uint64
-	completed uint64
-	dup       uint64 // completions beyond the first for any request
-	lost      uint64 // requests that never completed even after the drain
-	devErrors uint64
-	retrans   uint64
-	frLost    uint64 // frames the injector consumed
-	frCorrupt uint64 // frames corrupted (all die at the FCS check)
-	opsPerSec float64
-}
-
 // ftDrain runs past the worst-case §4.5 give-up time: with the default
 // 10ms initial timeout doubling over 6 retransmits, a request issued just
 // before the stop fires its device error ~1.27s later.
 const ftDrain = 1300 * sim.Millisecond
 
-// blkWriter is one guest's closed-loop block write load with per-request
-// completion counting.
-type blkWriter struct {
-	tb    *cluster.Testbed
-	guest int
-	conc  int
-	size  int
+// writer is a closed-loop 4 KiB write load, eight requests deep, with a
+// per-request completion ledger and, when hist is set, per-write latency
+// recording into a histogram the caller may swap mid-run.
+type writer struct {
+	eng   *sim.Engine
+	write func(id int, data []byte, done func(error))
 	stop  bool
 	// counts[i] is how many times request i's callback ran; exactly-once
 	// means every entry is 0 (in flight at stop) or 1.
-	counts []int
-	errs   uint64
+	counts  []int
+	issueAt []sim.Time
+	hist    *stats.Histogram
+	errs    uint64
 }
 
-func (w *blkWriter) start() {
-	for i := 0; i < w.conc; i++ {
+func newWriter(eng *sim.Engine, hist *stats.Histogram, write func(id int, data []byte, done func(error))) *writer {
+	w := &writer{eng: eng, write: write, hist: hist}
+	for i := 0; i < 8; i++ {
 		w.issue()
 	}
+	return w
 }
 
-func (w *blkWriter) issue() {
+// blkWriter writes a guest's block device.
+func blkWriter(tb *cluster.Testbed, guest int) *writer {
+	g := tb.Guests[guest]
+	return newWriter(tb.Eng, nil, func(id int, data []byte, done func(error)) {
+		g.WriteBlock(uint64((id*17)%1024), data, done)
+	})
+}
+
+// volWriter writes quorum writes to a distributed volume.
+func volWriter(eng *sim.Engine, vol *core.VolumeRouter, hist *stats.Histogram) *writer {
+	return newWriter(eng, hist, func(id int, data []byte, done func(error)) {
+		sectors := uint64(len(data)) / 512
+		vol.Write((uint64(id)*17%(vol.Spec().CapacitySectors/sectors))*sectors, data, done)
+	})
+}
+
+func (w *writer) issue() {
 	if w.stop {
 		return
 	}
 	id := len(w.counts)
 	w.counts = append(w.counts, 0)
-	g := w.tb.Guests[w.guest]
-	data := make([]byte, w.size)
-	sector := uint64((id * 17) % 1024)
-	g.WriteBlock(sector, data, func(err error) {
+	w.issueAt = append(w.issueAt, w.eng.Now())
+	w.write(id, make([]byte, 4096), func(err error) {
 		w.counts[id]++
 		if err != nil {
 			w.errs++
+		}
+		if w.hist != nil {
+			w.hist.Record(int64((w.eng.Now() - w.issueAt[id]) / sim.Microsecond))
 		}
 		w.issue()
 	})
 }
 
-// done counts requests whose callback has run at least once.
-func (w *blkWriter) done() uint64 {
+// ledger is a closed-loop load whose completions are audited after a drain.
+type ledger interface {
+	// halt stops issuing and returns how many requests have completed.
+	halt() uint64
+	// tally adds the post-drain ledger to m: issued, completed, dup,
+	// never-completed (requests that never completed even after the
+	// drain) and dev errors.
+	tally(m Metrics)
+}
+
+func (w *writer) halt() uint64 {
+	w.stop = true
 	var n uint64
 	for _, c := range w.counts {
 		if c >= 1 {
@@ -115,425 +125,238 @@ func (w *blkWriter) done() uint64 {
 	return n
 }
 
-// tally folds the writer's post-drain ledger into out.
-func (w *blkWriter) tally(out *ftOut) {
+func (w *writer) tally(m Metrics) {
+	var dup, lost, done float64
 	for _, c := range w.counts {
 		switch {
 		case c == 0:
-			out.lost++
+			lost++
 		case c > 1:
-			out.dup += uint64(c - 1)
+			dup += float64(c - 1)
 		}
 		if c >= 1 {
-			out.completed++
+			done++
 		}
 	}
-	out.issued += uint64(len(w.counts))
-	out.devErrors += w.errs
+	m["dup"] += dup
+	m["never-completed"] += lost
+	m["completed"] += done
+	m["issued"] += float64(len(w.counts))
+	m["dev errors"] += float64(w.errs)
 }
 
-// runFaultCell drives closed-loop block writes over a faulted vRIO rack and
-// returns the exactly-once ledger.
-func runFaultCell(quick bool, prof *fault.Profile) ftOut {
-	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	tb := cluster.Build(cluster.Spec{
-		Model: core.ModelVRIO, VMHosts: 1, VMsPerHost: 4,
-		WithBlock: true, Seed: 901, Fault: prof, FaultSeed: faultSeed(),
-	})
-	var writers []*blkWriter
-	for i := range tb.Guests {
-		w := &blkWriter{tb: tb, guest: i, conc: 8, size: 4096}
-		w.start()
-		writers = append(writers, w)
-	}
-	// Throughput is measured over [0, dur); the drain that follows only
-	// settles the ledger.
-	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, w := range writers {
-			w.stop = true
-			doneAtStop += w.done()
-		}
-	})
-	tb.Eng.RunUntil(dur + ftDrain)
+// mqLoad audits a multi-queue closed loop through its own ledger.
+type mqLoad struct{ *workload.MQBlock }
 
-	var out ftOut
-	for _, w := range writers {
-		w.tally(&out)
-	}
-	for _, c := range tb.VRIOClients {
-		out.retrans += c.Driver.Counters.Get("retransmits")
-		// After the drain no request may still sit in a driver: the ledger's
-		// lost column must mean lost, not late.
-		if n := c.Driver.InFlightBlk(); n != 0 {
-			out.lost += uint64(n)
-		}
-	}
-	out.frLost = tb.Fault.Counters.Get("frames_dropped")
-	out.frCorrupt = tb.Fault.Counters.Get("frames_corrupted")
-	out.opsPerSec = float64(doneAtStop) / dur.Seconds()
-	return out
+func (l mqLoad) halt() uint64 {
+	l.Stop()
+	return l.Done()
 }
 
-// ftMQOut is a multi-queue fault cell's measurements: the ftOut ledger plus
-// the IOhost-side per-queue in-flight tables, which must be empty after the
-// drain (an entry left behind would mean a stall or crash leaked a request
-// into — or out of — a queue table more than once).
-type ftMQOut struct {
-	ftOut
-	tablesLeft int
-	stalls     uint64
+func (l mqLoad) tally(m Metrics) {
+	dup, lost := l.Ledger()
+	m["dup"] += float64(dup)
+	m["never-completed"] += float64(lost)
+	m["issued"] += float64(l.Issued())
+	m["completed"] += float64(l.Issued() - lost)
+	m["dev errors"] += float64(l.Errs)
 }
 
-// tallyMQ folds an MQBlock ledger into out (the MQ analogue of
-// blkWriter.tally).
-func tallyMQ(m *workload.MQBlock, out *ftOut) {
-	dup, lost := m.Ledger()
-	out.dup += dup
-	out.lost += lost
-	out.issued += m.Issued()
-	out.completed += m.Issued() - lost
-	out.devErrors += m.Errs
+// ftCase is one fault-tolerance cell's regime: the testbed (faults
+// included) and what happens during the run. Guests write through
+// single-request block writers, QD-deep multi-queue loads when qd is set,
+// or quorum volume writers when the spec has volumes.
+type ftCase struct {
+	spec   cluster.Spec
+	qd     int
+	crash  bool // a rack controller watches, and IOhost 1 dies at the midpoint
+	stalls bool // every sidecore freezes twice early in the run
+	sweep  bool // a row of the loss sweep, compared with the 0% row
+	drain  sim.Time
 }
 
-// runFaultCellMQ is runFaultCell at QD>1/NQ>1 with injected worker stalls:
-// closed-loop multi-queue writes over a lossy channel while every sidecore
-// freezes twice mid-run. Exactly-once must survive the combination, and the
-// per-queue in-flight tables must drain.
-func runFaultCellMQ(quick bool, prof *fault.Profile, qd, nq int) ftMQOut {
-	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	tb := cluster.Build(cluster.Spec{
-		Model: core.ModelVRIO, VMHosts: 1, VMsPerHost: 4,
-		WithBlock: true, BlkQueues: nq, IOhostSidecores: 2,
-		Seed: 901, Fault: prof, FaultSeed: faultSeed(),
-	})
-	var loads []*workload.MQBlock
-	for _, g := range tb.Guests {
-		m := workload.NewMQBlock(tb.Eng, g, nq, qd, 4096)
-		m.Start()
-		loads = append(loads, m)
-	}
-	// Freeze every sidecore twice, early enough that the closed loops are
-	// still flowing (under heavy loss they park on retransmit timers fast):
-	// queued multi-queue work must wait behind the stall, and the per-queue
-	// tables must still balance afterwards.
-	tb.Eng.At(dur/8, func() { tb.IOHyp.StallWorkers(2 * sim.Millisecond) })
-	tb.Eng.At(dur/3, func() { tb.IOHyp.StallWorkers(2 * sim.Millisecond) })
-	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, m := range loads {
-			m.Stop()
-			doneAtStop += m.Done()
-		}
-	})
-	tb.Eng.RunUntil(dur + ftDrain)
-
-	var out ftMQOut
-	for _, m := range loads {
-		tallyMQ(m, &out.ftOut)
-	}
-	for _, c := range tb.VRIOClients {
-		out.retrans += c.Driver.Counters.Get("retransmits")
-		if n := c.Driver.InFlightBlk(); n != 0 {
-			out.lost += uint64(n)
-		}
-	}
-	for _, h := range tb.IOHyps {
-		out.tablesLeft += h.BlkInFlight()
-	}
-	out.stalls = tb.IOHyp.Counters.Get("stalls")
-	out.frLost = tb.Fault.Counters.Get("frames_dropped")
-	out.frCorrupt = tb.Fault.Counters.Get("frames_corrupted")
-	out.opsPerSec = float64(doneAtStop) / dur.Seconds()
-	return out
+// sweepCase is the loss sweep's regime: block writes from four guests on
+// one VMhost, faults from prof (nil injects none).
+func sweepCase(prof *fault.Profile) ftCase {
+	return ftCase{spec: cluster.Spec{Model: core.ModelVRIO, VMHosts: 1, VMsPerHost: 4,
+		WithBlock: true, Seed: 901, Fault: prof}, sweep: true, drain: ftDrain}
 }
 
-// runFaultCrashCellMQ is the crash/re-home cell at QD>1/NQ>1: the dying
-// IOhost strands multi-queue requests mid-flight; retransmission rides them
-// onto the survivor, which re-registers the device with fresh queue tables.
-// Both hosts' tables must balance to zero after the drain.
-func runFaultCrashCellMQ(quick bool, qd, nq int) ftMQOut {
-	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	tb := cluster.Build(cluster.Spec{
-		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 2,
+// ftCaseFor builds a faulttolerance row's regime, fresh per cell: a
+// placement policy carries state.
+func ftCaseFor(row string) ftCase {
+	// Two IOhosts round-robin over a 1%-lossy fabric, for the crash rows.
+	crashSpec := cluster.Spec{Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 2,
 		NumIOhosts: 2, Placement: rack.Placement(&rack.RoundRobin{}, 2),
-		WithBlock: true, BlkQueues: nq, IOhostSidecores: 2, Seed: 902,
-		Fault: fault.Lossy(0.01), FaultSeed: faultSeed(),
-	})
-	c := rack.New(tb, rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3})
-	c.Start()
-
-	var loads []*workload.MQBlock
-	for _, g := range tb.Guests {
-		m := workload.NewMQBlock(tb.Eng, g, nq, qd, 4096)
-		m.Start()
-		loads = append(loads, m)
+		WithBlock: true, Seed: 902, Fault: fault.Lossy(0.01)}
+	switch row {
+	case "1% + IOhost crash":
+		return ftCase{spec: crashSpec, crash: true, drain: ftDrain}
+	case "2% QD4xNQ2 + stalls":
+		c := sweepCase(fault.Lossy(0.02))
+		c.spec.BlkQueues, c.spec.IOhostSidecores, c.qd, c.stalls, c.sweep = 2, 2, 4, true, false
+		return c
+	case "1% QD4xNQ2 + crash":
+		crashSpec.BlkQueues, crashSpec.IOhostSidecores = 2, 2
+		return ftCase{spec: crashSpec, qd: 4, crash: true, drain: ftDrain}
+	case "1% vol R=2 + crash":
+		// The vol cell drains longer than the others: a gap nack carried by
+		// one of the final writes (loss can reorder versions via
+		// retransmission) queues a heal, and that heal is a further read +
+		// write round trip, each with its own worst-case retransmission
+		// budget.
+		return ftCase{spec: cluster.Spec{Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
+			VolReplicas: 2, VolQuorum: 2, VolQueues: 2, Seed: 903, Fault: fault.Lossy(0.01)},
+			crash: true, drain: 4 * ftDrain}
+	case "custom":
+		return sweepCase(faultExtraProfile)
 	}
-	tb.Eng.At(dur/2, func() { tb.IOHyps[1].Fail() })
-	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, m := range loads {
-			m.Stop()
-			doneAtStop += m.Done()
-		}
-	})
-	tb.Eng.RunUntil(dur + ftDrain)
-
-	var out ftMQOut
-	for _, m := range loads {
-		tallyMQ(m, &out.ftOut)
-	}
-	for _, cl := range tb.VRIOClients {
-		out.retrans += cl.Driver.Counters.Get("retransmits")
-		if n := cl.Driver.InFlightBlk(); n != 0 {
-			out.lost += uint64(n)
+	for _, rate := range faultLossSweep {
+		if lossLabel(rate) == row {
+			return sweepCase(fault.Lossy(rate))
 		}
 	}
-	for _, h := range tb.IOHyps {
-		out.tablesLeft += h.BlkInFlight()
-	}
-	out.frLost = tb.Fault.Counters.Get("frames_dropped")
-	out.frCorrupt = tb.Fault.Counters.Get("frames_corrupted")
-	out.opsPerSec = float64(doneAtStop) / dur.Seconds()
-	return out
+	panic("faulttolerance: unknown row " + row)
 }
 
-// ftVolOut is the distributed-volume loss+crash cell: quorum writes over a
-// lossy fabric while an IOhost replica dies mid-run. Exactly-once must hold
-// through retransmission, quorum completion, and the rebuild engine's
-// recovery traffic all at once.
-type ftVolOut struct {
-	ftOut
-	rebuilt  uint64
-	nacks    uint64 // replica write rejections (stale version or device error)
-	gapNacks uint64 // writes refused because the replica missed an earlier version
-	heals    uint64 // gap-nacked replicas re-silvered by the heal engine
-	qlosses  uint64 // writes that failed with ErrQuorumLost
-	healthy  bool
-}
+func lossLabel(rate float64) string { return fmt.Sprintf("%.1f%%", rate*100) }
 
-// runFaultVolCell drives closed-loop quorum writes (R=2, W=2, 3 IOhosts)
-// over a 1%-lossy fabric, crashes IOhost 1 at the midpoint, and audits the
-// ledger after the drain: every write completed exactly once and the volume
-// is fully replicated again. W equals R so every committed write survives
-// the crash on the other replica — the configuration under which "restored
-// full replication" is actually guaranteeable. (At W=1 a crash of the lone
-// acking replica loses the write's bytes outright; the gap-aware fence then
-// honestly reports the extent degraded rather than serving stale data — the
-// cluster tests pin that behavior directly.) W=R also leans on the heal
-// engine: retransmission-reordered versions gap-fence a replica, and without
-// the heal's full-extent re-silvering the write quorum would never recover.
-func runFaultVolCell(quick bool) ftVolOut {
+// runFault drives one regime's closed-loop writes for the measure window,
+// then drains past the full retransmission budget, so by the time the
+// ledger is read every request has resolved: completed once, or errored
+// once after MaxRetransmits. "Exactly once" is then literal: dup and
+// never-completed must both be zero. Throughput is measured over [0, dur).
+func runFault(quick bool, c ftCase) Metrics {
 	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	tb := cluster.Build(cluster.Spec{
-		Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
-		VolReplicas: 2, VolQuorum: 2, VolQueues: 2,
-		Seed: 903, Fault: fault.Lossy(0.01), FaultSeed: faultSeed(),
-	})
-	c := rack.New(tb, rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3})
-	c.Start()
-
-	var writers []*volWriter
-	for _, vol := range tb.Volumes {
-		vw := &volWriter{eng: tb.Eng, vol: vol, conc: 8, size: 4096}
-		vw.start()
-		writers = append(writers, vw)
+	c.spec.FaultSeed = faultSeed()
+	tb := cluster.Build(c.spec)
+	var ctrl *rack.Controller
+	if c.crash {
+		ctrl = rack.New(tb, rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3})
+		ctrl.Start()
 	}
-	tb.Eng.At(dur/2, func() { tb.IOHyps[1].Fail() })
-	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, vw := range writers {
-			vw.stop = true
-			doneAtStop += vw.done()
+	var loads []ledger
+	switch {
+	case c.spec.VolReplicas > 0:
+		for _, vol := range tb.Volumes {
+			loads = append(loads, volWriter(tb.Eng, vol, nil))
 		}
-	})
-	// The vol cell drains longer than the others: a gap nack carried by one
-	// of the final writes (loss can reorder versions via retransmission)
-	// queues a heal, and that heal is a further read + write round trip,
-	// each with its own worst-case retransmission budget. The volume must
-	// report fully replicated with no rebuild/heal work still in flight.
-	tb.Eng.RunUntil(dur + 4*ftDrain)
-
-	var out ftVolOut
-	out.healthy = true
-	for _, vw := range writers {
-		vw.tally(&out.ftOut)
-	}
-	for _, vol := range tb.Volumes {
-		out.rebuilt += vol.Counters.Get("rebuild_extents")
-		out.nacks += vol.Counters.Get("write_nacks")
-		out.gapNacks += vol.Counters.Get("gap_nacks")
-		out.heals += vol.Counters.Get("replica_heals")
-		out.qlosses += vol.Counters.Get("quorum_losses")
-		if vol.Rebuilding() || !vol.FullyReplicated() {
-			out.healthy = false
+	case c.qd > 0:
+		for _, g := range tb.Guests {
+			m := workload.NewMQBlock(tb.Eng, g, c.spec.BlkQueues, c.qd, 4096)
+			m.Start()
+			loads = append(loads, mqLoad{m})
+		}
+	default:
+		for i := range tb.Guests {
+			loads = append(loads, blkWriter(tb, i))
 		}
 	}
-	out.frLost = tb.Fault.Counters.Get("frames_dropped")
-	out.frCorrupt = tb.Fault.Counters.Get("frames_corrupted")
-	out.opsPerSec = float64(doneAtStop) / dur.Seconds()
-	return out
-}
-
-// ftCrashOut is the lossy-crash cell: an IOhost dies mid-run while every
-// channel loses frames; the rack controller must still detect the crash and
-// re-home the victims, and the exactly-once ledger must stay clean.
-type ftCrashOut struct {
-	ftOut
-	detectUs float64
-	rehomes  uint64
-}
-
-func runFaultCrashCell(quick bool) ftCrashOut {
-	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	tb := cluster.Build(cluster.Spec{
-		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 2,
-		NumIOhosts: 2, Placement: rack.Placement(&rack.RoundRobin{}, 2),
-		WithBlock: true, Seed: 902,
-		Fault: fault.Lossy(0.01), FaultSeed: faultSeed(),
-	})
-	c := rack.New(tb, rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3})
-	c.Start()
-
-	var writers []*blkWriter
-	for i := range tb.Guests {
-		w := &blkWriter{tb: tb, guest: i, conc: 8, size: 4096}
-		w.start()
-		writers = append(writers, w)
+	if c.stalls {
+		// Early enough that the closed loops are still flowing (under heavy
+		// loss they park on retransmit timers fast): queued multi-queue work
+		// must wait behind the stall, and the per-queue tables must still
+		// balance afterwards.
+		tb.Eng.At(dur/8, func() { tb.IOHyp.StallWorkers(2 * sim.Millisecond) })
+		tb.Eng.At(dur/3, func() { tb.IOHyp.StallWorkers(2 * sim.Millisecond) })
 	}
 	failT := dur / 2
-	tb.Eng.At(failT, func() { tb.IOHyps[1].Fail() })
+	if c.crash {
+		tb.Eng.At(failT, func() { tb.IOHyps[1].Fail() })
+	}
 	var doneAtStop uint64
 	tb.Eng.At(dur, func() {
-		for _, w := range writers {
-			w.stop = true
-			doneAtStop += w.done()
+		for _, l := range loads {
+			doneAtStop += l.halt()
 		}
 	})
-	// Drain past the retransmission budget: requests stranded by the crash
-	// must ride retransmission onto the survivor and complete.
-	tb.Eng.RunUntil(dur + ftDrain)
+	tb.Eng.RunUntil(dur + c.drain)
 
-	var out ftCrashOut
-	for _, w := range writers {
-		w.tally(&out.ftOut)
+	m := Metrics{"ops/s": float64(doneAtStop) / dur.Seconds(), "detect": -1, "healthy": 1,
+		"frames lost": float64(tb.Fault.Counters.Get("frames_dropped")),
+		"corrupt":     float64(tb.Fault.Counters.Get("frames_corrupted")),
+		"stalls":      float64(tb.IOHyp.Counters.Get("stalls"))}
+	if c.sweep {
+		m["sweep ops/s"] = m["ops/s"]
+	}
+	for _, l := range loads {
+		l.tally(m)
 	}
 	for _, cl := range tb.VRIOClients {
-		out.retrans += cl.Driver.Counters.Get("retransmits")
-		if n := cl.Driver.InFlightBlk(); n != 0 {
-			out.lost += uint64(n)
+		m["retrans"] += float64(cl.Driver.Counters.Get("retransmits"))
+		// After the drain no request may still sit in a driver: the ledger's
+		// never-completed column must mean lost, not late.
+		m["never-completed"] += float64(cl.Driver.InFlightBlk())
+	}
+	for _, h := range tb.IOHyps {
+		// Per-queue in-flight entries left behind would mean a stall or
+		// crash leaked a request into, or out of, a queue table.
+		m["tables left"] += float64(h.BlkInFlight())
+	}
+	for _, vol := range tb.Volumes {
+		m["rebuilt"] += float64(vol.Counters.Get("rebuild_extents"))
+		m["gap nacks"] += float64(vol.Counters.Get("gap_nacks"))
+		m["heals"] += float64(vol.Counters.Get("replica_heals"))
+		m["quorum losses"] += float64(vol.Counters.Get("quorum_losses"))
+		if vol.Rebuilding() || !vol.FullyReplicated() {
+			m["healthy"] = 0
 		}
 	}
-	out.frLost = tb.Fault.Counters.Get("frames_dropped")
-	out.frCorrupt = tb.Fault.Counters.Get("frames_corrupted")
-	out.opsPerSec = float64(doneAtStop) / dur.Seconds()
-	out.rehomes = c.Counters.Get("rehomes")
-	out.detectUs = -1
-	for _, ev := range c.Events {
-		if ev.Kind == rack.EventDetect {
-			out.detectUs = float64(ev.T-failT) / 1000
-			break
+	if ctrl != nil {
+		m["rehomes"] = float64(ctrl.Counters.Get("rehomes"))
+		for _, ev := range ctrl.Events {
+			if ev.Kind == rack.EventDetect {
+				m["detect"] = float64(ev.T-failT) / 1000
+				break
+			}
 		}
 	}
-	return out
+	if c.spec.VolReplicas > 0 {
+		m["retrans"] = math.NaN() // the volume row reports no driver retransmissions
+	}
+	return m
 }
 
-// faultTolerancePlan sweeps channel frame loss from 0 to 5% under a block
-// write load and shows §4.5's claim: throughput degrades gracefully while
-// every request completes exactly once. A final cell crashes an IOhost over
-// an already-lossy fabric and shows detection and re-homing still work.
-func faultTolerancePlan(quick bool) Plan {
-	type sweepPt struct {
-		name string
-		prof *fault.Profile
-	}
-	var pts []sweepPt
-	for _, rate := range faultLossSweep {
-		pts = append(pts, sweepPt{fmt.Sprintf("%.1f%%", rate*100), fault.Lossy(rate)})
-	}
-	if faultExtraProfile != nil {
-		pts = append(pts, sweepPt{"custom", faultExtraProfile})
-	}
-	var cells []Cell
-	for _, pt := range pts {
-		pt := pt
-		cells = append(cells, func() any { return runFaultCell(quick, pt.prof) })
-	}
-	cells = append(cells, func() any { return runFaultCrashCell(quick) })
-	// Multi-queue regime: the same exactly-once claims at QD=4/NQ=2, once
-	// under loss + injected worker stalls, once under loss + IOhost crash.
-	cells = append(cells, func() any { return runFaultCellMQ(quick, fault.Lossy(0.02), 4, 2) })
-	cells = append(cells, func() any { return runFaultCrashCellMQ(quick, 4, 2) })
-	// Distributed-volume regime: quorum writes under loss + replica crash +
-	// rebuild (DESIGN.md §16).
-	cells = append(cells, func() any { return runFaultVolCell(quick) })
-
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:    "faulttolerance",
-			Title: "Fault tolerance: block throughput and exactly-once completion vs channel loss (§4.5, §4.6)",
-			Header: []string{"loss", "kops/s", "vs 0%", "retrans",
-				"frames lost", "corrupt", "dup", "never-completed", "dev errors"},
+// faultTolerance sweeps channel frame loss from 0 to 5% under a block write
+// load and shows §4.5's claim: throughput degrades gracefully while every
+// request completes exactly once. The rows after the sweep crash an IOhost
+// over an already-lossy fabric, repeat the claims at QD=4/NQ=2 under loss
+// with injected worker stalls or a crash, and run quorum writes on a
+// distributed volume under loss, a replica crash and rebuild (DESIGN.md
+// §16).
+var faultTolerance = &Grid{
+	ID:    "faulttolerance",
+	Title: "Fault tolerance: block throughput and exactly-once completion vs channel loss (§4.5, §4.6)",
+	Axes: []Axis{{"loss", func(bool) []string {
+		var rows []string
+		for _, rate := range faultLossSweep {
+			rows = append(rows, lossLabel(rate))
 		}
-		next := cursor(outs)
-		base := 0.0
-		for _, pt := range pts {
-			o := next().(ftOut)
-			rel := "0%"
-			if base == 0 {
-				base = o.opsPerSec
-			} else if base > 0 {
-				rel = pct(o.opsPerSec/base - 1)
-			}
-			res.Rows = append(res.Rows, []string{
-				pt.name, f1(o.opsPerSec / 1000), rel,
-				fmt.Sprintf("%d", o.retrans),
-				fmt.Sprintf("%d", o.frLost), fmt.Sprintf("%d", o.frCorrupt),
-				fmt.Sprintf("%d", o.dup), fmt.Sprintf("%d", o.lost),
-				fmt.Sprintf("%d", o.devErrors),
-			})
+		if faultExtraProfile != nil {
+			rows = append(rows, "custom")
 		}
-		cr := next().(ftCrashOut)
-		res.Rows = append(res.Rows, []string{
-			"1% + IOhost crash", f1(cr.opsPerSec / 1000), "-",
-			fmt.Sprintf("%d", cr.retrans),
-			fmt.Sprintf("%d", cr.frLost), fmt.Sprintf("%d", cr.frCorrupt),
-			fmt.Sprintf("%d", cr.dup), fmt.Sprintf("%d", cr.lost),
-			fmt.Sprintf("%d", cr.devErrors),
-		})
-		mqRow := func(name string, o ftMQOut) {
-			res.Rows = append(res.Rows, []string{
-				name, f1(o.opsPerSec / 1000), "-",
-				fmt.Sprintf("%d", o.retrans),
-				fmt.Sprintf("%d", o.frLost), fmt.Sprintf("%d", o.frCorrupt),
-				fmt.Sprintf("%d", o.dup), fmt.Sprintf("%d", o.lost),
-				fmt.Sprintf("%d", o.devErrors),
-			})
+		return append(rows, "1% + IOhost crash", "2% QD4xNQ2 + stalls", "1% QD4xNQ2 + crash", "1% vol R=2 + crash")
+	}}},
+	Cell: func(quick bool, p Point) []Line { return one(runFault(quick, ftCaseFor(p["loss"]))) },
+	Cols: []Col{axisCol("loss"), num("kops/s", "ops/s", func(v float64) string { return f1(v / 1000) }),
+		vsFirst("vs 0%", "sweep ops/s", "0%"),
+		num("retrans", "retrans", orDash(d)), num("frames lost", "frames lost", d), num("corrupt", "corrupt", d),
+		num("dup", "dup", d), num("never-completed", "never-completed", d), num("dev errors", "dev errors", d)},
+	Notes: func(t *Table) []string {
+		vol := func(m string) string { return d(t.Get(Point{"loss": "1% vol R=2 + crash"}, m)) }
+		crash := func(m string) float64 { return t.Get(Point{"loss": "1% + IOhost crash"}, m) }
+		health := "restored full replication"
+		if t.Get(Point{"loss": "1% vol R=2 + crash"}, "healthy") != 1 {
+			health = "LEFT THE VOLUME DEGRADED"
 		}
-		mqStall := next().(ftMQOut)
-		mqRow("2% QD4xNQ2 + stalls", mqStall)
-		mqCrash := next().(ftMQOut)
-		mqRow("1% QD4xNQ2 + crash", mqCrash)
-		vc := next().(ftVolOut)
-		res.Rows = append(res.Rows, []string{
-			"1% vol R=2 + crash", f1(vc.opsPerSec / 1000), "-", "-",
-			fmt.Sprintf("%d", vc.frLost), fmt.Sprintf("%d", vc.frCorrupt),
-			fmt.Sprintf("%d", vc.dup), fmt.Sprintf("%d", vc.lost),
-			fmt.Sprintf("%d", vc.devErrors),
-		})
-		volHealth := "restored full replication"
-		if !vc.healthy {
-			volHealth = "LEFT THE VOLUME DEGRADED"
-		}
-		res.Notes = append(res.Notes,
-			fmt.Sprintf("volume cell runs R=2/W=2 quorum writes across 3 IOhosts; the crash cost %d extent replicas and the rebuild engine %s over the same lossy fabric. Its dev errors (%d, all clean quorum-loss errors) are writes the version fence refused whole — superseded by a newer concurrent version, or aimed at a replica that provably missed an earlier one (%d gap nacks, %d healed by full-extent copy) — so dup and never-completed stay 0.", vc.rebuilt, volHealth, vc.devErrors, vc.gapNacks, vc.heals),
-		)
-		res.Notes = append(res.Notes,
+		return []string{
+			fmt.Sprintf("volume cell runs R=2/W=2 quorum writes across 3 IOhosts; the crash cost %s extent replicas and the rebuild engine %s over the same lossy fabric. Its dev errors (%s, all clean quorum-loss errors) are writes the version fence refused whole — superseded by a newer concurrent version, or aimed at a replica that provably missed an earlier one (%s gap nacks, %s healed by full-extent copy) — so dup and never-completed stay 0.",
+				vol("rebuilt"), health, vol("dev errors"), vol("gap nacks"), vol("heals")),
 			"dup and never-completed must be 0 at every loss rate: §4.5 retransmission with stale filtering gives exactly-once completion, not at-least-once.",
-			fmt.Sprintf("crash cell: heartbeats detected the dead IOhost in %.0fµs over a 1%%-lossy fabric and re-homed %d guests; stranded requests completed on the survivor via retransmission.", cr.detectUs, cr.rehomes),
-			fmt.Sprintf("multi-queue cells run QD=4/NQ=2 per guest; per-queue in-flight tables drained to %d/%d entries (stall/crash cells) — both must be 0.", mqStall.tablesLeft, mqCrash.tablesLeft),
-		)
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+			fmt.Sprintf("crash cell: heartbeats detected the dead IOhost in %.0fµs over a 1%%-lossy fabric and re-homed %s guests; stranded requests completed on the survivor via retransmission.",
+				crash("detect"), d(crash("rehomes"))),
+			fmt.Sprintf("multi-queue cells run QD=4/NQ=2 per guest; per-queue in-flight tables drained to %s/%s entries (stall/crash cells) — both must be 0.",
+				d(t.Get(Point{"loss": "2% QD4xNQ2 + stalls"}, "tables left")), d(t.Get(Point{"loss": "1% QD4xNQ2 + crash"}, "tables left"))),
+		}
+	},
 }

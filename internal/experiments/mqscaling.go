@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"vrio/internal/cluster"
 	"vrio/internal/core"
@@ -9,36 +10,10 @@ import (
 	"vrio/internal/workload"
 )
 
-// mqscaling measures the multi-queue block path: NVMe-style queue pairs from
-// the guest ring to pinned IOhost workers. The sweep crosses per-queue depth
-// (QD), queue count (NQ), and IOhost sidecore workers; every cell runs the
-// MQBlock closed loop on each guest and audits its exactly-once ledger. The
-// single-queue single-depth cell is the pre-multi-queue baseline (it is
-// byte-identical on the wire), so the speedup column is exactly what the
-// queue-pair work buys at each worker count.
-func init() { register("mqscaling", mqscalingPlan) }
-
-var (
-	mqQDs     = []int{1, 4, 8, 16}
-	mqNQs     = []int{1, 2, 4}
-	mqWorkers = []int{1, 4}
-)
-
-// mqOut is one cell's measurements.
-type mqOut struct {
-	qd, nq, workers int
-	kiops           float64
-	issued, done    uint64
-	dup, lost, errs uint64
-	deferred        uint64
-	inflightLeft    int
-	affinity        string
-}
-
 // runMQCell runs one (QD, NQ, workers) point: two guests on one VMhost,
 // closed-loop 4 KiB writes for the measured window, then a drain to
 // quiescence so the ledger audit sees every completion.
-func runMQCell(quick bool, qd, nq, workers int) mqOut {
+func runMQCell(quick bool, qd, nq, workers int) Metrics {
 	_, dur := durations(quick, 0, 20*sim.Millisecond)
 	tb := cluster.Build(cluster.Spec{
 		Model:           core.ModelVRIO,
@@ -49,110 +24,71 @@ func runMQCell(quick bool, qd, nq, workers int) mqOut {
 		NoJitter:        true, // finite event horizon: the drain runs to empty
 		Seed:            911,
 	})
-	var loads []*workload.MQBlock
+	var loads []mqLoad
 	for _, g := range tb.Guests {
 		m := workload.NewMQBlock(tb.Eng, g, nq, qd, 4096)
 		m.Results.StartMeasuring()
 		m.Start()
-		loads = append(loads, m)
+		loads = append(loads, mqLoad{m})
 	}
 	var doneAtStop uint64
 	tb.Eng.At(dur, func() {
-		for _, m := range loads {
-			m.Stop()
-			doneAtStop += m.Done()
+		for _, l := range loads {
+			doneAtStop += l.halt()
 		}
 	})
 	tb.Eng.RunUntil(dur)
 	tb.Eng.Run() // drain: closed loops are stopped, so the event set empties
 
-	out := mqOut{qd: qd, nq: nq, workers: workers}
-	out.kiops = float64(doneAtStop) / dur.Seconds() / 1e3
-	for _, m := range loads {
-		dup, lost := m.Ledger()
-		out.dup += dup
-		out.lost += lost
-		out.errs += m.Errs
-		out.issued += m.Issued()
-		out.done += m.Done()
+	m := Metrics{"kIOPS": float64(doneAtStop) / dur.Seconds() / 1e3, "deferred": 0, "inflight left": 0}
+	for _, l := range loads {
+		l.tally(m)
 	}
 	for _, s := range tb.BlockSchedulers {
-		out.deferred += s.Deferred
+		m["deferred"] += float64(s.Deferred)
 	}
 	for _, h := range tb.IOHyps {
-		out.inflightLeft += h.BlkInFlight()
+		m["inflight left"] += float64(h.BlkInFlight())
 	}
 	// Queue→worker affinity of guest 0's device, as registered.
-	if nq > 1 {
-		c := tb.VRIOClients[0]
-		hyp := tb.IOHyps[tb.ClientIOhost[0]]
-		aff := ""
-		for q := 0; q < nq; q++ {
-			if q > 0 {
-				aff += " "
-			}
-			aff += fmt.Sprintf("%d:%d", q, hyp.BlkQueueWorker(c.TransportMAC(), c.BlkDeviceID(), q))
-		}
-		out.affinity = aff
-	} else {
-		out.affinity = "dynamic"
+	c := tb.VRIOClients[0]
+	for q := 0; q < nq && nq > 1; q++ {
+		m[fmt.Sprintf("q%d", q)] = float64(tb.IOHyps[tb.ClientIOhost[0]].BlkQueueWorker(c.TransportMAC(), c.BlkDeviceID(), q))
 	}
-	return out
+	return m
 }
 
-func mqscalingPlan(quick bool) Plan {
-	var cells []Cell
-	for _, w := range mqWorkers {
-		for _, nq := range mqNQs {
-			for _, qd := range mqQDs {
-				w, nq, qd := w, nq, qd
-				cells = append(cells, func() any { return runMQCell(quick, qd, nq, w) })
+// mqScaling measures the multi-queue block path: NVMe-style queue pairs from
+// the guest ring to pinned IOhost workers. The sweep crosses per-queue depth
+// (QD), queue count (NQ), and IOhost sidecore workers; every cell runs the
+// MQBlock closed loop on each guest and audits its exactly-once ledger. The
+// single-queue single-depth cell is the pre-multi-queue baseline (it is
+// byte-identical on the wire), so the speedup column is exactly what the
+// queue-pair work buys at each worker count.
+var mqScaling = &Grid{
+	ID:    "mqscaling",
+	Title: "Multi-queue block I/O: QD x NQ x IOhost workers, closed-loop 4 KiB writes",
+	Axes:  []Axis{axis("workers", "1", "4"), axis("NQ", "1", "2", "4"), axis("QD", "1", "4", "8", "16")},
+	Cell: func(quick bool, p Point) []Line {
+		return one(runMQCell(quick, p.Int("QD"), p.Int("NQ"), p.Int("workers")))
+	},
+	Cols: []Col{axisCol("workers"), axisCol("NQ"), axisCol("QD"), num("kIOPS", "kIOPS", f1),
+		{"speedup", func(r Row) string { return f2(r.Get("kIOPS")/r.Get("kIOPS", "NQ", "1", "QD", "1")) + "x" }},
+		num("deferred", "deferred", d), num("dup", "dup", d), num("lost", "never-completed", d),
+		num("errs", "dev errors", d),
+		{"q-affinity", func(r Row) string {
+			if r.Axis("NQ") == "1" {
+				return "dynamic"
 			}
-		}
-	}
-	return Plan{
-		Cells: cells,
-		Assemble: func(out []any) Result {
-			next := cursor(out)
-			res := Result{
-				ID:    "mqscaling",
-				Title: "Multi-queue block I/O: QD x NQ x IOhost workers, closed-loop 4 KiB writes",
-				Header: []string{"workers", "NQ", "QD", "kIOPS", "speedup",
-					"deferred", "dup", "lost", "errs", "q-affinity"},
+			var aff []string
+			for q := 0; q < r.p.Int("NQ"); q++ {
+				aff = append(aff, fmt.Sprintf("%d:%s", q, d(r.Get(fmt.Sprintf("q%d", q)))))
 			}
-			for range mqWorkers {
-				base := 0.0
-				for range mqNQs {
-					for range mqQDs {
-						o := next().(mqOut)
-						if o.nq == 1 && o.qd == 1 {
-							base = o.kiops
-						}
-						speedup := 0.0
-						if base > 0 {
-							speedup = o.kiops / base
-						}
-						res.Rows = append(res.Rows, []string{
-							fmt.Sprintf("%d", o.workers),
-							fmt.Sprintf("%d", o.nq),
-							fmt.Sprintf("%d", o.qd),
-							f1(o.kiops),
-							f2(speedup) + "x",
-							fmt.Sprintf("%d", o.deferred),
-							fmt.Sprintf("%d", o.dup),
-							fmt.Sprintf("%d", o.lost),
-							fmt.Sprintf("%d", o.errs),
-							o.affinity,
-						})
-					}
-				}
-			}
-			res.Notes = append(res.Notes,
-				"speedup is vs the QD=1/NQ=1 cell at the same worker count (the pre-multi-queue baseline)",
-				"queue pairs pin to workers round-robin at registration and never migrate (passthrough affinity)",
-				"deferred counts cross-queue range conflicts the IOhost scheduler serialized",
-			)
-			return res
-		},
-	}
+			return strings.Join(aff, " ")
+		}}},
+	Notes: lines(
+		"speedup is vs the QD=1/NQ=1 cell at the same worker count (the pre-multi-queue baseline)",
+		"queue pairs pin to workers round-robin at registration and never migrate (passthrough affinity)",
+		"deferred counts cross-queue range conflicts the IOhost scheduler serialized",
+	),
 }

@@ -15,23 +15,23 @@ func TestMQScalingMonotoneSpeedup(t *testing.T) {
 	var base, top float64
 	for i, pt := range diagonal {
 		o := runMQCell(true, pt[0], pt[1], 4)
-		if o.dup != 0 || o.lost != 0 || o.errs != 0 {
-			t.Fatalf("QD=%d NQ=%d: ledger dup=%d lost=%d errs=%d; want exactly-once with no errors",
-				pt[0], pt[1], o.dup, o.lost, o.errs)
+		if o["dup"] != 0 || o["never-completed"] != 0 || o["dev errors"] != 0 {
+			t.Fatalf("QD=%d NQ=%d: ledger dup=%v lost=%v errs=%v; want exactly-once with no errors",
+				pt[0], pt[1], o["dup"], o["never-completed"], o["dev errors"])
 		}
-		if o.inflightLeft != 0 {
-			t.Fatalf("QD=%d NQ=%d: %d requests left in IOhost in-flight tables after drain",
-				pt[0], pt[1], o.inflightLeft)
+		if o["inflight left"] != 0 {
+			t.Fatalf("QD=%d NQ=%d: %v requests left in IOhost in-flight tables after drain",
+				pt[0], pt[1], o["inflight left"])
 		}
-		if o.kiops <= prev {
+		if o["kIOPS"] <= prev {
 			t.Fatalf("QD=%d NQ=%d: %.1f kIOPS not above previous point %.1f — sweep must be monotone",
-				pt[0], pt[1], o.kiops, prev)
+				pt[0], pt[1], o["kIOPS"], prev)
 		}
-		prev = o.kiops
+		prev = o["kIOPS"]
 		if i == 0 {
-			base = o.kiops
+			base = o["kIOPS"]
 		}
-		top = o.kiops
+		top = o["kIOPS"]
 	}
 	if top < 2*base {
 		t.Fatalf("top of sweep %.1f kIOPS < 2x baseline %.1f kIOPS", top, base)
@@ -43,7 +43,7 @@ func TestMQScalingMonotoneSpeedup(t *testing.T) {
 // IOhost-side scheduler serializes (deferred > 0 at depth).
 func TestMQScalingExercisesConflicts(t *testing.T) {
 	o := runMQCell(true, 8, 4, 4)
-	if o.deferred == 0 {
+	if o["deferred"] == 0 {
 		t.Fatalf("QD=8 NQ=4 reported no deferred conflicts; the hot-region writes must collide")
 	}
 }

@@ -1,334 +1,213 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"vrio/internal/cluster"
 	"vrio/internal/core"
-	"vrio/internal/params"
 	"vrio/internal/sim"
 	"vrio/internal/workload"
 )
 
-func init() {
-	register("table3", table3Plan)
-	register("fig5", fig5Plan)
-	register("fig7", fig7Plan)
-	register("fig8", fig8Plan)
-	register("fig9", fig9Plan)
-	register("fig10", fig10Plan)
-	register("fig11", fig11Plan)
-	register("table4", table4Plan)
-	register("fig12", fig12Plan)
-	register("fig13", fig13Plan)
-	register("heterogeneity", heterogeneityPlan)
-}
+// modelAxis is the "model" axis over the given model names.
+func modelAxis(ms []string) Axis { return axis("model", ms...) }
 
 // table3 measures (not assumes) the per-request-response virtualization
-// events of every model. One cell per model.
-func table3(quick bool) Result { return runPlan(table3Plan(quick)) }
-
-func table3Plan(quick bool) Plan {
-	warm, dur := durations(quick, 2*sim.Millisecond, 50*sim.Millisecond)
-	type out struct {
-		row  []string
-		note string
-	}
-	var cells []Cell
-	for _, m := range fig5Models {
-		m := m
-		cells = append(cells, func() any {
-			tb := cluster.Build(cluster.Spec{Model: m, VMsPerHost: 1, Seed: 11})
-			rrs := rrRun(tb, warm, dur)
-			ops := float64(totalOps(rrs))
-			if ops == 0 {
-				return out{note: string(m) + ": no transactions"}
-			}
-			// Event counts come through the metrics registry — the same
-			// counters the components maintain, read by component/name
-			// instead of reaching into their fields.
-			per := func(name string) float64 { return tb.Metrics.Value("vm0", name) / ops }
-			ioirq := tb.Metrics.Value("iohyp", "iohost_irqs") / ops
-			sum := per("exits") + per("guest_irqs") + per("irq_injections") + per("host_irqs") + ioirq
-			return out{row: []string{
-				string(m), f1(per("exits")), f1(per("guest_irqs")),
-				f1(per("irq_injections")), f1(per("host_irqs")), f1(ioirq), f1(sum),
-			}}
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "table3",
-			Title:  "Exits and interrupts per request-response (measured)",
-			Header: []string{"model", "sync exits", "guest intrpts", "intrpt injection", "host intrpts", "IOhost intrpts", "sum"},
+// events of every model, read through the metrics registry: the same
+// counters the components maintain, by component and name.
+var table3 = &Grid{
+	ID:    "table3",
+	Title: "Exits and interrupts per request-response (measured)",
+	Axes:  []Axis{modelAxis(fig5Models)},
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 2*sim.Millisecond, 50*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: 1, Seed: 11})
+		ops := float64(totalOps(rrRun(tb, warm, dur)))
+		m := Metrics{"IOhost intrpts": tb.Metrics.Value("iohyp", "iohost_irqs") / ops}
+		for name, counter := range map[string]string{"sync exits": "exits", "guest intrpts": "guest_irqs",
+			"intrpt injection": "irq_injections", "host intrpts": "host_irqs"} {
+			m[name] = tb.Metrics.Value("vm0", counter) / ops
 		}
-		for _, o := range outs {
-			c := o.(out)
-			if c.note != "" {
-				res.Notes = append(res.Notes, c.note)
-				continue
-			}
-			res.Rows = append(res.Rows, c.row)
-		}
-		res.Notes = append(res.Notes,
-			"paper: optimum 0/2/0/0/- (2), vrio 0/2/0/0/0 (2), elvis 0/2/0/2/- (4), vrio-nopoll 0/2/0/0/4 (6), baseline 3/2/2/2/- (9)")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+		m["sum"] = m["sync exits"] + m["guest intrpts"] + m["intrpt injection"] + m["host intrpts"] + m["IOhost intrpts"]
+		return one(m)
+	},
+	Cols: []Col{axisCol("model"), num("sync exits", "sync exits", f1), num("guest intrpts", "guest intrpts", f1),
+		num("intrpt injection", "intrpt injection", f1), num("host intrpts", "host intrpts", f1),
+		num("IOhost intrpts", "IOhost intrpts", f1), num("sum", "sum", f1)},
+	Claims: []Claim{
+		{At: Point{"model": "optimum"}, Metric: "sum", Paper: 2, Check: Within(0.6)},
+		{At: Point{"model": "vrio"}, Metric: "sum", Paper: 2, Check: Within(0.6)},
+		{At: Point{"model": "elvis"}, Metric: "sum", Paper: 4, Check: Within(0.6)},
+		{At: Point{"model": "vrio-nopoll"}, Metric: "sum", Paper: 6, Check: Within(0.6)},
+		{At: Point{"model": "baseline"}, Metric: "sum", Paper: 9, Check: Within(0.6)},
+		{Metric: "sum", Check: Ordered("model", "vrio", "elvis", "vrio-nopoll", "baseline")},
+		{Metric: "guest intrpts", Paper: 2, Check: Within(0.3)},
+		{At: Point{"model": "baseline"}, Metric: "sync exits", Paper: 3, Check: Within(0.3)},
+		{At: Point{"model": "baseline"}, Metric: "intrpt injection", Paper: 2, Check: Within(0.3)},
+		{At: Point{"model": "elvis"}, Metric: "host intrpts", Paper: 2, Check: Within(0.3)},
+		{At: Point{"model": "vrio-nopoll"}, Metric: "IOhost intrpts", Paper: 4, Check: Within(0.3)},
+	},
 }
 
-// fig5 runs ApacheBench on the five configurations. One cell per (N, model).
-func fig5Plan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-	maxN := 7
-	if quick {
-		maxN = 3
+// macroRun serves cfg from every guest of tb and returns aggregate
+// transactions per second.
+func macroRun(tb *cluster.Testbed, cfg workload.MacroConfig, cost, warm, dur sim.Time) float64 {
+	var ms []*workload.Macro
+	var cs []cluster.Measurable
+	for i, g := range tb.Guests {
+		workload.InstallMacroServer(g, cost, cfg.RespSize)
+		mac := workload.NewMacro(tb.StationFor(i), g.MAC(), cfg)
+		mac.Start()
+		ms = append(ms, mac)
+		cs = append(cs, &mac.Results)
 	}
-	var cells []Cell
-	for n := 1; n <= maxN; n++ {
-		for _, m := range fig5Models {
-			n, m := n, m
-			cells = append(cells, func() any {
-				tb := cluster.Build(cluster.Spec{Model: m, VMsPerHost: n, StationPerVM: true, Seed: 21})
-				var ms []*workload.Macro
-				var cs []cluster.Measurable
-				for i, g := range tb.Guests {
-					workload.InstallMacroServer(g, tb.P.ApacheRequestCost, workload.ApacheConfig().RespSize)
-					mac := workload.NewMacro(tb.StationFor(i), g.MAC(), workload.ApacheConfig())
-					mac.Start()
-					ms = append(ms, mac)
-					cs = append(cs, &mac.Results)
-				}
-				tb.RunMeasured(warm, dur, cs...)
-				var total float64
-				for _, mac := range ms {
-					total += mac.Results.OpsPerSec(dur)
-				}
-				return total
-			})
-		}
+	tb.RunMeasured(warm, dur, cs...)
+	var total float64
+	for _, mac := range ms {
+		total += mac.Results.OpsPerSec(dur)
 	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig5",
-			Title:  "ApacheBench aggregate requests/sec vs number of VMs",
-			Header: []string{"VMs"},
-		}
-		for _, m := range fig5Models {
-			res.Header = append(res.Header, string(m))
-		}
-		next := cursor(outs)
-		for n := 1; n <= maxN; n++ {
-			row := []string{fmt.Sprintf("%d", n)}
-			for range fig5Models {
-				row = append(row, fmt.Sprintf("%.0f", next().(float64)))
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		res.Notes = append(res.Notes,
-			"paper shape: throughput inversely ordered by Table 3's event sum: optimum≈vrio > elvis > vrio-nopoll > baseline")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+	return total
 }
 
-// fig7 measures Netperf RR mean latency vs N for the four models. One cell
-// per (N, model).
-func fig7(quick bool) Result { return runPlan(fig7Plan(quick)) }
+// modelCols prints one column per model of a metric, headed by the model.
+func modelCols(ms []string, metric string, f func(float64) string) []Col {
+	var cols []Col
+	for _, m := range ms {
+		cols = append(cols, num(m, metric, f, "model", m))
+	}
+	return cols
+}
 
-func fig7Plan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-	maxN := 7
-	if quick {
-		maxN = 3
-	}
-	var cells []Cell
-	for n := 1; n <= maxN; n++ {
-		for _, m := range netModels {
-			n, m := n, m
-			cells = append(cells, func() any {
-				tb := cluster.Build(cluster.Spec{Model: m, VMsPerHost: n, Seed: 31})
-				rrs := rrRun(tb, warm, dur)
-				pcts := latencyPercentilesMicros(rrs)
-				return [4]float64{meanLatencyMicros(rrs), pcts[0], pcts[1], pcts[2]}
-			})
+// fig5 runs ApacheBench on the five configurations.
+var fig5 = &Grid{
+	ID:    "fig5",
+	Title: "ApacheBench aggregate requests/sec vs number of VMs",
+	Axes:  []Axis{upTo("VMs", 7, 3), modelAxis(fig5Models)},
+	Pivot: 1,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), StationPerVM: true, Seed: 21})
+		return one(Metrics{"req/s": macroRun(tb, workload.ApacheConfig(), tb.P.ApacheRequestCost, warm, dur)})
+	},
+	Cols: append([]Col{axisCol("VMs")}, modelCols(fig5Models, "req/s", f0)...),
+	Claims: []Claim{
+		{At: Point{"VMs": "3"}, Metric: "req/s", Check: Ordered("model", "baseline", "vrio-nopoll", "elvis")},
+		{At: Point{"VMs": "3"}, Metric: "req/s", Check: Ordered("model", "baseline", "vrio", "optimum")},
+		{At: Point{"VMs": "3"}, Metric: "req/s", Check: Ordered("model", "elvis", "vrio"), Deviation: 1},
+	},
+}
+
+// fig7 measures Netperf RR mean latency and percentiles vs N.
+var fig7 = &Grid{
+	ID:    "fig7",
+	Title: "Netperf RR average latency [µs] vs number of VMs (N+1 cores; optimum N)",
+	Axes:  []Axis{upTo("VMs", 7, 3), modelAxis(netModels)},
+	Pivot: 1,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
+		rrs := rrRun(cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), Seed: 31}), warm, dur)
+		pc := latencyPercentilesMicros(rrs)
+		return one(Metrics{"mean": meanLatencyMicros(rrs), "p50": pc[0], "p95": pc[1], "p99": pc[2]})
+	},
+	Cols: fig7Cols(),
+	Claims: []Claim{
+		{Metric: "mean", At: Point{"model": "optimum"}, Paper: 31, Check: Within(2.5)},
+		{At: Point{"model": "vrio"}, Vs: Point{"model": "optimum"}, By: Gap, Metric: "mean", Paper: 12.5, Check: Within(3)},
+		{At: Point{"VMs": "1", "model": "vrio"}, Vs: Point{"model": "elvis"}, By: Gap, Metric: "mean", Paper: 8, Check: Within(3)},
+		{At: Point{"VMs": "1", "model": "vrio"}, Vs: Point{"model": "elvis"}, By: Ratio, Metric: "mean", Paper: 1.18, Check: Band(1, 1.18)},
+		{At: Point{"VMs": "1"}, Metric: "mean", Check: Ordered("model", "optimum", "elvis", "vrio")},
+		{At: Point{"VMs": "1", "model": "vrio"}, Vs: Point{"model": "baseline"}, By: Ratio, Metric: "mean", Paper: 1.2, Check: Band(0, 1.2)},
+		{At: Point{"VMs": "3"}, Metric: "mean", Check: Ordered("model", "optimum", "elvis", "vrio", "baseline")},
+		{At: Point{"model": "elvis"}, Vs: Point{"model": "vrio"}, By: Gap, Metric: "mean", Paper: 6, Check: Crosses("VMs", 5, 7), FullOnly: true},
+		{At: Point{"VMs": "7", "model": "baseline"}, Metric: "mean", Paper: 60, Check: Within(15), Deviation: 2, FullOnly: true},
+	},
+}
+
+func fig7Cols() []Col {
+	// Model order of the columns; the percentile columns follow the means.
+	colModels := models(core.ModelBaseline, core.ModelVRIO, core.ModelElvis, core.ModelOptimum)
+	cols := append([]Col{axisCol("VMs")}, modelCols(colModels, "mean", f1)...)
+	for _, m := range colModels {
+		for _, p := range []string{"p50", "p95", "p99"} {
+			cols = append(cols, num(m+"-"+p, p, f1, "model", m))
 		}
 	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig7",
-			Title:  "Netperf RR average latency [µs] vs number of VMs (N+1 cores; optimum N)",
-			Header: []string{"VMs", "baseline", "vrio", "elvis", "optimum"},
-		}
-		// Percentile columns follow the four means, same model order.
-		colModels := []core.ModelName{
-			core.ModelBaseline, core.ModelVRIO, core.ModelElvis, core.ModelOptimum,
-		}
-		for _, m := range colModels {
-			for _, p := range []string{"p50", "p95", "p99"} {
-				res.Header = append(res.Header, string(m)+"-"+p)
-			}
-		}
-		next := cursor(outs)
-		for n := 1; n <= maxN; n++ {
-			lat := map[core.ModelName][4]float64{}
-			for _, m := range netModels {
-				lat[m] = next().([4]float64)
-			}
-			row := []string{fmt.Sprintf("%d", n)}
-			for _, m := range colModels {
-				row = append(row, f1(lat[m][0]))
-			}
-			for _, m := range colModels {
-				row = append(row, f1(lat[m][1]), f1(lat[m][2]), f1(lat[m][3]))
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		res.Notes = append(res.Notes,
-			"paper shape: optimum ≈30-32µs near-flat; vrio ≈ optimum+12-13µs; elvis starts 8µs under vrio, crosses above near N=6; baseline worst")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+	return cols
 }
 
 // fig8 reports the vRIO-minus-optimum latency gap and the IOhost sidecore
-// contention. Two cells per N: the optimum run and the vRIO run.
-func fig8Plan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-	maxN := 7
-	if quick {
-		maxN = 3
-	}
-	type vrioOut struct {
-		lat        float64
-		contention float64
-	}
-	var cells []Cell
-	for n := 1; n <= maxN; n++ {
-		n := n
-		cells = append(cells, func() any {
-			tb := cluster.Build(cluster.Spec{Model: core.ModelOptimum, VMsPerHost: n, Seed: 41})
-			return meanLatencyMicros(rrRun(tb, warm, dur))
-		})
-		cells = append(cells, func() any {
-			tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMsPerHost: n, Seed: 41})
-			lat := meanLatencyMicros(rrRun(tb, warm, dur))
-			contention := 0.0
+// contention, from an optimum run and a vRIO run per N.
+var fig8 = &Grid{
+	ID:    "fig8",
+	Title: "Netperf RR vRIO: latency gap vs optimum [µs] and sidecore contention [%]",
+	Axes:  []Axis{upTo("VMs", 7, 3), axis("model", "optimum", "vrio")},
+	Pivot: 1,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), Seed: 41})
+		m := Metrics{"mean": meanLatencyMicros(rrRun(tb, warm, dur))}
+		if len(tb.Sidecores) > 0 {
+			var wait float64
 			for _, sc := range tb.Sidecores {
-				contention += sc.WaitFraction()
+				wait += sc.WaitFraction()
 			}
-			contention /= float64(len(tb.Sidecores))
-			return vrioOut{lat: lat, contention: contention}
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig8",
-			Title:  "Netperf RR vRIO: latency gap vs optimum [µs] and sidecore contention [%]",
-			Header: []string{"VMs", "gap [µs]", "contention [%]"},
+			m["contention"] = wait / float64(len(tb.Sidecores)) * 100
 		}
-		next := cursor(outs)
-		for n := 1; n <= maxN; n++ {
-			opt := next().(float64)
-			v := next().(vrioOut)
-			res.Rows = append(res.Rows, []string{
-				fmt.Sprintf("%d", n), f1(v.lat - opt), f1(v.contention * 100),
-			})
-		}
-		res.Notes = append(res.Notes,
-			"paper shape: gap grows slowly from ≈12 to ≈13µs; contention grows from ≈5% to ≈20%")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+		return one(m)
+	},
+	Cols: []Col{axisCol("VMs"),
+		{"gap [µs]", func(r Row) string { return f1(r.Get("mean", "model", "vrio") - r.Get("mean", "model", "optimum")) }},
+		num("contention [%]", "contention", f1, "model", "vrio")},
+	Claims: []Claim{
+		{At: Point{"VMs": "1", "model": "vrio"}, Vs: Point{"model": "optimum"}, By: Gap, Metric: "mean", Paper: 12, Check: Within(2)},
+		{At: Point{"model": "vrio"}, Metric: "contention", Check: Rising("VMs")},
+		{At: Point{"VMs": "1", "model": "vrio"}, Metric: "contention", Paper: 5, Check: Within(2.5), Deviation: 5},
+		{At: Point{"VMs": "7", "model": "vrio"}, Vs: Point{"model": "optimum"}, By: Gap, Metric: "mean", Paper: 13, Check: Within(2), FullOnly: true},
+	},
 }
 
-// fig9 measures Netperf stream throughput vs N. One cell per (N, model).
-func fig9Plan(quick bool) Plan {
-	warm, dur := durations(quick, 5*sim.Millisecond, 80*sim.Millisecond)
-	maxN := 7
-	if quick {
-		maxN = 3
-	}
-	models := []core.ModelName{core.ModelOptimum, core.ModelElvis, core.ModelVRIO, core.ModelBaseline}
-	var cells []Cell
-	for n := 1; n <= maxN; n++ {
-		for _, m := range models {
-			n, m := n, m
-			cells = append(cells, func() any {
-				tb := cluster.Build(cluster.Spec{Model: m, VMsPerHost: n, Seed: 51})
-				return aggGbps(streamRun(tb, warm, dur), dur)
-			})
-		}
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig9",
-			Title:  "Netperf stream aggregate throughput [Gbps] vs number of VMs",
-			Header: []string{"VMs", "optimum", "elvis", "vrio", "baseline"},
-		}
-		next := cursor(outs)
-		for n := 1; n <= maxN; n++ {
-			row := []string{fmt.Sprintf("%d", n)}
-			for range models {
-				row = append(row, f2(next().(float64)))
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		res.Notes = append(res.Notes,
-			"paper shape: elvis ≈ optimum; vrio 5-8% lower; baseline clearly lowest and flattening")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+// fig9 measures Netperf stream throughput vs N.
+var fig9 = &Grid{
+	ID:    "fig9",
+	Title: "Netperf stream aggregate throughput [Gbps] vs number of VMs",
+	Axes:  []Axis{upTo("VMs", 7, 3), modelAxis(models(core.ModelOptimum, core.ModelElvis, core.ModelVRIO, core.ModelBaseline))},
+	Pivot: 1,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 5*sim.Millisecond, 80*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), Seed: 51})
+		return one(Metrics{"Gbps": aggGbps(streamRun(tb, warm, dur), dur)})
+	},
+	Cols: append([]Col{axisCol("VMs")},
+		modelCols(models(core.ModelOptimum, core.ModelElvis, core.ModelVRIO, core.ModelBaseline), "Gbps", f2)...),
+	Claims: []Claim{
+		{At: Point{"VMs": "7", "model": "elvis"}, Vs: Point{"model": "optimum"}, By: Change, Metric: "Gbps", Paper: 0, Check: Within(0.03), FullOnly: true},
+		{At: Point{"VMs": "7", "model": "vrio"}, Vs: Point{"model": "optimum"}, By: Change, Metric: "Gbps", Paper: -0.065, Check: Within(0.05), FullOnly: true},
+		{At: Point{"VMs": "7"}, Metric: "Gbps", Check: Ordered("model", "baseline", "vrio", "elvis"), FullOnly: true},
+	},
 }
 
 // fig10 measures VMhost-side cycles (ns of busy CPU) per stream chunk, N=1.
-// One cell per model; the vs-optimum baseline is computed at assembly.
-func fig10Plan(quick bool) Plan {
-	warm, dur := durations(quick, 5*sim.Millisecond, 80*sim.Millisecond)
-	models := []core.ModelName{core.ModelOptimum, core.ModelVRIO, core.ModelElvis, core.ModelBaseline}
-	var cells []Cell
-	for _, m := range models {
-		m := m
-		cells = append(cells, func() any {
-			// NoJitter: background interference would smear the per-chunk
-			// cycle accounting (models with more local cores absorb more
-			// jitter, which is not what Figure 10 measures).
-			tb := cluster.Build(cluster.Spec{Model: m, VMsPerHost: 1, NoJitter: true, Seed: 61})
-			sts := streamRun(tb, warm, dur)
-			chunks := sts[0].Results.Ops
-			if chunks == 0 {
-				return -1.0
-			}
-			// VMhost busy fraction over the run, scaled to the measured
-			// window's chunk count: ns of VMhost CPU per chunk.
-			return float64(vmhostBusy(tb)) / float64(tb.Eng.Now()) * float64(dur) / float64(chunks)
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig10",
-			Title:  "Per-packet processing [ns of VMhost CPU per 64KB chunk], N=1",
-			Header: []string{"model", "ns/chunk", "vs optimum"},
-		}
-		base := 0.0
-		for i, m := range models {
-			perChunk := outs[i].(float64)
-			if perChunk < 0 {
-				continue
-			}
-			rel := "+0%"
-			if base == 0 {
-				base = perChunk
-			} else {
-				rel = pct(perChunk/base - 1)
-			}
-			res.Rows = append(res.Rows, []string{string(m), fmt.Sprintf("%.0f", perChunk), rel})
-		}
-		res.Notes = append(res.Notes,
-			"paper: optimum +0%, vrio +9%, elvis +1%, baseline +40% (per-packet cycles on the VMhost)")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+var fig10 = &Grid{
+	ID:    "fig10",
+	Title: "Per-packet processing [ns of VMhost CPU per 64KB chunk], N=1",
+	Axes:  []Axis{modelAxis(netModels)},
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 5*sim.Millisecond, 80*sim.Millisecond)
+		// NoJitter: background interference would smear the per-chunk cycle
+		// accounting (models with more local cores absorb more jitter,
+		// which is not what Figure 10 measures).
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: 1, NoJitter: true, Seed: 61})
+		chunks := streamRun(tb, warm, dur)[0].Results.Ops
+		// VMhost busy fraction over the run, scaled to the measured
+		// window's chunk count: ns of VMhost CPU per chunk.
+		return one(Metrics{"ns/chunk": float64(vmhostBusy(tb)) / float64(tb.Eng.Now()) * float64(dur) / float64(chunks)})
+	},
+	Cols: []Col{axisCol("model"), num("ns/chunk", "ns/chunk", f0), vsFirst("vs optimum", "ns/chunk", "+0%")},
+	Claims: []Claim{
+		{At: Point{"model": "vrio"}, Vs: Point{"model": "optimum"}, By: Change, Metric: "ns/chunk", Paper: 0.09, Check: Within(0.05), FullOnly: true},
+		{At: Point{"model": "elvis"}, Vs: Point{"model": "optimum"}, By: Change, Metric: "ns/chunk", Paper: 0.01, Check: Within(0.04), FullOnly: true},
+		{At: Point{"model": "baseline"}, Vs: Point{"model": "optimum"}, By: Change, Metric: "ns/chunk", Paper: 0.40, Check: Within(0.1)},
+	},
 }
 
 // vmhostBusy sums busy time across VM cores and local host cores (vRIO's
@@ -350,254 +229,140 @@ func vmhostBusy(tb *cluster.Testbed) sim.Time {
 }
 
 // fig11 equalizes core counts: the optimum gets N+1=8 cores (8 VMs) and is
-// compared against the other models at N=7. One cell per configuration.
-func fig11Plan(quick bool) Plan {
-	warm, dur := durations(quick, 5*sim.Millisecond, 80*sim.Millisecond)
-	n := 7
-	if quick {
-		n = 3
-	}
-	type cfg struct {
-		name  string
-		model core.ModelName
-		vms   int
-	}
-	cfgs := []cfg{
-		{"optimum-8vms", core.ModelOptimum, n + 1},
-		{"optimum", core.ModelOptimum, n},
-		{"elvis", core.ModelElvis, n},
-		{"vrio", core.ModelVRIO, n},
-		{"baseline", core.ModelBaseline, n},
-	}
-	var cells []Cell
-	for _, c := range cfgs {
-		c := c
-		cells = append(cells, func() any {
-			tb := cluster.Build(cluster.Spec{Model: c.model, VMsPerHost: c.vms, Seed: 71})
-			return aggGbps(streamRun(tb, warm, dur), dur)
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig11",
-			Title:  "Stream throughput [Gbps] with equal cores: optimum 8 VMs vs others at N=7",
-			Header: []string{"config", "Gbps", "vs optimum-8vms"},
+// compared against the other models at N=7.
+var fig11 = &Grid{
+	ID:    "fig11",
+	Title: "Stream throughput [Gbps] with equal cores: optimum 8 VMs vs others at N=7",
+	Axes:  []Axis{axis("config", "optimum-8vms", "optimum", "elvis", "vrio", "baseline")},
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 5*sim.Millisecond, 80*sim.Millisecond)
+		n, model := 7, p["config"]
+		if quick {
+			n = 3
 		}
-		base := 0.0
-		for i, c := range cfgs {
-			g := outs[i].(float64)
-			rel := "0%"
-			if base == 0 {
-				base = g
-			} else {
-				rel = pct(g/base - 1)
-			}
-			res.Rows = append(res.Rows, []string{c.name, f2(g), rel})
+		if model == "optimum-8vms" {
+			n, model = n+1, string(core.ModelOptimum)
 		}
-		res.Notes = append(res.Notes,
-			"paper: with a core parity the optimum wins by 11-18% over elvis/vrio and 54% over baseline — the price of interposition")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(model), VMsPerHost: n, Seed: 71})
+		return one(Metrics{"Gbps": aggGbps(streamRun(tb, warm, dur), dur)})
+	},
+	Cols: []Col{axisCol("config"), num("Gbps", "Gbps", f2), vsFirst("vs optimum-8vms", "Gbps", "0%")},
+	Claims: []Claim{
+		{At: Point{"config": "optimum"}, Vs: Point{"config": "optimum-8vms"}, By: Change, Metric: "Gbps", Paper: -0.11, Check: Within(0.05), FullOnly: true},
+		{At: Point{"config": "elvis"}, Vs: Point{"config": "optimum-8vms"}, By: Change, Metric: "Gbps", Paper: -0.13, Check: Within(0.05), FullOnly: true},
+		{At: Point{"config": "vrio"}, Vs: Point{"config": "optimum-8vms"}, By: Change, Metric: "Gbps", Paper: -0.18, Check: Within(0.05), FullOnly: true},
+		{At: Point{"config": "baseline"}, Vs: Point{"config": "optimum-8vms"}, By: Change, Metric: "Gbps", Paper: -0.54, Check: Within(0.05)},
+	},
 }
 
-// table4 reports RR tail latency percentiles for one VM. One cell per model,
-// each returning the four percentile values.
-func table4Plan(quick bool) Plan {
-	warm, dur := durations(quick, 5*sim.Millisecond, 2000*sim.Millisecond)
-	percentiles := []float64{50, 95, 99, 99.9, 99.99, 99.999, 100}
-	models := []core.ModelName{core.ModelOptimum, core.ModelElvis, core.ModelVRIO}
-	var cells []Cell
-	for _, m := range models {
-		m := m
-		cells = append(cells, func() any {
-			tb := cluster.Build(cluster.Spec{Model: m, VMsPerHost: 1, Seed: 81})
-			rrs := rrRun(tb, warm, dur)
-			var vals []float64
-			for _, p := range percentiles {
-				vals = append(vals, float64(rrs[0].Results.Latency.Percentile(p))/1000)
-			}
-			return vals
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "table4",
-			Title:  "Tail latency [µs] for one VM (Netperf RR)",
-			Header: []string{"percentile", "optimum", "elvis", "vrio"},
+// table4 reports RR tail latency percentiles for one VM: one cell per
+// model, one Line per percentile.
+var table4 = &Grid{
+	ID:    "table4",
+	Title: "Tail latency [µs] for one VM (Netperf RR)",
+	Axes:  []Axis{modelAxis(models(core.ModelOptimum, core.ModelElvis, core.ModelVRIO))},
+	Pivot: 1,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 5*sim.Millisecond, 2000*sim.Millisecond)
+		rr := rrRun(cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: 1, Seed: 81}), warm, dur)[0]
+		var out []Line
+		for _, pc := range []float64{50, 95, 99, 99.9, 99.99, 99.999, 100} {
+			out = append(out, Line{strconv.FormatFloat(pc, 'f', -1, 64) + "%", Metrics{"µs": float64(rr.Results.Latency.Percentile(pc)) / 1000}})
 		}
-		vals := map[core.ModelName][]float64{}
-		for i, m := range models {
-			vals[m] = outs[i].([]float64)
-		}
-		names := []string{"50%", "95%", "99%", "99.9%", "99.99%", "99.999%", "100%"}
-		for i, name := range names {
-			res.Rows = append(res.Rows, []string{
-				name,
-				f1(vals[core.ModelOptimum][i]),
-				f1(vals[core.ModelElvis][i]),
-				f1(vals[core.ModelVRIO][i]),
-			})
-		}
-		res.Notes = append(res.Notes,
-			"paper: optimum 35/42/214/227, elvis 53/71/466/480, vrio 60/156/258/274 — mixed tails: elvis better at 99.9/99.99, vrio better at 99.999/max")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+		return out
+	},
+	Cols: append([]Col{labelCol("percentile")}, modelCols(models(core.ModelOptimum, core.ModelElvis, core.ModelVRIO), "µs", f1)...),
+	Claims: []Claim{
+		{At: Point{"line": "99.9%"}, Metric: "µs", Check: Ordered("model", "optimum", "elvis", "vrio")},
+		{At: Point{"line": "99.99%"}, Metric: "µs", Check: Ordered("model", "optimum", "elvis", "vrio")},
+		{At: Point{"line": "99.999%"}, Metric: "µs", Check: Ordered("model", "optimum", "vrio", "elvis"), Deviation: 3},
+		{At: Point{"line": "100%"}, Metric: "µs", Check: Ordered("model", "optimum", "vrio", "elvis"), Deviation: 3},
+	},
 }
 
-// fig12 runs the memcached and apache macrobenchmarks across N. One cell
-// per (N, workload, model).
-func fig12Plan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-	maxN := 7
-	if quick {
-		maxN = 3
-	}
-	models := []core.ModelName{core.ModelOptimum, core.ModelVRIO, core.ModelElvis, core.ModelBaseline}
-	p := params.Default()
-	macroCell := func(m core.ModelName, n int, cfg workload.MacroConfig, cost sim.Time) Cell {
-		return func() any {
-			tb := cluster.Build(cluster.Spec{Model: m, VMsPerHost: n, StationPerVM: true, Seed: 91})
-			var ms []*workload.Macro
-			var cs []cluster.Measurable
-			for i, g := range tb.Guests {
-				workload.InstallMacroServer(g, cost, cfg.RespSize)
-				mac := workload.NewMacro(tb.StationFor(i), g.MAC(), cfg)
-				mac.Start()
-				ms = append(ms, mac)
-				cs = append(cs, &mac.Results)
-			}
-			tb.RunMeasured(warm, dur, cs...)
-			var total float64
-			for _, mac := range ms {
-				total += mac.Results.OpsPerSec(dur)
-			}
-			return total / 1000
+// fig12 runs the memcached and apache macrobenchmarks across N.
+var fig12 = &Grid{
+	ID:    "fig12",
+	Title: "Macrobenchmarks [K transactions/sec] vs number of VMs",
+	Axes:  []Axis{upTo("VMs", 7, 3), axis("load", "mc", "ap"), modelAxis(netModels)},
+	Pivot: 2,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), StationPerVM: true, Seed: 91})
+		cfg, cost := workload.MemcachedConfig(), tb.P.MemcachedRequestCost
+		if p["load"] == "ap" {
+			cfg, cost = workload.ApacheConfig(), tb.P.ApacheRequestCost
 		}
-	}
-	var cells []Cell
-	for n := 1; n <= maxN; n++ {
-		for _, m := range models {
-			cells = append(cells, macroCell(m, n, workload.MemcachedConfig(), p.MemcachedRequestCost))
-		}
-		for _, m := range models {
-			cells = append(cells, macroCell(m, n, workload.ApacheConfig(), p.ApacheRequestCost))
-		}
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig12",
-			Title:  "Macrobenchmarks [K transactions/sec] vs number of VMs",
-			Header: []string{"VMs", "mc-optimum", "mc-vrio", "mc-elvis", "mc-base", "ap-optimum", "ap-vrio", "ap-elvis", "ap-base"},
-		}
-		next := cursor(outs)
-		for n := 1; n <= maxN; n++ {
-			row := []string{fmt.Sprintf("%d", n)}
-			for range models {
-				row = append(row, f1(next().(float64)))
-			}
-			for range models {
-				row = append(row, f1(next().(float64)))
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		res.Notes = append(res.Notes,
-			"paper shape: vrio approaches the optimum while elvis falls behind at higher N (interrupt cost); baseline lowest")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+		return one(Metrics{"Ktps": macroRun(tb, cfg, cost, warm, dur) / 1000})
+	},
+	Cols: fig12Cols(),
+	Claims: []Claim{
+		{At: Point{"VMs": "3", "load": "mc"}, Metric: "Ktps", Check: Ordered("model", "baseline", "vrio", "optimum")},
+		{At: Point{"VMs": "7", "load": "mc"}, Metric: "Ktps", Check: Ordered("model", "baseline", "elvis", "vrio", "optimum"), FullOnly: true},
+	},
 }
 
-// fig13 serves four VMhosts from one IOhost with 1, 2, and 4 sidecores.
-// One cell per (total VMs, sidecore count, metric).
-func fig13Plan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 40*sim.Millisecond)
-	steps := []int{4, 8, 12, 16, 20, 24, 28}
-	if quick {
-		steps = []int{4, 8}
-	}
-	sidecores := []int{1, 2, 4}
-	var cells []Cell
-	for _, total := range steps {
-		perHost := total / 4
-		for _, sc := range sidecores {
-			perHost, sc := perHost, sc
-			cells = append(cells, func() any {
-				tb := cluster.Build(cluster.Spec{
-					Model: core.ModelVRIO, VMHosts: 4, VMsPerHost: perHost,
-					IOhostSidecores: sc, Seed: 101,
-				})
-				return meanLatencyMicros(rrRun(tb, warm, dur))
-			})
-		}
-		for _, sc := range sidecores {
-			perHost, sc := perHost, sc
-			cells = append(cells, func() any {
-				tb := cluster.Build(cluster.Spec{
-					Model: core.ModelVRIO, VMHosts: 4, VMsPerHost: perHost,
-					IOhostSidecores: sc, Seed: 101,
-				})
-				return aggGbps(streamRun(tb, warm, dur), dur)
-			})
-		}
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "fig13",
-			Title:  "vRIO IOhost scalability: 4 VMhosts, RR latency [µs] and stream throughput [Gbps]",
-			Header: []string{"VMs", "lat 1sc", "lat 2sc", "lat 4sc", "tput 1sc", "tput 2sc", "tput 4sc"},
-		}
-		next := cursor(outs)
-		for _, total := range steps {
-			row := []string{fmt.Sprintf("%d", total)}
-			for range sidecores {
-				row = append(row, f1(next().(float64)))
+func fig12Cols() []Col {
+	cols := []Col{axisCol("VMs")}
+	for _, load := range []string{"mc", "ap"} {
+		for _, m := range netModels {
+			name := load + "-" + m
+			if m == string(core.ModelBaseline) {
+				name = load + "-base"
 			}
-			for range sidecores {
-				row = append(row, f2(next().(float64)))
-			}
-			res.Rows = append(res.Rows, row)
+			cols = append(cols, num(name, "Ktps", f1, "load", load, "model", m))
 		}
-		res.Notes = append(res.Notes,
-			"paper shape: more sidecores reduce latency; one sidecore saturates near 13 VMs ≈ 13 Gbps; VM placement across hosts is irrelevant")
-		return res
 	}
-	return Plan{Cells: cells, Assemble: assemble}
+	return cols
+}
+
+// fig13 serves four VMhosts from one IOhost with 1, 2, and 4 sidecores: an
+// RR latency cell and a stream throughput cell per point.
+var fig13 = &Grid{
+	ID:    "fig13",
+	Title: "vRIO IOhost scalability: 4 VMhosts, RR latency [µs] and stream throughput [Gbps]",
+	Axes: []Axis{{"VMs", func(quick bool) []string {
+		if quick {
+			return []string{"4", "8"}
+		}
+		return []string{"4", "8", "12", "16", "20", "24", "28"}
+	}}, axis("load", "lat", "tput"), axis("sc", "1", "2", "4")},
+	Pivot: 2,
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 40*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMHosts: 4, VMsPerHost: p.Int("VMs") / 4,
+			IOhostSidecores: p.Int("sc"), Seed: 101})
+		if p["load"] == "lat" {
+			return one(Metrics{"µs": meanLatencyMicros(rrRun(tb, warm, dur))})
+		}
+		return one(Metrics{"Gbps": aggGbps(streamRun(tb, warm, dur), dur)})
+	},
+	Cols: []Col{axisCol("VMs"),
+		num("lat 1sc", "µs", f1, "load", "lat", "sc", "1"), num("lat 2sc", "µs", f1, "load", "lat", "sc", "2"),
+		num("lat 4sc", "µs", f1, "load", "lat", "sc", "4"), num("tput 1sc", "Gbps", f2, "load", "tput", "sc", "1"),
+		num("tput 2sc", "Gbps", f2, "load", "tput", "sc", "2"), num("tput 4sc", "Gbps", f2, "load", "tput", "sc", "4")},
+	Claims: []Claim{
+		{At: Point{"VMs": "8", "load": "lat"}, Metric: "µs", Check: Ordered("sc", "4", "2", "1")},
+		{At: Point{"VMs": "28", "load": "tput", "sc": "1"}, Metric: "Gbps", Paper: 13, Check: Within(2), FullOnly: true},
+		{At: Point{"VMs": "28", "load": "tput"}, Metric: "Gbps", Check: Ordered("sc", "1", "2", "4"), FullOnly: true},
+	},
 }
 
 // heterogeneity runs vRIO stream clients of different kinds (VM and bare
 // metal) and shows both attain the same service (§5 "Heterogeneity").
-func heterogeneityPlan(quick bool) Plan {
-	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-	var cells []Cell
-	for _, bare := range []bool{false, true} {
-		bare := bare
-		cells = append(cells, func() any {
-			tb := cluster.Build(cluster.Spec{
-				Model: core.ModelVRIO, VMsPerHost: 1, BareClients: bare, Seed: 111,
-			})
-			sts := streamRun(tb, warm, dur)
-			kind := "KVM guest"
-			if bare {
-				kind = "bare metal"
-			}
-			util := tb.VMCores[0].Utilization() * 100
-			return []string{kind, f2(aggGbps(sts, dur)), f1(util)}
-		})
-	}
-	assemble := func(outs []any) Result {
-		res := Result{
-			ID:     "heterogeneity",
-			Title:  "vRIO with heterogeneous IOclients: per-client stream throughput [Gbps]",
-			Header: []string{"client kind", "Gbps", "VM-core util [%]"},
-		}
-		for _, o := range outs {
-			res.Rows = append(res.Rows, o.([]string))
-		}
-		res.Notes = append(res.Notes,
-			"paper: ESXi guests, KVM guests, bare-metal x86 and POWER clients all attain line rate with comparable CPU; the vRIO datapath is hypervisor-agnostic by construction (the IOhost never inspects the client kind)")
-		return res
-	}
-	return Plan{Cells: cells, Assemble: assemble}
+var heterogeneity = &Grid{
+	ID:    "heterogeneity",
+	Title: "vRIO with heterogeneous IOclients: per-client stream throughput [Gbps]",
+	Axes:  []Axis{axis("client kind", "KVM guest", "bare metal")},
+	Cell: func(quick bool, p Point) []Line {
+		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
+		tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMsPerHost: 1, BareClients: p["client kind"] == "bare metal", Seed: 111})
+		sts := streamRun(tb, warm, dur)
+		return one(Metrics{"Gbps": aggGbps(sts, dur), "util": tb.VMCores[0].Utilization() * 100})
+	},
+	Cols: []Col{axisCol("client kind"), num("Gbps", "Gbps", f2), num("VM-core util [%]", "util", f1)},
+	Claims: []Claim{
+		{At: Point{"client kind": "bare metal"}, Vs: Point{"client kind": "KVM guest"}, By: Change, Metric: "Gbps", Paper: 0, Check: Within(0.02)},
+		{At: Point{"client kind": "bare metal"}, Vs: Point{"client kind": "KVM guest"}, By: Change, Metric: "util", Paper: 0, Check: Within(0.05)},
+	},
 }

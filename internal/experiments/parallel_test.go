@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -15,6 +16,18 @@ var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the 
 
 // goldenPath holds the exact bytes of `vrio-experiments -run all -quick`.
 const goldenPath = "testdata/quick.golden"
+
+var (
+	quickOnce   sync.Once
+	quickTables []*Table
+)
+
+// quickRun is the serial quick run of every experiment, made once per test
+// binary and shared by the golden test and the claim checks.
+func quickRun() []*Table {
+	quickOnce.Do(func() { quickTables = run(IDs(), true, 1) })
+	return quickTables
+}
 
 // RunParallel must preserve requested order, skip unknown ids, and tolerate
 // more workers than cells. The cost experiments make this fast.
@@ -38,7 +51,7 @@ func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	serial := RunAll(true)
+	serial := results(quickRun())
 	checkGolden(t, serial)
 	parallel := RunAllParallel(true, 8)
 	if len(serial) != len(parallel) {

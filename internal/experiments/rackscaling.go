@@ -1,29 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"vrio/internal/cluster"
 	"vrio/internal/core"
 	"vrio/internal/rack"
 	"vrio/internal/sim"
-	"vrio/internal/workload"
 )
-
-func init() {
-	register("rackscaling", rackScalingPlan)
-}
-
-// rackOut is one rack-scaling cell's measurements.
-type rackOut struct {
-	kopsPerSec float64
-	ratioW1    string // max/min IOhost busy-delta, first measured half
-	ratioW2    string // same, second half (post-rebalance / post-failure)
-	moves      uint64
-	rehomes    uint64
-	detectUs   string // crash-to-detection latency, "-" without a crash
-}
 
 // rackCellCfg shapes one cell of the rack-scaling experiment.
 type rackCellCfg struct {
@@ -34,56 +18,42 @@ type rackCellCfg struct {
 	crash     bool // kill the last IOhost at mid-run, detection via heartbeats only
 }
 
-var rackCells = []rackCellCfg{
-	{"static, no controller", 2, func() rack.Policy { return rack.Static(0) }, false, false},
-	{"static + rebalancer", 2, func() rack.Policy { return rack.Static(0) }, true, false},
-	{"round-robin placement", 2, func() rack.Policy { return &rack.RoundRobin{} }, false, false},
-	{"static + rebalancer", 4, func() rack.Policy { return rack.Static(0) }, true, false},
-	{"round-robin + IOhost crash", 2, func() rack.Policy { return &rack.RoundRobin{} }, false, true},
+// rackCells are the rack-scaling configurations by axis value.
+var rackCells = map[string]rackCellCfg{
+	"static":       {"static, no controller", 2, func() rack.Policy { return rack.Static(0) }, false, false},
+	"rebalance":    {"static + rebalancer", 2, func() rack.Policy { return rack.Static(0) }, true, false},
+	"round-robin":  {"round-robin placement", 2, func() rack.Policy { return &rack.RoundRobin{} }, false, false},
+	"rebalance x4": {"static + rebalancer", 4, func() rack.Policy { return rack.Static(0) }, true, false},
+	"crash":        {"round-robin + IOhost crash", 2, func() rack.Policy { return &rack.RoundRobin{} }, false, true},
 }
 
-// rackScalingPlan is the Figure 16b-style rack-scaling study run through the
+// rackScaling is the Figure 16b-style rack-scaling study run through the
 // internal/rack control plane: an all-on-one placement is maximally
 // imbalanced across IOhosts, and the controller heals it by migrating hot
 // devices; a crashed IOhost is detected by heartbeats and its devices
 // re-home onto the survivors with no manual failover call.
-func rackScalingPlan(quick bool) Plan {
-	var cells []Cell
-	for _, cfg := range rackCells {
-		cfg := cfg
-		cells = append(cells, func() any { return runRackCell(quick, cfg) })
-	}
-	return Plan{
-		Cells: cells,
-		Assemble: func(out []any) Result {
-			next := cursor(out)
-			res := Result{
-				ID:    "rackscaling",
-				Title: "Rack scaling: placement, rebalancing, and failure recovery across IOhosts (cf. Fig. 16b, §4.6)",
-				Header: []string{"configuration", "IOhosts", "kops/s",
-					"busy max/min W1", "busy max/min W2", "moves", "rehomes", "detect [µs]"},
-			}
-			for _, cfg := range rackCells {
-				o := next().(rackOut)
-				res.Rows = append(res.Rows, []string{
-					cfg.name, fmt.Sprintf("%d", cfg.numIO), f1(o.kopsPerSec),
-					o.ratioW1, o.ratioW2,
-					fmt.Sprintf("%d", o.moves), fmt.Sprintf("%d", o.rehomes), o.detectUs,
-				})
-			}
-			res.Notes = append(res.Notes,
-				"All guests on one IOhost (static) leaves the others idle: busy max/min is huge in both windows without a controller.",
-				"The rebalancer reads per-IOhost busy_ns gauges and migrates the hottest device with hysteresis: W2 narrows toward 1.",
-				"The crash cell kills an IOhost mid-run; heartbeats detect it within the miss window and the rack controller re-homes its devices onto survivors.",
-			)
-			return res
-		},
-	}
+var rackScaling = &Grid{
+	ID:    "rackscaling",
+	Title: "Rack scaling: placement, rebalancing, and failure recovery across IOhosts (cf. Fig. 16b, §4.6)",
+	Axes:  []Axis{axis("config", "static", "rebalance", "round-robin", "rebalance x4", "crash")},
+	Cell: func(quick bool, p Point) []Line {
+		return one(runRackCell(quick, rackCells[p["config"]]))
+	},
+	Cols: []Col{
+		{"configuration", func(r Row) string { return rackCells[r.Axis("config")].name }},
+		num("IOhosts", "IOhosts", d), num("kops/s", "kops/s", f1),
+		num("busy max/min W1", "W1", busyRatio), num("busy max/min W2", "W2", busyRatio),
+		num("moves", "moves", d), num("rehomes", "rehomes", d), num("detect [µs]", "detect", orDash(f1))},
+	Notes: lines(
+		"All guests on one IOhost (static) leaves the others idle: busy max/min is huge in both windows without a controller.",
+		"The rebalancer reads per-IOhost busy_ns gauges and migrates the hottest device with hysteresis: W2 narrows toward 1.",
+		"The crash cell kills an IOhost mid-run; heartbeats detect it within the miss window and the rack controller re-homes its devices onto survivors.",
+	),
 }
 
 // runRackCell builds one multi-IOhost testbed, runs RR on every guest, and
 // measures per-IOhost busy-time imbalance over two half-windows.
-func runRackCell(quick bool, cfg rackCellCfg) rackOut {
+func runRackCell(quick bool, cfg rackCellCfg) Metrics {
 	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
 	tb := cluster.Build(cluster.Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 4,
@@ -101,7 +71,6 @@ func runRackCell(quick bool, cfg rackCellCfg) rackOut {
 	// last lands 1ns before RunMeasured stops the engine.
 	snaps := make([][]float64, 3)
 	for k, ts := range []sim.Time{warm, warm + dur/2, warm + dur - 1} {
-		k, ts := k, ts
 		tb.Eng.At(ts, func() {
 			s := make([]float64, cfg.numIO)
 			for i := range tb.IOHyps {
@@ -119,39 +88,30 @@ func runRackCell(quick bool, cfg rackCellCfg) rackOut {
 		failT = warm + dur/2
 		tb.Eng.At(failT, func() { tb.IOHyps[cfg.numIO-1].Fail() })
 	}
+	rrs := rrRun(tb, warm, dur)
 
-	var rrs []*workload.RR
-	var collectors []cluster.Measurable
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rrs = append(rrs, rr)
-		collectors = append(collectors, &rr.Results)
-	}
-	tb.RunMeasured(warm, dur, collectors...)
-
-	out := rackOut{
-		kopsPerSec: float64(totalOps(rrs)) / (float64(dur) / float64(sim.Second)) / 1000,
-		ratioW1:    busyRatio(snaps[0], snaps[1]),
-		ratioW2:    busyRatio(snaps[1], snaps[2]),
-		moves:      c.Counters.Get("rebalances"),
-		rehomes:    c.Counters.Get("rehomes"),
-		detectUs:   "-",
+	m := Metrics{
+		"IOhosts": float64(cfg.numIO),
+		"kops/s":  float64(totalOps(rrs)) / (float64(dur) / float64(sim.Second)) / 1000,
+		"W1":      maxMinRatio(snaps[0], snaps[1]),
+		"W2":      maxMinRatio(snaps[1], snaps[2]),
+		"moves":   float64(c.Counters.Get("rebalances")),
+		"rehomes": float64(c.Counters.Get("rehomes")),
+		"detect":  math.NaN(),
 	}
 	for _, ev := range c.Events {
 		if ev.Kind == rack.EventDetect {
-			out.detectUs = f1(float64(ev.T-failT) / 1000)
+			m["detect"] = float64(ev.T-failT) / 1000
 			break
 		}
 	}
-	return out
+	return m
 }
 
-// busyRatio is the max/min per-IOhost busy-time delta between two
-// snapshots, skipping IOhosts dead in either (NaN). ">1000" stands in for
-// an effectively idle IOhost in the denominator.
-func busyRatio(a, b []float64) string {
+// maxMinRatio is the max/min per-IOhost busy-time delta between two
+// snapshots, skipping IOhosts dead in either (NaN); +Inf when the least
+// busy IOhost did no work.
+func maxMinRatio(a, b []float64) float64 {
 	min, max := math.Inf(1), 0.0
 	for i := range a {
 		if math.IsNaN(a[i]) || math.IsNaN(b[i]) {
@@ -165,8 +125,17 @@ func busyRatio(a, b []float64) string {
 			max = d
 		}
 	}
-	if min <= 0 || max/min > 1000 {
+	if min <= 0 {
+		return math.Inf(1)
+	}
+	return max / min
+}
+
+// busyRatio prints a max/min ratio; ">1000" stands in for an effectively
+// idle IOhost in the denominator.
+func busyRatio(v float64) string {
+	if v > 1000 {
 		return ">1000"
 	}
-	return f1(max / min)
+	return f1(v)
 }

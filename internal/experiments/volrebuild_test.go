@@ -10,23 +10,23 @@ import (
 // foreground load keeps flowing.
 func TestVolRebuildRecoversExactlyOnce(t *testing.T) {
 	o := runVolRebuildCell(true, 2)
-	if o.dup != 0 || o.lost != 0 || o.errs != 0 {
-		t.Fatalf("ledger dup=%d lost=%d errs=%d; want exactly-once with no errors",
-			o.dup, o.lost, o.errs)
+	if o["dup"] != 0 || o["never-completed"] != 0 || o["dev errors"] != 0 {
+		t.Fatalf("ledger dup=%v lost=%v errs=%v; want exactly-once with no errors",
+			o["dup"], o["never-completed"], o["dev errors"])
 	}
-	if !o.healthy {
+	if o["healthy"] != 1 {
 		t.Fatal("volume not fully replicated after the crash + drain")
 	}
-	if o.rebuilt == 0 {
+	if o["rebuilt"] == 0 {
 		t.Fatal("rebuild engine copied no extents; the crash must cost replicas")
 	}
-	if o.detectUs < 0 {
+	if o["detect"] < 0 {
 		t.Fatal("heartbeat detector never declared the crashed IOhost dead")
 	}
-	if o.rebuildMBps <= 0 {
-		t.Fatalf("rebuild bandwidth %.1f MB/s; want > 0", o.rebuildMBps)
+	if o["MB/s"] <= 0 {
+		t.Fatalf("rebuild bandwidth %.1f MB/s; want > 0", o["MB/s"])
 	}
-	if o.kops <= 0 {
+	if o["kops/s"] <= 0 {
 		t.Fatal("no foreground throughput")
 	}
 }
@@ -38,14 +38,14 @@ func TestVolQuorumLatencyGrowsWithReplication(t *testing.T) {
 	prev := 0.0
 	for _, r := range []int{1, 2, 3} {
 		o := runVolQuorumCell(true, r)
-		if o.dup != 0 || o.lost != 0 || o.errs != 0 {
-			t.Fatalf("R=%d: ledger dup=%d lost=%d errs=%d", r, o.dup, o.lost, o.errs)
+		if o["dup"] != 0 || o["never-completed"] != 0 || o["dev errors"] != 0 {
+			t.Fatalf("R=%d: ledger dup=%v lost=%v errs=%v", r, o["dup"], o["never-completed"], o["dev errors"])
 		}
-		if o.p99 <= prev {
+		if o["p99"] <= prev {
 			t.Fatalf("R=%d: p99 %.1fµs not above R=%d's %.1fµs — quorum cost must grow",
-				r, o.p99, r-1, prev)
+				r, o["p99"], r-1, prev)
 		}
-		prev = o.p99
+		prev = o["p99"]
 	}
 }
 

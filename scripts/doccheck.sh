@@ -6,9 +6,11 @@
 #    internal/virtio, internal/core, and the packages whose doc comments
 #    carry the buffer and frame ownership contracts: internal/bufpool,
 #    internal/transport, internal/ethernet, internal/nic, internal/sim —
-#    must carry a doc comment on the preceding line. This is a grep-level gate, not a full go/doc parse: it
-#    catches the common case (a bare exported declaration) cheaply and
-#    deterministically.
+#    and internal/experiments, whose Grid and Claim docs define how an
+#    experiment and the paper's claims about it are declared, must carry a
+#    doc comment on the preceding line. This is a grep-level gate, not a
+#    full go/doc parse: it catches the common case (a bare exported
+#    declaration) cheaply and deterministically.
 # 2. README.md's architecture map must mention every internal/ package, so a
 #    new package cannot land without a row in the map.
 set -euo pipefail
@@ -17,7 +19,8 @@ cd "$(dirname "$0")/.."
 fail=0
 
 for pkg in internal/blockdev internal/iohyp internal/cluster internal/virtio internal/core \
-  internal/bufpool internal/transport internal/ethernet internal/nic internal/sim; do
+  internal/bufpool internal/transport internal/ethernet internal/nic internal/sim \
+  internal/experiments; do
   for f in "$pkg"/*.go; do
     case "$f" in
       *_test.go) continue ;;

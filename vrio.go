@@ -143,7 +143,9 @@ type NetResult struct {
 	Ops uint64
 	// MeanLatencyMicros is the ops-weighted mean round trip in µs.
 	MeanLatencyMicros float64
-	// P99Micros is the 99th percentile latency in µs.
+	// P99Micros is the highest per-VM 99th percentile latency in µs: each
+	// VM's histogram is read on its own and the worst VM is reported, not
+	// the percentile of all VMs' samples merged.
 	P99Micros float64
 	// ThroughputGbps is the aggregate payload throughput.
 	ThroughputGbps float64

@@ -51,6 +51,76 @@ func TestFormatRendersAllCells(t *testing.T) {
 	}
 }
 
+// The cost experiments are cheap; assert their headline numbers precisely.
+func TestCostExperimentAnchors(t *testing.T) {
+	tab := run([]string{"table2", "fig1"}, true, 1)
+	t2, f1 := tab[0], tab[1]
+	for setup, want := range map[string]string{"R930 x 3": "-10%", "R930 x 6": "-13%"} {
+		if got := pct(t2.Get(Point{"setup": setup}, "diff")); got != want {
+			t.Errorf("table2 %s diff = %q, want %q", setup, got, want)
+		}
+	}
+	for _, r := range f1.Rows() {
+		above := r.Get("above diagonal")
+		if r.Axis("kind") == "CPU" && above != 0 {
+			t.Errorf("CPU pair %s not below the diagonal", r.Label())
+		}
+		if r.Axis("kind") == "NIC" && above != 1 {
+			t.Errorf("NIC pair %s below the diagonal", r.Label())
+		}
+	}
+}
+
+// quickTable is experiment id's table from the shared serial quick run.
+func quickTable(t *testing.T, id string) *Table {
+	t.Helper()
+	for _, tab := range quickRun() {
+		if tab.ID == id {
+			return tab
+		}
+	}
+	t.Fatalf("quick run has no %s", id)
+	return nil
+}
+
+// One quick end-to-end shape check: Table 3's measured event sums must
+// reproduce the paper's ordering 2 <= 2 < 4 < 6 < 9.
+func TestTable3ShapeQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	tab := quickTable(t, "table3")
+	sum := map[string]float64{}
+	for _, m := range fig5Models {
+		sum[m] = tab.Get(Point{"model": m}, "sum")
+	}
+	if !(sum["optimum"] < 3 && sum["vrio"] < 3) {
+		t.Errorf("optimum/vrio sums too high: %v", sum)
+	}
+	if !(sum["vrio"] < sum["elvis"] && sum["elvis"] < sum["vrio-nopoll"] &&
+		sum["vrio-nopoll"] < sum["baseline"]) {
+		t.Errorf("event-sum ordering violated: %v", sum)
+	}
+}
+
+// Quick latency-shape check mirroring Figure 7's headline claims.
+func TestFig7ShapeQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	tab := quickTable(t, "fig7")
+	mean := func(model string) float64 { return tab.Get(Point{"VMs": "1", "model": model}, "mean") }
+	optimum, elvis, vrio, base := mean("optimum"), mean("elvis"), mean("vrio"), mean("baseline")
+	if !(optimum < elvis && elvis < vrio && vrio <= base*1.2) {
+		t.Errorf("N=1 ordering wrong: opt=%.1f elvis=%.1f vrio=%.1f base=%.1f",
+			optimum, elvis, vrio, base)
+	}
+	gap := vrio - optimum
+	if gap < 8 || gap > 18 {
+		t.Errorf("vrio-optimum gap = %.1f, want ≈12", gap)
+	}
+}
+
 // The rack-scaling study must be deterministic run-to-run (the acceptance
 // bar for the control plane: same seed => same moves, same detection
 // times, same formatted table).

@@ -36,9 +36,12 @@ bench:
 #              retransmit-style timers beyond the wheel's horizon; the
 #              steady-state and ticker guards; FuzzEngineSchedule's seed corpus.
 #   transport: driver-to-endpoint over pooled NIC rings (net-tx, block
-#              roundtrip) and the QD=8 x NQ=4 multi-queue block path.
+#              roundtrip, with the pool loans of each) and the QD=8 x NQ=4
+#              multi-queue block path; the slabs a 4 KiB block write and
+#              read take, and the received frame as the request's lease.
 #   blockdev:  a 4 KiB store write + device read fill.
-#   ethernet:  a 4 KiB and a single-fragment reassembly.
+#   ethernet:  a 4 KiB reassembly, and a single-fragment message completed
+#              in place beside a pending partial.
 #   stats:     histogram Record, counter Inc.
 #   link:      a frame through the switch.
 #   netwire:   frame seal+decode, a 4 KiB block roundtrip over loopback UDP.
@@ -64,7 +67,7 @@ bench:
 # The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
-	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ' 'BenchmarkDatapath' \
+	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ|TestBlkSlabsZeroCopy' 'BenchmarkDatapath' \
 	./internal/blockdev/  'TestStoreWriteAndDeviceReadZeroAlloc'        'BenchmarkDeviceRW4K' \
 	./internal/ethernet/  'TestSingleFragmentAddZeroAlloc'              'BenchmarkReassemble4K' \
 	./internal/stats/     'TestRecordAndIncZeroAlloc'                   'BenchmarkHistogramRecord|BenchmarkCountersInc' \

@@ -138,7 +138,10 @@ func newWorker(cfg *config, id int, quota uint64, readyCh chan<- int, tlsConf *t
 		w.tcp = c
 		w.drv = transport.NewDriver(w.loop, c, serverMAC(), tcfg)
 	}
-	w.drv.NetRx = w.netRx
+	w.drv.NetRx = func(id uint16, frame *bufpool.Frame) {
+		w.netRx(id, frame.B)
+		frame.Release()
+	}
 	w.helloFn = w.hello
 	return w, nil
 }

@@ -25,10 +25,12 @@
 //     slab just falls back to the garbage collector.
 //
 //   - Get/Frame leases: a refcounted *Frame for buffers that outlive the
-//     call that produced them along more than one path (a block request
-//     retained by the storage backend, retransmission sources). Retain
-//     before handing a reference across an asynchronous boundary; Release
-//     when done. The final Release recycles both slab and Frame.
+//     call that produced them along more than one path, or whose view
+//     starts past the slab's head (a received transport message, viewed
+//     past its frame's headers; a block request retained by the storage
+//     backend). Retain before handing a reference across an asynchronous
+//     boundary; Release when done. The final Release recycles both slab
+//     and Frame.
 package bufpool
 
 import "math/bits"

@@ -690,8 +690,8 @@ func (tb *Testbed) buildGuestVolume(hostIdx, vmID int) {
 		})
 		drv.Tracer = tb.Tracer
 		vf.OnInterrupt(func(frames [][]byte) { port.HandleBatch(frames) })
-		port.OnMessage = func(_ ethernet.MAC, msg []byte, _ bool, _ int) {
-			_ = drv.Deliver(msg)
+		port.OnMessage = func(_ ethernet.MAC, msg *bufpool.Frame, _ bool, _ int) {
+			_ = drv.DeliverFrame(msg)
 		}
 		drivers[io] = drv
 

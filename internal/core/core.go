@@ -78,11 +78,12 @@ type Guest struct {
 
 	// pool is the cell's buffer pool. Frames the guest holds across a work
 	// item live in its slabs: received frames waiting out the guest stack
-	// (rxq, drained by rxFn) and encoded frames waiting out the send path's
-	// cost (txq, drained by the model's txFn). The VCPU completes work in
-	// order, so the k-th callback takes the k-th frame.
+	// (rxq, leases drained by rxFn) and encoded frames waiting out the send
+	// path's cost (txq, drained by the model's txFn). The VCPU completes
+	// work in order, so the k-th callback takes the k-th frame.
 	pool       *bufpool.Pool
-	rxq, txq   sim.FIFO[[]byte]
+	rxq        sim.FIFO[*bufpool.Frame]
+	txq        sim.FIFO[[]byte]
 	rxFn, txFn func()
 
 	// TxFrames/RxFrames count guest-observed traffic.
@@ -131,28 +132,29 @@ func (g *Guest) queueSend(f ethernet.Frame, cost sim.Time) {
 }
 
 // receiveNet runs a received frame through the guest stack, which costs
-// stack, and hands it to the workload. The guest takes ownership of raw, a
-// pooled slab, and releases it once the workload's handler returns. Frames
-// too short to decode are dropped.
-func (g *Guest) receiveNet(raw []byte, stack sim.Time) {
-	if len(raw) < ethernet.HeaderSize {
-		g.pool.PutRaw(raw)
+// stack, and hands it to the workload. The guest takes over the frame's
+// lease (a ring model's whole slab, or the vRIO transport's received
+// message) and releases it once the workload's handler returns. Frames too
+// short to decode are dropped.
+func (g *Guest) receiveNet(frame *bufpool.Frame, stack sim.Time) {
+	if len(frame.B) < ethernet.HeaderSize {
+		frame.Release()
 		return
 	}
-	g.rxq.Push(raw)
+	g.rxq.Push(frame)
 	g.VM.Compute(stack, g.rxFn)
 }
 
 // deliverNet hands the oldest received frame to the workload.
 func (g *Guest) deliverNet() {
-	raw := g.rxq.Pop()
-	f, _ := ethernet.Decode(raw) // receiveNet checked the length
+	frame := g.rxq.Pop()
+	f, _ := ethernet.Decode(frame.B) // receiveNet checked the length
 	g.RxFrames++
 	g.RxBytes += uint64(len(f.Payload))
 	if g.onNetRx != nil {
 		g.onNetRx(f)
 	}
-	g.pool.PutRaw(raw)
+	frame.Release()
 }
 
 // WriteBlock writes data at the given sector through the guest's
@@ -211,12 +213,13 @@ func perByte(rate float64, n int) sim.Time {
 
 // blkOp is one block request from the guest's front end, drawn from the
 // guest's free list with its callbacks bound once, so a request allocates
-// nothing. req is the encoded request. For the vRIO transport it is the
-// op's own buffer, reused by the next request: the transport's chunks
-// alias it until the transport's callback fires, because a retransmission
-// resends them. A ring guest instead encodes into pool slabs, the header
-// in req and a write's payload in data, which the ring hands over to the
-// host when the op is posted. The op is recycled just before its
+// nothing. req is the encoded request header and data a write's payload, a
+// pool slab of its own. A ring guest's header is a pool slab too, and the
+// ring hands both over to the host when the op is posted. A vRIO guest's
+// header is the op's own small buffer, reused by the next request; the
+// transport gathers it and the payload into its wire frames, and reads
+// both until its callback fires, because a retransmission resends them, so
+// reply releases the payload. The op is recycled just before its
 // submitter's done runs.
 type blkOp struct {
 	g       *Guest
@@ -232,18 +235,18 @@ type blkOp struct {
 	replyFn func([]byte, error)
 }
 
-// encode builds the request r into the op, copying a write's payload. A
-// ring guest's payload gets a slab of its own, so a 4 KiB write stays in
-// the pool's exact 4 KiB class.
+// encode builds the request r into the op, copying a write's payload into
+// a slab of its own, so a 4 KiB write stays in the pool's exact 4 KiB
+// class.
 func (op *blkOp) encode(r virtio.BlkReq) {
 	g := op.g
-	if g.blkQ == nil {
-		op.req = r.Append(op.req[:0])
-		return
-	}
 	if len(r.Data) > 0 {
 		op.data = g.pool.Clone(r.Data)
 		r.Data = nil
+	}
+	if g.blkQ == nil {
+		op.req = r.Append(op.req[:0])
+		return
 	}
 	op.req = r.Append(g.pool.GetRaw(virtio.BlkHdrSize + 4)[:0])
 }
@@ -255,11 +258,15 @@ func (g *Guest) getBlkOp() *blkOp {
 	return g.blkOps.Get()
 }
 
-// reply recycles the op, then completes its request with resp, the raw
-// reply, which is only valid during the call.
+// reply releases a payload the transport held, recycles the op, then
+// completes its request with resp, the raw reply, which is only valid
+// during the call.
 func (op *blkOp) reply(resp []byte, err error) {
 	g, wdone, rdone := op.g, op.wdone, op.rdone
-	op.wdone, op.rdone = nil, nil
+	if op.data != nil {
+		g.pool.PutRaw(op.data)
+	}
+	op.wdone, op.rdone, op.data = nil, nil, nil
 	g.blkOps.Put(op)
 	if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
 		err = g.blkBadStatus

@@ -220,6 +220,6 @@ func (n *hostNet) ringPost(raw []byte) {
 // workload.
 func (g *Guest) ringReap() {
 	for _, c := range g.net.q.guestReapRx() {
-		g.receiveNet(c.In, g.net.p.GuestNetStackCost)
+		g.receiveNet(g.pool.Wrap(c.In, c.In), g.net.p.GuestNetStackCost)
 	}
 }

@@ -56,7 +56,7 @@ func (h *OptimumHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC) *Guest {
 	var irqs nic.BatchQueue
 	rx := func() {
 		for _, raw := range irqs.Pop() {
-			g.receiveNet(raw, h.p.GuestNetStackCost)
+			g.receiveNet(g.pool.Wrap(raw, raw), h.p.GuestNetStackCost)
 		}
 	}
 	vf.OnInterrupt(func(frames [][]byte) {

@@ -39,9 +39,11 @@ import (
 //
 // The router is single-goroutine (simulation event context) and its R=1
 // write fast path is allocation-free: ops, request buffers, and callbacks
-// are all recycled.
+// are all recycled, and a write's payload lives in a slab of the drivers'
+// pool.
 type VolumeRouter struct {
 	eng      *sim.Engine
+	pool     *bufpool.Pool
 	spec     blockdev.VolumeSpec
 	deviceID uint16
 	drivers  []*transport.Driver
@@ -146,6 +148,11 @@ func NewVolumeRouter(eng *sim.Engine, spec blockdev.VolumeSpec, deviceID uint16,
 		healing:            make(map[uint64]uint8),
 		RebuildConcurrency: 2,
 	}
+	if pp, ok := drivers[0].Port().(transport.Pooler); ok {
+		r.pool = pp.BufPool()
+	} else {
+		r.pool = bufpool.New()
+	}
 	r.writeOps = bufpool.NewList("core volume write ops", func() *volWriteOp {
 		op := &volWriteOp{r: r}
 		for i := range op.cbs {
@@ -188,7 +195,11 @@ type volWriteOp struct {
 	r       *VolumeRouter
 	extent  uint64
 	version uint64
-	req     []byte // BlkHdr + VolHdr + data, reused across ops
+	// req is the encoded BlkHdr + VolHdr, reused across ops; data is the
+	// payload, a pool slab of the write's own. Every replica's transport
+	// gathers both into its frames until its callback fires.
+	req     []byte
+	data    []byte
 	hosts   [maxVolReplicas]int
 	cbs     [maxVolReplicas]transport.BlkCallback
 	sent    int // replicas targeted
@@ -200,7 +211,10 @@ type volWriteOp struct {
 }
 
 func (r *VolumeRouter) putWriteOp(op *volWriteOp) {
-	op.done = nil
+	if op.data != nil {
+		r.pool.PutRaw(op.data)
+	}
+	op.done, op.data = nil, nil
 	op.acks, op.sent, op.pending, op.decided = 0, 0, 0, false
 	r.writeOps.Put(op)
 }
@@ -208,7 +222,7 @@ func (r *VolumeRouter) putWriteOp(op *volWriteOp) {
 // Write stores data at sector, completing done after WriteQuorum replica
 // acks. If fewer than WriteQuorum replicas of the sector's extent are live,
 // done fires immediately with blockdev.ErrQuorumLost — a lost quorum is a
-// clean error, never a hang. data is copied into the request buffer before
+// clean error, never a hang. data is copied into a payload slab before
 // Write returns.
 func (r *VolumeRouter) Write(sector uint64, data []byte, done func(error)) {
 	extent := r.spec.ExtentOf(sector)
@@ -238,14 +252,15 @@ func (r *VolumeRouter) Write(sector uint64, data []byte, done func(error)) {
 	r.verAlloc[extent] = v
 	op.version = v
 
-	op.req = virtio.BlkReq{Type: virtio.BlkVolOut, Sector: sector, Extent: extent, Version: v, Data: data}.Append(op.req[:0])
+	op.req = virtio.BlkReq{Type: virtio.BlkVolOut, Sector: sector, Extent: extent, Version: v}.Append(op.req[:0])
+	op.data = r.pool.Clone(data)
 	op.sent, op.pending, op.needed = n, n, r.spec.WriteQuorum
 	op.done = done
 	r.Counters.Inc("vol_writes", 1)
 	q := uint8(extent % uint64(r.spec.Queues))
 	for i := 0; i < n; i++ {
 		r.loads[op.hosts[i]]++
-		r.drivers[op.hosts[i]].SendBlkQ(uint8(virtio.DeviceBlk), r.deviceID, q, op.req, op.cbs[i])
+		r.drivers[op.hosts[i]].SendBlkGather(uint8(virtio.DeviceBlk), r.deviceID, q, op.req, op.data, op.cbs[i])
 	}
 }
 
@@ -280,8 +295,9 @@ func (op *volWriteOp) complete(slot int, resp []byte, err error) {
 			op.done(blockdev.ErrQuorumLost)
 		}
 	}
-	// The request buffer is aliased by in-flight transport chunks; the op
-	// can only be recycled once every replica's send has resolved.
+	// The request's buffers are read by in-flight transports; the op and its
+	// payload slab can only be recycled once every replica's send has
+	// resolved.
 	if op.pending == 0 {
 		r.putWriteOp(op)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"vrio/internal/bufpool"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
 	"vrio/internal/hypervisor"
@@ -106,8 +107,8 @@ func (c *VRIOClient) wireChannel(vf *nic.VF) {
 			c.Guest.VM.GuestIRQExitless(c.deliverFn)
 		}
 	})
-	c.Port.OnMessage = func(_ ethernet.MAC, msg []byte, _ bool, _ int) {
-		if err := c.Driver.Deliver(msg); err != nil {
+	c.Port.OnMessage = func(_ ethernet.MAC, msg *bufpool.Frame, _ bool, _ int) {
+		if err := c.Driver.DeliverFrame(msg); err != nil {
 			c.Guest.VM.Counters.Inc("bad_msgs", 1)
 		}
 	}
@@ -160,10 +161,10 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 	c.wireChannel(vf)
 
 	// Net front-end.
-	c.Driver.NetRx = func(_ uint16, raw []byte) {
+	c.Driver.NetRx = func(_ uint16, frame *bufpool.Frame) {
 		// Decapsulation already charged via the IRQ; the guest stack
-		// processes a copy of the frame, which the driver only lends.
-		g.receiveNet(g.pool.Clone(raw), h.p.GuestNetStackCost+h.p.EncapCost)
+		// processes the frame in the received message's own slab.
+		g.receiveNet(frame, h.p.GuestNetStackCost+h.p.EncapCost)
 	}
 	// TX-completion interrupt from the channel VF, exitless.
 	c.txIRQFn = func() {
@@ -207,7 +208,7 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 			return h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, bytes)
 		}
 		g.blkPost = func(op *blkOp) {
-			c.Driver.SendBlkQ(uint8(virtio.DeviceBlk), c.blkID, op.queue, op.req, op.replyFn)
+			c.Driver.SendBlkGather(uint8(virtio.DeviceBlk), c.blkID, op.queue, op.req, op.data, op.replyFn)
 		}
 		g.blkBadStatus = virtio.ErrBadChain
 	}

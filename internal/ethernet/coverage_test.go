@@ -45,9 +45,9 @@ func (o *byteOracle) add(seg Segment, wireLen int) (done bool, frags int, zeroCo
 }
 
 // oracleTally counts what checkAgainstOracle saw. Whole-message fragments
-// (offset 0, covering the total) reach Add's single-fragment path when no
-// partial message is pending (fast) and the partial map otherwise
-// (bypassed); a property run must see both.
+// (offset 0, covering the total) complete in place on Add's single-fragment
+// path when no partial of their own message is pending (fast), and merge
+// into that partial otherwise (bypassed); a property run must see both.
 type oracleTally struct{ completions, fast, bypassed int }
 
 // oracleSet holds one per-byte oracle per message id, created on first use.
@@ -85,8 +85,9 @@ func checkAgainstOracle(t *testing.T, r *Reassembler, oracles oracleSet, frames 
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		total := int(seg.Total)
+		fast := false
 		if seg.Offset == 0 && total > 0 && len(seg.Payload) == total {
-			if r.Pending() == 0 {
+			if fast = r.partial[reassemblyKey{NewMAC(1), seg.MsgID}] == nil; fast {
 				tally.fast++
 			} else {
 				tally.bypassed++
@@ -117,6 +118,10 @@ func checkAgainstOracle(t *testing.T, r *Reassembler, oracles oracleSet, frames 
 			t.Fatalf("frame %d: Fragments=%d ZeroCopy=%v, oracle %d %v",
 				i, m.Fragments, m.ZeroCopy, wantFrags, wantZC)
 		}
+		if m.InPlace != fast || (fast && &m.Data[0] != &fr[EncapOverhead]) {
+			t.Fatalf("frame %d: InPlace=%v (Data aliases the frame: %v), want %v",
+				i, m.InPlace, &m.Data[0] == &fr[EncapOverhead], fast)
+		}
 		if len(m.Data) != total {
 			t.Fatalf("frame %d: message of %d bytes, want %d", i, len(m.Data), total)
 		}
@@ -133,9 +138,10 @@ func checkAgainstOracle(t *testing.T, r *Reassembler, oracles oracleSet, frames 
 // message, shuffled fragments cut at one MTU, re-fragmented at a second
 // (overlapping the first) and partly duplicated complete at the same frame,
 // with the same Fragments and ZeroCopy, as the per-byte oracle. Whole
-// single-fragment messages of other ids are interleaved, so Add's
-// single-fragment path runs both with nothing pending and, bypassed, while
-// the big message is half built.
+// single-fragment messages of other ids are interleaved, and so is a whole
+// copy of the big message, so Add's single-fragment path runs both with
+// nothing pending, while the big message is half built, and, bypassed, on
+// the big message's own pending partial.
 func TestReassemblerCoverageMatchesByteOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randMTU := func() int {
@@ -155,11 +161,11 @@ func TestReassemblerCoverageMatchesByteOracle(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			msgs := map[uint32][]byte{9: make([]byte, total)}
 			rng.Read(msgs[9])
-			frames, err := SegmentMessage(9, 3, msgs[9], randMTU())
+			frames, err := segment(9, 3, msgs[9], randMTU())
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := SegmentMessage(9, 3, msgs[9], randMTU())
+			second, err := segment(9, 3, msgs[9], randMTU())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,14 +184,14 @@ func TestReassemblerCoverageMatchesByteOracle(t *testing.T) {
 				at := rng.Intn(len(frames) + 1)
 				frames = append(frames[:at], append([][]byte{fr}, frames[at:]...)...)
 			}
-			if whole, _ := SegmentMessage(9, 3, msgs[9], MaxMTU); total > 0 && len(whole) == 1 {
+			if whole, _ := segment(9, 3, msgs[9], MaxMTU); total > 0 && len(whole) == 1 {
 				insert(whole[0]) // may land on the message's own pending partial
 			}
 			for k := 0; k < 4; k++ {
 				id := uint32(100 + k)
 				msgs[id] = make([]byte, 1+rng.Intn(MaxMTU-EncapOverhead))
 				rng.Read(msgs[id])
-				single, err := SegmentMessage(id, uint16(k), msgs[id], MaxMTU)
+				single, err := segment(id, uint16(k), msgs[id], MaxMTU)
 				if err != nil || len(single) != 1 {
 					t.Fatalf("single-fragment message: %d frames, %v", len(single), err)
 				}
@@ -207,6 +213,15 @@ func TestReassemblerCoverageMatchesByteOracle(t *testing.T) {
 
 func fuzzByte(id uint32, off int) byte { return byte(off*7 + int(id)*101 + off>>8) }
 
+// encapSegment builds the fragment s as any sender could, including the
+// offsets, totals and flags the segmenter never produces.
+func encapSegment(s Segment) []byte {
+	b := make([]byte, EncapOverhead+len(s.Payload))
+	putEncap(b, s)
+	copy(b[EncapOverhead:], s.Payload)
+	return b
+}
+
 // FuzzReassemblerAdd drives the reassembler with arbitrary bytes as a frame
 // and with arbitrary segment sequences over two messages, interleaved with
 // whole single-fragment messages: nothing panics, and a message completes
@@ -225,7 +240,7 @@ func FuzzReassemblerAdd(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 1, 0, 0, 0x10, 0, 0xff, 0xff, 1, 0, 0, 1, 0})
 	f.Add([]byte{0x40, 0, 0x10, 0, 4, 0, 0, 0x20, 0, 0, 0, 0, 0x20, 0, 4, 0, 0, 0x10, 0, 0, 0x20, 0, 0x20, 0})
 	f.Add(func() []byte {
-		fr, _ := SegmentMessage(1, 1, make([]byte, 100), 1500)
+		fr, _ := segment(1, 1, make([]byte, 100), 1500)
 		return fr[0]
 	}())
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -254,8 +269,7 @@ func FuzzReassemblerAdd(f *testing.F) {
 			for i := range payload {
 				payload[i] = fuzzByte(id, off+i)
 			}
-			frame := make([]byte, EncapOverhead+n)
-			EncapSegmentInto(frame, Segment{
+			frame := encapSegment(Segment{
 				MsgID: id, DeviceID: 7, Offset: uint32(off), Total: uint32(total),
 				Last: rec[0]&2 != 0, Payload: payload,
 			})
@@ -265,8 +279,7 @@ func FuzzReassemblerAdd(f *testing.F) {
 }
 
 func TestReassemblerRejectsOversizeTotal(t *testing.T) {
-	frame := make([]byte, EncapOverhead+10)
-	EncapSegmentInto(frame, Segment{MsgID: 1, Total: MaxMessage + 1, Payload: make([]byte, 10)})
+	frame := encapSegment(Segment{MsgID: 1, Total: MaxMessage + 1, Payload: make([]byte, 10)})
 	if _, err := NewReassembler(0).Add(NewMAC(1), frame); err == nil {
 		t.Error("a fragment claiming a message over MaxMessage was accepted")
 	}
@@ -278,7 +291,7 @@ func BenchmarkReassemble4K(b *testing.B) {
 	r := NewReassembler(0)
 	pool := bufpool.New()
 	r.SetPool(pool)
-	frames, err := SegmentMessage(1, 1, bytes.Repeat([]byte{0x5a}, 4096), 1500)
+	frames, err := segment(1, 1, bytes.Repeat([]byte{0x5a}, 4096), 1500)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,27 +312,51 @@ func BenchmarkReassemble4K(b *testing.B) {
 	}
 }
 
-// A single-fragment message with a pool attached, its buffer returned with
-// PutRaw, must reassemble without allocating: the fast path neither creates
-// a partial-map entry nor takes a fresh buffer once the pool is warm.
+// A single-fragment message completes in place, its Data aliasing the
+// fragment, without allocating: the fast path neither creates a partial-map
+// entry nor takes a buffer. It is taken per message: a partial of another
+// message left pending (as one lost fragment leaves it under fault
+// injection) does not turn it off, while a whole copy of the pending
+// message still merges into its own partial.
 func TestSingleFragmentAddZeroAlloc(t *testing.T) {
 	r := NewReassembler(0)
 	pool := bufpool.New()
 	r.SetPool(pool)
-	frames, err := SegmentMessage(1, 1, bytes.Repeat([]byte{0x5a}, 4096+64), 8100)
+	frames, err := segment(1, 1, bytes.Repeat([]byte{0x5a}, 4096+64), 8100)
 	if err != nil || len(frames) != 1 {
 		t.Fatalf("%d frames, %v; want one", len(frames), err)
 	}
+	pending := bytes.Repeat([]byte{0xa5}, 3000)
+	halves, err := segment(2, 1, pending, 1540)
+	if err != nil || len(halves) != 2 {
+		t.Fatalf("%d frames, %v; want two", len(halves), err)
+	}
 	src := NewMAC(1)
+	if m, err := r.Add(src, halves[0]); m != nil || err != nil || r.Pending() != 1 {
+		t.Fatalf("first half: %+v, %v, %d pending; want one partial", m, err, r.Pending())
+	}
 	add := func() {
 		m, err := r.Add(src, frames[0])
-		if err != nil || m == nil || m.Fragments != 1 {
-			t.Fatalf("Add = %+v, %v; want a one-fragment message", m, err)
+		if err != nil || m == nil || m.Fragments != 1 || !m.InPlace {
+			t.Fatalf("Add = %+v, %v; want a one-fragment message in place", m, err)
 		}
-		pool.PutRaw(m.Data)
+		if &m.Data[0] != &frames[0][EncapOverhead] || len(m.Data) != 4096+64 {
+			t.Fatal("the message does not alias its fragment")
+		}
 	}
 	add()
 	if n := testing.AllocsPerRun(1000, add); n != 0 {
 		t.Errorf("single-fragment Add: %v allocs/op, want 0", n)
+	}
+	whole, err := segment(2, 1, pending, MaxMTU)
+	if err != nil || len(whole) != 1 {
+		t.Fatalf("%d frames, %v; want one", len(whole), err)
+	}
+	m, err := r.Add(src, whole[0])
+	if err != nil || m == nil || m.InPlace || m.Fragments != 2 || !bytes.Equal(m.Data, pending) {
+		t.Fatalf("whole copy of the pending message: %+v, %v; want it merged into its partial", m, err)
+	}
+	if r.Pending() != 0 {
+		t.Errorf("%d partials pending after the merge, want 0", r.Pending())
 	}
 }

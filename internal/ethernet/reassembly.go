@@ -13,11 +13,13 @@ import (
 // construction: fragments are collected per (source MAC, message id) and the
 // message completes when the byte range [0, total) is fully covered.
 //
-// With a buffer pool attached (SetPool), message buffers come from the pool
-// and ownership of a completed message's Data transfers to the consumer,
-// who returns it with PutRaw when done; partial-message bookkeeping structs
-// are recycled internally either way, so steady-state reassembly does not
-// allocate.
+// A message that arrives whole in one fragment, with no partial of its own
+// pending, completes in place: its Data aliases the fragment passed to Add,
+// and no byte is copied. A multi-fragment message reassembles into a buffer
+// of its own, drawn from the pool when one is attached (SetPool); the
+// consumer of the completed message owns that buffer and returns it with
+// PutRaw when done. Partial-message bookkeeping structs are recycled
+// internally either way, so steady-state reassembly does not allocate.
 type Reassembler struct {
 	partial map[reassemblyKey]*partialMsg
 	// MaxPartial bounds concurrently reassembling messages; beyond it the
@@ -30,8 +32,8 @@ type Reassembler struct {
 	pool     *bufpool.Pool
 	partials *bufpool.List[partialMsg]
 	// done is the scratch for completed messages: Add's return value points
-	// at it and is valid until the next Add. Data ownership transfers to
-	// the caller (the buffer is not touched by the reassembler again).
+	// at it and is valid until the next Add. The reassembler does not touch
+	// a completed message's Data again.
 	done Message
 }
 
@@ -64,9 +66,9 @@ func NewReassembler(maxPartial int) *Reassembler {
 	}
 }
 
-// SetPool attaches a buffer pool: message buffers are drawn from it, and
-// the consumer of each completed message owns Data (returning it to the
-// same pool closes the loop).
+// SetPool attaches a buffer pool: multi-fragment message buffers are drawn
+// from it, and the consumer of each such message owns Data (returning it to
+// the same pool closes the loop).
 func (r *Reassembler) SetPool(p *bufpool.Pool) { r.pool = p }
 
 // Message is one fully reassembled message.
@@ -80,6 +82,10 @@ type Message struct {
 	ZeroCopy bool
 	// Fragments is how many fragments composed the message.
 	Fragments int
+	// InPlace reports that Data aliases the one fragment passed to Add, so
+	// it lives as long as that fragment's buffer; otherwise Data is a
+	// reassembly buffer of its own.
+	InPlace bool
 }
 
 // ErrDeviceMismatch reports fragments of one message disagreeing on the
@@ -127,9 +133,11 @@ func (r *Reassembler) recycle(p *partialMsg) {
 
 // Add ingests one fragment (frame payload bytes). It returns a completed
 // message when this fragment finishes one, or nil. The returned Message
-// points at per-reassembler scratch, valid until the next Add; its Data is
-// the caller's to keep (and to PutRaw when a pool is attached). Duplicate
-// fragments (retransmissions seen twice) are tolerated and ignored.
+// points at per-reassembler scratch, valid until the next Add. Its Data
+// aliases raw when the message completed in place (InPlace) and is
+// otherwise the caller's to keep (and to PutRaw when a pool is attached).
+// Duplicate fragments (retransmissions seen twice) are tolerated and
+// ignored.
 func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 	seg, err := DecodeSegment(raw)
 	if err != nil {
@@ -140,19 +148,18 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 		// sizing the message buffer.
 		return nil, fmt.Errorf("%w: total %d (msg %d)", ErrMessageTooBig, seg.Total, seg.MsgID)
 	}
-	if len(r.partial) == 0 && seg.Offset == 0 && seg.Total > 0 && uint32(len(seg.Payload)) == seg.Total {
-		// Single-fragment message with nothing else reassembling (every net
-		// and 4 KiB block message at the paper's MTU): no entry for this
-		// key can exist, so complete it without touching the partial map.
-		// The result, buffer source and seq advance are what the map path
-		// below would produce.
-		buf := r.getBuf(seg.Total)
-		copy(buf, seg.Payload)
-		r.seq++
-		return r.complete(src, seg, buf, FragmentPages(len(raw)), 1), nil
-	}
 	key := reassemblyKey{src, seg.MsgID}
 	p := r.partial[key]
+	if p == nil && seg.Offset == 0 && seg.Total > 0 && uint32(len(seg.Payload)) == seg.Total {
+		// A whole message in one fragment with no partial of its own (every
+		// net and 4 KiB block message at the paper's MTU) completes in
+		// place, whatever else is reassembling. The seq advance is what the
+		// map path below would make.
+		r.seq++
+		m := r.complete(src, seg, seg.Payload, FragmentPages(len(raw)), 1)
+		m.InPlace = true
+		return m, nil
+	}
 	if p == nil {
 		if len(r.partial) >= r.maxPartial {
 			r.evictOldest()
@@ -167,7 +174,7 @@ func (r *Reassembler) Add(src MAC, raw []byte) (*Message, error) {
 		return nil, fmt.Errorf("%w (msg %d)", ErrDeviceMismatch, seg.MsgID)
 	}
 	// Coverage is tracked per byte via the range [Offset, Offset+len).
-	// Fragments from SegmentMessage never overlap, but retransmitted frames
+	// Fragments from AppendFrames never overlap, but retransmitted frames
 	// can duplicate; only newly covered bytes count.
 	newBytes := cover(p.have, int(seg.Offset), int(seg.Offset)+len(seg.Payload))
 	if newBytes > 0 {

@@ -27,7 +27,7 @@ func reassembleAll(t *testing.T, r *Reassembler, src MAC, frames [][]byte) *Mess
 func TestReassemblerSingleFragment(t *testing.T) {
 	r := NewReassembler(0)
 	src := NewMAC(1)
-	frames, _ := SegmentMessage(42, 7, []byte("short"), 1500)
+	frames, _ := segment(42, 7, []byte("short"), 1500)
 	msg := reassembleAll(t, r, src, frames)
 	if msg == nil {
 		t.Fatal("message did not complete")
@@ -50,7 +50,7 @@ func TestReassemblerMultiFragment64K(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	frames, _ := SegmentMessage(100, 1, data, 8100)
+	frames, _ := segment(100, 1, data, 8100)
 	msg := reassembleAll(t, r, src, frames)
 	if msg == nil {
 		t.Fatal("64KiB message did not complete")
@@ -70,7 +70,7 @@ func TestReassemblerMTU9000BreaksZeroCopy(t *testing.T) {
 	r := NewReassembler(0)
 	src := NewMAC(3)
 	data := make([]byte, MaxMessage)
-	frames, _ := SegmentMessage(101, 1, data, 9000)
+	frames, _ := segment(101, 1, data, 9000)
 	msg := reassembleAll(t, r, src, frames)
 	if msg == nil {
 		t.Fatal("message did not complete")
@@ -87,7 +87,7 @@ func TestReassemblerOutOfOrder(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	frames, _ := SegmentMessage(5, 2, data, 1500)
+	frames, _ := segment(5, 2, data, 1500)
 	// Deliver in reverse.
 	var msg *Message
 	for i := len(frames) - 1; i >= 0; i-- {
@@ -108,7 +108,7 @@ func TestReassemblerDuplicateFragmentsIgnored(t *testing.T) {
 	r := NewReassembler(0)
 	src := NewMAC(5)
 	data := make([]byte, 20000)
-	frames, _ := SegmentMessage(6, 2, data, 1500)
+	frames, _ := segment(6, 2, data, 1500)
 	// Send the first fragment three times, then the rest.
 	for i := 0; i < 3; i++ {
 		if m, err := r.Add(src, frames[0]); err != nil || m != nil {
@@ -129,8 +129,8 @@ func TestReassemblerInterleavedSourcesAndMessages(t *testing.T) {
 	srcA, srcB := NewMAC(10), NewMAC(11)
 	dataA := bytes.Repeat([]byte{0xA}, 30000)
 	dataB := bytes.Repeat([]byte{0xB}, 30000)
-	framesA, _ := SegmentMessage(1, 1, dataA, 1500)
-	framesB, _ := SegmentMessage(1, 1, dataB, 1500) // same msgID, different src
+	framesA, _ := segment(1, 1, dataA, 1500)
+	framesB, _ := segment(1, 1, dataB, 1500) // same msgID, different src
 	var done int
 	n := len(framesA)
 	for i := 0; i < n; i++ {
@@ -157,7 +157,7 @@ func TestReassemblerEviction(t *testing.T) {
 	src := NewMAC(1)
 	// Three incomplete messages: the first must be evicted.
 	for id := uint32(1); id <= 3; id++ {
-		frames, _ := SegmentMessage(id, 1, make([]byte, 5000), 1500)
+		frames, _ := segment(id, 1, make([]byte, 5000), 1500)
 		if _, err := r.Add(src, frames[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestReassemblerRejectsGarbage(t *testing.T) {
 
 func TestReassemblerEmptyMessage(t *testing.T) {
 	r := NewReassembler(0)
-	frames, _ := SegmentMessage(9, 4, nil, 1500)
+	frames, _ := segment(9, 4, nil, 1500)
 	msg := reassembleAll(t, r, NewMAC(1), frames)
 	if msg == nil {
 		t.Fatal("empty message did not complete")
@@ -203,7 +203,7 @@ func TestReassemblerShuffleProperty(t *testing.T) {
 			payload = payload[:MaxMessage]
 		}
 		mtu := 100 + int(mtuRaw%8900)
-		frames, err := SegmentMessage(77, 1, payload, mtu)
+		frames, err := segment(77, 1, payload, mtu)
 		if err != nil {
 			return false
 		}

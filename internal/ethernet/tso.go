@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"vrio/internal/bufpool"
 )
 
 // The fake TCP/IP encapsulation of §4.3: vRIO works at raw Ethernet level
@@ -67,33 +69,21 @@ func ipChecksum(hdr []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// encapSegment builds headers+payload for one fragment.
-func encapSegment(s Segment) []byte {
-	b := make([]byte, EncapOverhead+len(s.Payload))
-	EncapSegmentInto(b, s)
-	return b
-}
-
-// EncapSegmentInto is the scatter-gather variant of segment encapsulation:
-// it writes the fake TCP/IP headers and payload into b, which must be
-// exactly EncapOverhead+len(s.Payload) long. The NIC's TSO path uses it to
-// build each fragment directly inside a pooled frame buffer, headers and
-// payload in one pass.
-func EncapSegmentInto(b []byte, s Segment) {
-	if len(b) != EncapOverhead+len(s.Payload) {
-		panic(fmt.Sprintf("ethernet: EncapSegmentInto buffer %d for payload %d", len(b), len(s.Payload)))
-	}
+// putEncap writes the fake TCP/IP headers of s into b[:EncapOverhead],
+// giving the IPv4 total length as len(b); s.Payload is not read.
+func putEncap(b []byte, s Segment) {
 	ip := b[:ipHeaderSize]
+	clear(ip)
 	ip[0] = 0x45 // version 4, IHL 5
 	binary.BigEndian.PutUint16(ip[2:], uint16(len(b)))
 	binary.BigEndian.PutUint16(ip[4:], uint16(s.MsgID&0xffff)) // identification
 	ip[8] = 64                                                 // TTL
 	ip[9] = 6                                                  // protocol TCP
 	// src/dst IP left zero: addressing is by MAC on the dedicated channel.
-	binary.BigEndian.PutUint16(ip[10:], 0)
 	binary.BigEndian.PutUint16(ip[10:], ipChecksum(ip))
 
-	tcp := b[ipHeaderSize : ipHeaderSize+tcpHeaderSize]
+	tcp := b[ipHeaderSize:EncapOverhead]
+	clear(tcp)
 	binary.BigEndian.PutUint16(tcp[0:], s.DeviceID)
 	binary.BigEndian.PutUint16(tcp[2:], uint16(s.MsgID>>16))
 	binary.BigEndian.PutUint32(tcp[4:], s.Offset)
@@ -102,11 +92,10 @@ func EncapSegmentInto(b []byte, s Segment) {
 	if s.Last {
 		tcp[13] = 0x08 // PSH
 	}
-	copy(b[EncapOverhead:], s.Payload)
 }
 
-// DecodeSegment parses a fragment produced by Segment/encapSegment,
-// verifying the IPv4 header checksum. The returned payload aliases b.
+// DecodeSegment parses a fragment produced by AppendFrames, verifying the
+// IPv4 header checksum. The returned payload aliases b.
 func DecodeSegment(b []byte) (Segment, error) {
 	if len(b) < EncapOverhead {
 		return Segment{}, ErrShortSegment
@@ -136,42 +125,59 @@ func DecodeSegment(b []byte) (Segment, error) {
 	return s, nil
 }
 
-// SegmentMessage splits one message (≤ 64 KiB) into MTU-sized encapsulated
-// fragments, emulating what the TSO engine does in hardware. Each returned
-// byte slice is a complete frame payload (fake IP+TCP headers included).
-func SegmentMessage(msgID uint32, deviceID uint16, msg []byte, mtu int) ([][]byte, error) {
-	if len(msg) > MaxMessage {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMessageTooBig, len(msg))
+// AppendFrames is the NIC's TSO engine (§4.3): it cuts one message of up to
+// MaxMessage bytes, gathered from parts, into encapsulated fragments of at
+// most mtu bytes and appends their Ethernet frames to out, in order. Each
+// frame is a slab of pool holding the Ethernet header, the fake TCP/IP
+// headers and the fragment's bytes of the message. Building the frames is
+// the message's one copy on the way out, standing for the NIC's DMA: the
+// parts are only read, and the caller may reuse them once AppendFrames
+// returns.
+func AppendFrames(out [][]byte, pool *bufpool.Pool, dst, src MAC, msgID uint32, deviceID uint16, mtu int, parts ...[]byte) ([][]byte, error) {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	if total > MaxMessage {
+		return out, fmt.Errorf("%w: %d bytes", ErrMessageTooBig, total)
 	}
 	if mtu < MinMTU || mtu > MaxMTU {
-		return nil, fmt.Errorf("ethernet: MTU %d outside [%d, %d]", mtu, MinMTU, MaxMTU)
+		return out, fmt.Errorf("ethernet: MTU %d outside [%d, %d]", mtu, MinMTU, MaxMTU)
 	}
 	chunk := mtu - EncapOverhead
-	if chunk <= 0 {
-		return nil, fmt.Errorf("ethernet: MTU %d leaves no payload room", mtu)
-	}
-	total := uint32(len(msg))
-	var out [][]byte
 	for off := 0; ; off += chunk {
-		end := off + chunk
-		last := false
-		if end >= len(msg) {
-			end = len(msg)
-			last = true
-		}
-		out = append(out, encapSegment(Segment{
+		n := min(chunk, total-off)
+		b := pool.GetRaw(HeaderSize + EncapOverhead + n)
+		PutHeader(b, dst, src, EtherTypeVRIO)
+		putEncap(b[HeaderSize:], Segment{
 			MsgID:    msgID,
 			DeviceID: deviceID,
 			Offset:   uint32(off),
-			Total:    total,
-			Last:     last,
-			Payload:  msg[off:end],
-		}))
-		if last {
-			break
+			Total:    uint32(total),
+			Last:     off+n == total,
+		})
+		gather(b[HeaderSize+EncapOverhead:], parts, off)
+		out = append(out, b)
+		if off+n == total {
+			return out, nil
 		}
 	}
-	return out, nil
+}
+
+// gather fills b with the bytes of the concatenation of parts that start at
+// offset off.
+func gather(b []byte, parts [][]byte, off int) {
+	for _, p := range parts {
+		if len(b) == 0 {
+			return
+		}
+		if off >= len(p) {
+			off -= len(p)
+			continue
+		}
+		b = b[copy(b, p[off:]):]
+		off = 0
+	}
 }
 
 // FragmentPages reports how many 4 KiB pages one fragment of the given wire

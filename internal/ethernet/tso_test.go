@@ -4,14 +4,26 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"vrio/internal/bufpool"
 )
+
+// segment cuts msg with the datapath segmenter, AppendFrames, and returns
+// each frame's encapsulated fragment: the frame past its Ethernet header.
+func segment(msgID uint32, dev uint16, msg []byte, mtu int) ([][]byte, error) {
+	frames, err := AppendFrames(nil, bufpool.New(), NewMAC(2), NewMAC(1), msgID, dev, mtu, msg)
+	for i := range frames {
+		frames[i] = frames[i][HeaderSize:]
+	}
+	return frames, err
+}
 
 func TestSegmentRoundTrip(t *testing.T) {
 	f := func(msgID uint32, dev uint16, payload []byte) bool {
 		if len(payload) > MaxMessage {
 			payload = payload[:MaxMessage]
 		}
-		frames, err := SegmentMessage(msgID, dev, payload, 1500)
+		frames, err := segment(msgID, dev, payload, 1500)
 		if err != nil {
 			return false
 		}
@@ -39,10 +51,40 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// Property: a message gathered from parts cut at arbitrary points segments
+// into the same frames, byte for byte, as the message in one part, and each
+// frame carries the Ethernet header the segmenter was given.
+func TestSegmentGathersParts(t *testing.T) {
+	dst, src := NewMAC(2), NewMAC(1)
+	f := func(payload []byte, cut1, cut2 uint16, mtu uint16) bool {
+		m := MinMTU + int(mtu)%(MaxMTU-MinMTU+1)
+		a, b := min(int(cut1)%(len(payload)+1), int(cut2)%(len(payload)+1)), max(int(cut1)%(len(payload)+1), int(cut2)%(len(payload)+1))
+		pool := bufpool.New()
+		whole, err := AppendFrames(nil, pool, dst, src, 3, 4, m, payload)
+		if err != nil {
+			return false
+		}
+		parts, err := AppendFrames(nil, pool, dst, src, 3, 4, m, payload[:a], nil, payload[a:b], payload[b:])
+		if err != nil || len(parts) != len(whole) {
+			return false
+		}
+		for i := range whole {
+			fr, err := Decode(parts[i])
+			if err != nil || fr.Dst != dst || fr.Src != src || fr.EtherType != EtherTypeVRIO || !bytes.Equal(parts[i], whole[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSegmentCountMTU8100(t *testing.T) {
 	// A full 64 KiB message at MTU 8100 must produce 9 fragments (§4.4).
 	msg := make([]byte, MaxMessage)
-	frames, err := SegmentMessage(1, 1, msg, 8100)
+	frames, err := segment(1, 1, msg, 8100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,21 +103,21 @@ func TestSegmentCountMTU8100(t *testing.T) {
 }
 
 func TestSegmentTooBig(t *testing.T) {
-	if _, err := SegmentMessage(1, 1, make([]byte, MaxMessage+1), 8100); err == nil {
+	if _, err := segment(1, 1, make([]byte, MaxMessage+1), 8100); err == nil {
 		t.Error("oversize message accepted")
 	}
 }
 
 func TestSegmentBadMTU(t *testing.T) {
 	for _, mtu := range []int{0, 63, 9001, -5} {
-		if _, err := SegmentMessage(1, 1, []byte("x"), mtu); err == nil {
+		if _, err := segment(1, 1, []byte("x"), mtu); err == nil {
 			t.Errorf("MTU %d accepted", mtu)
 		}
 	}
 }
 
 func TestSegmentEmptyMessage(t *testing.T) {
-	frames, err := SegmentMessage(5, 2, nil, 1500)
+	frames, err := segment(5, 2, nil, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +134,7 @@ func TestSegmentEmptyMessage(t *testing.T) {
 }
 
 func TestDecodeSegmentChecksumDetectsCorruption(t *testing.T) {
-	frames, _ := SegmentMessage(7, 3, []byte("data"), 1500)
+	frames, _ := segment(7, 3, []byte("data"), 1500)
 	raw := frames[0]
 	for bit := 0; bit < ipHeaderSize*8; bit += 13 {
 		corrupted := append([]byte{}, raw...)
@@ -112,7 +154,7 @@ func TestDecodeSegmentShort(t *testing.T) {
 }
 
 func TestDecodeSegmentLengthMismatch(t *testing.T) {
-	frames, _ := SegmentMessage(7, 3, []byte("data"), 1500)
+	frames, _ := segment(7, 3, []byte("data"), 1500)
 	truncated := frames[0][:len(frames[0])-2]
 	if _, err := DecodeSegment(truncated); err == nil {
 		t.Error("truncated segment accepted")

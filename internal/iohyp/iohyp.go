@@ -427,10 +427,13 @@ func (h *IOHypervisor) bufPool() *bufpool.Pool {
 	return h.bp
 }
 
-// Send implements transport.Port: to the channel port of the client being
-// served, or, for control traffic and for a client unregistered since, of
-// the client dst names.
-func (r routerPort) Send(dst ethernet.MAC, payload []byte) {
+// Send implements transport.Port as a one-part SendGather.
+func (r routerPort) Send(dst ethernet.MAC, payload []byte) { r.SendGather(dst, payload) }
+
+// SendGather implements transport.Gatherer: to the channel port of the
+// client being served, or, for control traffic and for a client
+// unregistered since, of the client dst names.
+func (r routerPort) SendGather(dst ethernet.MAC, parts ...[]byte) {
 	h := r.h
 	if h.failed {
 		return // a crashed IOhost sends nothing
@@ -444,14 +447,14 @@ func (r routerPort) Send(dst ethernet.MAC, payload []byte) {
 		// control traffic) will give up eventually.
 		return
 	}
-	c.port.Send(dst, payload)
+	c.port.SendGather(dst, parts...)
 }
 
 // AttachChannelNIC registers a channel-facing VF. Frames arriving on it are
 // picked up by workers (polling) or delivered by interrupts (the ablation).
 func (h *IOHypervisor) AttachChannelNIC(vf *nic.VF) *nic.MessagePort {
 	port := nic.NewMessagePort(vf, h.p.MTU)
-	port.OnMessage = func(src ethernet.MAC, msg []byte, zeroCopy bool, fragments int) {
+	port.OnMessage = func(src ethernet.MAC, msg *bufpool.Frame, zeroCopy bool, fragments int) {
 		h.ingressMessage(src, msg, zeroCopy)
 	}
 	h.ports = append(h.ports, port)
@@ -721,9 +724,9 @@ func (h *IOHypervisor) pickWorker() *Worker {
 // scan is the worker poll loop body: drain every ring in batches into the
 // worker's reusable scratch, handing frames to the reassembly ports;
 // complete messages are steered as work items. The scratch batch is safe to
-// reuse across rings because HandleBatch/ingressUplink fully consume each
-// frame before returning (fragments are copied into reassembly buffers,
-// plain frames are decoded and re-encoded) and release it.
+// reuse across rings because HandleBatch/ingressUplink take over each frame
+// before returning (a whole message's frame is its lease, fragments are
+// copied into reassembly buffers, plain frames are decoded and re-encoded).
 func (w *Worker) scan() {
 	h := w.hyp
 	found := false
@@ -749,22 +752,25 @@ func (w *Worker) scan() {
 
 // --- ingress paths ---
 
-// ingressMessage handles a reassembled transport message from a client.
-func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg []byte, zeroCopy bool) {
+// ingressMessage handles a reassembled transport message from a client,
+// taking over its lease: the steered work item hands it to the endpoint.
+func (h *IOHypervisor) ingressMessage(src ethernet.MAC, msg *bufpool.Frame, zeroCopy bool) {
 	if h.failed {
+		msg.Release()
 		return
 	}
 	h.Counters.Inc("msgs", 1)
-	cost := h.p.WorkerServiceCost + sim.Time(h.p.WorkerPerByte*float64(len(msg)))
+	n := len(msg.B)
+	cost := h.p.WorkerServiceCost + sim.Time(h.p.WorkerPerByte*float64(n))
 	if !zeroCopy {
-		cost += sim.Time(h.p.CopyPenaltyPerByte * float64(len(msg)))
-		h.Counters.Inc("copy_bytes", uint64(len(msg)))
+		cost += sim.Time(h.p.CopyPenaltyPerByte * float64(n))
+		h.Counters.Inc("copy_bytes", uint64(n))
 	}
 	// Peek at the device to steer before charging the worker. Multi-queue
 	// block requests steer by (device, queue) to the queue's pinned worker —
 	// passthrough affinity, decided before any worker is charged. Everything
 	// else keeps the legacy device-owner steering.
-	hdr, body, err := transport.Decode(msg)
+	hdr, body, err := transport.Decode(msg.B)
 	var id uint16
 	if err == nil {
 		id = hdr.DeviceID
@@ -928,10 +934,10 @@ type steerItem struct {
 	fn     func()
 
 	// steerOpDeliver state: the sender and its record as resolved at
-	// ingress (nil for an unregistered sender).
+	// ingress (nil for an unregistered sender), and the message's lease.
 	c       *client
 	src     ethernet.MAC
-	msg     []byte
+	msg     *bufpool.Frame
 	netRoot trace.SpanID
 
 	// steerOpNetIn state.
@@ -975,7 +981,7 @@ func (it *steerItem) run() {
 		switch it.op {
 		case steerOpDeliver:
 			h.cur = it.c
-			if err := h.endpoint.Deliver(it.src, it.msg); err != nil {
+			if err := h.endpoint.DeliverFrame(it.src, it.msg); err != nil {
 				h.Counters.Inc("bad_msgs", 1)
 			}
 			h.Tracer.End(it.netRoot)
@@ -988,6 +994,8 @@ func (it *steerItem) run() {
 	}
 	if it.op == steerOpNetIn {
 		h.bufPool().PutRaw(it.raw)
+	} else if h.failed {
+		it.msg.Release() // queued before the crash, never delivered
 	}
 	*it = steerItem{h: it.h, fn: it.fn}
 	h.steers.Put(it)

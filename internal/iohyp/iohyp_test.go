@@ -79,8 +79,8 @@ func newRig(t testing.TB, sidecores int, mode Mode) *rig {
 	// (the client's own costs are out of scope here).
 	r.clientPort = nic.NewMessagePort(clientVF, r.p.MTU)
 	r.driver = transport.NewDriver(r.eng, r.clientPort, ethernet.NewMAC(100), transport.Config{})
-	r.clientPort.OnMessage = func(src ethernet.MAC, msg []byte, _ bool, _ int) {
-		if err := r.driver.Deliver(msg); err != nil {
+	r.clientPort.OnMessage = func(src ethernet.MAC, msg *bufpool.Frame, _ bool, _ int) {
+		if err := r.driver.DeliverFrame(msg); err != nil {
 			t.Errorf("client driver: %v", err)
 		}
 	}
@@ -206,9 +206,10 @@ func TestExternalFrameDeliveredToClient(t *testing.T) {
 
 	var gotDev uint16
 	var gotFrame []byte
-	r.driver.NetRx = func(deviceID uint16, frame []byte) {
+	r.driver.NetRx = func(deviceID uint16, frame *bufpool.Frame) {
 		gotDev = deviceID
-		gotFrame = append([]byte(nil), frame...) // lent for the call only
+		gotFrame = append([]byte(nil), frame.B...)
+		frame.Release()
 	}
 	r.extVF.SendFrame(ethernet.Frame{Dst: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("inbound")})
 	r.eng.Run()
@@ -232,10 +233,11 @@ func TestVMToVMLocalForwarding(t *testing.T) {
 
 	var gotDev uint16
 	var payload string
-	r.driver.NetRx = func(deviceID uint16, frame []byte) {
+	r.driver.NetRx = func(deviceID uint16, frame *bufpool.Frame) {
 		gotDev = deviceID
-		f, _ := ethernet.Decode(frame)
+		f, _ := ethernet.Decode(frame.B)
 		payload = string(f.Payload)
+		frame.Release()
 	}
 	inner := ethernet.Frame{Dst: fB, Src: fA, EtherType: ethernet.EtherTypePlain, Payload: []byte("vm2vm")}
 	raw, _ := inner.Encode(0)
@@ -273,7 +275,10 @@ func TestIngressShortFrameIsBadMsg(t *testing.T) {
 	r := newRig(t, 1, ModePolling)
 	r.hyp.RegisterNetDevice(r.clientMAC, 2, ethernet.NewMAC(50), nil)
 	delivered := 0
-	r.driver.NetRx = func(uint16, []byte) { delivered++ }
+	r.driver.NetRx = func(_ uint16, frame *bufpool.Frame) {
+		delivered++
+		frame.Release()
+	}
 	r.hyp.ingressPlain([]byte("too short"))
 	r.eng.Run()
 	if delivered != 0 {

@@ -31,7 +31,7 @@ func sendNetTx(r *rig, src ethernet.MAC, id uint16) {
 func sendMsg(r *rig, src ethernet.MAC, h transport.Header, payload []byte) {
 	msg := r.hyp.bufPool().GetRaw(transport.EncodedSize(len(payload)))
 	transport.EncodeInto(msg, h, payload)
-	r.hyp.ingressMessage(src, msg, true)
+	r.hyp.ingressMessage(src, r.hyp.bufPool().Wrap(msg, msg), true)
 }
 
 // busy queues two long filler items on worker w, so it reports a queue

@@ -18,10 +18,13 @@ type MessagePort struct {
 	mtu int
 	asm *ethernet.Reassembler
 
-	// OnMessage receives each fully reassembled vRIO transport message.
-	// zeroCopy reports whether reassembly stayed within the 17-page SKB
-	// budget (§4.4); fragments is the fragment count of the message.
-	OnMessage func(src ethernet.MAC, msg []byte, zeroCopy bool, fragments int)
+	// OnMessage receives each fully reassembled vRIO transport message as a
+	// lease the consumer owns and Releases. A message that arrived in one
+	// fragment is the received frame's slab itself, viewed past its headers;
+	// a multi-fragment one is its reassembly buffer. zeroCopy reports whether
+	// reassembly stayed within the 17-page SKB budget (§4.4); fragments is
+	// the fragment count of the message.
+	OnMessage func(src ethernet.MAC, msg *bufpool.Frame, zeroCopy bool, fragments int)
 	// OnPlainFrame receives non-vRIO Ethernet frames (tenant traffic).
 	OnPlainFrame func(f ethernet.Frame)
 
@@ -44,26 +47,31 @@ func (p *MessagePort) VF() *VF { return p.vf }
 func (p *MessagePort) MTU() int { return p.mtu }
 
 // BufPool implements transport.Pooler: transport wire buffers come from the
-// underlying NIC's pool, closing the fragment-recycling loop (driver encodes
-// from the pool; the port's reassembler recycles fragment slabs back into
+// underlying NIC's pool, closing the fragment-recycling loop (frames are
+// built in its slabs, and the consumers of received messages return them to
 // it).
 func (p *MessagePort) BufPool() *bufpool.Pool { return p.vf.nic.Pool() }
 
 // Send implements transport.Port: one complete transport message, TSO'd
 // onto the wire.
-func (p *MessagePort) Send(dst ethernet.MAC, payload []byte) {
-	if err := p.vf.SendMessage(dst, 0, payload, p.mtu); err != nil {
+func (p *MessagePort) Send(dst ethernet.MAC, payload []byte) { p.SendGather(dst, payload) }
+
+// SendGather implements transport.Gatherer: one transport message, gathered
+// from parts by the NIC's TSO segmenter as it builds the wire frames.
+func (p *MessagePort) SendGather(dst ethernet.MAC, parts ...[]byte) {
+	if err := p.vf.SendMessage(dst, 0, p.mtu, parts...); err != nil {
 		p.Errors++
 	}
 }
 
 // HandleFrame ingests one received frame (from Poll or an interrupt batch)
-// and takes ownership of it: every frame is consumed and its slab returned
-// to the pool. vRIO fragments are copied into the reassembly buffer, so a
-// fragment buffer must not be shared with another port. Plain (tenant)
-// frames are lent to OnPlainFrame for the duration of the call. A completed
-// message's Data is handed to OnMessage, whose consumer owns it (and returns
-// it to the pool when done).
+// and takes ownership of it. Plain (tenant) frames are lent to OnPlainFrame
+// for the duration of the call and then returned to the pool. A vRIO
+// fragment that completes a message by itself goes on to OnMessage as the
+// message's lease, its slab recycled when the consumer Releases it; any
+// other fragment is copied into its message's reassembly buffer and
+// returned to the pool at once. A frame must therefore not be shared with
+// another port.
 func (p *MessagePort) HandleFrame(frame []byte) {
 	pool := p.vf.nic.Pool()
 	f, err := ethernet.Decode(frame)
@@ -78,14 +86,23 @@ func (p *MessagePort) HandleFrame(frame []byte) {
 	}
 	p.asm.SetPool(pool) // stays in sync if the NIC's pool is rebound
 	msg, err := p.asm.Add(f.Src, f.Payload)
-	pool.PutRaw(frame)
 	if err != nil {
 		p.Errors++
+	}
+	if msg == nil {
+		pool.PutRaw(frame)
 		return
 	}
-	if msg != nil && p.OnMessage != nil {
-		p.OnMessage(msg.Src, msg.Data, msg.ZeroCopy, msg.Fragments)
+	slab := frame
+	if !msg.InPlace {
+		pool.PutRaw(frame)
+		slab = msg.Data
 	}
+	if p.OnMessage == nil {
+		pool.PutRaw(slab)
+		return
+	}
+	p.OnMessage(msg.Src, pool.Wrap(slab, msg.Data), msg.ZeroCopy, msg.Fragments)
 }
 
 // HandleBatch ingests a batch of frames.

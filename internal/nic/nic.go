@@ -195,6 +195,8 @@ type VF struct {
 	intrArmed bool
 	onIRQ     func(frames [][]byte)
 	nextMsgID uint32
+	// frames is SendMessage's scratch list of the fragments it queues.
+	frames [][]byte
 
 	deliverFn func()
 	fireFn    func()
@@ -369,53 +371,25 @@ func (v *VF) SendFrame(f ethernet.Frame) error {
 	return nil
 }
 
-// SendMessage transmits a vRIO transport message of up to 64 KiB via TSO:
-// the NIC segments it into MTU-sized encapsulated fragments (§4.3) and
-// clocks each onto the wire. Each fragment frame is built inside a pooled
-// buffer — Ethernet header, fake TCP/IP encapsulation, and payload in a
-// single pass; msg itself is only borrowed for the duration of the call.
-func (v *VF) SendMessage(dst ethernet.MAC, deviceID uint16, msg []byte, mtu int) error {
+// SendMessage transmits a vRIO transport message of up to 64 KiB, gathered
+// from parts, via TSO: ethernet.AppendFrames segments it into MTU-sized
+// encapsulated fragments (§4.3), each built in a pooled frame in one copy,
+// and the NIC clocks each onto the wire. The parts are only borrowed for the
+// duration of the call.
+func (v *VF) SendMessage(dst ethernet.MAC, deviceID uint16, mtu int, parts ...[]byte) error {
 	if v.linkDown {
 		v.FlapDrops++
 		return nil // carrier lost: the whole message vanishes in the PHY
 	}
 	v.nextMsgID++
-	if len(msg) > ethernet.MaxMessage {
-		return fmt.Errorf("%w: %d bytes", ethernet.ErrMessageTooBig, len(msg))
-	}
-	if mtu < ethernet.MinMTU || mtu > ethernet.MaxMTU {
-		return fmt.Errorf("ethernet: MTU %d outside [%d, %d]", mtu, ethernet.MinMTU, ethernet.MaxMTU)
-	}
-	chunk := mtu - ethernet.EncapOverhead
-	if chunk <= 0 {
-		return fmt.Errorf("ethernet: MTU %d leaves no payload room", mtu)
-	}
-	pool := v.nic.Pool()
-	total := uint32(len(msg))
-	for off := 0; ; off += chunk {
-		end := off + chunk
-		last := false
-		if end >= len(msg) {
-			end = len(msg)
-			last = true
-		}
-		b := pool.GetRaw(ethernet.HeaderSize + ethernet.EncapOverhead + (end - off))
-		ethernet.PutHeader(b, dst, v.mac, ethernet.EtherTypeVRIO)
-		ethernet.EncapSegmentInto(b[ethernet.HeaderSize:], ethernet.Segment{
-			MsgID:    v.nextMsgID,
-			DeviceID: deviceID,
-			Offset:   uint32(off),
-			Total:    total,
-			Last:     last,
-			Payload:  msg[off:end],
-		})
+	var err error
+	v.frames, err = ethernet.AppendFrames(v.frames[:0], v.nic.Pool(), dst, v.mac, v.nextMsgID, deviceID, mtu, parts...)
+	for _, b := range v.frames {
 		v.TxFrames++
 		v.nic.queueTx(b)
-		if last {
-			break
-		}
 	}
-	return nil
+	clear(v.frames)
+	return err
 }
 
 // BatchQueue holds the interrupt batches an OnInterrupt handler defers to

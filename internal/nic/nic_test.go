@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"vrio/internal/bufpool"
 	"vrio/internal/ethernet"
 	"vrio/internal/link"
 	"vrio/internal/sim"
@@ -205,8 +206,9 @@ func TestMessagePortRoundTrip(t *testing.T) {
 	var got []byte
 	var gotZC bool
 	var gotFrags int
-	dstPort.OnMessage = func(src ethernet.MAC, msg []byte, zc bool, frags int) {
-		got = msg
+	dstPort.OnMessage = func(src ethernet.MAC, msg *bufpool.Frame, zc bool, frags int) {
+		got = bytes.Clone(msg.B)
+		msg.Release()
 		gotZC = zc
 		gotFrags = frags
 	}
@@ -269,21 +271,19 @@ func TestMessagePortInterleavedSenders(t *testing.T) {
 	recvVF := hub.AddVF(ethernet.NewMAC(9), ModePoll)
 	port := NewMessagePort(recvVF, 1500)
 	var msgs [][]byte
-	port.OnMessage = func(_ ethernet.MAC, msg []byte, _ bool, _ int) {
-		msgs = append(msgs, msg)
+	port.OnMessage = func(_ ethernet.MAC, msg *bufpool.Frame, _ bool, _ int) {
+		msgs = append(msgs, bytes.Clone(msg.B))
+		msg.Release()
 	}
 	msgA := bytes.Repeat([]byte{0xA}, 10000)
 	msgB := bytes.Repeat([]byte{0xB}, 10000)
-	fragsA, _ := ethernet.SegmentMessage(1, 0, msgA, 1500)
-	fragsB, _ := ethernet.SegmentMessage(1, 0, msgB, 1500)
+	pool := recvVF.Pool()
 	macA, macB := ethernet.NewMAC(1), ethernet.NewMAC(2)
+	fragsA, _ := ethernet.AppendFrames(nil, pool, recvVF.MAC(), macA, 1, 0, 1500, msgA)
+	fragsB, _ := ethernet.AppendFrames(nil, pool, recvVF.MAC(), macB, 1, 0, 1500, msgB)
 	for i := range fragsA {
-		fa := ethernet.Frame{Dst: recvVF.MAC(), Src: macA, EtherType: ethernet.EtherTypeVRIO, Payload: fragsA[i]}
-		fb := ethernet.Frame{Dst: recvVF.MAC(), Src: macB, EtherType: ethernet.EtherTypeVRIO, Payload: fragsB[i]}
-		ba, _ := fa.Encode(0)
-		bb, _ := fb.Encode(0)
-		port.HandleFrame(ba)
-		port.HandleFrame(bb)
+		port.HandleFrame(fragsA[i])
+		port.HandleFrame(fragsB[i])
 	}
 	if len(msgs) != 2 {
 		t.Fatalf("messages = %d, want 2", len(msgs))
@@ -343,7 +343,7 @@ func TestVFLinkFlap(t *testing.T) {
 	if src.FlapDrops != 1 {
 		t.Errorf("tx FlapDrops = %d, want 1", src.FlapDrops)
 	}
-	if err := src.SendMessage(dst.MAC(), 1, []byte("msg"), ethernet.MinMTU); err != nil {
+	if err := src.SendMessage(dst.MAC(), 1, ethernet.MinMTU, []byte("msg")); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()

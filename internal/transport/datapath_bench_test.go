@@ -1,15 +1,17 @@
 package transport
 
 import (
+	"bytes"
 	"testing"
 
 	"vrio/internal/bufpool"
+	"vrio/internal/ethernet"
 )
 
 // Datapath benchmarks over the full wire path (Rig): driver send → TSO
-// segmentation into pooled frames → NIC rings → wire → reassembly into a
-// pooled buffer → endpoint handler, plus ack/response traffic back
-// (`make bench-guards`).
+// segmentation into pooled frames → NIC rings → wire → the received frame
+// itself as the message → endpoint handler, plus ack/response traffic back
+// (`make bench-guards`). Each reports the pool loans it takes (loans/op).
 
 func benchPayload(n int) []byte {
 	b := make([]byte, n)
@@ -20,7 +22,8 @@ func benchPayload(n int) []byte {
 }
 
 // BenchmarkDatapathNetTx measures one MTU-sized net-tx message end to end.
-// Steady state is allocation-free (see TestHotPathZeroAlloc).
+// Steady state is allocation-free (see TestHotPathZeroAlloc), and the one
+// loan is the wire frame.
 func BenchmarkDatapathNetTx(b *testing.B) {
 	r := NewRig()
 	frame := benchPayload(1400)
@@ -30,21 +33,24 @@ func BenchmarkDatapathNetTx(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	gets := r.Pool.Stats.Gets
 	for i := 0; i < b.N; i++ {
 		r.Driver.SendNet(1, 3, frame)
 		r.Step()
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(r.Pool.Stats.Gets-gets)/float64(b.N), "loans/op")
 	if r.NetTxMsgs != uint64(100+b.N) {
 		b.Fatalf("delivered %d messages, want %d", r.NetTxMsgs, 100+b.N)
 	}
 }
 
-// BenchmarkDatapathBlkRoundtrip measures a 4 KiB block request echoed back
-// through the endpoint: chunked both ways, reassembled on each side.
+// BenchmarkDatapathBlkRoundtrip measures a 4 KiB block request, a header
+// and a payload gathered into one message, echoed back through the
+// endpoint. Its two loans are the request's and the reply's wire frames.
 func BenchmarkDatapathBlkRoundtrip(b *testing.B) {
 	r := NewRig()
-	req := benchPayload(4096)
+	hdr, req := benchPayload(20), benchPayload(4096)
 	done := 0
 	complete := func(resp []byte, err error) {
 		if err != nil {
@@ -53,7 +59,7 @@ func BenchmarkDatapathBlkRoundtrip(b *testing.B) {
 		done++
 	}
 	send := func() {
-		r.Driver.SendBlk(2, 1, req, complete)
+		r.Driver.SendBlkGather(2, 1, 0, hdr, req, complete)
 		r.Step()
 	}
 	for i := 0; i < 100; i++ {
@@ -61,10 +67,12 @@ func BenchmarkDatapathBlkRoundtrip(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	gets := r.Pool.Stats.Gets
 	for i := 0; i < b.N; i++ {
 		send()
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(r.Pool.Stats.Gets-gets)/float64(b.N), "loans/op")
 	if done != 100+b.N {
 		b.Fatalf("completed %d roundtrips, want %d", done, 100+b.N)
 	}
@@ -179,5 +187,86 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("net-tx hot path allocates %.1f allocs/op, want 0 — "+
 			"a pooled buffer or reusable batch is escaping to the heap", allocs)
+	}
+}
+
+// TestBlkSlabsZeroCopy pins the buffers a 4 KiB block write and a 4 KiB
+// block read take on the vRIO transport, with a front end and a back end
+// like the guest's and the IOhost's. The front end keeps the header in a
+// buffer of its own and copies the write's payload into a 4 KiB slab; the
+// back end builds a read's [status][data] reply in a slab. The transport
+// adds one slab per message, its wire frame, which the NIC's TSO fills from
+// the gather list: that is the message's one transport-layer copy. A
+// single-fragment message reaches its consumer as that frame, viewed past
+// its headers, so the lease the endpoint hands BlkReq aliases the received
+// frame slab, and the reply the driver hands the callback is a view of its
+// frame.
+func TestBlkSlabsZeroCopy(t *testing.T) {
+	const frameHdrs = ethernet.HeaderSize + ethernet.EncapOverhead + HeaderSize
+	r := NewRig()
+	data := benchPayload(4096)
+	hdr := []byte{1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0} // a BlkHdr
+	var reqCap int
+	var reqData []byte
+	r.Endpoint.BlkReq = func(src ethernet.MAC, h Header, req *bufpool.Frame) {
+		reqCap, reqData = cap(req.B), bytes.Clone(req.B[len(hdr):])
+		resp := []byte{0}
+		if len(req.B) == len(hdr) { // a read: the back end's reply slab
+			resp = append(r.Pool.GetRaw(1 + len(data))[:1], data...)
+		}
+		r.Endpoint.RespondBlk(src, h, resp)
+		if len(resp) > 1 {
+			r.Pool.PutRaw(resp)
+		}
+		req.Release()
+	}
+	var respCap int
+	var respData []byte
+	op := func(payload []byte) {
+		var slab []byte
+		if payload != nil {
+			slab = r.Pool.Clone(payload) // the front end's payload slab
+		}
+		r.Driver.SendBlkGather(2, 1, 0, hdr, slab, func(resp []byte, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			respCap, respData = cap(resp), bytes.Clone(resp[1:])
+			if slab != nil {
+				r.Pool.PutRaw(slab)
+			}
+		})
+		r.Step()
+	}
+	for _, c := range []struct {
+		name             string
+		payload          []byte
+		loans            uint64
+		reqSlab, rspSlab int
+	}{
+		{"write", data, 3, 8192, 128}, // payload slab, request frame, reply frame
+		{"read", nil, 3, 128, 8192},   // request frame, reply slab, reply frame
+	} {
+		op(c.payload) // warm the pool's classes
+		gets := r.Pool.Stats.Gets
+		op(c.payload)
+		if n := r.Pool.Stats.Gets - gets; n != c.loans {
+			t.Errorf("%s: %d pool loans, want %d", c.name, n, c.loans)
+		}
+		if reqCap != c.reqSlab-frameHdrs {
+			t.Errorf("%s: the request lease views %d bytes of its slab, want the received %d-byte frame past its %d bytes of headers",
+				c.name, reqCap, c.reqSlab, frameHdrs)
+		}
+		if respCap != c.rspSlab-frameHdrs {
+			t.Errorf("%s: the reply views %d bytes of its slab, want the received %d-byte frame past its %d bytes of headers",
+				c.name, respCap, c.rspSlab, frameHdrs)
+		}
+		want := [2][]byte{c.payload, nil}
+		if c.payload == nil {
+			want = [2][]byte{nil, data}
+		}
+		if !bytes.Equal(reqData, want[0]) || !bytes.Equal(respData, want[1]) {
+			t.Errorf("%s: payload corrupted in flight", c.name)
+		}
 	}
 }

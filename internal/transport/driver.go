@@ -20,8 +20,9 @@ import (
 type Port interface {
 	// Send transmits one message to dst. It must not fail synchronously;
 	// loss is a property of the channel, handled by retransmission. The
-	// payload is only borrowed for the duration of the call (the NIC copies
-	// it into fragment frames), so callers may reuse the buffer afterwards.
+	// payload is only borrowed for the duration of the call: the port copies
+	// it into the frames or datagram it sends, so callers may reuse the
+	// buffer afterwards.
 	Send(dst ethernet.MAC, payload []byte)
 	// LocalMAC reports this port's address (the T interface's MAC).
 	LocalMAC() ethernet.MAC
@@ -32,6 +33,75 @@ type Port interface {
 // buffers from it so slabs circulate within one simulation cell.
 type Pooler interface {
 	BufPool() *bufpool.Pool
+}
+
+// Gatherer is implemented by ports whose NIC segments a message straight
+// from its parts (the NIC message port): the driver and endpoint hand it
+// the encoded transport header and the payload's parts, and the frames its
+// TSO builds from them are the message's one copy. The parts are only
+// borrowed for the duration of the call. A port without it, a real-wire
+// carrier among them, is sent each message flattened into a pooled buffer.
+type Gatherer interface {
+	SendGather(dst ethernet.MAC, parts ...[]byte)
+}
+
+// sender is the sending half the Driver and the Endpoint share: their port,
+// its pool, and the scratch each message's gather list is built in (a send
+// is synchronous, so one scratch serves every message).
+type sender struct {
+	port     Port
+	maxChunk int
+	bp       *bufpool.Pool
+	hdr      [HeaderSize]byte
+	parts    [][]byte
+}
+
+// pool returns the buffer pool: the port's shared pool when it has one,
+// else a private pool.
+func (s *sender) pool() *bufpool.Pool {
+	if s.bp == nil {
+		if pp, ok := s.port.(Pooler); ok {
+			s.bp = pp.BufPool()
+		} else {
+			s.bp = bufpool.New()
+		}
+	}
+	return s.bp
+}
+
+// send transmits the payload gathered from parts to dst under header h, in
+// chunks of at most maxChunk bytes (one chunk when the payload is empty);
+// chunk i goes out as Chunk i of ChunkCount. The parts are only borrowed for
+// the duration of the call.
+func (s *sender) send(dst ethernet.MAC, h Header, parts ...[]byte) {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	h.ChunkCount = uint16(max(1, (total+s.maxChunk-1)/s.maxChunk))
+	for i := 0; i < int(h.ChunkCount); i++ {
+		lo, hi := i*s.maxChunk, min((i+1)*s.maxChunk, total)
+		h.Chunk, h.Length = uint16(i), uint32(hi-lo)
+		h.put(s.hdr[:])
+		s.parts = append(s.parts[:0], s.hdr[:])
+		for _, p := range parts { // the parts' share of bytes [lo, hi)
+			if a, b := max(lo, 0), min(hi, len(p)); a < b {
+				s.parts = append(s.parts, p[a:b])
+			}
+			lo, hi = lo-len(p), hi-len(p)
+		}
+		if g, ok := s.port.(Gatherer); ok {
+			g.SendGather(dst, s.parts...)
+			continue
+		}
+		buf := s.pool().GetRaw(HeaderSize + int(h.Length))[:0]
+		for _, p := range s.parts {
+			buf = append(buf, p...)
+		}
+		s.port.Send(dst, buf)
+		s.pool().PutRaw(buf)
+	}
+	clear(s.parts)
 }
 
 // Config holds the reliability knobs (§4.5).
@@ -78,20 +148,26 @@ var ErrDeviceError = errors.New("transport: device error (retransmission budget 
 // BlkCallback receives a block response or a device error. The response
 // bytes are only valid for the duration of the call: the driver recycles
 // the buffer when the callback returns, so a callback that needs the data
-// later must copy it.
+// later must copy it. The callback is also where the submitter takes back
+// the request's buffers, which the driver holds until then.
 type BlkCallback func(resp []byte, err error)
 
 // Driver is the IOclient-side transport driver. It is the second driver
 // layer of §4.1: front-ends hand it requests; it encapsulates, segments,
 // retransmits, reassembles, and calls front-end handlers on completion.
 //
-// The steady-state datapath does not allocate: wire messages are encoded
-// into pooled buffers, in-flight block bookkeeping and chunk assemblers are
-// recycled through free lists, and chunked responses reassemble directly
-// into one pooled buffer.
+// Ownership: a block request's buffers stay the submitter's, but the driver
+// reads them until the request's callback runs, since a retransmission
+// resends them; each (re)transmission gathers them with a transport header
+// into the wire frames. A received message is leased to the driver, which
+// Releases it once consumed or hands it on (a net-rx frame to NetRx).
+//
+// The steady-state datapath does not allocate: in-flight block bookkeeping
+// and chunk assemblers are recycled through free lists, and chunked
+// responses reassemble directly into one pooled buffer.
 type Driver struct {
+	sender
 	clk    sim.Clock
-	port   Port
 	iohost ethernet.MAC
 	cfg    Config
 
@@ -100,15 +176,14 @@ type Driver struct {
 
 	respAsm map[uint64]*chunkAsm // block responses being reassembled, by OrigID
 
-	bp   *bufpool.Pool
 	pbs  *bufpool.List[pendingBlk]
 	asms *bufpool.List[chunkAsm]
 
 	// NetRx is invoked for every frame the IOhost delivers to a net
-	// front-end. The frame is only borrowed for the duration of the call:
-	// its buffer returns to the pool as soon as NetRx returns, so a
-	// receiver that defers work copies the frame first.
-	NetRx func(deviceID uint16, frame []byte)
+	// front-end, and takes the frame over as a lease it Releases when done:
+	// the received message's own buffer, viewed past the transport header,
+	// so the frame reaches the guest without a copy.
+	NetRx func(deviceID uint16, frame *bufpool.Frame)
 	// CreateDev / DestroyDev are invoked for I/O-hypervisor control
 	// commands (§4.1: "receiving commands from the I/O hypervisor to
 	// create and destroy paravirtual devices").
@@ -132,12 +207,14 @@ type pendingBlk struct {
 	span     trace.SpanID // guest_ring root span, 0 when tracing is off
 	deviceID uint16
 	devType  uint8
-	queue    uint8    // submission queue; stamps the top byte of every id
-	chunks   [][]byte // raw payload chunks for retransmission (alias the request)
-	timeout  sim.Time
-	retries  int
-	timer    sim.TimerID
-	done     BlkCallback
+	queue    uint8 // submission queue; stamps the top byte of every id
+	// req and data are the request's header and payload, borrowed from the
+	// submitter until done runs: every transmission gathers them anew.
+	req, data []byte
+	timeout   sim.Time
+	retries   int
+	timer     sim.TimerID
+	done      BlkCallback
 	// expireFn is the prebound timeout callback; it survives recycling, so
 	// arming a retransmission timer does not allocate.
 	expireFn func()
@@ -271,8 +348,8 @@ func NewDriver(clk sim.Clock, port Port, iohost ethernet.MAC, cfg Config) *Drive
 		cfg.MaxReassembly = DefaultConfig().MaxReassembly
 	}
 	d := &Driver{
+		sender:  sender{port: port, maxChunk: cfg.MaxChunk},
 		clk:     clk,
-		port:    port,
 		iohost:  iohost,
 		cfg:     cfg,
 		pending: make(map[uint64]*pendingBlk),
@@ -306,19 +383,6 @@ func (d *Driver) Port() Port { return d.port }
 // destination VMhost's cable lands on a different IOhost NIC).
 func (d *Driver) SetRemote(iohost ethernet.MAC) { d.iohost = iohost }
 
-// pool returns the driver's buffer pool: the port's shared pool when it has
-// one, else a private pool.
-func (d *Driver) pool() *bufpool.Pool {
-	if d.bp == nil {
-		if pp, ok := d.port.(Pooler); ok {
-			d.bp = pp.BufPool()
-		} else {
-			d.bp = bufpool.New()
-		}
-	}
-	return d.bp
-}
-
 func (d *Driver) allocID() uint64 {
 	d.nextID++
 	return d.nextID
@@ -334,7 +398,7 @@ func (d *Driver) tagID(queue uint8) uint64 {
 // caller must have removed it from d.pending and canceled (or consumed)
 // its timer.
 func (d *Driver) recyclePending(p *pendingBlk) {
-	p.chunks = p.chunks[:0]
+	p.req, p.data = nil, nil
 	p.done = nil
 	p.span = 0
 	p.retries = 0
@@ -362,16 +426,6 @@ func (d *Driver) dropAsm(origID uint64) {
 	}
 }
 
-// sendEncoded encodes h+payload into a pooled buffer, transmits it, and
-// recycles the buffer (Port.Send only borrows it).
-func (d *Driver) sendEncoded(h Header, payload []byte) {
-	pool := d.pool()
-	buf := pool.GetRaw(EncodedSize(len(payload)))
-	EncodeInto(buf, h, payload)
-	d.port.Send(d.iohost, buf)
-	pool.PutRaw(buf)
-}
-
 // SendNet transmits a guest network frame to the IOhost. Net traffic is
 // deliberately unreliable (§4.5: TCP above retransmits; UDP may lose
 // anyhow). The frame is only borrowed for the duration of the call.
@@ -390,13 +444,7 @@ func (d *Driver) SendNet(devType uint8, deviceID uint16, frame []byte) {
 		d.Tracer.Link(trace.FlowKey{Kind: FlowNetRoot, A: mac, B: id}, ring)
 		d.Tracer.Link(trace.FlowKey{Kind: FlowNetWire, A: mac, B: id}, wire)
 	}
-	d.sendEncoded(Header{
-		Type:       MsgNetTx,
-		DeviceType: devType,
-		DeviceID:   deviceID,
-		ReqID:      id,
-		ChunkCount: 1,
-	}, frame)
+	d.send(d.iohost, Header{Type: MsgNetTx, DeviceType: devType, DeviceID: deviceID, ReqID: id}, frame)
 }
 
 // SendBlk transmits a block request reliably. done is invoked exactly once,
@@ -413,6 +461,14 @@ func (d *Driver) SendBlk(devType uint8, deviceID uint16, req []byte, done BlkCal
 // SendBlk. The driver imposes no depth limit per queue — callers (the guest
 // workload) enforce QD by running closed loops.
 func (d *Driver) SendBlkQ(devType uint8, deviceID uint16, queue uint8, req []byte, done BlkCallback) {
+	d.SendBlkGather(devType, deviceID, queue, req, nil, done)
+}
+
+// SendBlkGather is SendBlkQ for a request held in two buffers, its encoded
+// header req and its payload data (nil for none), which go on the wire as
+// one message without ever being joined: the NIC's TSO gathers them into
+// the frames. Both must remain valid until done runs.
+func (d *Driver) SendBlkGather(devType uint8, deviceID uint16, queue uint8, req, data []byte, done BlkCallback) {
 	if done == nil {
 		panic("transport: SendBlk requires a completion callback")
 	}
@@ -424,13 +480,7 @@ func (d *Driver) SendBlkQ(devType uint8, deviceID uint16, queue uint8, req []byt
 	p.queue = queue
 	p.timeout = d.cfg.InitialTimeout
 	p.done = done
-	for off := 0; off == 0 || off < len(req); off += d.cfg.MaxChunk {
-		end := off + d.cfg.MaxChunk
-		if end > len(req) {
-			end = len(req)
-		}
-		p.chunks = append(p.chunks, req[off:end])
-	}
+	p.req, p.data = req, data
 	d.pending[p.origID] = p
 	if d.Tracer.Enabled() {
 		p.span = d.Tracer.BeginArg(trace.CatGuestRing, "blk", 0, p.origID)
@@ -439,7 +489,8 @@ func (d *Driver) SendBlkQ(devType uint8, deviceID uint16, queue uint8, req []byt
 	d.transmit(p)
 }
 
-// transmit sends all chunks of p under a fresh ReqID and arms the timer.
+// transmit sends p under a fresh ReqID, chunked at MaxChunk, and arms the
+// timer.
 func (d *Driver) transmit(p *pendingBlk) {
 	p.curReqID = d.tagID(p.queue)
 	// Chunks collected from a superseded attempt are discarded: the
@@ -451,17 +502,13 @@ func (d *Driver) transmit(p *pendingBlk) {
 		wire := d.Tracer.BeginArg(trace.CatWire, "blk-req", p.span, p.curReqID)
 		d.Tracer.Link(trace.FlowKey{Kind: FlowBlkWire, A: trace.Key48(d.port.LocalMAC()), B: p.curReqID}, wire)
 	}
-	for i, chunk := range p.chunks {
-		d.sendEncoded(Header{
-			Type:       MsgBlkReq,
-			DeviceType: p.devType,
-			DeviceID:   p.deviceID,
-			ReqID:      p.curReqID,
-			OrigID:     p.origID,
-			Chunk:      uint16(i),
-			ChunkCount: uint16(len(p.chunks)),
-		}, chunk)
-	}
+	d.send(d.iohost, Header{
+		Type:       MsgBlkReq,
+		DeviceType: p.devType,
+		DeviceID:   p.deviceID,
+		ReqID:      p.curReqID,
+		OrigID:     p.origID,
+	}, p.req, p.data)
 	p.timer = d.clk.AfterFunc(p.timeout, p.expireFn)
 }
 
@@ -488,13 +535,21 @@ func (d *Driver) expire(p *pendingBlk) {
 	d.transmit(p)
 }
 
-// Deliver ingests one transport message arriving from the channel. The NIC
-// model calls this once a full message is reassembled from wire fragments.
-// The driver takes ownership of payload and recycles it to the pool once the
-// message is handled (a net-rx frame after NetRx returns).
+// Deliver ingests one transport message arriving from the channel, taking
+// ownership of payload, a whole pooled buffer: it is DeliverFrame of a lease
+// on it.
 func (d *Driver) Deliver(payload []byte) error {
-	h, body, err := Decode(payload)
+	return d.DeliverFrame(d.pool().Wrap(payload, payload))
+}
+
+// DeliverFrame ingests one transport message arriving from the channel,
+// leased as the NIC's message port hands it over. The driver Releases msg
+// once the message is handled, or hands it on: a net-rx frame goes to NetRx
+// as the same lease, viewed past the transport header.
+func (d *Driver) DeliverFrame(msg *bufpool.Frame) error {
+	h, body, err := Decode(msg.B)
 	if err != nil {
+		msg.Release()
 		return err
 	}
 	switch h.Type {
@@ -506,34 +561,33 @@ func (d *Driver) Deliver(payload []byte) error {
 			}))
 		}
 		if d.NetRx != nil {
-			d.NetRx(h.DeviceID, body)
+			msg.B = body
+			d.NetRx(h.DeviceID, msg)
+			return nil
 		}
-		d.pool().PutRaw(payload)
 	case MsgBlkResp:
 		d.deliverBlkResp(h, body)
-		d.pool().PutRaw(payload)
 	case MsgCtrlCreateDev:
 		d.Counters.Inc("ctrl", 1)
 		if d.CreateDev != nil {
 			d.CreateDev(h.DeviceType, h.DeviceID)
 		}
-		d.sendEncoded(Header{Type: MsgCtrlAck, ReqID: h.ReqID, ChunkCount: 1}, nil)
-		d.pool().PutRaw(payload)
+		d.send(d.iohost, Header{Type: MsgCtrlAck, ReqID: h.ReqID})
 	case MsgCtrlDestroyDev:
 		d.Counters.Inc("ctrl", 1)
 		if d.DestroyDev != nil {
 			d.DestroyDev(h.DeviceID)
 		}
-		d.sendEncoded(Header{Type: MsgCtrlAck, ReqID: h.ReqID, ChunkCount: 1}, nil)
-		d.pool().PutRaw(payload)
+		d.send(d.iohost, Header{Type: MsgCtrlAck, ReqID: h.ReqID})
 	default:
-		return fmt.Errorf("transport: client received unexpected %v", h.Type)
+		err = fmt.Errorf("transport: client received unexpected %v", h.Type)
 	}
-	return nil
+	msg.Release()
+	return err
 }
 
 // deliverBlkResp handles one blk-resp message. body aliases the caller's
-// payload buffer and is copied (or consumed synchronously) before return.
+// message buffer and is copied (or consumed synchronously) before return.
 func (d *Driver) deliverBlkResp(h Header, body []byte) {
 	p := d.pending[h.OrigID]
 	if p == nil {

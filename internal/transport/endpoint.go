@@ -15,16 +15,18 @@ import (
 // chunked) responses, and pushes control commands to IOclients with a small
 // ack/retry protocol.
 //
-// Buffer ownership: Deliver takes ownership of each incoming message buffer
-// and recycles it to the pool once consumed. Block requests are handed to
-// the BlkReq handler as a leased *bufpool.Frame — a single-chunk request
-// wraps the message buffer itself (zero copy); a multi-chunk request wraps
+// Buffer ownership: DeliverFrame takes each incoming message as a lease and
+// Releases it once consumed. Block requests are handed to the BlkReq
+// handler as a leased *bufpool.Frame — a single-chunk request is the
+// message's own lease, viewed past the transport header (zero copy: at the
+// paper's MTU, the received wire frame's slab); a multi-chunk request wraps
 // the pooled reassembly buffer. The handler Releases the frame when the
-// request's payload is no longer needed.
+// request's payload is no longer needed. Responses are only borrowed: the
+// NIC gathers them into its frames.
 type Endpoint struct {
-	clk  sim.Clock
-	port Port
-	cfg  Config
+	sender
+	clk sim.Clock
+	cfg Config
 
 	reqAsm map[endpointKey]*chunkAsm
 	// asmSeq orders partial assemblies for eviction: a retransmission uses
@@ -35,7 +37,6 @@ type Endpoint struct {
 	// Evictions counts abandoned partial assemblies.
 	Evictions uint64
 
-	bp   *bufpool.Pool
 	asms *bufpool.List[chunkAsm]
 
 	// NetTx is invoked when an IOclient's net front-end transmits a frame.
@@ -94,27 +95,14 @@ func NewEndpoint(clk sim.Clock, port Port, cfg Config) *Endpoint {
 		cfg.MaxReassembly = DefaultConfig().MaxReassembly
 	}
 	return &Endpoint{
+		sender: sender{port: port, maxChunk: cfg.MaxChunk},
 		clk:    clk,
-		port:   port,
 		cfg:    cfg,
 		reqAsm: make(map[endpointKey]*chunkAsm),
 		maxAsm: 1024,
 		ctrl:   make(map[uint64]*pendingCtrl),
 		asms:   bufpool.NewList("transport endpoint assemblies", func() *chunkAsm { return &chunkAsm{} }),
 	}
-}
-
-// pool returns the endpoint's buffer pool: the port's shared pool when it
-// has one, else a private pool.
-func (e *Endpoint) pool() *bufpool.Pool {
-	if e.bp == nil {
-		if pp, ok := e.port.(Pooler); ok {
-			e.bp = pp.BufPool()
-		} else {
-			e.bp = bufpool.New()
-		}
-	}
-	return e.bp
 }
 
 func (e *Endpoint) getAsm(count int) *chunkAsm {
@@ -129,24 +117,21 @@ func (e *Endpoint) recycleAsm(a *chunkAsm) {
 	e.asms.Put(a)
 }
 
-// sendEncoded encodes h+payload into a pooled buffer, transmits it, and
-// recycles the buffer (Port.Send only borrows it).
-func (e *Endpoint) sendEncoded(dst ethernet.MAC, h Header, payload []byte) {
-	pool := e.pool()
-	buf := pool.GetRaw(EncodedSize(len(payload)))
-	EncodeInto(buf, h, payload)
-	e.port.Send(dst, buf)
-	pool.PutRaw(buf)
+// Deliver ingests one transport message arriving from an IOclient, taking
+// ownership of payload, a whole pooled buffer: it is DeliverFrame of a lease
+// on it.
+func (e *Endpoint) Deliver(src ethernet.MAC, payload []byte) error {
+	return e.DeliverFrame(src, e.pool().Wrap(payload, payload))
 }
 
-// Deliver ingests one transport message arriving from an IOclient, taking
-// ownership of payload (it is recycled once consumed; a single-chunk block
-// request's buffer lives on inside the leased frame until Released).
-func (e *Endpoint) Deliver(src ethernet.MAC, payload []byte) error {
-	h, body, err := Decode(payload)
+// DeliverFrame ingests one transport message arriving from an IOclient,
+// leased as the NIC's message port hands it over: it is Released once
+// consumed, or lives on as a single-chunk block request's lease.
+func (e *Endpoint) DeliverFrame(src ethernet.MAC, msg *bufpool.Frame) error {
+	h, body, err := Decode(msg.B)
 	if err != nil {
 		e.Counters.Inc("bad_msgs", 1)
-		e.pool().PutRaw(payload)
+		msg.Release()
 		return err
 	}
 	switch h.Type {
@@ -155,39 +140,39 @@ func (e *Endpoint) Deliver(src ethernet.MAC, payload []byte) error {
 		if e.NetTx != nil {
 			e.NetTx(src, h.DeviceID, body)
 		}
-		e.pool().PutRaw(payload)
 	case MsgBlkReq:
-		e.deliverBlkReq(src, h, payload, body)
+		e.deliverBlkReq(src, h, msg, body)
+		return nil
 	case MsgCtrlAck:
 		e.ackCtrl(h.ReqID)
-		e.pool().PutRaw(payload)
 	default:
 		e.Counters.Inc("bad_msgs", 1)
-		e.pool().PutRaw(payload)
-		return fmt.Errorf("transport: endpoint received unexpected %v", h.Type)
+		err = fmt.Errorf("transport: endpoint received unexpected %v", h.Type)
 	}
-	return nil
+	msg.Release()
+	return err
 }
 
-// deliverBlkReq handles one blk-req message. payload is the whole owned
-// message buffer; body is its payload view.
-func (e *Endpoint) deliverBlkReq(src ethernet.MAC, h Header, payload, body []byte) {
+// deliverBlkReq handles one blk-req message. msg is the owned message
+// lease; body is its payload view.
+func (e *Endpoint) deliverBlkReq(src ethernet.MAC, h Header, msg *bufpool.Frame, body []byte) {
 	if h.ChunkCount <= 1 {
 		e.Counters.Inc("blk_req", 1)
-		if e.BlkReq != nil {
-			// Zero copy: lease the message buffer itself; the slab recycles
-			// when the handler Releases the frame.
-			e.BlkReq(src, h, e.pool().Wrap(payload, body))
-		} else {
-			e.pool().PutRaw(payload)
+		if e.BlkReq == nil {
+			msg.Release()
+			return
 		}
+		// Zero copy: the message's own lease, narrowed to the request; its
+		// slab recycles when the handler Releases it.
+		msg.B = body
+		e.BlkReq(src, h, msg)
 		return
 	}
 	if int(h.ChunkCount) > e.cfg.maxChunks() {
 		// No legitimate MaxChunk stride yields this many chunks within the
 		// reassembly cap — an untrusted peer probing for an allocation DoS.
 		e.Counters.Inc("bad_msgs", 1)
-		e.pool().PutRaw(payload)
+		msg.Release()
 		return
 	}
 	key := endpointKey{src, h.ReqID}
@@ -201,11 +186,11 @@ func (e *Endpoint) deliverBlkReq(src ethernet.MAC, h Header, payload, body []byt
 	}
 	if int(h.Chunk) >= asm.count || asm.count != int(h.ChunkCount) {
 		e.Counters.Inc("bad_msgs", 1)
-		e.pool().PutRaw(payload)
+		msg.Release()
 		return
 	}
 	complete := asm.add(e.pool(), int(h.Chunk), body)
-	e.pool().PutRaw(payload) // body copied (or ignored); buffer is free
+	msg.Release() // body copied (or ignored); the message is consumed
 	if !complete {
 		return
 	}
@@ -251,12 +236,7 @@ func (e *Endpoint) SendNetRx(dst ethernet.MAC, deviceID uint16, frame []byte) {
 		comp := e.Tracer.BeginFlow(trace.CatCompletion, "net-rx", 0, e.nextID, NetFlow(frame))
 		e.Tracer.Link(trace.FlowKey{Kind: FlowNetRx, A: trace.Key48(dst), B: e.nextID}, comp)
 	}
-	e.sendEncoded(dst, Header{
-		Type:       MsgNetRx,
-		DeviceID:   deviceID,
-		ReqID:      e.nextID,
-		ChunkCount: 1,
-	}, frame)
+	e.send(dst, Header{Type: MsgNetRx, DeviceID: deviceID, ReqID: e.nextID}, frame)
 }
 
 // RespondBlk sends a (possibly chunked) block response, echoing the
@@ -272,26 +252,13 @@ func (e *Endpoint) RespondBlk(dst ethernet.MAC, req Header, resp []byte) {
 		comp := e.Tracer.BeginArg(trace.CatCompletion, "blk-resp", root, req.OrigID)
 		e.Tracer.Link(trace.FlowKey{Kind: FlowBlkComp, A: mac, B: req.OrigID}, comp)
 	}
-	count := 1
-	if len(resp) > e.cfg.MaxChunk {
-		count = (len(resp) + e.cfg.MaxChunk - 1) / e.cfg.MaxChunk
-	}
-	for i := 0; i < count; i++ {
-		off := i * e.cfg.MaxChunk
-		end := off + e.cfg.MaxChunk
-		if end > len(resp) {
-			end = len(resp)
-		}
-		e.sendEncoded(dst, Header{
-			Type:       MsgBlkResp,
-			DeviceType: req.DeviceType,
-			DeviceID:   req.DeviceID,
-			ReqID:      req.ReqID,
-			OrigID:     req.OrigID,
-			Chunk:      uint16(i),
-			ChunkCount: uint16(count),
-		}, resp[off:end])
-	}
+	e.send(dst, Header{
+		Type:       MsgBlkResp,
+		DeviceType: req.DeviceType,
+		DeviceID:   req.DeviceID,
+		ReqID:      req.ReqID,
+		OrigID:     req.OrigID,
+	}, resp)
 }
 
 // CreateDevice instructs an IOclient to instantiate a paravirtual front-end

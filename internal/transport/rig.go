@@ -82,11 +82,11 @@ func NewRigConfig(cfg Config) *Rig {
 	r.Driver = NewDriver(r.Eng, r.ClientPort, hostMAC, cfg)
 	r.Endpoint = NewEndpoint(r.Eng, r.HostPort, cfg)
 
-	r.ClientPort.OnMessage = func(_ ethernet.MAC, msg []byte, _ bool, _ int) {
-		_ = r.Driver.Deliver(msg)
+	r.ClientPort.OnMessage = func(_ ethernet.MAC, msg *bufpool.Frame, _ bool, _ int) {
+		_ = r.Driver.DeliverFrame(msg)
 	}
-	r.HostPort.OnMessage = func(src ethernet.MAC, msg []byte, _ bool, _ int) {
-		_ = r.Endpoint.Deliver(src, msg)
+	r.HostPort.OnMessage = func(src ethernet.MAC, msg *bufpool.Frame, _ bool, _ int) {
+		_ = r.Endpoint.DeliverFrame(src, msg)
 	}
 	r.Endpoint.NetTx = func(_ ethernet.MAC, _ uint16, frame []byte) {
 		r.NetTxMsgs++

@@ -277,7 +277,10 @@ func TestNetTxRx(t *testing.T) {
 		h.endpoint.SendNetRx(src, deviceID, []byte("pong"))
 	}
 	var clientGot []byte
-	h.driver.NetRx = func(deviceID uint16, frame []byte) { clientGot = append([]byte(nil), frame...) }
+	h.driver.NetRx = func(deviceID uint16, frame *bufpool.Frame) {
+		clientGot = append([]byte(nil), frame.B...)
+		frame.Release()
+	}
 	h.driver.SendNet(1, 3, []byte("ping"))
 	h.eng.Run()
 	if string(hostGot) != "ping" || hostDev != 3 {
@@ -288,19 +291,21 @@ func TestNetTxRx(t *testing.T) {
 	}
 }
 
-// The net-rx contract: the frame is only borrowed for the duration of the
-// NetRx callback, and the driver returns the payload slab to the pool once
-// NetRx returns, so the steady state takes no allocations.
+// The net-rx contract: NetRx takes the frame over as a lease on the
+// delivered buffer itself, viewed past the transport header, and releasing
+// it returns the slab to the pool, so the steady state takes no
+// allocations.
 func TestNetRxRecycle(t *testing.T) {
 	h := newHarness(t, Config{})
 	got := 0
 	var lent []byte
-	h.driver.NetRx = func(_ uint16, frame []byte) {
+	h.driver.NetRx = func(_ uint16, frame *bufpool.Frame) {
 		got++
-		lent = frame
-		if string(frame) != "inbound-frame-bytes" {
-			t.Errorf("NetRx frame = %q", frame)
+		lent = frame.B
+		if string(frame.B) != "inbound-frame-bytes" {
+			t.Errorf("NetRx frame = %q", frame.B)
 		}
+		frame.Release()
 	}
 	p := h.driver.pool()
 	payload := []byte("inbound-frame-bytes")
@@ -318,7 +323,7 @@ func TestNetRxRecycle(t *testing.T) {
 	}
 	// The recycled buffer is the next one handed out.
 	if again := p.GetRaw(len(buf)); &again[0] != &buf[0] {
-		t.Error("delivered buffer not back in the pool after NetRx returned")
+		t.Error("delivered buffer not back in the pool after NetRx released it")
 	} else {
 		p.PutRaw(again)
 	}

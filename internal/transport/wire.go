@@ -124,14 +124,20 @@ func Encode(h Header, payload []byte) []byte {
 // EncodedSize reports the wire size of a message with the given payload.
 func EncodedSize(payloadLen int) int { return HeaderSize + payloadLen }
 
-// EncodeInto is the scatter-gather variant of Encode: it writes header and
-// payload into b, which must be exactly HeaderSize+len(payload) long —
-// typically a pooled slab, so the steady-state datapath encodes without
-// allocating. The header's Length field is taken from the payload.
+// EncodeInto writes header and payload into b, which must be exactly
+// HeaderSize+len(payload) long. The header's Length field is taken from the
+// payload.
 func EncodeInto(b []byte, h Header, payload []byte) {
 	if len(b) != HeaderSize+len(payload) {
 		panic(fmt.Sprintf("transport: EncodeInto buffer %d for payload %d", len(b), len(payload)))
 	}
+	h.Length = uint32(len(payload))
+	h.put(b)
+	copy(b[HeaderSize:], payload)
+}
+
+// put writes h, its Length field as given, into b[:HeaderSize].
+func (h *Header) put(b []byte) {
 	b[0] = uint8(h.Type)
 	b[1] = h.DeviceType
 	binary.LittleEndian.PutUint16(b[2:], h.DeviceID)
@@ -139,8 +145,7 @@ func EncodeInto(b []byte, h Header, payload []byte) {
 	binary.LittleEndian.PutUint64(b[12:], h.OrigID)
 	binary.LittleEndian.PutUint16(b[20:], h.Chunk)
 	binary.LittleEndian.PutUint16(b[22:], h.ChunkCount)
-	binary.LittleEndian.PutUint32(b[24:], uint32(len(payload)))
-	copy(b[HeaderSize:], payload)
+	binary.LittleEndian.PutUint32(b[24:], h.Length)
 }
 
 // Decode parses a transport message. The returned payload aliases b.

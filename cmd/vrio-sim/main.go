@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,24 +45,35 @@ import (
 	"vrio/internal/workload"
 )
 
-func main() {
-	model := flag.String("model", "vrio", "baseline | elvis | vrio | vrio-nopoll | optimum")
-	vms := flag.Int("vms", 1, "VMs per VMhost")
-	hosts := flag.Int("vmhosts", 1, "number of VMhosts")
-	sidecores := flag.Int("sidecores", 1, "sidecores (per host for elvis; at the IOhost for vrio)")
-	wl := flag.String("workload", "rr", "rr | stream | apache | memcached | filebench | webserver")
-	measure := flag.Duration("measure", 50*time.Millisecond, "measured simulated duration")
-	seed := flag.Uint64("seed", 1, "simulation seed (same seed => identical run)")
-	overrides := flag.String("params", "", "JSON object of parameter overrides (see internal/params)")
-	faultProfile := flag.String("fault-profile", "", "fault profile: lossy | flaky | degraded | chaos, or inline JSON (empty = no faults)")
-	faultSeed := flag.Uint64("fault-seed", 0, "seed for the fault draws (0 = derive from -seed)")
-	racks := flag.Int("racks", 1, "number of racks; >1 builds a spine-leaf fabric (rr workload only)")
-	shards := flag.Int("shards", 0, "workers executing the fabric's shards (0 = one per CPU, 1 = serial)")
-	oversub := flag.Float64("oversub", 4, "ToR downlink:uplink oversubscription ratio for -racks > 1")
-	doTrace := flag.Bool("trace", false, "with -racks > 1: record cross-shard spans and write the merged span export")
-	traceOut := flag.String("trace-out", "fabric-trace", "output directory for the fabric span/metrics/anomaly JSONL artifacts")
-	metricsInterval := flag.Duration("metrics-interval", 0, "fabric metrics rollup sampling interval in sim time (0 = 1ms when -trace is set, otherwise off)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs the testbed they describe and prints its results to
+// stdout. It returns the process exit code: 2 for a bad flag value.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vrio-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "vrio", "baseline | elvis | vrio | vrio-nopoll | optimum")
+	vms := fs.Int("vms", 1, "VMs per VMhost")
+	hosts := fs.Int("vmhosts", 1, "number of VMhosts")
+	sidecores := fs.Int("sidecores", 1, "sidecores (per host for elvis; at the IOhost for vrio)")
+	wl := fs.String("workload", "rr", "rr | stream | apache | memcached | filebench | webserver")
+	measure := fs.Duration("measure", 50*time.Millisecond, "measured simulated duration")
+	seed := fs.Uint64("seed", 1, "simulation seed (same seed => identical run)")
+	overrides := fs.String("params", "", "JSON object of parameter overrides (see internal/params)")
+	faultProfile := fs.String("fault-profile", "", "fault profile: lossy | flaky | degraded | chaos, or inline JSON (empty = no faults)")
+	faultSeed := fs.Uint64("fault-seed", 0, "seed for the fault draws (0 = derive from -seed)")
+	racks := fs.Int("racks", 1, "number of racks; >1 builds a spine-leaf fabric (rr workload only)")
+	shards := fs.Int("shards", 0, "workers executing the fabric's shards (0 = one per CPU, 1 = serial)")
+	oversub := fs.Float64("oversub", 4, "ToR downlink:uplink oversubscription ratio for -racks > 1")
+	doTrace := fs.Bool("trace", false, "with -racks > 1: record cross-shard spans and write the merged span export")
+	traceOut := fs.String("trace-out", "fabric-trace", "output directory for the fabric span/metrics/anomaly JSONL artifacts")
+	metricsInterval := fs.Duration("metrics-interval", 0, "fabric metrics rollup sampling interval in sim time (0 = 1ms when -trace is set, otherwise off)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	valid := map[string]vrio.Model{
 		"baseline": core.ModelBaseline, "elvis": core.ModelElvis,
@@ -70,42 +82,42 @@ func main() {
 	}
 	m, ok := valid[*model]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown model %q\n", *model)
+		return 2
 	}
 
 	p := vrio.DefaultParams()
 	if *overrides != "" {
 		if err := p.UnmarshalOverrides([]byte(*overrides)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	}
 	prof, err := vrio.ParseFaultProfile(*faultProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *racks > 1 {
 		if *wl != "rr" {
-			fmt.Fprintf(os.Stderr, "-racks > 1 supports only the rr workload (got %q)\n", *wl)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "-racks > 1 supports only the rr workload (got %q)\n", *wl)
+			return 2
 		}
 		if *faultProfile != "" {
-			fmt.Fprintln(os.Stderr, "-racks > 1 does not take a fault profile yet")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-racks > 1 does not take a fault profile yet")
+			return 2
 		}
-		if err := runFabric(m, *racks, *shards, *oversub, *vms, *hosts, *seed, &p, *measure,
+		if err := runFabric(stdout, m, *racks, *shards, *oversub, *vms, *hosts, *seed, &p, *measure,
 			*doTrace, *traceOut, *metricsInterval); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		return
+		return 0
 	}
 	if *doTrace || *metricsInterval > 0 {
-		fmt.Fprintln(os.Stderr, "-trace/-metrics-interval here apply to fabric runs (-racks > 1); for a single-rack trace use vrio-experiments -trace")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-trace/-metrics-interval here apply to fabric runs (-racks > 1); for a single-rack trace use vrio-experiments -trace")
+		return 2
 	}
 
 	needsBlock := *wl == "filebench" || *wl == "webserver"
@@ -116,87 +128,100 @@ func main() {
 		Seed: *seed, Params: &p,
 	})
 	eng := tb.Raw().Eng
-	stopOnSignal(eng.Interrupt)
+	defer stopOnSignal(eng.Interrupt)()
 	defer func() {
 		if eng.Interrupted() {
-			fmt.Printf("\ninterrupted at t=%v — results above cover the elapsed portion only\n",
+			fmt.Fprintf(stdout, "\ninterrupted at t=%v — results above cover the elapsed portion only\n",
 				time.Duration(eng.Now()))
 		}
 	}()
 
-	fmt.Printf("model=%s vms=%d vmhosts=%d sidecores=%d workload=%s measure=%v",
+	fmt.Fprintf(stdout, "model=%s vms=%d vmhosts=%d sidecores=%d workload=%s measure=%v",
 		*model, *vms, *hosts, *sidecores, *wl, *measure)
 	if *faultProfile != "" {
-		fmt.Printf(" fault-profile=%s fault-seed=%d", *faultProfile, *faultSeed)
+		fmt.Fprintf(stdout, " fault-profile=%s fault-seed=%d", *faultProfile, *faultSeed)
 	}
-	fmt.Print("\n\n")
+	fmt.Fprint(stdout, "\n\n")
 
 	switch *wl {
 	case "rr":
 		r := tb.RunNetperfRR(*measure)
-		fmt.Printf("transactions: %d\n", r.Ops)
-		fmt.Printf("mean latency: %.1f µs\n", r.MeanLatencyMicros)
-		fmt.Printf("p99 latency:  %.1f µs\n", r.P99Micros)
+		fmt.Fprintf(stdout, "transactions: %d\n", r.Ops)
+		fmt.Fprintf(stdout, "mean latency: %.1f µs\n", r.MeanLatencyMicros)
+		fmt.Fprintf(stdout, "p99 latency:  %.1f µs\n", r.P99Micros)
 	case "stream":
 		r := tb.RunNetperfStream(*measure)
-		fmt.Printf("chunks:      %d\n", r.Ops)
-		fmt.Printf("throughput:  %.2f Gbps\n", r.ThroughputGbps)
+		fmt.Fprintf(stdout, "chunks:      %d\n", r.Ops)
+		fmt.Fprintf(stdout, "throughput:  %.2f Gbps\n", r.ThroughputGbps)
 	case "apache":
 		r := tb.RunMacro(vrio.Apache, *measure)
-		fmt.Printf("requests:    %d (%.0f req/s)\n", r.Ops, float64(r.Ops)/measure.Seconds())
-		fmt.Printf("mean latency %.1f µs\n", r.MeanLatencyMicros)
+		fmt.Fprintf(stdout, "requests:    %d (%.0f req/s)\n", r.Ops, float64(r.Ops)/measure.Seconds())
+		fmt.Fprintf(stdout, "mean latency %.1f µs\n", r.MeanLatencyMicros)
 	case "memcached":
 		r := tb.RunMacro(vrio.Memcached, *measure)
-		fmt.Printf("transactions: %d (%.0f tps)\n", r.Ops, float64(r.Ops)/measure.Seconds())
-		fmt.Printf("mean latency: %.1f µs\n", r.MeanLatencyMicros)
+		fmt.Fprintf(stdout, "transactions: %d (%.0f tps)\n", r.Ops, float64(r.Ops)/measure.Seconds())
+		fmt.Fprintf(stdout, "mean latency: %.1f µs\n", r.MeanLatencyMicros)
 	case "filebench":
 		r := tb.RunFilebench(2, 2, *measure)
-		fmt.Printf("block ops:    %d (%.0f ops/s)\n", r.Ops, r.OpsPerSec)
-		fmt.Printf("throughput:   %.0f Mbps\n", r.ThroughputMbps)
-		fmt.Printf("guest context switches: %d involuntary, %d voluntary\n",
+		fmt.Fprintf(stdout, "block ops:    %d (%.0f ops/s)\n", r.Ops, r.OpsPerSec)
+		fmt.Fprintf(stdout, "throughput:   %.0f Mbps\n", r.ThroughputMbps)
+		fmt.Fprintf(stdout, "guest context switches: %d involuntary, %d voluntary\n",
 			r.InvoluntaryCS, r.VoluntaryCS)
 	case "webserver":
 		r := tb.RunWebserver(*measure)
-		fmt.Printf("files served: %d (%.0f files/s)\n", r.Ops, r.OpsPerSec)
-		fmt.Printf("throughput:   %.0f Mbps\n", r.ThroughputMbps)
+		fmt.Fprintf(stdout, "files served: %d (%.0f files/s)\n", r.Ops, r.OpsPerSec)
+		fmt.Fprintf(stdout, "throughput:   %.0f Mbps\n", r.ThroughputMbps)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
+		return 2
 	}
 
 	if busy, poll := tb.SidecoreUtilization(); len(busy) > 0 {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for i := range busy {
-			fmt.Printf("sidecore %d: %.0f%% busy, %.0f%% polling\n",
+			fmt.Fprintf(stdout, "sidecore %d: %.0f%% busy, %.0f%% polling\n",
 				i, busy[i]*100, poll[i]*100)
 		}
 	}
 
 	if pl := tb.Raw().Fault; pl.Active() {
-		fmt.Println()
-		fmt.Printf("faults injected: %d lost, %d corrupted, %d jittered, %d reordered, %d flaps, %d stalls\n",
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "faults injected: %d lost, %d corrupted, %d jittered, %d reordered, %d flaps, %d stalls\n",
 			pl.Counters.Get("frames_dropped"), pl.Counters.Get("frames_corrupted"),
 			pl.Counters.Get("frames_jittered"), pl.Counters.Get("frames_reordered"),
 			pl.Counters.Get("flaps"), pl.Counters.Get("stalls"))
-		fmt.Printf("faulted wires:   %d frames offered, %d delivered\n",
+		fmt.Fprintf(stdout, "faulted wires:   %d frames offered, %d delivered\n",
 			pl.WireOffered(), pl.WireDelivered())
 	}
+	return 0
 }
 
 // stopOnSignal requests a graceful stop on the first SIGINT/SIGTERM: the
 // running engine (or shard group) parks at its next interrupt check, the
 // measured results and JSONL artifacts are flushed for the elapsed
 // portion, and the summary still prints. A second signal kills the
-// process the classic way.
-func stopOnSignal(interrupt func()) {
+// process the classic way. The returned func stops listening.
+func stopOnSignal(interrupt func()) (stop func()) {
 	sigc := make(chan os.Signal, 2)
+	done := make(chan struct{})
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		<-sigc
-		interrupt()
-		<-sigc
-		os.Exit(130)
+		select {
+		case <-done:
+			return
+		case <-sigc:
+			interrupt()
+		}
+		select {
+		case <-done:
+		case <-sigc:
+			os.Exit(130)
+		}
 	}()
+	return func() {
+		signal.Stop(sigc)
+		close(done)
+	}
 }
 
 // runFabric builds a spine-leaf fabric of racks testbeds, drives every guest
@@ -206,7 +231,7 @@ func stopOnSignal(interrupt func()) {
 // coordinator's accounting. With tracing or a metrics interval it also runs
 // the observability plane: per-rack controllers, the datacenter rollup, and
 // (for -trace) cross-shard span recording, exporting the merged artifacts.
-func runFabric(m vrio.Model, racks, shards int, oversub float64, vms, hosts int, seed uint64, p *vrio.Params, measure time.Duration,
+func runFabric(w io.Writer, m vrio.Model, racks, shards int, oversub float64, vms, hosts int, seed uint64, p *vrio.Params, measure time.Duration,
 	doTrace bool, outDir string, metricsInterval time.Duration) error {
 	observe := doTrace || metricsInterval > 0
 	f, err := cluster.BuildFabric(cluster.FabricSpec{
@@ -257,12 +282,12 @@ func runFabric(m vrio.Model, racks, shards int, oversub float64, vms, hosts int,
 		dc.Start()
 		ru.Start()
 	}
-	stopOnSignal(f.Group.Interrupt)
+	defer stopOnSignal(f.Group.Interrupt)()
 	t0 := time.Now()
 	f.RunMeasured(warm, dur, shards, perRack)
 	wall := time.Since(t0)
 	if f.Group.Interrupted() {
-		fmt.Println("interrupted — results below cover the elapsed portion only")
+		fmt.Fprintln(w, "interrupted — results below cover the elapsed portion only")
 	}
 	if observe {
 		ru.Stop()
@@ -280,14 +305,14 @@ func runFabric(m vrio.Model, racks, shards int, oversub float64, vms, hosts int,
 	for _, s := range f.Group.Shards() {
 		xshard += s.Received
 	}
-	fmt.Printf("fabric: %d racks x %d VMhosts x %d VMs, oversub %g:1, %d shard workers\n",
+	fmt.Fprintf(w, "fabric: %d racks x %d VMhosts x %d VMs, oversub %g:1, %d shard workers\n",
 		racks, hosts, vms, oversub, shards)
-	fmt.Printf("transactions: %d (%d errors), all cross-rack\n", ops, errs)
-	fmt.Printf("p50 latency:  %.1f µs\n", float64(agg.Percentile(50))/1000)
-	fmt.Printf("p99 latency:  %.1f µs\n", float64(agg.Percentile(99))/1000)
-	fmt.Printf("cross-shard messages: %d over %d sync windows (lookahead %v)\n",
+	fmt.Fprintf(w, "transactions: %d (%d errors), all cross-rack\n", ops, errs)
+	fmt.Fprintf(w, "p50 latency:  %.1f µs\n", float64(agg.Percentile(50))/1000)
+	fmt.Fprintf(w, "p99 latency:  %.1f µs\n", float64(agg.Percentile(99))/1000)
+	fmt.Fprintf(w, "cross-shard messages: %d over %d sync windows (lookahead %v)\n",
 		xshard, f.Group.Windows, time.Duration(f.Lookahead))
-	fmt.Printf("wall clock: %v for %d simulated events (%.0f events/sec)\n",
+	fmt.Fprintf(w, "wall clock: %v for %d simulated events (%.0f events/sec)\n",
 		wall, f.TotalExecuted(), float64(f.TotalExecuted())/wall.Seconds())
 
 	if observe {
@@ -307,10 +332,10 @@ func runFabric(m vrio.Model, racks, shards int, oversub float64, vms, hosts int,
 			if err := file.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Fprintf(w, "wrote %s\n", path)
 			return nil
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if doTrace {
 			if err := write("spans.jsonl", f.WriteSpans); err != nil {
 				return err
@@ -322,8 +347,8 @@ func runFabric(m vrio.Model, racks, shards int, oversub float64, vms, hosts int,
 		if err := write("anomalies.jsonl", ru.WriteAnomaliesJSONL); err != nil {
 			return err
 		}
-		fmt.Println()
-		fmt.Print(ru.Summary())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, ru.Summary())
 	}
 	return nil
 }

@@ -141,8 +141,9 @@ race-vol:
 	$(GO) test -race -run 'Vol|Quorum|Rebuild|Replica' ./internal/blockdev/ ./internal/core/ ./internal/cluster/ ./internal/experiments/
 
 # Documentation gate: every exported symbol in blockdev/iohyp/cluster/virtio/
-# core/bufpool/transport/ethernet/nic/sim/experiments has a doc comment, and
-# README's architecture map covers every internal/ package.
+# core/bufpool/transport/ethernet/nic/sim/experiments/workload and the root
+# package has a doc comment, and README's architecture map covers every
+# internal/ package.
 doccheck:
 	./scripts/doccheck.sh
 

@@ -33,6 +33,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
@@ -41,7 +42,6 @@ import (
 	"vrio/internal/core"
 	"vrio/internal/rack"
 	"vrio/internal/sim"
-	"vrio/internal/stats"
 	"vrio/internal/workload"
 )
 
@@ -263,22 +263,13 @@ func runFabric(w io.Writer, m vrio.Model, racks, shards int, oversub float64, vm
 
 	warm := sim.Time(measure.Nanoseconds()) / 5
 	dur := sim.Time(measure.Nanoseconds())
-	var rrs []*workload.RR
-	perRack := make([][]cluster.Measurable, racks)
-	for r := 0; r < racks; r++ {
-		server := f.Racks[(r+1)%racks]
-		for g, guest := range server.Guests {
-			workload.InstallRRServer(guest, server.P.NetperfRRProcessCost)
-			rr := workload.NewRR(f.Racks[r].StationFor(g), guest.MAC(), 16)
-			rr.Start()
-			rrs = append(rrs, rr)
-			perRack[r] = append(perRack[r], &rr.Results)
-			if ru != nil {
-				ru.ObserveLatency(r, true, &rr.Results.Latency)
+	perRack := f.StartEach(f.StartRR)
+	if observe {
+		for r, rs := range perRack {
+			for _, res := range rs {
+				ru.ObserveLatency(r, true, &res.Latency)
 			}
 		}
-	}
-	if observe {
 		dc.Start()
 		ru.Start()
 	}
@@ -294,22 +285,16 @@ func runFabric(w io.Writer, m vrio.Model, racks, shards int, oversub float64, vm
 		dc.Stop()
 	}
 
-	var ops, errs uint64
-	var agg stats.Histogram
-	for _, rr := range rrs {
-		ops += rr.Results.Ops
-		errs += rr.Results.Errors
-		agg.Merge(&rr.Results.Latency)
-	}
+	s := workload.Summarize(slices.Concat(perRack...), dur)
 	var xshard uint64
 	for _, s := range f.Group.Shards() {
 		xshard += s.Received
 	}
 	fmt.Fprintf(w, "fabric: %d racks x %d VMhosts x %d VMs, oversub %g:1, %d shard workers\n",
 		racks, hosts, vms, oversub, shards)
-	fmt.Fprintf(w, "transactions: %d (%d errors), all cross-rack\n", ops, errs)
-	fmt.Fprintf(w, "p50 latency:  %.1f µs\n", float64(agg.Percentile(50))/1000)
-	fmt.Fprintf(w, "p99 latency:  %.1f µs\n", float64(agg.Percentile(99))/1000)
+	fmt.Fprintf(w, "transactions: %d (%d errors), all cross-rack\n", s.Ops, s.Errors)
+	fmt.Fprintf(w, "p50 latency:  %.1f µs\n", s.P50Micros)
+	fmt.Fprintf(w, "p99 latency:  %.1f µs\n", s.P99Micros)
 	fmt.Fprintf(w, "cross-shard messages: %d over %d sync windows (lookahead %v)\n",
 		xshard, f.Group.Windows, time.Duration(f.Lookahead))
 	fmt.Fprintf(w, "wall clock: %v for %d simulated events (%.0f events/sec)\n",

@@ -43,7 +43,7 @@ func main() {
 	// Only host 0 is active; Elvis can use its one local sidecore, vRIO
 	// the whole consolidated pair.
 	elvisI := runWebserver(vrio.ModelElvis, 1, 1, aes)
-	vrioI := runWebserverSidecores(vrio.ModelVRIO, 2, 1, aes)
+	vrioI := runWebserver(vrio.ModelVRIO, 2, 1, aes)
 	fmt.Printf("  elvis (1 usable sidecore):      %8.0f Mbps\n", elvisI)
 	fmt.Printf("  vrio  (2 consolidated):         %8.0f Mbps  (%+.0f%%)\n",
 		vrioI, (vrioI/elvisI-1)*100)
@@ -53,45 +53,16 @@ func main() {
 	fmt.Println("whole sidecore budget.")
 }
 
+// runWebserver assembles the 2-host x 5-VM webserver rack directly on the
+// cluster layer (the experiment needs per-host activity control) and
+// returns its throughput in Mbps.
 func runWebserver(model vrio.Model, sidecores, activeHosts int, chain func(int, int) *interpose.Chain) float64 {
-	return runWebserverSidecores(model, sidecores, activeHosts, chain)
-}
-
-// runWebserverSidecores assembles the 2-host x 5-VM webserver rack directly
-// on the cluster layer (the experiment needs per-host activity control).
-func runWebserverSidecores(model vrio.Model, sidecores, activeHosts int, chain func(int, int) *interpose.Chain) float64 {
 	tb := cluster.Build(cluster.Spec{
 		Model: model, VMHosts: 2, VMsPerHost: 5,
 		SidecoresPerHost: sidecores, IOhostSidecores: sidecores,
 		WithBlock: true, WithThreads: true, BlkChain: chain, Seed: 5,
 	})
-	var wss []*workload.Webserver
-	var cs []cluster.Measurable
-	for i, g := range tb.Guests {
-		if tb.GuestHost[i] >= activeHosts {
-			continue
-		}
-		ws := workload.NewWebserver(tb.Eng, g.Threads, g, workload.WebserverConfig{
-			Threads:         tb.P.WebserverThreads,
-			Files:           tb.P.WebserverFileCount,
-			MeanFileSize:    tb.P.WebserverMeanFileSize,
-			ChunkSize:       tb.P.FilebenchIOSize,
-			OpCost:          tb.P.WebserverOpCost,
-			OpenCost:        tb.P.WebserverOpenCost,
-			LogWrite:        tb.P.WebserverLogWrite,
-			CapacitySectors: tb.BlockDevices[i].Store().Capacity(),
-			SectorSize:      tb.P.SectorSize,
-			Seed:            uint64(600 + i),
-		})
-		ws.Start()
-		wss = append(wss, ws)
-		cs = append(cs, &ws.Results)
-	}
 	win := sim.Time(measure.Nanoseconds())
-	tb.RunMeasured(win/10, win, cs...)
-	var bytes uint64
-	for _, ws := range wss {
-		bytes += ws.Results.Bytes
-	}
-	return float64(bytes*8) / win.Seconds() / 1e6
+	s := tb.RunEach(win/10, win, func(i int) *workload.Results { return tb.StartWebserver(i, 600, activeHosts) })
+	return s.Gbps * 1e3
 }

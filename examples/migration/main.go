@@ -26,13 +26,10 @@ func demoMigration() {
 	tb := cluster.Build(cluster.Spec{
 		Model: vrio.ModelVRIO, VMHosts: 2, VMsPerHost: 1, WithBlock: true, Seed: 11,
 	})
-	g := tb.Guests[0]
-	workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-	rr := workload.NewRR(tb.Stations[0], g.MAC(), 16)
-	rr.Start()
-	rr.Results.StartMeasuring()
+	rr := tb.StartRR(0)
+	rr.StartMeasuring()
 
-	snap := func() uint64 { return rr.Results.Ops }
+	snap := func() uint64 { return rr.Ops }
 	var before uint64
 	tb.Eng.At(40*sim.Millisecond, func() {
 		before = snap()
@@ -57,21 +54,11 @@ func demoFailover() {
 	})
 	ctrl := rack.New(tb, rack.Config{})
 	ctrl.Start()
-	var rrs []*workload.RR
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rr.Results.StartMeasuring()
-		rrs = append(rrs, rr)
+	rs := tb.StartEach(tb.StartRR)
+	for _, r := range rs {
+		r.StartMeasuring()
 	}
-	total := func() uint64 {
-		var t uint64
-		for _, rr := range rrs {
-			t += rr.Results.Ops
-		}
-		return t
-	}
+	total := func() uint64 { return workload.Summarize(rs, 0).Ops }
 	var atCrash uint64
 	tb.Eng.At(40*sim.Millisecond, func() {
 		atCrash = total()

@@ -33,7 +33,7 @@ func demoRebalance() {
 	})
 	c := rack.New(tb, rack.Config{RebalanceInterval: 5 * sim.Millisecond})
 	c.Start()
-	rrs := startTraffic(tb)
+	rs := startRR(tb)
 
 	fmt.Println("  t[ms]   busy[ms/IOhost]          placement")
 	for ms := 20; ms <= 100; ms += 20 {
@@ -52,7 +52,7 @@ func demoRebalance() {
 	}
 	tb.Eng.RunUntil(100 * sim.Millisecond)
 
-	fmt.Printf("  %d transactions; %d rebalance moves:\n", totalOps(rrs), c.Counters.Get("rebalances"))
+	fmt.Printf("  %d transactions; %d rebalance moves:\n", workload.Summarize(rs, 0).Ops, c.Counters.Get("rebalances"))
 	for _, ev := range c.Events {
 		fmt.Printf("    t=%-8v %s vm%d: IOhost %d -> %d\n", ev.T, ev.Kind, ev.VM, ev.IOhost, ev.Dst)
 	}
@@ -72,13 +72,14 @@ func demoFailureDetection() {
 	cfg := rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3}
 	c := rack.New(tb, cfg)
 	c.Start()
-	rrs := startTraffic(tb)
+	rs := startRR(tb)
+	ops := func() uint64 { return workload.Summarize(rs, 0).Ops }
 
 	var atCrash, failT sim.Time = 0, 40 * sim.Millisecond
 	var opsAtCrash uint64
 	tb.Eng.At(failT, func() {
 		atCrash = tb.Eng.Now()
-		opsAtCrash = totalOps(rrs)
+		opsAtCrash = ops()
 		fmt.Printf("  t=%-8v %5d transactions; IOhost 1 fails (heartbeats every %v, %d misses => dead)\n",
 			atCrash, opsAtCrash, cfg.HeartbeatInterval, cfg.MissThreshold)
 		tb.IOHyps[1].Fail()
@@ -95,29 +96,18 @@ func demoFailureDetection() {
 		}
 	}
 	fmt.Printf("  t=%-8v %5d transactions (%d served after the crash); survivors alive: %d/%d\n",
-		tb.Eng.Now(), totalOps(rrs), totalOps(rrs)-opsAtCrash, c.AliveIOhosts(), len(tb.IOHyps))
+		tb.Eng.Now(), ops(), ops()-opsAtCrash, c.AliveIOhosts(), len(tb.IOHyps))
 	fmt.Println()
 	fmt.Println("Paper §4.6 sketches failover onto a fallback IOhost; internal/rack")
 	fmt.Println("turns it into a control plane: bounded-window detection, automatic")
 	fmt.Println("re-homing, and gauge-driven rebalancing across the whole rack.")
 }
 
-func startTraffic(tb *cluster.Testbed) []*workload.RR {
-	var rrs []*workload.RR
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rr.Results.StartMeasuring()
-		rrs = append(rrs, rr)
+// startRR drives netperf RR on every guest, counting transactions from now.
+func startRR(tb *cluster.Testbed) []*workload.Results {
+	rs := tb.StartEach(tb.StartRR)
+	for _, r := range rs {
+		r.StartMeasuring()
 	}
-	return rrs
-}
-
-func totalOps(rrs []*workload.RR) uint64 {
-	var t uint64
-	for _, rr := range rrs {
-		t += rr.Results.Ops
-	}
-	return t
+	return rs
 }

@@ -1,7 +1,7 @@
 // Package cluster assembles the §5 testbeds: VMhosts, load generators, the
 // rack switch, and — for vRIO — the IOhost with its directly cabled channel
 // NICs. One Build call produces a ready testbed for any of the five
-// evaluated configurations.
+// evaluated configurations, and one starter per §5 workload runs it.
 package cluster
 
 import (
@@ -851,16 +851,9 @@ func (tb *Testbed) StationFor(guest int) *workload.Station {
 	return tb.Stations[tb.GuestHost[guest]]
 }
 
-// Run advances the simulation: warmup, then a measured window during which
-// the provided Results collectors record. It returns the measured duration.
-type Measurable interface {
-	StartMeasuring()
-	StopMeasuring()
-}
-
 // RunMeasured runs warmup + duration, toggling the collectors around the
 // measurement window.
-func (tb *Testbed) RunMeasured(warmup, duration sim.Time, collectors ...Measurable) sim.Time {
+func (tb *Testbed) RunMeasured(warmup, duration sim.Time, collectors ...*workload.Results) sim.Time {
 	tb.Eng.At(tb.Eng.Now()+warmup, func() {
 		for _, c := range collectors {
 			c.StartMeasuring()

@@ -15,24 +15,16 @@ import (
 func rrLatency(t *testing.T, model core.ModelName, n int) float64 {
 	t.Helper()
 	tb := Build(Spec{Model: model, VMsPerHost: n, Seed: 7})
-	var collectors []Measurable
-	var rrs []*workload.RR
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rrs = append(rrs, rr)
-		collectors = append(collectors, &rr.Results)
-	}
-	tb.RunMeasured(5*sim.Millisecond, 50*sim.Millisecond, collectors...)
+	rs := tb.StartEach(tb.StartRR)
+	tb.RunMeasured(5*sim.Millisecond, 50*sim.Millisecond, rs...)
 	var total float64
 	var ops uint64
-	for _, rr := range rrs {
-		if rr.Results.Ops == 0 {
+	for _, r := range rs {
+		if r.Ops == 0 {
 			t.Fatalf("%s: a VM completed zero transactions", model)
 		}
-		total += rr.Results.Latency.Mean() * float64(rr.Results.Ops)
-		ops += rr.Results.Ops
+		total += r.Latency.Mean() * float64(r.Ops)
+		ops += r.Ops
 	}
 	return total / float64(ops) / 1000
 }
@@ -290,22 +282,14 @@ func TestScalabilityFourVMhosts(t *testing.T) {
 		Model: core.ModelVRIO, VMHosts: 4, VMsPerHost: 2,
 		IOhostSidecores: 2, Seed: 5,
 	})
-	var collectors []Measurable
 	total := uint64(0)
-	var rrs []*workload.RR
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rrs = append(rrs, rr)
-		collectors = append(collectors, &rr.Results)
-	}
-	tb.RunMeasured(5*sim.Millisecond, 30*sim.Millisecond, collectors...)
-	for i, rr := range rrs {
-		if rr.Results.Ops == 0 {
+	rs := tb.StartEach(tb.StartRR)
+	tb.RunMeasured(5*sim.Millisecond, 30*sim.Millisecond, rs...)
+	for i, r := range rs {
+		if r.Ops == 0 {
 			t.Errorf("VM %d starved", i)
 		}
-		total += rr.Results.Ops
+		total += r.Ops
 	}
 	if total == 0 {
 		t.Fatal("no traffic across the rack")

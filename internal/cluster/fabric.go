@@ -20,6 +20,7 @@ import (
 	"vrio/internal/params"
 	"vrio/internal/sim"
 	"vrio/internal/trace"
+	"vrio/internal/workload"
 )
 
 // macRackStride is the size of each rack's MAC address block: rack r mints
@@ -378,9 +379,9 @@ func (f *Fabric) registerUplinkMetrics(r int, tb *Testbed) {
 // to any parallel run). perRack[r] lists the collectors owned by rack r;
 // their start/stop toggles are scheduled on that rack's own engine, keeping
 // every mutation single-shard. Call once, from time zero.
-func (f *Fabric) RunMeasured(warmup, duration sim.Time, workers int, perRack [][]Measurable) sim.Time {
+func (f *Fabric) RunMeasured(warmup, duration sim.Time, workers int, perRack [][]*workload.Results) sim.Time {
 	for r, tb := range f.Racks {
-		var cs []Measurable
+		var cs []*workload.Results
 		if r < len(perRack) {
 			cs = perRack[r]
 		}

@@ -30,10 +30,10 @@ func testFabricSpec() FabricSpec {
 // and whose server guest lives in rack (r+1)%N — every transaction crosses
 // the spine twice. Returns the RRs (indexed by client rack) and the
 // per-rack collector lists for RunMeasured.
-func crossRackRR(f *Fabric) ([]*workload.RR, [][]Measurable) {
+func crossRackRR(f *Fabric) ([]*workload.RR, [][]*workload.Results) {
 	n := len(f.Racks)
 	rrs := make([]*workload.RR, n)
-	perRack := make([][]Measurable, n)
+	perRack := make([][]*workload.Results, n)
 	for r := 0; r < n; r++ {
 		server := f.Racks[(r+1)%n]
 		workload.InstallRRServer(server.Guests[0], server.P.NetperfRRProcessCost)
@@ -140,12 +140,9 @@ func TestFabricIntraRackStaysLocal(t *testing.T) {
 		t.Fatalf("BuildFabric: %v", err)
 	}
 	defer f.Close()
-	perRack := make([][]Measurable, len(f.Racks))
+	perRack := make([][]*workload.Results, len(f.Racks))
 	for r, tb := range f.Racks {
-		workload.InstallRRServer(tb.Guests[0], tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(0), tb.Guests[0].MAC(), 16)
-		rr.Start()
-		perRack[r] = append(perRack[r], &rr.Results)
+		perRack[r] = append(perRack[r], tb.StartRR(0))
 	}
 	f.RunMeasured(2*sim.Millisecond, 10*sim.Millisecond, 2, perRack)
 	for s, sw := range f.Spines {

@@ -20,8 +20,8 @@ var ablationMTU = &Grid{
 		p := params.Default()
 		p.MTU = pt.Int("MTU")
 		tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMsPerHost: 4, Params: &p, Seed: 301})
-		sts := streamRun(tb, warm, dur)
-		return one(Metrics{"Gbps": aggGbps(sts, dur), "copied": float64(tb.IOHyp.Counters.Get("copy_bytes"))})
+		s := tb.RunEach(warm, dur, tb.StartStream)
+		return one(Metrics{"Gbps": s.Gbps, "copied": float64(tb.IOHyp.Counters.Get("copy_bytes"))})
 	},
 	Cols:  []Col{axisCol("MTU"), num("Gbps", "Gbps", f2), num("copied bytes at IOhost", "copied", d)},
 	Notes: lines("§4.4: MTU 8100 keeps 64KiB messages within 17 pages (zero copy); 9000 forces copies; small MTUs cost fragments"),
@@ -39,8 +39,8 @@ var ablationRxRing = &Grid{
 		p := params.Default()
 		p.RxRingSize = pt.Int("ring")
 		tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMsPerHost: 6, Params: &p, Seed: 311})
-		sts := streamRun(tb, warm, dur)
-		return one(Metrics{"drops": float64(tb.IOHyp.ChannelDrops()), "Gbps": aggGbps(sts, dur)})
+		s := tb.RunEach(warm, dur, tb.StartStream)
+		return one(Metrics{"drops": float64(tb.IOHyp.ChannelDrops()), "Gbps": s.Gbps})
 	},
 	Cols:  []Col{axisCol("ring"), num("frames dropped", "drops", d), num("Gbps", "Gbps", f2)},
 	Notes: lines("§4.5: the paper saw in-the-wild loss with a 512 ring; 4096 eliminated it"),
@@ -68,34 +68,17 @@ var ablationRetransmit = &Grid{
 			WithBlock: true, WithThreads: true, Params: &p, Seed: 321,
 		})
 		// Guests 0-5 stream (the burst source); guests 6-7 run block I/O.
-		var cs []cluster.Measurable
-		for i := 0; i < 6; i++ {
-			st := workload.NewStream(tb.Guests[i], tb.StationFor(i), p.StreamChunk, p.StreamPerChunkCost, 16)
-			st.Start()
-			cs = append(cs, &st.Results)
-		}
-		var fbs []*workload.Filebench
-		for i := 6; i < 8; i++ {
-			fb := workload.NewFilebench(tb.Eng, tb.Guests[i].Threads, tb.Guests[i], workload.FilebenchConfig{
-				Readers: 2, Writers: 2,
-				IOSize:          p.FilebenchIOSize,
-				OpCost:          p.FilebenchOpCost,
-				CapacitySectors: tb.BlockDevices[i].Store().Capacity(),
-				SectorSize:      p.SectorSize,
-				Seed:            uint64(340 + i),
-			})
-			fb.Start()
-			fbs = append(fbs, fb)
-			cs = append(cs, &fb.Results)
-		}
-		tb.RunMeasured(warm, dur, cs...)
-		m := Metrics{}
+		rs := tb.StartEach(func(i int) *workload.Results {
+			if i < 6 {
+				return tb.StartStream(i)
+			}
+			return tb.StartFilebench(i, 2, 2, 340)
+		})
+		tb.RunMeasured(warm, dur, rs...)
+		m := Metrics{"ops/s": workload.Summarize(rs[6:], dur).OpsPerSec}
 		for _, cl := range tb.VRIOClients {
 			m["retransmits"] += float64(cl.Driver.Counters.Get("retransmits"))
 			m["device errors"] += float64(cl.Driver.Counters.Get("device_errors"))
-		}
-		for _, fb := range fbs {
-			m["ops/s"] += fb.Results.OpsPerSec(dur)
 		}
 		return one(m)
 	},
@@ -117,7 +100,7 @@ var ablationSteering = &Grid{
 			Model: core.ModelVRIO, VMsPerHost: 8, IOhostSidecores: 4,
 			WithBlock: true, WithThreads: true, Params: &p, Seed: 331,
 		})
-		ops := filebenchOn(tb, 2, 2, warm, dur)
+		ops := tb.RunEach(warm, dur, func(i int) *workload.Results { return tb.StartFilebench(i, 2, 2, 300) }).OpsPerSec
 		var minP, maxP uint64
 		for i, w := range tb.IOHyp.Workers() {
 			n := w.Processed

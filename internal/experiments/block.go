@@ -12,32 +12,6 @@ import (
 	"vrio/internal/workload"
 )
 
-// filebenchOn runs the random-I/O personality with the given thread mix on
-// every guest of tb, returning aggregate ops/sec.
-func filebenchOn(tb *cluster.Testbed, readers, writers int, warm, dur sim.Time) float64 {
-	var fbs []*workload.Filebench
-	var cs []cluster.Measurable
-	for i, g := range tb.Guests {
-		fb := workload.NewFilebench(tb.Eng, g.Threads, g, workload.FilebenchConfig{
-			Readers: readers, Writers: writers,
-			IOSize:          tb.P.FilebenchIOSize,
-			OpCost:          tb.P.FilebenchOpCost,
-			CapacitySectors: tb.BlockDevices[i].Store().Capacity(),
-			SectorSize:      tb.P.SectorSize,
-			Seed:            uint64(300 + i),
-		})
-		fb.Start()
-		fbs = append(fbs, fb)
-		cs = append(cs, &fb.Results)
-	}
-	tb.RunMeasured(warm, dur, cs...)
-	var total float64
-	for _, fb := range fbs {
-		total += fb.Results.OpsPerSec(dur)
-	}
-	return total
-}
-
 // fig14Mixes maps each thread mix to its reader and writer counts.
 var fig14Mixes = map[string][2]int{"1 reader": {1, 0}, "1 pair": {1, 1}, "2 pairs": {2, 2}}
 
@@ -58,7 +32,8 @@ var fig14 = &Grid{
 			Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), WithBlock: true, WithThreads: true, Seed: 201,
 		})
 		mix := fig14Mixes[p["mix"]]
-		return one(Metrics{"ops/s": filebenchOn(tb, mix[0], mix[1], warm, dur)})
+		s := tb.RunEach(warm, dur, func(i int) *workload.Results { return tb.StartFilebench(i, mix[0], mix[1], 300) })
+		return one(Metrics{"ops/s": s.OpsPerSec})
 	},
 	Cols: append([]Col{axisCol("VMs"), axisCol("mix")},
 		modelCols(models(core.ModelElvis, core.ModelVRIO, core.ModelBaseline), "ops/s", f0)...),
@@ -69,44 +44,12 @@ var fig14 = &Grid{
 	},
 }
 
-// webserverSetup builds the §5 "Improving Utilization" testbed from s: two
-// VMhosts x five VMs, each with a remote/local 1GB ramdisk, running the
-// Webserver personality on the guests of the first activeHosts VMhosts.
-func webserverSetup(s cluster.Spec, activeHosts int, seed0 uint64) (*cluster.Testbed, []*workload.Webserver, []cluster.Measurable) {
+// webserverBed builds the §5 "Improving Utilization" testbed from s: two
+// VMhosts x five VMs, each with a remote/local 1GB ramdisk and a guest
+// thread scheduler for the Webserver personality.
+func webserverBed(s cluster.Spec) *cluster.Testbed {
 	s.VMHosts, s.VMsPerHost, s.WithBlock, s.WithThreads = 2, 5, true, true
-	tb := cluster.Build(s)
-	var wss []*workload.Webserver
-	var cs []cluster.Measurable
-	for i, g := range tb.Guests {
-		if tb.GuestHost[i] >= activeHosts {
-			continue // idle host in the imbalance experiment
-		}
-		ws := workload.NewWebserver(tb.Eng, g.Threads, g, workload.WebserverConfig{
-			Threads:         tb.P.WebserverThreads,
-			Files:           tb.P.WebserverFileCount,
-			MeanFileSize:    tb.P.WebserverMeanFileSize,
-			ChunkSize:       tb.P.FilebenchIOSize,
-			OpCost:          tb.P.WebserverOpCost,
-			OpenCost:        tb.P.WebserverOpenCost,
-			LogWrite:        tb.P.WebserverLogWrite,
-			CapacitySectors: tb.BlockDevices[i].Store().Capacity(),
-			SectorSize:      tb.P.SectorSize,
-			Seed:            seed0 + uint64(i),
-		})
-		ws.Start()
-		wss = append(wss, ws)
-		cs = append(cs, &ws.Results)
-	}
-	return tb, wss, cs
-}
-
-// aggMbps sums webserver throughput in Mbps.
-func aggMbps(wss []*workload.Webserver, dur sim.Time) float64 {
-	var total float64
-	for _, ws := range wss {
-		total += ws.Results.Throughput(dur)
-	}
-	return total / 1e6
+	return cluster.Build(s)
 }
 
 // sidecoreSpecs names the webserver configurations of Figures 15 and 16 by
@@ -131,12 +74,13 @@ var fig15 = &Grid{
 		warm, dur := durations(quick, 5*sim.Millisecond, 100*sim.Millisecond)
 		s := sidecoreSpecs[p["config"]]
 		s.Seed = 211
-		tb, _, cs := webserverSetup(s, 2, 400)
+		tb := webserverBed(s)
+		rs := tb.StartEach(func(i int) *workload.Results { return tb.StartWebserver(i, 400, 2) })
 		var samplers []*cpu.Sampler
 		for _, sc := range tb.Sidecores {
 			samplers = append(samplers, cpu.NewSampler(tb.Eng, sc, sim.Millisecond))
 		}
-		tb.RunMeasured(warm, dur, cs...)
+		tb.RunMeasured(warm, dur, rs...)
 		var out []Line
 		for i, sc := range tb.Sidecores {
 			elapsed := float64(tb.Eng.Now())
@@ -161,9 +105,8 @@ func webserverMbps(quick bool, config string, seed uint64, activeHosts int, chai
 	warm, dur := durations(quick, 5*sim.Millisecond, 100*sim.Millisecond)
 	s := sidecoreSpecs[config]
 	s.Seed, s.BlkChain = seed, chain
-	tb, wss, cs := webserverSetup(s, activeHosts, 400)
-	tb.RunMeasured(warm, dur, cs...)
-	return aggMbps(wss, dur)
+	tb := webserverBed(s)
+	return tb.RunEach(warm, dur, func(i int) *workload.Results { return tb.StartWebserver(i, 400, activeHosts) }).Gbps * 1e3
 }
 
 // fig16a is the consolidation tradeoff: same workload, half the sidecores

@@ -10,11 +10,8 @@ import (
 	"runtime"
 	"sync"
 
-	"vrio/internal/cluster"
 	"vrio/internal/core"
 	"vrio/internal/sim"
-	"vrio/internal/stats"
-	"vrio/internal/workload"
 )
 
 // Result is one regenerated table or figure.
@@ -194,83 +191,6 @@ var netModels = models(core.ModelOptimum, core.ModelVRIO, core.ModelElvis, core.
 // fig5Models adds the no-poll ablation (Figure 5's set).
 var fig5Models = models(core.ModelOptimum, core.ModelVRIO, core.ModelElvis,
 	core.ModelVRIONoPoll, core.ModelBaseline)
-
-// rrRun runs Netperf RR on every guest of a testbed and returns the RR
-// instances after the measured window.
-func rrRun(tb *cluster.Testbed, warmup, dur sim.Time) []*workload.RR {
-	var rrs []*workload.RR
-	var collectors []cluster.Measurable
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rrs = append(rrs, rr)
-		collectors = append(collectors, &rr.Results)
-	}
-	tb.RunMeasured(warmup, dur, collectors...)
-	return rrs
-}
-
-// meanLatencyMicros aggregates the ops-weighted mean latency in µs.
-func meanLatencyMicros(rrs []*workload.RR) float64 {
-	var weighted float64
-	var ops uint64
-	for _, rr := range rrs {
-		weighted += rr.Results.Latency.Mean() * float64(rr.Results.Ops)
-		ops += rr.Results.Ops
-	}
-	if ops == 0 {
-		return 0
-	}
-	return weighted / float64(ops) / 1000
-}
-
-// latencyPercentilesMicros merges every RR's latency histogram and reads
-// p50/p95/p99 in µs. Merging into a scratch histogram leaves the per-RR
-// results untouched.
-func latencyPercentilesMicros(rrs []*workload.RR) [3]float64 {
-	var merged stats.Histogram
-	for _, rr := range rrs {
-		merged.Merge(&rr.Results.Latency)
-	}
-	var out [3]float64
-	for i, p := range []float64{50, 95, 99} {
-		out[i] = float64(merged.Percentile(p)) / 1000
-	}
-	return out
-}
-
-// totalOps sums completed transactions.
-func totalOps(rrs []*workload.RR) uint64 {
-	var ops uint64
-	for _, rr := range rrs {
-		ops += rr.Results.Ops
-	}
-	return ops
-}
-
-// streamRun runs Netperf stream from every guest and returns the instances.
-func streamRun(tb *cluster.Testbed, warmup, dur sim.Time) []*workload.Stream {
-	var sts []*workload.Stream
-	var collectors []cluster.Measurable
-	for i, g := range tb.Guests {
-		st := workload.NewStream(g, tb.StationFor(i), tb.P.StreamChunk, tb.P.StreamPerChunkCost, 16)
-		st.Start()
-		sts = append(sts, st)
-		collectors = append(collectors, &st.Results)
-	}
-	tb.RunMeasured(warmup, dur, collectors...)
-	return sts
-}
-
-// aggGbps sums stream throughput in Gbps over the measured window.
-func aggGbps(sts []*workload.Stream, dur sim.Time) float64 {
-	var total float64
-	for _, st := range sts {
-		total += st.Results.Throughput(dur)
-	}
-	return total / 1e9
-}
 
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

@@ -26,15 +26,13 @@ var migration = &Grid{
 			WithBlock: true, Seed: 401,
 		})
 		g := tb.Guests[0]
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.Stations[0], g.MAC(), 16)
-		rr.Start()
-		rr.Results.StartMeasuring()
+		rr := tb.StartRR(0)
+		rr.StartMeasuring()
 
 		// Each phase's transactions and their summed latency.
 		type snap struct{ ops, sum float64 }
 		take := func() snap {
-			return snap{float64(rr.Results.Ops), rr.Results.Latency.Mean() * float64(rr.Results.Ops)}
+			return snap{float64(rr.Ops), rr.Latency.Mean() * float64(rr.Ops)}
 		}
 		const phase = 40 * sim.Millisecond
 		var before snap
@@ -138,26 +136,23 @@ func runFailover() failoverOut {
 	cfg := rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3}
 	ctrl := rack.New(tb, cfg)
 	ctrl.Start()
-	var rrs []*workload.RR
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rr.Results.StartMeasuring()
-		rrs = append(rrs, rr)
+	rs := tb.StartEach(tb.StartRR)
+	for _, r := range rs {
+		r.StartMeasuring()
 	}
+	ops := func() uint64 { return workload.Summarize(rs, 0).Ops }
 	const phase = 40 * sim.Millisecond
 	var atFailure uint64
 	tb.Eng.At(phase, func() {
-		atFailure = totalOps(rrs)
+		atFailure = ops()
 		tb.IOHyp.Fail()
 	})
 	tb.Eng.RunUntil(2*phase + 40*sim.Millisecond) // + the RR loss timer
-	afterBlackout := totalOps(rrs)
+	afterBlackout := ops()
 	tb.Eng.RunUntil(3*phase + 40*sim.Millisecond)
 
 	o := failoverOut{
-		before: atFailure, recovery: afterBlackout - atFailure, after: totalOps(rrs) - afterBlackout,
+		before: atFailure, recovery: afterBlackout - atFailure, after: ops() - afterBlackout,
 		crash: phase,
 		// MissThreshold missed probes, plus one interval of phase slack
 		// between the crash and the next probe.
@@ -189,8 +184,8 @@ var energy = &Grid{
 		if pt["model"] == "elvis" {
 			s = cluster.Spec{Model: core.ModelElvis, SidecoresPerHost: 1, Params: &p, Seed: 411}
 		}
-		tb, wss, cs := webserverSetup(s, 2, 420)
-		tb.RunMeasured(warm, dur, cs...)
+		tb := webserverBed(s)
+		mbps := tb.RunEach(warm, dur, func(i int) *workload.Results { return tb.StartWebserver(i, 420, 2) }).Gbps * 1e3
 		pollW := p.PowerPoll
 		if p.MwaitEnabled {
 			pollW = p.PowerMwait
@@ -200,7 +195,7 @@ var energy = &Grid{
 			units += sc.Energy(p.PowerBusy, pollW, p.PowerIdle)
 		}
 		// Normalize to cores of continuous full-power burn.
-		return one(Metrics{"sidecores": float64(len(tb.Sidecores)), "energy": units / tb.Eng.Now().Seconds(), "Mbps": aggMbps(wss, dur)})
+		return one(Metrics{"sidecores": float64(len(tb.Sidecores)), "energy": units / tb.Eng.Now().Seconds(), "Mbps": mbps})
 	},
 	Cols: []Col{{"config", func(r Row) string { return r.Axis("model") + " " + r.Axis("wait") }},
 		num("sidecores", "sidecores", d), num("energy [cores]", "energy", f2), num("Mbps", "Mbps", f1)},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 
 	"vrio/internal/cluster"
@@ -54,35 +55,13 @@ func fabricScalingSpec(quick bool, racks int, oversub float64) cluster.FabricSpe
 	}
 }
 
-// fabricRRRun drives every guest from a station one rack over — all traffic
-// crosses the spine tier — and runs the fabric to warm+dur with the given
-// worker count.
-func fabricRRRun(f *cluster.Fabric, warm, dur sim.Time, workers int) []*workload.RR {
-	n := len(f.Racks)
-	var rrs []*workload.RR
-	perRack := make([][]cluster.Measurable, n)
-	for r := 0; r < n; r++ {
-		server := f.Racks[(r+1)%n]
-		for g, guest := range server.Guests {
-			workload.InstallRRServer(guest, server.P.NetperfRRProcessCost)
-			rr := workload.NewRR(f.Racks[r].StationFor(g), guest.MAC(), 16)
-			rr.Start()
-			rrs = append(rrs, rr)
-			perRack[r] = append(perRack[r], &rr.Results)
-		}
-	}
-	f.RunMeasured(warm, dur, workers, perRack)
-	return rrs
-}
-
 // fabricFingerprint captures everything an experiment can observe from a
 // fabric run. Two runs of the same topology+seed must produce identical
 // fingerprints regardless of worker count; the equivalence cell enforces it.
-func fabricFingerprint(f *cluster.Fabric, rrs []*workload.RR) string {
+func fabricFingerprint(f *cluster.Fabric, rs []*workload.Results) string {
 	var b strings.Builder
-	for i, rr := range rrs {
-		fmt.Fprintf(&b, "rr%d %d %d %d|", i, rr.Results.Ops, rr.Results.Errors,
-			rr.Results.Latency.Percentile(99))
+	for i, r := range rs {
+		fmt.Fprintf(&b, "rr%d %d %d %d|", i, r.Ops, r.Errors, r.Latency.Percentile(99))
 	}
 	for r, tb := range f.Racks {
 		fmt.Fprintf(&b, "rack%d %d %d %d %d|", r, tb.Eng.Executed(), tb.Switch.Forwarded,
@@ -110,21 +89,25 @@ func fabricRacks(quick bool) (int, float64) {
 	return racks, oversub
 }
 
-// fabricCell runs the cross-rack RR workload on the fabric of spec with the
-// given worker count and measures it. Only sim-time observables appear
-// here: wall-clock speedups are machine-dependent and are measured by
-// BenchmarkFabricSharded and vriobench, never in a Result row.
+// fabricCell runs the cross-rack RR workload (every guest driven from a
+// station one rack over, so all traffic crosses the spine tier) on the
+// fabric of spec with the given worker count and measures it. Only
+// sim-time observables appear here: wall-clock speedups are
+// machine-dependent and are measured by BenchmarkFabricSharded and
+// vriobench, never in a Result row.
 func fabricCell(spec cluster.FabricSpec, warm, dur sim.Time, workers int) (Metrics, string) {
 	f, err := cluster.BuildFabric(spec)
 	if err != nil {
 		panic(err)
 	}
 	defer f.Close()
-	rrs := fabricRRRun(f, warm, dur, workers)
-	pc := latencyPercentilesMicros(rrs)
+	perRack := f.StartEach(f.StartRR)
+	f.RunMeasured(warm, dur, workers, perRack)
+	rs := slices.Concat(perRack...)
+	s := workload.Summarize(rs, dur)
 	m := Metrics{
-		"racks": float64(spec.NumRacks), "VMs": float64(len(rrs)), "oversub": spec.Oversubscription,
-		"kops/s": float64(totalOps(rrs)) / dur.Seconds() / 1000, "p50": pc[0], "p99": pc[2],
+		"racks": float64(spec.NumRacks), "VMs": float64(len(rs)), "oversub": spec.Oversubscription,
+		"kops/s": s.OpsPerSec / 1000, "p50": s.P50Micros, "p99": s.P99Micros,
 		"windows": float64(f.Group.Windows), "xshard": 0, "no_route": 0, "ecmp": 0, "identical": math.NaN(),
 	}
 	// no_route sums the no-route drop gauges of every ToR and spine switch,
@@ -140,7 +123,7 @@ func fabricCell(spec cluster.FabricSpec, warm, dur sim.Time, workers int) (Metri
 	for _, s := range f.Group.Shards() {
 		m["xshard"] += float64(s.Received) // cross-shard messages received
 	}
-	return m, fabricFingerprint(f, rrs)
+	return m, fabricFingerprint(f, rs)
 }
 
 // fabricScaling runs a serial-vs-sharded equivalence cell, an
@@ -225,6 +208,6 @@ func FabricBenchRun(quick bool, workers int) uint64 {
 		panic(err)
 	}
 	defer f.Close()
-	fabricRRRun(f, warm, dur, workers)
+	f.RunMeasured(warm, dur, workers, f.StartEach(f.StartRR))
 	return f.TotalExecuted()
 }

@@ -78,18 +78,16 @@ func fabricTraceRun(seed uint64, interval, warm, dur sim.Time, racks, workers, f
 	// probe's traffic.
 	probeSrc := f.Racks[0].Guests[0]
 	probeDst := f.Racks[1].Guests[0]
-	perRack := make([][]cluster.Measurable, racks)
-	for r := 0; r < racks; r++ {
-		server := f.Racks[(r+1)%racks]
-		for g, guest := range server.Guests {
-			workload.InstallRRServer(guest, server.P.NetperfRRProcessCost)
-			if guest == probeDst {
-				continue
-			}
-			rr := workload.NewRR(f.Racks[r].StationFor(g), guest.MAC(), 16)
-			rr.Start()
-			perRack[r] = append(perRack[r], &rr.Results)
-			ru.ObserveLatency(r, true, &rr.Results.Latency)
+	perRack := f.StartEach(func(r, g int) *workload.Results {
+		if r == 0 && g == 0 { // rack 0's station would drive probeDst
+			f.Racks[1].ServeRR(0)
+			return nil
+		}
+		return f.StartRR(r, g)
+	})
+	for r, rs := range perRack {
+		for _, res := range rs {
+			ru.ObserveLatency(r, true, &res.Latency)
 		}
 	}
 	// The probe: one guest-to-guest frame across the spine at measurement

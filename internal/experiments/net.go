@@ -22,7 +22,7 @@ var table3 = &Grid{
 	Cell: func(quick bool, p Point) []Line {
 		warm, dur := durations(quick, 2*sim.Millisecond, 50*sim.Millisecond)
 		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: 1, Seed: 11})
-		ops := float64(totalOps(rrRun(tb, warm, dur)))
+		ops := float64(tb.RunEach(warm, dur, tb.StartRR).Ops)
 		m := Metrics{"IOhost intrpts": tb.Metrics.Value("iohyp", "iohost_irqs") / ops}
 		for name, counter := range map[string]string{"sync exits": "exits", "guest intrpts": "guest_irqs",
 			"intrpt injection": "irq_injections", "host intrpts": "host_irqs"} {
@@ -49,26 +49,6 @@ var table3 = &Grid{
 	},
 }
 
-// macroRun serves cfg from every guest of tb and returns aggregate
-// transactions per second.
-func macroRun(tb *cluster.Testbed, cfg workload.MacroConfig, cost, warm, dur sim.Time) float64 {
-	var ms []*workload.Macro
-	var cs []cluster.Measurable
-	for i, g := range tb.Guests {
-		workload.InstallMacroServer(g, cost, cfg.RespSize)
-		mac := workload.NewMacro(tb.StationFor(i), g.MAC(), cfg)
-		mac.Start()
-		ms = append(ms, mac)
-		cs = append(cs, &mac.Results)
-	}
-	tb.RunMeasured(warm, dur, cs...)
-	var total float64
-	for _, mac := range ms {
-		total += mac.Results.OpsPerSec(dur)
-	}
-	return total
-}
-
 // modelCols prints one column per model of a metric, headed by the model.
 func modelCols(ms []string, metric string, f func(float64) string) []Col {
 	var cols []Col
@@ -87,7 +67,10 @@ var fig5 = &Grid{
 	Cell: func(quick bool, p Point) []Line {
 		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
 		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), StationPerVM: true, Seed: 21})
-		return one(Metrics{"req/s": macroRun(tb, workload.ApacheConfig(), tb.P.ApacheRequestCost, warm, dur)})
+		s := tb.RunEach(warm, dur, func(i int) *workload.Results {
+			return tb.StartMacro(i, workload.ApacheConfig(), tb.P.ApacheRequestCost)
+		})
+		return one(Metrics{"req/s": s.OpsPerSec})
 	},
 	Cols: append([]Col{axisCol("VMs")}, modelCols(fig5Models, "req/s", f0)...),
 	Claims: []Claim{
@@ -105,9 +88,9 @@ var fig7 = &Grid{
 	Pivot: 1,
 	Cell: func(quick bool, p Point) []Line {
 		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
-		rrs := rrRun(cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), Seed: 31}), warm, dur)
-		pc := latencyPercentilesMicros(rrs)
-		return one(Metrics{"mean": meanLatencyMicros(rrs), "p50": pc[0], "p95": pc[1], "p99": pc[2]})
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), Seed: 31})
+		s := tb.RunEach(warm, dur, tb.StartRR)
+		return one(Metrics{"mean": s.MeanMicros, "p50": s.P50Micros, "p95": s.P95Micros, "p99": s.P99Micros})
 	},
 	Cols: fig7Cols(),
 	Claims: []Claim{
@@ -145,7 +128,7 @@ var fig8 = &Grid{
 	Cell: func(quick bool, p Point) []Line {
 		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
 		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), Seed: 41})
-		m := Metrics{"mean": meanLatencyMicros(rrRun(tb, warm, dur))}
+		m := Metrics{"mean": tb.RunEach(warm, dur, tb.StartRR).MeanMicros}
 		if len(tb.Sidecores) > 0 {
 			var wait float64
 			for _, sc := range tb.Sidecores {
@@ -175,7 +158,7 @@ var fig9 = &Grid{
 	Cell: func(quick bool, p Point) []Line {
 		warm, dur := durations(quick, 5*sim.Millisecond, 80*sim.Millisecond)
 		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: p.Int("VMs"), Seed: 51})
-		return one(Metrics{"Gbps": aggGbps(streamRun(tb, warm, dur), dur)})
+		return one(Metrics{"Gbps": tb.RunEach(warm, dur, tb.StartStream).Gbps})
 	},
 	Cols: append([]Col{axisCol("VMs")},
 		modelCols(models(core.ModelOptimum, core.ModelElvis, core.ModelVRIO, core.ModelBaseline), "Gbps", f2)...),
@@ -197,7 +180,7 @@ var fig10 = &Grid{
 		// accounting (models with more local cores absorb more jitter,
 		// which is not what Figure 10 measures).
 		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: 1, NoJitter: true, Seed: 61})
-		chunks := streamRun(tb, warm, dur)[0].Results.Ops
+		chunks := tb.RunEach(warm, dur, tb.StartStream).Ops
 		// VMhost busy fraction over the run, scaled to the measured
 		// window's chunk count: ns of VMhost CPU per chunk.
 		return one(Metrics{"ns/chunk": float64(vmhostBusy(tb)) / float64(tb.Eng.Now()) * float64(dur) / float64(chunks)})
@@ -244,7 +227,7 @@ var fig11 = &Grid{
 			n, model = n+1, string(core.ModelOptimum)
 		}
 		tb := cluster.Build(cluster.Spec{Model: core.ModelName(model), VMsPerHost: n, Seed: 71})
-		return one(Metrics{"Gbps": aggGbps(streamRun(tb, warm, dur), dur)})
+		return one(Metrics{"Gbps": tb.RunEach(warm, dur, tb.StartStream).Gbps})
 	},
 	Cols: []Col{axisCol("config"), num("Gbps", "Gbps", f2), vsFirst("vs optimum-8vms", "Gbps", "0%")},
 	Claims: []Claim{
@@ -264,10 +247,12 @@ var table4 = &Grid{
 	Pivot: 1,
 	Cell: func(quick bool, p Point) []Line {
 		warm, dur := durations(quick, 5*sim.Millisecond, 2000*sim.Millisecond)
-		rr := rrRun(cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: 1, Seed: 81}), warm, dur)[0]
+		tb := cluster.Build(cluster.Spec{Model: core.ModelName(p["model"]), VMsPerHost: 1, Seed: 81})
+		rr := tb.StartRR(0)
+		tb.RunMeasured(warm, dur, rr)
 		var out []Line
 		for _, pc := range []float64{50, 95, 99, 99.9, 99.99, 99.999, 100} {
-			out = append(out, Line{strconv.FormatFloat(pc, 'f', -1, 64) + "%", Metrics{"µs": float64(rr.Results.Latency.Percentile(pc)) / 1000}})
+			out = append(out, Line{strconv.FormatFloat(pc, 'f', -1, 64) + "%", Metrics{"µs": float64(rr.Latency.Percentile(pc)) / 1000}})
 		}
 		return out
 	},
@@ -293,7 +278,8 @@ var fig12 = &Grid{
 		if p["load"] == "ap" {
 			cfg, cost = workload.ApacheConfig(), tb.P.ApacheRequestCost
 		}
-		return one(Metrics{"Ktps": macroRun(tb, cfg, cost, warm, dur) / 1000})
+		s := tb.RunEach(warm, dur, func(i int) *workload.Results { return tb.StartMacro(i, cfg, cost) })
+		return one(Metrics{"Ktps": s.OpsPerSec / 1000})
 	},
 	Cols: fig12Cols(),
 	Claims: []Claim{
@@ -333,9 +319,9 @@ var fig13 = &Grid{
 		tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMHosts: 4, VMsPerHost: p.Int("VMs") / 4,
 			IOhostSidecores: p.Int("sc"), Seed: 101})
 		if p["load"] == "lat" {
-			return one(Metrics{"µs": meanLatencyMicros(rrRun(tb, warm, dur))})
+			return one(Metrics{"µs": tb.RunEach(warm, dur, tb.StartRR).MeanMicros})
 		}
-		return one(Metrics{"Gbps": aggGbps(streamRun(tb, warm, dur), dur)})
+		return one(Metrics{"Gbps": tb.RunEach(warm, dur, tb.StartStream).Gbps})
 	},
 	Cols: []Col{axisCol("VMs"),
 		num("lat 1sc", "µs", f1, "load", "lat", "sc", "1"), num("lat 2sc", "µs", f1, "load", "lat", "sc", "2"),
@@ -357,8 +343,8 @@ var heterogeneity = &Grid{
 	Cell: func(quick bool, p Point) []Line {
 		warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)
 		tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMsPerHost: 1, BareClients: p["client kind"] == "bare metal", Seed: 111})
-		sts := streamRun(tb, warm, dur)
-		return one(Metrics{"Gbps": aggGbps(sts, dur), "util": tb.VMCores[0].Utilization() * 100})
+		s := tb.RunEach(warm, dur, tb.StartStream)
+		return one(Metrics{"Gbps": s.Gbps, "util": tb.VMCores[0].Utilization() * 100})
 	},
 	Cols: []Col{axisCol("client kind"), num("Gbps", "Gbps", f2), num("VM-core util [%]", "util", f1)},
 	Claims: []Claim{

@@ -88,11 +88,11 @@ func runRackCell(quick bool, cfg rackCellCfg) Metrics {
 		failT = warm + dur/2
 		tb.Eng.At(failT, func() { tb.IOHyps[cfg.numIO-1].Fail() })
 	}
-	rrs := rrRun(tb, warm, dur)
+	s := tb.RunEach(warm, dur, tb.StartRR)
 
 	m := Metrics{
 		"IOhosts": float64(cfg.numIO),
-		"kops/s":  float64(totalOps(rrs)) / (float64(dur) / float64(sim.Second)) / 1000,
+		"kops/s":  s.OpsPerSec / 1000,
 		"W1":      maxMinRatio(snaps[0], snaps[1]),
 		"W2":      maxMinRatio(snaps[1], snaps[2]),
 		"moves":   float64(c.Counters.Get("rebalances")),

@@ -8,7 +8,6 @@ import (
 	"vrio/internal/core"
 	"vrio/internal/sim"
 	"vrio/internal/trace"
-	"vrio/internal/workload"
 )
 
 // TraceResult is one traced vRIO run: the exported artifacts plus the live
@@ -45,13 +44,7 @@ func TraceRun(seed uint64, interval sim.Time) (TraceResult, error) {
 
 	// RR traffic on every guest exercises guest_ring, transport_wire,
 	// iohyp_worker, and completion spans end to end.
-	var collectors []cluster.Measurable
-	for i, g := range tb.Guests {
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		collectors = append(collectors, &rr.Results)
-	}
+	rs := tb.StartEach(tb.StartRR)
 	// A small block write/read loop on guest 0 adds blockdev spans.
 	g0 := tb.Guests[0]
 	data := make([]byte, 2*tb.P.SectorSize)
@@ -74,7 +67,7 @@ func TraceRun(seed uint64, interval sim.Time) (TraceResult, error) {
 	}
 	blkLoop(0)
 
-	tb.RunMeasured(sim.Millisecond, 4*sim.Millisecond, collectors...)
+	tb.RunMeasured(sim.Millisecond, 4*sim.Millisecond, rs...)
 
 	res := TraceResult{Tracer: tb.Tracer, Testbed: tb}
 	var buf bytes.Buffer

@@ -88,7 +88,7 @@ func TestUntracedRunStaysDisabled(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	tb := cluster.Build(cluster.Spec{Model: core.ModelVRIO, VMsPerHost: 1, Seed: 7})
-	rrRun(tb, sim.Millisecond/2, sim.Millisecond)
+	tb.RunEach(sim.Millisecond/2, sim.Millisecond, tb.StartRR)
 	if tb.Tracer.Enabled() {
 		t.Error("tracer enabled without Spec.Trace")
 	}

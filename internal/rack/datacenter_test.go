@@ -11,7 +11,7 @@ import (
 
 // dcFabric builds a 2-rack fabric with 2 IOhosts per rack and RR traffic on
 // every guest (heartbeats need nothing, but rebalance reads want load).
-func dcFabric(t *testing.T) (*cluster.Fabric, [][]cluster.Measurable) {
+func dcFabric(t *testing.T) (*cluster.Fabric, [][]*workload.Results) {
 	t.Helper()
 	f, err := cluster.BuildFabric(cluster.FabricSpec{
 		Rack: cluster.Spec{
@@ -23,14 +23,9 @@ func dcFabric(t *testing.T) (*cluster.Fabric, [][]cluster.Measurable) {
 	if err != nil {
 		t.Fatalf("BuildFabric: %v", err)
 	}
-	perRack := make([][]cluster.Measurable, len(f.Racks))
+	perRack := make([][]*workload.Results, len(f.Racks))
 	for r, tb := range f.Racks {
-		for g, guest := range tb.Guests {
-			workload.InstallRRServer(guest, tb.P.NetperfRRProcessCost)
-			rr := workload.NewRR(tb.StationFor(g), guest.MAC(), 16)
-			rr.Start()
-			perRack[r] = append(perRack[r], &rr.Results)
-		}
+		perRack[r] = tb.StartEach(tb.StartRR)
 	}
 	return f, perRack
 }

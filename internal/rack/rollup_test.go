@@ -30,14 +30,11 @@ func rollupRun(t *testing.T, workers int, dark bool) ([]byte, string, *Rollup) {
 	defer f.Close()
 	d := NewDatacenter(f, Config{HeartbeatInterval: sim.Millisecond / 2})
 	ru := NewRollup(d, RollupConfig{Interval: sim.Millisecond})
-	perRack := make([][]cluster.Measurable, len(f.Racks))
+	perRack := make([][]*workload.Results, len(f.Racks))
 	for r, tb := range f.Racks {
-		for g, guest := range tb.Guests {
-			workload.InstallRRServer(guest, tb.P.NetperfRRProcessCost)
-			rr := workload.NewRR(tb.StationFor(g), guest.MAC(), 16)
-			rr.Start()
-			perRack[r] = append(perRack[r], &rr.Results)
-			ru.ObserveLatency(r, false, &rr.Results.Latency)
+		perRack[r] = tb.StartEach(tb.StartRR)
+		for _, res := range perRack[r] {
+			ru.ObserveLatency(r, false, &res.Latency)
 		}
 	}
 	d.Start()

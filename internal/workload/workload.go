@@ -3,7 +3,8 @@
 // throughput microbenchmarks), ApacheBench-driven HTTP, Memslap-driven
 // memcached, and Filebench's random-I/O and Webserver personalities. Each
 // workload drives core.Guest endpoints in closed loop and records
-// latencies/throughput into stats collectors.
+// latencies/throughput into its Results; Summarize aggregates a run's
+// Results. internal/cluster's starters wire the workloads onto a testbed.
 package workload
 
 import (
@@ -12,7 +13,6 @@ import (
 	"vrio/internal/bufpool"
 	"vrio/internal/cpu"
 	"vrio/internal/ethernet"
-	"vrio/internal/hypervisor"
 	"vrio/internal/nic"
 	"vrio/internal/params"
 	"vrio/internal/sim"
@@ -114,9 +114,6 @@ type netServer interface {
 	MAC() ethernet.MAC
 }
 
-// Ensure hypervisor-side types satisfy the contract where used.
-var _ = hypervisor.CounterExits
-
 // Results accumulates workload measurements within the measurement window.
 type Results struct {
 	// Latency holds per-transaction round-trip times (ns).
@@ -150,20 +147,51 @@ func (r *Results) record(latency sim.Time, bytes int, err bool) {
 	r.Latency.Record(int64(latency))
 }
 
-// Throughput reports bits/s over the given measurement duration.
-func (r *Results) Throughput(window sim.Time) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(r.Bytes*8) / window.Seconds()
+// Summary aggregates one run's per-guest Results over its measured window.
+type Summary struct {
+	// Ops, Bytes and Errors sum the guests' counts; PerVM lists each
+	// guest's Ops in the order summarized.
+	Ops, Bytes, Errors uint64
+	PerVM              []uint64
+	// MeanMicros is the ops-weighted mean latency in µs.
+	MeanMicros float64
+	// P50Micros, P95Micros and P99Micros read the histogram of every
+	// guest's samples merged: the experiments' percentiles.
+	P50Micros, P95Micros, P99Micros float64
+	// WorstP99Micros is the highest p99 of any one guest's own histogram:
+	// the facade's per-VM tail.
+	WorstP99Micros float64
+	// Gbps and OpsPerSec are the payload and transaction rates over the
+	// window, 0 for an empty window.
+	Gbps, OpsPerSec float64
 }
 
-// OpsPerSec reports transactions/s over the given measurement duration.
-func (r *Results) OpsPerSec(window sim.Time) float64 {
-	if window <= 0 {
-		return 0
+// Summarize aggregates rs, in order, over the measured window. Merging
+// into a scratch histogram leaves rs untouched.
+func Summarize(rs []*Results, window sim.Time) Summary {
+	var s Summary
+	var weighted float64
+	var merged stats.Histogram
+	for _, r := range rs {
+		s.Ops += r.Ops
+		s.Bytes += r.Bytes
+		s.Errors += r.Errors
+		s.PerVM = append(s.PerVM, r.Ops)
+		weighted += r.Latency.Mean() * float64(r.Ops)
+		s.WorstP99Micros = max(s.WorstP99Micros, float64(r.Latency.Percentile(99))/1000)
+		merged.Merge(&r.Latency)
 	}
-	return float64(r.Ops) / window.Seconds()
+	if s.Ops > 0 {
+		s.MeanMicros = weighted / float64(s.Ops) / 1000
+	}
+	s.P50Micros = float64(merged.Percentile(50)) / 1000
+	s.P95Micros = float64(merged.Percentile(95)) / 1000
+	s.P99Micros = float64(merged.Percentile(99)) / 1000
+	if window > 0 {
+		s.Gbps = float64(s.Bytes*8) / window.Seconds() / 1e9
+		s.OpsPerSec = float64(s.Ops) / window.Seconds()
+	}
+	return s
 }
 
 // --- request/response framing helpers ---

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -34,15 +35,76 @@ func TestResultsRates(t *testing.T) {
 		r.record(1000, 125, false)
 	}
 	window := 1 * sim.Millisecond
-	if got := r.OpsPerSec(window); got != 10_000 {
-		t.Errorf("OpsPerSec = %v", got)
+	s := Summarize([]*Results{&r}, window)
+	if s.OpsPerSec != 10_000 {
+		t.Errorf("OpsPerSec = %v", s.OpsPerSec)
 	}
 	// 1250 bytes in 1ms = 10 Mbps.
-	if got := r.Throughput(window); got != 10e6 {
-		t.Errorf("Throughput = %v", got)
+	if s.Gbps != 0.01 {
+		t.Errorf("Gbps = %v", s.Gbps)
 	}
-	if r.Throughput(0) != 0 || r.OpsPerSec(0) != 0 {
+	if s := Summarize([]*Results{&r}, 0); s.Gbps != 0 || s.OpsPerSec != 0 {
 		t.Error("zero window should report 0")
+	}
+}
+
+// TestSummarize aggregates two guests whose worst-VM p99 differs from the
+// p99 of their merged samples: a busy guest with a short tail and an idle
+// one whose only transaction is slow. The latencies sit on histogram bucket
+// boundaries, so the percentiles are exact.
+func TestSummarize(t *testing.T) {
+	var busy, idle Results
+	busy.StartMeasuring()
+	idle.StartMeasuring()
+	for i := 0; i < 180; i++ {
+		busy.record(1024, 64, false)
+	}
+	for i := 0; i < 20; i++ {
+		busy.record(2048, 64, false)
+	}
+	busy.record(0, 0, true)
+	idle.record(8192, 1000, false)
+	idle.record(0, 0, true)
+	idle.record(0, 0, true)
+
+	s := Summarize([]*Results{&busy, &idle}, sim.Millisecond)
+	if s.Ops != 201 || s.Bytes != 13800 || s.Errors != 3 || len(s.PerVM) != 2 || s.PerVM[0] != 200 || s.PerVM[1] != 1 {
+		t.Errorf("counts: ops=%d bytes=%d errors=%d perVM=%v", s.Ops, s.Bytes, s.Errors, s.PerVM)
+	}
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	near("MeanMicros", s.MeanMicros, (180*1024+20*2048+8192)/201.0/1000)
+	near("P50Micros", s.P50Micros, 1.024)
+	near("P95Micros", s.P95Micros, 2.048)
+	near("P99Micros", s.P99Micros, 2.048)
+	near("WorstP99Micros", s.WorstP99Micros, 8.192)
+	near("Gbps", s.Gbps, 13800*8/1e-3/1e9)
+	near("OpsPerSec", s.OpsPerSec, 201/1e-3)
+	if busy.Latency.Count() != 200 || idle.Latency.Count() != 1 {
+		t.Error("Summarize changed its inputs' histograms")
+	}
+}
+
+// TestSummarizeZeroOps: a run with no completed transaction summarizes to
+// zeros, not NaN.
+func TestSummarizeZeroOps(t *testing.T) {
+	var a, b Results
+	b.StartMeasuring()
+	b.record(0, 0, true)
+	s := Summarize([]*Results{&a, &b}, sim.Millisecond)
+	for name, v := range map[string]float64{"MeanMicros": s.MeanMicros, "P50Micros": s.P50Micros,
+		"P95Micros": s.P95Micros, "P99Micros": s.P99Micros, "WorstP99Micros": s.WorstP99Micros,
+		"Gbps": s.Gbps, "OpsPerSec": s.OpsPerSec} {
+		if v != 0 {
+			t.Errorf("%s = %v, want 0", name, v)
+		}
+	}
+	if s.Errors != 1 {
+		t.Errorf("Errors = %d, want 1", s.Errors)
 	}
 }
 

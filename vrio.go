@@ -153,67 +153,28 @@ type NetResult struct {
 	PerVM []uint64
 }
 
+// run starts a workload on every guest with start and summarizes the
+// measured duration, after a 10% warmup.
+func (t *Testbed) run(measure time.Duration, start func(i int) *workload.Results) workload.Summary {
+	dur := simDur(measure)
+	return t.tb.RunEach(dur/10, dur, start)
+}
+
+func netResult(s workload.Summary) NetResult {
+	return NetResult{Ops: s.Ops, MeanLatencyMicros: s.MeanMicros, P99Micros: s.WorstP99Micros,
+		ThroughputGbps: s.Gbps, PerVM: s.PerVM}
+}
+
 // RunNetperfRR runs the closed-loop request-response benchmark on every VM
 // for the given measured duration (plus a 10% warmup) and reports latency.
 func (t *Testbed) RunNetperfRR(measure time.Duration) NetResult {
-	dur := simDur(measure)
-	var rrs []*workload.RR
-	var cs []cluster.Measurable
-	for i, g := range t.tb.Guests {
-		workload.InstallRRServer(g, t.tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(t.tb.StationFor(i), g.MAC(), 16)
-		rr.Start()
-		rrs = append(rrs, rr)
-		cs = append(cs, &rr.Results)
-	}
-	t.tb.RunMeasured(dur/10, dur, cs...)
-	return summarizeRR(rrs, dur)
-}
-
-func summarizeRR(rrs []*workload.RR, dur sim.Time) NetResult {
-	var res NetResult
-	var weighted float64
-	var p99 float64
-	var bytes uint64
-	for _, rr := range rrs {
-		res.Ops += rr.Results.Ops
-		res.PerVM = append(res.PerVM, rr.Results.Ops)
-		weighted += rr.Results.Latency.Mean() * float64(rr.Results.Ops)
-		if v := float64(rr.Results.Latency.Percentile(99)) / 1000; v > p99 {
-			p99 = v
-		}
-		bytes += rr.Results.Bytes
-	}
-	if res.Ops > 0 {
-		res.MeanLatencyMicros = weighted / float64(res.Ops) / 1000
-	}
-	res.P99Micros = p99
-	res.ThroughputGbps = float64(bytes*8) / dur.Seconds() / 1e9
-	return res
+	return netResult(t.run(measure, t.tb.StartRR))
 }
 
 // RunNetperfStream runs the bulk-transfer benchmark from every VM and
 // reports aggregate throughput.
 func (t *Testbed) RunNetperfStream(measure time.Duration) NetResult {
-	dur := simDur(measure)
-	var sts []*workload.Stream
-	var cs []cluster.Measurable
-	for i, g := range t.tb.Guests {
-		st := workload.NewStream(g, t.tb.StationFor(i), t.tb.P.StreamChunk, t.tb.P.StreamPerChunkCost, 16)
-		st.Start()
-		sts = append(sts, st)
-		cs = append(cs, &st.Results)
-	}
-	t.tb.RunMeasured(dur/10, dur, cs...)
-	var res NetResult
-	var bytes uint64
-	for _, st := range sts {
-		res.Ops += st.Results.Ops
-		res.PerVM = append(res.PerVM, st.Results.Ops)
-		bytes += st.Results.Bytes
-	}
-	res.ThroughputGbps = float64(bytes*8) / dur.Seconds() / 1e9
-	return res
+	return netResult(t.run(measure, t.tb.StartStream))
 }
 
 // MacroKind selects a macrobenchmark personality.
@@ -229,37 +190,11 @@ const (
 
 // RunMacro runs Apache or Memcached against every VM.
 func (t *Testbed) RunMacro(kind MacroKind, measure time.Duration) NetResult {
-	dur := simDur(measure)
-	cfg := workload.ApacheConfig()
-	cost := t.tb.P.ApacheRequestCost
+	cfg, cost := workload.ApacheConfig(), t.tb.P.ApacheRequestCost
 	if kind == Memcached {
-		cfg = workload.MemcachedConfig()
-		cost = t.tb.P.MemcachedRequestCost
+		cfg, cost = workload.MemcachedConfig(), t.tb.P.MemcachedRequestCost
 	}
-	var ms []*workload.Macro
-	var cs []cluster.Measurable
-	for i, g := range t.tb.Guests {
-		workload.InstallMacroServer(g, cost, cfg.RespSize)
-		m := workload.NewMacro(t.tb.StationFor(i), g.MAC(), cfg)
-		m.Start()
-		ms = append(ms, m)
-		cs = append(cs, &m.Results)
-	}
-	t.tb.RunMeasured(dur/10, dur, cs...)
-	var res NetResult
-	var weighted float64
-	var bytes uint64
-	for _, m := range ms {
-		res.Ops += m.Results.Ops
-		res.PerVM = append(res.PerVM, m.Results.Ops)
-		weighted += m.Results.Latency.Mean() * float64(m.Results.Ops)
-		bytes += m.Results.Bytes
-	}
-	if res.Ops > 0 {
-		res.MeanLatencyMicros = weighted / float64(res.Ops) / 1000
-	}
-	res.ThroughputGbps = float64(bytes*8) / dur.Seconds() / 1e9
-	return res
+	return netResult(t.run(measure, func(i int) *workload.Results { return t.tb.StartMacro(i, cfg, cost) }))
 }
 
 // BlockResult summarizes a block workload run.
@@ -276,82 +211,31 @@ type BlockResult struct {
 	VoluntaryCS   uint64
 }
 
-// RunFilebench runs the random-I/O personality (readers/writers per VM).
-// The testbed must be built WithBlock and WithThreads.
-func (t *Testbed) RunFilebench(readers, writers int, measure time.Duration) BlockResult {
-	dur := simDur(measure)
-	var fbs []*workload.Filebench
-	var cs []cluster.Measurable
-	for i, g := range t.tb.Guests {
-		fb := workload.NewFilebench(t.tb.Eng, g.Threads, g, workload.FilebenchConfig{
-			Readers: readers, Writers: writers,
-			IOSize:          t.tb.P.FilebenchIOSize,
-			OpCost:          t.tb.P.FilebenchOpCost,
-			CapacitySectors: t.tb.BlockDevices[i].Store().Capacity(),
-			SectorSize:      t.tb.P.SectorSize,
-			Seed:            t.tb.Spec.Seed + uint64(i),
-		})
-		fb.Start()
-		fbs = append(fbs, fb)
-		cs = append(cs, &fb.Results)
-	}
-	t.tb.RunMeasured(dur/10, dur, cs...)
-	var res BlockResult
-	var bytes uint64
-	for _, fb := range fbs {
-		res.Ops += fb.Results.Ops
-		bytes += fb.Results.Bytes
-	}
+func (t *Testbed) blockResult(s workload.Summary) BlockResult {
+	res := BlockResult{Ops: s.Ops, OpsPerSec: s.OpsPerSec, ThroughputMbps: s.Gbps * 1e3}
 	for _, v := range t.tb.Threads {
 		if v != nil {
 			res.InvoluntaryCS += v.InvoluntaryCS
 			res.VoluntaryCS += v.VoluntaryCS
 		}
 	}
-	res.OpsPerSec = float64(res.Ops) / dur.Seconds()
-	res.ThroughputMbps = float64(bytes*8) / dur.Seconds() / 1e6
 	return res
+}
+
+// RunFilebench runs the random-I/O personality (readers/writers per VM).
+// The testbed must be built WithBlock and WithThreads.
+func (t *Testbed) RunFilebench(readers, writers int, measure time.Duration) BlockResult {
+	return t.blockResult(t.run(measure, func(i int) *workload.Results {
+		return t.tb.StartFilebench(i, readers, writers, t.tb.Spec.Seed)
+	}))
 }
 
 // RunWebserver runs the Filebench Webserver personality on every VM. The
 // testbed must be built WithBlock and WithThreads.
 func (t *Testbed) RunWebserver(measure time.Duration) BlockResult {
-	dur := simDur(measure)
-	var wss []*workload.Webserver
-	var cs []cluster.Measurable
-	for i, g := range t.tb.Guests {
-		ws := workload.NewWebserver(t.tb.Eng, g.Threads, g, workload.WebserverConfig{
-			Threads:         t.tb.P.WebserverThreads,
-			Files:           t.tb.P.WebserverFileCount,
-			MeanFileSize:    t.tb.P.WebserverMeanFileSize,
-			ChunkSize:       t.tb.P.FilebenchIOSize,
-			OpCost:          t.tb.P.WebserverOpCost,
-			OpenCost:        t.tb.P.WebserverOpenCost,
-			LogWrite:        t.tb.P.WebserverLogWrite,
-			CapacitySectors: t.tb.BlockDevices[i].Store().Capacity(),
-			SectorSize:      t.tb.P.SectorSize,
-			Seed:            t.tb.Spec.Seed + uint64(i),
-		})
-		ws.Start()
-		wss = append(wss, ws)
-		cs = append(cs, &ws.Results)
-	}
-	t.tb.RunMeasured(dur/10, dur, cs...)
-	var res BlockResult
-	var bytes uint64
-	for _, ws := range wss {
-		res.Ops += ws.Results.Ops
-		bytes += ws.Results.Bytes
-	}
-	for _, v := range t.tb.Threads {
-		if v != nil {
-			res.InvoluntaryCS += v.InvoluntaryCS
-			res.VoluntaryCS += v.VoluntaryCS
-		}
-	}
-	res.OpsPerSec = float64(res.Ops) / dur.Seconds()
-	res.ThroughputMbps = float64(bytes*8) / dur.Seconds() / 1e6
-	return res
+	return t.blockResult(t.run(measure, func(i int) *workload.Results {
+		return t.tb.StartWebserver(i, t.tb.Spec.Seed, t.tb.Spec.VMHosts)
+	}))
 }
 
 // MigrateVM live-migrates a vRIO guest to another VMhost (§4.6): the VM
@@ -383,10 +267,7 @@ func (t *Testbed) SidecoreUtilization() (busy, poll []float64) {
 	}
 	for _, sc := range t.tb.Sidecores {
 		busy = append(busy, float64(sc.BusyTime())/float64(now))
-		poll = append(poll, float64(sc.Accounted(cpuKindPoll))/float64(now))
+		poll = append(poll, float64(sc.Accounted(cpu.KindPoll))/float64(now))
 	}
 	return busy, poll
 }
-
-// cpuKindPoll aliases the internal poll-accounting kind.
-const cpuKindPoll = cpu.KindPoll

@@ -38,14 +38,16 @@ bench:
 #   transport: driver-to-endpoint over pooled NIC rings (net-tx, block
 #              roundtrip, with the pool loans of each) and the QD=8 x NQ=4
 #              multi-queue block path; the slabs a 4 KiB block write and
-#              read take, and the received frame as the request's lease.
+#              read take, the received frame as the request's lease, and
+#              a block reply gathered from its parts, byte for byte.
 #   blockdev:  a 4 KiB store write + device read fill.
 #   ethernet:  a 4 KiB reassembly, and a single-fragment message completed
 #              in place beside a pending partial.
 #   stats:     histogram Record, counter Inc.
 #   link:      a frame through the switch.
 #   netwire:   frame seal+decode, a 4 KiB block roundtrip over loopback UDP.
-#   core:      the R=1 distributed-volume quorum write.
+#   core:      the R=1 distributed-volume quorum write; the slabs a 4 KiB
+#              read takes on the Elvis and baseline rings.
 #   iohyp:     IOhost dispatch: a net-tx message forwarded to the uplink, an
 #              uplink frame delivered to a client, an MQ block read served
 #              and answered.
@@ -63,17 +65,17 @@ bench:
 # TestNetRRColdStartAllocBudget holds a fresh net-rr testbed's first 10 ms
 # of traffic below 48 KiB per model, and TestBlkColdStartAllocBudget holds
 # a fresh Elvis or baseline blk-rw testbed's first 10 ms of block I/O below
-# 768 KiB.
+# 512 KiB.
 # The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
-	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ|TestBlkSlabsZeroCopy' 'BenchmarkDatapath' \
+	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ|TestBlkSlabsZeroCopy|TestRespondBlkGatherKeepsWireBytes' 'BenchmarkDatapath' \
 	./internal/blockdev/  'TestStoreWriteAndDeviceReadZeroAlloc'        'BenchmarkDeviceRW4K' \
 	./internal/ethernet/  'TestSingleFragmentAddZeroAlloc'              'BenchmarkReassemble4K' \
 	./internal/stats/     'TestRecordAndIncZeroAlloc'                   'BenchmarkHistogramRecord|BenchmarkCountersInc' \
 	./internal/link/      'TestSwitchForwardZeroAlloc'                  'BenchmarkSwitchForward' \
 	./internal/netwire/   'TestSealDecodeNoAlloc'                       . \
-	./internal/core/      'TestVolumeWriteQuorumZeroAlloc'              'BenchmarkVolumeWriteQuorum' \
+	./internal/core/      'TestVolumeWriteQuorumZeroAlloc|TestRingBlkReadSlabs' 'BenchmarkVolumeWriteQuorum' \
 	./internal/iohyp/     'TestIOhostDispatchZeroAlloc'                 'BenchmarkIOhostDispatch' \
 	./internal/virtio/    'TestNetServerFreeChainZeroAlloc|TestRingSteadyStateZeroAlloc' 'BenchmarkRingRoundTrip' \
 	./internal/cluster/   'TestNetRRSteadyStateZeroAlloc|TestBlkRWSteadyStateZeroAlloc|TestBuildAllocBudget|TestNetRRColdStartAllocBudget|TestBlkColdStartAllocBudget' 'BenchmarkNetRRTransaction|BenchmarkBlkRWOp|BenchmarkBuild'

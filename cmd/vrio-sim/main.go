@@ -108,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "-racks > 1 does not take a fault profile yet")
 			return 2
 		}
-		if err := runFabric(stdout, m, *racks, *shards, *oversub, *vms, *hosts, *seed, &p, *measure,
+		if err := runFabric(stdout, m, *racks, *shards, *oversub, *vms, *hosts, *sidecores, *seed, &p, *measure,
 			*doTrace, *traceOut, *metricsInterval); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -231,12 +231,13 @@ func stopOnSignal(interrupt func()) (stop func()) {
 // coordinator's accounting. With tracing or a metrics interval it also runs
 // the observability plane: per-rack controllers, the datacenter rollup, and
 // (for -trace) cross-shard span recording, exporting the merged artifacts.
-func runFabric(w io.Writer, m vrio.Model, racks, shards int, oversub float64, vms, hosts int, seed uint64, p *vrio.Params, measure time.Duration,
+func runFabric(w io.Writer, m vrio.Model, racks, shards int, oversub float64, vms, hosts, sidecores int, seed uint64, p *vrio.Params, measure time.Duration,
 	doTrace bool, outDir string, metricsInterval time.Duration) error {
 	observe := doTrace || metricsInterval > 0
 	f, err := cluster.BuildFabric(cluster.FabricSpec{
 		Rack: cluster.Spec{
 			Model: m, VMHosts: hosts, VMsPerHost: vms,
+			SidecoresPerHost: sidecores, IOhostSidecores: sidecores,
 			StationPerVM: true, Seed: seed, Params: p,
 			Trace: doTrace,
 		},

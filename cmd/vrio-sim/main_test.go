@@ -30,6 +30,7 @@ func TestRunGolden(t *testing.T) {
 		"-model elvis -vmhosts 2 -vms 2 -measure 10ms -workload webserver",
 		"-model vrio -racks 2 -shards 1 -measure 10ms",
 		"-model vrio -racks 2 -shards 2 -measure 10ms",
+		"-model vrio -racks 2 -shards 1 -sidecores 2 -measure 10ms",
 	}
 	var got bytes.Buffer
 	for _, args := range cases {

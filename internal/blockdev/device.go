@@ -57,10 +57,11 @@ type Request struct {
 // Response is a completed request.
 type Response struct {
 	Err error
-	// Data holds read results. It is borrowed: the backend may reuse the
-	// buffer once the completion callback returns, so a consumer that needs
-	// the bytes later (a deferred reply, a cache) copies them inside the
-	// callback.
+	// Data holds read results. It is lent, read-only: the backend may
+	// reuse or overwrite the bytes once the completion callback returns (a
+	// Device lends a read inside one page straight from its store), so a
+	// consumer that needs them later (a deferred reply, a cache) copies them
+	// inside the callback, and nothing writes them.
 	Data []byte
 	// Version is the replica's extent version at serve time, set on
 	// successful OpVolRead completions. Rebuild and heal copies stamp their
@@ -97,9 +98,9 @@ type Device struct {
 	// with per-extent version checks (see AttachReplica).
 	replica *ReplicaState
 
-	// rbuf is the read buffer every read fills and lends to its completion
-	// callback. Reads execute one event at a time and the callback runs
-	// right after, so one buffer serves every bank.
+	// rbuf is the read buffer a read that crosses a page boundary fills and
+	// lends to its completion callback. Reads execute one event at a time
+	// and the callback runs right after, so one buffer serves every bank.
 	rbuf []byte
 
 	// FailNext injects a failure into the next request (fault testing).
@@ -242,13 +243,17 @@ func (d *Device) execute(req Request) Response {
 	}
 }
 
-// read fills the device's read buffer with n sectors from sector on. The
-// result is borrowed (see Response.Data).
+// read returns n sectors from sector on, lent (see Response.Data): a range
+// inside one page is the store's own bytes, and any other is copied into
+// the device's read buffer.
 func (d *Device) read(sector uint64, n int) ([]byte, error) {
 	if err := d.store.checkRead(sector, n); err != nil {
 		return nil, err
 	}
 	size := n * d.store.sectorSize
+	if b := d.store.lend(sector, size); b != nil {
+		return b, nil
+	}
 	if cap(d.rbuf) < size {
 		d.rbuf = make([]byte, size)
 	}

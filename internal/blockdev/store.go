@@ -22,6 +22,10 @@ const pageSize = 4096
 
 type page [pageSize]byte
 
+// zeroPage is what an unwritten page reads as when a read is lent rather
+// than copied (see Store.lend). Nothing may write it.
+var zeroPage page
+
 // Store is an in-memory sector-addressed disk. Unwritten sectors read as
 // zeros. The zero value is not usable; call NewStore.
 type Store struct {
@@ -110,6 +114,24 @@ func (s *Store) checkRead(sector uint64, n int) error {
 		return ErrZeroSectors
 	}
 	return s.checkRange(sector, uint64(n))
+}
+
+// lend returns the size bytes at sector on without copying them when they
+// lie inside one page: a view of the page, or of zeroPage when the page is
+// unwritten. It returns nil for a range that crosses a page boundary. The
+// range must already be checked, and the view is valid until the next
+// write; nothing may write through it.
+func (s *Store) lend(sector uint64, size int) []byte {
+	off := sector * uint64(s.sectorSize)
+	lo := int(off % pageSize)
+	if lo+size > pageSize {
+		return nil
+	}
+	p := s.pages[off/pageSize]
+	if p == nil {
+		p = &zeroPage
+	}
+	return p[lo : lo+size : lo+size]
 }
 
 // copyOut fills dst from the bytes at sector on; unwritten pages read as

@@ -139,41 +139,60 @@ func TestStoreMatchesFlatOracle(t *testing.T) {
 	}
 }
 
-// The device lends one read buffer to every read's completion callback:
-// the bytes are right inside the callback, and the next read overwrites
-// them. Consumers that keep read data must copy it before returning.
+// The device lends every read to its completion callback: the bytes are
+// right inside the callback and may change after it. A read inside one page
+// is the store's page itself, which the next write to it overwrites (an
+// unwritten page reads from the shared zero page); a read across pages
+// fills the device's one read buffer, which the next such read overwrites.
+// Consumers that keep read data must copy it before returning.
 func TestDeviceReadBufferIsBorrowed(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDevice(e, NewStore(512, 64), 10, 2)
 	a, b := pattern(1024, 1), pattern(1024, 2)
-	for _, w := range []struct {
-		sector uint64
-		data   []byte
-	}{{0, a}, {8, b}} {
-		d.Submit(Request{Op: OpWrite, Sector: w.sector, Data: w.data}, func(r Response) {
+	write := func(sector uint64, data []byte) {
+		d.Submit(Request{Op: OpWrite, Sector: sector, Data: data}, func(r Response) {
 			if r.Err != nil {
 				t.Errorf("write: %v", r.Err)
 			}
 		})
+		e.Run()
 	}
-	e.Run()
-	var first []byte
-	d.Submit(Request{Op: OpRead, Sector: 0, Sectors: 2}, func(r Response) {
-		if !bytes.Equal(r.Data, a) {
-			t.Error("first read wrong inside its callback")
-		}
-		first = r.Data
-	})
-	d.Submit(Request{Op: OpRead, Sector: 8, Sectors: 2}, func(r Response) {
-		if !bytes.Equal(r.Data, b) {
-			t.Error("second read wrong inside its callback")
-		}
-		if &r.Data[0] != &first[0] {
-			t.Error("second read did not reuse the device's read buffer")
-		}
-	})
-	e.Run()
+	read := func(sector uint64, n int, want []byte) (lent []byte) {
+		d.Submit(Request{Op: OpRead, Sector: sector, Sectors: n}, func(r Response) {
+			if !bytes.Equal(r.Data, want) {
+				t.Errorf("read of sector %d wrong inside its callback", sector)
+			}
+			lent = r.Data
+		})
+		e.Run()
+		return lent
+	}
+	write(0, a)
+	write(8, b)
+
+	// Inside one page: the page itself, and the zero page where unwritten.
+	first := read(0, 2, a)
+	if p := d.store.pages[0]; &first[0] != &p[0] {
+		t.Error("a read inside one page was not lent from the page")
+	}
+	write(0, b)
 	if !bytes.Equal(first, b) {
+		t.Error("a page held past its callback did not see the next write")
+	}
+	if z := read(16, 8, make([]byte, 4096)); &z[0] != &zeroPage[0] {
+		t.Error("a read of an unwritten page was not lent from the zero page")
+	}
+
+	// Across pages: the device's read buffer, reused by the next such read.
+	across := append(make([]byte, 1024), b...) // sectors 6..9
+	held := read(6, 4, across)
+	if p := d.store.pages[1]; &held[0] == &p[0] || &held[0] == &d.store.pages[0][3072] {
+		t.Error("a read across pages was lent from a page")
+	}
+	if got := read(14, 4, make([]byte, 2048)); &got[0] != &held[0] {
+		t.Error("the second read across pages did not reuse the device's read buffer")
+	}
+	if !bytes.Equal(held, make([]byte, 2048)) {
 		t.Error("a read buffer held past its callback was not reused")
 	}
 }

@@ -406,7 +406,7 @@ func TestBlkColdStartAllocBudget(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	const budget = 768 << 10
+	const budget = 512 << 10
 	for _, bed := range blkRWBeds(1)[2:] {
 		t.Run(bed.name, func(t *testing.T) {
 			tb := Build(bed.spec)

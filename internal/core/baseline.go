@@ -101,9 +101,9 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 		bg.sites = bufpool.NewList("core baseline blk sites", func() *baselineBlk {
 			b := &baselineBlk{h: h, bg: bg}
 			b.irqFn = func() {
-				q.ring.Push(b.c, b.resp)
+				q.ring.Push(b.c, b.data, b.status)
 				releaseChain(pool, &b.c)
-				b.resp = nil
+				b.status, b.data = nil, nil
 				bg.sites.Put(b)
 				bg.g.VM.GuestIRQInjected(h.ioCore, q.reapFn)
 			}
@@ -128,11 +128,11 @@ func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk block
 // server handed over, until the interrupt has completed the chain, which
 // recycles them.
 type baselineBlk struct {
-	h     *BaselineHost
-	bg    *baselineGuest
-	c     virtio.Chain
-	resp  []byte
-	irqFn func()
+	h            *BaselineHost
+	bg           *baselineGuest
+	c            virtio.Chain
+	status, data []byte
+	irqFn        func()
 }
 
 // Charge implements virtio.BlkSite.
@@ -144,9 +144,9 @@ func (b *baselineBlk) Charge(cost sim.Time, fn func()) {
 func (b *baselineBlk) Completed() {}
 
 // Reply takes the device interrupt on the host, then completes the chain
-// and injects the completion. The site keeps resp, handed over, for the
-// interrupt.
-func (b *baselineBlk) Reply(resp []byte) {
-	b.resp = resp
+// and injects the completion. The site keeps the reply for the interrupt:
+// the data, handed over, and the status, a static byte.
+func (b *baselineBlk) Reply(status, data []byte) {
+	b.status, b.data = status, data
 	hypervisor.HostIRQ(b.h.ioCore, b.h.p, &b.bg.g.VM.Counters, hypervisor.CounterHostIRQs, b.irqFn)
 }

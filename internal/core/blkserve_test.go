@@ -63,7 +63,9 @@ func (s *blkSite) do(t *testing.T, toReplica bool, req []byte, sectors int) []by
 		}
 		c[0].Driver.SendBlk(uint8(virtio.DeviceBlk), id, req, done)
 	} else {
-		core.SubmitRawBlk(s.tb.Guests[0], req, sectors, done)
+		core.SubmitRawBlk(s.tb.Guests[0], req, sectors, func(status, data []byte, err error) {
+			done(append(bytes.Clone(status), data...), err)
+		})
 	}
 	s.tb.Eng.RunUntil(s.tb.Eng.Now() + 10*sim.Millisecond)
 	if got == nil {
@@ -171,6 +173,44 @@ func TestBlkServeAllSites(t *testing.T) {
 			delta := blkCounts{after.reqs - before.reqs, after.bad - before.bad, after.drops - before.drops, after.copied - before.copied}
 			if delta != c.counts {
 				t.Errorf("%s %s: counter deltas %+v, want %+v", m, c.name, delta, c.counts)
+			}
+		}
+	}
+}
+
+// TestRingBlkReadSlabs pins the buffers a 4 KiB read takes on the two ring
+// models, laid out as virtio-blk lays them out: the host copies the data
+// once, from the store into a slab of exactly 4 KiB, and hands it and the
+// status byte to descriptors of their own, so the guest reads the status
+// from a one-byte buffer. Besides the request header, the read takes no
+// pool loan: no 8 KiB slab holds the status and the data together.
+func TestRingBlkReadSlabs(t *testing.T) {
+	data := bytes.Repeat([]byte{0x5A}, 4096)
+	req := virtio.BlkReq{Type: virtio.BlkIn, Sector: 8, Sectors: 8}.Append(nil)
+	for _, m := range []core.ModelName{core.ModelElvis, core.ModelBaseline} {
+		s := newBlkSite(m)
+		if err := s.plain.Store().Write(8, data); err != nil {
+			t.Fatal(err)
+		}
+		g := s.tb.Guests[0]
+		pool := core.GuestPool(g)
+		for round := range 2 { // the first read warms the pool's classes
+			gets, done := pool.Stats.Gets, false
+			core.SubmitRawBlk(g, req, 8, func(status, got []byte, err error) {
+				done = true
+				if err != nil || len(status) != 1 || cap(status) != 1 || status[0] != virtio.BlkOK {
+					t.Errorf("%s: status %x (capacity %d), %v; want BlkOK in a buffer of its own", m, status, cap(status), err)
+				}
+				if !bytes.Equal(got, data) || cap(got) != len(data) {
+					t.Errorf("%s: data of %d bytes in a %d-byte slab, want the 4 KiB written in a 4 KiB slab", m, len(got), cap(got))
+				}
+			})
+			s.tb.Eng.RunUntil(s.tb.Eng.Now() + 10*sim.Millisecond)
+			if !done {
+				t.Fatalf("%s: no reply", m)
+			}
+			if n := pool.Stats.Gets - gets; n != 2 {
+				t.Errorf("%s round %d: the read took %d pool loans, want 2 (the request header and the data)", m, round, n)
 			}
 		}
 	}

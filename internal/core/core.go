@@ -65,9 +65,9 @@ type Guest struct {
 
 	// Block front end, set by models that attach a block device. A request
 	// first pays blkStackCost (of its payload bytes) on the VCPU; then
-	// blkPost posts op.req (on the guest's ring, or over the vRIO
-	// transport) with op.replyFn as its completion. A reply whose status is
-	// not BlkOK fails with blkBadStatus. blkOps recycles the ops.
+	// blkPost posts op.req on the guest's ring, with op.replyFn as its
+	// completion, or over the vRIO transport, with op.wireFn. A reply whose
+	// status is not BlkOK fails with blkBadStatus. blkOps recycles the ops.
 	blkPost      func(op *blkOp)
 	blkStackCost func(bytes int) sim.Time
 	blkBadStatus error
@@ -105,6 +105,10 @@ func newGuest(vm *hypervisor.VM, p *params.P, mac ethernet.MAC, pool *bufpool.Po
 		op := &blkOp{g: g}
 		op.postFn = func() { g.blkPost(op) }
 		op.replyFn = op.reply
+		op.wireFn = func(resp []byte, err error) {
+			n := min(len(resp), 1)
+			op.reply(resp[:n], resp[n:], err)
+		}
 		return op
 	})
 	return g
@@ -174,7 +178,7 @@ func (g *Guest) ReadBlock(sector uint64, sectors int, done func([]byte, error)) 
 func (g *Guest) WriteBlockQ(queue uint8, sector uint64, data []byte, done func(error)) {
 	op := g.getBlkOp()
 	op.encode(virtio.BlkReq{Type: virtio.BlkOut, Sector: sector, Data: data})
-	op.queue, op.respCap, op.wdone = queue, 1, done
+	op.queue, op.wdone = queue, done
 	g.VM.Compute(g.blkStackCost(len(data)), op.postFn)
 }
 
@@ -185,7 +189,7 @@ func (g *Guest) ReadBlockQ(queue uint8, sector uint64, sectors int, done func([]
 	op := g.getBlkOp()
 	bytes := sectors * g.p.SectorSize
 	op.encode(virtio.BlkReq{Type: virtio.BlkIn, Sector: sector, Sectors: sectors})
-	op.queue, op.respCap, op.rdone = queue, 1+bytes, done
+	op.queue, op.readLen, op.rdone = queue, bytes, done
 	g.VM.Compute(g.blkStackCost(bytes), op.postFn)
 }
 
@@ -226,13 +230,15 @@ type blkOp struct {
 	req     []byte
 	data    []byte
 	queue   uint8
-	respCap int // reply bytes a ring reserves: the status, then read data
+	readLen int // a read's data bytes, which a ring reserves a descriptor for
 	wdone   func(error)
 	rdone   func([]byte, error)
 	// postFn runs g.blkPost(op) once the guest stack has paid; replyFn takes
-	// the raw reply (status byte, then data) and completes the request.
+	// the reply's status and a read's data and completes the request, and
+	// wireFn takes the transport's reply, the status byte then the data.
 	postFn  func()
-	replyFn func([]byte, error)
+	replyFn func(status, data []byte, err error)
+	wireFn  func(resp []byte, err error)
 }
 
 // encode builds the request r into the op, copying a write's payload into
@@ -259,16 +265,16 @@ func (g *Guest) getBlkOp() *blkOp {
 }
 
 // reply releases a payload the transport held, recycles the op, then
-// completes its request with resp, the raw reply, which is only valid
-// during the call.
-func (op *blkOp) reply(resp []byte, err error) {
+// completes its request with the reply's status and a read's data, which
+// are only valid during the call.
+func (op *blkOp) reply(status, data []byte, err error) {
 	g, wdone, rdone := op.g, op.wdone, op.rdone
 	if op.data != nil {
 		g.pool.PutRaw(op.data)
 	}
-	op.wdone, op.rdone, op.data = nil, nil, nil
+	op.wdone, op.rdone, op.data, op.readLen = nil, nil, nil, 0
 	g.blkOps.Put(op)
-	if err == nil && (len(resp) < 1 || resp[0] != virtio.BlkOK) {
+	if err == nil && (len(status) < 1 || status[0] != virtio.BlkOK) {
 		err = g.blkBadStatus
 	}
 	switch {
@@ -277,6 +283,6 @@ func (op *blkOp) reply(resp []byte, err error) {
 	case err != nil:
 		rdone(nil, err)
 	default:
-		rdone(resp[1:], nil)
+		rdone(data, nil)
 	}
 }

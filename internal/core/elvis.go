@@ -180,11 +180,12 @@ func (b *elvisBlk) Charge(cost sim.Time, fn func()) {
 // Completed implements virtio.BlkSite.
 func (b *elvisBlk) Completed() {}
 
-// Reply hands resp to the chain, recycles the site and its request
-// buffers, and notifies the guest exitless.
-func (b *elvisBlk) Reply(resp []byte) {
+// Reply hands the data, when there is any, and the status to the chain's
+// writable descriptors, recycles the site and its request buffers, and
+// notifies the guest exitless.
+func (b *elvisBlk) Reply(status, data []byte) {
 	eg := b.eg
-	eg.g.blkQ.ring.Push(b.c, resp)
+	eg.g.blkQ.ring.Push(b.c, data, status)
 	releaseChain(eg.g.pool, &b.c)
 	eg.sites.Put(b)
 	eg.g.VM.GuestIRQExitless(eg.g.blkQ.reapFn)

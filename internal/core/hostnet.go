@@ -220,6 +220,10 @@ func (n *hostNet) ringPost(raw []byte) {
 // workload.
 func (g *Guest) ringReap() {
 	for _, c := range g.net.q.guestReapRx() {
-		g.receiveNet(g.pool.Wrap(c.In, c.In), g.net.p.GuestNetStackCost)
+		var frame []byte
+		if len(c.In) > 0 {
+			frame = c.In[0]
+		}
+		g.receiveNet(g.pool.Wrap(frame, frame), g.net.p.GuestNetStackCost)
 	}
 }

@@ -82,7 +82,7 @@ func (q *netQueues) guestSend(frame []byte) bool {
 	for off := 0; off < len(frame); off += txPage {
 		q.pages = append(q.pages, frame[off:min(off+txPage, len(frame))])
 	}
-	_, err := q.tx.Add(q.pages, 0)
+	_, err := q.tx.Add(q.pages)
 	return err == nil
 }
 
@@ -105,7 +105,7 @@ func (q *netQueues) hostPopTx() ([]byte, bool) {
 		}
 		frame = out[0][:min(n, cap(out[0]))]
 	}
-	q.tx.Push(q.pop, nil)
+	q.tx.Push(q.pop)
 	return frame, true
 }
 
@@ -125,8 +125,9 @@ func (q *netQueues) hostDeliver(frame []byte) bool {
 }
 
 // guestReapRx collects received frames and restocks the buffers. Each
-// completion's In is a frame the ring hands over to the guest, which
-// releases it. The completions are valid until the next reap.
+// completion's In holds the frame the ring hands over to the guest, which
+// releases it (an rx chain has one writable descriptor). The completions
+// are valid until the next reap.
 func (q *netQueues) guestReapRx() []virtio.Completion {
 	if n := q.rx.ReapInto(&q.reap, 0); n > 0 {
 		q.stockRx(n)
@@ -135,15 +136,15 @@ func (q *netQueues) guestReapRx() []virtio.Completion {
 }
 
 // blkQueue is the shared-memory state of one paravirtual block device: a
-// single virtqueue whose chains carry the virtio-blk header, a write's
-// payload in a descriptor of its own, and room for the reply (the status,
-// then a read's data).
+// single virtqueue whose chains carry, as virtio-blk lays them out, the
+// request header, a write's payload in a descriptor of its own, a
+// writable descriptor for a read's data and a last one for the status.
 type blkQueue struct {
 	ring *virtio.Ring
 	pool *bufpool.Pool
 	// done routes each posted chain's reply to its submitter, indexed by
 	// chain head (heads are below the ring's queue size).
-	done []func([]byte, error)
+	done []func(status, data []byte, err error)
 	// reap is the reusable completion batch for guestReap; reapFn is
 	// guestReap bound once, for completion interrupts.
 	reap   virtio.ReapBatch
@@ -157,28 +158,33 @@ func newBlkQueue(pool *bufpool.Pool) *blkQueue {
 	if err != nil {
 		panic(err)
 	}
-	q := &blkQueue{ring: ring, pool: pool, done: make([]func([]byte, error), ring.QueueSize())}
+	q := &blkQueue{ring: ring, pool: pool, done: make([]func([]byte, []byte, error), ring.QueueSize())}
 	q.reapFn = q.guestReap
 	return q
 }
 
 // guestSubmit hands op's request slabs (op.req, then op.data when it has
-// one) to the ring, reserving op.respCap bytes for the reply, which goes to
-// op.replyFn. It reports whether the ring had room; a full ring fails the
-// op with virtio.ErrRingFull and returns its slabs to the pool.
+// one) to the ring, reserving a descriptor of op.readLen bytes for a read's
+// data and one byte for the status; the reply goes to op.replyFn. It
+// reports whether the ring had room; a full ring fails the op with
+// virtio.ErrRingFull and returns its slabs to the pool.
 func (q *blkQueue) guestSubmit(op *blkOp) bool {
 	out := [2][]byte{op.req, op.data}
 	n := 1
 	if op.data != nil {
 		n = 2
 	}
+	in, k := [2]int{op.readLen, 1}, 1
+	if op.readLen > 0 {
+		k = 0
+	}
 	op.req, op.data = nil, nil
-	head, err := q.ring.Add(out[:n], op.respCap)
+	head, err := q.ring.Add(out[:n], in[k:]...)
 	if err != nil {
 		for _, b := range out[:n] {
 			q.pool.PutRaw(b)
 		}
-		op.replyFn(nil, virtio.ErrRingFull)
+		op.replyFn(nil, nil, virtio.ErrRingFull)
 		return false
 	}
 	q.done[head] = op.replyFn
@@ -186,15 +192,25 @@ func (q *blkQueue) guestSubmit(op *blkOp) bool {
 }
 
 // guestReap collects completed requests and hands each reply to its
-// submitter, releasing it once the submitter returns.
+// submitter, releasing its buffers once the submitter returns. The status
+// is the last buffer the host wrote and a read's data the one before it.
 func (q *blkQueue) guestReap() {
 	q.ring.ReapInto(&q.reap, 0)
 	for _, comp := range q.reap.Completions {
 		if done := q.done[comp.Head]; done != nil {
 			q.done[comp.Head] = nil
-			done(comp.In, nil)
+			var status, data []byte
+			if n := len(comp.In); n > 0 {
+				status = comp.In[n-1]
+				if n > 1 {
+					data = comp.In[n-2]
+				}
+			}
+			done(status, data, nil)
 		}
-		q.pool.PutRaw(comp.In)
+		for _, b := range comp.In {
+			q.pool.PutRaw(b)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func TestNetQueuesRxFreeListCycles(t *testing.T) {
 			t.Fatalf("round %d: reaped %d frames, want %d", round, len(got), min(burst, rxBuffers))
 		}
 		for i, c := range got {
-			if !bytes.Equal(c.In, frame(round+i)) {
+			if len(c.In) != 1 || !bytes.Equal(c.In[0], frame(round+i)) {
 				t.Fatalf("round %d: frame %d out of order", round, i)
 			}
 		}

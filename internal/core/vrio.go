@@ -208,7 +208,7 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 			return h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, bytes)
 		}
 		g.blkPost = func(op *blkOp) {
-			c.Driver.SendBlkGather(uint8(virtio.DeviceBlk), c.blkID, op.queue, op.req, op.data, op.replyFn)
+			c.Driver.SendBlkGather(uint8(virtio.DeviceBlk), c.blkID, op.queue, op.req, op.data, op.wireFn)
 		}
 		g.blkBadStatus = virtio.ErrBadChain
 	}

@@ -33,6 +33,10 @@ type Service interface {
 	// Process transforms payload, returning the (possibly new) payload,
 	// the CPU cost to charge the processing core, and an error. A nil
 	// payload result with nil error drops the I/O (firewalls do this).
+	// Process must not write payload in place: a block read's payload is
+	// lent straight from the device's store page (or a shared zero page),
+	// and a received request or frame is a view of its wire frame, so a
+	// service that transforms bytes returns them in a buffer of its own.
 	Process(dir Direction, deviceID uint16, payload []byte) ([]byte, sim.Time, error)
 }
 

@@ -217,3 +217,35 @@ func TestChainToGuestZeroAlloc(t *testing.T) {
 		t.Errorf("ToGuest pass: %v allocs, want 0", allocs)
 	}
 }
+
+// No shipped service writes its input in place, in either direction: the
+// block read path lends it a store page, and received requests and frames
+// are views of their wire frames. Each payload runs twice, so Dedup sees a
+// duplicate and the Firewall both passes and drops.
+func TestServicesLeaveInputUnchanged(t *testing.T) {
+	aes, err := NewAES(key32(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := []Service{Null{}, aes, NewFirewall(1, []byte("DROP")), NewMeter(), NewDedup(1)}
+	payloads := [][]byte{
+		bytes.Repeat([]byte{0xAB}, 4096),
+		append([]byte("DROP"), make([]byte, 508)...),
+		make([]byte, 4096),
+	}
+	for _, s := range services {
+		for _, dir := range []Direction{ToDevice, ToGuest} {
+			for _, p := range payloads {
+				in := bytes.Clone(p)
+				for range 2 {
+					if _, _, err := s.Process(dir, 3, in); err != nil {
+						t.Fatalf("%s: %v", s.Name(), err)
+					}
+					if !bytes.Equal(in, p) {
+						t.Fatalf("%s (direction %d) wrote its %d-byte input in place", s.Name(), dir, len(p))
+					}
+				}
+			}
+		}
+	}
+}

@@ -1145,16 +1145,17 @@ func (c *blkCall) Completed() {
 	}
 }
 
-// Reply answers the request, releases resp (RespondBlk borrows it) and
-// recycles the call.
-func (c *blkCall) Reply(resp []byte) {
+// Reply answers the request, gathering the status and the data into the
+// response, releases the data (RespondBlk borrows it) and recycles the
+// call.
+func (c *blkCall) Reply(status, data []byte) {
 	h := c.h
 	if !h.failed { // completions from a crashed host never leave it
 		h.cur = c.c
-		h.endpoint.RespondBlk(c.src, c.hdr, resp)
+		h.endpoint.RespondBlk(c.src, c.hdr, status, data)
 		h.txInterrupt()
 	}
-	h.bufPool().PutRaw(resp)
+	h.bufPool().PutRaw(data)
 	*c = blkCall{h: h}
 	h.calls.Put(c)
 }

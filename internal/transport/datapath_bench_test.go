@@ -194,9 +194,10 @@ func TestHotPathZeroAlloc(t *testing.T) {
 // block read take on the vRIO transport, with a front end and a back end
 // like the guest's and the IOhost's. The front end keeps the header in a
 // buffer of its own and copies the write's payload into a 4 KiB slab; the
-// back end builds a read's [status][data] reply in a slab. The transport
-// adds one slab per message, its wire frame, which the NIC's TSO fills from
-// the gather list: that is the message's one transport-layer copy. A
+// back end copies a read's data into a 4 KiB slab and answers with the
+// status byte and that slab, which RespondBlk gathers. The transport adds
+// one slab per message, its wire frame, which the NIC's TSO fills from the
+// gather list: that is the message's one transport-layer copy. A
 // single-fragment message reaches its consumer as that frame, viewed past
 // its headers, so the lease the endpoint hands BlkReq aliases the received
 // frame slab, and the reply the driver hands the callback is a view of its
@@ -210,13 +211,16 @@ func TestBlkSlabsZeroCopy(t *testing.T) {
 	var reqData []byte
 	r.Endpoint.BlkReq = func(src ethernet.MAC, h Header, req *bufpool.Frame) {
 		reqCap, reqData = cap(req.B), bytes.Clone(req.B[len(hdr):])
-		resp := []byte{0}
-		if len(req.B) == len(hdr) { // a read: the back end's reply slab
-			resp = append(r.Pool.GetRaw(1 + len(data))[:1], data...)
+		var slab []byte
+		if len(req.B) == len(hdr) { // a read: the back end's data slab
+			slab = r.Pool.Clone(data)
 		}
-		r.Endpoint.RespondBlk(src, h, resp)
-		if len(resp) > 1 {
-			r.Pool.PutRaw(resp)
+		r.Endpoint.RespondBlk(src, h, []byte{0}, slab)
+		if slab != nil {
+			if cap(slab) != len(data) {
+				t.Errorf("read data slab of %d bytes, want the %d-byte class", cap(slab), len(data))
+			}
+			r.Pool.PutRaw(slab)
 		}
 		req.Release()
 	}
@@ -245,7 +249,7 @@ func TestBlkSlabsZeroCopy(t *testing.T) {
 		reqSlab, rspSlab int
 	}{
 		{"write", data, 3, 8192, 128}, // payload slab, request frame, reply frame
-		{"read", nil, 3, 128, 8192},   // request frame, reply slab, reply frame
+		{"read", nil, 3, 128, 8192},   // request frame, data slab, reply frame
 	} {
 		op(c.payload) // warm the pool's classes
 		gets := r.Pool.Stats.Gets

@@ -239,10 +239,11 @@ func (e *Endpoint) SendNetRx(dst ethernet.MAC, deviceID uint16, frame []byte) {
 	e.send(dst, Header{Type: MsgNetRx, DeviceID: deviceID, ReqID: e.nextID}, frame)
 }
 
-// RespondBlk sends a (possibly chunked) block response, echoing the
-// request's ReqID/OrigID so the client can match and de-duplicate it. resp
-// is only borrowed for the duration of the call.
-func (e *Endpoint) RespondBlk(dst ethernet.MAC, req Header, resp []byte) {
+// RespondBlk sends a (possibly chunked) block response gathered from resp's
+// parts (a status, then a read's data), echoing the request's ReqID/OrigID
+// so the client can match and de-duplicate it. The parts are only borrowed
+// for the duration of the call.
+func (e *Endpoint) RespondBlk(dst ethernet.MAC, req Header, resp ...[]byte) {
 	e.Counters.Inc("blk_resp", 1)
 	if e.Tracer.Enabled() {
 		// Parent the completion under the request's guest_ring root so the
@@ -258,7 +259,7 @@ func (e *Endpoint) RespondBlk(dst ethernet.MAC, req Header, resp []byte) {
 		DeviceID:   req.DeviceID,
 		ReqID:      req.ReqID,
 		OrigID:     req.OrigID,
-	}, resp)
+	}, resp...)
 }
 
 // CreateDevice instructs an IOclient to instantiate a paravirtual front-end

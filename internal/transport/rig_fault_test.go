@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"vrio/internal/bufpool"
+	"vrio/internal/ethernet"
 	"vrio/internal/link"
 	"vrio/internal/sim"
 )
@@ -182,5 +184,57 @@ func TestRigCorruptionTriggersRetransmit(t *testing.T) {
 	}
 	if rt := r.Driver.Counters.Get("retransmits"); rt != 1 {
 		t.Errorf("retransmits = %d, want 1", rt)
+	}
+}
+
+// A block reply gathered from its parts — the status, a volume read's
+// version, the data — puts the same bytes on the wire as the reply in one
+// contiguous buffer, whole and chunked across part boundaries alike.
+func TestRespondBlkGatherKeepsWireBytes(t *testing.T) {
+	data := bytes.Repeat([]byte{0x5A, 0xA5, 0x0F}, 1400)
+	status, version := []byte{0}, []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	whole := append(append(append([]byte(nil), status...), version...), data...)
+	for _, maxChunk := range []int{0, 1000} {
+		wire := func(gather bool) [][]byte {
+			r := NewRigConfig(Config{MaxChunk: maxChunk})
+			var frames [][]byte
+			r.Cable.BtoA.SetFault(&frameScript{fn: func(_ int, f []byte) link.FaultVerdict {
+				frames = append(frames, bytes.Clone(f))
+				return link.FaultVerdict{}
+			}})
+			r.Endpoint.BlkReq = func(src ethernet.MAC, h Header, req *bufpool.Frame) {
+				if gather {
+					r.Endpoint.RespondBlk(src, h, status, version, data)
+				} else {
+					r.Endpoint.RespondBlk(src, h, whole)
+				}
+				req.Release()
+			}
+			var got []byte
+			r.Driver.SendBlk(2, 1, []byte("read"), func(resp []byte, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = bytes.Clone(resp)
+			})
+			r.Step()
+			if !bytes.Equal(got, whole) {
+				t.Fatalf("max chunk %d, gather %v: the driver got %d bytes, want the %d-byte reply", maxChunk, gather, len(got), len(whole))
+			}
+			return frames
+		}
+		a, b := wire(false), wire(true)
+		want := 1
+		if maxChunk > 0 {
+			want = (len(whole) + maxChunk - 1) / maxChunk
+		}
+		if len(a) != want || len(b) != want {
+			t.Fatalf("max chunk %d: %d frames from one buffer, %d gathered; want %d", maxChunk, len(a), len(b), want)
+		}
+		for i := range a {
+			if !bytes.Equal(a[i], b[i]) {
+				t.Errorf("max chunk %d: wire frame %d differs", maxChunk, i)
+			}
+		}
 	}
 }

@@ -25,7 +25,7 @@ type BlkServer struct {
 	// answer them BlkUnsupp.
 	Replica bool
 	Cost    BlkCost
-	// Pool lends the buffers read replies are built in, which Reply hands
+	// Pool lends the slabs read data is copied into, which Reply hands
 	// over; nil gives the server a private one.
 	Pool *bufpool.Pool
 	// Counters, when set, counts blk_reqs (decoded requests), bad_msgs
@@ -61,13 +61,17 @@ type BlkSite interface {
 	// Completed runs when the backend has finished the request, before its
 	// reply is built.
 	Completed()
-	// Reply delivers the reply: the status byte, then for a successful read
-	// the data (for BlkVolIn, the replica's version and then the data).
-	// Reply is the request's last hook, and resp is handed over: the site
-	// releases it with PutRaw once done. A successful read's reply is a
-	// slab of the server's Pool; a status-only reply is a read-only byte
-	// that PutRaw declines.
-	Reply(resp []byte)
+	// Reply delivers the reply, which the guest sees as status, then data.
+	// status is the status byte, read-only: one of the server's static
+	// bytes, which PutRaw declines, except for a BlkVolIn reply, whose
+	// status is followed by the replica's version in the server's
+	// per-request state, valid only during the call (only the vRIO IOhost
+	// serves those). data
+	// is a successful read's data, nil for any other reply: a slab of the
+	// server's Pool of exactly the data's length, handed over, which the
+	// site releases with PutRaw once done. Reply is the request's last
+	// hook.
+	Reply(status, data []byte)
 }
 
 // Serve serves one request, whose bytes arrive in bufs: the encoded request
@@ -87,7 +91,7 @@ func (s *BlkServer) Serve(site BlkSite, bufs ...[]byte) (op blockdev.Op, ok bool
 	}
 	if err != nil {
 		s.count("bad_msgs", 1)
-		site.Reply(statusReply(BlkIOErr))
+		site.Reply(statusReply(BlkIOErr), nil)
 		return 0, false
 	}
 	s.count("blk_reqs", 1)
@@ -103,7 +107,7 @@ func (s *BlkServer) Serve(site BlkSite, bufs ...[]byte) (op blockdev.Op, ok bool
 	case r.Type == BlkVolIn && s.Replica:
 		op = blockdev.OpVolRead
 	default:
-		site.Reply(statusReply(BlkUnsupp))
+		site.Reply(statusReply(BlkUnsupp), nil)
 		return 0, false
 	}
 	cost := s.Cost.Service
@@ -113,7 +117,7 @@ func (s *BlkServer) Serve(site BlkSite, bufs ...[]byte) (op blockdev.Op, ok bool
 		data, icost, err = s.Chain.Process(interpose.ToDevice, s.Device, r.Data)
 		if err != nil {
 			s.count("interpose_drops", 1)
-			site.Reply(statusReply(BlkIOErr))
+			site.Reply(statusReply(BlkIOErr), nil)
 			return 0, false
 		}
 		copied := len(data)
@@ -136,7 +140,10 @@ type blkOp struct {
 	s    *BlkServer
 	site BlkSite
 	req  blockdev.Request
-	out  []byte // a read's reply, built while the backend's data is lent
+	// status and data are a read's reply, built while the backend's data is
+	// lent; a BlkVolIn reply's status is hdr, the status and the version.
+	status, data []byte
+	hdr          [1 + VolReadVerSize]byte
 
 	submitFn func()
 	doneFn   func(blockdev.Response)
@@ -154,16 +161,16 @@ func (s *BlkServer) newOp() *blkOp {
 	o := &blkOp{s: s}
 	o.submitFn = func() { s.Backend.Submit(o.req, o.doneFn) }
 	o.doneFn = o.complete
-	o.replyFn = func() { o.reply(o.out) }
+	o.replyFn = func() { o.reply(o.status, o.data) }
 	return o
 }
 
-// reply delivers resp and recycles the op.
-func (o *blkOp) reply(resp []byte) {
-	site := o.site
+// reply delivers the reply, then recycles the op, whose hdr a BlkVolIn
+// status lives in.
+func (o *blkOp) reply(status, data []byte) {
+	o.site.Reply(status, data)
 	*o = blkOp{s: o.s, submitFn: o.submitFn, doneFn: o.doneFn, replyFn: o.replyFn}
 	o.s.ops.Put(o)
-	site.Reply(resp)
 }
 
 // complete finishes a request the backend has served.
@@ -171,29 +178,26 @@ func (o *blkOp) complete(resp blockdev.Response) {
 	s := o.s
 	o.site.Completed()
 	if resp.Err != nil || (o.req.Op != blockdev.OpRead && o.req.Op != blockdev.OpVolRead) {
-		o.reply(statusReply(blkStatus(resp.Err)))
+		o.reply(statusReply(blkStatus(resp.Err)), nil)
 		return
 	}
 	data, icost, err := s.Chain.Process(interpose.ToGuest, s.Device, resp.Data)
 	if err != nil {
-		o.reply(statusReply(BlkIOErr))
+		o.reply(statusReply(BlkIOErr), nil)
 		return
 	}
-	// resp.Data is borrowed until this callback returns, so the reply is
-	// built now.
-	n := 1
-	if o.req.Op == blockdev.OpVolRead {
-		n += VolReadVerSize
-	}
+	// resp.Data is lent until this callback returns, so the data is copied
+	// now, into a slab of its own: the reply's one copy.
 	if s.Pool == nil {
 		s.Pool = bufpool.New()
 	}
-	o.out = s.Pool.GetRaw(n + len(data))
-	o.out[0] = BlkOK
+	o.data = s.Pool.Clone(data)
+	o.status = statusReply(BlkOK)
 	if o.req.Op == blockdev.OpVolRead {
-		binary.LittleEndian.PutUint64(o.out[1:], resp.Version)
+		o.hdr[0] = BlkOK
+		binary.LittleEndian.PutUint64(o.hdr[1:], resp.Version)
+		o.status = o.hdr[:]
 	}
-	copy(o.out[n:], data)
 	s.charge(o.site, icost+s.copyCost(len(data)), o.replyFn)
 }
 

@@ -7,8 +7,8 @@
 // as in real virtio, a descriptor names one whole buffer, here a slab of the
 // testbed's buffer pool, and the ring passes it on instead of copying it.
 // The driver's out buffers go to the device at PopInto and the device's
-// reply to the driver at ReapInto, each with its ownership, so ring memory
-// is proportional to use and a payload is never copied in or out.
+// reply buffers to the driver at ReapInto, each with its ownership, so ring
+// memory is proportional to use and a payload is never copied in or out.
 package virtio
 
 import (
@@ -49,10 +49,10 @@ var (
 // The descriptor table is the one record of a chain: every walk follows its
 // next and flags fields from the head, at most qsize hops, so a corrupt
 // table cannot hang the ring. A walk also ends at a free descriptor (length
-// 0, flags 0, so no next flag) and Push fills one writable descriptor, so a
-// chain that loops back on itself is freed, and filled, once. Descriptors
-// a corrupt chain cut off from its head return to the free list when the
-// ring drains.
+// 0, flags 0, so no next flag) and Push fills only empty writable
+// descriptors, so a chain that loops back on itself is freed, and filled,
+// once. Descriptors a corrupt chain cut off from its head return to the
+// free list when the ring drains.
 type Ring struct {
 	qsize int
 
@@ -62,8 +62,8 @@ type Ring struct {
 	used  []byte // used ring: hdr + qsize * usedElemSize
 	// bufs[i] is the buffer descriptor i carries, nil while it carries none:
 	// an out descriptor holds the driver's from Add to PopInto, an in
-	// descriptor the device's reply from Push to ReapInto. (The addr field
-	// stays zero.)
+	// descriptor one of the device's reply buffers from Push to ReapInto.
+	// (The addr field stays zero.)
 	bufs [][]byte
 
 	// Driver-private state. posted and spans are indexed by chain head:
@@ -179,18 +179,21 @@ func (r *Ring) setUsedEntry(slot uint16, id, length uint32) {
 // --- driver (guest) side ---
 
 // Add posts one request: out are the buffers the device reads, one
-// descriptor each, and a positive inLen reserves one device-writable
-// descriptor for a reply of up to inLen bytes. It returns the chain head,
-// which identifies the request at completion. Add adopts the out buffers:
-// the driver hands them over, and PopInto hands them on to the device. A
-// failed Add leaves them with the driver.
-func (r *Ring) Add(out [][]byte, inLen int) (uint16, error) {
-	total := len(out)
-	if inLen > 0 {
-		total++
-	}
+// descriptor each, and each of in reserves one device-writable descriptor
+// after them for a reply buffer of up to that many bytes (a virtio-blk read
+// reserves its data, then its status). It returns the chain head, which
+// identifies the request at completion. Add adopts the out buffers: the
+// driver hands them over, and PopInto hands them on to the device. A failed
+// Add leaves them with the driver.
+func (r *Ring) Add(out [][]byte, in ...int) (uint16, error) {
+	total := len(out) + len(in)
 	for _, b := range out {
 		if len(b) == 0 {
+			return 0, ErrEmptyRequest
+		}
+	}
+	for _, n := range in {
+		if n <= 0 {
 			return 0, ErrEmptyRequest
 		}
 	}
@@ -208,10 +211,13 @@ func (r *Ring) Add(out [][]byte, inLen int) (uint16, error) {
 	cur := head
 	for i := 0; i < total; i++ {
 		_, _, next := r.readDesc(cur)
-		l, flags := inLen, uint16(descFlagWrite)
+		var l int
+		var flags uint16
 		if i < len(out) {
 			r.bufs[cur] = out[i]
-			l, flags = len(out[i]), 0
+			l = len(out[i])
+		} else {
+			l, flags = in[i-len(out)], descFlagWrite
 		}
 		if i < total-1 {
 			r.writeDesc(cur, uint32(l), flags|descFlagNext, next)
@@ -238,16 +244,21 @@ func (r *Ring) Add(out [][]byte, inLen int) (uint16, error) {
 // Completion is one finished request as seen by the driver.
 type Completion struct {
 	Head uint16
-	// In is the reply the device pushed, handed over to the driver, which
-	// releases it once done with it; nil when the device wrote nothing.
-	In []byte
+	// In holds the reply buffers the device pushed, in chain order, handed
+	// over to the driver, which releases each once done with it. A
+	// descriptor the device left empty contributes none, so the last buffer
+	// is the last one the device wrote (a virtio-blk reply's status). In is
+	// a view of its batch, valid until the batch's next ReapInto.
+	In [][]byte
 }
 
 // ReapBatch is a reusable harvest: ReapInto refills Completions in place,
+// and every completion's In is a window of one flat slice the batch keeps,
 // so a steady-state reap loop does not allocate. One batch per reaping
 // loop; its contents are invalidated by the next ReapInto.
 type ReapBatch struct {
 	Completions []Completion
+	in          [][]byte
 }
 
 // Reap collects at most max completed requests (all of them if max <= 0),
@@ -268,7 +279,7 @@ func (r *Ring) Reap(max int) []Completion {
 // are freed. When the ring drains with descriptors still unaccounted for,
 // which only a corrupt chain leaves, every descriptor is freed.
 func (r *Ring) ReapInto(b *ReapBatch, max int) int {
-	b.Completions = b.Completions[:0]
+	b.Completions, b.in = b.Completions[:0], b.in[:0]
 	for r.lastUsedIdx != r.usedIdx() {
 		if max > 0 && len(b.Completions) >= max {
 			break
@@ -283,8 +294,7 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 		r.posted[head] = false
 		r.inFlight--
 		r.Tracer.End(r.spans[head])
-		b.Completions = append(b.Completions, Completion{Head: head})
-		c := &b.Completions[len(b.Completions)-1]
+		start := len(b.in)
 		d := head
 		for hops := 0; hops < r.qsize; hops++ {
 			dlen, flags, next := r.readDesc(d)
@@ -292,7 +302,7 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 				break // freed already: the chain looped back
 			}
 			if buf := r.bufs[d]; buf != nil && flags&descFlagWrite != 0 {
-				c.In = buf
+				b.in = append(b.in, buf)
 			}
 			r.bufs[d] = nil
 			r.writeDesc(d, 0, 0, r.freeHead)
@@ -303,6 +313,9 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 			}
 			d = next
 		}
+		// A later append may move b.in; this window keeps the old array,
+		// whose entries stay as they are.
+		b.Completions = append(b.Completions, Completion{Head: head, In: b.in[start:len(b.in):len(b.in)]})
 	}
 	if r.inFlight == 0 && r.numFree != r.qsize {
 		r.freeAll()
@@ -359,20 +372,29 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 // HasAvail reports whether a PopInto would find work (the poll predicate).
 func (r *Ring) HasAvail() bool { return r.lastAvailIdx != r.availIdx() }
 
-// Push completes a chain: it hands data over to the chain's first empty
-// device-writable descriptor, cut to the length the driver reserved there,
-// and publishes a used-ring entry. It returns the number of bytes written.
-// A chain with no such descriptor drops data, which the raw-loan rule lets
-// fall to the collector.
-func (r *Ring) Push(c Chain, data []byte) int {
+// Push completes a chain: it hands each reply buffer, in order, to the
+// chain's next empty device-writable descriptor, cut to the length the
+// driver reserved there, and publishes a used-ring entry. It returns the
+// number of bytes written. A nil buffer is skipped, and a buffer the chain
+// has no descriptor left for is dropped, which the raw-loan rule lets fall
+// to the collector. A descriptor is filled once, even when a corrupt chain
+// visits it again.
+func (r *Ring) Push(c Chain, bufs ...[]byte) int {
 	written := 0
 	d := c.Head
-	for hops := 0; hops < r.qsize && len(data) > 0; hops++ {
+	for hops := 0; hops < r.qsize; hops++ {
+		for len(bufs) > 0 && bufs[0] == nil {
+			bufs = bufs[1:]
+		}
+		if len(bufs) == 0 {
+			break
+		}
 		capHere, flags, next := r.readDesc(d)
 		if flags&descFlagWrite != 0 && r.bufs[d] == nil {
-			written = min(len(data), int(capHere))
-			r.bufs[d] = data[:written]
-			break
+			n := min(len(bufs[0]), int(capHere))
+			r.bufs[d] = bufs[0][:n]
+			written += n
+			bufs = bufs[1:]
 		}
 		if flags&descFlagNext == 0 {
 			break

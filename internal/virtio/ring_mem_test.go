@@ -45,24 +45,29 @@ func checkRingMemory(t *testing.T, r *Ring, pool *bufpool.Pool) {
 // refReq is the reference model's record of one posted request.
 type refReq struct {
 	out   [][]byte
-	inLen int
+	in    []int
 	descs int
 }
 
 // refUsed is one pushed completion the driver has not reaped yet.
 type refUsed struct {
 	head uint16
-	in   []byte
+	in   [][]byte
 }
 
 // runRingOps drives a small ring through the operation stream prog and
 // checks every result against a byte-level reference: posted requests by
 // head, the avail FIFO, the chains the device holds and the used FIFO. Each
 // op is one byte (op%4: Add, PopInto, Push, ReapInto) followed by its
-// argument bytes. The driver and the device draw every buffer they hand
-// over from a pool and release every buffer handed to them once checked,
-// so the ring holds exactly the pool's outstanding loans. At the end it
-// drains the ring to quiescence, where every slab must be back in the pool.
+// argument bytes: Add takes a count of out buffers (%10) and their lengths,
+// then a count of writable descriptors (%3) and their lengths; Push takes
+// a held chain and a count of reply buffers (%4) and their lengths, a zero
+// length being a nil buffer. The driver and the device draw every buffer
+// they hand over from a pool and release every buffer handed to them once
+// checked, and the device releases a reply buffer the chain had no
+// descriptor for, so the ring holds exactly the pool's outstanding loans.
+// At the end it drains the ring to quiescence, where every slab must be
+// back in the pool.
 func runRingOps(t *testing.T, prog []byte) {
 	const qsize = 8
 	pool := bufpool.New()
@@ -84,7 +89,7 @@ func runRingOps(t *testing.T, prog []byte) {
 		return int(b)
 	}
 
-	add := func(outLens []int, inLen int) {
+	add := func(outLens, in []int) {
 		var out [][]byte
 		var want error
 		for _, n := range outLens {
@@ -94,10 +99,12 @@ func runRingOps(t *testing.T, prog []byte) {
 				want = ErrEmptyRequest
 			}
 		}
-		n := len(out)
-		if inLen > 0 {
-			n++
+		for _, n := range in {
+			if n == 0 {
+				want = ErrEmptyRequest
+			}
 		}
+		n := len(out) + len(in)
 		switch {
 		case want != nil:
 		case n == 0:
@@ -107,9 +114,9 @@ func runRingOps(t *testing.T, prog []byte) {
 		case n > free:
 			want = ErrRingFull
 		}
-		head, err := r.Add(out, inLen)
+		head, err := r.Add(out, in...)
 		if err != want {
-			t.Fatalf("Add(%v, %d) with %d free: err %v, want %v", outLens, inLen, free, err, want)
+			t.Fatalf("Add(%v, %v) with %d free: err %v, want %v", outLens, in, free, err, want)
 		}
 		if err != nil {
 			for _, b := range out {
@@ -124,7 +131,7 @@ func runRingOps(t *testing.T, prog []byte) {
 		for i, b := range out {
 			kept[i] = bytes.Clone(b)
 		}
-		reqs[head] = refReq{out: kept, inLen: inLen, descs: n}
+		reqs[head] = refReq{out: kept, in: in, descs: n}
 		avail = append(avail, head)
 		free -= n
 	}
@@ -150,23 +157,32 @@ func runRingOps(t *testing.T, prog []byte) {
 		avail = avail[1:]
 		held = append(held, c)
 	}
-	push := func(i, n int) {
+	push := func(i int, lens []int) {
 		c := held[i]
 		held = append(held[:i], held[i+1:]...)
 		want := reqs[c.Head]
-		var data []byte
-		written := 0
-		if want.inLen > 0 && n > 0 {
-			seq++
-			data = pool.Clone(pattern(seq, n))
-			written = min(n, want.inLen)
+		var replies, in [][]byte
+		written, d := 0, 0
+		for _, n := range lens {
+			var b []byte
+			if n > 0 {
+				seq++
+				b = pool.Clone(pattern(seq, n))
+			}
+			replies = append(replies, b)
+			switch {
+			case b == nil:
+			case d < len(want.in): // the next writable descriptor takes it
+				w := min(n, want.in[d])
+				in = append(in, bytes.Clone(b[:w]))
+				written += w
+				d++
+			default: // dropped: released as the collector would
+				defer pool.PutRaw(b)
+			}
 		}
-		if got := r.Push(c, data); got != written {
-			t.Fatalf("Push of %d bytes into capacity %d wrote %d", n, want.inLen, got)
-		}
-		var in []byte
-		if data != nil {
-			in = bytes.Clone(data[:written])
+		if got := r.Push(c, replies...); got != written {
+			t.Fatalf("Push of %v into capacities %v wrote %d, want %d", lens, want.in, got, written)
 		}
 		used = append(used, refUsed{c.Head, in})
 	}
@@ -183,30 +199,38 @@ func runRingOps(t *testing.T, prog []byte) {
 		for _, comp := range batch.Completions {
 			u := used[0]
 			used = used[1:]
-			if comp.Head != u.head || !bytes.Equal(comp.In, u.in) || (comp.In == nil) != (u.in == nil) {
-				t.Fatalf("reaped head %d with %x, want head %d with %x", comp.Head, comp.In, u.head, u.in)
+			if comp.Head != u.head || len(comp.In) != len(u.in) {
+				t.Fatalf("reaped head %d with %d buffers, want head %d with %d", comp.Head, len(comp.In), u.head, len(u.in))
 			}
-			if comp.In != nil {
-				pool.PutRaw(comp.In)
+			for i, b := range comp.In {
+				if !bytes.Equal(b, u.in[i]) {
+					t.Fatalf("head %d reply %d: %x, want %x", comp.Head, i, b, u.in[i])
+				}
+				pool.PutRaw(b)
 			}
 			free += reqs[u.head].descs
 			delete(reqs, u.head)
 		}
 	}
+	lens := func(n int, scale int) []int {
+		l := make([]int, n)
+		for i := range l {
+			l[i] = arg() * scale
+		}
+		return l
+	}
 
 	for len(prog) > 0 {
 		switch arg() % 4 {
 		case 0:
-			outLens := make([]int, arg()%10)
-			for i := range outLens {
-				outLens[i] = arg() * 4
-			}
-			add(outLens, arg()*2)
+			out := lens(arg()%10, 4)
+			add(out, lens(arg()%3, 2))
 		case 1:
 			pop()
 		case 2:
 			if len(held) > 0 {
-				push(arg()%len(held), arg()*2)
+				i := arg() % len(held)
+				push(i, lens(arg()%4, 2))
 			}
 		case 3:
 			reap(arg() % 4)
@@ -222,7 +246,7 @@ func runRingOps(t *testing.T, prog []byte) {
 		pop()
 	}
 	for len(held) > 0 {
-		push(0, 64)
+		push(0, []int{64, 1})
 	}
 	reap(0)
 	checkRingMemory(t, r, pool)
@@ -238,16 +262,27 @@ func runRingOps(t *testing.T, prog []byte) {
 func FuzzRingOps(f *testing.F) {
 	f.Add([]byte{})
 	// A two-buffer request out and back; then a chain too large, one with
-	// an empty buffer, and one with no buffers.
-	f.Add([]byte{0, 2, 16, 250, 20, 1, 2, 0, 30, 3, 0,
-		0, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 0, 1, 0, 5, 0, 0, 0})
+	// an empty buffer, one with no buffers and one reserving an empty reply
+	// buffer.
+	f.Add([]byte{0, 2, 16, 250, 1, 20, 1, 2, 0, 1, 30, 3, 0,
+		0, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0,
+		0, 1, 0, 1, 5,
+		0, 0, 0,
+		0, 1, 3, 2, 4, 0})
+	// A virtio-blk read: data and status descriptors, answered with both,
+	// with the status alone (a nil data buffer), and with one buffer more
+	// than the chain has room for.
+	f.Add([]byte{0, 1, 5, 2, 100, 1, 1, 2, 0, 2, 100, 1, 3, 0,
+		0, 1, 5, 2, 100, 1, 1, 2, 0, 2, 0, 1, 3, 0,
+		0, 1, 5, 2, 100, 1, 1, 2, 0, 3, 100, 1, 7, 3, 0})
 	// Fill the ring, serve out of order, reap a few at a time.
-	f.Add([]byte{0, 1, 40, 0, 0, 2, 40, 40, 0, 0, 1, 40, 10, 0, 3, 1, 2, 3, 10, 1, 1, 1, 1,
-		2, 2, 90, 2, 0, 10, 3, 1, 2, 0, 0, 3, 2, 2, 0, 5, 3, 0})
+	f.Add([]byte{0, 1, 40, 0, 0, 2, 40, 40, 1, 20, 0, 1, 40, 2, 10, 1, 0, 3, 1, 2, 3, 1, 10, 1, 1, 1, 1,
+		2, 2, 1, 90, 2, 0, 2, 10, 1, 3, 1, 2, 0, 0, 3, 2, 2, 0, 1, 5, 3, 0})
 	// Held chains across wraparound.
-	prog := make([]byte, 0, 1000)
+	prog := make([]byte, 0, 1500)
 	for i := 0; i < 100; i++ {
-		prog = append(prog, 0, byte(i%3), byte(i*13), byte(i*7), byte(i*29), 1, 2, byte(i), byte(i*41), 3, byte(i))
+		prog = append(prog, 0, byte(i%3), byte(i*13), byte(i*7), byte(i%3), byte(i*29), 1+byte(i%5),
+			1, 2, byte(i), byte(i%4), byte(i*41), 1, 3, byte(i))
 	}
 	f.Add(prog)
 	f.Fuzz(runRingOps)
@@ -269,12 +304,14 @@ func descs(r *Ring, head uint16) []uint16 {
 // A descriptor table rewritten into a cycle — a guest corrupting its shared
 // memory — makes every chain walk stop within the queue size: PopInto
 // reports ErrBadChain, and Push and ReapInto of a chain the device already
-// holds return. The reap leaves the ring sound: its free list holds each
-// descriptor once and none in flight, and once the ring drains every
-// descriptor is free, no descriptor holds a buffer, and Add hands out each
-// descriptor once. Every buffer crosses the ring once; the one reply a
-// head-to-itself chain has no writable descriptor for falls to the
-// collector.
+// holds return. A read chain whose status descriptor loops back to its data
+// descriptor takes its data and status buffers, each once, and drops a
+// third rather than refill the data descriptor. The reap leaves the
+// ring sound: its free list holds each descriptor once and none in flight,
+// and once the ring drains every descriptor is free, no descriptor holds a
+// buffer, and Add hands out each descriptor once. Every buffer crosses the
+// ring once; a reply buffer a chain has no empty writable descriptor for
+// falls to the collector.
 func TestRingCorruptChainStops(t *testing.T) {
 	const qsize = 8
 	loop := func(r *Ring, from, to uint16) {
@@ -293,12 +330,14 @@ func TestRingCorruptChainStops(t *testing.T) {
 
 	for _, tc := range []struct {
 		cycle string
+		in    []int  // the writable descriptors reserved
 		lost  uint64 // pushed replies the ring drops
-	}{{"in descriptor", 0}, {"head to itself", 1}} {
+		back  int    // reply buffers the reap hands back
+	}{{"in descriptor", []int{200}, 0, 1}, {"head to itself", []int{200}, 1, 0}, {"status to data", []int{200, 1}, 1, 2}} {
 		cycle := tc.cycle
 		pool := bufpool.New()
 		r := mustRing(t, qsize)
-		head, _ := r.Add(bufs(pool.Clone([]byte("hdr")), pool.Clone([]byte("req"))), 200)
+		head, _ := r.Add(bufs(pool.Clone([]byte("hdr")), pool.Clone([]byte("req"))), tc.in...)
 		var c Chain
 		if ok, err := r.PopInto(&c); !ok || err != nil {
 			t.Fatalf("PopInto: %v, %v", ok, err)
@@ -308,22 +347,40 @@ func TestRingCorruptChainStops(t *testing.T) {
 		}
 		// other stays in flight across the corrupt reap, so the ring has
 		// not drained when its free list is checked.
-		other, _ := r.Add(bufs([]byte("other")), 0)
+		other, _ := r.Add(bufs([]byte("other")))
 		ds := descs(r, head)
-		if cycle == "in descriptor" {
+		switch cycle {
+		case "in descriptor":
 			loop(r, ds[len(ds)-1], ds[1])
-		} else {
+		case "head to itself":
 			loop(r, head, head)
+		case "status to data":
+			loop(r, ds[3], ds[2])
 		}
-		if n := r.Push(c, pool.GetRaw(4*qsize*64)); n > 200 {
-			t.Errorf("%s: Push wrote %d bytes beyond the 200 reserved", cycle, n)
+		replies := bufs(pool.GetRaw(4 * qsize * 64))
+		if len(tc.in) > 1 { // the status, and one buffer the loop must not take
+			replies = append(replies, pool.GetRaw(64), pool.GetRaw(64))
+		}
+		reserved := 0
+		for _, n := range tc.in {
+			reserved += n
+		}
+		if n := r.Push(c, replies...); n > reserved {
+			t.Errorf("%s: Push wrote %d bytes beyond the %v reserved", cycle, n, tc.in)
 		}
 		var b ReapBatch
 		if n := r.ReapInto(&b, 0); n != 1 {
 			t.Errorf("%s: reaped %d, want 1", cycle, n)
 		}
-		if in := b.Completions[0].In; in != nil {
-			pool.PutRaw(in)
+		in := b.Completions[0].In
+		if len(in) != tc.back {
+			t.Errorf("%s: the reap handed back %d reply buffers, want %d", cycle, len(in), tc.back)
+		}
+		for i, buf := range in {
+			if unsafe.SliceData(buf) != unsafe.SliceData(replies[i]) {
+				t.Errorf("%s: reply buffer %d is not the one pushed %d", cycle, i, i)
+			}
+			pool.PutRaw(buf)
 		}
 		onList := map[uint16]bool{other: true}
 		for d, i := r.freeHead, 0; i < r.FreeDescriptors(); i++ {
@@ -337,7 +394,7 @@ func TestRingCorruptChainStops(t *testing.T) {
 		if ok, err := r.PopInto(&oc); !ok || err != nil || oc.Head != other {
 			t.Fatalf("%s: PopInto of the other request: %v, %v", cycle, ok, err)
 		}
-		r.Push(oc, nil)
+		r.Push(oc)
 		if n := r.ReapInto(&b, 0); n != 1 {
 			t.Errorf("%s: reaped %d of the other request, want 1", cycle, n)
 		}
@@ -354,7 +411,7 @@ func TestRingCorruptChainStops(t *testing.T) {
 		}
 		heads := map[uint16]bool{}
 		for i := 0; i < qsize; i++ {
-			h, err := r.Add(bufs([]byte("x")), 0)
+			h, err := r.Add(bufs([]byte("x")))
 			if err != nil || heads[h] {
 				t.Errorf("%s: one-descriptor Add %d: head %d, %v; want a fresh head", cycle, i, h, err)
 				break
@@ -399,10 +456,10 @@ func TestRingLoopedInChainFilledOnce(t *testing.T) {
 		t.Errorf("Push wrote %d bytes, want 64, the first in descriptor's", n)
 	}
 	comps := r.Reap(0)
-	if len(comps) != 1 || len(comps[0].In) != 64 || unsafe.SliceData(comps[0].In) != unsafe.SliceData(reply) {
+	if len(comps) != 1 || len(in1(comps[0])) != 64 || unsafe.SliceData(in1(comps[0])) != unsafe.SliceData(reply) {
 		t.Fatalf("reap = %+v, want the pushed slab cut to 64 bytes", comps)
 	}
-	pool.PutRaw(comps[0].In)
+	pool.PutRaw(in1(comps[0]))
 	if n := r.FreeDescriptors(); n != qsize {
 		t.Errorf("%d descriptors free after the reap, want %d", n, qsize)
 	}
@@ -431,13 +488,13 @@ func TestRingHandsBuffersOver(t *testing.T) {
 	}
 	r.Push(c, resp)
 	comps := r.Reap(0)
-	if len(comps) != 1 || unsafe.SliceData(comps[0].In) != unsafe.SliceData(resp) || len(comps[0].In) != len(resp) {
+	if len(comps) != 1 || unsafe.SliceData(in1(comps[0])) != unsafe.SliceData(resp) || len(in1(comps[0])) != len(resp) {
 		t.Error("the driver did not reap the device's slab")
 	}
 	if pool.Stats.Gets != gets {
 		t.Errorf("the ring drew %d loans", pool.Stats.Gets-gets)
 	}
-	if !bytes.Equal(comps[0].In, pattern(2, 2048)) {
+	if !bytes.Equal(in1(comps[0]), pattern(2, 2048)) {
 		t.Error("the reply changed on its way")
 	}
 }
@@ -457,7 +514,7 @@ func roundTrip(r *Ring, pool *bufpool.Pool, c *Chain, b *ReapBatch, req, resp []
 	pool.PutRaw(c.Out[0])
 	r.Push(*c, pool.Clone(resp))
 	r.ReapInto(b, 0)
-	pool.PutRaw(b.Completions[0].In)
+	pool.PutRaw(b.Completions[0].In[0])
 }
 
 // Once the pool holds the slabs a request needs, a round trip through the

@@ -21,6 +21,15 @@ func mustRing(t *testing.T, qsize int) *Ring {
 // bufs is the out-buffer list of a request.
 func bufs(b ...[]byte) [][]byte { return b }
 
+// in1 returns the one reply buffer of a completion whose chain reserved one
+// writable descriptor, nil when the device wrote none.
+func in1(c Completion) []byte {
+	if len(c.In) == 0 {
+		return nil
+	}
+	return c.In[0]
+}
+
 func TestNewRingValidation(t *testing.T) {
 	for _, q := range []int{0, 1, 3, 65536, -4} {
 		if _, err := NewRing(q); err == nil {
@@ -66,8 +75,8 @@ func TestRingEchoSingleSegment(t *testing.T) {
 	if comps[0].Head != head {
 		t.Errorf("completion head %d, want %d", comps[0].Head, head)
 	}
-	if !bytes.Equal(comps[0].In, reply) {
-		t.Errorf("driver saw reply %q, want %q", comps[0].In, reply)
+	if !bytes.Equal(in1(comps[0]), reply) {
+		t.Errorf("driver saw reply %q, want %q", in1(comps[0]), reply)
 	}
 	if r.FreeDescriptors() != 16 {
 		t.Errorf("descriptors leaked: %d free, want 16", r.FreeDescriptors())
@@ -98,7 +107,7 @@ func TestRingMultiSegmentChain(t *testing.T) {
 	reply := bytes.Repeat([]byte{7}, 100)
 	r.Push(c, reply)
 	comps := r.Reap(0)
-	if len(comps) != 1 || !bytes.Equal(comps[0].In, reply) {
+	if len(comps) != 1 || !bytes.Equal(in1(comps[0]), reply) {
 		t.Error("multi-descriptor reply corrupted")
 	}
 	if r.FreeDescriptors() != 64 {
@@ -121,7 +130,7 @@ func TestRingPushTruncatesToCapacity(t *testing.T) {
 		t.Errorf("Push wrote %d, want truncation to 10", n)
 	}
 	comps := r.Reap(0)
-	if in := comps[0].In; len(in) != 10 || cap(in) != cap(reply) {
+	if in := in1(comps[0]); len(in) != 10 || cap(in) != cap(reply) {
 		t.Errorf("driver got %d bytes of a %d-byte slab, want 10 of %d", len(in), cap(in), cap(reply))
 	}
 }
@@ -129,7 +138,7 @@ func TestRingPushTruncatesToCapacity(t *testing.T) {
 func TestRingOutOnlyAndInOnly(t *testing.T) {
 	r := mustRing(t, 16)
 	// Out-only (e.g. a net transmit): a reply pushed to it has nowhere to go.
-	if _, err := r.Add(bufs([]byte("tx")), 0); err != nil {
+	if _, err := r.Add(bufs([]byte("tx"))); err != nil {
 		t.Fatal(err)
 	}
 	var c Chain
@@ -140,7 +149,7 @@ func TestRingOutOnlyAndInOnly(t *testing.T) {
 	if n := r.Push(c, []byte("stray")); n != 0 {
 		t.Errorf("Push into an out-only chain wrote %d bytes", n)
 	}
-	if comps := r.Reap(0); len(comps) != 1 || comps[0].In != nil {
+	if comps := r.Reap(0); len(comps) != 1 || len(comps[0].In) != 0 {
 		t.Errorf("out-only completion = %+v, want no reply", comps)
 	}
 
@@ -154,18 +163,23 @@ func TestRingOutOnlyAndInOnly(t *testing.T) {
 	}
 	r.Push(c, []byte("rx data"))
 	comps := r.Reap(0)
-	if string(comps[0].In) != "rx data" {
-		t.Errorf("rx data = %q", comps[0].In)
+	if string(in1(comps[0])) != "rx data" {
+		t.Errorf("rx data = %q", in1(comps[0]))
 	}
 }
 
-// A request with no buffers, or with an empty one, is refused and takes no
-// descriptor.
+// A request with no buffers, or with an empty one, or reserving an empty
+// reply buffer, is refused and takes no descriptor.
 func TestRingEmptyRequestRejected(t *testing.T) {
 	r := mustRing(t, 16)
 	for _, out := range [][][]byte{nil, bufs([]byte("a"), nil), bufs([]byte{})} {
 		if _, err := r.Add(out, 8*len(out)); err != ErrEmptyRequest {
 			t.Errorf("Add of %d buffers: err = %v, want ErrEmptyRequest", len(out), err)
+		}
+	}
+	for _, in := range [][]int{{0}, {8, 0}, {-1, 1}} {
+		if _, err := r.Add(bufs([]byte("a")), in...); err != ErrEmptyRequest {
+			t.Errorf("Add reserving %v: err = %v, want ErrEmptyRequest", in, err)
 		}
 	}
 	if r.FreeDescriptors() != 16 || r.InFlight() != 0 {
@@ -176,19 +190,19 @@ func TestRingEmptyRequestRejected(t *testing.T) {
 func TestRingFullBehaviour(t *testing.T) {
 	r := mustRing(t, 4)
 	for i := 0; i < 4; i++ {
-		if _, err := r.Add(bufs([]byte{byte(i)}), 0); err != nil {
+		if _, err := r.Add(bufs([]byte{byte(i)})); err != nil {
 			t.Fatalf("Add %d: %v", i, err)
 		}
 	}
-	if _, err := r.Add(bufs([]byte{9}), 0); err != ErrRingFull {
+	if _, err := r.Add(bufs([]byte{9})); err != ErrRingFull {
 		t.Errorf("err = %v, want ErrRingFull", err)
 	}
 	// Device drains one; driver can post again.
 	var c Chain
 	r.PopInto(&c)
-	r.Push(c, nil)
+	r.Push(c)
 	r.Reap(0)
-	if _, err := r.Add(bufs([]byte{9}), 0); err != nil {
+	if _, err := r.Add(bufs([]byte{9})); err != nil {
 		t.Errorf("Add after drain: %v", err)
 	}
 }
@@ -216,8 +230,8 @@ func TestRingHeldChainsAreIndependent(t *testing.T) {
 	comps := r.Reap(0)
 	for k, comp := range comps {
 		i := len(held) - 1 - k
-		if comp.Head != held[i].Head || !bytes.Equal(comp.In, []byte{byte(i + 1)}) {
-			t.Fatalf("completion %d: head %d reply %v, want head %d reply [%d]", k, comp.Head, comp.In, held[i].Head, i+1)
+		if comp.Head != held[i].Head || !bytes.Equal(in1(comp), []byte{byte(i + 1)}) {
+			t.Fatalf("completion %d: head %d reply %v, want head %d reply [%d]", k, comp.Head, in1(comp), held[i].Head, i+1)
 		}
 	}
 	if r.FreeDescriptors() != 16 {
@@ -251,7 +265,7 @@ func TestRingOrderPreserved(t *testing.T) {
 	const n = 20
 	heads := make([]uint16, n)
 	for i := 0; i < n; i++ {
-		h, err := r.Add(bufs([]byte{byte(i)}), 0)
+		h, err := r.Add(bufs([]byte{byte(i)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +283,7 @@ func TestRingOrderPreserved(t *testing.T) {
 		if c.Out[0][0] != byte(i) {
 			t.Fatalf("Pop %d returned payload %d", i, c.Out[0][0])
 		}
-		r.Push(c, nil)
+		r.Push(c)
 	}
 	comps := r.Reap(0)
 	for i, comp := range comps {
@@ -282,14 +296,14 @@ func TestRingOrderPreserved(t *testing.T) {
 func TestRingReapMax(t *testing.T) {
 	r := mustRing(t, 64)
 	for i := 0; i < 5; i++ {
-		if _, err := r.Add(bufs([]byte{byte(i)}), 0); err != nil {
+		if _, err := r.Add(bufs([]byte{byte(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var c Chain
 	for i := 0; i < 5; i++ {
 		r.PopInto(&c)
-		r.Push(c, nil)
+		r.Push(c)
 	}
 	if got := len(r.Reap(2)); got != 2 {
 		t.Errorf("Reap(2) returned %d", got)
@@ -318,7 +332,7 @@ func TestRingIndexWraparound(t *testing.T) {
 		}
 		r.Push(c, []byte{c.Out[0][0]})
 		comps := r.Reap(0)
-		if len(comps) != 1 || comps[0].In[0] != byte(i) {
+		if len(comps) != 1 || in1(comps[0])[0] != byte(i) {
 			t.Fatalf("iter %d: corrupt completion", i)
 		}
 	}
@@ -329,14 +343,14 @@ func TestRingIndexWraparound(t *testing.T) {
 
 func TestRingInFlight(t *testing.T) {
 	r := mustRing(t, 16)
-	r.Add(bufs([]byte{1}), 0)
-	r.Add(bufs([]byte{2}), 0)
+	r.Add(bufs([]byte{1}))
+	r.Add(bufs([]byte{2}))
 	if r.InFlight() != 2 {
 		t.Errorf("InFlight = %d, want 2", r.InFlight())
 	}
 	var c Chain
 	r.PopInto(&c)
-	r.Push(c, nil)
+	r.Push(c)
 	r.Reap(0)
 	if r.InFlight() != 1 {
 		t.Errorf("InFlight = %d, want 1", r.InFlight())
@@ -348,7 +362,7 @@ func TestRingInFlight(t *testing.T) {
 func TestRingReapUnknownHeadPanics(t *testing.T) {
 	for _, id := range []uint32{5, 16, 1000} {
 		r := mustRing(t, 16)
-		r.Add(bufs([]byte{1}), 0)
+		r.Add(bufs([]byte{1}))
 		r.setUsedEntry(r.usedIdx(), id, 0)
 		r.setUsedIdx(r.usedIdx() + 1)
 		func() {
@@ -387,7 +401,7 @@ func TestRingEchoProperty(t *testing.T) {
 		}
 		r.Push(c, c.Out[0])
 		comps := r.Reap(0)
-		if len(comps) != 1 || !bytes.Equal(comps[0].In, want) {
+		if len(comps) != 1 || !bytes.Equal(in1(comps[0]), want) {
 			return false
 		}
 		return r.FreeDescriptors() == before

@@ -19,7 +19,7 @@ func TestRingTraceSpans(t *testing.T) {
 	r.Tracer = trace.New(e)
 	r.SpanName = "net-tx"
 
-	head, err := r.Add([][]byte{[]byte("frame")}, 0)
+	head, err := r.Add([][]byte{[]byte("frame")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRingTraceSpans(t *testing.T) {
 		if ok, err := r.PopInto(&c); err != nil || !ok {
 			t.Fatalf("PopInto = %v, %v", ok, err)
 		}
-		r.Push(c, nil)
+		r.Push(c)
 	})
 	e.At(700, func() {
 		if got := r.Reap(0); len(got) != 1 || got[0].Head != head {
@@ -59,14 +59,14 @@ func TestRingNilTracerUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Add([][]byte{[]byte("x")}, 0); err != nil {
+	if _, err := r.Add([][]byte{[]byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	var c Chain
 	if ok, _ := r.PopInto(&c); !ok {
 		t.Fatal("PopInto found nothing")
 	}
-	r.Push(c, nil)
+	r.Push(c)
 	if got := r.Reap(0); len(got) != 1 {
 		t.Fatalf("Reap = %+v", got)
 	}

@@ -133,7 +133,7 @@ loadgen-smoke:
 # range-conflict scheduler, and the mqscaling cells (which run concurrently
 # under -parallel).
 race-mq:
-	$(GO) test -race -run 'MQ|Queue|Scheduler' ./internal/transport/ ./internal/iohyp/ ./internal/blockdev/ ./internal/experiments/
+	$(GO) test -race -run 'MQ|Queue|Scheduler' ./internal/transport/ ./internal/iohyp/ ./internal/blockdev/ ./internal/workload/ ./internal/experiments/
 
 # The distributed-volume layer under the race detector: extent maps and
 # versioned replica state, the volume router's quorum/rebuild machinery, the

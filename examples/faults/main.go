@@ -17,6 +17,7 @@ import (
 	"vrio/internal/link"
 	"vrio/internal/rack"
 	"vrio/internal/sim"
+	"vrio/internal/workload"
 )
 
 func main() {
@@ -25,44 +26,35 @@ func main() {
 	demoStallRehome()
 }
 
-// writer is a closed-loop block writer with a per-request completion count:
-// the exactly-once ledger every demo checks at the end.
-type writer struct {
-	tb     *cluster.Testbed
-	guest  int
-	stop   bool
-	counts []int
-	errs   int
+// writeLoads opens a closed loop of 4 KiB block writes, depth deep, on
+// each of the first n guests. MQBlock's per-request ledger is the
+// exactly-once check every demo makes at the end.
+func writeLoads(tb *cluster.Testbed, n, depth int) []*workload.MQBlock {
+	ws := make([]*workload.MQBlock, n)
+	for i := range ws {
+		ws[i] = workload.NewMQBlock(tb.Eng, tb.Guests[i].WriteBlockQ, 1, depth, 4096)
+		ws[i].Start()
+	}
+	return ws
 }
 
-func (w *writer) issue() {
-	if w.stop {
-		return
-	}
-	id := len(w.counts)
-	w.counts = append(w.counts, 0)
-	w.tb.Guests[w.guest].WriteBlock(uint64(id%512), make([]byte, 4096), func(err error) {
-		w.counts[id]++
-		if err != nil {
-			w.errs++
+// drain closes the loops at stopAt, runs tb until until and returns the
+// loops' summed ledger.
+func drain(tb *cluster.Testbed, ws []*workload.MQBlock, stopAt, until sim.Time) (l workload.Ledger) {
+	tb.Eng.At(stopAt, func() {
+		for _, w := range ws {
+			w.Stop()
 		}
-		w.issue()
 	})
-}
-
-func (w *writer) ledger() (done, dup, never int) {
-	for _, c := range w.counts {
-		switch {
-		case c == 0:
-			never++
-		case c > 1:
-			dup += c - 1
-			done++
-		default:
-			done++
-		}
+	tb.Eng.RunUntil(until)
+	for _, w := range ws {
+		wl := w.Ledger()
+		l.Completed += wl.Completed
+		l.Dup += wl.Dup
+		l.Lost += wl.Lost
+		l.Errs += wl.Errs
 	}
-	return
+	return l
 }
 
 // demoLossyChannel: 2% frame loss (+0.5% corruption) on every channel cable
@@ -74,34 +66,16 @@ func demoLossyChannel() {
 		Model: vrio.ModelVRIO, VMsPerHost: 2, WithBlock: true,
 		Seed: 31, Fault: fault.Lossy(0.02), FaultSeed: 7,
 	})
-	var ws []*writer
-	for i := range tb.Guests {
-		w := &writer{tb: tb, guest: i}
-		for k := 0; k < 8; k++ {
-			w.issue()
-		}
-		ws = append(ws, w)
-	}
-	tb.Eng.At(30*sim.Millisecond, func() {
-		for _, w := range ws {
-			w.stop = true
-		}
-	})
+	ws := writeLoads(tb, len(tb.Guests), 8)
 	// Drain past the full retransmission budget so the ledger is final.
-	tb.Eng.RunUntil(1330 * sim.Millisecond)
-
-	var done, dup, never int
-	for _, w := range ws {
-		d, du, n := w.ledger()
-		done, dup, never = done+d, dup+du, never+n
-	}
+	l := drain(tb, ws, 30*sim.Millisecond, 1330*sim.Millisecond)
 	var retrans uint64
 	for _, c := range tb.VRIOClients {
 		retrans += c.Driver.Counters.Get("retransmits")
 	}
 	pl := tb.Fault
 	fmt.Printf("  %d writes completed in 30ms; %d duplicated, %d never completed (both must be 0)\n",
-		done, dup, never)
+		l.Completed, l.Dup, l.Lost)
 	fmt.Printf("  faults: %d frames lost, %d corrupted (all caught by the FCS check)\n",
 		pl.Counters.Get("frames_dropped"), pl.Counters.Get("frames_corrupted"))
 	fmt.Printf("  wire ledger: %d offered = %d delivered + %d injected + %d corrupt-FCS drops\n",
@@ -123,27 +97,21 @@ func demoFlapMidMigration() {
 		Model: vrio.ModelVRIO, VMHosts: 2, VMsPerHost: 1, WithBlock: true,
 		Seed: 32, Fault: prof, FaultSeed: 7,
 	})
-	w := &writer{tb: tb, guest: 0}
-	for k := 0; k < 4; k++ {
-		w.issue()
-	}
+	ws := writeLoads(tb, 1, 4)
 	migrated := sim.Time(0)
 	tb.Eng.At(20*sim.Millisecond, func() {
 		fmt.Printf("  t=%-8v migration starts (%.0fms blackout)\n",
 			tb.Eng.Now(), float64(tb.P.MigrationDowntime)/float64(sim.Millisecond))
 		tb.MigrateVM(0, 1, func() { migrated = tb.Eng.Now() })
 	})
-	tb.Eng.At(120*sim.Millisecond, func() { w.stop = true })
 	// Short drain: with no wire loss, a write caught by the last flap
 	// recovers within a few doubled timeouts.
-	tb.Eng.RunUntil(320 * sim.Millisecond)
-
-	done, dup, never := w.ledger()
+	l := drain(tb, ws, 120*sim.Millisecond, 320*sim.Millisecond)
 	fmt.Printf("  t=%-8v migration complete; guest resumed on VMhost 1\n", migrated)
 	fmt.Printf("  %d carrier flaps injected; %d retransmissions carried the writes through\n",
 		tb.Fault.Counters.Get("flaps"), tb.VRIOClients[0].Driver.Counters.Get("retransmits"))
 	fmt.Printf("  %d writes completed; %d duplicated, %d never completed, %d errors (all must be 0)\n\n",
-		done, dup, never, w.errs)
+		l.Completed, l.Dup, l.Lost, l.Errs)
 }
 
 // demoStallRehome: IOhost 1's sidecore workers freeze for 5ms at a time —
@@ -163,20 +131,8 @@ func demoStallRehome() {
 	cfg := rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3}
 	c := rack.New(tb, cfg)
 	c.Start()
-	var ws []*writer
-	for i := range tb.Guests {
-		w := &writer{tb: tb, guest: i}
-		for k := 0; k < 4; k++ {
-			w.issue()
-		}
-		ws = append(ws, w)
-	}
-	tb.Eng.At(60*sim.Millisecond, func() {
-		for _, w := range ws {
-			w.stop = true
-		}
-	})
-	tb.Eng.RunUntil(260 * sim.Millisecond)
+	ws := writeLoads(tb, len(tb.Guests), 4)
+	l := drain(tb, ws, 60*sim.Millisecond, 260*sim.Millisecond)
 
 	for _, ev := range c.Events {
 		switch ev.Kind {
@@ -187,13 +143,8 @@ func demoStallRehome() {
 			fmt.Printf("  t=%-8v re-homed vm%d onto IOhost %d\n", ev.T, ev.VM, ev.Dst)
 		}
 	}
-	var done, dup, never int
-	for _, w := range ws {
-		d, du, n := w.ledger()
-		done, dup, never = done+d, dup+du, never+n
-	}
 	fmt.Printf("  %d stalls injected; %d writes completed; %d duplicated, %d never completed (must be 0)\n",
-		tb.Fault.Counters.Get("stalls"), done, dup, never)
+		tb.Fault.Counters.Get("stalls"), l.Completed, l.Dup, l.Lost)
 	fmt.Println()
 	fmt.Println("Same seed, same faults, same bytes: re-run this demo and diff the output.")
 }

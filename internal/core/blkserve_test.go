@@ -61,7 +61,7 @@ func (s *blkSite) do(t *testing.T, toReplica bool, req []byte, sectors int) []by
 		if toReplica {
 			id = replicaID
 		}
-		c[0].Driver.SendBlk(uint8(virtio.DeviceBlk), id, req, done)
+		c[0].Driver.SendBlkQ(uint8(virtio.DeviceBlk), id, 0, req, done)
 	} else {
 		core.SubmitRawBlk(s.tb.Guests[0], req, sectors, func(status, data []byte, err error) {
 			done(append(bytes.Clone(status), data...), err)

@@ -46,126 +46,52 @@ func faultSeed() uint64 {
 // before the stop fires its device error ~1.27s later.
 const ftDrain = 1300 * sim.Millisecond
 
-// writer is a closed-loop 4 KiB write load, eight requests deep, with a
-// per-request completion ledger and, when hist is set, per-write latency
-// recording into a histogram the caller may swap mid-run.
-type writer struct {
-	eng   *sim.Engine
-	write func(id int, data []byte, done func(error))
-	stop  bool
-	// counts[i] is how many times request i's callback ran; exactly-once
-	// means every entry is 0 (in flight at stop) or 1.
-	counts  []int
-	issueAt []sim.Time
-	hist    *stats.Histogram
-	errs    uint64
-}
-
-func newWriter(eng *sim.Engine, hist *stats.Histogram, write func(id int, data []byte, done func(error))) *writer {
-	w := &writer{eng: eng, write: write, hist: hist}
-	for i := 0; i < 8; i++ {
-		w.issue()
+// volLoads starts a closed loop of 4 KiB quorum writes, eight deep, on
+// every volume of tb, each request aimed at a whole 4 KiB block of the
+// volume: (seq·17 mod blocks)·8. lat, when set, records their latencies.
+func volLoads(tb *cluster.Testbed, lat *stats.Histogram) []*workload.MQBlock {
+	var loads []*workload.MQBlock
+	for _, vol := range tb.Volumes {
+		m := workload.NewMQBlock(tb.Eng, func(_ uint8, sector uint64, data []byte, done func(error)) {
+			vol.Write(sector, data, done)
+		}, 1, 8, 4096)
+		blocks := vol.Spec().CapacitySectors / 8
+		m.Place = func(_, seq int) uint64 { return uint64(seq) * 17 % blocks * 8 }
+		m.Latency = lat
+		m.Start()
+		loads = append(loads, m)
 	}
-	return w
+	return loads
 }
 
-// blkWriter writes a guest's block device.
-func blkWriter(tb *cluster.Testbed, guest int) *writer {
-	g := tb.Guests[guest]
-	return newWriter(tb.Eng, nil, func(id int, data []byte, done func(error)) {
-		g.WriteBlock(uint64((id*17)%1024), data, done)
-	})
-}
-
-// volWriter writes quorum writes to a distributed volume.
-func volWriter(eng *sim.Engine, vol *core.VolumeRouter, hist *stats.Histogram) *writer {
-	return newWriter(eng, hist, func(id int, data []byte, done func(error)) {
-		sectors := uint64(len(data)) / 512
-		vol.Write((uint64(id)*17%(vol.Spec().CapacitySectors/sectors))*sectors, data, done)
-	})
-}
-
-func (w *writer) issue() {
-	if w.stop {
-		return
-	}
-	id := len(w.counts)
-	w.counts = append(w.counts, 0)
-	w.issueAt = append(w.issueAt, w.eng.Now())
-	w.write(id, make([]byte, 4096), func(err error) {
-		w.counts[id]++
-		if err != nil {
-			w.errs++
-		}
-		if w.hist != nil {
-			w.hist.Record(int64((w.eng.Now() - w.issueAt[id]) / sim.Microsecond))
-		}
-		w.issue()
-	})
-}
-
-// ledger is a closed-loop load whose completions are audited after a drain.
-type ledger interface {
-	// halt stops issuing and returns how many requests have completed.
-	halt() uint64
-	// tally adds the post-drain ledger to m: issued, completed, dup,
-	// never-completed (requests that never completed even after the
-	// drain) and dev errors.
-	tally(m Metrics)
-}
-
-func (w *writer) halt() uint64 {
-	w.stop = true
+// halt stops every load and returns how many of their requests have
+// completed.
+func halt(loads []*workload.MQBlock) uint64 {
 	var n uint64
-	for _, c := range w.counts {
-		if c >= 1 {
-			n++
-		}
+	for _, l := range loads {
+		l.Stop()
+		n += l.Ledger().Completed
 	}
 	return n
 }
 
-func (w *writer) tally(m Metrics) {
-	var dup, lost, done float64
-	for _, c := range w.counts {
-		switch {
-		case c == 0:
-			lost++
-		case c > 1:
-			dup += float64(c - 1)
-		}
-		if c >= 1 {
-			done++
-		}
+// addLedgers adds the loads' post-drain ledgers to m: issued, completed,
+// dup, never-completed and dev errors.
+func addLedgers(m Metrics, loads []*workload.MQBlock) {
+	for _, l := range loads {
+		led := l.Ledger()
+		m["issued"] += float64(led.Issued)
+		m["completed"] += float64(led.Completed)
+		m["dup"] += float64(led.Dup)
+		m["never-completed"] += float64(led.Lost)
+		m["dev errors"] += float64(led.Errs)
 	}
-	m["dup"] += dup
-	m["never-completed"] += lost
-	m["completed"] += done
-	m["issued"] += float64(len(w.counts))
-	m["dev errors"] += float64(w.errs)
-}
-
-// mqLoad audits a multi-queue closed loop through its own ledger.
-type mqLoad struct{ *workload.MQBlock }
-
-func (l mqLoad) halt() uint64 {
-	l.Stop()
-	return l.Done()
-}
-
-func (l mqLoad) tally(m Metrics) {
-	dup, lost := l.Ledger()
-	m["dup"] += float64(dup)
-	m["never-completed"] += float64(lost)
-	m["issued"] += float64(l.Issued())
-	m["completed"] += float64(l.Issued() - lost)
-	m["dev errors"] += float64(l.Errs)
 }
 
 // ftCase is one fault-tolerance cell's regime: the testbed (faults
-// included) and what happens during the run. Guests write through
-// single-request block writers, QD-deep multi-queue loads when qd is set,
-// or quorum volume writers when the spec has volumes.
+// included) and what happens during the run. Every guest runs a closed
+// loop of block writes, qd deep, on each of its queues; when the spec has
+// volumes, every volume runs a closed loop of quorum writes instead.
 type ftCase struct {
 	spec   cluster.Spec
 	qd     int
@@ -179,7 +105,7 @@ type ftCase struct {
 // one VMhost, faults from prof (nil injects none).
 func sweepCase(prof *fault.Profile) ftCase {
 	return ftCase{spec: cluster.Spec{Model: core.ModelVRIO, VMHosts: 1, VMsPerHost: 4,
-		WithBlock: true, Seed: 901, Fault: prof}, sweep: true, drain: ftDrain}
+		WithBlock: true, Seed: 901, Fault: prof}, qd: 8, sweep: true, drain: ftDrain}
 }
 
 // ftCaseFor builds a faulttolerance row's regime, fresh per cell: a
@@ -191,7 +117,7 @@ func ftCaseFor(row string) ftCase {
 		WithBlock: true, Seed: 902, Fault: fault.Lossy(0.01)}
 	switch row {
 	case "1% + IOhost crash":
-		return ftCase{spec: crashSpec, crash: true, drain: ftDrain}
+		return ftCase{spec: crashSpec, qd: 8, crash: true, drain: ftDrain}
 	case "2% QD4xNQ2 + stalls":
 		c := sweepCase(fault.Lossy(0.02))
 		c.spec.BlkQueues, c.spec.IOhostSidecores, c.qd, c.stalls, c.sweep = 2, 2, 4, true, false
@@ -235,21 +161,14 @@ func runFault(quick bool, c ftCase) Metrics {
 		ctrl = rack.New(tb, rack.Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3})
 		ctrl.Start()
 	}
-	var loads []ledger
-	switch {
-	case c.spec.VolReplicas > 0:
-		for _, vol := range tb.Volumes {
-			loads = append(loads, volWriter(tb.Eng, vol, nil))
-		}
-	case c.qd > 0:
+	var loads []*workload.MQBlock
+	if c.spec.VolReplicas > 0 {
+		loads = volLoads(tb, nil)
+	} else {
 		for _, g := range tb.Guests {
-			m := workload.NewMQBlock(tb.Eng, g, c.spec.BlkQueues, c.qd, 4096)
+			m := workload.NewMQBlock(tb.Eng, g.WriteBlockQ, max(c.spec.BlkQueues, 1), c.qd, 4096)
 			m.Start()
-			loads = append(loads, mqLoad{m})
-		}
-	default:
-		for i := range tb.Guests {
-			loads = append(loads, blkWriter(tb, i))
+			loads = append(loads, m)
 		}
 	}
 	if c.stalls {
@@ -265,11 +184,7 @@ func runFault(quick bool, c ftCase) Metrics {
 		tb.Eng.At(failT, func() { tb.IOHyps[1].Fail() })
 	}
 	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, l := range loads {
-			doneAtStop += l.halt()
-		}
-	})
+	tb.Eng.At(dur, func() { doneAtStop = halt(loads) })
 	tb.Eng.RunUntil(dur + c.drain)
 
 	m := Metrics{"ops/s": float64(doneAtStop) / dur.Seconds(), "detect": -1, "healthy": 1,
@@ -279,9 +194,7 @@ func runFault(quick bool, c ftCase) Metrics {
 	if c.sweep {
 		m["sweep ops/s"] = m["ops/s"]
 	}
-	for _, l := range loads {
-		l.tally(m)
-	}
+	addLedgers(m, loads)
 	for _, cl := range tb.VRIOClients {
 		m["retrans"] += float64(cl.Driver.Counters.Get("retransmits"))
 		// After the drain no request may still sit in a driver: the ledger's

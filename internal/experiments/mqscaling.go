@@ -24,26 +24,19 @@ func runMQCell(quick bool, qd, nq, workers int) Metrics {
 		NoJitter:        true, // finite event horizon: the drain runs to empty
 		Seed:            911,
 	})
-	var loads []mqLoad
+	var loads []*workload.MQBlock
 	for _, g := range tb.Guests {
-		m := workload.NewMQBlock(tb.Eng, g, nq, qd, 4096)
-		m.Results.StartMeasuring()
+		m := workload.NewMQBlock(tb.Eng, g.WriteBlockQ, nq, qd, 4096)
 		m.Start()
-		loads = append(loads, mqLoad{m})
+		loads = append(loads, m)
 	}
 	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, l := range loads {
-			doneAtStop += l.halt()
-		}
-	})
+	tb.Eng.At(dur, func() { doneAtStop = halt(loads) })
 	tb.Eng.RunUntil(dur)
 	tb.Eng.Run() // drain: closed loops are stopped, so the event set empties
 
 	m := Metrics{"kIOPS": float64(doneAtStop) / dur.Seconds() / 1e3, "deferred": 0, "inflight left": 0}
-	for _, l := range loads {
-		l.tally(m)
-	}
+	addLedgers(m, loads)
 	for _, s := range tb.BlockSchedulers {
 		m["deferred"] += float64(s.Deferred)
 	}

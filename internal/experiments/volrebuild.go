@@ -50,15 +50,6 @@ func volRecoverySpec() cluster.Spec {
 	}
 }
 
-// ledgerMetrics folds writers' post-drain ledgers into a cell's metrics.
-func ledgerMetrics(ws []*writer, doneAtStop uint64, dur sim.Time) Metrics {
-	m := Metrics{"kops/s": float64(doneAtStop) / dur.Seconds() / 1e3}
-	for _, w := range ws {
-		w.tally(m)
-	}
-	return m
-}
-
 // runVolQuorumCell measures quorum write latency and throughput at
 // replication factor r (write quorum = majority) across 3 IOhosts.
 func runVolQuorumCell(quick bool, r int) Metrics {
@@ -70,20 +61,14 @@ func runVolQuorumCell(quick bool, r int) Metrics {
 		NoJitter: true, Seed: 921,
 	})
 	hist := &stats.Histogram{}
-	var writers []*writer
-	for _, vol := range tb.Volumes {
-		writers = append(writers, volWriter(tb.Eng, vol, hist))
-	}
+	loads := volLoads(tb, hist)
 	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, vw := range writers {
-			doneAtStop += vw.halt()
-		}
-	})
+	tb.Eng.At(dur, func() { doneAtStop = halt(loads) })
 	tb.Eng.RunUntil(dur)
 	tb.Eng.Run() // drain to empty: closed loops stopped, no background tickers
 
-	m := ledgerMetrics(writers, doneAtStop, dur)
+	m := Metrics{"kops/s": float64(doneAtStop) / dur.Seconds() / 1e3}
+	addLedgers(m, loads)
 	m["R"], m["W"] = float64(r), float64(w)
 	m["p50"], m["p99"] = float64(hist.Percentile(50)), float64(hist.Percentile(99))
 	return m
@@ -105,16 +90,13 @@ func runVolRebuildCell(quick bool, rebuildConc int) Metrics {
 
 	pre := &stats.Histogram{}
 	post := &stats.Histogram{}
-	var writers []*writer
-	for _, vol := range tb.Volumes {
-		writers = append(writers, volWriter(tb.Eng, vol, pre))
-	}
+	loads := volLoads(tb, pre)
 
 	failT := dur / 2
 	tb.Eng.At(failT, func() {
 		tb.IOHyps[1].Fail()
-		for _, vw := range writers {
-			vw.hist = post
+		for _, l := range loads {
+			l.Latency = post
 		}
 	})
 
@@ -146,16 +128,13 @@ func runVolRebuildCell(quick bool, rebuildConc int) Metrics {
 	tb.Eng.At(failT, sample)
 
 	var doneAtStop uint64
-	tb.Eng.At(dur, func() {
-		for _, vw := range writers {
-			doneAtStop += vw.halt()
-		}
-	})
+	tb.Eng.At(dur, func() { doneAtStop = halt(loads) })
 	// The heartbeat ticker never stops, so run to a deadline: the drain past
 	// the retransmission budget settles every ledger entry.
 	tb.Eng.RunUntil(dur + ftDrain)
 
-	m := ledgerMetrics(writers, doneAtStop, dur)
+	m := Metrics{"kops/s": float64(doneAtStop) / dur.Seconds() / 1e3}
+	addLedgers(m, loads)
 	m["rbc"], m["pre p99"], m["post p99"] = float64(rebuildConc), float64(pre.Percentile(99)), float64(post.Percentile(99))
 	var bytes uint64
 	m["healthy"] = 1

@@ -9,7 +9,6 @@
 package iohyp
 
 import (
-	"fmt"
 	"slices"
 
 	"vrio/internal/blockdev"
@@ -593,8 +592,12 @@ func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backe
 			Cost: virtio.BlkCost{
 				Service: h.p.BlockServiceCost,
 				PerByte: h.p.CopyPenaltyPerByte,
-				// §4.4: aligned inner portions are zero-copied; edges are copied.
-				WriteCopy: func(n int) int { return copiedEdgeBytes(n, h.p.SectorSize) },
+				// §4.4: aligned inner portions are zero-copied; edges are
+				// copied. The payload follows the transport and virtio-blk
+				// headers in the received buffer.
+				WriteCopy: func(n int) int {
+					return blockdev.AlignmentCopy(transport.HeaderSize+virtio.BlkHdrSize, n, h.p.SectorSize)
+				},
 			},
 			Pool:     h.bufPool(),
 			Counters: &h.Counters,
@@ -1158,31 +1161,4 @@ func (c *blkCall) Reply(status, data []byte) {
 	h.bufPool().PutRaw(data)
 	*c = blkCall{h: h}
 	h.calls.Put(c)
-}
-
-// copiedEdgeBytes estimates the §4.4 edge copy for a write whose buffer
-// arrived at an arbitrary offset in DMA memory: the head and tail partial
-// sectors. A length that is an exact sector multiple still copies nothing
-// only if the offset is aligned; we model the common case where the
-// transport header shifts the payload off alignment.
-func copiedEdgeBytes(length, sectorSize int) int {
-	if length == 0 {
-		return 0
-	}
-	if length < 2*sectorSize {
-		return length
-	}
-	// Transport + virtio headers shift the payload by their combined size.
-	offset := (transport.HeaderSize + virtio.BlkHdrSize) % sectorSize
-	head := (sectorSize - offset) % sectorSize
-	tail := (offset + length) % sectorSize
-	return head + tail
-}
-
-func init() {
-	// Assert the assumption copiedEdgeBytes builds on: header sizes are
-	// stable. This breaks loudly if the wire format changes.
-	if transport.HeaderSize+virtio.BlkHdrSize != 44 {
-		panic(fmt.Sprintf("iohyp: unexpected header sizes: %d", transport.HeaderSize+virtio.BlkHdrSize))
-	}
 }

@@ -100,7 +100,7 @@ func TestBlockWriteReadThroughIOhost(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xCD}, 4096)
 	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 64, Data: payload}.Append(nil)
 	wrote := false
-	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, req, func(resp []byte, err error) {
+	r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 1, 0, req, func(resp []byte, err error) {
 		if err != nil || len(resp) != 1 || resp[0] != virtio.BlkOK {
 			t.Errorf("write resp=%v err=%v", resp, err)
 		}
@@ -118,7 +118,7 @@ func TestBlockWriteReadThroughIOhost(t *testing.T) {
 	// Read it back through the stack.
 	rd := virtio.BlkReq{Type: virtio.BlkIn, Sector: 64, Sectors: 4096 / r.p.SectorSize}.Append(nil)
 	var readBack []byte
-	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, rd, func(resp []byte, err error) {
+	r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 1, 0, rd, func(resp []byte, err error) {
 		if err != nil || len(resp) < 1 || resp[0] != virtio.BlkOK {
 			t.Errorf("read resp err=%v", err)
 			return
@@ -146,7 +146,7 @@ func TestBlockAESInterposition(t *testing.T) {
 
 	plain := bytes.Repeat([]byte{0x11}, 512)
 	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 0, Data: plain}.Append(nil)
-	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, req, func(resp []byte, err error) {
+	r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 1, 0, req, func(resp []byte, err error) {
 		if err != nil {
 			t.Errorf("write: %v", err)
 		}
@@ -162,7 +162,7 @@ func TestBlockAESInterposition(t *testing.T) {
 	// Reading through the chain decrypts.
 	rd := virtio.BlkReq{Type: virtio.BlkIn, Sector: 0, Sectors: 1}.Append(nil)
 	var back []byte
-	r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, rd, func(resp []byte, err error) {
+	r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 1, 0, rd, func(resp []byte, err error) {
 		if err == nil && len(resp) > 0 && resp[0] == virtio.BlkOK {
 			back = bytes.Clone(resp[1:]) // lent for the call only
 		}
@@ -302,7 +302,7 @@ func TestPerDeviceOrderPreservedAcrossWorkers(t *testing.T) {
 	for i := 0; i < writes; i++ {
 		data := bytes.Repeat([]byte{byte(i + 1)}, 512)
 		req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 7, Data: data}.Append(nil)
-		r.driver.SendBlk(uint8(virtio.DeviceBlk), 1, req, func(resp []byte, err error) {
+		r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 1, 0, req, func(resp []byte, err error) {
 			if err != nil {
 				t.Errorf("write: %v", err)
 			}
@@ -355,7 +355,7 @@ func TestUnknownBlockDeviceGetsUnsupp(t *testing.T) {
 	r := newRig(t, 1, ModePolling)
 	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 0, Data: make([]byte, 512)}.Append(nil)
 	var status byte = 0xFF
-	r.driver.SendBlk(uint8(virtio.DeviceBlk), 9, req, func(resp []byte, err error) {
+	r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 9, 0, req, func(resp []byte, err error) {
 		if err == nil && len(resp) == 1 {
 			status = resp[0]
 		}
@@ -377,7 +377,7 @@ func TestWorkersShareLoad(t *testing.T) {
 	done := 0
 	for i := 0; i < 200; i++ {
 		req := virtio.BlkReq{Type: virtio.BlkOut, Sector: uint64(i * 8), Data: make([]byte, 512)}.Append(nil)
-		r.driver.SendBlk(uint8(virtio.DeviceBlk), uint16(1+i%8), req, func(resp []byte, err error) {
+		r.driver.SendBlkQ(uint8(virtio.DeviceBlk), uint16(1+i%8), 0, req, func(resp []byte, err error) {
 			if err != nil {
 				t.Errorf("req: %v", err)
 			}
@@ -410,16 +410,25 @@ func TestNewRequiresSidecores(t *testing.T) {
 }
 
 func TestCopiedEdgeBytes(t *testing.T) {
-	// 44-byte header shift against 512 sectors: head = 512-44 = 468,
-	// tail = (44 + len) % 512.
-	if got := copiedEdgeBytes(4096, 512); got != 468+44 {
-		t.Errorf("copiedEdgeBytes(4096) = %d, want %d", got, 468+44)
+	// The payload follows the 44-byte transport and virtio-blk headers, so
+	// against 512-byte sectors a write copies a 468-byte head and a
+	// (44+n)%512-byte tail: 512 bytes for every whole-sector write, all of
+	// a 600-byte one.
+	r := newRig(t, 1, ModePolling)
+	store := blockdev.NewStore(r.p.SectorSize, 1024)
+	r.hyp.RegisterBlkDevice(r.clientMAC, 1, blockdev.NewDevice(r.eng, store, r.p.RamdiskLatency, 1), nil)
+	writeCopy := r.hyp.blkDev(r.clientMAC, 1).srv.Cost.WriteCopy
+	for k := 0; k <= 128; k++ {
+		want := 512
+		if k == 0 {
+			want = 0
+		}
+		if got := writeCopy(k * 512); got != want {
+			t.Errorf("WriteCopy(%d) = %d, want %d", k*512, got, want)
+		}
 	}
-	if got := copiedEdgeBytes(0, 512); got != 0 {
-		t.Errorf("empty write copies %d", got)
-	}
-	if got := copiedEdgeBytes(600, 512); got != 600 {
-		t.Errorf("sub-2-sector write should copy entirely, got %d", got)
+	if got := writeCopy(600); got != 600 {
+		t.Errorf("WriteCopy(600) = %d, want 600", got)
 	}
 }
 

@@ -207,7 +207,7 @@ func TestSteeringContract(t *testing.T) {
 				return transport.Header{Type: transport.MsgBlkReq, DeviceID: id, ReqID: 1, OrigID: 1, ChunkCount: 1}
 			}
 			status := byte(0xFF)
-			r.driver.SendBlk(uint8(virtio.DeviceBlk), 9, req, func(resp []byte, err error) {
+			r.driver.SendBlkQ(uint8(virtio.DeviceBlk), 9, 0, req, func(resp []byte, err error) {
 				if err == nil && len(resp) == 1 {
 					status = resp[0]
 				}

@@ -68,7 +68,7 @@ func BenchmarkUDPLoopbackRoundtrip(b *testing.B) {
 	req := make([]byte, 4096)
 	done := make(chan error, 1)
 	complete := func(resp []byte, err error) { done <- err }
-	submit := func() { drv.SendBlk(2, 1, req, complete) }
+	submit := func() { drv.SendBlkQ(2, 1, 0, req, complete) }
 	roundtrip := func() {
 		cLoop.Post(submit)
 		if err := <-done; err != nil {

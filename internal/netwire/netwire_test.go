@@ -184,7 +184,7 @@ func blkRoundTrip(t *testing.T, c *cell, drv *transport.Driver, size int) {
 	}
 	done := make(chan error, 1)
 	c.call(t, func() {
-		drv.SendBlk(1, 7, req, func(resp []byte, err error) {
+		drv.SendBlkQ(1, 7, 0, req, func(resp []byte, err error) {
 			if err == nil && !bytes.Equal(resp, req) {
 				err = errors.New("response differs from request")
 			}

@@ -59,29 +59,6 @@ func TestPlacementPolicies(t *testing.T) {
 	if got := tb2.IOHyps[0].Counters.Get("msgs"); got != 0 {
 		t.Errorf("unplaced IOhost 0 processed %d msgs", got)
 	}
-
-	ll := &LeastLoaded{}
-	spread := make(map[int]int)
-	for vm := 0; vm < 6; vm++ {
-		spread[ll.Place(0, vm, 3)]++
-	}
-	if spread[0] != 2 || spread[1] != 2 || spread[2] != 2 {
-		t.Errorf("least-loaded spread uneven: %v", spread)
-	}
-
-	af := &Affinity{
-		Pins:   map[int]int{0: 2},
-		Groups: map[int]string{1: "replicas", 2: "replicas"},
-	}
-	p0 := af.Place(0, 0, 3)
-	p1 := af.Place(0, 1, 3)
-	p2 := af.Place(1, 2, 3)
-	if p0 != 2 {
-		t.Errorf("pin ignored: vm 0 on %d", p0)
-	}
-	if p1 == p2 {
-		t.Errorf("anti-affinity groupmates share IOhost %d", p1)
-	}
 }
 
 func TestHeartbeatDetectsFailureAndRehomes(t *testing.T) {

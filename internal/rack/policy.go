@@ -14,7 +14,6 @@ import "fmt"
 // is called once per guest in build order (host-major global vm index), so
 // stateful policies see a deterministic call sequence.
 type Policy interface {
-	Name() string
 	// Place returns the IOhost in [0, numIOhosts) for guest vm (global
 	// index) living on VMhost host.
 	Place(host, vm, numIOhosts int) int
@@ -30,8 +29,6 @@ func Placement(p Policy, numIOhosts int) func(host, vm int) int {
 // heal.
 type Static int
 
-func (s Static) Name() string { return fmt.Sprintf("static%d", int(s)) }
-
 func (s Static) Place(_, _, numIOhosts int) int {
 	if int(s) < 0 || int(s) >= numIOhosts {
 		panic(fmt.Sprintf("rack: Static(%d) out of range [0,%d)", int(s), numIOhosts))
@@ -42,88 +39,8 @@ func (s Static) Place(_, _, numIOhosts int) int {
 // RoundRobin spreads devices across IOhosts in guest build order.
 type RoundRobin struct{ next int }
 
-func (r *RoundRobin) Name() string { return "round-robin" }
-
 func (r *RoundRobin) Place(_, _, numIOhosts int) int {
 	io := r.next % numIOhosts
 	r.next++
 	return io
-}
-
-// LeastLoaded places each device on the IOhost with the least accumulated
-// weight so far. Weight, if set, estimates a guest's load (e.g. from a
-// capacity plan); nil weights every guest equally, which degenerates to
-// round-robin-like spreading but tolerates uneven weights.
-type LeastLoaded struct {
-	Weight func(host, vm int) float64
-	load   []float64
-}
-
-func (l *LeastLoaded) Name() string { return "least-loaded" }
-
-func (l *LeastLoaded) Place(host, vm, numIOhosts int) int {
-	if len(l.load) < numIOhosts {
-		l.load = append(l.load, make([]float64, numIOhosts-len(l.load))...)
-	}
-	best := 0
-	for i := 1; i < numIOhosts; i++ {
-		if l.load[i] < l.load[best] {
-			best = i
-		}
-	}
-	w := 1.0
-	if l.Weight != nil {
-		w = l.Weight(host, vm)
-	}
-	l.load[best] += w
-	return best
-}
-
-// Affinity layers placement constraints over a base policy: Pins force a
-// guest onto a specific IOhost; guests sharing an anti-affinity Group avoid
-// each other's IOhosts while unclaimed ones remain (e.g. the two replicas
-// of a service should not lose their devices to a single IOhost crash).
-type Affinity struct {
-	Base   Policy         // nil means LeastLoaded
-	Pins   map[int]int    // global vm index -> IOhost
-	Groups map[int]string // global vm index -> anti-affinity group
-	used   map[string][]bool
-}
-
-func (a *Affinity) Name() string { return "affinity" }
-
-func (a *Affinity) Place(host, vm, numIOhosts int) int {
-	if a.Base == nil {
-		a.Base = &LeastLoaded{}
-	}
-	if io, ok := a.Pins[vm]; ok {
-		if io < 0 || io >= numIOhosts {
-			panic(fmt.Sprintf("rack: pin for vm %d out of range: %d", vm, io))
-		}
-		return io
-	}
-	if g, ok := a.Groups[vm]; ok {
-		if a.used == nil {
-			a.used = make(map[string][]bool)
-		}
-		taken := a.used[g]
-		if taken == nil {
-			taken = make([]bool, numIOhosts)
-			a.used[g] = taken
-		}
-		io := a.Base.Place(host, vm, numIOhosts)
-		if taken[io] {
-			// The base's choice collides with a groupmate: take the first
-			// IOhost the group hasn't claimed, if any remains.
-			for i := 0; i < numIOhosts; i++ {
-				if !taken[i] {
-					io = i
-					break
-				}
-			}
-		}
-		taken[io] = true
-		return io
-	}
-	return a.Base.Place(host, vm, numIOhosts)
 }

@@ -447,19 +447,15 @@ func (d *Driver) SendNet(devType uint8, deviceID uint16, frame []byte) {
 	d.send(d.iohost, Header{Type: MsgNetTx, DeviceType: devType, DeviceID: deviceID, ReqID: id}, frame)
 }
 
-// SendBlk transmits a block request reliably. done is invoked exactly once,
-// with the response payload or ErrDeviceError. req must remain valid until
-// then (chunks alias it across retransmissions).
-func (d *Driver) SendBlk(devType uint8, deviceID uint16, req []byte, done BlkCallback) {
-	d.SendBlkQ(devType, deviceID, 0, req, done)
-}
-
 // SendBlkQ transmits a block request reliably on submission queue `queue`.
-// The queue rides in the top byte of OrigID and of every per-attempt ReqID
-// (QueueOf recovers it), so a multi-queue IOhost can steer each queue to its
-// pinned worker without any wire-format change: queue 0 is byte-identical to
-// SendBlk. The driver imposes no depth limit per queue — callers (the guest
-// workload) enforce QD by running closed loops.
+// done is invoked exactly once, with the response payload or
+// ErrDeviceError. req must remain valid until then (chunks alias it across
+// retransmissions). The queue rides in the top byte of OrigID and of every
+// per-attempt ReqID (QueueOf recovers it), so a multi-queue IOhost can steer
+// each queue to its pinned worker without any wire-format change: queue 0
+// is byte-identical to the single-queue wire. The driver imposes no depth
+// limit per queue — callers (the guest workload) enforce QD by running
+// closed loops.
 func (d *Driver) SendBlkQ(devType uint8, deviceID uint16, queue uint8, req []byte, done BlkCallback) {
 	d.SendBlkGather(devType, deviceID, queue, req, nil, done)
 }
@@ -470,7 +466,7 @@ func (d *Driver) SendBlkQ(devType uint8, deviceID uint16, queue uint8, req []byt
 // the frames. Both must remain valid until done runs.
 func (d *Driver) SendBlkGather(devType uint8, deviceID uint16, queue uint8, req, data []byte, done BlkCallback) {
 	if done == nil {
-		panic("transport: SendBlk requires a completion callback")
+		panic("transport: SendBlkGather requires a completion callback")
 	}
 	d.Counters.Inc("blk_sent", 1)
 	p := d.pbs.Get()

@@ -50,9 +50,8 @@ type Endpoint struct {
 	// guarantees one outstanding request per block).
 	BlkReq func(src ethernet.MAC, h Header, req *bufpool.Frame)
 
-	nextID  uint64
-	ctrl    map[uint64]*pendingCtrl
-	noRetry bool // tests can disable control retries
+	nextID uint64
+	ctrl   map[uint64]*pendingCtrl
 
 	// Counters: "net_tx", "blk_req", "blk_resp", "ctrl_sent", "ctrl_acked",
 	// "ctrl_retries", "bad_msgs".

@@ -92,7 +92,7 @@ func FuzzWireDecode(f *testing.F) {
 		// include its OrigID/ReqID).
 		drv := transport.NewDriver(eng, &sinkPort{mac: srcMAC, pool: pool}, ethernet.NewMAC(2), cfg)
 		req := make([]byte, 600) // 3 chunks
-		drv.SendBlk(1, 1, req, func([]byte, error) {})
+		drv.SendBlkQ(1, 1, 0, req, func([]byte, error) {})
 		dDeliver := func(b []byte) {
 			buf := pool.GetRaw(len(b))
 			copy(buf, b)

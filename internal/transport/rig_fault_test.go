@@ -54,7 +54,7 @@ func TestRigMaxRetransmitsExhaustion(t *testing.T) {
 
 	calls := 0
 	var gotErr error
-	r.Driver.SendBlk(2, 1, []byte("doomed"), func(resp []byte, err error) {
+	r.Driver.SendBlkQ(2, 1, 0, []byte("doomed"), func(resp []byte, err error) {
 		calls++
 		gotErr = err
 	})
@@ -94,7 +94,7 @@ func TestRigStaleLateRetransmittedResponse(t *testing.T) {
 	r.Cable.BtoA.SetFault(delayFrame(0, r.P.RetransmitTimeout+2*sim.Millisecond))
 
 	calls := 0
-	r.Driver.SendBlk(2, 1, []byte("late"), func(resp []byte, err error) {
+	r.Driver.SendBlkQ(2, 1, 0, []byte("late"), func(resp []byte, err error) {
 		calls++
 		if err != nil || string(resp) != "late" {
 			t.Errorf("resp=%q err=%v", resp, err)
@@ -131,7 +131,7 @@ func TestRigOutOfOrderChunkReassembly(t *testing.T) {
 	}
 	var got []byte
 	calls := 0
-	r.Driver.SendBlk(2, 1, req, func(resp []byte, err error) {
+	r.Driver.SendBlkQ(2, 1, 0, req, func(resp []byte, err error) {
 		calls++
 		if err != nil {
 			t.Errorf("err: %v", err)
@@ -168,7 +168,7 @@ func TestRigCorruptionTriggersRetransmit(t *testing.T) {
 	}})
 
 	calls := 0
-	r.Driver.SendBlk(2, 1, []byte("bitrot"), func(resp []byte, err error) {
+	r.Driver.SendBlkQ(2, 1, 0, []byte("bitrot"), func(resp []byte, err error) {
 		calls++
 		if err != nil || string(resp) != "bitrot" {
 			t.Errorf("resp=%q err=%v", resp, err)
@@ -211,7 +211,7 @@ func TestRespondBlkGatherKeepsWireBytes(t *testing.T) {
 				req.Release()
 			}
 			var got []byte
-			r.Driver.SendBlk(2, 1, []byte("read"), func(resp []byte, err error) {
+			r.Driver.SendBlkQ(2, 1, 0, []byte("read"), func(resp []byte, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}

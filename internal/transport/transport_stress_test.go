@@ -32,7 +32,7 @@ func TestChunkedRequestSurvivesPartialChunkLoss(t *testing.T) {
 		req[i] = byte(i)
 	}
 	var got []byte
-	h.driver.SendBlk(2, 1, req, func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 1, 0, req, func(resp []byte, err error) {
 		if err != nil {
 			t.Errorf("err: %v", err)
 		}
@@ -97,7 +97,7 @@ func TestChunkedResponsePartialLoss(t *testing.T) {
 	}
 	var got []byte
 	calls := 0
-	h.driver.SendBlk(2, 1, req, func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 1, 0, req, func(resp []byte, err error) {
 		calls++
 		if err != nil {
 			t.Errorf("err: %v", err)
@@ -130,7 +130,7 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 		orig(src, dup)
 	}
 	calls := 0
-	h.driver.SendBlk(2, 1, []byte("dup-me"), func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 1, 0, []byte("dup-me"), func(resp []byte, err error) {
 		calls++
 		if err != nil || string(resp) != "dup-me" {
 			t.Errorf("resp=%q err=%v", resp, err)
@@ -185,7 +185,7 @@ func TestManyClientsOneEndpoint(t *testing.T) {
 		drv = NewDriver(eng, clientPort, iohost, Config{MaxRetransmits: 10})
 		for r := 0; r < 5; r++ {
 			payload := []byte{byte(c), byte(r)}
-			drv.SendBlk(2, uint16(c), payload, func(resp []byte, err error) {
+			drv.SendBlkQ(2, uint16(c), 0, payload, func(resp []byte, err error) {
 				if err == nil && bytes.Equal(resp, payload) {
 					completions[c]++
 				}

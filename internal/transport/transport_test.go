@@ -105,7 +105,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	h := newHarness(t, Config{})
 	h.echoBlk()
 	var got []byte
-	h.driver.SendBlk(2, 7, []byte("read sector 5"), func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 7, 0, []byte("read sector 5"), func(resp []byte, err error) {
 		if err != nil {
 			t.Errorf("unexpected error: %v", err)
 		}
@@ -142,7 +142,7 @@ func TestBlockChunkingLargeRequestAndResponse(t *testing.T) {
 		req[i] = byte(i)
 	}
 	var got []byte
-	h.driver.SendBlk(2, 1, req, func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 1, 0, req, func(resp []byte, err error) {
 		if err != nil {
 			t.Errorf("err: %v", err)
 		}
@@ -180,7 +180,7 @@ func TestBlockRetransmissionRecoversFromLoss(t *testing.T) {
 	}
 	var got []byte
 	var doneAt sim.Time
-	h.driver.SendBlk(2, 1, []byte("lossy"), func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 1, 0, []byte("lossy"), func(resp []byte, err error) {
 		if err != nil {
 			t.Errorf("err: %v", err)
 		}
@@ -209,7 +209,7 @@ func TestBlockDeviceErrorAfterBudget(t *testing.T) {
 	}
 	var gotErr error
 	calls := 0
-	h.driver.SendBlk(2, 1, []byte("doomed"), func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 1, 0, []byte("doomed"), func(resp []byte, err error) {
 		calls++
 		gotErr = err
 	})
@@ -248,7 +248,7 @@ func TestBlockStaleResponseIgnored(t *testing.T) {
 		})
 	}
 	calls := 0
-	h.driver.SendBlk(2, 1, []byte("dup"), func(resp []byte, err error) {
+	h.driver.SendBlkQ(2, 1, 0, []byte("dup"), func(resp []byte, err error) {
 		calls++
 		if err != nil || string(resp) != "dup" {
 			t.Errorf("resp=%q err=%v", resp, err)
@@ -434,10 +434,10 @@ func TestSendBlkPanicsWithoutCallback(t *testing.T) {
 	h := newHarness(t, Config{})
 	defer func() {
 		if recover() == nil {
-			t.Error("SendBlk without callback did not panic")
+			t.Error("SendBlkQ without callback did not panic")
 		}
 	}()
-	h.driver.SendBlk(2, 1, []byte("x"), nil)
+	h.driver.SendBlkQ(2, 1, 0, []byte("x"), nil)
 }
 
 func TestWireRoundTripProperty(t *testing.T) {
@@ -510,7 +510,7 @@ func TestBlockLossInjectionProperty(t *testing.T) {
 		for i := 0; i < reqs; i++ {
 			i := i
 			payload := []byte{byte(i), byte(trial)}
-			h.driver.SendBlk(2, 1, payload, func(resp []byte, err error) {
+			h.driver.SendBlkQ(2, 1, 0, payload, func(resp []byte, err error) {
 				completions[i]++
 				if err == nil && !bytes.Equal(resp, payload) {
 					t.Errorf("trial %d req %d: wrong payload %v", trial, i, resp)

@@ -1,61 +1,62 @@
 package workload
 
 import (
-	"vrio/internal/core"
 	"vrio/internal/sim"
+	"vrio/internal/stats"
 )
 
-// MQBlock drives one guest's paravirtual block device in closed loop over
-// NQ submission queues with QD requests in flight per queue: every
-// completion immediately reissues on the same queue, so the offered depth
-// stays at NQ×QD until Stop. Each queue writes a stride pattern inside its
-// own sector region, with every hot-th request aimed at a sector region
-// shared by all queues so the IOhost-side range-conflict scheduler has real
+// WriteFunc is a block write target: it writes data at sector through
+// submission queue q and calls done once, when the write completes. A
+// guest's paravirtual device is one ((*core.Guest).WriteBlockQ); a
+// distributed volume, a closure over (*core.VolumeRouter).Write, is another.
+// data must be copied before WriteFunc returns: MQBlock reuses it.
+type WriteFunc func(q uint8, sector uint64, data []byte, done func(error))
+
+// Default placement: each queue strides through its own region of
+// placeRegion sectors, and every placeHot-th request of a queue goes to the
+// region shared by all queues, so a range-conflict scheduler has real
 // cross-queue conflicts to arbitrate.
-//
-// Completions are ledgered per (queue, sequence): Ledger reports duplicated
-// and lost entries, the exactly-once check the fault experiments assert on.
+const (
+	placeRegion = 1024
+	placeStride = 17
+	placeHot    = 16
+)
+
+// MQBlock is the closed-loop block write load: NQ submission queues with
+// QD requests in flight per queue against one write target. Every
+// completion, an error one included, immediately reissues on the same queue,
+// so the offered depth stays at NQ×QD until Stop. Every request is ledgered
+// by (queue, sequence), and Ledger is the exactly-once audit the fault and
+// scaling experiments assert on.
 type MQBlock struct {
 	eng    *sim.Engine
-	g      *core.Guest
+	write  WriteFunc
 	queues int
 	depth  int
-	size   int
+	buf    []byte
+	stop   bool
+	counts [][]int // per queue, per sequence: completions observed
+	errs   uint64
 
-	// region is the sector span owned by each queue; the shared hot region
-	// starts at queues*region.
-	region uint64
-	// hot aims every hot-th request of a queue at the shared region
-	// (0 = never).
-	hot int
-
-	buf     []byte
-	stop    bool
-	counts  [][]int // per queue, per sequence: completions observed
-	started uint64  // requests issued
-	done    uint64  // completions observed
-	// Errs counts completions that reported an error (device errors after
-	// an exhausted retransmission budget, mid-crash failures).
-	Errs uint64
-
-	// Results collects latency/throughput inside the measurement window.
-	Results Results
+	// Place, when set, picks the sector of queue q's seq-th request
+	// instead of the default per-queue regions.
+	Place func(q, seq int) uint64
+	// Latency, when set, records each completion's latency in whole
+	// microseconds, errors included. It may be swapped mid-run.
+	Latency *stats.Histogram
 }
 
-// NewMQBlock builds the workload on guest g: queues×depth outstanding
-// writes of size bytes each. It does not issue anything until Start.
-func NewMQBlock(eng *sim.Engine, g *core.Guest, queues, depth, size int) *MQBlock {
+// NewMQBlock builds the load on write: queues×depth outstanding writes of
+// size bytes each. It does not issue anything until Start.
+func NewMQBlock(eng *sim.Engine, write WriteFunc, queues, depth, size int) *MQBlock {
 	if queues < 1 || depth < 1 || size < 1 {
 		panic("workload: MQBlock needs queues, depth, size >= 1")
 	}
 	m := &MQBlock{
 		eng:    eng,
-		g:      g,
+		write:  write,
 		queues: queues,
 		depth:  depth,
-		size:   size,
-		region: 1024,
-		hot:    16,
 		buf:    make([]byte, size),
 		counts: make([][]int, queues),
 	}
@@ -78,6 +79,17 @@ func (m *MQBlock) Start() {
 // ledgered) but nothing new is issued.
 func (m *MQBlock) Stop() { m.stop = true }
 
+// sector places queue q's seq-th request.
+func (m *MQBlock) sector(q, seq int) uint64 {
+	switch {
+	case m.Place != nil:
+		return m.Place(q, seq)
+	case seq%placeHot == 0:
+		return uint64(m.queues) * placeRegion
+	}
+	return uint64(q)*placeRegion + uint64(seq*placeStride)%placeRegion
+}
+
 // issue sends one write on queue q and reissues from its completion.
 func (m *MQBlock) issue(q int) {
 	if m.stop {
@@ -85,44 +97,44 @@ func (m *MQBlock) issue(q int) {
 	}
 	seq := len(m.counts[q])
 	m.counts[q] = append(m.counts[q], 0)
-	sector := uint64(q)*m.region + uint64(seq*17)%m.region
-	if m.hot > 0 && seq%m.hot == 0 {
-		// The shared region: all queues collide here, exercising the
-		// cross-queue write serialization.
-		sector = uint64(m.queues) * m.region
-	}
-	m.started++
 	start := m.eng.Now()
-	m.g.WriteBlockQ(uint8(q), sector, m.buf, func(err error) {
+	m.write(uint8(q), m.sector(q, seq), m.buf, func(err error) {
 		m.counts[q][seq]++
-		m.done++
 		if err != nil {
-			m.Errs++
+			m.errs++
 		}
-		m.Results.record(m.eng.Now()-start, m.size, err != nil)
+		if m.Latency != nil {
+			m.Latency.Record(int64((m.eng.Now() - start) / sim.Microsecond))
+		}
 		m.issue(q)
 	})
 }
 
-// Issued reports requests sent so far.
-func (m *MQBlock) Issued() uint64 { return m.started }
+// Ledger is an MQBlock's exactly-once audit. After a drain that outlasts
+// every retransmission budget, exactly-once delivery means Dup and Lost are
+// both zero.
+type Ledger struct {
+	Issued    uint64 // requests sent
+	Completed uint64 // requests whose completion ran at least once
+	Dup       uint64 // completions beyond a request's first
+	Lost      uint64 // requests that never completed
+	Errs      uint64 // completions that reported an error
+}
 
-// Done reports completions observed so far.
-func (m *MQBlock) Done() uint64 { return m.done }
-
-// Ledger audits the per-queue completion counts: dup counts extra
-// completions of one request, lost counts requests that never completed.
-// Both must be zero after a full drain for exactly-once delivery.
-func (m *MQBlock) Ledger() (dup, lost uint64) {
+// Ledger audits the per-request completion counts so far.
+func (m *MQBlock) Ledger() Ledger {
+	l := Ledger{Errs: m.errs}
 	for _, qc := range m.counts {
+		l.Issued += uint64(len(qc))
 		for _, n := range qc {
 			switch {
 			case n == 0:
-				lost++
+				l.Lost++
 			case n > 1:
-				dup += uint64(n - 1)
+				l.Dup += uint64(n - 1)
 			}
 		}
 	}
-	return dup, lost
+	l.Completed = l.Issued - l.Lost
+	return l
 }

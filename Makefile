@@ -40,7 +40,9 @@ bench:
 #              multi-queue block path; the slabs a 4 KiB block write and
 #              read take, the received frame as the request's lease, and
 #              a block reply gathered from its parts, byte for byte.
-#   blockdev:  a 4 KiB store write + device read fill.
+#   blockdev:  a 4 KiB store write + device read fill; what a store
+#              allocates: its page directory, one 4 KiB page on a first
+#              write, nothing on an overwrite.
 #   ethernet:  a 4 KiB reassembly, and a single-fragment message completed
 #              in place beside a pending partial.
 #   stats:     histogram Record, counter Inc.
@@ -70,7 +72,7 @@ bench:
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
 	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ|TestBlkSlabsZeroCopy|TestRespondBlkGatherKeepsWireBytes' 'BenchmarkDatapath' \
-	./internal/blockdev/  'TestStoreWriteAndDeviceReadZeroAlloc'        'BenchmarkDeviceRW4K' \
+	./internal/blockdev/  'TestStoreWriteAndDeviceReadZeroAlloc|TestStoreWriteAllocs' 'BenchmarkDeviceRW4K' \
 	./internal/ethernet/  'TestSingleFragmentAddZeroAlloc'              'BenchmarkReassemble4K' \
 	./internal/stats/     'TestRecordAndIncZeroAlloc'                   'BenchmarkHistogramRecord|BenchmarkCountersInc' \
 	./internal/link/      'TestSwitchForwardZeroAlloc'                  'BenchmarkSwitchForward' \

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,7 @@ func TestNewStorePanics(t *testing.T) {
 		func() { NewStore(0, 10) },
 		func() { NewStore(513, 10) },
 		func() { NewStore(512, 0) },
+		func() { NewStore(512, math.MaxUint64/256) }, // its bytes overflow a uint64
 	} {
 		func() {
 			defer func() {

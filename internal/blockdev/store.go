@@ -5,14 +5,17 @@
 // one outstanding request per block — the property §4.5's retransmission
 // correctness argument rests on.
 //
-// The store keeps its bytes in fixed 4 KiB pages keyed by page index; a page
-// is allocated on its first write and written in place after that, so
+// The store keeps its bytes in fixed 4 KiB pages found through a two-level
+// page table: a directory sized to the capacity, of leaves that each map
+// 2 MiB of the device. A leaf is allocated on the first write in its range,
+// a page on its first write, and a page is written in place after that, so
 // steady-state writes and device reads do not allocate.
 package blockdev
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // pageSize is the store's allocation unit in bytes. Sector offsets map to
@@ -22,6 +25,16 @@ const pageSize = 4096
 
 type page [pageSize]byte
 
+// leafShift sets the reach of a page-table leaf: 1<<leafShift pages, 2 MiB
+// of device in 4 KiB of pointers. The directory of a 1 GiB store is then
+// 4 KiB, and a store of up to 2 MiB has one entry.
+const (
+	leafShift = 9
+	leafPages = 1 << leafShift
+)
+
+type leaf [leafPages]*page
+
 // zeroPage is what an unwritten page reads as when a read is lent rather
 // than copied (see Store.lend). Nothing may write it.
 var zeroPage page
@@ -30,8 +43,8 @@ var zeroPage page
 // zeros. The zero value is not usable; call NewStore.
 type Store struct {
 	sectorSize int
-	capacity   uint64 // in sectors
-	pages      map[uint64]*page
+	capacity   uint64  // in sectors
+	dir        []*leaf // leaf i maps pages i<<leafShift on; nil until written
 }
 
 // Errors returned by Store.
@@ -51,11 +64,39 @@ func NewStore(sectorSize int, capacitySectors uint64) *Store {
 	if capacitySectors == 0 {
 		panic("blockdev: zero capacity")
 	}
+	if capacitySectors > math.MaxUint64/uint64(sectorSize) {
+		panic(fmt.Sprintf("blockdev: %d sectors of %d bytes overflow a byte offset", capacitySectors, sectorSize))
+	}
+	pages := (capacitySectors*uint64(sectorSize)-1)/pageSize + 1
 	return &Store{
 		sectorSize: sectorSize,
 		capacity:   capacitySectors,
-		pages:      make(map[uint64]*page),
+		dir:        make([]*leaf, (pages-1)>>leafShift+1),
 	}
+}
+
+// page returns page idx, or nil while it is unwritten.
+func (s *Store) page(idx uint64) *page {
+	if l := s.dir[idx>>leafShift]; l != nil {
+		return l[idx%leafPages]
+	}
+	return nil
+}
+
+// writable returns page idx, allocating it, and its leaf, on the first
+// write in their ranges.
+func (s *Store) writable(idx uint64) *page {
+	l := s.dir[idx>>leafShift]
+	if l == nil {
+		l = new(leaf)
+		s.dir[idx>>leafShift] = l
+	}
+	p := l[idx%leafPages]
+	if p == nil {
+		p = new(page)
+		l[idx%leafPages] = p
+	}
+	return p
 }
 
 // SectorSize reports the sector size in bytes.
@@ -86,13 +127,7 @@ func (s *Store) Write(sector uint64, data []byte) error {
 	}
 	off := sector * uint64(s.sectorSize)
 	for len(data) > 0 {
-		idx := off / pageSize
-		p := s.pages[idx]
-		if p == nil {
-			p = new(page)
-			s.pages[idx] = p
-		}
-		n := copy(p[off%pageSize:], data)
+		n := copy(s.writable(off / pageSize)[off%pageSize:], data)
 		data = data[n:]
 		off += uint64(n)
 	}
@@ -127,7 +162,7 @@ func (s *Store) lend(sector uint64, size int) []byte {
 	if lo+size > pageSize {
 		return nil
 	}
-	p := s.pages[off/pageSize]
+	p := s.page(off / pageSize)
 	if p == nil {
 		p = &zeroPage
 	}
@@ -140,7 +175,7 @@ func (s *Store) copyOut(dst []byte, sector uint64) {
 	off := sector * uint64(s.sectorSize)
 	for len(dst) > 0 {
 		var n int
-		if p := s.pages[off/pageSize]; p != nil {
+		if p := s.page(off / pageSize); p != nil {
 			n = copy(dst, p[off%pageSize:])
 		} else {
 			n = min(len(dst), pageSize-int(off%pageSize))

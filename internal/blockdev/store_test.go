@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"vrio/internal/sim"
 )
@@ -110,6 +112,104 @@ func TestStoreSectorLargerThanPage(t *testing.T) {
 	}
 }
 
+// A write and a read that straddle a page-table leaf boundary see the pages
+// of both leaves, and the device lends neither leaf's page for the read.
+func TestStoreAcrossLeafBoundary(t *testing.T) {
+	const perLeaf = leafPages * pageSize / 512 // sectors one leaf maps
+	s := NewStore(512, 3*perLeaf)
+	data := pattern(4*512, 4)
+	if err := s.Write(perLeaf-2, data); err != nil { // two sectors in each leaf
+		t.Fatal(err)
+	}
+	if s.dir[0] == nil || s.dir[1] == nil || s.dir[2] != nil {
+		t.Errorf("leaves allocated: %v %v %v, want the first two only", s.dir[0] != nil, s.dir[1] != nil, s.dir[2] != nil)
+	}
+	got, err := s.Read(perLeaf-4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(make([]byte, 2*512), data...)
+	if !bytes.Equal(got, append(want, make([]byte, 2*512)...)) {
+		t.Error("a read across the leaf boundary differs from the write around zeros")
+	}
+	if s.lend(perLeaf-2, 4*512) != nil {
+		t.Error("a range across the leaf boundary was lent from one page")
+	}
+}
+
+// The last page of a capacity that is not a whole number of leaves, nor of
+// pages, lives in the directory's last, partly used leaf.
+func TestStoreLastPageOfPartialLeaf(t *testing.T) {
+	const capacity = (leafPages+3)*pageSize/512 + 5 // one leaf, three pages and five sectors
+	s := NewStore(512, capacity)
+	if len(s.dir) != 2 {
+		t.Fatalf("directory of %d leaves, want 2", len(s.dir))
+	}
+	last := pattern(512, 8)
+	if err := s.Write(capacity-1, last); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(capacity-5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(make([]byte, 4*512), last...)) {
+		t.Error("the device's last sector read back wrong")
+	}
+	if p := s.dir[1][3]; p == nil || !bytes.Equal(p[4*512:5*512], last) {
+		t.Error("the last sector is not in the last leaf's fourth page")
+	}
+	if err := s.Write(capacity, last); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("write past the last sector: err = %v", err)
+	}
+}
+
+// memDelta reports the heap objects and bytes f allocates.
+func memDelta(f func()) (allocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// A store pays for what is written: NewStore allocates the Store and a
+// directory of capacity/2 MiB entries (4 KiB at 1 GiB, which the runtime
+// holds in a 4864-byte block, as it does every pointer block of 4 KiB); the
+// first write to a page of a touched leaf allocates that 4 KiB page and
+// nothing else; an overwrite allocates nothing.
+func TestStoreWriteAllocs(t *testing.T) {
+	const gig = 1 << 30
+	var s *Store
+	allocs, n := memDelta(func() { s = NewStore(512, gig/512) })
+	if dir := len(s.dir) * int(unsafe.Sizeof(s.dir[0])); allocs != 2 || dir != 4096 || n > 5<<10 {
+		t.Errorf("NewStore(1 GiB): %d allocs of %d bytes, a directory of %d bytes; want the Store and a 4 KiB directory", allocs, n, dir)
+	}
+	data := pattern(pageSize, 6)
+	if err := s.Write(0, data); err != nil { // touch leaf 0
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = s.Write(0, data) }); a != 0 {
+		t.Errorf("overwrite: %.1f allocs/op, want 0", a)
+	}
+	next := uint64(0) // the 201 first writes below stay inside leaf 0
+	firstWrite := func() {
+		next += pageSize / 512
+		_ = s.Write(next, data)
+	}
+	if a := testing.AllocsPerRun(100, firstWrite); a != 1 {
+		t.Errorf("first write to a page of a touched leaf: %.1f allocs/op, want 1", a)
+	}
+	const runs = 100
+	if _, n := memDelta(func() {
+		for range runs {
+			firstWrite()
+		}
+	}); n/runs != pageSize {
+		t.Errorf("first write to a page of a touched leaf: %d bytes/op, want %d", n/runs, pageSize)
+	}
+}
+
 // Property: random writes and reads agree with a flat byte array.
 func TestStoreMatchesFlatOracle(t *testing.T) {
 	const sectorSize, capacity = 512, 50 // 25 KiB: six full pages and a part
@@ -172,7 +272,7 @@ func TestDeviceReadBufferIsBorrowed(t *testing.T) {
 
 	// Inside one page: the page itself, and the zero page where unwritten.
 	first := read(0, 2, a)
-	if p := d.store.pages[0]; &first[0] != &p[0] {
+	if p := d.store.page(0); &first[0] != &p[0] {
 		t.Error("a read inside one page was not lent from the page")
 	}
 	write(0, b)
@@ -186,7 +286,7 @@ func TestDeviceReadBufferIsBorrowed(t *testing.T) {
 	// Across pages: the device's read buffer, reused by the next such read.
 	across := append(make([]byte, 1024), b...) // sectors 6..9
 	held := read(6, 4, across)
-	if p := d.store.pages[1]; &held[0] == &p[0] || &held[0] == &d.store.pages[0][3072] {
+	if p := d.store.page(1); &held[0] == &p[0] || &held[0] == &d.store.page(0)[3072] {
 		t.Error("a read across pages was lent from a page")
 	}
 	if got := read(14, 4, make([]byte, 2048)); &got[0] != &held[0] {

@@ -1,6 +1,7 @@
 package bufpool
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -62,11 +63,13 @@ func TestWriteAfterPutRawPanics(t *testing.T) {
 	if !RaceEnabled {
 		t.Skip("the raw-slab checks run in race builds only")
 	}
-	p := New()
-	b := p.GetRaw(1500)
-	p.PutRaw(b)
-	b[:cap(b)][2047] = 1 // past len: the whole slab is poisoned
-	wantPanic(t, "bufpool: 2048-byte slab written after PutRaw", func() { p.GetRaw(1500) })
+	for _, n := range []int{1500, 4200} { // a 2 KiB slab and a page-plus-headers one
+		p := New()
+		b := p.GetRaw(n)
+		p.PutRaw(b)
+		b[:cap(b)][cap(b)-1] = 1 // past len: the whole slab is poisoned
+		wantPanic(t, "bufpool: "+strconv.Itoa(cap(b))+"-byte slab written after PutRaw", func() { p.GetRaw(n) })
+	}
 }
 
 // TestPoisonedSlabsCirculate checks that the race-build checks accept the

@@ -35,13 +35,32 @@ package bufpool
 
 import "math/bits"
 
-// Size classes are powers of two from 64 B to 128 KiB: Ethernet frames and
-// ring segments (2 KiB), jumbo TSO fragments (8–16 KiB), and full 64 KiB
-// transport messages plus headers all land on an exact class.
+// Size classes are the powers of two from 64 B to 128 KiB, plus one class
+// between 4 KiB and 8 KiB for a page of data behind its headers:
+//
+//   - 64 B–2 KiB: block request headers, statuses, Ethernet frames and
+//     ring segments;
+//   - 4 KiB: a page of block data on its own (a read's data, a write's
+//     payload);
+//   - PageFrameSize (4 KiB + 128 B): a wire frame that carries a 4 KiB block
+//     payload and its Ethernet, encapsulation, transport and block headers
+//     or reply status (a vRIO write request or read reply, a volume write
+//     or read: 4179 to 4210 B), which would otherwise leave half of an
+//     8 KiB slab unused;
+//   - 8–16 KiB: jumbo TSO fragments;
+//   - 64–128 KiB: full 64 KiB transport messages plus headers.
 const (
 	minClassShift = 6  // 64 B
 	maxClassShift = 17 // 128 KiB
-	numClasses    = maxClassShift - minClassShift + 1
+	numClasses    = maxClassShift - minClassShift + 2
+
+	// pageClass is the index of the 4 KiB class; PageFrameSize's class
+	// follows it, and the classes above are shifted up by one.
+	pageClass = 12 - minClassShift
+
+	// PageFrameSize is the capacity of the page-plus-headers class: a 4 KiB
+	// payload and up to 128 B of headers.
+	PageFrameSize = 1<<12 + 128
 
 	// MaxPooled is the largest pooled buffer; bigger requests fall through
 	// to the allocator.
@@ -53,17 +72,30 @@ const (
 )
 
 // classFor returns the class index for a buffer of n bytes, or -1 when n
-// exceeds the largest class: the bit length of (n-1)/64, since class c
-// holds sizes up to 64<<c.
+// exceeds the largest class: the bit length of (n-1)/64, since power-of-two
+// class c holds sizes up to 64<<c, moved up past PageFrameSize's class when
+// n does not fit it.
 func classFor(n int) int {
 	if n > MaxPooled {
 		return -1
 	}
-	return bits.Len(uint(max(n, 1)-1) >> minClassShift)
+	c := bits.Len(uint(max(n, 1)-1) >> minClassShift)
+	if n > PageFrameSize {
+		c++
+	}
+	return c
 }
 
 // classSize is the slab capacity of class c.
-func classSize(c int) int { return 1 << (minClassShift + c) }
+func classSize(c int) int {
+	switch {
+	case c <= pageClass:
+		return 1 << (minClassShift + c)
+	case c == pageClass+1:
+		return PageFrameSize
+	}
+	return 1 << (minClassShift + c - 1)
+}
 
 // Stats counts pool traffic, for tests and the memory-profile narrative.
 type Stats struct {

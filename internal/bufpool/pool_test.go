@@ -8,7 +8,8 @@ import (
 func TestClassRounding(t *testing.T) {
 	cases := []struct{ n, wantCap int }{
 		{1, 64}, {64, 64}, {65, 128}, {1500, 2048}, {2048, 2048},
-		{2049, 4096}, {65536, 65536}, {1 << 17, 1 << 17},
+		{2049, 4096}, {4096, 4096}, {4097, PageFrameSize}, {PageFrameSize, PageFrameSize},
+		{PageFrameSize + 1, 8192}, {65536, 65536}, {1 << 17, 1 << 17},
 	}
 	for _, c := range cases {
 		b := New().GetRaw(c.n)
@@ -19,7 +20,9 @@ func TestClassRounding(t *testing.T) {
 	}
 }
 
-// classForLoop is classFor as it was first written: a walk up the classes.
+// classForLoop is classFor as it was first written, a walk up the
+// power-of-two classes, with the page-plus-headers class stepped through
+// between 4 KiB and 8 KiB.
 func classForLoop(n int) int {
 	if n > MaxPooled {
 		return -1
@@ -27,6 +30,12 @@ func classForLoop(n int) int {
 	c := 0
 	for sz := 1 << minClassShift; sz < n; sz <<= 1 {
 		c++
+		if sz == 1<<12 {
+			if n <= PageFrameSize {
+				return c
+			}
+			c++
+		}
 	}
 	return c
 }
@@ -48,6 +57,34 @@ func TestClassForMatchesLoop(t *testing.T) {
 		if sz := classSize(c); classFor(sz) != c || classFor(sz+1) != next {
 			t.Errorf("class %d: classFor(%d) = %d, classFor(%d) = %d; want %d, %d",
 				c, sz, classFor(sz), sz+1, classFor(sz+1), c, next)
+		}
+	}
+}
+
+// Property, for every pooled size n: GetRaw's class holds n and no smaller
+// class does, and PutRaw adopts a slab of capacity n exactly when n is a
+// class size.
+func TestClassesFitAndAdoptExactly(t *testing.T) {
+	isClass := make(map[int]bool)
+	for c := range numClasses {
+		isClass[classSize(c)] = true
+	}
+	p := New()
+	backing := make([]byte, MaxPooled)
+	for n := 1; n <= MaxPooled; n++ {
+		c := classFor(n)
+		if classSize(c) < n || c > 0 && classSize(c-1) >= n {
+			t.Fatalf("n=%d: class %d of %d bytes, the class below holds %d", n, c, classSize(c), classSize(max(c-1, 0)))
+		}
+		if adopted := p.PutRaw(backing[:0:n]); adopted != isClass[n] {
+			t.Fatalf("PutRaw of a %d-byte slab: adopted %v, want %v", n, adopted, isClass[n])
+		} else if adopted {
+			p.GetRaw(n) // take it back out (and, in race builds, check its poison)
+		}
+	}
+	for n, want := range map[int]bool{PageFrameSize: true, PageFrameSize + 1: false, 8191: false, 8192: true} {
+		if got := p.PutRaw(make([]byte, 0, n)); got != want {
+			t.Errorf("PutRaw of a %d-byte slab: adopted %v, want %v", n, got, want)
 		}
 	}
 }

@@ -1056,7 +1056,10 @@ func (d *netDevice) Forward(f ethernet.Frame) {
 // netLocal is a device's virtio.NetSite for frames another device sends it
 // through the IOhost: the chain's cost is billed like the sender's, and the
 // frame goes to the client as net-rx.
-type netLocal struct{ d *netDevice }
+type netLocal struct {
+	d   *netDevice
+	hdr [ethernet.HeaderSize]byte // the forwarded frame's header, gathered before its payload
+}
 
 // Charge implements virtio.NetSite.
 func (s *netLocal) Charge(cost sim.Time) { s.d.Charge(cost) }
@@ -1064,10 +1067,9 @@ func (s *netLocal) Charge(cost sim.Time) { s.d.Charge(cost) }
 // Forward implements virtio.NetSite.
 func (s *netLocal) Forward(f ethernet.Frame) {
 	h := s.d.h
-	raw := f.EncodeTo(h.bufPool().GetRaw(f.Len()))
+	ethernet.PutHeader(s.hdr[:], f.Dst, f.Src, f.EtherType)
 	h.cur = s.d.c
-	h.endpoint.SendNetRx(s.d.c.mac, s.d.id, raw)
-	h.bufPool().PutRaw(raw)
+	h.endpoint.SendNetRx(s.d.c.mac, s.d.id, s.hdr[:], f.Payload)
 	h.txInterrupt()
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"vrio/internal/bufpool"
 	"vrio/internal/ethernet"
+	"vrio/internal/virtio"
 )
 
 // Datapath benchmarks over the full wire path (Rig): driver send → TSO
@@ -197,13 +198,21 @@ func TestHotPathZeroAlloc(t *testing.T) {
 // back end copies a read's data into a 4 KiB slab and answers with the
 // status byte and that slab, which RespondBlk gathers. The transport adds
 // one slab per message, its wire frame, which the NIC's TSO fills from the
-// gather list: that is the message's one transport-layer copy. A
+// gather list: that is the message's one transport-layer copy. A frame that
+// carries 4 KiB of data takes the pool's page-plus-headers class. A
 // single-fragment message reaches its consumer as that frame, viewed past
 // its headers, so the lease the endpoint hands BlkReq aliases the received
 // frame slab, and the reply the driver hands the callback is a view of its
 // frame.
 func TestBlkSlabsZeroCopy(t *testing.T) {
 	const frameHdrs = ethernet.HeaderSize + ethernet.EncapOverhead + HeaderSize
+	// The largest one-fragment frame with 4 KiB of data is a volume write:
+	// the frame headers, the block and volume headers, then the page. A
+	// header that grows past the class must fail here rather than move
+	// every such frame to the 8 KiB class.
+	if n := frameHdrs + virtio.BlkHdrSize + virtio.VolHdrSize + 4096; n > bufpool.PageFrameSize {
+		t.Fatalf("a volume write's %d-byte frame does not fit the %d-byte page-plus-headers class", n, bufpool.PageFrameSize)
+	}
 	r := NewRig()
 	data := benchPayload(4096)
 	hdr := []byte{1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0} // a BlkHdr
@@ -248,8 +257,8 @@ func TestBlkSlabsZeroCopy(t *testing.T) {
 		loans            uint64
 		reqSlab, rspSlab int
 	}{
-		{"write", data, 3, 8192, 128}, // payload slab, request frame, reply frame
-		{"read", nil, 3, 128, 8192},   // request frame, data slab, reply frame
+		{"write", data, 3, bufpool.PageFrameSize, 128}, // payload slab, request frame, reply frame
+		{"read", nil, 3, 128, bufpool.PageFrameSize},   // request frame, data slab, reply frame
 	} {
 		op(c.payload) // warm the pool's classes
 		gets := r.Pool.Stats.Gets

@@ -224,18 +224,19 @@ func (e *Endpoint) evictOldestAsm() {
 	}
 }
 
-// SendNetRx delivers a network frame to an IOclient front-end. The frame is
-// only borrowed for the duration of the call.
-func (e *Endpoint) SendNetRx(dst ethernet.MAC, deviceID uint16, frame []byte) {
+// SendNetRx delivers a network frame, gathered from its parts, to an
+// IOclient front-end. The first part holds at least the frame's Ethernet
+// header. The parts are only borrowed for the duration of the call.
+func (e *Endpoint) SendNetRx(dst ethernet.MAC, deviceID uint16, frame ...[]byte) {
 	e.nextID++
 	if e.Tracer.Enabled() {
 		// Flow-key the completion by the inner frame's destination F-MAC —
 		// the same key the fabric hops recorded — so a cross-rack request's
 		// final delivery joins its hops in the merged export.
-		comp := e.Tracer.BeginFlow(trace.CatCompletion, "net-rx", 0, e.nextID, NetFlow(frame))
+		comp := e.Tracer.BeginFlow(trace.CatCompletion, "net-rx", 0, e.nextID, NetFlow(frame[0]))
 		e.Tracer.Link(trace.FlowKey{Kind: FlowNetRx, A: trace.Key48(dst), B: e.nextID}, comp)
 	}
-	e.send(dst, Header{Type: MsgNetRx, DeviceID: deviceID, ReqID: e.nextID}, frame)
+	e.send(dst, Header{Type: MsgNetRx, DeviceID: deviceID, ReqID: e.nextID}, frame...)
 }
 
 // RespondBlk sends a (possibly chunked) block response gathered from resp's

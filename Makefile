@@ -125,8 +125,8 @@ race-trace:
 	$(GO) test -race -run 'Trace|Flight|Rollup|Merge' ./internal/trace/ ./internal/sim/ ./internal/rack/ ./internal/experiments/
 
 # Two-process loopback smoke test for the real-wire carrier: vrio-loadgen
-# server+driver over 127.0.0.1, once over UDP with injected loss (retransmit
-# recovery) and once over TCP+TLS. Hash-verified, bounded wall time.
+# server+driver over 127.0.0.1 UDP with injected loss (retransmit recovery).
+# Hash-verified, bounded wall time.
 loadgen-smoke:
 	./scripts/loadgen_smoke.sh
 

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
-	"crypto/tls"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -36,8 +35,7 @@ type worker struct {
 	pool *bufpool.Pool
 	drv  *transport.Driver
 
-	udp *netwire.UDPCarrier
-	tcp *netwire.TCPCarrier
+	carrier *netwire.UDPCarrier
 
 	ready   bool
 	readyCh chan<- int
@@ -47,9 +45,11 @@ type worker struct {
 	stopping bool
 
 	// quota is the number of measured completions after which this worker
-	// stops on its own (0 = run until told).
-	quota    uint64
-	measured uint64
+	// stops on its own (0 = run until told). Warmup completions, before
+	// resetStats sets measuring, do not count toward it.
+	quota     uint64
+	measured  uint64
+	measuring bool
 
 	blkLat stats.Histogram
 	netLat stats.Histogram
@@ -97,7 +97,7 @@ type netOp struct {
 	expire  func()
 }
 
-func newWorker(cfg *config, id int, quota uint64, readyCh chan<- int, tlsConf *tls.Config) (*worker, error) {
+func newWorker(cfg *config, id int, quota uint64, readyCh chan<- int) (*worker, error) {
 	w := &worker{
 		id:      id,
 		cfg:     cfg,
@@ -107,37 +107,22 @@ func newWorker(cfg *config, id int, quota uint64, readyCh chan<- int, tlsConf *t
 		quota:   quota,
 		netPend: make(map[uint64]*netOp),
 	}
-	mac := ethernet.NewMAC(uint32(0x1000 + id))
-	tcfg := transportConfig(cfg)
-	switch cfg.carrier {
-	case "udp":
-		c, err := netwire.ListenUDP(w.loop, w.pool, mac, ":0")
-		if err != nil {
-			return nil, err
-		}
-		ua, err := net.ResolveUDPAddr("udp", cfg.addr)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.AddPeer(serverMAC(), ua.AddrPort())
-		c.OnMessage = func(_ ethernet.MAC, msg []byte) { _ = w.drv.Deliver(msg) }
-		c.OnReady = func(ethernet.MAC) { w.onReady() }
-		if cfg.loss > 0 || cfg.corrupt > 0 {
-			c.SetFault(netwire.LossFault(cfg.loss, cfg.corrupt, cfg.seed+uint64(1000+id)))
-		}
-		w.udp = c
-		w.drv = transport.NewDriver(w.loop, c, serverMAC(), tcfg)
-	case "tcp":
-		c, err := netwire.DialTCP(w.loop, w.pool, mac, cfg.addr, tlsConf)
-		if err != nil {
-			return nil, err
-		}
-		c.OnMessage = func(_ ethernet.MAC, msg []byte) { _ = w.drv.Deliver(msg) }
-		c.OnReady = func(ethernet.MAC) { w.onReady() }
-		w.tcp = c
-		w.drv = transport.NewDriver(w.loop, c, serverMAC(), tcfg)
+	ua, err := net.ResolveUDPAddr("udp", cfg.addr)
+	if err != nil {
+		return nil, err
 	}
+	c, err := netwire.ListenUDP(w.loop, w.pool, ethernet.NewMAC(uint32(0x1000+id)), ":0")
+	if err != nil {
+		return nil, err
+	}
+	c.AddPeer(serverMAC(), ua.AddrPort())
+	c.OnMessage = func(_ ethernet.MAC, msg []byte) { _ = w.drv.Deliver(msg) }
+	c.OnReady = func(ethernet.MAC) { w.onReady() }
+	if cfg.loss > 0 || cfg.corrupt > 0 {
+		c.SetFault(netwire.LossFault(cfg.loss, cfg.corrupt, cfg.seed+uint64(1000+id)))
+	}
+	w.carrier = c
+	w.drv = transport.NewDriver(w.loop, c, serverMAC(), transportConfig(cfg))
 	w.drv.NetRx = func(id uint16, frame *bufpool.Frame) {
 		w.netRx(id, frame.B)
 		frame.Release()
@@ -174,22 +159,6 @@ func (w *worker) addGuest(id uint16, queue uint8, lane int) {
 	w.guests = append(w.guests, g)
 }
 
-func (w *worker) closeCarrier() {
-	if w.udp != nil {
-		w.udp.Close()
-	}
-	if w.tcp != nil {
-		w.tcp.Close()
-	}
-}
-
-func (w *worker) carrierDrops() *link.DropStats {
-	if w.udp != nil {
-		return &w.udp.Drops
-	}
-	return &w.tcp.Drops
-}
-
 // start begins the hello handshake; posted to the loop once Run is up.
 func (w *worker) start() {
 	w.hello()
@@ -204,11 +173,7 @@ func (w *worker) hello() {
 	if w.ready {
 		return
 	}
-	if w.udp != nil {
-		w.udp.SendHello(serverMAC())
-	} else {
-		w.tcp.SendHello(serverMAC())
-	}
+	w.carrier.SendHello(serverMAC())
 	w.loop.AfterFunc(sim.Time(100*time.Millisecond), w.helloFn)
 }
 
@@ -229,7 +194,7 @@ func (w *worker) onReady() {
 // trips the stop flag once the quota is reached.
 func (w *worker) completed() {
 	w.measured++
-	if w.quota > 0 && w.measured >= w.quota {
+	if w.measuring && w.quota > 0 && w.measured >= w.quota {
 		w.stopping = true
 	}
 }
@@ -333,16 +298,11 @@ func (w *worker) resetStats() {
 	w.netLat.Reset()
 	w.ctr.Reset()
 	w.drv.Counters.Reset()
-	if w.udp != nil {
-		w.udp.Drops = link.DropStats{}
-		w.udp.Sent, w.udp.Delivered, w.udp.Frames, w.udp.Corrupted = 0, 0, 0, 0
-	}
-	if w.tcp != nil {
-		w.tcp.Drops = link.DropStats{}
-		w.tcp.Sent, w.tcp.Delivered, w.tcp.Frames = 0, 0, 0
-	}
+	w.carrier.Drops = link.DropStats{}
+	w.carrier.Sent, w.carrier.Delivered, w.carrier.Frames, w.carrier.Corrupted = 0, 0, 0, 0
 	w.pool.Stats = bufpool.Stats{}
 	w.measured = 0
+	w.measuring = true
 	w.measureStart = w.loop.Now()
 }
 
@@ -356,13 +316,6 @@ func (w *worker) finish() {
 	w.loop.Close()
 }
 
-func (w *worker) carrierSent() uint64 {
-	if w.udp != nil {
-		return w.udp.Sent
-	}
-	return w.tcp.Sent
-}
-
 func (w *worker) initMetrics() {
 	w.reg = trace.NewRegistry()
 	comp := fmt.Sprintf("loadgen/w%d", w.id)
@@ -372,8 +325,8 @@ func (w *worker) initMetrics() {
 	}
 	w.reg.Gauge(comp, "retransmits", func() float64 { return float64(w.drv.Counters.Get("retransmits")) })
 	w.reg.Gauge(comp, "in_flight", func() float64 { return float64(w.drv.InFlightBlk() + len(w.netPend)) })
-	w.reg.Gauge(comp, "drops_injected", func() float64 { return float64(w.carrierDrops().Get(link.DropInjected)) })
-	w.reg.Gauge(comp, "drops_corrupt_fcs", func() float64 { return float64(w.carrierDrops().Get(link.DropCorruptFCS)) })
+	w.reg.Gauge(comp, "drops_injected", func() float64 { return float64(w.carrier.Drops.Get(link.DropInjected)) })
+	w.reg.Gauge(comp, "drops_corrupt_fcs", func() float64 { return float64(w.carrier.Drops.Get(link.DropCorruptFCS)) })
 	w.reg.Gauge(comp, "pool_misses", func() float64 { return float64(w.pool.Stats.Misses) })
 	w.reg.PercentileGauge(comp, "blk_p99_us", &w.blkLat, 99)
 	w.reg.ObserveHistogram(comp, "blk_lat_ns", &w.blkLat)
@@ -385,25 +338,9 @@ func (w *worker) initMetrics() {
 	}
 }
 
-// runDrive runs the traffic-generating process and reports.
-func runDrive(cfg *config) int {
-	var tlsConf *tls.Config
-	if cfg.useTLS {
-		pem, err := os.ReadFile(cfg.tlsCert)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
-			return 1
-		}
-		host, _, err := net.SplitHostPort(cfg.addr)
-		if err != nil {
-			host = cfg.addr
-		}
-		if tlsConf, err = netwire.ClientTLSConfig(pem, host); err != nil {
-			fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
-			return 1
-		}
-	}
-
+// runDrive runs the traffic-generating process and reports. A close of
+// stop drains the in-flight requests early.
+func runDrive(cfg *config, stop <-chan struct{}) int {
 	workers := make([]*worker, cfg.workers)
 	readyCh := make(chan int, cfg.workers)
 	for i := range workers {
@@ -411,10 +348,10 @@ func runDrive(cfg *config) int {
 		if uint64(i) < cfg.requests%uint64(cfg.workers) {
 			quota++
 		}
-		w, err := newWorker(cfg, i, quota, readyCh, tlsConf)
+		w, err := newWorker(cfg, i, quota, readyCh)
 		if err != nil {
 			for _, prev := range workers[:i] {
-				prev.closeCarrier()
+				prev.carrier.Close()
 			}
 			fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
 			return 1
@@ -437,14 +374,13 @@ func runDrive(cfg *config) int {
 		}
 	}
 
-	stop := notifyStop()
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
 			w.loop.Run()
-			w.closeCarrier()
+			w.carrier.Close()
 		}(w)
 		w.loop.Post(w.start)
 	}
@@ -472,7 +408,7 @@ func runDrive(cfg *config) int {
 		}
 	}
 	fmt.Printf("vrio-loadgen: %d workers x %d guests connected to %s over %s; warming up %v\n",
-		cfg.workers, cfg.guests, cfg.addr, carrierName(cfg), cfg.warmup)
+		cfg.workers, cfg.guests, cfg.addr, cfg.carrier, cfg.warmup)
 
 	interrupted := sleepOrStop(cfg.warmup, stop)
 	for _, w := range workers {
@@ -551,8 +487,8 @@ func report(cfg *config, workers []*worker, elapsed time.Duration) int {
 		net.Merge(&w.netLat)
 		total.Merge(&w.ctr)
 		retrans += w.drv.Counters.Get("retransmits")
-		drops.Merge(w.carrierDrops())
-		sent += w.carrierSent()
+		drops.Merge(&w.carrier.Drops)
+		sent += w.carrier.Sent
 		poolMisses += w.pool.Stats.Misses
 		if d := time.Duration(w.measureEnd - w.measureStart); d > span {
 			span = d
@@ -567,7 +503,7 @@ func report(cfg *config, workers []*worker, elapsed time.Duration) int {
 	mbs := float64(total.Get("bytes")) / secs / 1e6
 
 	fmt.Printf("\nvrio-loadgen: %s, %d workers x %d guests, blk %d B",
-		carrierName(cfg), cfg.workers, cfg.guests, cfg.blkSize)
+		cfg.carrier, cfg.workers, cfg.guests, cfg.blkSize)
 	if cfg.blkQueues > 1 || cfg.blkDepth > 1 {
 		fmt.Printf(", %d queues x QD%d per guest", cfg.blkQueues, cfg.blkDepth)
 	}
@@ -604,7 +540,7 @@ func report(cfg *config, workers []*worker, elapsed time.Duration) int {
 	}
 	if cfg.summaryPath != "" {
 		s := summaryJSON{
-			Carrier: carrierName(cfg), Workers: cfg.workers, Guests: cfg.guests,
+			Carrier: cfg.carrier, Workers: cfg.workers, Guests: cfg.guests,
 			BlkSize: cfg.blkSize, BlkQueues: cfg.blkQueues, BlkDepth: cfg.blkDepth,
 			NetFrac: cfg.netFrac, Loss: cfg.loss, Corrupt: cfg.corrupt,
 			Seconds: secs, Requests: ops, ReqPerSec: float64(ops) / secs, MBPerSec: mbs,

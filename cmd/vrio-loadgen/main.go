@@ -2,8 +2,8 @@
 // network: one process runs the IOhost side (-serve), another runs N
 // concurrent closed-loop guests (-drive), and the two speak the exact
 // transport code the simulation exercises — same Driver, same Endpoint,
-// same bufpool leases — carried by internal/netwire's UDP or TCP(+TLS)
-// sockets instead of simulated cables.
+// same bufpool leases — carried by internal/netwire's UDP sockets instead
+// of simulated cables.
 //
 // Every payload is verified: the server prefixes each echo with the
 // SHA-256 digest of the request, and the client checks both the digest
@@ -14,16 +14,9 @@
 //
 // Two-process loopback quickstart:
 //
-//	vrio-loadgen -serve -carrier udp -addr 127.0.0.1:7842 &
-//	vrio-loadgen -drive -carrier udp -addr 127.0.0.1:7842 \
+//	vrio-loadgen -serve -addr 127.0.0.1:7842 &
+//	vrio-loadgen -drive -addr 127.0.0.1:7842 \
 //	    -workers 2 -guests 8 -loss 0.05 -duration 10s
-//
-// TLS variant (the server mints a self-signed cert and writes the PEM
-// for the client to pin — the right trust model for a dedicated
-// point-to-point channel with no CA):
-//
-//	vrio-loadgen -serve -carrier tcp -tls -certout /tmp/lg.pem -addr 127.0.0.1:7843 &
-//	vrio-loadgen -drive -carrier tcp -tls -tlscert /tmp/lg.pem -addr 127.0.0.1:7843
 //
 // SIGINT/SIGTERM at either end drains in-flight requests, flushes the
 // JSONL artifacts, and prints the final summary instead of dying
@@ -64,6 +57,8 @@ const (
 func serverMAC() ethernet.MAC { return ethernet.NewMAC(serverNode) }
 
 type config struct {
+	serve   bool
+	drive   bool
 	carrier string
 	addr    string
 
@@ -87,75 +82,68 @@ type config struct {
 	corrupt float64
 	seed    uint64
 
-	useTLS  bool
-	tlsCert string
-	tlsKey  string
-	certOut string
-	keyOut  string
-
 	metricsPath string
 	summaryPath string
 	sampleEvery time.Duration
 }
 
 func main() {
-	serve := flag.Bool("serve", false, "run the IOhost side (digest-echo server)")
-	drive := flag.Bool("drive", false, "run the IOclient side (traffic generator)")
 	cfg := &config{}
-	flag.StringVar(&cfg.carrier, "carrier", "udp", "udp | tcp")
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7842", "listen (-serve) or server (-drive) address")
-	flag.IntVar(&cfg.workers, "workers", 2, "drive: loop goroutines, each with its own socket, pool, and driver")
-	flag.IntVar(&cfg.guests, "guests", 8, "drive: concurrent closed-loop guests, sharded across workers")
-	flag.Uint64Var(&cfg.requests, "requests", 0, "drive: stop after this many measured requests (0 = use -duration)")
-	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "drive: measured run length when -requests is 0")
-	flag.DurationVar(&cfg.warmup, "warmup", 2*time.Second, "drive: warmup before the statistics reset")
-	flag.IntVar(&cfg.blkSize, "blksize", 4096, "drive: block request payload bytes")
-	flag.IntVar(&cfg.blkQueues, "blk-queues", 1, "drive: NVMe-style submission queues per guest (queue id rides the §4.2 header)")
-	flag.IntVar(&cfg.blkDepth, "blk-depth", 1, "drive: outstanding block requests per queue (queue depth)")
-	flag.IntVar(&cfg.netSize, "netsize", 1024, "drive: net frame bytes (first 8 are the sequence number)")
-	flag.Float64Var(&cfg.netFrac, "netfrac", 0, "drive: fraction of requests that are (unreliable) net sends")
-	flag.DurationVar(&cfg.netTimeout, "nettimeout", 250*time.Millisecond, "drive: net echo loss timeout")
-	flag.DurationVar(&cfg.rto, "rto", 20*time.Millisecond, "initial §4.5 retransmission timeout")
-	flag.IntVar(&cfg.retries, "retries", 8, "max §4.5 retransmissions per block request")
-	flag.Float64Var(&cfg.loss, "loss", 0, "udp: injected egress frame-loss probability")
-	flag.Float64Var(&cfg.corrupt, "corrupt", 0, "udp: injected egress bit-corruption probability")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "seed for payload and fault draws")
-	flag.BoolVar(&cfg.useTLS, "tls", false, "tcp: wrap the stream in TLS 1.3")
-	flag.StringVar(&cfg.tlsCert, "tlscert", "", "cert PEM: served (-serve, with -tlskey) or pinned (-drive)")
-	flag.StringVar(&cfg.tlsKey, "tlskey", "", "serve: key PEM matching -tlscert (empty = mint self-signed)")
-	flag.StringVar(&cfg.certOut, "certout", "vrio-loadgen-cert.pem", "serve -tls: write the minted cert PEM here for clients to pin")
-	flag.StringVar(&cfg.keyOut, "keyout", "", "serve -tls: write the minted key PEM here (empty = keep in memory)")
-	flag.StringVar(&cfg.metricsPath, "metrics", "", "write the metrics timeseries JSONL here")
-	flag.StringVar(&cfg.summaryPath, "summary", "", "drive: write the final summary as JSON here")
-	flag.DurationVar(&cfg.sampleEvery, "sample-interval", time.Second, "metrics sampling interval")
-	flag.Parse()
-
-	if err := validate(cfg, *serve, *drive); err != nil {
+	flagSet(cfg).Parse(os.Args[1:])
+	if err := validate(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
 		os.Exit(2)
 	}
-	if *serve {
-		os.Exit(runServe(cfg))
+	if cfg.serve {
+		os.Exit(runServe(cfg, notifyStop()))
 	}
-	os.Exit(runDrive(cfg))
+	os.Exit(runDrive(cfg, notifyStop()))
 }
 
-func validate(cfg *config, serve, drive bool) error {
-	if serve == drive {
+// flagSet binds the command line to cfg, defaults included.
+func flagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("vrio-loadgen", flag.ExitOnError)
+	fs.BoolVar(&cfg.serve, "serve", false, "run the IOhost side (digest-echo server)")
+	fs.BoolVar(&cfg.drive, "drive", false, "run the IOclient side (traffic generator)")
+	fs.StringVar(&cfg.carrier, "carrier", "udp", "udp, the only carrier (accepted because vriobench starts its server with -carrier udp)")
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:7842", "listen (-serve) or server (-drive) address")
+	fs.IntVar(&cfg.workers, "workers", 2, "drive: loop goroutines, each with its own socket, pool, and driver")
+	fs.IntVar(&cfg.guests, "guests", 8, "drive: concurrent closed-loop guests, sharded across workers")
+	fs.Uint64Var(&cfg.requests, "requests", 0, "drive: stop after this many measured requests, at least -workers (0 = use -duration)")
+	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "drive: measured run length when -requests is 0")
+	fs.DurationVar(&cfg.warmup, "warmup", 2*time.Second, "drive: warmup before the statistics reset")
+	fs.IntVar(&cfg.blkSize, "blksize", 4096, "drive: block request payload bytes")
+	fs.IntVar(&cfg.blkQueues, "blk-queues", 1, "drive: NVMe-style submission queues per guest (queue id rides the §4.2 header)")
+	fs.IntVar(&cfg.blkDepth, "blk-depth", 1, "drive: outstanding block requests per queue (queue depth)")
+	fs.IntVar(&cfg.netSize, "netsize", 1024, "drive: net frame bytes (first 8 are the sequence number)")
+	fs.Float64Var(&cfg.netFrac, "netfrac", 0, "drive: fraction of requests that are (unreliable) net sends")
+	fs.DurationVar(&cfg.netTimeout, "nettimeout", 250*time.Millisecond, "drive: net echo loss timeout")
+	fs.DurationVar(&cfg.rto, "rto", 20*time.Millisecond, "initial §4.5 retransmission timeout")
+	fs.IntVar(&cfg.retries, "retries", 8, "max §4.5 retransmissions per block request")
+	fs.Float64Var(&cfg.loss, "loss", 0, "injected egress frame-loss probability")
+	fs.Float64Var(&cfg.corrupt, "corrupt", 0, "injected egress bit-corruption probability")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "seed for payload and fault draws")
+	fs.StringVar(&cfg.metricsPath, "metrics", "", "write the metrics timeseries JSONL here")
+	fs.StringVar(&cfg.summaryPath, "summary", "", "drive: write the final summary as JSON here")
+	fs.DurationVar(&cfg.sampleEvery, "sample-interval", time.Second, "metrics sampling interval")
+	return fs
+}
+
+func validate(cfg *config) error {
+	if cfg.serve == cfg.drive {
 		return fmt.Errorf("exactly one of -serve or -drive is required")
 	}
-	if cfg.carrier != "udp" && cfg.carrier != "tcp" {
-		return fmt.Errorf("unknown carrier %q (udp | tcp)", cfg.carrier)
+	if cfg.carrier != "udp" {
+		return fmt.Errorf("unknown carrier %q (udp is the only one)", cfg.carrier)
 	}
-	if cfg.useTLS && cfg.carrier != "tcp" {
-		return fmt.Errorf("-tls requires -carrier tcp")
-	}
-	if (cfg.loss > 0 || cfg.corrupt > 0) && cfg.carrier != "udp" {
-		return fmt.Errorf("-loss/-corrupt inject datagram faults and require -carrier udp")
-	}
-	if drive {
+	if cfg.drive {
 		if cfg.workers < 1 || cfg.guests < cfg.workers {
 			return fmt.Errorf("need -workers >= 1 and -guests >= -workers (got %d workers, %d guests)", cfg.workers, cfg.guests)
+		}
+		if cfg.requests > 0 && cfg.requests < uint64(cfg.workers) {
+			// Each worker stops after its share of the quota; a zero share
+			// would never stop.
+			return fmt.Errorf("-requests must be 0 or at least -workers (got %d requests, %d workers)", cfg.requests, cfg.workers)
 		}
 		if cfg.blkSize < 1 {
 			return fmt.Errorf("-blksize must be at least 1")
@@ -166,35 +154,24 @@ func validate(cfg *config, serve, drive bool) error {
 		if cfg.blkDepth < 1 {
 			return fmt.Errorf("-blk-depth must be at least 1")
 		}
-		maxNet := transportConfig(cfg).MaxChunk
-		if maxNet == 0 {
-			maxNet = transport.DefaultConfig().MaxChunk
-		}
-		if cfg.netSize < 8 || cfg.netSize > maxNet {
-			return fmt.Errorf("-netsize must be in [8, %d] for this carrier", maxNet)
+		if cfg.netSize < 8 || cfg.netSize > udpMaxChunk {
+			return fmt.Errorf("-netsize must be in [8, %d]", udpMaxChunk)
 		}
 		if cfg.netFrac < 0 || cfg.netFrac > 1 {
 			return fmt.Errorf("-netfrac must be in [0, 1]")
-		}
-		if cfg.useTLS && cfg.tlsCert == "" {
-			return fmt.Errorf("-drive -tls needs -tlscert (the server's cert PEM, see -certout)")
 		}
 	}
 	return nil
 }
 
-// transportConfig builds the §4.2 config for the chosen carrier: UDP caps
-// chunks to one datagram; TCP takes the transport defaults (a full 64 KiB
-// message plus framing still fits netwire.MaxStreamFrame).
+// transportConfig builds the §4.2 config: chunks are capped to one
+// datagram.
 func transportConfig(cfg *config) transport.Config {
-	tc := transport.Config{
+	return transport.Config{
+		MaxChunk:       udpMaxChunk,
 		InitialTimeout: sim.Time(cfg.rto),
 		MaxRetransmits: cfg.retries,
 	}
-	if cfg.carrier == "udp" {
-		tc.MaxChunk = udpMaxChunk
-	}
-	return tc
 }
 
 // fillPayload fills b with deterministic pseudo-random bytes.
@@ -236,11 +213,4 @@ func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 	case <-stop:
 		return true
 	}
-}
-
-func carrierName(cfg *config) string {
-	if cfg.useTLS {
-		return "tcp+tls"
-	}
-	return cfg.carrier
 }

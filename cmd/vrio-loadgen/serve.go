@@ -2,14 +2,12 @@ package main
 
 import (
 	"crypto/sha256"
-	"crypto/tls"
 	"fmt"
 	"os"
 	"time"
 
 	"vrio/internal/bufpool"
 	"vrio/internal/ethernet"
-	"vrio/internal/link"
 	"vrio/internal/netwire"
 	"vrio/internal/sim"
 	"vrio/internal/trace"
@@ -19,56 +17,24 @@ import (
 // runServe runs the IOhost process: one netwire loop, one carrier serving
 // every client by MAC, one transport.Endpoint. Block requests and net
 // frames are echoed back prefixed with their SHA-256 digest, so the
-// driving side can verify every byte that crossed the wire.
-func runServe(cfg *config) int {
+// driving side can verify every byte that crossed the wire. It serves
+// until stop closes, then drains and returns the exit code.
+func runServe(cfg *config, stop <-chan struct{}) int {
 	loop := netwire.NewLoop()
 	pool := bufpool.New()
 	mac := serverMAC()
-	tcfg := transportConfig(cfg)
 
-	var ep *transport.Endpoint
-	deliver := func(src ethernet.MAC, msg []byte) { _ = ep.Deliver(src, msg) }
-	hello := func(src ethernet.MAC) { fmt.Printf("hello from %v\n", src) }
-
-	var (
-		port         transport.Port
-		closeCarrier func() error
-		drops        *link.DropStats
-		delivered    *uint64
-	)
-	switch cfg.carrier {
-	case "udp":
-		c, err := netwire.ListenUDP(loop, pool, mac, cfg.addr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
-			return 1
-		}
-		c.OnMessage = deliver
-		c.OnHello = hello
-		if cfg.loss > 0 || cfg.corrupt > 0 {
-			c.SetFault(netwire.LossFault(cfg.loss, cfg.corrupt, cfg.seed))
-		}
-		port, closeCarrier, drops, delivered = c, c.Close, &c.Drops, &c.Delivered
-	case "tcp":
-		var tlsConf *tls.Config
-		if cfg.useTLS {
-			var err error
-			if tlsConf, err = serveTLSConfig(cfg); err != nil {
-				fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
-				return 1
-			}
-		}
-		s, err := netwire.ListenTCP(loop, pool, mac, cfg.addr, tlsConf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
-			return 1
-		}
-		s.OnMessage = deliver
-		s.OnHello = hello
-		port, closeCarrier, drops, delivered = s, s.Close, &s.Drops, &s.Delivered
+	c, err := netwire.ListenUDP(loop, pool, mac, cfg.addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vrio-loadgen:", err)
+		return 1
 	}
-
-	ep = transport.NewEndpoint(loop, port, tcfg)
+	if cfg.loss > 0 || cfg.corrupt > 0 {
+		c.SetFault(netwire.LossFault(cfg.loss, cfg.corrupt, cfg.seed))
+	}
+	ep := transport.NewEndpoint(loop, c, transportConfig(cfg))
+	c.OnMessage = func(src ethernet.MAC, msg []byte) { _ = ep.Deliver(src, msg) }
+	c.OnHello = func(src ethernet.MAC) { fmt.Printf("hello from %v\n", src) }
 	ep.BlkReq = func(src ethernet.MAC, h transport.Header, req *bufpool.Frame) {
 		sum := sha256.Sum256(req.B)
 		resp := pool.GetRaw(sha256.Size + len(req.B))
@@ -94,8 +60,8 @@ func runServe(cfg *config) int {
 			name := name
 			reg.Gauge("loadgen/server", name, func() float64 { return float64(ep.Counters.Get(name)) })
 		}
-		reg.Gauge("loadgen/server", "delivered", func() float64 { return float64(*delivered) })
-		reg.Gauge("loadgen/server", "drops", func() float64 { return float64(drops.Total()) })
+		reg.Gauge("loadgen/server", "delivered", func() float64 { return float64(c.Delivered) })
+		reg.Gauge("loadgen/server", "drops", func() float64 { return float64(c.Drops.Total()) })
 		reg.Gauge("loadgen/server", "pool_misses", func() float64 { return float64(pool.Stats.Misses) })
 		ts = reg.NewTimeseries()
 		var sample func()
@@ -106,7 +72,6 @@ func runServe(cfg *config) int {
 		loop.Post(sample)
 	}
 
-	stop := notifyStop()
 	go func() {
 		<-stop
 		loop.Post(func() {
@@ -119,11 +84,11 @@ func runServe(cfg *config) int {
 	}()
 
 	fmt.Printf("vrio-loadgen: serving %s on %s as %v (SIGINT for summary)\n",
-		carrierName(cfg), cfg.addr, mac)
+		cfg.carrier, cfg.addr, mac)
 	t0 := time.Now()
 	loop.Run()
 	elapsed := time.Since(t0)
-	closeCarrier()
+	c.Close()
 
 	if cfg.metricsPath != "" {
 		if err := writeMetrics(cfg.metricsPath, ts); err != nil {
@@ -132,38 +97,8 @@ func runServe(cfg *config) int {
 	}
 	fmt.Printf("\nserved %.1fs: %d blk reqs, %d net frames, %d bad msgs, %d delivered, drops %v, pool misses %d\n",
 		elapsed.Seconds(), ep.Counters.Get("blk_req"), ep.Counters.Get("net_tx"),
-		ep.Counters.Get("bad_msgs"), *delivered, *drops, pool.Stats.Misses)
+		ep.Counters.Get("bad_msgs"), c.Delivered, c.Drops, pool.Stats.Misses)
 	return 0
-}
-
-// serveTLSConfig loads the configured PEM pair, or mints a self-signed
-// certificate and writes the cert PEM where clients can pin it.
-func serveTLSConfig(cfg *config) (*tls.Config, error) {
-	if cfg.tlsCert != "" && cfg.tlsKey != "" {
-		certPEM, err := os.ReadFile(cfg.tlsCert)
-		if err != nil {
-			return nil, err
-		}
-		keyPEM, err := os.ReadFile(cfg.tlsKey)
-		if err != nil {
-			return nil, err
-		}
-		return netwire.ServerTLSConfig(certPEM, keyPEM)
-	}
-	certPEM, keyPEM, err := netwire.SelfSignedCert()
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(cfg.certOut, certPEM, 0o644); err != nil {
-		return nil, err
-	}
-	fmt.Printf("wrote self-signed cert to %s (pass it to -drive -tlscert)\n", cfg.certOut)
-	if cfg.keyOut != "" {
-		if err := os.WriteFile(cfg.keyOut, keyPEM, 0o600); err != nil {
-			return nil, err
-		}
-	}
-	return netwire.ServerTLSConfig(certPEM, keyPEM)
 }
 
 // writeMetrics flushes one or more timeseries to a JSONL file.

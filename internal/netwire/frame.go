@@ -7,15 +7,13 @@
 // a carrier unmodified: the carrier is its Port, the carrier's Loop is its
 // sim.Clock, and the shared bufpool.Pool still serves every buffer.
 //
-// Two carriers exist. UDP maps one transport message to one datagram, so
-// the network may genuinely lose, duplicate, or reorder messages and the
-// §4.5 retransmission machinery earns its keep against a real adversary
-// (optionally sharpened by a deterministic link.TxFault injector at the
-// send hook). TCP maps messages onto a length-prefixed stream — optionally
-// TLS — where the kernel provides reliability and the transport's timers
-// sit idle except under genuine stalls.
+// The carrier is UDP, the paper's unreliable channel: one transport message
+// maps to one datagram, so the network may genuinely lose, duplicate, or
+// reorder messages and the §4.5 retransmission machinery earns its keep
+// against a real adversary (optionally sharpened by a deterministic
+// link.TxFault injector at the send hook).
 //
-// Every frame on either carrier starts with a fixed 20-byte preamble that
+// Every frame starts with a fixed 20-byte preamble that
 // plays the role of the Ethernet header plus FCS in the simulated fabric:
 // it names the source and destination MACs (so carriers can learn peer
 // addresses the way a switch learns ports) and seals the whole frame under
@@ -52,11 +50,6 @@ const (
 // headers). A transport MaxChunk for the UDP carrier must keep
 // PreambleSize + transport.HeaderSize + chunk within this bound.
 const MaxDatagram = 65507
-
-// MaxStreamFrame bounds one length-prefixed frame on the TCP carrier. A
-// peer announcing a larger frame is feeding garbage (or an attack) and its
-// stream is cut rather than buffered.
-const MaxStreamFrame = 1 << 20
 
 // Kind discriminates what a frame carries.
 type Kind uint8

@@ -29,30 +29,20 @@ type Loop struct {
 
 	// timers recycles wallTimer shells; loop goroutine only.
 	timers *bufpool.List[wallTimer]
-
-	// Fired counts timer callbacks executed; Posted counts external Post
-	// calls accepted. Loop goroutine / informational.
-	Fired uint64
 }
 
 // work is one unit queued to the loop goroutine, discriminated by which
-// field is set: fn (a posted call), wt (a timer expiry), else a received
-// frame for sink. Frames travel by value through the channel, so the
-// steady-state receive path allocates nothing.
+// field is set: fn (a posted call), wt (a timer expiry), else a frame that
+// carrier c received. Frames travel by value through the channel, so the
+// steady-state receive path allocates nothing. The frame buffer is only
+// borrowed by handleFrame; the loop returns it to the carrier's reader
+// afterwards.
 type work struct {
-	fn      func()
-	wt      *wallTimer
-	sink    frameSink
-	frame   []byte
-	from    netip.AddrPort
-	recycle chan []byte
-}
-
-// frameSink consumes one received frame on the loop goroutine. The frame
-// buffer is only borrowed for the duration of the call; the loop recycles
-// it to the reader afterwards.
-type frameSink interface {
-	handleFrame(frame []byte, from netip.AddrPort)
+	fn    func()
+	wt    *wallTimer
+	c     *UDPCarrier
+	frame []byte
+	from  netip.AddrPort
 }
 
 // NewLoop returns a loop with its clock at zero. Call Run on the goroutine
@@ -112,10 +102,8 @@ func (l *Loop) dispatch(w work) {
 	case w.wt != nil:
 		l.fire(w.wt)
 	default:
-		w.sink.handleFrame(w.frame, w.from)
-		if w.recycle != nil {
-			w.recycle <- w.frame[:cap(w.frame)]
-		}
+		w.c.handleFrame(w.frame, w.from)
+		w.c.free <- w.frame[:cap(w.frame)]
 	}
 }
 
@@ -189,7 +177,6 @@ func (l *Loop) fire(wt *wallTimer) {
 	fn := wt.fn
 	wt.fn = nil
 	l.timers.Put(wt)
-	l.Fired++
 	fn()
 }
 

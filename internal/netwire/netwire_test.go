@@ -2,7 +2,6 @@ package netwire_test
 
 import (
 	"bytes"
-	"crypto/tls"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -291,60 +290,6 @@ func TestUDPLossyRetransmit(t *testing.T) {
 		}
 	})
 }
-
-func runTCPLoopback(t *testing.T, withTLS bool) {
-	srv, cli := newCell(), newCell()
-	serverMAC, clientMAC := ethernet.NewMAC(100), ethernet.NewMAC(1)
-	cfg := transport.Config{InitialTimeout: 100 * sim.Millisecond}
-
-	var srvConf, cliConf *tls.Config
-	if withTLS {
-		certPEM, keyPEM, err := netwire.SelfSignedCert()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srvConf, err = netwire.ServerTLSConfig(certPEM, keyPEM); err != nil {
-			t.Fatal(err)
-		}
-		if cliConf, err = netwire.ClientTLSConfig(certPEM, "localhost"); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sc, err := netwire.ListenTCP(srv.loop, srv.pool, serverMAC, "127.0.0.1:0", srvConf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	ep := serveEcho(srv.loop, sc, cfg)
-	sc.OnMessage = func(src ethernet.MAC, msg []byte) { _ = ep.Deliver(src, msg) }
-	go srv.loop.Run()
-	defer srv.loop.Close()
-
-	cc, err := netwire.DialTCP(cli.loop, cli.pool, clientMAC, sc.LocalAddrPort().String(), cliConf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	drv := transport.NewDriver(cli.loop, cc, serverMAC, cfg)
-	cc.OnMessage = func(_ ethernet.MAC, msg []byte) { _ = drv.Deliver(msg) }
-	ready := false
-	cc.OnReady = func(ethernet.MAC) { ready = true }
-	go cli.loop.Run()
-	defer cli.loop.Close()
-
-	handshake(t, cli, func() { cc.SendHello(serverMAC) }, &ready)
-	blkRoundTrip(t, cli, drv, 1024)
-	blkRoundTrip(t, cli, drv, 300<<10) // several stream frames
-	cli.call(t, func() {
-		if got := drv.Counters.Get("retransmits"); got != 0 {
-			t.Errorf("retransmits = %d on a reliable stream", got)
-		}
-	})
-}
-
-func TestTCPLoopbackBlk(t *testing.T)    { runTCPLoopback(t, false) }
-func TestTCPTLSLoopbackBlk(t *testing.T) { runTCPLoopback(t, true) }
 
 // TestSealDecodeNoAlloc guards the per-frame codec cost on the real-wire
 // datapath.

@@ -177,13 +177,13 @@ func (c *UDPCarrier) readLoop() {
 			c.free <- buf
 			continue
 		}
-		if !c.loop.post(work{sink: c, frame: buf[:n], from: from, recycle: c.free}) {
+		if !c.loop.post(work{c: c, frame: buf[:n], from: from}) {
 			return // loop closed
 		}
 	}
 }
 
-// handleFrame implements frameSink on the loop goroutine.
+// handleFrame consumes one frame the reader posted, on the loop goroutine.
 func (c *UDPCarrier) handleFrame(frame []byte, from netip.AddrPort) {
 	c.Frames++
 	p, payload, err := DecodeFrame(frame)

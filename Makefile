@@ -3,8 +3,10 @@
 # among them), the race detector over every package (once) — the parallel
 # experiment scheduler must stay race-clean — every zero-allocation guard
 # with its microbenchmarks (`bench-guards`), doccheck, the loopback smoke
-# test and gofmt. The race-* targets re-run subsets of `race` for focused
-# local work; `check` does not repeat them.
+# test, vet and tests of the vriobench module, and gofmt. The root module's
+# `go build ./...` does not compile vriobench/, so its own step is what
+# catches a change that breaks the benchmark. The race-* targets re-run
+# subsets of `race` for focused local work; `check` does not repeat them.
 
 GO ?= go
 
@@ -146,8 +148,10 @@ race-vol:
 
 # Documentation gate: every exported symbol in blockdev/iohyp/cluster/virtio/
 # core/bufpool/transport/ethernet/nic/sim/experiments/workload and the root
-# package has a doc comment, and README's architecture map covers every
-# internal/ package.
+# package has a doc comment, README's architecture map covers every
+# internal/ package, and no exported internal/ function, method or constant
+# is named only by its own definition in non-test code, outside the
+# reasoned exceptions in scripts/api_allowlist.txt.
 doccheck:
 	./scripts/doccheck.sh
 
@@ -158,4 +162,5 @@ memprofile:
 	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 15 mem.pprof
 
 check: build vet test race bench-guards doccheck loadgen-smoke
+	cd vriobench && $(GO) vet ./... && $(GO) test ./...
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above are not formatted"; exit 1; }

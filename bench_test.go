@@ -149,9 +149,9 @@ func BenchmarkFabricSharded(b *testing.B) {
 // on one goroutine, experiment by experiment.
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunAll(true)
+		res := experiments.RunAllParallel(true, 1)
 		if len(res) == 0 {
-			b.Fatal("RunAll produced no results")
+			b.Fatal("RunAllParallel(true, 1) produced no results")
 		}
 	}
 }

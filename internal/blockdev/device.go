@@ -154,9 +154,6 @@ func (d *Device) QueueLen() int { return d.waiting.Len() }
 // the in-service count.
 func (d *Device) InFlight() int { return d.inService.Len() }
 
-// Ways reports the device's internal parallelism.
-func (d *Device) Ways() int { return d.ways }
-
 // Submit implements Backend.
 func (d *Device) Submit(req Request, done func(Response)) {
 	if done == nil {
@@ -403,9 +400,3 @@ func (s *Scheduler) drain() {
 	clear(s.waiting[len(remaining):])
 	s.waiting = remaining
 }
-
-// Outstanding reports requests currently at the backend.
-func (s *Scheduler) Outstanding() int { return len(s.active) }
-
-// Waiting reports deferred requests.
-func (s *Scheduler) Waiting() int { return len(s.waiting) }

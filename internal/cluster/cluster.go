@@ -57,8 +57,6 @@ type Spec struct {
 	// WithBlock attaches a per-VM 1 GB block device (local for
 	// baseline/elvis, remote on the IOhost for vRIO).
 	WithBlock bool
-	// BlockLatency overrides the ramdisk latency (0 = params default).
-	BlockLatency sim.Time
 	// BlkQueues gives every vRIO block device NQ submission queues with
 	// NVMe-style queue-pair passthrough: each queue pinned to an IOhost
 	// worker, range conflicts arbitrated by a blockdev.Scheduler in front
@@ -75,11 +73,6 @@ type Spec struct {
 	// VolQuorum is the write quorum W (acks before completion); 0 defaults
 	// to VolReplicas (write-all).
 	VolQuorum int
-	// VolExtentSectors is the stripe unit in sectors (0 = 128).
-	VolExtentSectors uint64
-	// VolCapacitySectors is the volume size in sectors (0 = 4096 — small,
-	// so rebuild experiments copy a bounded extent population).
-	VolCapacitySectors uint64
 	// VolQueues is the submission-queue count per replica device (0 = 1;
 	// >1 wraps each replica in a range-conflict Scheduler, like BlkQueues).
 	VolQueues int
@@ -248,12 +241,6 @@ func (s *Spec) defaults() {
 		if s.VolQuorum == 0 {
 			s.VolQuorum = s.VolReplicas // write-all
 		}
-		if s.VolExtentSectors == 0 {
-			s.VolExtentSectors = 128
-		}
-		if s.VolCapacitySectors == 0 {
-			s.VolCapacitySectors = 4096
-		}
 		if s.VolQueues == 0 {
 			s.VolQueues = 1
 		}
@@ -305,9 +292,6 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 	}
 	if err := p.Validate(); err != nil {
 		panic(err)
-	}
-	if spec.BlockLatency == 0 {
-		spec.BlockLatency = p.RamdiskLatency
 	}
 	if err := spec.Validate(); err != nil {
 		panic(err)
@@ -655,8 +639,8 @@ func (tb *Testbed) buildGuestVolume(hostIdx, vmID int) {
 		Stripes:         spec.NumIOhosts,
 		Replicas:        spec.VolReplicas,
 		WriteQuorum:     spec.VolQuorum,
-		ExtentSectors:   spec.VolExtentSectors,
-		CapacitySectors: spec.VolCapacitySectors,
+		ExtentSectors:   volExtentSectors,
+		CapacitySectors: volCapacitySectors,
 		Queues:          spec.VolQueues,
 	}
 	if err := vspec.Validate(); err != nil {
@@ -668,8 +652,8 @@ func (tb *Testbed) buildGuestVolume(hostIdx, vmID int) {
 	drivers := make([]*transport.Driver, spec.NumIOhosts)
 	devs := make([]*blockdev.Device, spec.NumIOhosts)
 	for io := 0; io < spec.NumIOhosts; io++ {
-		store := blockdev.NewStore(p.SectorSize, spec.VolCapacitySectors)
-		dev := blockdev.NewDevice(tb.Eng, store, spec.BlockLatency, blockWays)
+		store := blockdev.NewStore(p.SectorSize, volCapacitySectors)
+		dev := blockdev.NewDevice(tb.Eng, store, p.RamdiskLatency, blockWays)
 		dev.AttachReplica(blockdev.NewReplicaState(vspec))
 		devs[io] = dev
 		var backend blockdev.Backend = dev
@@ -717,11 +701,19 @@ func (tb *Testbed) IOhostDied(i int) {
 // blockWays is every backing device's bank parallelism.
 const blockWays = 4
 
+// Every distributed volume is striped in extents of volExtentSectors and
+// holds volCapacitySectors: small, so rebuild experiments copy a bounded
+// extent population.
+const (
+	volExtentSectors   = 128
+	volCapacitySectors = 4096
+)
+
 // newBlockDevice builds one guest's 1 GB backing device.
 func (tb *Testbed) newBlockDevice() *blockdev.Device {
 	const gig = 1 << 30
 	store := blockdev.NewStore(tb.P.SectorSize, gig/uint64(tb.P.SectorSize))
-	dev := blockdev.NewDevice(tb.Eng, store, tb.Spec.BlockLatency, blockWays)
+	dev := blockdev.NewDevice(tb.Eng, store, tb.P.RamdiskLatency, blockWays)
 	tb.BlockDevices = append(tb.BlockDevices, dev)
 	return dev
 }

@@ -42,14 +42,6 @@ type FabricSpec struct {
 	// Oversubscription is the ToR downlink:uplink capacity ratio (0 means
 	// 4, the classic datacenter default; 1 is non-blocking).
 	Oversubscription float64
-	// HostRacks optionally places VMhosts explicitly: entry h is the rack
-	// of global VMhost h, and rack r is built with as many VMhosts as
-	// entries name it (overriding Rack.VMHosts). An entry naming a
-	// nonexistent rack is a validation error, not a panic.
-	HostRacks []int
-	// InboxCap bounds each shard's per-window cross-shard inbox
-	// (0 = sim.DefaultInboxCap).
-	InboxCap int
 }
 
 func (fs *FabricSpec) defaults() {
@@ -61,57 +53,30 @@ func (fs *FabricSpec) defaults() {
 	}
 }
 
-// hostsPerRack returns each rack's VMhost count under the spec's placement.
-func (fs *FabricSpec) hostsPerRack() []int {
-	counts := make([]int, fs.NumRacks)
-	if len(fs.HostRacks) == 0 {
-		n := fs.Rack.VMHosts
-		if n == 0 {
-			n = 1 // mirrors Spec.defaults
-		}
-		for r := range counts {
-			counts[r] = n
-		}
-		return counts
-	}
-	for _, r := range fs.HostRacks {
-		if r >= 0 && r < fs.NumRacks {
-			counts[r]++
-		}
-	}
-	return counts
-}
-
 // linkSpec lowers the cluster-level description to the link layer's fabric
 // spec (which owns the topology-shape validation and the uplink-bandwidth
 // derivation).
-func (fs *FabricSpec) linkSpec(p *params.P, hosts []int) link.FabricSpec {
+func (fs *FabricSpec) linkSpec(p *params.P) link.FabricSpec {
 	ls := link.FabricSpec{
 		Spines:           fs.NumSpines,
 		Oversubscription: fs.Oversubscription,
 		DownlinkBps:      p.LinkBandwidth10G,
 	}
-	numIO := fs.Rack.NumIOhosts
-	if numIO == 0 {
-		numIO = 1
-	}
-	vms := fs.Rack.VMsPerHost
-	if vms == 0 {
-		vms = 1
-	}
+	rack := fs.Rack
+	rack.defaults()
 	for r := 0; r < fs.NumRacks; r++ {
 		// ToR ports are what the rack build actually cables to its switch:
 		// load-generator stations (one per VMhost, or per VM) and the IOhost
 		// uplinks. The capacity model charges them all at the 10G downlink
 		// class; the 40G IOhost uplinks are a modest undercount that keeps
 		// the oversubscription ratio interpretable.
-		stations := hosts[r]
-		if fs.Rack.StationPerVM {
-			stations = hosts[r] * vms
+		stations := rack.VMHosts
+		if rack.StationPerVM {
+			stations *= rack.VMsPerHost
 		}
 		ls.Tors = append(ls.Tors, link.TorSpec{
 			ID:      r,
-			Hosts:   stations + numIO,
+			Hosts:   stations + rack.NumIOhosts,
 			Uplinks: fs.NumSpines,
 		})
 	}
@@ -126,17 +91,6 @@ func (fs FabricSpec) Validate() error {
 	if fs.NumRacks <= 0 {
 		return fmt.Errorf("cluster: fabric needs at least one rack, got %d", fs.NumRacks)
 	}
-	for h, r := range fs.HostRacks {
-		if r < 0 || r >= fs.NumRacks {
-			return fmt.Errorf("cluster: VMhost %d assigned to nonexistent rack %d (fabric has %d racks)", h, r, fs.NumRacks)
-		}
-	}
-	hosts := fs.hostsPerRack()
-	for r, n := range hosts {
-		if n == 0 {
-			return fmt.Errorf("cluster: rack %d has no VMhosts (HostRacks places none there)", r)
-		}
-	}
 	p := fs.Rack.Params
 	if p == nil {
 		def := params.Default()
@@ -145,7 +99,7 @@ func (fs FabricSpec) Validate() error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	return fs.linkSpec(p, hosts).Validate()
+	return fs.linkSpec(p).Validate()
 }
 
 // Fabric is an assembled multi-rack deployment: one Testbed per rack, each
@@ -202,16 +156,6 @@ func (f *Fabric) WriteSpans(w io.Writer) error {
 	return trace.WriteMergedJSONL(w, f.Tracers())
 }
 
-// Flights returns the per-shard flight recorders in shard order (racks
-// first, spine last).
-func (f *Fabric) Flights() []*trace.FlightRecorder {
-	out := make([]*trace.FlightRecorder, 0, len(f.Racks)+1)
-	for _, tb := range f.Racks {
-		out = append(out, tb.Flight)
-	}
-	return append(out, f.SpineFlight)
-}
-
 // rackLocator maps any cluster MAC to its owning rack by decoding the node
 // id and dividing by the per-rack address stride.
 func rackLocator(numRacks int) func(ethernet.MAC) (int, bool) {
@@ -241,21 +185,19 @@ func BuildFabric(fs FabricSpec) (*Fabric, error) {
 		def := params.Default()
 		p = &def
 	}
-	hosts := fs.hostsPerRack()
-	ls := fs.linkSpec(p, hosts)
+	ls := fs.linkSpec(p)
 
 	f := &Fabric{
 		Spec:      fs,
 		P:         p,
 		Lookahead: p.FabricLinkLatency,
-		Group:     sim.NewShardGroup(p.FabricLinkLatency, fs.InboxCap),
+		Group:     sim.NewShardGroup(p.FabricLinkLatency, 0),
 	}
 
 	for r := 0; r < fs.NumRacks; r++ {
 		sh := f.Group.AddShard()
 		rs := fs.Rack
 		rs.Params = p
-		rs.VMHosts = hosts[r]
 		rs.MACOffset = uint32(r) * macRackStride
 		// Decorrelate the racks' jitter/fault streams while keeping the
 		// whole fabric a pure function of the base seed.

@@ -163,9 +163,6 @@ func TestFabricSpecValidation(t *testing.T) {
 		{"no racks", func(s *FabricSpec) { s.NumRacks = 0 }, "at least one rack"},
 		{"negative oversubscription", func(s *FabricSpec) { s.Oversubscription = -1 }, "oversubscription"},
 		{"no spines", func(s *FabricSpec) { s.NumSpines = -1 }, "spine"},
-		{"host on nonexistent rack", func(s *FabricSpec) { s.HostRacks = []int{0, 1, 9} },
-			"VMhost 2 assigned to nonexistent rack 9"},
-		{"rack left empty", func(s *FabricSpec) { s.HostRacks = []int{0, 0, 1} }, "rack 2 has no VMhosts"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,23 +176,6 @@ func TestFabricSpecValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
-	}
-}
-
-// TestFabricHostRacksPlacement: explicit placement reshapes the racks.
-func TestFabricHostRacksPlacement(t *testing.T) {
-	fs := testFabricSpec()
-	fs.HostRacks = []int{0, 0, 1, 2} // 2 VMhosts in rack 0, 1 each in 1 and 2
-	f, err := BuildFabric(fs)
-	if err != nil {
-		t.Fatalf("BuildFabric: %v", err)
-	}
-	defer f.Close()
-	want := []int{2, 1, 1}
-	for r, tb := range f.Racks {
-		if tb.Spec.VMHosts != want[r] {
-			t.Fatalf("rack %d has %d VMhosts, want %d", r, tb.Spec.VMHosts, want[r])
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vrio/internal/core"
+	"vrio/internal/params"
 	"vrio/internal/sim"
 	"vrio/internal/workload"
 )
@@ -17,8 +18,18 @@ func buildWithStandby(t *testing.T, blockLatency sim.Time) *Testbed {
 	return Build(Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
 		NumIOhosts: 2, WithBlock: true, NoJitter: true, Seed: 71,
-		BlockLatency: blockLatency,
+		Params: ramdisk(blockLatency),
 	})
+}
+
+// ramdisk returns the default parameters with every block device's access
+// latency set to lat (0 keeps the default).
+func ramdisk(lat sim.Time) *params.P {
+	p := params.Default()
+	if lat != 0 {
+		p.RamdiskLatency = lat
+	}
+	return &p
 }
 
 // failOverToStandby crashes IOhost 0 and re-homes every guest onto IOhost 1
@@ -112,7 +123,7 @@ func TestRehomeBlockRequestsSurvive(t *testing.T) {
 	tb := Build(Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
 		NumIOhosts: 2, WithBlock: true, NoJitter: true, Seed: 74,
-		BlockLatency: 5 * sim.Millisecond,
+		Params: ramdisk(5 * sim.Millisecond),
 	})
 	g := tb.Guests[0]
 	payload := bytes.Repeat([]byte{0x9B}, 4096)

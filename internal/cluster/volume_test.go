@@ -11,17 +11,15 @@ import (
 )
 
 // buildVolTestbed assembles one guest with a distributed volume across
-// numIO IOhosts: R replicas, write quorum W, 8 extents of 128 sectors.
+// numIO IOhosts: R replicas, write quorum W, 32 extents of 128 sectors.
 func buildVolTestbed(numIO, r, w int) *Testbed {
 	return Build(Spec{
-		Model:              core.ModelVRIO,
-		NumIOhosts:         numIO,
-		VolReplicas:        r,
-		VolQuorum:          w,
-		VolExtentSectors:   128,
-		VolCapacitySectors: 1024,
-		NoJitter:           true,
-		Seed:               31,
+		Model:       core.ModelVRIO,
+		NumIOhosts:  numIO,
+		VolReplicas: r,
+		VolQuorum:   w,
+		NoJitter:    true,
+		Seed:        31,
 	})
 }
 
@@ -95,8 +93,8 @@ func TestVolumeQuorumWriteAndRead(t *testing.T) {
 	vol := tb.Volumes[0]
 	writeAllExtents(t, tb, vol)
 	verifyAllExtents(t, tb, 0)
-	if n := vol.Counters.Get("vol_writes"); n != 8 {
-		t.Fatalf("vol_writes = %d, want 8", n)
+	if n := vol.Counters.Get("vol_writes"); n != 32 {
+		t.Fatalf("vol_writes = %d, want 32", n)
 	}
 	// Every extent committed exactly one version.
 	for e := uint64(0); e < vol.Spec().NumExtents(); e++ {
@@ -388,9 +386,9 @@ func TestVolumeRebuildAfterCrash(t *testing.T) {
 	if !vol.FullyReplicated() {
 		t.Fatal("volume not fully replicated after rebuild")
 	}
-	// 8 extents, replica slots (e%3, (e+1)%3): host 1 held 6 cells.
-	if n := vol.Counters.Get("rebuild_extents"); n != 6 {
-		t.Fatalf("rebuild_extents = %d, want 6", n)
+	// 32 extents, replica slots (e%3, (e+1)%3): host 1 held 22 cells.
+	if n := vol.Counters.Get("rebuild_extents"); n != 22 {
+		t.Fatalf("rebuild_extents = %d, want 22", n)
 	}
 	if vol.RebuildBytes == 0 {
 		t.Fatal("RebuildBytes = 0, want > 0")

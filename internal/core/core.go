@@ -193,9 +193,6 @@ func (g *Guest) ReadBlockQ(queue uint8, sector uint64, sectors int, done func([]
 	g.VM.Compute(g.blkStackCost(bytes), op.postFn)
 }
 
-// HasBlock reports whether a block device is attached.
-func (g *Guest) HasBlock() bool { return g.blkPost != nil }
-
 // BlockCPUCost reports the guest-side CPU consumed per block operation of
 // the given size under this guest's I/O model (stack, kicks/exits,
 // interrupt handling, encapsulation). Thread-scheduler workloads add it to

@@ -17,3 +17,6 @@ func GuestPool(g *Guest) *bufpool.Pool { return g.pool }
 // SendRawNet posts a pool copy of raw on the TX ring of an Elvis or
 // baseline guest and kicks the host.
 func SendRawNet(g *Guest, raw []byte) { g.net.ringPost(g.pool.Clone(raw)) }
+
+// HasBlock reports whether a block device is attached.
+func (g *Guest) HasBlock() bool { return g.blkPost != nil }

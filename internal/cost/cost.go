@@ -129,16 +129,6 @@ func HeavyIOHostServer() Server {
 	return Server{Name: "heavy-iohost", CPUs: 4, DIMM8: 8, NIC40DP: 4, GbpsRequired: 320.63}
 }
 
-// PerCoreMbps is §3's cloud-measured per-core network rate upper bound.
-const PerCoreMbps = 380.0
-
-// RequiredGbpsVMHost derives a host's required bandwidth from its core
-// count and the VM multiplier (1 for Elvis, 1.5 for a vRIO VMhost that
-// absorbed the IOhost's VMs).
-func RequiredGbpsVMHost(cpus, coresPerCPU int, multiplier float64) float64 {
-	return float64(cpus*coresPerCPU) * PerCoreMbps / 1000 * multiplier
-}
-
 // --- Table 2 ---
 
 // RackSetup is one Table 2 row.
@@ -176,13 +166,10 @@ func Rack6() RackSetup {
 
 // --- Rack-scale amortization ("Table 5": Table 2 generalized to NumIOhosts) ---
 
-// Fan-in capacities implied by Table 1's required-vs-installed bandwidth:
-// a heavy IOhost (320 Gbps installed) serves four 40 Gbps VMhosts, a light
-// one (160 Gbps) serves two.
-const (
-	VMhostsPerLightIOhost = 2
-	VMhostsPerHeavyIOhost = 4
-)
+// VMhostsPerHeavyIOhost is the fan-in implied by Table 1's
+// required-vs-installed bandwidth: a heavy IOhost (320 Gbps installed)
+// serves four 40 Gbps VMhosts, a light one (160 Gbps) serves two.
+const VMhostsPerHeavyIOhost = 4
 
 // IOhostsFor returns the cheapest IOhost mix able to serve n VMhosts: a
 // heavy IOhost per full group of four, a light one for a remainder of one

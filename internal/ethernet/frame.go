@@ -135,10 +135,3 @@ func Decode(b []byte) (Frame, error) {
 	f.Payload = b[HeaderSize:]
 	return f, nil
 }
-
-// WireSize reports the on-the-wire size of the frame including header and a
-// fixed 24 bytes of preamble/FCS/inter-frame gap, used for serialization
-// delay on links.
-func (f *Frame) WireSize() int {
-	return HeaderSize + len(f.Payload) + 24
-}

@@ -76,10 +76,3 @@ func TestDecodeShortFrame(t *testing.T) {
 		t.Errorf("err = %v, want ErrShortFrame", err)
 	}
 }
-
-func TestWireSize(t *testing.T) {
-	fr := Frame{Payload: make([]byte, 100)}
-	if got := fr.WireSize(); got != 14+100+24 {
-		t.Errorf("WireSize = %d", got)
-	}
-}

@@ -188,26 +188,3 @@ func FragmentPages(wireLen int) int {
 	}
 	return (wireLen + PageSize - 1) / PageSize
 }
-
-// ZeroCopyFeasible reports whether a message of msgLen segmented at the
-// given MTU reassembles within the 17-page SKB budget (§4.4). With MTU 8100
-// every 64 KiB message fits (8 fragments × 2 pages + 1 × 1 page = 17); with
-// MTU 9000 a fragment (9000+40 bytes) spans 3 pages and the budget bursts.
-func ZeroCopyFeasible(msgLen, mtu int) bool {
-	if msgLen <= 0 {
-		return true
-	}
-	chunk := mtu - EncapOverhead
-	if chunk <= 0 {
-		return false
-	}
-	pages := 0
-	for off := 0; off < msgLen; off += chunk {
-		n := chunk
-		if off+n > msgLen {
-			n = msgLen - off
-		}
-		pages += FragmentPages(n + EncapOverhead)
-	}
-	return pages <= MaxZeroCopyPages
-}

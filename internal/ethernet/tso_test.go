@@ -172,21 +172,33 @@ func TestFragmentPages(t *testing.T) {
 	}
 }
 
+// TestZeroCopyFeasibleMatchesPaper segments messages with AppendFrames and
+// reassembles them, so §4.4's verdict comes from the code that decides it
+// on real frames: MTU 8100 keeps a 64 KiB message within 17 pages (8
+// fragments of 2 pages and one of 1), MTU 9000 does not (each fragment
+// spans 3 pages), and a small or empty message always fits.
 func TestZeroCopyFeasibleMatchesPaper(t *testing.T) {
-	// §4.4: MTU 8100 keeps a 64 KiB message within 17 pages; MTU 9000
-	// does not.
-	if !ZeroCopyFeasible(MaxMessage, 8100) {
-		t.Error("64KiB at MTU 8100 should be zero-copy feasible")
+	cases := []struct {
+		msgLen, mtu int
+		want        bool
+	}{
+		{MaxMessage, 8100, true},
+		{MaxMessage, 9000, false},
+		{1000, 1500, true},
+		{0, 8100, true},
 	}
-	if ZeroCopyFeasible(MaxMessage, 9000) {
-		t.Error("64KiB at MTU 9000 should NOT be zero-copy feasible")
-	}
-	// Small messages are always feasible.
-	if !ZeroCopyFeasible(1000, 1500) {
-		t.Error("small message infeasible")
-	}
-	if !ZeroCopyFeasible(0, 8100) {
-		t.Error("empty message infeasible")
+	for i, c := range cases {
+		frames, err := segment(uint32(i), 1, make([]byte, c.msgLen), c.mtu)
+		if err != nil {
+			t.Fatalf("segment %d bytes at MTU %d: %v", c.msgLen, c.mtu, err)
+		}
+		msg := reassembleAll(t, NewReassembler(0), NewMAC(1), frames)
+		if msg == nil {
+			t.Fatalf("%d bytes at MTU %d did not reassemble", c.msgLen, c.mtu)
+		}
+		if msg.ZeroCopy != c.want {
+			t.Errorf("%d bytes at MTU %d: ZeroCopy = %v, want %v", c.msgLen, c.mtu, msg.ZeroCopy, c.want)
+		}
 	}
 }
 

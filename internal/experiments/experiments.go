@@ -65,12 +65,9 @@ func Get(id string) Runner {
 	return func(quick bool) Result { return run([]string{id}, quick, 1)[0].Result() }
 }
 
-// RunAll executes every experiment serially.
-func RunAll(quick bool) []Result { return results(run(IDs(), quick, 1)) }
-
 // RunAllParallel executes every experiment with cells fanned out across a
-// bounded worker pool, and returns Results byte-identical to RunAll's, in
-// the same registration order. workers <= 0 means GOMAXPROCS.
+// bounded worker pool, and returns Results byte-identical to a serial run's
+// (workers 1), in registration order. workers <= 0 means GOMAXPROCS.
 func RunAllParallel(quick bool, workers int) []Result {
 	return RunParallel(IDs(), quick, workers)
 }

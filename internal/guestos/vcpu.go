@@ -89,15 +89,6 @@ func (v *VCPU) Spawn(name string) *Thread {
 // Name reports the thread name.
 func (t *Thread) Name() string { return t.name }
 
-// Runnable reports threads that are ready or running.
-func (v *VCPU) Runnable() int {
-	n := len(v.runq) - v.runqHead
-	if v.current != nil {
-		n++
-	}
-	return n
-}
-
 // Do schedules compute time for t, after which then runs (it may issue I/O
 // whose completion calls Do again — that is the wakeup path). Calling Do on
 // a non-blocked thread is a programming error.

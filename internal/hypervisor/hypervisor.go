@@ -18,7 +18,6 @@ const (
 	CounterGuestIRQs  = "guest_irqs"
 	CounterInjections = "irq_injections"
 	CounterHostIRQs   = "host_irqs"
-	CounterIOHostIRQs = "iohost_irqs"
 )
 
 // VM is one guest virtual machine: a VCPU pinned to (or sharing) a core.

@@ -562,11 +562,6 @@ func (h *IOHypervisor) newNetDevice(c *client, id uint16, fMAC ethernet.MAC, cha
 	return d
 }
 
-// RegisterBlkDevice creates a single-queue block front-end served by backend.
-func (h *IOHypervisor) RegisterBlkDevice(client ethernet.MAC, id uint16, backend blockdev.Backend, chain *interpose.Chain) {
-	h.RegisterBlkDeviceMQ(client, id, backend, chain, 1)
-}
-
 // RegisterBlkDeviceMQ creates a block front-end with `queues` submission
 // queues. Each queue is bound round-robin to a worker at registration time
 // and keeps that affinity for the device's lifetime (queue-pair passthrough:
@@ -574,7 +569,7 @@ func (h *IOHypervisor) RegisterBlkDevice(client ethernet.MAC, id uint16, backend
 // core preserves per-queue submission order). With queues > 1 the caller's
 // backend must arbitrate range conflicts itself (wrap it in a
 // blockdev.Scheduler): the guest-side one-outstanding-per-range guarantee no
-// longer holds across queues. queues <= 1 is exactly RegisterBlkDevice.
+// longer holds across queues. queues <= 1 is one queue.
 func (h *IOHypervisor) RegisterBlkDeviceMQ(client ethernet.MAC, id uint16, backend blockdev.Backend, chain *interpose.Chain, queues int) {
 	if chain == nil {
 		chain = h.defaultCh

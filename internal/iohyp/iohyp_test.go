@@ -31,6 +31,13 @@ type rig struct {
 	extMAC ethernet.MAC
 }
 
+// poll drains up to max frames (all if max <= 0) queued at vf.
+func poll(vf *nic.VF, max int) [][]byte {
+	var out [][]byte
+	vf.PollInto(&out, max)
+	return out
+}
+
 func newRig(t testing.TB, sidecores int, mode Mode) *rig {
 	t.Helper()
 	r := &rig{eng: sim.NewEngine(), p: params.Default()}
@@ -85,7 +92,7 @@ func newRig(t testing.TB, sidecores int, mode Mode) *rig {
 		}
 	}
 	clientVF.NotifyRx = func() {
-		r.eng.After(1, func() { r.clientPort.HandleBatch(clientVF.Poll(0)) })
+		r.eng.After(1, func() { r.clientPort.HandleBatch(poll(clientVF, 0)) })
 	}
 	return r
 }
@@ -94,7 +101,7 @@ func TestBlockWriteReadThroughIOhost(t *testing.T) {
 	r := newRig(t, 2, ModePolling)
 	store := blockdev.NewStore(r.p.SectorSize, 10000)
 	dev := blockdev.NewDevice(r.eng, store, r.p.RamdiskLatency, 4)
-	r.hyp.RegisterBlkDevice(r.clientMAC, 1, dev, nil)
+	r.hyp.RegisterBlkDeviceMQ(r.clientMAC, 1, dev, nil, 1)
 
 	// Write 4 KiB.
 	payload := bytes.Repeat([]byte{0xCD}, 4096)
@@ -142,7 +149,7 @@ func TestBlockAESInterposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.hyp.RegisterBlkDevice(r.clientMAC, 1, dev, interpose.NewChain(aes))
+	r.hyp.RegisterBlkDeviceMQ(r.clientMAC, 1, dev, interpose.NewChain(aes), 1)
 
 	plain := bytes.Repeat([]byte{0x11}, 512)
 	req := virtio.BlkReq{Type: virtio.BlkOut, Sector: 0, Data: plain}.Append(nil)
@@ -183,7 +190,7 @@ func TestNetTxForwardsToUplinkWithFMAC(t *testing.T) {
 	r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	r.eng.Run()
 
-	frames := r.extVF.Poll(0)
+	frames := poll(r.extVF, 0)
 	if len(frames) != 1 {
 		t.Fatalf("external node got %d frames", len(frames))
 	}
@@ -269,7 +276,7 @@ func TestFirewallDropCounted(t *testing.T) {
 	raw, _ := inner.Encode(0)
 	r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	r.eng.Run()
-	if got := len(r.extVF.Poll(0)); got != 0 {
+	if got := len(poll(r.extVF, 0)); got != 0 {
 		t.Errorf("dropped frame escaped: %d frames", got)
 	}
 	if r.hyp.Counters.Get("interpose_drops") != 1 {
@@ -302,7 +309,7 @@ func TestPerDeviceOrderPreservedAcrossWorkers(t *testing.T) {
 	r := newRig(t, 4, ModePolling)
 	store := blockdev.NewStore(r.p.SectorSize, 10000)
 	dev := blockdev.NewDevice(r.eng, store, 100, 8)
-	r.hyp.RegisterBlkDevice(r.clientMAC, 1, blockdev.NewScheduler(dev, r.p.SectorSize), nil)
+	r.hyp.RegisterBlkDeviceMQ(r.clientMAC, 1, blockdev.NewScheduler(dev, r.p.SectorSize), nil, 1)
 
 	// 32 sequential writes to the same sector: final content must be the
 	// last one despite 4 workers.
@@ -355,7 +362,7 @@ func TestInterruptModeCountsIOhostInterrupts(t *testing.T) {
 	if irqs := r.hyp.Counters.Get("iohost_irqs"); irqs < 2 {
 		t.Errorf("iohost_irqs = %d, want >= 2", irqs)
 	}
-	if got := len(r.extVF.Poll(0)); got != 1 {
+	if got := len(poll(r.extVF, 0)); got != 1 {
 		t.Errorf("frame not forwarded in interrupt mode: %d", got)
 	}
 }
@@ -381,7 +388,7 @@ func TestWorkersShareLoad(t *testing.T) {
 	dev := blockdev.NewDevice(r.eng, store, 100, 16)
 	// Many independent devices so steering can spread.
 	for id := uint16(1); id <= 8; id++ {
-		r.hyp.RegisterBlkDevice(r.clientMAC, id, dev, nil)
+		r.hyp.RegisterBlkDeviceMQ(r.clientMAC, id, dev, nil, 1)
 	}
 	done := 0
 	for i := 0; i < 200; i++ {
@@ -425,7 +432,7 @@ func TestCopiedEdgeBytes(t *testing.T) {
 	// a 600-byte one.
 	r := newRig(t, 1, ModePolling)
 	store := blockdev.NewStore(r.p.SectorSize, 1024)
-	r.hyp.RegisterBlkDevice(r.clientMAC, 1, blockdev.NewDevice(r.eng, store, r.p.RamdiskLatency, 1), nil)
+	r.hyp.RegisterBlkDeviceMQ(r.clientMAC, 1, blockdev.NewDevice(r.eng, store, r.p.RamdiskLatency, 1), nil, 1)
 	writeCopy := r.hyp.blkDev(r.clientMAC, 1).srv.Cost.WriteCopy
 	for k := 0; k <= 128; k++ {
 		want := 512
@@ -448,7 +455,7 @@ func TestAnnounceAddressesFloodsFMACs(t *testing.T) {
 	r.hyp.AnnounceAddresses()
 	r.eng.Run()
 	// The external node receives one broadcast per registered F address.
-	frames := r.extVF.Poll(0)
+	frames := poll(r.extVF, 0)
 	if len(frames) != 2 {
 		t.Fatalf("external node saw %d announcements, want 2", len(frames))
 	}
@@ -478,7 +485,7 @@ func TestFailedIOhostServesNothing(t *testing.T) {
 	r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	r.extVF.SendFrame(ethernet.Frame{Dst: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("in")})
 	r.eng.Run()
-	if got := len(r.extVF.Poll(0)); got != 0 {
+	if got := len(poll(r.extVF, 0)); got != 0 {
 		t.Errorf("crashed IOhost forwarded %d frames", got)
 	}
 	if !r.hyp.Failed() {
@@ -487,7 +494,7 @@ func TestFailedIOhostServesNothing(t *testing.T) {
 	// Announcements from a dead host must not go out either.
 	r.hyp.AnnounceAddresses()
 	r.eng.Run()
-	if got := len(r.extVF.Poll(0)); got != 0 {
+	if got := len(poll(r.extVF, 0)); got != 0 {
 		t.Errorf("crashed IOhost announced %d frames", got)
 	}
 }
@@ -513,7 +520,7 @@ func TestStallWorkersDefersService(t *testing.T) {
 
 	// Just before the stall ends nothing has been forwarded.
 	r.eng.At(stall-1, func() {
-		if got := len(r.extVF.Poll(0)); got != 0 {
+		if got := len(poll(r.extVF, 0)); got != 0 {
 			t.Errorf("stalled IOhost forwarded %d frames", got)
 		}
 	})
@@ -522,7 +529,7 @@ func TestStallWorkersDefersService(t *testing.T) {
 	if r.hyp.Stalled() {
 		t.Error("Stalled() true after the window ended")
 	}
-	if got := len(r.extVF.Poll(0)); got != 1 {
+	if got := len(poll(r.extVF, 0)); got != 1 {
 		t.Errorf("external node got %d frames after stall, want 1", got)
 	}
 	if r.hyp.Counters.Get("stalls") != 1 {

@@ -29,7 +29,7 @@ func sendNetTx(r *rig, src ethernet.MAC, id uint16) {
 
 // sendMsg encodes one transport message into a pooled buffer and ingests it.
 func sendMsg(r *rig, src ethernet.MAC, h transport.Header, payload []byte) {
-	msg := r.hyp.bufPool().GetRaw(transport.EncodedSize(len(payload)))
+	msg := r.hyp.bufPool().GetRaw(transport.HeaderSize + len(payload))
 	transport.EncodeInto(msg, h, payload)
 	r.hyp.ingressMessage(src, r.hyp.bufPool().Wrap(msg, msg), true)
 }
@@ -200,7 +200,7 @@ func TestSteeringContract(t *testing.T) {
 		{"unknown devices and unregistered senders are counted", func(t *testing.T) {
 			r := netRig(t)
 			dev := blockdev.NewDevice(r.eng, blockdev.NewStore(r.p.SectorSize, 1000), 100, 1)
-			r.hyp.RegisterBlkDevice(r.clientMAC, 1, dev, nil)
+			r.hyp.RegisterBlkDeviceMQ(r.clientMAC, 1, dev, nil, 1)
 			stranger := ethernet.NewMAC(77)
 			req := virtio.BlkReq{Type: virtio.BlkIn, Sector: 0, Sectors: 1}.Append(nil)
 			blk := func(id uint16) transport.Header {

@@ -99,14 +99,13 @@ func (d *DropStats) Total() uint64 {
 	return t
 }
 
-// FaultAction is a TxFault's decision for one frame.
+// FaultAction is a TxFault's decision for one frame. The zero value
+// delivers the frame untouched.
 type FaultAction int
 
 const (
-	// FaultNone delivers the frame untouched.
-	FaultNone FaultAction = iota
 	// FaultDrop loses the frame in flight (it still occupied the wire).
-	FaultDrop
+	FaultDrop FaultAction = iota + 1
 	// FaultCorrupt means the injector flipped bits in place; the FCS
 	// computed before the flip no longer matches, so the receive-side
 	// check detects and drops the frame.
@@ -270,9 +269,9 @@ func (w *Wire) serialization(size int) sim.Time {
 	return sim.Time(float64(size*8) / w.bps * float64(sim.Second))
 }
 
-// Send transmits one encoded frame. Wire-level overhead (preamble/FCS/IFG)
-// is included via ethernet.Frame.WireSize's convention: callers pass encoded
-// frame bytes; 24 bytes of overhead are added here.
+// Send transmits one encoded frame. Callers pass encoded frame bytes; the
+// 24 bytes of wire-level overhead (preamble, FCS, inter-frame gap) are
+// added here.
 func (w *Wire) Send(frame []byte) {
 	w.Frames++
 	w.Bytes += uint64(len(frame))

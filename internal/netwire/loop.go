@@ -87,6 +87,14 @@ func (l *Loop) Close() { l.once.Do(func() { close(l.quit) }) }
 func (l *Loop) Post(fn func()) bool { return l.post(work{fn: fn}) }
 
 func (l *Loop) post(w work) bool {
+	// Check quit first: with both cases ready, a select picks at random,
+	// and a send into a closed loop's queue would report true for work
+	// that never runs.
+	select {
+	case <-l.quit:
+		return false
+	default:
+	}
 	select {
 	case l.work <- w:
 		return true

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -111,6 +113,46 @@ func TestLoopClock(t *testing.T) {
 	case <-okc:
 	case <-time.After(5 * time.Second):
 		t.Fatal("recycled timer never fired")
+	}
+}
+
+// TestPostAfterClose: a closed loop refuses every Post, so no work is
+// queued that will never run. A carrier's reader depends on that refusal
+// to exit: were a post into the closed loop accepted, each datagram would
+// park one of the reader's scratch buffers in the dead queue, and with
+// none left the reader would block for good.
+func TestPostAfterClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	l := netwire.NewLoop()
+	c, err := netwire.ListenUDP(l, bufpool.New(), ethernet.NewMAC(1), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	l.Close()
+	for i := 0; i < 100; i++ {
+		if l.Post(func() { t.Error("posted work ran on a closed loop") }) {
+			t.Fatalf("Post %d after Close reported true", i)
+		}
+	}
+
+	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(c.LocalAddrPort()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 16; i++ {
+		if _, err := conn.Write([]byte("after close")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The reader must leave on the first datagram, with its socket still
+	// open, so it is the refused post that ends it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("reader still running: %d goroutines, %d before ListenUDP", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

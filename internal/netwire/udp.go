@@ -17,6 +17,13 @@ import (
 // when the loop falls behind.
 const udpScratch = 4
 
+// udpReadBuffer is the socket receive buffer ListenUDP asks for. The
+// kernel default (about 200 KiB on Linux) overflows under a few guests'
+// queued block requests, and every datagram it drops costs a §4.5
+// retransmission timeout. The kernel caps the request at its limit
+// (net.core.rmem_max on Linux) without an error.
+const udpReadBuffer = 4 << 20
+
 // UDPCarrier is the datagram carrier: one transport message per UDP
 // datagram, so the real network — plus an optional injected link.TxFault —
 // may lose, duplicate, or reorder messages, and §4.5 retransmission does
@@ -63,6 +70,10 @@ func ListenUDP(loop *Loop, pool *bufpool.Pool, mac ethernet.MAC, laddr string) (
 	if err != nil {
 		return nil, err
 	}
+	if err := conn.SetReadBuffer(udpReadBuffer); err != nil {
+		conn.Close()
+		return nil, err
+	}
 	c := &UDPCarrier{
 		loop:  loop,
 		pool:  pool,
@@ -83,12 +94,6 @@ func (c *UDPCarrier) LocalMAC() ethernet.MAC { return c.mac }
 
 // BufPool implements transport.Pooler.
 func (c *UDPCarrier) BufPool() *bufpool.Pool { return c.pool }
-
-// LocalAddrPort reports the bound socket address (the ephemeral port after
-// ListenUDP with ":0").
-func (c *UDPCarrier) LocalAddrPort() netip.AddrPort {
-	return c.conn.LocalAddr().(*net.UDPAddr).AddrPort()
-}
 
 // AddPeer seeds the MAC-to-address table; the first contact with a peer
 // must be seeded, after which incoming frames keep the table learned.

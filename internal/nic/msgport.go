@@ -10,7 +10,7 @@ import (
 // it reassembles vRIO fragments back into complete transport messages and
 // passes plain (tenant) frames through untouched.
 //
-// Feed it frames from VF.Poll (sidecore loop) or from OnInterrupt handlers;
+// Feed it frames from VF.PollInto (sidecore loop) or from OnInterrupt handlers;
 // it does not pull by itself, because *when* frames are consumed is the
 // difference between the I/O models.
 type MessagePort struct {
@@ -64,7 +64,7 @@ func (p *MessagePort) SendGather(dst ethernet.MAC, parts ...[]byte) {
 	}
 }
 
-// HandleFrame ingests one received frame (from Poll or an interrupt batch)
+// HandleFrame ingests one received frame (from PollInto or an interrupt batch)
 // and takes ownership of it. Plain (tenant) frames are lent to OnPlainFrame
 // for the duration of the call and then returned to the pool. A vRIO
 // fragment that completes a message by itself goes on to OnMessage as the

@@ -32,7 +32,7 @@ type DeliveryMode int
 const (
 	// ModeInterrupt raises a (coalesced) interrupt per frame batch.
 	ModeInterrupt DeliveryMode = iota
-	// ModePoll enqueues silently; software drains with Poll.
+	// ModePoll enqueues silently; software drains with PollInto.
 	ModePoll
 )
 
@@ -245,9 +245,6 @@ func (v *VF) QueueLen() int { return len(v.rxq) - v.rxHead }
 // flaps VF ports with this.
 func (v *VF) SetLinkUp(up bool) { v.linkDown = !up }
 
-// LinkUp reports whether the port has carrier.
-func (v *VF) LinkUp() bool { return !v.linkDown }
-
 // SetRingCap overrides the effective receive-ring capacity (<= 0 restores
 // the NIC default). Squeezing the ring forces natural overflow drops under
 // load, without changing the shared NIC config.
@@ -308,16 +305,6 @@ func (v *VF) fireIRQ() {
 	v.rxHead = 0
 	v.onIRQ(batch)
 	clear(batch) // drop the frame references for the collector
-}
-
-// Poll drains up to max frames (all if max <= 0). Poll-mode software calls
-// this from its sidecore loop. The returned slice is freshly allocated;
-// steady-state pollers use PollInto with a reused scratch batch instead.
-// The caller owns the drained frames, as with PollInto.
-func (v *VF) Poll(max int) [][]byte {
-	var out [][]byte
-	v.PollInto(&out, max)
-	return out
 }
 
 // PollInto appends up to max frames (all if max <= 0) to *dst, returning

@@ -10,6 +10,13 @@ import (
 	"vrio/internal/sim"
 )
 
+// poll drains up to max frames (all if max <= 0) into a fresh batch.
+func poll(v *VF, max int) [][]byte {
+	var out [][]byte
+	v.PollInto(&out, max)
+	return out
+}
+
 func testCfg() Config {
 	return Config{ProcessCost: 10, CoalesceDelay: 100, RxRingSize: 4}
 }
@@ -37,7 +44,7 @@ func TestVFPollModeDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	frames := dst.Poll(0)
+	frames := poll(dst, 0)
 	if len(frames) != 1 {
 		t.Fatalf("polled %d frames", len(frames))
 	}
@@ -49,7 +56,7 @@ func TestVFPollModeDelivery(t *testing.T) {
 		t.Errorf("src = %v, want sender VF MAC", f.Src)
 	}
 	if dst.QueueLen() != 0 {
-		t.Error("Poll did not drain")
+		t.Error("poll did not drain")
 	}
 }
 
@@ -62,11 +69,11 @@ func TestVFPollMax(t *testing.T) {
 		src.SendFrame(ethernet.Frame{Dst: dst.MAC(), Payload: []byte{byte(i)}})
 	}
 	e.Run()
-	if got := len(dst.Poll(2)); got != 2 {
-		t.Errorf("Poll(2) = %d frames", got)
+	if got := len(poll(dst, 2)); got != 2 {
+		t.Errorf("poll(2) = %d frames", got)
 	}
-	if got := len(dst.Poll(0)); got != 3 {
-		t.Errorf("Poll(0) = %d frames, want remaining 3", got)
+	if got := len(poll(dst, 0)); got != 3 {
+		t.Errorf("poll(0) = %d frames, want remaining 3", got)
 	}
 }
 
@@ -145,7 +152,7 @@ func TestNICRoutesByMACAndCountsUnknown(t *testing.T) {
 	src.SendFrame(ethernet.Frame{Dst: vf2.MAC(), Payload: []byte("two")})
 	src.SendFrame(ethernet.Frame{Dst: ethernet.NewMAC(99), Payload: []byte("lost")})
 	e.Run()
-	if len(vf1.Poll(0)) != 1 || len(vf2.Poll(0)) != 1 {
+	if len(poll(vf1, 0)) != 1 || len(poll(vf2, 0)) != 1 {
 		t.Error("frames not routed to the right VFs")
 	}
 	if b.UnknownDst != 1 {
@@ -164,7 +171,7 @@ func TestNICCountsRunts(t *testing.T) {
 	if b.Runts != 1 {
 		t.Errorf("Runts = %d, want 1", b.Runts)
 	}
-	if n := len(vf.Poll(0)); n != 0 {
+	if n := len(poll(vf, 0)); n != 0 {
 		t.Errorf("runt delivered to a VF (%d frames)", n)
 	}
 }
@@ -177,7 +184,7 @@ func TestNICBroadcastReachesAllVFs(t *testing.T) {
 	vf2 := b.AddVF(ethernet.NewMAC(3), ModePoll)
 	src.SendFrame(ethernet.Frame{Dst: ethernet.Broadcast, Payload: []byte("b")})
 	e.Run()
-	if len(vf1.Poll(0)) != 1 || len(vf2.Poll(0)) != 1 {
+	if len(poll(vf1, 0)) != 1 || len(poll(vf2, 0)) != 1 {
 		t.Error("broadcast not delivered to all VFs")
 	}
 }
@@ -219,7 +226,7 @@ func TestMessagePortRoundTrip(t *testing.T) {
 	}
 	srcPort.Send(dstPort.LocalMAC(), msg)
 	e.Run()
-	dstPort.HandleBatch(dstVF.Poll(0))
+	dstPort.HandleBatch(poll(dstVF, 0))
 	if !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted over the channel")
 	}
@@ -244,7 +251,7 @@ func TestMessagePortPlainFramePassthrough(t *testing.T) {
 		Dst: dstVF.MAC(), EtherType: ethernet.EtherTypePlain, Payload: []byte("tenant"),
 	})
 	e.Run()
-	dstPort.HandleBatch(dstVF.Poll(0))
+	dstPort.HandleBatch(poll(dstVF, 0))
 	if string(plain) != "tenant" {
 		t.Errorf("plain = %q", plain)
 	}
@@ -326,7 +333,7 @@ func TestVFLinkFlap(t *testing.T) {
 		t.Fatal("LinkUp() true after SetLinkUp(false)")
 	}
 	send()
-	if got := len(dst.Poll(0)); got != 0 {
+	if got := len(poll(dst, 0)); got != 0 {
 		t.Fatalf("down port delivered %d frames", got)
 	}
 	if dst.FlapDrops != 1 {
@@ -337,7 +344,7 @@ func TestVFLinkFlap(t *testing.T) {
 	dst.SetLinkUp(true)
 	src.SetLinkUp(false)
 	send()
-	if got := len(dst.Poll(0)); got != 0 {
+	if got := len(poll(dst, 0)); got != 0 {
 		t.Fatalf("down transmitter delivered %d frames", got)
 	}
 	if src.FlapDrops != 1 {
@@ -354,7 +361,7 @@ func TestVFLinkFlap(t *testing.T) {
 	// Both up again: traffic resumes.
 	src.SetLinkUp(true)
 	send()
-	if got := len(dst.Poll(0)); got != 1 {
+	if got := len(poll(dst, 0)); got != 1 {
 		t.Errorf("recovered port delivered %d frames, want 1", got)
 	}
 }
@@ -377,7 +384,7 @@ func TestVFRingCapOverride(t *testing.T) {
 	if dst.Drops != 3 {
 		t.Errorf("overflow Drops = %d, want 3", dst.Drops)
 	}
-	dst.Poll(0)
+	poll(dst, 0)
 	dst.SetRingCap(0) // restore the NIC default
 	for i := 0; i < 5; i++ {
 		src.SendFrame(ethernet.Frame{Dst: dst.MAC(), Payload: []byte{byte(i)}})

@@ -7,6 +7,7 @@ import (
 
 	"vrio/internal/cluster"
 	"vrio/internal/core"
+	"vrio/internal/params"
 	"vrio/internal/sim"
 	"vrio/internal/workload"
 )
@@ -125,6 +126,14 @@ func TestHeartbeatDetectsFailureAndRehomes(t *testing.T) {
 	}
 }
 
+// slowRamdisk returns the default parameters with a 5 ms block device
+// access, long enough to keep a request in flight across a failure.
+func slowRamdisk() *params.P {
+	p := params.Default()
+	p.RamdiskLatency = 5 * sim.Millisecond
+	return &p
+}
+
 // TestStandbyIOhostTakesOver is §4.6's fallback IOhost as a rack: two
 // IOhosts, default placement (every guest on IOhost 0), so IOhost 1 is a
 // cabled, idle standby. IOhost 0 crashes with RR traffic running and a
@@ -134,7 +143,7 @@ func TestStandbyIOhostTakesOver(t *testing.T) {
 	tb := cluster.Build(cluster.Spec{
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
 		NumIOhosts: 2, WithBlock: true, NoJitter: true, Seed: 71,
-		BlockLatency: 5 * sim.Millisecond, // keep the write in flight
+		Params: slowRamdisk(), // keep the write in flight
 	})
 	c := New(tb, Config{})
 	c.Start()
@@ -286,7 +295,7 @@ func TestMigrationRacingFailureExactlyOnce(t *testing.T) {
 		Model: core.ModelVRIO, VMHosts: 2, VMsPerHost: 1,
 		NumIOhosts: 2, Placement: Placement(Static(0), 2),
 		WithBlock: true, NoJitter: true, Seed: 95,
-		BlockLatency: 5 * sim.Millisecond, // keep the request in flight
+		Params: slowRamdisk(), // keep the request in flight
 	})
 	c := New(tb, Config{HeartbeatInterval: sim.Millisecond / 2, MissThreshold: 3})
 	c.Start()

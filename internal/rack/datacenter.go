@@ -75,18 +75,6 @@ func (d *Datacenter) Events() []RackEvent {
 	return all
 }
 
-// DarkRacks lists racks whose every IOhost the detectors have declared
-// dead — the guests there have no remote I/O until migrated off the rack.
-func (d *Datacenter) DarkRacks() []int {
-	var dark []int
-	for r, c := range d.Controllers {
-		if c.AliveIOhosts() == 0 {
-			dark = append(dark, r)
-		}
-	}
-	return dark
-}
-
 // Counter sums a controller counter across all racks.
 func (d *Datacenter) Counter(name string) uint64 {
 	var n uint64

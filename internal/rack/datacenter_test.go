@@ -69,8 +69,10 @@ func TestDatacenterIntraRackRehome(t *testing.T) {
 			t.Fatalf("rack 1 guest %d still on dead IOhost %d", vm, io)
 		}
 	}
-	if dark := d.DarkRacks(); len(dark) != 0 {
-		t.Fatalf("DarkRacks = %v, want none", dark)
+	for r, c := range d.Controllers {
+		if c.AliveIOhosts() == 0 {
+			t.Fatalf("rack %d went dark, want none", r)
+		}
 	}
 }
 
@@ -87,8 +89,10 @@ func TestDatacenterDarkRack(t *testing.T) {
 	})
 	f.RunMeasured(sim.Millisecond, 19*sim.Millisecond, 2, perRack)
 
-	if dark := d.DarkRacks(); len(dark) != 1 || dark[0] != 0 {
-		t.Fatalf("DarkRacks = %v, want [0]", dark)
+	for r, c := range d.Controllers {
+		if dark := c.AliveIOhosts() == 0; dark != (r == 0) {
+			t.Fatalf("rack %d dark = %v, want only rack 0 dark", r, dark)
+		}
 	}
 	if d.Counter("rack_dark") == 0 {
 		t.Fatal("no rack_dark counter increments")

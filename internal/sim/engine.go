@@ -33,9 +33,6 @@ const MaxTime Time = math.MaxInt64
 // Seconds converts a simulated duration to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros converts a simulated duration to floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // String formats the time with an adaptive unit, e.g. "12.5µs".
 func (t Time) String() string {
 	switch {

@@ -383,7 +383,4 @@ func TestTimeConversions(t *testing.T) {
 	if got := (1500 * Microsecond).Seconds(); got != 0.0015 {
 		t.Errorf("Seconds() = %v, want 0.0015", got)
 	}
-	if got := (3 * Microsecond).Micros(); got != 3 {
-		t.Errorf("Micros() = %v, want 3", got)
-	}
 }

@@ -92,21 +92,6 @@ func (r *RNG) Exp(mean Time) Time {
 	return d
 }
 
-// Normal returns a normally distributed duration (Box-Muller), clamped at 0.
-func (r *RNG) Normal(mean, stddev Time) Time {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	d := Time(float64(mean) + z*float64(stddev))
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // LogNormal returns a log-normally distributed size with the given mean and
 // sigma of the underlying normal; used for file-size distributions
 // (Filebench's Webserver personality draws 28 KB-mean file sizes this way).
@@ -129,17 +114,4 @@ func (r *RNG) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

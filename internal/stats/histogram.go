@@ -121,9 +121,6 @@ func (h *Histogram) Percentiles(ps ...float64) []int64 {
 	return out
 }
 
-// Min reports the smallest observation, or 0 with none.
-func (h *Histogram) Min() int64 { return h.min }
-
 // Max reports the largest observation, or 0 with none.
 func (h *Histogram) Max() int64 { return h.max }
 

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 )
@@ -28,27 +27,6 @@ func (m *Mean) N() uint64 { return m.n }
 
 // Mean reports the arithmetic mean, or 0 with no observations.
 func (m *Mean) Mean() float64 { return m.mean }
-
-// Variance reports the sample variance, or 0 with fewer than 2 observations.
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// Stddev reports the sample standard deviation.
-func (m *Mean) Stddev() float64 { return math.Sqrt(m.Variance()) }
-
-// RelStddev reports stddev/mean, or 0 when the mean is 0. The paper reports
-// run-to-run relative stddev below 2% (5% for the baseline); the experiment
-// harness asserts the same bound across seeds.
-func (m *Mean) RelStddev() float64 {
-	if m.mean == 0 {
-		return 0
-	}
-	return math.Abs(m.Stddev() / m.mean)
-}
 
 // Counters is a set of named monotonically increasing counters, used for the
 // Table 3 exit/interrupt accounting. The zero value is ready to use.
@@ -136,29 +114,3 @@ func (s *Series) Add(t int64, v float64) {
 
 // Len reports the number of points.
 func (s *Series) Len() int { return len(s.T) }
-
-// MeanValue reports the mean of the sampled values, or 0 when empty.
-func (s *Series) MeanValue() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.V {
-		sum += v
-	}
-	return sum / float64(len(s.V))
-}
-
-// MaxValue reports the maximum sampled value, or 0 when empty.
-func (s *Series) MaxValue() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	max := s.V[0]
-	for _, v := range s.V[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}

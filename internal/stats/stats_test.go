@@ -24,7 +24,7 @@ func TestMeanBasics(t *testing.T) {
 
 func TestMeanEmpty(t *testing.T) {
 	var m Mean
-	if m.Mean() != 0 || m.Variance() != 0 || m.Stddev() != 0 || m.RelStddev() != 0 {
+	if m.Mean() != 0 || m.Variance() != 0 {
 		t.Error("empty Mean should report zeros")
 	}
 }
@@ -34,21 +34,6 @@ func TestMeanSingleObservation(t *testing.T) {
 	m.Add(10)
 	if m.Variance() != 0 {
 		t.Errorf("Variance with n=1 = %v, want 0", m.Variance())
-	}
-}
-
-func TestMeanRelStddev(t *testing.T) {
-	var m Mean
-	m.Add(98)
-	m.Add(102)
-	if rs := m.RelStddev(); math.Abs(rs-math.Sqrt(8)/100) > 1e-9 {
-		t.Errorf("RelStddev = %v", rs)
-	}
-	var z Mean
-	z.Add(0)
-	z.Add(0)
-	if z.RelStddev() != 0 {
-		t.Error("RelStddev with zero mean should be 0")
 	}
 }
 
@@ -89,8 +74,8 @@ func TestCountersMergeAndReset(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	var s Series
-	if s.Len() != 0 || s.MeanValue() != 0 || s.MaxValue() != 0 {
-		t.Error("empty series should report zeros")
+	if s.Len() != 0 {
+		t.Error("empty series should report no points")
 	}
 	s.Add(0, 10)
 	s.Add(1, 30)
@@ -98,10 +83,7 @@ func TestSeries(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if s.MeanValue() != 20 {
-		t.Errorf("MeanValue = %v", s.MeanValue())
-	}
-	if s.MaxValue() != 30 {
-		t.Errorf("MaxValue = %v", s.MaxValue())
+	if s.T[1] != 1 || s.V[1] != 30 {
+		t.Errorf("point 1 = (%d, %v), want (1, 30)", s.T[1], s.V[1])
 	}
 }

@@ -111,32 +111,14 @@ func New(clock Clock) *Tracer {
 // blocks in.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Begin opens a span. parent 0 starts a new root (a new track in the Chrome
-// export). Returns 0 when disabled.
-func (t *Tracer) Begin(cat Category, name string, parent SpanID) SpanID {
-	if t == nil {
-		return 0
-	}
-	return t.beginAt(cat, name, parent, 0, t.clock.Now())
-}
-
-// BeginArg is Begin with a correlation id recorded on the span.
+// BeginArg opens a span with a correlation id recorded on it. parent 0
+// starts a new root (a new track in the Chrome export). Returns 0 when
+// disabled.
 func (t *Tracer) BeginArg(cat Category, name string, parent SpanID, arg uint64) SpanID {
 	if t == nil {
 		return 0
 	}
 	return t.beginAt(cat, name, parent, arg, t.clock.Now())
-}
-
-// BeginAt opens a span with an explicit (past) start time — used where the
-// instrumentation point runs after the interval began, e.g. a worker
-// completion callback that knows the service cost it just paid. start must
-// not exceed the current time.
-func (t *Tracer) BeginAt(cat Category, name string, parent SpanID, arg uint64, start sim.Time) SpanID {
-	if t == nil {
-		return 0
-	}
-	return t.beginAt(cat, name, parent, arg, start)
 }
 
 // BeginFlow is BeginArg with a fabric-global flow key recorded on the span
@@ -148,9 +130,10 @@ func (t *Tracer) BeginFlow(cat Category, name string, parent SpanID, arg, flow u
 	return t.BeginFlowAt(cat, name, parent, arg, flow, t.clock.Now())
 }
 
-// BeginFlowAt is BeginAt with a flow key — for flow-tagged spans whose
-// interval began before the instrumentation point runs (worker completion
-// callbacks). flow 0 records a plain span.
+// BeginFlowAt is BeginFlow with an explicit (past) start time — for spans
+// whose interval began before the instrumentation point runs, e.g. a worker
+// completion callback that knows the service cost it just paid. start must
+// not exceed the current time. flow 0 records a plain span.
 func (t *Tracer) BeginFlowAt(cat Category, name string, parent SpanID, arg, flow uint64, start sim.Time) SpanID {
 	if t == nil {
 		return 0

@@ -13,7 +13,7 @@ func TestSpanLifecycle(t *testing.T) {
 	tr := New(e)
 	root := tr.BeginArg(CatGuestRing, "blk", 0, 7)
 	e.At(10, func() {
-		child := tr.Begin(CatWire, "blk-req", root)
+		child := tr.BeginArg(CatWire, "blk-req", root, 0)
 		e.At(25, func() { tr.End(child) })
 	})
 	e.At(40, func() { tr.End(root) })
@@ -38,9 +38,9 @@ func TestSpanLifecycle(t *testing.T) {
 func TestEndIsIdempotentAndGrandchildRoot(t *testing.T) {
 	e := sim.NewEngine()
 	tr := New(e)
-	a := tr.Begin(CatGuestRing, "a", 0)
-	b := tr.Begin(CatWorker, "b", a)
-	c := tr.Begin(CatBlockdev, "c", b)
+	a := tr.BeginArg(CatGuestRing, "a", 0, 0)
+	b := tr.BeginArg(CatWorker, "b", a, 0)
+	c := tr.BeginArg(CatBlockdev, "c", b, 0)
 	e.At(5, func() { tr.End(c); tr.End(b); tr.End(a) })
 	e.At(9, func() { tr.End(a) }) // second End must not move the timestamp
 	e.Run()
@@ -55,7 +55,7 @@ func TestEndIsIdempotentAndGrandchildRoot(t *testing.T) {
 func TestFlowLinkTakeLookup(t *testing.T) {
 	e := sim.NewEngine()
 	tr := New(e)
-	id := tr.Begin(CatWire, "x", 0)
+	id := tr.BeginArg(CatWire, "x", 0, 0)
 	k := FlowKey{Kind: 1, A: 42, B: 7}
 	tr.Link(k, id)
 	if got := tr.Lookup(k); got != id {
@@ -68,7 +68,7 @@ func TestFlowLinkTakeLookup(t *testing.T) {
 		t.Errorf("second Take = %d, want 0", got)
 	}
 	// Relink overwrites (retransmission supersedes the earlier attempt).
-	id2 := tr.Begin(CatWire, "y", 0)
+	id2 := tr.BeginArg(CatWire, "y", 0, 0)
 	tr.Link(k, id)
 	tr.Link(k, id2)
 	if got := tr.Take(k); got != id2 {
@@ -80,7 +80,7 @@ func TestBeginAtBackdatesStart(t *testing.T) {
 	e := sim.NewEngine()
 	tr := New(e)
 	e.At(100, func() {
-		id := tr.BeginAt(CatWorker, "w", 0, 0, 60)
+		id := tr.BeginFlowAt(CatWorker, "w", 0, 0, 0, 60)
 		tr.End(id)
 	})
 	e.Run()
@@ -118,15 +118,15 @@ func buildSampleTrace() *Tracer {
 	tr := New(e)
 	root := tr.BeginArg(CatGuestRing, "blk", 0, 1)
 	e.At(2_000, func() {
-		w := tr.Begin(CatWire, "blk-req", root)
+		w := tr.BeginArg(CatWire, "blk-req", root, 0)
 		e.At(5_500, func() { tr.End(w) })
 	})
 	e.At(6_000, func() {
-		wk := tr.Begin(CatWorker, "blk-req", root)
+		wk := tr.BeginArg(CatWorker, "blk-req", root, 0)
 		e.At(8_000, func() { tr.End(wk) })
 	})
 	e.At(9_000, func() { tr.End(root) })
-	tr.Begin(CatCompletion, "orphan", 0) // deliberately left open
+	tr.BeginArg(CatCompletion, "orphan", 0, 0) // deliberately left open
 	e.Run()
 	return tr
 }

@@ -205,9 +205,6 @@ func (e *Endpoint) deliverBlkReq(src ethernet.MAC, h Header, msg *bufpool.Frame,
 	}
 }
 
-// PendingRequests reports block requests still being reassembled.
-func (e *Endpoint) PendingRequests() int { return len(e.reqAsm) }
-
 func (e *Endpoint) evictOldestAsm() {
 	var oldestKey endpointKey
 	var oldest *chunkAsm

@@ -21,7 +21,7 @@ func (p *sinkPort) LocalMAC() ethernet.MAC                { return p.mac }
 func (p *sinkPort) BufPool() *bufpool.Pool                { return p.pool }
 
 func fuzzEnc(h transport.Header, payload []byte) []byte {
-	b := make([]byte, transport.EncodedSize(len(payload)))
+	b := make([]byte, transport.HeaderSize+len(payload))
 	transport.EncodeInto(b, h, payload)
 	return b
 }

@@ -310,7 +310,7 @@ func TestNetRxRecycle(t *testing.T) {
 	p := h.driver.pool()
 	payload := []byte("inbound-frame-bytes")
 	deliver := func() []byte {
-		buf := p.GetRaw(EncodedSize(len(payload)))
+		buf := p.GetRaw(HeaderSize + len(payload))
 		EncodeInto(buf, Header{Type: MsgNetRx, DeviceID: 1, ReqID: 1, ChunkCount: 1}, payload)
 		if err := h.driver.Deliver(buf); err != nil {
 			t.Fatal(err)

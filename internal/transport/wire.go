@@ -121,9 +121,6 @@ func Encode(h Header, payload []byte) []byte {
 	return b
 }
 
-// EncodedSize reports the wire size of a message with the given payload.
-func EncodedSize(payloadLen int) int { return HeaderSize + payloadLen }
-
 // EncodeInto writes header and payload into b, which must be exactly
 // HeaderSize+len(payload) long. The header's Length field is taken from the
 // payload.

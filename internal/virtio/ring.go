@@ -42,7 +42,7 @@ var (
 )
 
 // Ring is one virtqueue. The driver side (guest) posts buffers with Add and
-// reaps completions with Reap; the device side (host/sidecore/IOhost) polls
+// reaps completions with ReapInto; the device side (host/sidecore/IOhost) polls
 // with PopInto and completes with Push. A Ring is not safe for concurrent use;
 // the simulation is single-threaded by design.
 //
@@ -83,7 +83,7 @@ type Ring struct {
 	completions uint64
 
 	// Tracer, when non-nil, records a guest_ring span per request from Add
-	// to Reap, named SpanName with the chain head as the correlation arg.
+	// to ReapInto, named SpanName with the chain head as the correlation arg.
 	// Rings owned by the baseline/Elvis hosts leave this nil; the vRIO
 	// model's ring-equivalent submission point is the transport driver,
 	// which does its own tracing.
@@ -124,12 +124,6 @@ func (r *Ring) freeAll() {
 
 // QueueSize reports the number of descriptors.
 func (r *Ring) QueueSize() int { return r.qsize }
-
-// FreeDescriptors reports how many descriptors are currently free.
-func (r *Ring) FreeDescriptors() int { return r.numFree }
-
-// Kicks reports how many times the driver published new buffers.
-func (r *Ring) Kicks() uint64 { return r.kicks }
 
 // Completions reports how many buffers the device has pushed used.
 func (r *Ring) Completions() uint64 { return r.completions }
@@ -261,18 +255,6 @@ type ReapBatch struct {
 	in          [][]byte
 }
 
-// Reap collects at most max completed requests (all of them if max <= 0),
-// freeing their descriptors. Each call allocates a fresh result; hot loops
-// use ReapInto with a reused batch.
-func (r *Ring) Reap(max int) []Completion {
-	var b ReapBatch
-	r.ReapInto(&b, max)
-	if len(b.Completions) == 0 {
-		return nil
-	}
-	return b.Completions
-}
-
 // ReapInto harvests at most max completed requests (all if max <= 0) into
 // b, resetting it first, and returns how many were reaped. Each reply
 // buffer passes to the driver in its completion's In, and the descriptors
@@ -368,9 +350,6 @@ func (r *Ring) PopInto(c *Chain) (bool, error) {
 	}
 	return true, nil
 }
-
-// HasAvail reports whether a PopInto would find work (the poll predicate).
-func (r *Ring) HasAvail() bool { return r.lastAvailIdx != r.availIdx() }
 
 // Push completes a chain: it hands each reply buffer, in order, to the
 // chain's next empty device-writable descriptor, cut to the length the

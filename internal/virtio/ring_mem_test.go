@@ -455,7 +455,7 @@ func TestRingLoopedInChainFilledOnce(t *testing.T) {
 	if n := r.Push(c, reply); n != 64 {
 		t.Errorf("Push wrote %d bytes, want 64, the first in descriptor's", n)
 	}
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	if len(comps) != 1 || len(in1(comps[0])) != 64 || unsafe.SliceData(in1(comps[0])) != unsafe.SliceData(reply) {
 		t.Fatalf("reap = %+v, want the pushed slab cut to 64 bytes", comps)
 	}
@@ -487,7 +487,7 @@ func TestRingHandsBuffersOver(t *testing.T) {
 		t.Error("the device did not get the driver's slab")
 	}
 	r.Push(c, resp)
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	if len(comps) != 1 || unsafe.SliceData(in1(comps[0])) != unsafe.SliceData(resp) || len(in1(comps[0])) != len(resp) {
 		t.Error("the driver did not reap the device's slab")
 	}

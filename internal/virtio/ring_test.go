@@ -18,6 +18,14 @@ func mustRing(t *testing.T, qsize int) *Ring {
 	return r
 }
 
+// reap harvests at most max completions (all if max <= 0) into a fresh
+// batch, so the returned slice outlives later reaps.
+func reap(r *Ring, max int) []Completion {
+	var b ReapBatch
+	r.ReapInto(&b, max)
+	return b.Completions
+}
+
 // bufs is the out-buffer list of a request.
 func bufs(b ...[]byte) [][]byte { return b }
 
@@ -68,9 +76,9 @@ func TestRingEchoSingleSegment(t *testing.T) {
 		t.Errorf("Push wrote %d, want %d", n, len(reply))
 	}
 
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	if len(comps) != 1 {
-		t.Fatalf("Reap returned %d completions", len(comps))
+		t.Fatalf("reap returned %d completions", len(comps))
 	}
 	if comps[0].Head != head {
 		t.Errorf("completion head %d, want %d", comps[0].Head, head)
@@ -106,7 +114,7 @@ func TestRingMultiSegmentChain(t *testing.T) {
 	}
 	reply := bytes.Repeat([]byte{7}, 100)
 	r.Push(c, reply)
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	if len(comps) != 1 || !bytes.Equal(in1(comps[0]), reply) {
 		t.Error("multi-descriptor reply corrupted")
 	}
@@ -129,7 +137,7 @@ func TestRingPushTruncatesToCapacity(t *testing.T) {
 	if n != 10 {
 		t.Errorf("Push wrote %d, want truncation to 10", n)
 	}
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	if in := in1(comps[0]); len(in) != 10 || cap(in) != cap(reply) {
 		t.Errorf("driver got %d bytes of a %d-byte slab, want 10 of %d", len(in), cap(in), cap(reply))
 	}
@@ -149,7 +157,7 @@ func TestRingOutOnlyAndInOnly(t *testing.T) {
 	if n := r.Push(c, []byte("stray")); n != 0 {
 		t.Errorf("Push into an out-only chain wrote %d bytes", n)
 	}
-	if comps := r.Reap(0); len(comps) != 1 || len(comps[0].In) != 0 {
+	if comps := reap(r, 0); len(comps) != 1 || len(comps[0].In) != 0 {
 		t.Errorf("out-only completion = %+v, want no reply", comps)
 	}
 
@@ -162,7 +170,7 @@ func TestRingOutOnlyAndInOnly(t *testing.T) {
 		t.Error("in-only chain wrong")
 	}
 	r.Push(c, []byte("rx data"))
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	if string(in1(comps[0])) != "rx data" {
 		t.Errorf("rx data = %q", in1(comps[0]))
 	}
@@ -201,7 +209,7 @@ func TestRingFullBehaviour(t *testing.T) {
 	var c Chain
 	r.PopInto(&c)
 	r.Push(c)
-	r.Reap(0)
+	reap(r, 0)
 	if _, err := r.Add(bufs([]byte{9})); err != nil {
 		t.Errorf("Add after drain: %v", err)
 	}
@@ -227,7 +235,7 @@ func TestRingHeldChainsAreIndependent(t *testing.T) {
 		}
 		r.Push(held[i], []byte{byte(i + 1)})
 	}
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	for k, comp := range comps {
 		i := len(held) - 1 - k
 		if comp.Head != held[i].Head || !bytes.Equal(in1(comp), []byte{byte(i + 1)}) {
@@ -285,10 +293,10 @@ func TestRingOrderPreserved(t *testing.T) {
 		}
 		r.Push(c)
 	}
-	comps := r.Reap(0)
+	comps := reap(r, 0)
 	for i, comp := range comps {
 		if comp.Head != heads[i] {
-			t.Fatalf("Reap %d returned head %d, want %d", i, comp.Head, heads[i])
+			t.Fatalf("reap %d returned head %d, want %d", i, comp.Head, heads[i])
 		}
 	}
 }
@@ -305,11 +313,11 @@ func TestRingReapMax(t *testing.T) {
 		r.PopInto(&c)
 		r.Push(c)
 	}
-	if got := len(r.Reap(2)); got != 2 {
-		t.Errorf("Reap(2) returned %d", got)
+	if got := len(reap(r, 2)); got != 2 {
+		t.Errorf("reap(2) returned %d", got)
 	}
-	if got := len(r.Reap(0)); got != 3 {
-		t.Errorf("Reap(0) returned %d, want remaining 3", got)
+	if got := len(reap(r, 0)); got != 3 {
+		t.Errorf("reap(0) returned %d, want remaining 3", got)
 	}
 }
 
@@ -331,7 +339,7 @@ func TestRingIndexWraparound(t *testing.T) {
 			t.Fatalf("iter %d: corrupt request", i)
 		}
 		r.Push(c, []byte{c.Out[0][0]})
-		comps := r.Reap(0)
+		comps := reap(r, 0)
 		if len(comps) != 1 || in1(comps[0])[0] != byte(i) {
 			t.Fatalf("iter %d: corrupt completion", i)
 		}
@@ -351,7 +359,7 @@ func TestRingInFlight(t *testing.T) {
 	var c Chain
 	r.PopInto(&c)
 	r.Push(c)
-	r.Reap(0)
+	reap(r, 0)
 	if r.InFlight() != 1 {
 		t.Errorf("InFlight = %d, want 1", r.InFlight())
 	}
@@ -372,7 +380,7 @@ func TestRingReapUnknownHeadPanics(t *testing.T) {
 					t.Errorf("head %d: recovered %v, want %q", id, got, want)
 				}
 			}()
-			r.Reap(0)
+			reap(r, 0)
 		}()
 	}
 }
@@ -400,7 +408,7 @@ func TestRingEchoProperty(t *testing.T) {
 			return false
 		}
 		r.Push(c, c.Out[0])
-		comps := r.Reap(0)
+		comps := reap(r, 0)
 		if len(comps) != 1 || !bytes.Equal(in1(comps[0]), want) {
 			return false
 		}
@@ -442,7 +450,7 @@ func TestRingPollLoopSimulation(t *testing.T) {
 	if served != 5 {
 		t.Errorf("poll loop served %d, want 5", served)
 	}
-	if got := len(r.Reap(0)); got != 5 {
+	if got := len(reap(r, 0)); got != 5 {
 		t.Errorf("driver reaped %d, want 5", got)
 	}
 }

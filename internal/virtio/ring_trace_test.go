@@ -8,7 +8,7 @@ import (
 )
 
 // TestRingTraceSpans exercises the ring's guest_ring instrumentation: one
-// span per request, opened at Add and closed at Reap, carrying the chain
+// span per request, opened at Add and closed at ReapInto, carrying the chain
 // head as the correlation arg.
 func TestRingTraceSpans(t *testing.T) {
 	e := sim.NewEngine()
@@ -34,8 +34,8 @@ func TestRingTraceSpans(t *testing.T) {
 		r.Push(c)
 	})
 	e.At(700, func() {
-		if got := r.Reap(0); len(got) != 1 || got[0].Head != head {
-			t.Fatalf("Reap = %+v", got)
+		if got := reap(r, 0); len(got) != 1 || got[0].Head != head {
+			t.Fatalf("reap = %+v", got)
 		}
 	})
 	e.Run()
@@ -67,8 +67,8 @@ func TestRingNilTracerUntouched(t *testing.T) {
 		t.Fatal("PopInto found nothing")
 	}
 	r.Push(c)
-	if got := r.Reap(0); len(got) != 1 {
-		t.Fatalf("Reap = %+v", got)
+	if got := reap(r, 0); len(got) != 1 {
+		t.Fatalf("reap = %+v", got)
 	}
 	if r.Tracer.NumSpans() != 0 {
 		t.Error("nil tracer recorded spans")

@@ -187,9 +187,6 @@ func NewWebserver(eng *sim.Engine, vcpu *guestos.VCPU, dev BlockIO, cfg Webserve
 	return w
 }
 
-// FileCount reports how many files fit the device.
-func (w *Webserver) FileCount() int { return len(w.fileSectors) }
-
 // Start spawns the webserver threads.
 func (w *Webserver) Start() {
 	for i := 0; i < w.cfg.Threads; i++ {

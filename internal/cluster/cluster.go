@@ -29,7 +29,8 @@ import (
 // flightCapacity bounds each shard's flight-recorder ring. 256 entries is
 // plenty to cover the events leading up to an anomaly (a heartbeat-miss
 // sequence, a burst of no-route drops) while keeping the recorder's memory
-// fixed regardless of run length.
+// fixed regardless of run length; a testbed that records nothing allocates
+// none of it.
 const flightCapacity = 256
 
 // MAC numbering plan.

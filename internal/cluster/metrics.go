@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"fmt"
+	"strconv"
 
 	"vrio/internal/cpu"
 	"vrio/internal/iohyp"
@@ -29,14 +29,14 @@ var iohypCounterNames = []string{
 func (tb *Testbed) registerMetrics() {
 	r := tb.Metrics
 	for i, g := range tb.Guests {
-		comp := fmt.Sprintf("vm%d", i)
+		comp := "vm" + strconv.Itoa(i)
 		vm := g.VM
 		for _, name := range vmCounterNames {
 			r.Gauge(comp, name, func() float64 { return float64(vm.Counters.Get(name)) })
 		}
 	}
 	for i, sc := range tb.Sidecores {
-		comp := fmt.Sprintf("sidecore%d", i)
+		comp := "sidecore" + strconv.Itoa(i)
 		r.Gauge(comp, "busy_ns", func() float64 { return float64(sc.BusyTime()) })
 		r.Gauge(comp, "poll_ns", func() float64 { return float64(sc.Accounted(cpu.KindPoll)) })
 		sc.Wait = r.Histogram(comp, "wait_ns")
@@ -52,17 +52,17 @@ func (tb *Testbed) registerMetrics() {
 		registerIOhyp(r, IOhypComponent(i), h)
 	}
 	for i, dev := range tb.BlockDevices {
-		comp := fmt.Sprintf("blkdev%d", i)
+		comp := "blkdev" + strconv.Itoa(i)
 		r.Gauge(comp, "served", func() float64 { return float64(dev.Served) })
 		r.Gauge(comp, "queue", func() float64 { return float64(dev.QueueLen()) })
 		r.Gauge(comp, "inflight", func() float64 { return float64(dev.InFlight()) })
 	}
 	for i, s := range tb.BlockSchedulers {
-		comp := fmt.Sprintf("blkdev%d", i)
+		comp := "blkdev" + strconv.Itoa(i)
 		r.Gauge(comp, "deferred", func() float64 { return float64(s.Deferred) })
 	}
 	for i, c := range tb.VRIOClients {
-		comp := fmt.Sprintf("vm%d-vf", i)
+		comp := "vm" + strconv.Itoa(i) + "-vf"
 		// Read through the client: migration swaps the port, and the gauge
 		// should follow the VF the client currently transmits on.
 		r.Gauge(comp, "rx_frames", func() float64 { return float64(c.Port.VF().RxFrames) })
@@ -72,16 +72,16 @@ func (tb *Testbed) registerMetrics() {
 	if tb.Spec.BlkQueues > 1 {
 		for i, c := range tb.VRIOClients {
 			i, c := i, c
-			comp := fmt.Sprintf("vm%d-blkq", i)
+			comp := "vm" + strconv.Itoa(i) + "-blkq"
 			for q := 0; q < tb.Spec.BlkQueues; q++ {
 				q := q
 				// Read through the serving IOhost: a re-home moves the
 				// registration (and its queue tables) to the survivor.
-				r.Gauge(comp, fmt.Sprintf("q%d_depth", q), func() float64 {
+				r.Gauge(comp, "q"+strconv.Itoa(q)+"_depth", func() float64 {
 					hyp := tb.IOHyps[tb.ClientIOhost[i]]
 					return float64(hyp.BlkQueueDepth(c.TransportMAC(), c.BlkDeviceID(), q))
 				})
-				r.Gauge(comp, fmt.Sprintf("q%d_worker", q), func() float64 {
+				r.Gauge(comp, "q"+strconv.Itoa(q)+"_worker", func() float64 {
 					hyp := tb.IOHyps[tb.ClientIOhost[i]]
 					return float64(hyp.BlkQueueWorker(c.TransportMAC(), c.BlkDeviceID(), q))
 				})
@@ -118,7 +118,7 @@ func IOhypComponent(i int) string {
 	if i == 0 {
 		return "iohyp"
 	}
-	return fmt.Sprintf("iohyp%d", i+1)
+	return "iohyp" + strconv.Itoa(i+1)
 }
 
 // registerIOhyp publishes one I/O hypervisor's counters, channel drops, and

@@ -27,9 +27,10 @@ const (
 type netQueues struct {
 	tx *virtio.Ring
 	rx *virtio.Ring
-	// rxFree are host-side pre-popped guest buffers awaiting frames, filled
-	// oldest first.
-	rxFree sim.FIFO[virtio.Chain]
+	// rxFree are the heads of host-side pre-popped guest buffers awaiting
+	// frames, filled oldest first (an rx chain is one writable descriptor
+	// and carries no out buffer). It holds at most rxBuffers.
+	rxFree sim.FIFO[uint16]
 	// RxDrops counts frames dropped for want of guest rx buffers.
 	RxDrops uint64
 	// reap is the reusable completion batch (TX and RX reaps are fully
@@ -51,27 +52,15 @@ func newNetQueues() *netQueues {
 	if err != nil {
 		panic(err)
 	}
-	q := &netQueues{tx: tx, rx: rx}
+	q := &netQueues{tx: tx, rx: rx, rxFree: sim.NewFIFO[uint16](rxBuffers)}
 	q.stockRx(rxBuffers)
 	return q
 }
 
 // stockRx posts n empty receive buffers (guest side) and pre-pops them
-// (host side) so the host can fill them on frame arrival.
-func (q *netQueues) stockRx(n int) {
-	for i := 0; i < n; i++ {
-		if _, err := q.rx.Add(nil, rxBufferLen); err != nil {
-			break // ring full: stop stocking
-		}
-	}
-	for {
-		var c virtio.Chain
-		if ok, err := q.rx.PopInto(&c); err != nil || !ok {
-			break
-		}
-		q.rxFree.Push(c)
-	}
-}
+// (host side) so the host can fill them on frame arrival; a full ring
+// stocks fewer.
+func (q *netQueues) stockRx(n int) { q.rx.StockIn(n, rxBufferLen, q.rxFree.Push) }
 
 // guestSend hands an encoded frame, a pool slab, to the TX ring, one
 // descriptor per page. It reports whether the ring had room (a full ring
@@ -120,7 +109,7 @@ func (q *netQueues) hostDeliver(frame []byte) bool {
 		q.RxDrops++
 		return false
 	}
-	q.rx.Push(q.rxFree.Pop(), frame)
+	q.rx.Push(virtio.Chain{Head: q.rxFree.Pop()}, frame)
 	return true
 }
 

@@ -116,15 +116,24 @@ func (s Server) GbpsTotal() float64 {
 func (s Server) MemoryGB() int { return s.DIMM8*8 + s.DIMM16*16 }
 
 // The four Table 1 configurations.
+
+// ElvisServer is the Elvis host: VMs and their sidecores on one server.
 func ElvisServer() Server {
 	return Server{Name: "elvis", CPUs: 4, DIMM16: 18, NIC10DP: 2, GbpsRequired: 26.72}
 }
+
+// VMHostServer is a vRIO VMhost, whose I/O leaves over one dual-port
+// 40 GbE NIC.
 func VMHostServer() Server {
 	return Server{Name: "vmhost", CPUs: 4, DIMM8: 2, DIMM16: 26, NIC40DP: 1, GbpsRequired: 40.08}
 }
+
+// LightIOHostServer is the 2-CPU IOhost serving two VMhosts.
 func LightIOHostServer() Server {
 	return Server{Name: "light-iohost", CPUs: 2, DIMM8: 8, NIC40DP: 2, GbpsRequired: 160.31}
 }
+
+// HeavyIOHostServer is the 4-CPU IOhost serving four VMhosts.
 func HeavyIOHostServer() Server {
 	return Server{Name: "heavy-iohost", CPUs: 4, DIMM8: 8, NIC40DP: 4, GbpsRequired: 320.63}
 }

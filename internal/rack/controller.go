@@ -61,6 +61,7 @@ const (
 	EventRackDark
 )
 
+// String names the kind as events and flight records print it.
 func (k EventKind) String() string {
 	switch k {
 	case EventDetect:

@@ -29,6 +29,7 @@ func Placement(p Policy, numIOhosts int) func(host, vm int) int {
 // heal.
 type Static int
 
+// Place returns IOhost s, which must exist.
 func (s Static) Place(_, _, numIOhosts int) int {
 	if int(s) < 0 || int(s) >= numIOhosts {
 		panic(fmt.Sprintf("rack: Static(%d) out of range [0,%d)", int(s), numIOhosts))
@@ -39,6 +40,7 @@ func (s Static) Place(_, _, numIOhosts int) int {
 // RoundRobin spreads devices across IOhosts in guest build order.
 type RoundRobin struct{ next int }
 
+// Place returns the IOhost after the one it returned last, wrapping.
 func (r *RoundRobin) Place(_, _, numIOhosts int) int {
 	io := r.next % numIOhosts
 	r.next++

@@ -15,6 +15,12 @@ type FIFO[T any] struct {
 	head int
 }
 
+// NewFIFO returns an empty queue with room for capacity items, so one
+// whose occupancy never exceeds that never grows.
+func NewFIFO[T any](capacity int) FIFO[T] {
+	return FIFO[T]{q: make([]T, 0, capacity)}
+}
+
 // Len reports the number of queued items.
 func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
 

@@ -1,7 +1,6 @@
 // Package stats provides the measurement primitives used across the vRIO
-// reproduction: streaming moments, log-bucketed latency histograms with
-// percentile queries (Table 4), named counters (Table 3), and time-series
-// samplers (Figure 15).
+// reproduction: log-bucketed latency histograms with percentile queries
+// (Table 4), named counters (Table 3), and time-series samplers (Figure 15).
 //
 // Histogram.Record and Counters.Inc run for every exit, interrupt and
 // sidecore work item a simulated packet causes, so both are hash-free and,

@@ -6,28 +6,6 @@ import (
 	"strings"
 )
 
-// Mean is a streaming mean/variance accumulator (Welford's algorithm).
-// The zero value is ready to use.
-type Mean struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (m *Mean) Add(v float64) {
-	m.n++
-	d := v - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (v - m.mean)
-}
-
-// N reports the number of observations.
-func (m *Mean) N() uint64 { return m.n }
-
-// Mean reports the arithmetic mean, or 0 with no observations.
-func (m *Mean) Mean() float64 { return m.mean }
-
 // Counters is a set of named monotonically increasing counters, used for the
 // Table 3 exit/interrupt accounting. The zero value is ready to use.
 //

@@ -1,41 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
-
-func TestMeanBasics(t *testing.T) {
-	var m Mean
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		m.Add(v)
-	}
-	if m.N() != 8 {
-		t.Errorf("N = %d", m.N())
-	}
-	if m.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", m.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(m.Variance()-32.0/7.0) > 1e-9 {
-		t.Errorf("Variance = %v, want %v", m.Variance(), 32.0/7.0)
-	}
-}
-
-func TestMeanEmpty(t *testing.T) {
-	var m Mean
-	if m.Mean() != 0 || m.Variance() != 0 {
-		t.Error("empty Mean should report zeros")
-	}
-}
-
-func TestMeanSingleObservation(t *testing.T) {
-	var m Mean
-	m.Add(10)
-	if m.Variance() != 0 {
-		t.Errorf("Variance with n=1 = %v, want 0", m.Variance())
-	}
-}
+import "testing"
 
 func TestCounters(t *testing.T) {
 	var c Counters

@@ -12,7 +12,8 @@ import (
 // Flight recorder: a bounded ring of recent noteworthy events, always on.
 // Full tracing costs memory proportional to run length, so fabric runs keep
 // it off by default — the flight recorder is the cheap middle ground: fixed
-// capacity, zero allocation per record after construction, one per shard
+// capacity, allocated by the first record and none per record after it, so a
+// run that records nothing pays for no ring; one per shard
 // (single-threaded like everything else in a cell). When an anomaly fires
 // (dark rack, no-route storm, heartbeat miss), the rollup snapshots the
 // ring, so post-mortems get the last-N events leading up to the anomaly
@@ -32,7 +33,8 @@ type FlightEntry struct {
 // the disabled recorder: Record on nil is an inlined no-op, matching the
 // nil-*Tracer convention.
 type FlightRecorder struct {
-	buf   []FlightEntry
+	buf   []FlightEntry // nil until the first Record, then capacity size
+	size  int
 	next  int    // index the next Record writes
 	total uint64 // entries ever recorded
 }
@@ -42,14 +44,17 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		panic("trace: non-positive flight recorder capacity")
 	}
-	return &FlightRecorder{buf: make([]FlightEntry, 0, capacity)}
+	return &FlightRecorder{size: capacity}
 }
 
-// Record appends an entry, evicting the oldest once the ring is full. No
-// allocation after the ring fills; safe on a nil recorder.
+// Record appends an entry, evicting the oldest once the ring is full. Only
+// the first Record allocates; safe on a nil recorder.
 func (f *FlightRecorder) Record(t sim.Time, kind, name string, arg uint64) {
 	if f == nil {
 		return
+	}
+	if f.buf == nil {
+		f.buf = make([]FlightEntry, 0, f.size)
 	}
 	e := FlightEntry{T: t, Kind: kind, Name: name, Arg: arg}
 	if len(f.buf) < cap(f.buf) {

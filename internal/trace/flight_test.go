@@ -54,6 +54,19 @@ func TestFlightRecorderZeroAllocWhenFull(t *testing.T) {
 	}
 }
 
+// A recorder allocates its ring on the first Record: one that never
+// records, as on most testbeds, holds none and reads as empty.
+func TestFlightRecorderRingOnFirstRecord(t *testing.T) {
+	f := NewFlightRecorder(256)
+	if f.buf != nil || f.Entries() != nil || f.Total() != 0 || f.Dropped() != 0 {
+		t.Fatal("an unused recorder must hold no ring and report nothing")
+	}
+	f.Record(1, "k", "n", 0)
+	if cap(f.buf) != 256 || len(f.Entries()) != 1 {
+		t.Errorf("after one Record: ring capacity %d, %d entries; want 256, 1", cap(f.buf), len(f.Entries()))
+	}
+}
+
 func TestFlightRecorderNilIsDisabled(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(1, "k", "n", 0) // must not panic

@@ -23,8 +23,12 @@ import (
 // simulation cell, a Registry is single-threaded by design.
 type Registry struct {
 	metrics []*Metric
-	index   map[string]*Metric
+	index   map[metricKey]*Metric
 }
+
+// metricKey indexes a metric by its two name parts, so neither registering
+// nor looking one up builds its full name.
+type metricKey struct{ component, name string }
 
 // MetricKind discriminates the three metric flavors.
 type MetricKind uint8
@@ -50,8 +54,33 @@ type Metric struct {
 	hist  *stats.Histogram
 }
 
-// FullName is "component/name", the registry key and export column name.
+// FullName is "component/name", the export column name.
 func (m *Metric) FullName() string { return m.Component + "/" + m.Name }
+
+// fullNameLess orders a before b by FullName without building either.
+func fullNameLess(a, b *Metric) bool {
+	if a.Component == b.Component {
+		return a.Name < b.Name
+	}
+	la, lb := len(a.Component)+1+len(a.Name), len(b.Component)+1+len(b.Name)
+	for i := 0; i < la && i < lb; i++ {
+		if x, y := a.fullNameByte(i), b.fullNameByte(i); x != y {
+			return x < y
+		}
+	}
+	return la < lb
+}
+
+// fullNameByte is FullName()[i].
+func (m *Metric) fullNameByte(i int) byte {
+	switch {
+	case i < len(m.Component):
+		return m.Component[i]
+	case i == len(m.Component):
+		return '/'
+	}
+	return m.Name[i-len(m.Component)-1]
+}
 
 // Add increments a counter metric.
 func (m *Metric) Add(delta uint64) { m.count += delta }
@@ -74,13 +103,13 @@ func (m *Metric) Hist() *stats.Histogram { return m.hist }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{index: make(map[string]*Metric)}
+	return &Registry{index: make(map[metricKey]*Metric)}
 }
 
 func (r *Registry) add(m *Metric) *Metric {
-	key := m.FullName()
+	key := metricKey{m.Component, m.Name}
 	if _, dup := r.index[key]; dup {
-		panic("trace: duplicate metric " + key)
+		panic("trace: duplicate metric " + m.FullName())
 	}
 	r.index[key] = m
 	r.metrics = append(r.metrics, m)
@@ -119,13 +148,13 @@ func (r *Registry) ObserveHistogram(component, name string, h *stats.Histogram) 
 
 // Get returns the metric registered under component/name, or nil.
 func (r *Registry) Get(component, name string) *Metric {
-	return r.index[component+"/"+name]
+	return r.index[metricKey{component, name}]
 }
 
 // Value reads component/name's current value (0 if not registered, so
 // experiments can read model-specific metrics uniformly).
 func (r *Registry) Value(component, name string) float64 {
-	m := r.index[component+"/"+name]
+	m := r.index[metricKey{component, name}]
 	if m == nil {
 		return 0
 	}
@@ -153,7 +182,7 @@ func (r *Registry) Snapshot() []Sample {
 
 func (r *Registry) sorted() []*Metric {
 	ms := append([]*Metric{}, r.metrics...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i].FullName() < ms[j].FullName() })
+	sort.Slice(ms, func(i, j int) bool { return fullNameLess(ms[i], ms[j]) })
 	return ms
 }
 

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -216,6 +218,33 @@ func TestRegistrySnapshotAndValue(t *testing.T) {
 	for i, s := range snap {
 		if s.Component != order[i] {
 			t.Errorf("snapshot[%d] = %s, want component %s", i, s.Component, order[i])
+		}
+	}
+}
+
+// Snapshots and timeseries sort by full name, byte for byte, though the
+// registry never builds one to sort: a component that prefixes another
+// sorts by the byte after the prefix against '/', and a component may hold
+// a '/' itself.
+func TestRegistrySortsByFullName(t *testing.T) {
+	r := NewRegistry()
+	parts := [][2]string{
+		{"vm1", "x"}, {"vm1-vf", "a"}, {"vm10", "a"}, {"vm1", "a/b"}, {"vm", "z"},
+		{"vm/1", "a"}, {"vm.1", "a"}, {"vm0", "y"}, {"loadgen/server", "drops"},
+		{"loadgen", "w"}, {"loadgen/w0", "sent"}, {"a", "b"}, {"a", "bc"}, {"ab", ""},
+	}
+	var want []string
+	for _, p := range parts {
+		r.Counter(p[0], p[1])
+		want = append(want, p[0]+"/"+p[1])
+	}
+	sort.Strings(want)
+	if got := r.NewTimeseries().Names; !slices.Equal(got, want) {
+		t.Errorf("timeseries names %q, want %q", got, want)
+	}
+	for i, s := range r.Snapshot() {
+		if s.Component+"/"+s.Name != want[i] {
+			t.Errorf("snapshot[%d] = %s/%s, want %s", i, s.Component, s.Name, want[i])
 		}
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"vrio/internal/trace"
 )
 
 // Descriptor flags, as in the virtio spec.
@@ -56,7 +54,9 @@ var (
 type Ring struct {
 	qsize int
 
-	// Shared memory regions.
+	// Shared memory regions, laid out as a split virtqueue in guest memory
+	// and carved from one allocation with the driver's posted flags after
+	// them.
 	desc  []byte // descriptor table: qsize * descSize
 	avail []byte // avail ring: hdr + qsize * 2
 	used  []byte // used ring: hdr + qsize * usedElemSize
@@ -66,29 +66,16 @@ type Ring struct {
 	// (The addr field stays zero.)
 	bufs [][]byte
 
-	// Driver-private state. posted and spans are indexed by chain head:
-	// whether a request is in flight, and its guest_ring span.
+	// Driver-private state. posted holds one bit per chain head, set while
+	// the request that head starts is in flight.
 	freeHead    uint16
 	numFree     int
 	lastUsedIdx uint16
-	posted      []bool
-	spans       []trace.SpanID
+	posted      []byte
 	inFlight    int
 
 	// Device-private state.
 	lastAvailIdx uint16
-
-	// Statistics.
-	kicks       uint64
-	completions uint64
-
-	// Tracer, when non-nil, records a guest_ring span per request from Add
-	// to ReapInto, named SpanName with the chain head as the correlation arg.
-	// Rings owned by the baseline/Elvis hosts leave this nil; the vRIO
-	// model's ring-equivalent submission point is the transport driver,
-	// which does its own tracing.
-	Tracer   *trace.Tracer
-	SpanName string
 }
 
 // NewRing builds a virtqueue with qsize descriptors. qsize must be a power
@@ -98,16 +85,24 @@ func NewRing(qsize int) (*Ring, error) {
 		return nil, fmt.Errorf("virtio: queue size %d must be a power of two in [%d, %d]",
 			qsize, minQueueSize, maxQueueSize)
 	}
+	d := qsize * descSize
+	a := d + ringHdrSize + qsize*2
+	u := a + ringHdrSize + qsize*usedElemSize
+	mem := make([]byte, u+(qsize+7)/8)
 	r := &Ring{
 		qsize:  qsize,
-		desc:   make([]byte, qsize*descSize),
-		avail:  make([]byte, ringHdrSize+qsize*2),
-		used:   make([]byte, ringHdrSize+qsize*usedElemSize),
+		desc:   mem[:d:d],
+		avail:  mem[d:a:a],
+		used:   mem[a:u:u],
+		posted: mem[u:],
 		bufs:   make([][]byte, qsize),
-		posted: make([]bool, qsize),
-		spans:  make([]trace.SpanID, qsize),
 	}
-	r.freeAll()
+	// The table is zeroed: chaining the free list takes only the next
+	// fields.
+	for i := 0; i < qsize; i++ {
+		binary.LittleEndian.PutUint16(r.desc[i*descSize+14:], uint16(i+1))
+	}
+	r.numFree = qsize
 	return r, nil
 }
 
@@ -124,9 +119,6 @@ func (r *Ring) freeAll() {
 
 // QueueSize reports the number of descriptors.
 func (r *Ring) QueueSize() int { return r.qsize }
-
-// Completions reports how many buffers the device has pushed used.
-func (r *Ring) Completions() uint64 { return r.completions }
 
 // --- raw shared-memory accessors ---
 
@@ -222,17 +214,44 @@ func (r *Ring) Add(out [][]byte, in ...int) (uint16, error) {
 		}
 	}
 	r.numFree -= total
-	r.spans[head] = r.Tracer.BeginArg(trace.CatGuestRing, r.SpanName, 0, uint64(head))
-	r.posted[head] = true
-	r.inFlight++
+	r.publish(head)
+	return head, nil
+}
 
-	// Publish: write head into the avail ring, then bump idx (the memory
-	// barrier in real hardware; ordering is trivially preserved here).
+// publish marks the chain at head in flight and writes it into the avail
+// ring, then bumps idx (the memory barrier in real hardware; ordering is
+// trivially preserved here).
+func (r *Ring) publish(head uint16) {
+	r.posted[head/8] |= 1 << (head % 8)
+	r.inFlight++
 	idx := r.availIdx()
 	r.setAvailEntry(idx, head)
 	r.setAvailIdx(idx + 1)
-	r.kicks++
-	return head, nil
+}
+
+// StockIn posts up to n requests of one device-writable descriptor of size
+// bytes each and pops them for the device at once, handing take each
+// head, oldest first. It leaves the ring as n calls of Add(nil, size), then
+// as many of PopInto, would, and returns how many it posted: fewer than n
+// when the free descriptors run out. Receive buffers are stocked this way.
+// The device must have popped every earlier request, and size must be
+// positive.
+func (r *Ring) StockIn(n, size int, take func(head uint16)) int {
+	if size <= 0 || r.lastAvailIdx != r.availIdx() {
+		panic("virtio: StockIn needs a positive size and a drained avail ring")
+	}
+	n = min(n, r.numFree)
+	r.numFree -= n
+	for i := 0; i < n; i++ {
+		head := r.freeHead
+		_, _, r.freeHead = r.readDesc(head)
+		r.writeDesc(head, uint32(size), descFlagWrite, 0)
+		r.bufs[head] = nil
+		r.publish(head)
+		r.lastAvailIdx++
+		take(head)
+	}
+	return n
 }
 
 // Completion is one finished request as seen by the driver.
@@ -269,13 +288,12 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 		id, _ := r.usedEntry(r.lastUsedIdx)
 		r.lastUsedIdx++
 		head := uint16(id)
-		if int(head) >= r.qsize || !r.posted[head] {
+		if int(head) >= r.qsize || r.posted[head/8]&(1<<(head%8)) == 0 {
 			// The device completed something we never posted: protocol bug.
 			panic(fmt.Sprintf("virtio: used entry for unknown head %d", head))
 		}
-		r.posted[head] = false
+		r.posted[head/8] &^= 1 << (head % 8)
 		r.inFlight--
-		r.Tracer.End(r.spans[head])
 		start := len(b.in)
 		d := head
 		for hops := 0; hops < r.qsize; hops++ {
@@ -383,6 +401,5 @@ func (r *Ring) Push(c Chain, bufs ...[]byte) int {
 	idx := r.usedIdx()
 	r.setUsedEntry(idx, uint32(c.Head), uint32(written))
 	r.setUsedIdx(idx + 1)
-	r.completions++
 	return written
 }

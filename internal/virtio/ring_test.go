@@ -344,8 +344,8 @@ func TestRingIndexWraparound(t *testing.T) {
 			t.Fatalf("iter %d: corrupt completion", i)
 		}
 	}
-	if r.Kicks() != 10000 || r.Completions() != 10000 {
-		t.Errorf("kicks=%d completions=%d", r.Kicks(), r.Completions())
+	if r.InFlight() != 0 || r.FreeDescriptors() != r.QueueSize() {
+		t.Errorf("InFlight=%d free=%d, want 0 and %d", r.InFlight(), r.FreeDescriptors(), r.QueueSize())
 	}
 }
 

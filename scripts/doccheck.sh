@@ -1,18 +1,12 @@
 #!/usr/bin/env bash
 # doccheck: the documentation gate `make check` runs.
 #
-# 1. Every exported top-level symbol (func, method, type, var, const) in the
-#    audited packages must carry a doc comment on the preceding line. They
-#    are internal/blockdev, internal/iohyp, internal/cluster,
-#    internal/virtio and internal/core; the packages whose doc comments
-#    carry the buffer and frame ownership contracts: internal/bufpool,
-#    internal/transport, internal/ethernet, internal/nic, internal/sim;
-#    internal/experiments, whose Grid and Claim docs define how an
-#    experiment and the paper's claims about it are declared; and
-#    internal/workload and the root package (vrio.go), whose docs define the
-#    §5 workloads and what their summaries report. This is a grep-level
-#    gate, not a full go/doc parse: it catches the common case (a bare
-#    exported declaration) cheaply and deterministically.
+# 1. Every exported top-level symbol (func, method, type, var, const) in
+#    every internal/ package and the root package (vrio.go) must carry a
+#    doc comment on the preceding line. The package list is read from
+#    internal/*/, so a new package is audited from its first commit. This
+#    is a grep-level gate, not a full go/doc parse: it catches the common
+#    case (a bare exported declaration) cheaply and deterministically.
 # 2. README.md's architecture map must mention every internal/ package, so a
 #    new package cannot land without a row in the map.
 # 3. No dead public surface: an exported function, method or constant in a
@@ -31,9 +25,8 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-for pkg in internal/blockdev internal/iohyp internal/cluster internal/virtio internal/core \
-  internal/bufpool internal/transport internal/ethernet internal/nic internal/sim \
-  internal/experiments internal/workload .; do
+for pkg in internal/*/ .; do
+  pkg=${pkg%/}
   for f in "$pkg"/*.go; do
     case "$f" in
       *_test.go) continue ;;

@@ -1,7 +1,9 @@
 # Developer targets. `make check` is the full gate: build, vet, tests (the
-# engine's zero-allocation guards and the seed corpus of FuzzEngineSchedule
-# among them), the race detector over every package (once) — the parallel
-# experiment scheduler must stay race-clean — every zero-allocation guard
+# engine's zero-allocation guards, the seed corpus of FuzzEngineSchedule and
+# TestClaimsFull, every paper claim on a full-length run, among them), the
+# race detector over every package (once; it skips TestClaimsFull and runs
+# every experiment through the quick run) — the parallel experiment
+# scheduler must stay race-clean — every zero-allocation guard
 # with its microbenchmarks (`bench-guards`), doccheck, the loopback smoke
 # test, vet and tests of the vriobench module, and gofmt. The root module's
 # `go build ./...` does not compile vriobench/, so its own step is what
@@ -15,6 +17,8 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# Runs TestClaimsFull: every claim checked on a full-length run of every
+# experiment (about 10 s on 2 CPUs; `-short` skips it).
 test:
 	$(GO) test ./...
 
@@ -24,7 +28,9 @@ vet:
 # The experiment scheduler fans simulation cells across goroutines; any
 # shared mutable state a future experiment sneaks in must fail here. Race
 # builds also turn on bufpool's ownership checks: a free-list item or a slab
-# put twice, and a slab written after PutRaw, panic.
+# put twice, and a slab written after PutRaw, panic. Race builds skip
+# TestClaimsFull (several times slower there); TestClaimsQuick's quick run
+# covers the same experiments.
 race:
 	$(GO) test -race ./...
 

@@ -274,8 +274,25 @@ func (s Spec) Validate() error {
 		if s.VolQuorum > s.VolReplicas {
 			return fmt.Errorf("cluster: VolQuorum (%d) cannot exceed VolReplicas (%d)", s.VolQuorum, s.VolReplicas)
 		}
+		if s.NumIOhosts > 64 {
+			return errors.New("cluster: volumes support at most 64 IOhosts (MAC plan and rebuild bitmask)")
+		}
+		return s.volumeSpec().Validate()
 	}
 	return nil
+}
+
+// volumeSpec is the distributed volume each guest gets when VolReplicas > 0:
+// extents striped across every IOhost.
+func (s *Spec) volumeSpec() blockdev.VolumeSpec {
+	return blockdev.VolumeSpec{
+		Stripes:         s.NumIOhosts,
+		Replicas:        s.VolReplicas,
+		WriteQuorum:     s.VolQuorum,
+		ExtentSectors:   volExtentSectors,
+		CapacitySectors: volCapacitySectors,
+		Queues:          s.VolQueues,
+	}
 }
 
 // Build assembles the testbed on a fresh engine.
@@ -351,7 +368,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 	switch spec.Model {
 	case core.ModelOptimum:
 		tb.buildLocal(nicCfg, func(hostIdx int, hostNIC *nic.NIC) localHost {
-			h := core.NewOptimumHost(tb.Eng, p, fmt.Sprintf("vmhost%d", hostIdx), hostNIC)
+			h := core.NewOptimumHost(tb.Eng, p, hostNIC)
 			return localHost{addVM: func(id int, c *cpu.Core, mac ethernet.MAC, _ blockdev.Backend, _, _ *interpose.Chain) *core.Guest {
 				return h.AddVM(id, c, mac)
 			}}
@@ -360,7 +377,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 		tb.buildLocal(nicCfg, func(hostIdx int, hostNIC *nic.NIC) localHost {
 			ioCore := cpu.New(tb.Eng, fmt.Sprintf("vmhost%d-io", hostIdx), p.ContextSwitchCost)
 			tb.IOCores = append(tb.IOCores, ioCore)
-			h := core.NewBaselineHost(tb.Eng, p, fmt.Sprintf("vmhost%d", hostIdx), ioCore, hostNIC)
+			h := core.NewBaselineHost(tb.Eng, p, ioCore, hostNIC)
 			return localHost{addVM: h.AddVM}
 		})
 	case core.ModelElvis:
@@ -371,7 +388,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 				sides = append(sides, sc)
 				tb.Sidecores = append(tb.Sidecores, sc)
 			}
-			h := core.NewElvisHost(tb.Eng, p, fmt.Sprintf("vmhost%d", hostIdx), sides, hostNIC, spec.Seed+uint64(hostIdx))
+			h := core.NewElvisHost(tb.Eng, p, sides, hostNIC, spec.Seed+uint64(hostIdx))
 			return localHost{addVM: h.AddVM}
 		})
 	case core.ModelVRIO, core.ModelVRIONoPoll:
@@ -547,7 +564,7 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 		}
 
 		ch0 := tb.channels[0][hostIdx]
-		host := core.NewVRIOHost(tb.Eng, p, fmt.Sprintf("vmhost%d", hostIdx), ch0.vmhostNIC, ch0.iohostMAC)
+		host := core.NewVRIOHost(tb.Eng, p, ch0.vmhostNIC, ch0.iohostMAC)
 		host.Tracer = tb.Tracer
 		for v := 0; v < spec.VMsPerHost; v++ {
 			vmCore := cpu.New(tb.Eng, fmt.Sprintf("vm%d-core", vmID), p.ContextSwitchCost)
@@ -633,20 +650,7 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 func (tb *Testbed) buildGuestVolume(hostIdx, vmID int) {
 	spec := tb.Spec
 	p := tb.P
-	if spec.NumIOhosts > 64 {
-		panic("cluster: volumes support at most 64 IOhosts (MAC plan and rebuild bitmask)")
-	}
-	vspec := blockdev.VolumeSpec{
-		Stripes:         spec.NumIOhosts,
-		Replicas:        spec.VolReplicas,
-		WriteQuorum:     spec.VolQuorum,
-		ExtentSectors:   volExtentSectors,
-		CapacitySectors: volCapacitySectors,
-		Queues:          spec.VolQueues,
-	}
-	if err := vspec.Validate(); err != nil {
-		panic(err)
-	}
+	vspec := spec.volumeSpec()
 	// Vol device ids live far above the net/blk ids (2*vm, 2*vm+1) so the
 	// id spaces can never collide on a shared IOhost registration map.
 	volID := uint16(0x4000 + vmID)

@@ -97,6 +97,12 @@ func TestSpecValidate(t *testing.T) {
 		{"VolQuorum past VolReplicas", Spec{Model: core.ModelVRIO, NumIOhosts: 3, VolReplicas: 2, VolQuorum: 7},
 			"VolQuorum (7) cannot exceed VolReplicas (2)"},
 		{"VolQuorum defaults to write-all", Spec{Model: core.ModelVRIO, NumIOhosts: 3, VolReplicas: 3}, ""},
+		{"VolQueues past one byte", Spec{Model: core.ModelVRIO, VolReplicas: 1, VolQueues: 300},
+			"queues must be in [1, 256]"},
+		{"negative VolQuorum", Spec{Model: core.ModelVRIO, VolReplicas: 1, VolQuorum: -1},
+			"write quorum must be in [1, replicas"},
+		{"volume past 64 IOhosts", Spec{Model: core.ModelVRIO, NumIOhosts: 65, VolReplicas: 1},
+			"volumes support at most 64 IOhosts"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -185,46 +191,90 @@ func TestRRElvisVrioCrossover(t *testing.T) {
 	}
 }
 
+// TestTable3EventCounts pins Table 3's events per operation for each
+// model's net device (a netperf RR transaction) and block device (a
+// closed-loop 4 KiB write).
 func TestTable3EventCounts(t *testing.T) {
 	type want struct {
 		exits, guestIRQ, inject, hostIRQ uint64
 	}
-	cases := map[core.ModelName]want{
-		core.ModelOptimum:  {0, 2, 0, 0},
-		core.ModelVRIO:     {0, 2, 0, 0},
-		core.ModelElvis:    {0, 2, 0, 2},
-		core.ModelBaseline: {3, 2, 2, 2},
+	// Each input drives one guest of tb until `until` and reports the
+	// operations it completed.
+	inputs := []struct {
+		name      string
+		withBlock bool
+		until     sim.Time
+		drive     func(tb *Testbed) func() uint64
+		cases     map[core.ModelName]want
+	}{
+		{
+			name: "RR", until: 200 * sim.Millisecond,
+			drive: func(tb *Testbed) func() uint64 {
+				g := tb.Guests[0]
+				workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
+				rr := workload.NewRR(tb.StationFor(0), g.MAC(), 16)
+				rr.Start()
+				rr.Results.StartMeasuring()
+				return func() uint64 { return rr.Results.Ops }
+			},
+			cases: map[core.ModelName]want{
+				core.ModelOptimum:  {0, 2, 0, 0},
+				core.ModelVRIO:     {0, 2, 0, 0},
+				core.ModelElvis:    {0, 2, 0, 2},
+				core.ModelBaseline: {3, 2, 2, 2},
+			},
+		},
+		{
+			name: "block write", withBlock: true, until: 50 * sim.Millisecond,
+			drive: func(tb *Testbed) func() uint64 {
+				g := tb.Guests[0]
+				data := make([]byte, 4096)
+				var ops uint64
+				var write func(error)
+				write = func(err error) {
+					if err != nil {
+						t.Errorf("block write: %v", err)
+						return
+					}
+					ops++
+					g.WriteBlock(0, data, write)
+				}
+				g.WriteBlock(0, data, write)
+				return func() uint64 { return ops }
+			},
+			cases: map[core.ModelName]want{
+				core.ModelVRIO:     {0, 1, 0, 0},
+				core.ModelElvis:    {0, 1, 0, 0},
+				core.ModelBaseline: {2, 1, 1, 1},
+			},
+		},
 	}
-	for model, w := range cases {
-		tb := Build(Spec{Model: model, VMsPerHost: 1, Seed: 3})
-		g := tb.Guests[0]
-		workload.InstallRRServer(g, tb.P.NetperfRRProcessCost)
-		rr := workload.NewRR(tb.StationFor(0), g.MAC(), 16)
-		rr.Start()
-		rr.Results.StartMeasuring()
-		tb.Eng.RunUntil(200 * sim.Millisecond)
-		ops := rr.Results.Ops
-		if ops == 0 {
-			t.Fatalf("%s: no transactions", model)
-		}
-		per := func(name string) float64 {
-			return float64(g.VM.Counters.Get(name)) / float64(ops)
-		}
-		check := func(name string, wantV uint64) {
-			got := per(name)
-			// Allow 15% slack for coalescing and warmup edges.
-			lo, hi := float64(wantV)*0.85, float64(wantV)*1.15+0.1
-			if got < lo || got > hi {
-				t.Errorf("%s: %s per RR = %.2f, want ≈%d", model, name, got, wantV)
+	for _, in := range inputs {
+		for model, w := range in.cases {
+			tb := Build(Spec{Model: model, VMsPerHost: 1, WithBlock: in.withBlock, Seed: 3})
+			g := tb.Guests[0]
+			ops := in.drive(tb)
+			tb.Eng.RunUntil(in.until)
+			n := ops()
+			if n == 0 {
+				t.Fatalf("%s %s: no operations", model, in.name)
 			}
-		}
-		check("exits", w.exits)
-		check("guest_irqs", w.guestIRQ)
-		check("irq_injections", w.inject)
-		check("host_irqs", w.hostIRQ)
-		// vRIO with polling must take zero IOhost interrupts.
-		if model == core.ModelVRIO && tb.IOHyp.Counters.Get("iohost_irqs") != 0 {
-			t.Errorf("vrio polling took IOhost interrupts")
+			check := func(name string, wantV uint64) {
+				got := float64(g.VM.Counters.Get(name)) / float64(n)
+				// Allow 15% slack for coalescing and warmup edges.
+				lo, hi := float64(wantV)*0.85, float64(wantV)*1.15+0.1
+				if got < lo || got > hi {
+					t.Errorf("%s: %s per %s = %.2f, want ≈%d", model, name, in.name, got, wantV)
+				}
+			}
+			check("exits", w.exits)
+			check("guest_irqs", w.guestIRQ)
+			check("irq_injections", w.inject)
+			check("host_irqs", w.hostIRQ)
+			// vRIO with polling must take zero IOhost interrupts.
+			if model == core.ModelVRIO && tb.IOHyp.Counters.Get("iohost_irqs") != 0 {
+				t.Errorf("vrio polling took IOhost interrupts under %s", in.name)
+			}
 		}
 	}
 }

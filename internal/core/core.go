@@ -53,23 +53,25 @@ type Guest struct {
 
 	netMAC ethernet.MAC
 
-	// net and blkQ are the guest's net device and block ring when its host
+	// net and blk are the guest's net and block devices when its host
 	// serves the rings (baseline, Elvis); ringSend and ringReap are the net
 	// front end.
-	net  *hostNet
-	blkQ *blkQueue
+	net *hostNet
+	blk *hostBlk
 
-	// Model-wired hooks; set by the host implementations.
+	// sendNet is the model-wired net send hook.
 	sendNet func(f ethernet.Frame)
-	blkCPU  func(bytes int) sim.Time
 
 	// Block front end, set by models that attach a block device. A request
 	// first pays blkStackCost (of its payload bytes) on the VCPU; then
 	// blkPost posts op.req on the guest's ring, with op.replyFn as its
 	// completion, or over the vRIO transport, with op.wireFn. A reply whose
-	// status is not BlkOK fails with blkBadStatus. blkOps recycles the ops.
+	// status is not BlkOK fails with blkBadStatus. blkDoneCost is the guest
+	// CPU of the kick and the completion beyond the stack, which
+	// BlockCPUCost adds. blkOps recycles the ops.
 	blkPost      func(op *blkOp)
 	blkStackCost func(bytes int) sim.Time
+	blkDoneCost  sim.Time
 	blkBadStatus error
 	blkOps       *bufpool.List[blkOp]
 
@@ -198,10 +200,10 @@ func (g *Guest) ReadBlockQ(queue uint8, sector uint64, sectors int, done func([]
 // interrupt handling, encapsulation). Thread-scheduler workloads add it to
 // their per-op compute so the VCPU feels the model's datapath cost.
 func (g *Guest) BlockCPUCost(bytes int) sim.Time {
-	if g.blkCPU == nil {
+	if g.blkPost == nil {
 		return 0
 	}
-	return g.blkCPU(bytes)
+	return g.blkStackCost(bytes) + g.blkDoneCost
 }
 
 // Compute runs application work on the guest's VCPU.
@@ -247,7 +249,7 @@ func (op *blkOp) encode(r virtio.BlkReq) {
 		op.data = g.pool.Clone(r.Data)
 		r.Data = nil
 	}
-	if g.blkQ == nil {
+	if g.blk == nil {
 		op.req = r.Append(op.req[:0])
 		return
 	}

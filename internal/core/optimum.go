@@ -13,19 +13,15 @@ import (
 // a virtual function of the host NIC and receives its interrupts exitless.
 // There is no host I/O processing at all — and therefore no interposition.
 type OptimumHost struct {
-	eng  *sim.Engine
-	p    *params.P
-	name string
-	nic  *nic.NIC
+	eng *sim.Engine
+	p   *params.P
+	nic *nic.NIC
 }
 
 // NewOptimumHost builds the host around its (already cabled) NIC.
-func NewOptimumHost(eng *sim.Engine, p *params.P, name string, hostNIC *nic.NIC) *OptimumHost {
-	return &OptimumHost{eng: eng, p: p, name: name, nic: hostNIC}
+func NewOptimumHost(eng *sim.Engine, p *params.P, hostNIC *nic.NIC) *OptimumHost {
+	return &OptimumHost{eng: eng, p: p, nic: hostNIC}
 }
-
-// Name reports the host name.
-func (h *OptimumHost) Name() string { return h.name }
 
 // AddVM provisions a VM with a dedicated SRIOV VF. Optimum has no
 // paravirtual block path (§5: "there is no such thing as an SRIOV

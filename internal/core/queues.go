@@ -1,7 +1,6 @@
 package core
 
 import (
-	"vrio/internal/bufpool"
 	"vrio/internal/sim"
 	"vrio/internal/virtio"
 )
@@ -122,91 +121,4 @@ func (q *netQueues) guestReapRx() []virtio.Completion {
 		q.stockRx(n)
 	}
 	return q.reap.Completions
-}
-
-// blkQueue is the shared-memory state of one paravirtual block device: a
-// single virtqueue whose chains carry, as virtio-blk lays them out, the
-// request header, a write's payload in a descriptor of its own, a
-// writable descriptor for a read's data and a last one for the status.
-type blkQueue struct {
-	ring *virtio.Ring
-	pool *bufpool.Pool
-	// done routes each posted chain's reply to its submitter, indexed by
-	// chain head (heads are below the ring's queue size).
-	done []func(status, data []byte, err error)
-	// reap is the reusable completion batch for guestReap; reapFn is
-	// guestReap bound once, for completion interrupts.
-	reap   virtio.ReapBatch
-	reapFn func()
-}
-
-// newBlkQueue builds the ring of a block device whose buffers come from
-// pool.
-func newBlkQueue(pool *bufpool.Pool) *blkQueue {
-	ring, err := virtio.NewRing(queueSize)
-	if err != nil {
-		panic(err)
-	}
-	q := &blkQueue{ring: ring, pool: pool, done: make([]func([]byte, []byte, error), ring.QueueSize())}
-	q.reapFn = q.guestReap
-	return q
-}
-
-// guestSubmit hands op's request slabs (op.req, then op.data when it has
-// one) to the ring, reserving a descriptor of op.readLen bytes for a read's
-// data and one byte for the status; the reply goes to op.replyFn. It
-// reports whether the ring had room; a full ring fails the op with
-// virtio.ErrRingFull and returns its slabs to the pool.
-func (q *blkQueue) guestSubmit(op *blkOp) bool {
-	out := [2][]byte{op.req, op.data}
-	n := 1
-	if op.data != nil {
-		n = 2
-	}
-	in, k := [2]int{op.readLen, 1}, 1
-	if op.readLen > 0 {
-		k = 0
-	}
-	op.req, op.data = nil, nil
-	head, err := q.ring.Add(out[:n], in[k:]...)
-	if err != nil {
-		for _, b := range out[:n] {
-			q.pool.PutRaw(b)
-		}
-		op.replyFn(nil, nil, virtio.ErrRingFull)
-		return false
-	}
-	q.done[head] = op.replyFn
-	return true
-}
-
-// guestReap collects completed requests and hands each reply to its
-// submitter, releasing its buffers once the submitter returns. The status
-// is the last buffer the host wrote and a read's data the one before it.
-func (q *blkQueue) guestReap() {
-	q.ring.ReapInto(&q.reap, 0)
-	for _, comp := range q.reap.Completions {
-		if done := q.done[comp.Head]; done != nil {
-			q.done[comp.Head] = nil
-			var status, data []byte
-			if n := len(comp.In); n > 0 {
-				status = comp.In[n-1]
-				if n > 1 {
-					data = comp.In[n-2]
-				}
-			}
-			done(status, data, nil)
-		}
-		for _, b := range comp.In {
-			q.pool.PutRaw(b)
-		}
-	}
-}
-
-// releaseChain returns the buffers of a chain the host has answered to
-// pool.
-func releaseChain(pool *bufpool.Pool, c *virtio.Chain) {
-	for _, b := range c.Out {
-		pool.PutRaw(b)
-	}
 }

@@ -22,7 +22,6 @@ import (
 type VRIOHost struct {
 	eng    *sim.Engine
 	p      *params.P
-	name   string
 	chNIC  *nic.NIC
 	iohost ethernet.MAC
 
@@ -34,12 +33,9 @@ type VRIOHost struct {
 
 // NewVRIOHost builds a VMhost whose channel NIC is cabled toward the
 // IOhost with MAC iohost.
-func NewVRIOHost(eng *sim.Engine, p *params.P, name string, channelNIC *nic.NIC, iohost ethernet.MAC) *VRIOHost {
-	return &VRIOHost{eng: eng, p: p, name: name, chNIC: channelNIC, iohost: iohost}
+func NewVRIOHost(eng *sim.Engine, p *params.P, channelNIC *nic.NIC, iohost ethernet.MAC) *VRIOHost {
+	return &VRIOHost{eng: eng, p: p, chNIC: channelNIC, iohost: iohost}
 }
-
-// Name reports the host name.
-func (h *VRIOHost) Name() string { return h.name }
 
 // VRIOClient is one provisioned IOclient: the guest plus its transport
 // plumbing. The cluster layer uses TransportMAC to register the client's
@@ -193,20 +189,14 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 
 	// Block front-end.
 	if cfg.WithBlock {
-		// Guest-side per-op CPU: stack + transport encapsulation (fixed +
-		// per byte) + exitless completion.
-		c.Guest.blkCPU = func(bytes int) sim.Time {
-			return h.p.GuestNetStackCost + h.p.EncapCost +
-				perByte(h.p.EncapPerByte, bytes) +
-				h.p.ELIDeliveryCost + h.p.GuestIRQCost
-		}
 		// Before a request leaves, the guest pays its stack and the
 		// transport's encapsulation; a read's response data pays
 		// decapsulation per byte, charged with the request for simplicity
-		// (same VCPU either way).
+		// (same VCPU either way). The completion is exitless.
 		g.blkStackCost = func(bytes int) sim.Time {
 			return h.p.GuestNetStackCost + h.p.EncapCost + perByte(h.p.EncapPerByte, bytes)
 		}
+		g.blkDoneCost = h.p.ELIDeliveryCost + h.p.GuestIRQCost
 		g.blkPost = func(op *blkOp) {
 			c.Driver.SendBlkGather(uint8(virtio.DeviceBlk), c.blkID, op.queue, op.req, op.data, op.wireFn)
 		}

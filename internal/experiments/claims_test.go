@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+
+	"vrio/internal/bufpool"
 )
 
 // verdict is nil when a claim's check comes out as it should: a claim must
@@ -34,6 +37,23 @@ func TestClaimsQuick(t *testing.T) {
 			if c.FullOnly {
 				continue
 			}
+			if err := verdict(tab, c); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// TestClaimsFull checks every claim, full-only ones and deviations
+// included, on a full-length run of every experiment. Race builds skip it:
+// the run is several times slower there, and the race target already runs
+// every experiment through the quick run.
+func TestClaimsFull(t *testing.T) {
+	if testing.Short() || bufpool.RaceEnabled {
+		t.Skip("full-length run")
+	}
+	for _, tab := range run(IDs(), false, runtime.NumCPU()) {
+		for _, c := range tab.Claims {
 			if err := verdict(tab, c); err != nil {
 				t.Error(err)
 			}

@@ -86,9 +86,6 @@ func (v *VCPU) Spawn(name string) *Thread {
 	return t
 }
 
-// Name reports the thread name.
-func (t *Thread) Name() string { return t.name }
-
 // Do schedules compute time for t, after which then runs (it may issue I/O
 // whose completion calls Do again — that is the wakeup path). Calling Do on
 // a non-blocked thread is a programming error.

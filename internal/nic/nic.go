@@ -103,9 +103,6 @@ type sibFrame struct {
 	frame []byte
 }
 
-// Name reports the NIC name.
-func (n *NIC) Name() string { return n.name }
-
 // SetPool attaches a shared buffer pool (one per simulation cell, so
 // buffers circulate between the NICs of communicating hosts). A NIC without
 // an explicit pool lazily creates its own.

@@ -142,9 +142,6 @@ func (d *Device) AttachReplica(rs *ReplicaState) {
 	d.replica = rs
 }
 
-// Replica exposes the attached replica state (nil for plain devices).
-func (d *Device) Replica() *ReplicaState { return d.replica }
-
 // QueueLen reports requests waiting for a free bank.
 func (d *Device) QueueLen() int { return d.waiting.Len() }
 

@@ -119,7 +119,7 @@ func TestReplicaVersionChecks(t *testing.T) {
 	if r := submit(t, eng, dev, Request{Op: OpVolWrite, Sector: 8, Data: data, Extent: 1, Version: 1}); r.Err != nil {
 		t.Fatalf("v1 write failed: %v", r.Err)
 	}
-	if got := dev.Replica().Version(1); got != 1 {
+	if got := dev.replica.Version(1); got != 1 {
 		t.Fatalf("extent version = %d, want 1", got)
 	}
 	// A sub-extent v3 write after v1 is a gap — the replica missed v2, and
@@ -129,7 +129,7 @@ func TestReplicaVersionChecks(t *testing.T) {
 	if !errors.Is(r.Err, ErrVersionGap) {
 		t.Fatalf("gapped write: got %v, want ErrVersionGap", r.Err)
 	}
-	if got := dev.Replica().Version(1); got != 1 {
+	if got := dev.replica.Version(1); got != 1 {
 		t.Fatalf("gapped write moved the ledger to v%d, want v1", got)
 	}
 	// The contiguous v2 write lands.
@@ -150,7 +150,7 @@ func TestReplicaVersionChecks(t *testing.T) {
 	if r := submit(t, eng, dev, Request{Op: OpVolWrite, Sector: 8, Data: fullData, Extent: 1, Version: 5}); r.Err != nil {
 		t.Fatalf("full-extent v5 write failed: %v", r.Err)
 	}
-	if got := dev.Replica().Version(1); got != 5 {
+	if got := dev.replica.Version(1); got != 5 {
 		t.Fatalf("extent version = %d, want 5", got)
 	}
 	// Reads demanding <= v5 succeed and report the replica's version; a

@@ -1,7 +1,6 @@
 // Package bufpool provides the zero-allocation buffer discipline of the
 // datapath: size-classed free lists of byte slabs, plus a leased Frame type
-// with explicit reference-counted ownership for buffers whose lifetime
-// branches (retransmission, backend completion, failover drops).
+// for a received buffer viewed past its slab's head.
 //
 // A Pool is deliberately NOT safe for concurrent use, exactly like
 // stats.Counters: each simulation cell is single-threaded, and the parallel
@@ -24,13 +23,11 @@
 //     components. Dropping a loan on an error path is always safe — the
 //     slab just falls back to the garbage collector.
 //
-//   - Get/Frame leases: a refcounted *Frame for buffers that outlive the
-//     call that produced them along more than one path, or whose view
-//     starts past the slab's head (a received transport message, viewed
-//     past its frame's headers; a block request retained by the storage
-//     backend). Retain before handing a reference across an asynchronous
-//     boundary; Release when done. The final Release recycles both slab
-//     and Frame.
+//   - Wrap/Frame leases: a *Frame whose view starts past the slab's head (a
+//     received transport message, viewed past its frame's headers; a block
+//     request held by the storage backend). The lease has one owner at a
+//     time; its Release recycles both slab and Frame, and a second Release
+//     panics.
 package bufpool
 
 import "math/bits"
@@ -99,7 +96,7 @@ func classSize(c int) int {
 
 // Stats counts pool traffic, for tests and the memory-profile narrative.
 type Stats struct {
-	// Gets/Puts count raw-loan traffic (Frame leases included).
+	// Gets/Puts count raw-loan traffic (a Frame's Release included).
 	Gets, Puts uint64
 	// Misses counts Gets served by the allocator (empty class or oversize).
 	Misses uint64
@@ -184,69 +181,38 @@ func (p *Pool) PutRaw(b []byte) bool {
 	return true
 }
 
-// Frame is a leased buffer with explicit reference counting. B is the valid
-// byte view; the backing slab (which may be larger, or start before B when
-// the frame wraps an offset view) returns to the pool on the final Release.
+// Frame is a leased buffer with one owner at a time. B is the valid byte
+// view; the backing slab (which may be larger, or start before B when the
+// frame wraps an offset view) returns to the pool on Release.
 type Frame struct {
 	// B is the leased bytes. Valid only while the lease is live.
 	B []byte
 
 	pool *Pool
 	slab []byte
-	refs int
-}
-
-// Get leases a frame of n bytes with an initial reference count of 1.
-func (p *Pool) Get(n int) *Frame {
-	f := p.frames.Get()
-	f.slab = p.GetRaw(n)
-	f.B, f.refs = f.slab, 1
-	return f
+	live bool // from Wrap to Release
 }
 
 // Wrap leases a frame whose view is a slice of an existing slab — e.g. a
 // message payload behind a transport header. The whole slab is recycled on
-// the final Release, so the caller transfers ownership of slab here.
+// Release, so the caller transfers ownership of slab here.
 func (p *Pool) Wrap(slab, view []byte) *Frame {
 	f := p.frames.Get()
-	f.slab, f.B, f.refs = slab, view, 1
+	f.slab, f.B, f.live = slab, view, true
 	return f
 }
 
-// Bytes returns the leased view (nil for a nil frame).
-func (f *Frame) Bytes() []byte {
-	if f == nil {
-		return nil
-	}
-	return f.B
-}
-
-// Retain adds a reference. Call it before handing the frame across an
-// asynchronous boundary that outlives the caller's own Release.
-func (f *Frame) Retain() {
-	if f == nil {
-		return
-	}
-	if f.refs <= 0 {
-		panic("bufpool: Retain after final Release")
-	}
-	f.refs++
-}
-
-// Release drops a reference. The final Release invalidates B and recycles
-// slab and Frame; touching either afterwards is a use-after-free. Safe on a
-// nil frame (error paths can release unconditionally).
+// Release ends the lease: it invalidates B and recycles slab and Frame;
+// touching either afterwards is a use-after-free, and a second Release
+// panics. Safe on a nil frame (error paths can release unconditionally).
 func (f *Frame) Release() {
 	if f == nil {
 		return
 	}
-	if f.refs <= 0 {
-		panic("bufpool: Release after final Release")
+	if !f.live {
+		panic("bufpool: Release of a released frame")
 	}
-	f.refs--
-	if f.refs > 0 {
-		return
-	}
+	f.live = false
 	p := f.pool
 	if f.slab != nil {
 		p.PutRaw(f.slab[:cap(f.slab)])

@@ -156,38 +156,9 @@ func TestReleasedSlabIsReused(t *testing.T) {
 	}
 }
 
-func TestFrameRefcounting(t *testing.T) {
-	p := New()
-	f := p.Get(512)
-	if f.Refs() != 1 || len(f.B) != 512 {
-		t.Fatalf("fresh frame: refs=%d len=%d", f.Refs(), len(f.B))
-	}
-	f.Retain()
-	f.Release()
-	if f.Refs() != 1 {
-		t.Fatalf("refs = %d after retain+release, want 1", f.Refs())
-	}
-	if p.FreeSlabs() != 0 {
-		t.Error("slab recycled while a reference was live")
-	}
-	f.Release()
-	if f.Refs() != 0 || f.B != nil {
-		t.Errorf("final release: refs=%d B=%v", f.Refs(), f.B)
-	}
-	if p.FreeSlabs() != 1 {
-		t.Error("final release did not recycle the slab")
-	}
-	// The Frame struct itself recycles too.
-	f2 := p.Get(100)
-	if f2 != f {
-		t.Error("frame struct not recycled through the free list")
-	}
-	f2.Release()
-}
-
 func TestReleasePanicsAfterFinal(t *testing.T) {
 	p := New()
-	f := p.Get(64)
+	f := p.Wrap(p.GetRaw(64), nil)
 	f.Release()
 	defer func() {
 		if recover() == nil {
@@ -200,10 +171,6 @@ func TestReleasePanicsAfterFinal(t *testing.T) {
 func TestNilFrameIsSafe(t *testing.T) {
 	var f *Frame
 	f.Release()
-	f.Retain()
-	if f.Bytes() != nil || f.Refs() != 0 {
-		t.Error("nil frame accessors not inert")
-	}
 }
 
 func TestWrapRecyclesWholeSlab(t *testing.T) {
@@ -222,6 +189,13 @@ func TestWrapRecyclesWholeSlab(t *testing.T) {
 	}
 	if cap(b) != 2048 {
 		t.Errorf("recycled cap = %d", cap(b))
+	}
+	if f.B != nil {
+		t.Error("Release left the view in place")
+	}
+	// The Frame struct itself recycles too.
+	if f2 := p.Wrap(b, b); f2 != f {
+		t.Error("frame struct not recycled through the free list")
 	}
 }
 
@@ -267,12 +241,8 @@ func TestPoolStressParallel(t *testing.T) {
 						loans = loans[:n-1]
 					}
 				case 2:
-					f := p.Get(int(next()%4096) + 1)
-					if next()%2 == 0 {
-						f.Retain()
-						f.Release()
-					}
-					leases = append(leases, f)
+					slab := p.GetRaw(int(next()%4096) + 1)
+					leases = append(leases, p.Wrap(slab, slab))
 				case 3:
 					if n := len(leases); n > 0 {
 						leases[n-1].Release()

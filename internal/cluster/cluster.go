@@ -38,7 +38,6 @@ const (
 	macGuestBase     = 1000 // F addresses, by global VM index
 	macTransportBase = 2000 // vRIO T addresses, by global VM index
 	macStationBase   = 3000 // load generators
-	macHostBase      = 4000 // host NICs (baseline/elvis/optimum uplinks)
 	macIOHostBase    = 5000 // IOhost i: uplink 5000+100i, channel to VMhost h 5000+100i+1+h
 	// macVolBase numbers the per-(guest, IOhost) volume transport MACs:
 	// guest vm's driver toward IOhost io is 20000 + 64*vm + io.
@@ -357,7 +356,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 		tb.Fault.AttachCable(fault.Stations, i, fault.Any, cable)
 		genNIC := tb.newNIC(fmt.Sprintf("gen%d", i), nicCfg, cable.AtoB)
 		cable.BtoA.SetReceiver(genNIC)
-		genCore := cpu.New(tb.Eng, fmt.Sprintf("gen%d-core", i), p.ContextSwitchCost)
+		genCore := cpu.New(tb.Eng, p.ContextSwitchCost)
 		vf := genNIC.AddVF(tb.mac(macStationBase+uint32(i)), nic.ModeInterrupt)
 		tb.GenCores = append(tb.GenCores, genCore)
 		tb.Stations = append(tb.Stations, workload.NewStation(tb.Eng, p, genCore, vf))
@@ -375,7 +374,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 		})
 	case core.ModelBaseline:
 		tb.buildLocal(nicCfg, func(hostIdx int, hostNIC *nic.NIC) localHost {
-			ioCore := cpu.New(tb.Eng, fmt.Sprintf("vmhost%d-io", hostIdx), p.ContextSwitchCost)
+			ioCore := cpu.New(tb.Eng, p.ContextSwitchCost)
 			tb.IOCores = append(tb.IOCores, ioCore)
 			h := core.NewBaselineHost(tb.Eng, p, ioCore, hostNIC)
 			return localHost{addVM: h.AddVM}
@@ -384,7 +383,7 @@ func BuildOn(spec Spec, eng *sim.Engine) *Testbed {
 		tb.buildLocal(nicCfg, func(hostIdx int, hostNIC *nic.NIC) localHost {
 			var sides []*cpu.Core
 			for s := 0; s < spec.SidecoresPerHost; s++ {
-				sc := cpu.New(tb.Eng, fmt.Sprintf("vmhost%d-side%d", hostIdx, s), p.ContextSwitchCost)
+				sc := cpu.New(tb.Eng, p.ContextSwitchCost)
 				sides = append(sides, sc)
 				tb.Sidecores = append(tb.Sidecores, sc)
 			}
@@ -436,7 +435,7 @@ func (tb *Testbed) buildLocal(nicCfg nic.Config, mkHost func(hostIdx int, hostNI
 		h := mkHost(hostIdx, hostNIC)
 
 		for v := 0; v < spec.VMsPerHost; v++ {
-			vmCore := cpu.New(tb.Eng, fmt.Sprintf("vm%d-core", vmID), p.ContextSwitchCost)
+			vmCore := cpu.New(tb.Eng, p.ContextSwitchCost)
 			tb.VMCores = append(tb.VMCores, vmCore)
 			var backend blockdev.Backend
 			if spec.WithBlock {
@@ -474,7 +473,7 @@ func (tb *Testbed) newIOHyp(i int, mode iohyp.Mode) *iohyp.IOHypervisor {
 	p := tb.P
 	var sides []*cpu.Core
 	for s := 0; s < tb.Spec.IOhostSidecores; s++ {
-		sc := cpu.New(tb.Eng, fmt.Sprintf("%s-side%d", iohostName(i), s), p.ContextSwitchCost)
+		sc := cpu.New(tb.Eng, p.ContextSwitchCost)
 		sides = append(sides, sc)
 		tb.Sidecores = append(tb.Sidecores, sc)
 	}
@@ -567,7 +566,7 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 		host := core.NewVRIOHost(tb.Eng, p, ch0.vmhostNIC, ch0.iohostMAC)
 		host.Tracer = tb.Tracer
 		for v := 0; v < spec.VMsPerHost; v++ {
-			vmCore := cpu.New(tb.Eng, fmt.Sprintf("vm%d-core", vmID), p.ContextSwitchCost)
+			vmCore := cpu.New(tb.Eng, p.ContextSwitchCost)
 			tb.VMCores = append(tb.VMCores, vmCore)
 			fMAC := tb.mac(macGuestBase + uint32(vmID))
 			tMAC := tb.mac(macTransportBase + uint32(vmID))

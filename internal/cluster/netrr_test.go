@@ -97,7 +97,7 @@ func TestSidecoreWaitExport(t *testing.T) {
 			for i, sc := range tb.Sidecores {
 				exported := tb.Metrics.Get(fmt.Sprintf("sidecore%d", i), "wait_ns")
 				if exported == nil || sc.Wait == nil || sc.Wait != exported.Hist() {
-					t.Fatalf("%s: Wait is not the exported sidecore%d/wait_ns", sc.Name(), i)
+					t.Fatalf("sidecore %d: Wait is not the exported sidecore%d/wait_ns", i, i)
 				}
 				h := sc.Wait
 				dispatched := sc.Executed
@@ -105,13 +105,13 @@ func TestSidecoreWaitExport(t *testing.T) {
 					dispatched++
 				}
 				if h.Count() == 0 || h.Count() != dispatched {
-					t.Errorf("%s: %d waits recorded, %d items dispatched", sc.Name(), h.Count(), dispatched)
+					t.Errorf("sidecore %d: %d waits recorded, %d items dispatched", i, h.Count(), dispatched)
 				}
 			}
-			for _, cores := range [][]*cpu.Core{tb.VMCores, tb.IOCores, tb.GenCores} {
-				for _, c := range cores {
+			for k, cores := range [][]*cpu.Core{tb.VMCores, tb.IOCores, tb.GenCores} {
+				for j, c := range cores {
 					if c.Wait != nil {
-						t.Errorf("%s records its queue waits", c.Name())
+						t.Errorf("%s core %d records its queue waits", [...]string{"VM", "I/O", "generator"}[k], j)
 					}
 				}
 			}

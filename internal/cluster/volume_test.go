@@ -23,6 +23,19 @@ func buildVolTestbed(numIO, r, w int) *Testbed {
 	})
 }
 
+// replicaLedgers attaches a fresh version ledger the test holds to each of
+// guest vm's replica devices, in place of the equally fresh one Build
+// attached, so the test can read each replica's per-extent versions. Call it
+// before any volume I/O.
+func replicaLedgers(tb *Testbed, vm int) []*blockdev.ReplicaState {
+	ledgers := make([]*blockdev.ReplicaState, len(tb.VolReplicaDevices[vm]))
+	for i, dev := range tb.VolReplicaDevices[vm] {
+		ledgers[i] = blockdev.NewReplicaState(tb.Volumes[vm].Spec())
+		dev.AttachReplica(ledgers[i])
+	}
+	return ledgers
+}
+
 // extentPattern is the fill byte test writes stamp into extent e.
 func extentPattern(e uint64) byte { return byte(0xA0 + e) }
 
@@ -51,7 +64,9 @@ func writeAllExtents(t *testing.T, tb *Testbed, vol *core.VolumeRouter) {
 }
 
 // verifyAllExtents reads every extent back through the router and checks
-// the pattern, then checks both mapped replica stores hold it too.
+// the pattern, then checks that exactly Replicas of the live IOhosts' replica
+// stores hold it: a cell left on a dead host, or a copy a rebuild never
+// made, leaves fewer.
 func verifyAllExtents(t *testing.T, tb *Testbed, vm int) {
 	t.Helper()
 	vol := tb.Volumes[vm]
@@ -75,15 +90,21 @@ func verifyAllExtents(t *testing.T, tb *Testbed, vm int) {
 		if !got {
 			t.Fatalf("read of extent %d never completed", e)
 		}
-		for slot := 0; slot < spec.Replicas; slot++ {
-			host := vol.ExtentMap().Replica(e, slot)
-			stored, err := tb.VolReplicaDevices[vm][host].Store().Read(e*spec.ExtentSectors, 1)
+		held := 0
+		for host, dev := range tb.VolReplicaDevices[vm] {
+			if tb.IOHyps[host].Failed() {
+				continue
+			}
+			stored, err := dev.Store().Read(e*spec.ExtentSectors, 1)
 			if err != nil {
 				t.Fatalf("extent %d replica on host %d: %v", e, host, err)
 			}
-			if !bytes.Equal(stored, want) {
-				t.Fatalf("extent %d replica on host %d holds wrong payload", e, host)
+			if bytes.Equal(stored, want) {
+				held++
 			}
+		}
+		if held != spec.Replicas {
+			t.Fatalf("extent %d is stored on %d live IOhosts, want %d", e, held, spec.Replicas)
 		}
 	}
 }
@@ -151,6 +172,7 @@ func TestVolumeStaleReadRejection(t *testing.T) {
 	tb := buildVolTestbed(3, 2, 1) // W=1: a write can succeed on one replica
 	vol := tb.Volumes[0]
 	devs := tb.VolReplicaDevices[0]
+	ledgers := replicaLedgers(tb, 0)
 
 	// Extent 0 lives on hosts 0 (slot 0) and 1 (slot 1). Make host 1's
 	// device fail the incoming replica write: host 0 acks (quorum met),
@@ -166,10 +188,10 @@ func TestVolumeStaleReadRejection(t *testing.T) {
 		}
 	})
 	tb.Eng.Run()
-	if v := devs[1].Replica().Version(0); v != 0 {
+	if v := ledgers[1].Version(0); v != 0 {
 		t.Fatalf("host 1 should have missed the write, holds v%d", v)
 	}
-	if v := devs[0].Replica().Version(0); v != 1 {
+	if v := ledgers[0].Version(0); v != 1 {
 		t.Fatalf("host 0 should hold v1, holds v%d", v)
 	}
 
@@ -205,7 +227,7 @@ func TestVolumeStaleReadRejection(t *testing.T) {
 	if n := vol.Counters.Get("heal_stuck"); n == 0 {
 		t.Fatal("heal_stuck = 0, want > 0 (no live source for the heal)")
 	}
-	if v := devs[1].Replica().Version(0); v != 0 {
+	if v := ledgers[1].Version(0); v != 0 {
 		t.Fatalf("gapped write advanced the survivor to v%d, want v0", v)
 	}
 
@@ -247,6 +269,7 @@ func TestVolumeGapFenceAndHeal(t *testing.T) {
 	tb := buildVolTestbed(3, 2, 1)
 	vol := tb.Volumes[0]
 	devs := tb.VolReplicaDevices[0]
+	ledgers := replicaLedgers(tb, 0)
 	sectorBytes := tb.P.SectorSize
 
 	// Write A (v1, sector 0): host 1's device fails it, host 0 acks —
@@ -262,7 +285,7 @@ func TestVolumeGapFenceAndHeal(t *testing.T) {
 		}
 	})
 	tb.Eng.Run()
-	if v := devs[1].Replica().Version(0); v != 0 {
+	if v := ledgers[1].Version(0); v != 0 {
 		t.Fatalf("host 1 should have missed write A, holds v%d", v)
 	}
 
@@ -286,7 +309,7 @@ func TestVolumeGapFenceAndHeal(t *testing.T) {
 	if n := vol.Counters.Get("replica_heals"); n != 1 {
 		t.Fatalf("replica_heals = %d, want 1", n)
 	}
-	if v := devs[1].Replica().Version(0); v != 2 {
+	if v := ledgers[1].Version(0); v != 2 {
 		t.Fatalf("healed replica at v%d, want v2", v)
 	}
 
@@ -324,6 +347,7 @@ func TestVolumeHealRestoresWriteQuorum(t *testing.T) {
 	tb := buildVolTestbed(3, 2, 2)
 	vol := tb.Volumes[0]
 	devs := tb.VolReplicaDevices[0]
+	ledgers := replicaLedgers(tb, 0)
 	data := make([]byte, tb.P.SectorSize)
 	write := func() error {
 		var werr error
@@ -348,7 +372,7 @@ func TestVolumeHealRestoresWriteQuorum(t *testing.T) {
 	if n := vol.Counters.Get("replica_heals"); n != 1 {
 		t.Fatalf("replica_heals = %d, want 1", n)
 	}
-	if v0, v1 := devs[0].Replica().Version(0), devs[1].Replica().Version(0); v1 != v0 {
+	if v0, v1 := ledgers[0].Version(0), ledgers[1].Version(0); v1 != v0 {
 		t.Fatalf("heal left replicas split: host0 v%d, host1 v%d", v0, v1)
 	}
 	// Write 3: both replicas are contiguous again — the quorum is back.
@@ -393,15 +417,8 @@ func TestVolumeRebuildAfterCrash(t *testing.T) {
 	if vol.RebuildBytes == 0 {
 		t.Fatal("RebuildBytes = 0, want > 0")
 	}
-	// No cell may still point at the dead host, and the data must match.
-	spec := vol.Spec()
-	for e := uint64(0); e < spec.NumExtents(); e++ {
-		for slot := 0; slot < spec.Replicas; slot++ {
-			if h := vol.ExtentMap().Replica(e, slot); h == 1 {
-				t.Fatalf("extent %d slot %d still on dead host 1", e, slot)
-			}
-		}
-	}
+	// Both survivors must hold every extent: no cell is left on the dead
+	// host.
 	verifyAllExtents(t, tb, 0)
 }
 
@@ -435,14 +452,6 @@ func TestVolumeRebuildRetargetsOntoThirdSurvivor(t *testing.T) {
 	if n := vol.Counters.Get("rebuild_retargets"); n == 0 {
 		t.Fatal("expected at least one re-targeted rebuild job")
 	}
-	// Only hosts 1 and 3 survive; every replica cell must sit on them.
-	spec := vol.Spec()
-	for e := uint64(0); e < spec.NumExtents(); e++ {
-		for slot := 0; slot < spec.Replicas; slot++ {
-			if h := vol.ExtentMap().Replica(e, slot); h != 1 && h != 3 {
-				t.Fatalf("extent %d slot %d on host %d, want 1 or 3", e, slot, h)
-			}
-		}
-	}
+	// Only hosts 1 and 3 survive; both must hold every extent.
 	verifyAllExtents(t, tb, 0)
 }

@@ -181,9 +181,6 @@ func NewVolumeRouter(eng *sim.Engine, spec blockdev.VolumeSpec, deviceID uint16,
 // Spec exposes the volume geometry.
 func (r *VolumeRouter) Spec() blockdev.VolumeSpec { return r.spec }
 
-// ExtentMap exposes the placement map (test verification).
-func (r *VolumeRouter) ExtentMap() *blockdev.ExtentMap { return r.emap }
-
 // Committed reports the quorum-durable version of extent e.
 func (r *VolumeRouter) Committed(e uint64) uint64 { return r.committed[e] }
 

@@ -54,8 +54,7 @@ const NoOwner = -1
 // fires when the item *finishes*. Not safe for concurrent use (the
 // simulation is single-threaded).
 type Core struct {
-	eng  *sim.Engine
-	name string
+	eng *sim.Engine
 
 	// Polling marks this core as a dedicated poller: its idle time is
 	// accounted as KindPoll (burned) rather than idle.
@@ -106,8 +105,8 @@ type work struct {
 }
 
 // New returns an idle core.
-func New(eng *sim.Engine, name string, csCost sim.Time) *Core {
-	c := &Core{eng: eng, name: name, csCost: csCost, lastOwner: NoOwner}
+func New(eng *sim.Engine, csCost sim.Time) *Core {
+	c := &Core{eng: eng, csCost: csCost, lastOwner: NoOwner}
 	c.finish = func() {
 		c.Executed++
 		if c.cur.fn != nil {
@@ -117,9 +116,6 @@ func New(eng *sim.Engine, name string, csCost sim.Time) *Core {
 	}
 	return c
 }
-
-// Name reports the core's name.
-func (c *Core) Name() string { return c.name }
 
 // QueueLen reports items waiting behind the current one.
 func (c *Core) QueueLen() int { return len(c.queue) - c.qHead }
@@ -251,7 +247,6 @@ func (c *Core) WaitFraction() float64 {
 // sample window (not cumulative).
 type Sampler struct {
 	Series stats.Series
-	stop   func()
 }
 
 // NewSampler starts sampling the core's busy fraction every period.
@@ -259,7 +254,7 @@ func NewSampler(eng *sim.Engine, c *Core, period sim.Time) *Sampler {
 	s := &Sampler{}
 	lastBusy := sim.Time(0)
 	lastT := eng.Now()
-	s.stop = eng.Ticker(period, func() {
+	eng.Ticker(period, func() {
 		now := eng.Now()
 		busy := c.BusyTime()
 		window := now - lastT
@@ -270,6 +265,3 @@ func NewSampler(eng *sim.Engine, c *Core, period sim.Time) *Sampler {
 	})
 	return s
 }
-
-// Stop ends sampling.
-func (s *Sampler) Stop() { s.stop() }

@@ -9,7 +9,7 @@ import (
 
 func TestCoreExecutesFIFO(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	var order []int
 	c.Exec(NoOwner, KindBusy, 10, func() { order = append(order, 1) })
 	c.Exec(NoOwner, KindBusy, 10, func() { order = append(order, 2) })
@@ -28,7 +28,7 @@ func TestCoreExecutesFIFO(t *testing.T) {
 
 func TestCoreQueueingDelay(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	c.Wait = &stats.Histogram{}
 	var doneAt sim.Time
 	c.Exec(NoOwner, KindBusy, 100, nil)
@@ -50,7 +50,7 @@ func TestCoreQueueingDelay(t *testing.T) {
 
 func TestCoreContextSwitchCharging(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 7)
+	c := New(e, 7)
 	c.Exec(1, KindBusy, 10, nil)
 	c.Exec(1, KindBusy, 10, nil) // same owner: no CS
 	c.Exec(2, KindBusy, 10, nil) // owner change: +7
@@ -67,7 +67,7 @@ func TestCoreContextSwitchCharging(t *testing.T) {
 
 func TestCoreAccountingByKind(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	c.Exec(NoOwner, KindBusy, 10, nil)
 	c.Exec(NoOwner, KindIRQ, 20, nil)
 	c.Exec(NoOwner, KindExit, 30, nil)
@@ -83,8 +83,8 @@ func TestCoreAccountingByKind(t *testing.T) {
 
 func TestCoreIdleVsPollAccounting(t *testing.T) {
 	e := sim.NewEngine()
-	normal := New(e, "n", 0)
-	poller := New(e, "p", 0)
+	normal := New(e, 0)
+	poller := New(e, 0)
 	poller.Polling = true
 	e.At(100, func() {
 		normal.Exec(NoOwner, KindBusy, 10, nil)
@@ -107,7 +107,7 @@ func TestCoreIdleVsPollAccounting(t *testing.T) {
 
 func TestCoreUtilization(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	c.Exec(NoOwner, KindBusy, 50, nil)
 	e.At(100, func() {})
 	e.Run()
@@ -118,7 +118,7 @@ func TestCoreUtilization(t *testing.T) {
 
 func TestCoreWaitFraction(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	c.Exec(NoOwner, KindBusy, 10, nil)
 	c.Exec(NoOwner, KindBusy, 10, nil) // waits
 	c.Exec(NoOwner, KindBusy, 10, nil) // waits
@@ -132,7 +132,7 @@ func TestCoreWaitFraction(t *testing.T) {
 
 func TestCoreNegativeDurationPanics(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative duration did not panic")
@@ -143,12 +143,11 @@ func TestCoreNegativeDurationPanics(t *testing.T) {
 
 func TestSamplerWindows(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	s := NewSampler(e, c, 100)
 	// Busy exactly during the second window.
 	e.At(100, func() { c.Exec(NoOwner, KindBusy, 100, nil) })
 	e.RunUntil(300)
-	s.Stop()
 	if s.Series.Len() < 3 {
 		t.Fatalf("samples = %d, want >= 3", s.Series.Len())
 	}
@@ -179,7 +178,7 @@ func TestKindString(t *testing.T) {
 // bottleneck scenario of §1.
 func TestCoreSaturationBehaviour(t *testing.T) {
 	e := sim.NewEngine()
-	c := New(e, "side", 0)
+	c := New(e, 0)
 	// Offered load: one 10ns item every 5ns => 2x overload.
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i * 5)
@@ -196,9 +195,9 @@ func TestCoreSaturationBehaviour(t *testing.T) {
 
 func TestCoreEnergyAccounting(t *testing.T) {
 	e := sim.NewEngine()
-	spin := New(e, "spin", 0)
+	spin := New(e, 0)
 	spin.Polling = true
-	halt := New(e, "halt", 0)
+	halt := New(e, 0)
 	// Both busy 25% of a 100ns window.
 	spin.Exec(NoOwner, KindBusy, 25, nil)
 	halt.Exec(NoOwner, KindBusy, 25, nil)
@@ -228,7 +227,7 @@ func TestCoreEnergyAccounting(t *testing.T) {
 func TestCoreSaturatedQueueZeroAlloc(t *testing.T) {
 	const depth, items, d = 4, 100_000, 10
 	e := sim.NewEngine()
-	c := New(e, "c0", 0)
+	c := New(e, 0)
 	var fn func()
 	fn = func() { c.Exec(NoOwner, KindBusy, d, fn) }
 	for i := 0; i < depth; i++ {

@@ -98,9 +98,9 @@ func checkAgainstOracle(t *testing.T, r *Reassembler, oracles oracleSet, frames 
 		if err != nil {
 			t.Fatalf("frame %d: Add: %v", i, err)
 		}
-		if r.Pending() != oracles.inProgress() {
+		if len(r.partial) != oracles.inProgress() {
 			t.Fatalf("frame %d (msg %d): %d partial messages pending, oracle %d",
-				i, seg.MsgID, r.Pending(), oracles.inProgress())
+				i, seg.MsgID, len(r.partial), oracles.inProgress())
 		}
 		if (m != nil) != wantDone {
 			t.Fatalf("frame %d (msg %d, total %d, off %d, len %d): completed=%v, oracle %v",
@@ -332,8 +332,8 @@ func TestSingleFragmentAddZeroAlloc(t *testing.T) {
 		t.Fatalf("%d frames, %v; want two", len(halves), err)
 	}
 	src := NewMAC(1)
-	if m, err := r.Add(src, halves[0]); m != nil || err != nil || r.Pending() != 1 {
-		t.Fatalf("first half: %+v, %v, %d pending; want one partial", m, err, r.Pending())
+	if m, err := r.Add(src, halves[0]); m != nil || err != nil || len(r.partial) != 1 {
+		t.Fatalf("first half: %+v, %v, %d pending; want one partial", m, err, len(r.partial))
 	}
 	add := func() {
 		m, err := r.Add(src, frames[0])
@@ -356,7 +356,7 @@ func TestSingleFragmentAddZeroAlloc(t *testing.T) {
 	if err != nil || m == nil || m.InPlace || m.Fragments != 2 || !bytes.Equal(m.Data, pending) {
 		t.Fatalf("whole copy of the pending message: %+v, %v; want it merged into its partial", m, err)
 	}
-	if r.Pending() != 0 {
-		t.Errorf("%d partials pending after the merge, want 0", r.Pending())
+	if len(r.partial) != 0 {
+		t.Errorf("%d partials pending after the merge, want 0", len(r.partial))
 	}
 }

@@ -86,20 +86,8 @@ type Frame struct {
 	Payload   []byte
 }
 
-// Errors returned by the codec.
-var (
-	ErrShortFrame = errors.New("ethernet: frame shorter than header")
-	ErrOversize   = errors.New("ethernet: payload exceeds MTU")
-)
-
-// Encode serializes the frame. If mtu > 0 the payload length is validated
-// against it.
-func (f *Frame) Encode(mtu int) ([]byte, error) {
-	if mtu > 0 && len(f.Payload) > mtu {
-		return nil, fmt.Errorf("%w: %d > %d", ErrOversize, len(f.Payload), mtu)
-	}
-	return f.EncodeTo(make([]byte, f.Len())), nil
-}
+// ErrShortFrame is returned by Decode for a frame shorter than its header.
+var ErrShortFrame = errors.New("ethernet: frame shorter than header")
 
 // EncodeTo serializes the frame into b, which must hold at least
 // HeaderSize+len(f.Payload) bytes, and returns that prefix of b. The datapath

@@ -26,7 +26,6 @@ type Reassembler struct {
 	// oldest partial is evicted (defensive against leaking state when
 	// fragments are lost and the message is never completed).
 	maxPartial int
-	evictions  uint64
 	seq        uint64
 
 	pool     *bufpool.Pool
@@ -91,13 +90,6 @@ type Message struct {
 // ErrDeviceMismatch reports fragments of one message disagreeing on the
 // front-end device id.
 var ErrDeviceMismatch = errors.New("ethernet: fragments disagree on device id")
-
-// Pending reports the number of partially reassembled messages.
-func (r *Reassembler) Pending() int { return len(r.partial) }
-
-// Evictions reports how many partial messages were dropped to respect the
-// partial-message bound.
-func (r *Reassembler) Evictions() uint64 { return r.evictions }
 
 // acquire returns a recycled (or fresh) partial with buf/have sized for
 // total bytes and no byte covered.
@@ -240,6 +232,5 @@ func (r *Reassembler) evictOldest() {
 			r.pool.PutRaw(oldest.buf)
 		}
 		r.recycle(oldest)
-		r.evictions++
 	}
 }

@@ -38,8 +38,8 @@ func TestReassemblerSingleFragment(t *testing.T) {
 	if !msg.ZeroCopy || msg.Fragments != 1 {
 		t.Errorf("ZeroCopy=%v Fragments=%d", msg.ZeroCopy, msg.Fragments)
 	}
-	if r.Pending() != 0 {
-		t.Errorf("Pending = %d after completion", r.Pending())
+	if len(r.partial) != 0 {
+		t.Errorf("%d partials pending after completion", len(r.partial))
 	}
 }
 
@@ -162,11 +162,11 @@ func TestReassemblerEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", r.Pending())
+	if len(r.partial) != 2 {
+		t.Errorf("%d partials pending, want 2", len(r.partial))
 	}
-	if r.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", r.Evictions())
+	if _, kept := r.partial[reassemblyKey{src, 1}]; kept {
+		t.Error("the oldest partial was not the one evicted")
 	}
 }
 

@@ -15,11 +15,7 @@ func testFrame(i int) []byte {
 		EtherType: ethernet.EtherTypePlain,
 		Payload:   []byte(fmt.Sprintf("payload-%04d", i)),
 	}
-	b, err := f.Encode(0)
-	if err != nil {
-		panic(err)
-	}
-	return b
+	return f.EncodeTo(make([]byte, f.Len()))
 }
 
 // runLossyWire pushes n frames through one faulted wire and returns a

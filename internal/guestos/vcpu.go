@@ -174,12 +174,3 @@ func (v *VCPU) complete(t *Thread) {
 		v.dispatch(next)
 	}
 }
-
-// Utilization reports busy (compute + switch) time over elapsed time.
-func (v *VCPU) Utilization() float64 {
-	now := v.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(v.BusyTime+v.CSTime) / float64(now)
-}

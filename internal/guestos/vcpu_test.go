@@ -172,8 +172,8 @@ func TestUtilization(t *testing.T) {
 	a.Do(50, nil)
 	e.At(100, func() {})
 	e.Run()
-	if u := v.Utilization(); u != 0.5 {
-		t.Errorf("Utilization = %v, want 0.5", u)
+	if u := float64(v.BusyTime+v.CSTime) / float64(e.Now()); u != 0.5 {
+		t.Errorf("utilization = %v, want 0.5", u)
 	}
 }
 

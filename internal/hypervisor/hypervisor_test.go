@@ -11,8 +11,8 @@ import (
 func setup() (*sim.Engine, *params.P, *cpu.Core, *cpu.Core) {
 	e := sim.NewEngine()
 	p := params.Default()
-	vmCore := cpu.New(e, "vm0", p.ContextSwitchCost)
-	hostCore := cpu.New(e, "host0", p.ContextSwitchCost)
+	vmCore := cpu.New(e, p.ContextSwitchCost)
+	hostCore := cpu.New(e, p.ContextSwitchCost)
 	return e, &p, vmCore, hostCore
 }
 

@@ -52,9 +52,6 @@ func NewChain(services ...Service) *Chain {
 	return &Chain{services: services}
 }
 
-// Len reports the number of services.
-func (c *Chain) Len() int { return len(c.services) }
-
 // ErrDropped is returned when a service intentionally drops the I/O.
 var ErrDropped = errors.New("interpose: dropped by policy")
 

@@ -170,8 +170,8 @@ func TestEmptyChainIsIdentity(t *testing.T) {
 	if err != nil || cost != 0 || string(out) != "x" {
 		t.Error("empty chain not identity")
 	}
-	if c.Len() != 0 {
-		t.Error("Len != 0")
+	if len(c.services) != 0 {
+		t.Error("empty chain holds services")
 	}
 }
 

@@ -35,7 +35,7 @@ func newDispatchRig(tb testing.TB) *dispatchRig {
 	r.hyp.RegisterBlkDeviceMQ(r.clientMAC, 1, blockdev.NewScheduler(dev, r.p.SectorSize), nil, 4)
 	r.clientPort.VF().NotifyRx = nil // drained after each op instead
 	tx := ethernet.Frame{Dst: r.extMAC, Src: d.fMAC, EtherType: ethernet.EtherTypePlain, Payload: make([]byte, 64)}
-	d.tx, _ = tx.Encode(0)
+	d.tx = tx.EncodeTo(make([]byte, tx.Len()))
 	d.in = ethernet.Frame{Dst: d.fMAC, EtherType: ethernet.EtherTypePlain, Payload: make([]byte, 64)}
 	d.blk = virtio.BlkReq{Type: virtio.BlkIn, Sector: 8, Sectors: 1}.Append(nil)
 	return d

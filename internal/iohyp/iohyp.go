@@ -294,9 +294,6 @@ func New(eng *sim.Engine, cfg Config) *IOHypervisor {
 	return h
 }
 
-// Endpoint exposes the transport endpoint (for device control commands).
-func (h *IOHypervisor) Endpoint() *transport.Endpoint { return h.endpoint }
-
 // Workers exposes the worker list (for utilization reporting).
 func (h *IOHypervisor) Workers() []*Worker { return h.workers }
 
@@ -625,16 +622,6 @@ func (h *IOHypervisor) RegisterVolReplica(client ethernet.MAC, id uint16, backen
 // blkDev finds a client's registered block device (nil when unregistered).
 func (h *IOHypervisor) blkDev(client ethernet.MAC, id uint16) *blkDevice {
 	return h.clients[client.Key()].blkDev(id)
-}
-
-// BlkQueues reports the submission-queue count of a registered block device
-// (0 when unregistered).
-func (h *IOHypervisor) BlkQueues(client ethernet.MAC, id uint16) int {
-	d := h.blkDev(client, id)
-	if d == nil {
-		return 0
-	}
-	return d.queues
 }
 
 // BlkQueueDepth reports the in-flight backend executions on queue q of a

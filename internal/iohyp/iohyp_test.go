@@ -75,7 +75,7 @@ func newRig(t testing.TB, sidecores int, mode Mode) *rig {
 	// IOhost.
 	var cores []*cpu.Core
 	for i := 0; i < sidecores; i++ {
-		cores = append(cores, cpu.New(r.eng, "side", r.p.ContextSwitchCost))
+		cores = append(cores, cpu.New(r.eng, r.p.ContextSwitchCost))
 	}
 	r.hyp = New(r.eng, Config{Params: &r.p, Mode: mode, Sidecores: cores, Seed: 1})
 	port := r.hyp.AttachChannelNIC(iohostVF)
@@ -186,7 +186,7 @@ func TestNetTxForwardsToUplinkWithFMAC(t *testing.T) {
 	r.hyp.RegisterNetDevice(r.clientMAC, 2, fMAC, nil)
 
 	inner := ethernet.Frame{Dst: r.extMAC, Src: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("to the world")}
-	raw, _ := inner.Encode(0)
+	raw := inner.EncodeTo(make([]byte, inner.Len()))
 	r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	r.eng.Run()
 
@@ -245,7 +245,7 @@ func TestVMToVMLocalForwarding(t *testing.T) {
 		frame.Release()
 	}
 	inner := ethernet.Frame{Dst: fB, Src: fA, EtherType: ethernet.EtherTypePlain, Payload: []byte("vm2vm")}
-	raw, _ := inner.Encode(0)
+	raw := inner.EncodeTo(make([]byte, inner.Len()))
 	pool := r.hyp.bufPool()
 	for i := range 2 { // a cold pool and a warm one make the same loans
 		gets := pool.Stats.Gets
@@ -273,7 +273,7 @@ func TestFirewallDropCounted(t *testing.T) {
 	fw := interpose.NewFirewall(100, []byte("DENY"))
 	r.hyp.RegisterNetDevice(r.clientMAC, 2, fMAC, interpose.NewChain(fw))
 	inner := ethernet.Frame{Dst: r.extMAC, Src: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("DENY this")}
-	raw, _ := inner.Encode(0)
+	raw := inner.EncodeTo(make([]byte, inner.Len()))
 	r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	r.eng.Run()
 	if got := len(poll(r.extVF, 0)); got != 0 {
@@ -340,7 +340,7 @@ func TestPollingModeHasNoIOhostInterrupts(t *testing.T) {
 	fMAC := ethernet.NewMAC(50)
 	r.hyp.RegisterNetDevice(r.clientMAC, 2, fMAC, nil)
 	inner := ethernet.Frame{Dst: r.extMAC, Src: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("x")}
-	raw, _ := inner.Encode(0)
+	raw := inner.EncodeTo(make([]byte, inner.Len()))
 	for i := 0; i < 10; i++ {
 		r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	}
@@ -355,7 +355,7 @@ func TestInterruptModeCountsIOhostInterrupts(t *testing.T) {
 	fMAC := ethernet.NewMAC(50)
 	r.hyp.RegisterNetDevice(r.clientMAC, 2, fMAC, nil)
 	inner := ethernet.Frame{Dst: r.extMAC, Src: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("x")}
-	raw, _ := inner.Encode(0)
+	raw := inner.EncodeTo(make([]byte, inner.Len()))
 	r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	r.eng.Run()
 	// At least rx + tx interrupts.
@@ -481,7 +481,7 @@ func TestFailedIOhostServesNothing(t *testing.T) {
 	r.hyp.RegisterNetDevice(r.clientMAC, 2, fMAC, nil)
 	r.hyp.Fail()
 	inner := ethernet.Frame{Dst: r.extMAC, Src: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("dead")}
-	raw, _ := inner.Encode(0)
+	raw := inner.EncodeTo(make([]byte, inner.Len()))
 	r.driver.SendNet(uint8(virtio.DeviceNet), 2, raw)
 	r.extVF.SendFrame(ethernet.Frame{Dst: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("in")})
 	r.eng.Run()
@@ -507,7 +507,7 @@ func TestStallWorkersDefersService(t *testing.T) {
 	fMAC := ethernet.NewMAC(50)
 	r.hyp.RegisterNetDevice(r.clientMAC, 2, fMAC, nil)
 	inner := ethernet.Frame{Dst: r.extMAC, Src: fMAC, EtherType: ethernet.EtherTypePlain, Payload: []byte("after the stall")}
-	raw, _ := inner.Encode(0)
+	raw := inner.EncodeTo(make([]byte, inner.Len()))
 
 	const stall = 2 * sim.Millisecond
 	r.eng.At(0, func() {
@@ -566,8 +566,8 @@ func TestMultiQueueStableWorkerAffinity(t *testing.T) {
 	dev := blockdev.NewDevice(r.eng, store, 100, 8)
 	r.hyp.RegisterBlkDeviceMQ(r.clientMAC, 1, blockdev.NewScheduler(dev, r.p.SectorSize), nil, 4)
 
-	if got := r.hyp.BlkQueues(r.clientMAC, 1); got != 4 {
-		t.Fatalf("BlkQueues = %d, want 4", got)
+	if got := r.hyp.blkDev(r.clientMAC, 1).queues; got != 4 {
+		t.Fatalf("%d queues, want 4", got)
 	}
 	for q := 0; q < 4; q++ {
 		if got := r.hyp.BlkQueueWorker(r.clientMAC, 1, q); got != q%3 {

@@ -23,7 +23,7 @@ const (
 // worker would after reassembly. The inner frame leaves through the uplink.
 func sendNetTx(r *rig, src ethernet.MAC, id uint16) {
 	inner := ethernet.Frame{Dst: r.extMAC, Src: ethernet.NewMAC(50), EtherType: ethernet.EtherTypePlain, Payload: []byte("steer")}
-	frame, _ := inner.Encode(0)
+	frame := inner.EncodeTo(make([]byte, inner.Len()))
 	sendMsg(r, src, transport.Header{Type: transport.MsgNetTx, DeviceID: id, ChunkCount: 1}, frame)
 }
 

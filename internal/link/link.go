@@ -517,9 +517,6 @@ func (s *Switch) SetRackPort(rack, port int) {
 	s.rackPorts[rack] = append(s.rackPorts[rack], port)
 }
 
-// Uplinks reports how many uplink ports the switch has.
-func (s *Switch) Uplinks() int { return len(s.uplinks) }
-
 // macHash is the deterministic FNV-1a hash used to spread flows across
 // equal-cost uplinks. It depends only on frame bytes, never on runtime
 // state, so path choice is reproducible per seed.

@@ -80,11 +80,7 @@ func TestWireUtilization(t *testing.T) {
 func frameBytes(t *testing.T, src, dst ethernet.MAC, payload string) []byte {
 	t.Helper()
 	f := ethernet.Frame{Dst: dst, Src: src, EtherType: ethernet.EtherTypePlain, Payload: []byte(payload)}
-	b, err := f.Encode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return f.EncodeTo(make([]byte, f.Len()))
 }
 
 // endpoint collects frames for switch tests.
@@ -487,11 +483,7 @@ func switchRig(tb testing.TB) (e *sim.Engine, send func(), delivered *int) {
 	cb.BtoA.SetReceiver(ReceiverFunc(func([]byte) { n++ }))
 	hdr := func(dst, src ethernet.MAC) []byte {
 		f := ethernet.Frame{Dst: dst, Src: src, EtherType: ethernet.EtherTypeVRIO, Payload: make([]byte, 1024)}
-		buf, err := f.Encode(0)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return buf
+		return f.EncodeTo(make([]byte, f.Len()))
 	}
 	cb.AtoB.Send(hdr(a, b)) // teach the switch b's port
 	e.Run()

@@ -43,9 +43,6 @@ func (p *MessagePort) LocalMAC() ethernet.MAC { return p.vf.MAC() }
 // VF exposes the underlying virtual function.
 func (p *MessagePort) VF() *VF { return p.vf }
 
-// MTU reports the channel MTU.
-func (p *MessagePort) MTU() int { return p.mtu }
-
 // BufPool implements transport.Pooler: transport wire buffers come from the
 // underlying NIC's pool, closing the fragment-recycling loop (frames are
 // built in its slabs, and the consumers of received messages return them to

@@ -221,9 +221,6 @@ type VF struct {
 // MAC reports the VF's address.
 func (v *VF) MAC() ethernet.MAC { return v.mac }
 
-// Mode reports the delivery mode.
-func (v *VF) Mode() DeliveryMode { return v.mode }
-
 // SetMode switches delivery mode (vRIO polls at the IOhost; the "w/o poll"
 // ablation runs the same NIC in interrupt mode).
 func (v *VF) SetMode(m DeliveryMode) { v.mode = m }

@@ -7,22 +7,12 @@
 // rack, so an IOclient can only ever be re-homed onto an IOhost in its own
 // rack. "Prefer intra-rack re-homing" is therefore enforced by
 // construction, not by a policy weight. What the datacenter tier adds is
-// the global view: a merged, deterministically ordered event log, and the
-// detection of dark racks (every IOhost dead) where intra-rack re-homing is
-// impossible and only a cross-rack VM migration could restore service.
+// the detection of dark racks (every IOhost dead) where intra-rack
+// re-homing is impossible and only a cross-rack VM migration could restore
+// service.
 package rack
 
-import (
-	"sort"
-
-	"vrio/internal/cluster"
-)
-
-// RackEvent is one control-plane action with the rack that took it.
-type RackEvent struct {
-	Rack int
-	Event
-}
+import "vrio/internal/cluster"
 
 // Datacenter runs one Controller per rack of a fabric.
 type Datacenter struct {
@@ -53,33 +43,4 @@ func (d *Datacenter) Stop() {
 	for _, c := range d.Controllers {
 		c.Stop()
 	}
-}
-
-// Events merges the racks' logs into one deterministic order: by time, ties
-// by rack index. Within a rack the controller's own append order is kept
-// (it is already time-ordered), so the merge is a pure function of the
-// per-rack logs — independent of how many workers executed the shards.
-func (d *Datacenter) Events() []RackEvent {
-	var all []RackEvent
-	for r, c := range d.Controllers {
-		for _, e := range c.Events {
-			all = append(all, RackEvent{Rack: r, Event: e})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].T != all[j].T {
-			return all[i].T < all[j].T
-		}
-		return all[i].Rack < all[j].Rack
-	})
-	return all
-}
-
-// Counter sums a controller counter across all racks.
-func (d *Datacenter) Counter(name string) uint64 {
-	var n uint64
-	for _, c := range d.Controllers {
-		n += c.Counters.Get(name)
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package rack
 
 import (
+	"slices"
 	"testing"
 
 	"vrio/internal/cluster"
@@ -49,16 +50,18 @@ func TestDatacenterIntraRackRehome(t *testing.T) {
 	}
 	// Every re-home stayed inside rack 1, onto its surviving IOhost.
 	rehomed := false
-	for _, e := range d.Events() {
-		if e.Kind != EventRehome {
-			continue
-		}
-		rehomed = true
-		if e.Rack != 1 {
-			t.Fatalf("re-home recorded in rack %d, want 1", e.Rack)
-		}
-		if e.Dst != 1 {
-			t.Fatalf("re-home destination IOhost %d, want the rack's survivor (1)", e.Dst)
+	for r, c := range d.Controllers {
+		for _, e := range c.Events {
+			if e.Kind != EventRehome {
+				continue
+			}
+			rehomed = true
+			if r != 1 {
+				t.Fatalf("re-home recorded in rack %d, want 1", r)
+			}
+			if e.Dst != 1 {
+				t.Fatalf("re-home destination IOhost %d, want the rack's survivor (1)", e.Dst)
+			}
 		}
 	}
 	if !rehomed {
@@ -94,17 +97,17 @@ func TestDatacenterDarkRack(t *testing.T) {
 			t.Fatalf("rack %d dark = %v, want only rack 0 dark", r, dark)
 		}
 	}
-	if d.Counter("rack_dark") == 0 {
+	if d.Controllers[0].Counters.Get("rack_dark") == 0 {
 		t.Fatal("no rack_dark counter increments")
 	}
 	sawDark := false
-	for _, e := range d.Events() {
-		if e.Kind == EventRackDark && e.Rack == 0 {
+	for _, e := range d.Controllers[0].Events {
+		if e.Kind == EventRackDark {
 			sawDark = true
 		}
 	}
 	if !sawDark {
-		t.Fatal("no EventRackDark in the merged log")
+		t.Fatal("no EventRackDark in rack 0's log")
 	}
 	// Rack 1 is untouched and still fully alive.
 	if got := d.Controllers[1].AliveIOhosts(); got != 2 {
@@ -112,11 +115,11 @@ func TestDatacenterDarkRack(t *testing.T) {
 	}
 }
 
-// TestDatacenterEventOrderDeterministic: the merged log is byte-identical
-// across worker counts (the same property the fabric equivalence test
-// enforces for the datapath, applied to the control plane).
+// TestDatacenterEventOrderDeterministic: every rack's event log is
+// identical across worker counts (the same property the fabric equivalence
+// test enforces for the datapath, applied to the control plane).
 func TestDatacenterEventOrderDeterministic(t *testing.T) {
-	run := func(workers int) []RackEvent {
+	run := func(workers int) (logs [][]Event, n int) {
 		f, perRack := dcFabric(t)
 		defer f.Close()
 		d := NewDatacenter(f, Config{HeartbeatInterval: sim.Millisecond / 2})
@@ -126,19 +129,20 @@ func TestDatacenterEventOrderDeterministic(t *testing.T) {
 			f.Racks[r].Eng.At(5*sim.Millisecond, func() { f.Racks[r].IOHyps[0].Fail() })
 		}
 		f.RunMeasured(sim.Millisecond, 19*sim.Millisecond, workers, perRack)
-		return d.Events()
+		for _, c := range d.Controllers {
+			logs = append(logs, c.Events)
+			n += len(c.Events)
+		}
+		return logs, n
 	}
-	serial := run(1)
-	if len(serial) == 0 {
+	serial, n := run(1)
+	if n == 0 {
 		t.Fatal("no events to compare")
 	}
-	parallel := run(3)
-	if len(parallel) != len(serial) {
-		t.Fatalf("event count diverged: %d vs %d", len(parallel), len(serial))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("event %d diverged: %+v vs %+v", i, serial[i], parallel[i])
+	parallel, _ := run(3)
+	for r := range serial {
+		if !slices.Equal(serial[r], parallel[r]) {
+			t.Fatalf("rack %d's log diverged:\n%+v\nvs\n%+v", r, serial[r], parallel[r])
 		}
 	}
 }

@@ -47,16 +47,6 @@ func (t Time) String() string {
 	}
 }
 
-// totalExecuted counts events executed across every engine in the process.
-// It exists only for throughput reporting (events/sec); the engines
-// themselves never read it. Updated once per Run, not per event.
-var totalExecuted atomic.Uint64
-
-// TotalExecuted reports how many events all engines in this process have
-// executed so far. Safe to call concurrently with running engines; the
-// count lags each engine's in-progress Run until that Run returns.
-func TotalExecuted() uint64 { return totalExecuted.Load() }
-
 // The event queue is a timing wheel (a calendar queue, Brown, CACM 1988)
 // with a heap behind it for the far future. Simulated time is cut into
 // buckets of 2^bucketShift ns; the wheel holds the wheelBuckets buckets from
@@ -433,11 +423,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	e.running = true
 	e.stopped = false
-	startExecuted := e.executed
-	defer func() {
-		e.running = false
-		totalExecuted.Add(e.executed - startExecuted)
-	}()
+	defer func() { e.running = false }()
 	for !e.stopped {
 		if e.inWheel == 0 && len(e.heap) == 0 {
 			break
@@ -481,14 +467,11 @@ func (e *Engine) Stop() { e.stopped = true }
 // (within 256 events). Unlike Stop it is safe to call from another
 // goroutine — it is how a SIGINT handler drains a long simulation instead
 // of killing it mid-write. The flag is sticky: once interrupted, further
-// Run calls return immediately until ClearInterrupt.
+// Run calls return immediately.
 func (e *Engine) Interrupt() { e.interrupted.Store(true) }
 
 // Interrupted reports whether Interrupt has been called.
 func (e *Engine) Interrupted() bool { return e.interrupted.Load() }
-
-// ClearInterrupt re-arms the engine after an Interrupt.
-func (e *Engine) ClearInterrupt() { e.interrupted.Store(false) }
 
 // Ticker invokes fn every period until the returned stop function is called.
 // The first tick fires one period from now.

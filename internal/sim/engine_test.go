@@ -321,21 +321,6 @@ func TestEnginePendingLiveCounter(t *testing.T) {
 	}
 }
 
-// The process-wide executed counter must accumulate across engines.
-func TestTotalExecutedAccumulates(t *testing.T) {
-	before := TotalExecuted()
-	e1, e2 := NewEngine(), NewEngine()
-	for i := 0; i < 5; i++ {
-		e1.At(Time(i), func() {})
-		e2.At(Time(i), func() {})
-	}
-	e1.Run()
-	e2.Run()
-	if got := TotalExecuted() - before; got < 10 {
-		t.Errorf("TotalExecuted advanced by %d, want >= 10", got)
-	}
-}
-
 // Property: however events are scheduled, they execute in nondecreasing time
 // order.
 func TestEngineOrderProperty(t *testing.T) {

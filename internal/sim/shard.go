@@ -146,7 +146,6 @@ type ShardGroup struct {
 	// worker pool, created lazily on the first parallel run and reused
 	// across windows so a window costs two channel hops, not a goroutine
 	// spawn per shard.
-	workers   int
 	dispatch  []chan Time // one per worker: window end (inclusive run deadline)
 	completed chan int
 }
@@ -163,9 +162,6 @@ func NewShardGroup(lookahead Time, inboxCap int) *ShardGroup {
 	}
 	return &ShardGroup{lookahead: lookahead, inboxCap: inboxCap}
 }
-
-// Lookahead reports the group's synchronization window size.
-func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 
 // Shards returns the group's shards in ID order.
 func (g *ShardGroup) Shards() []*Shard { return g.shards }
@@ -228,19 +224,13 @@ func (g *ShardGroup) RunUntil(deadline Time, workers int) {
 	}
 }
 
-// Run advances the group until every shard is quiescent.
-func (g *ShardGroup) Run(workers int) { g.RunUntil(MaxTime, workers) }
-
 // Interrupt requests that RunUntil return at the next window barrier. Safe
-// to call from another goroutine (a signal handler); the flag is sticky
-// until ClearInterrupt, so a warmup/measure pair both stop.
+// to call from another goroutine (a signal handler); the flag is sticky, so
+// a warmup/measure pair both stop.
 func (g *ShardGroup) Interrupt() { g.interrupted.Store(true) }
 
 // Interrupted reports whether Interrupt has been called.
 func (g *ShardGroup) Interrupted() bool { return g.interrupted.Load() }
-
-// ClearInterrupt re-arms the group after an Interrupt.
-func (g *ShardGroup) ClearInterrupt() { g.interrupted.Store(false) }
 
 // runWindowParallel executes one window on the persistent worker pool.
 // Worker w owns shards w, w+workers, w+2*workers, ... — a static partition,

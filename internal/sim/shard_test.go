@@ -119,7 +119,7 @@ func TestShardGroupInboxBound(t *testing.T) {
 	}
 }
 
-// TestShardGroupQuiescence: Run drains everything, including messages that
+// TestShardGroupQuiescence: RunUntil(MaxTime) drains everything, including messages that
 // land several windows ahead, then stops.
 func TestShardGroupQuiescence(t *testing.T) {
 	g := NewShardGroup(10, 0)
@@ -128,7 +128,7 @@ func TestShardGroupQuiescence(t *testing.T) {
 	a.Eng.At(0, func() {
 		b.Post(a, 1000, func() { ran = true }) // 100 windows ahead
 	})
-	g.Run(1)
+	g.RunUntil(MaxTime, 1)
 	if !ran {
 		t.Fatal("far-future cross-shard message never ran")
 	}

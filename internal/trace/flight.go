@@ -33,10 +33,9 @@ type FlightEntry struct {
 // the disabled recorder: Record on nil is an inlined no-op, matching the
 // nil-*Tracer convention.
 type FlightRecorder struct {
-	buf   []FlightEntry // nil until the first Record, then capacity size
-	size  int
-	next  int    // index the next Record writes
-	total uint64 // entries ever recorded
+	buf  []FlightEntry // nil until the first Record, then capacity size
+	size int
+	next int // index the next Record writes
 }
 
 // NewFlightRecorder builds a recorder holding the last `capacity` entries.
@@ -66,23 +65,6 @@ func (f *FlightRecorder) Record(t sim.Time, kind, name string, arg uint64) {
 	if f.next == cap(f.buf) {
 		f.next = 0
 	}
-	f.total++
-}
-
-// Total reports how many entries were ever recorded (retained or evicted).
-func (f *FlightRecorder) Total() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.total
-}
-
-// Dropped reports how many entries the ring has evicted.
-func (f *FlightRecorder) Dropped() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.total - uint64(len(f.buf))
 }
 
 // Entries returns the retained entries oldest-first, as a fresh slice.
@@ -97,19 +79,6 @@ func (f *FlightRecorder) Entries() []FlightEntry {
 	}
 	out = append(out, f.buf[f.next:]...)
 	return append(out, f.buf[:f.next]...)
-}
-
-// WriteJSONL emits the retained entries oldest-first, one object per line.
-func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range f.Entries() {
-		_, err := fmt.Fprintf(bw, `{"t":%d,"kind":%q,"name":%q,"arg":%d}`+"\n",
-			int64(e.T), e.Kind, e.Name, e.Arg)
-		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // FlightDump is one anomaly-triggered snapshot of a shard's ring: what

@@ -11,8 +11,8 @@ import (
 	"vrio/internal/stats"
 )
 
-// Registry is the per-component metrics registry: named counters, gauges,
-// and histograms registered under "component/name". Components register at
+// Registry is the per-component metrics registry: named gauges and
+// histograms registered under "component/name". Components register at
 // build time (cluster.Build wires one registry per testbed); experiments
 // read values by name instead of reaching into component counter fields,
 // and a Timeseries samples every metric at sim-time intervals via
@@ -30,26 +30,14 @@ type Registry struct {
 // nor looking one up builds its full name.
 type metricKey struct{ component, name string }
 
-// MetricKind discriminates the three metric flavors.
-type MetricKind uint8
-
-// Kinds.
-const (
-	KindCounter MetricKind = iota + 1
-	KindGauge
-	KindHistogram
-)
-
-// Metric is one registered metric. Counters own their value (Add); gauges
-// read a component's existing state through a closure at snapshot time (so
-// instrumenting a component costs nothing on its hot path); histograms wrap
-// a stats.Histogram and report its p99 as the snapshot value.
+// Metric is one registered metric. A gauge reads a component's existing
+// state through a closure at snapshot time (so instrumenting a component
+// costs nothing on its hot path); a histogram metric wraps a
+// stats.Histogram and reports its p99 as the snapshot value.
 type Metric struct {
 	Component string
 	Name      string
-	Kind      MetricKind
 
-	count uint64
 	gauge func() float64
 	hist  *stats.Histogram
 }
@@ -82,23 +70,16 @@ func (m *Metric) fullNameByte(i int) byte {
 	return m.Name[i-len(m.Component)-1]
 }
 
-// Add increments a counter metric.
-func (m *Metric) Add(delta uint64) { m.count += delta }
-
 // Value reads the metric's current snapshot value.
 func (m *Metric) Value() float64 {
-	switch m.Kind {
-	case KindCounter:
-		return float64(m.count)
-	case KindGauge:
-		return m.gauge()
-	default:
+	if m.hist != nil {
 		return float64(m.hist.Percentile(99))
 	}
+	return m.gauge()
 }
 
-// Hist exposes the underlying histogram of a KindHistogram metric (nil for
-// other kinds), for percentile queries beyond the snapshot p99.
+// Hist exposes the underlying histogram of a histogram metric (nil for a
+// gauge), for percentile queries beyond the snapshot p99.
 func (m *Metric) Hist() *stats.Histogram { return m.hist }
 
 // NewRegistry builds an empty registry.
@@ -116,14 +97,9 @@ func (r *Registry) add(m *Metric) *Metric {
 	return m
 }
 
-// Counter registers a counter and returns the handle to Add through.
-func (r *Registry) Counter(component, name string) *Metric {
-	return r.add(&Metric{Component: component, Name: name, Kind: KindCounter})
-}
-
 // Gauge registers a gauge read through fn at snapshot time.
 func (r *Registry) Gauge(component, name string, fn func() float64) *Metric {
-	return r.add(&Metric{Component: component, Name: name, Kind: KindGauge, gauge: fn})
+	return r.add(&Metric{Component: component, Name: name, gauge: fn})
 }
 
 // PercentileGauge registers a gauge that reads one percentile of an
@@ -136,14 +112,14 @@ func (r *Registry) PercentileGauge(component, name string, h *stats.Histogram, p
 // Histogram registers a fresh histogram and returns it for recording.
 func (r *Registry) Histogram(component, name string) *stats.Histogram {
 	h := &stats.Histogram{}
-	r.add(&Metric{Component: component, Name: name, Kind: KindHistogram, hist: h})
+	r.add(&Metric{Component: component, Name: name, hist: h})
 	return h
 }
 
 // ObserveHistogram registers an existing component histogram (e.g. a load
 // generator's latency histogram) without copying it.
 func (r *Registry) ObserveHistogram(component, name string, h *stats.Histogram) *Metric {
-	return r.add(&Metric{Component: component, Name: name, Kind: KindHistogram, hist: h})
+	return r.add(&Metric{Component: component, Name: name, hist: h})
 }
 
 // Get returns the metric registered under component/name, or nil.
@@ -160,9 +136,6 @@ func (r *Registry) Value(component, name string) float64 {
 	}
 	return m.Value()
 }
-
-// Len reports the number of registered metrics.
-func (r *Registry) Len() int { return len(r.metrics) }
 
 // Sample is one metric's value at snapshot time.
 type Sample struct {

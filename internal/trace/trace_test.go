@@ -188,9 +188,7 @@ func TestJSONLExport(t *testing.T) {
 
 func TestRegistrySnapshotAndValue(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("nic", "tx_frames")
-	c.Add(3)
-	c.Add(4)
+	r.Gauge("nic", "tx_frames", func() float64 { return 7 })
 	backing := 2.5
 	r.Gauge("link", "utilization", func() float64 { return backing })
 	h := r.Histogram("iohyp", "wait_ns")
@@ -198,7 +196,7 @@ func TestRegistrySnapshotAndValue(t *testing.T) {
 		h.Record(i * 10)
 	}
 	if got := r.Value("nic", "tx_frames"); got != 7 {
-		t.Errorf("counter value = %v", got)
+		t.Errorf("tx_frames value = %v", got)
 	}
 	if got := r.Value("link", "utilization"); got != 2.5 {
 		t.Errorf("gauge value = %v", got)
@@ -235,7 +233,7 @@ func TestRegistrySortsByFullName(t *testing.T) {
 	}
 	var want []string
 	for _, p := range parts {
-		r.Counter(p[0], p[1])
+		r.Gauge(p[0], p[1], func() float64 { return 0 })
 		want = append(want, p[0]+"/"+p[1])
 	}
 	sort.Strings(want)
@@ -251,7 +249,7 @@ func TestRegistrySortsByFullName(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a", "b")
+	r.Histogram("a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
@@ -263,10 +261,11 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 func TestTimeseriesSamplingViaTicker(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewRegistry()
-	c := r.Counter("dev", "ops")
+	ops := 0
+	r.Gauge("dev", "ops", func() float64 { return float64(ops) })
 	ts := r.NewTimeseries()
 	e.Ticker(100, func() { ts.Sample(e.Now()) })
-	e.Ticker(40, func() { c.Add(1) })
+	e.Ticker(40, func() { ops++ })
 	e.RunUntil(350)
 	if len(ts.T) != 3 {
 		t.Fatalf("samples = %d, want 3", len(ts.T))

@@ -24,8 +24,8 @@ func TestNetServerServe(t *testing.T) {
 	var counters stats.Counters
 	srv := NetServer{Chain: interpose.NewChain(interpose.NewFirewall(3, []byte("DROP"))), Device: 4, Counters: &counters}
 	frame := func(payload string) []byte {
-		raw, _ := (&ethernet.Frame{Dst: ethernet.NewMAC(1), Src: ethernet.NewMAC(2), EtherType: ethernet.EtherTypePlain, Payload: []byte(payload)}).Encode(0)
-		return raw
+		f := ethernet.Frame{Dst: ethernet.NewMAC(1), Src: ethernet.NewMAC(2), EtherType: ethernet.EtherTypePlain, Payload: []byte(payload)}
+		return f.EncodeTo(make([]byte, f.Len()))
 	}
 	site := &recordSite{}
 	srv.Serve(site, interpose.ToGuest, frame("hello"))
@@ -46,7 +46,8 @@ func TestNetServerServe(t *testing.T) {
 // and without allocating.
 func TestNetServerFreeChainZeroAlloc(t *testing.T) {
 	srv := NetServer{Chain: interpose.NewChain(interpose.Null{})}
-	raw, _ := (&ethernet.Frame{EtherType: ethernet.EtherTypePlain, Payload: []byte("x")}).Encode(0)
+	f := ethernet.Frame{EtherType: ethernet.EtherTypePlain, Payload: []byte("x")}
+	raw := f.EncodeTo(make([]byte, f.Len()))
 	site := &recordSite{got: make([]ethernet.Frame, 0, 1)}
 	allocs := testing.AllocsPerRun(100, func() {
 		site.got = site.got[:0]

@@ -323,9 +323,6 @@ func (r *Ring) ReapInto(b *ReapBatch, max int) int {
 	return len(b.Completions)
 }
 
-// InFlight reports the number of posted-but-not-reaped requests.
-func (r *Ring) InFlight() int { return r.inFlight }
-
 // --- device (host / sidecore / IOhost worker) side ---
 
 // Chain is one request as seen by the device; the device answers it with

@@ -235,8 +235,8 @@ func runRingOps(t *testing.T, prog []byte) {
 		case 3:
 			reap(arg() % 4)
 		}
-		if r.FreeDescriptors() != free || r.InFlight() != len(reqs) {
-			t.Fatalf("%d free, %d in flight; want %d, %d", r.FreeDescriptors(), r.InFlight(), free, len(reqs))
+		if r.FreeDescriptors() != free || r.inFlight != len(reqs) {
+			t.Fatalf("%d free, %d in flight; want %d, %d", r.FreeDescriptors(), r.inFlight, free, len(reqs))
 		}
 		checkRingMemory(t, r, pool)
 	}
@@ -250,9 +250,9 @@ func runRingOps(t *testing.T, prog []byte) {
 	}
 	reap(0)
 	checkRingMemory(t, r, pool)
-	if r.FreeDescriptors() != qsize || r.InFlight() != 0 || pool.Stats.Gets != pool.Stats.Puts {
+	if r.FreeDescriptors() != qsize || r.inFlight != 0 || pool.Stats.Gets != pool.Stats.Puts {
 		t.Fatalf("quiescent ring: %d free, %d in flight, pool gets %d puts %d",
-			r.FreeDescriptors(), r.InFlight(), pool.Stats.Gets, pool.Stats.Puts)
+			r.FreeDescriptors(), r.inFlight, pool.Stats.Gets, pool.Stats.Puts)
 	}
 }
 

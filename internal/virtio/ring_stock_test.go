@@ -49,8 +49,8 @@ func sameRing(t *testing.T, step string, a, b *Ring) {
 		inFlight, free              int
 		freeHead, lastUsed, lastAvl uint16
 	}
-	sa := state{a.InFlight(), a.FreeDescriptors(), a.freeHead, a.lastUsedIdx, a.lastAvailIdx}
-	sb := state{b.InFlight(), b.FreeDescriptors(), b.freeHead, b.lastUsedIdx, b.lastAvailIdx}
+	sa := state{a.inFlight, a.FreeDescriptors(), a.freeHead, a.lastUsedIdx, a.lastAvailIdx}
+	sb := state{b.inFlight, b.FreeDescriptors(), b.freeHead, b.lastUsedIdx, b.lastAvailIdx}
 	if sa != sb {
 		t.Fatalf("%s: state %+v, want %+v", step, sa, sb)
 	}

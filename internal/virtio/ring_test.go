@@ -190,8 +190,8 @@ func TestRingEmptyRequestRejected(t *testing.T) {
 			t.Errorf("Add reserving %v: err = %v, want ErrEmptyRequest", in, err)
 		}
 	}
-	if r.FreeDescriptors() != 16 || r.InFlight() != 0 {
-		t.Errorf("%d free, %d in flight after refused requests", r.FreeDescriptors(), r.InFlight())
+	if r.FreeDescriptors() != 16 || r.inFlight != 0 {
+		t.Errorf("%d free, %d in flight after refused requests", r.FreeDescriptors(), r.inFlight)
 	}
 }
 
@@ -344,8 +344,8 @@ func TestRingIndexWraparound(t *testing.T) {
 			t.Fatalf("iter %d: corrupt completion", i)
 		}
 	}
-	if r.InFlight() != 0 || r.FreeDescriptors() != r.QueueSize() {
-		t.Errorf("InFlight=%d free=%d, want 0 and %d", r.InFlight(), r.FreeDescriptors(), r.QueueSize())
+	if r.inFlight != 0 || r.FreeDescriptors() != r.QueueSize() {
+		t.Errorf("InFlight=%d free=%d, want 0 and %d", r.inFlight, r.FreeDescriptors(), r.QueueSize())
 	}
 }
 
@@ -353,15 +353,15 @@ func TestRingInFlight(t *testing.T) {
 	r := mustRing(t, 16)
 	r.Add(bufs([]byte{1}))
 	r.Add(bufs([]byte{2}))
-	if r.InFlight() != 2 {
-		t.Errorf("InFlight = %d, want 2", r.InFlight())
+	if r.inFlight != 2 {
+		t.Errorf("InFlight = %d, want 2", r.inFlight)
 	}
 	var c Chain
 	r.PopInto(&c)
 	r.Push(c)
 	reap(r, 0)
-	if r.InFlight() != 1 {
-		t.Errorf("InFlight = %d, want 1", r.InFlight())
+	if r.inFlight != 1 {
+		t.Errorf("InFlight = %d, want 1", r.inFlight)
 	}
 }
 

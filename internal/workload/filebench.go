@@ -39,12 +39,11 @@ type FilebenchConfig struct {
 type Filebench struct {
 	Results Results
 
-	eng     *sim.Engine
-	rng     *sim.RNG
-	vcpu    *guestos.VCPU
-	dev     BlockIO
-	cfg     FilebenchConfig
-	stopped bool
+	eng  *sim.Engine
+	rng  *sim.RNG
+	vcpu *guestos.VCPU
+	dev  BlockIO
+	cfg  FilebenchConfig
 }
 
 // NewFilebench builds the instance; threads start on Start.
@@ -67,9 +66,6 @@ func (fb *Filebench) Start() {
 	}
 }
 
-// Stop winds the threads down at their next op boundary.
-func (fb *Filebench) Stop() { fb.stopped = true }
-
 func (fb *Filebench) randSector() uint64 {
 	sectorsPerOp := uint64(fb.cfg.IOSize / fb.cfg.SectorSize)
 	if sectorsPerOp == 0 {
@@ -89,16 +85,10 @@ func (fb *Filebench) spawn(writer bool) {
 	payload := make([]byte, fb.cfg.IOSize)
 	var loop func()
 	loop = func() {
-		if fb.stopped {
-			return
-		}
 		start := fb.eng.Now()
 		sector := fb.randSector()
 		complete := func(n int, failed bool) {
 			fb.Results.record(fb.eng.Now()-start, n, failed)
-			if fb.stopped {
-				return
-			}
 			op := fb.rng.Range(fb.cfg.OpCost*8/10, fb.cfg.OpCost*12/10)
 			th.Do(op+fb.dev.BlockCPUCost(fb.cfg.IOSize), loop)
 		}
@@ -149,7 +139,6 @@ type Webserver struct {
 	fileSectors []uint64
 	fileSize    []int
 	logSector   uint64
-	stopped     bool
 }
 
 // NewWebserver lays out the file set on the device address space and
@@ -194,18 +183,12 @@ func (w *Webserver) Start() {
 	}
 }
 
-// Stop winds down at the next file boundary.
-func (w *Webserver) Stop() { w.stopped = true }
-
 func (w *Webserver) spawnThread() {
 	th := w.vcpu.Spawn("webserver")
 	secPerChunk := w.cfg.ChunkSize / w.cfg.SectorSize
 	logPayload := make([]byte, w.cfg.LogWrite)
 	var serveFile func()
 	serveFile = func() {
-		if w.stopped {
-			return
-		}
 		idx := w.rng.Intn(len(w.fileSectors))
 		base := w.fileSectors[idx]
 		size := w.fileSize[idx]
@@ -218,18 +201,14 @@ func (w *Webserver) spawnThread() {
 			appendLog := func() {
 				w.dev.WriteBlock(w.logSector, logPayload, func(err error) {
 					w.Results.record(w.eng.Now()-start, size, err != nil)
-					if !w.stopped {
-						th.Do(w.rng.Range(w.cfg.OpCost/2, w.cfg.OpCost), serveFile)
-					}
+					th.Do(w.rng.Range(w.cfg.OpCost/2, w.cfg.OpCost), serveFile)
 				})
 			}
 			if w.cfg.LogWrite > 0 {
 				appendLog()
 			} else {
 				w.Results.record(w.eng.Now()-start, size, false)
-				if !w.stopped {
-					th.Do(w.rng.Range(w.cfg.OpCost/2, w.cfg.OpCost), serveFile)
-				}
+				th.Do(w.rng.Range(w.cfg.OpCost/2, w.cfg.OpCost), serveFile)
 			}
 		}
 		readChunk = func(i int) {
@@ -241,9 +220,7 @@ func (w *Webserver) spawnThread() {
 			w.dev.ReadBlock(sector, secPerChunk, func(_ []byte, err error) {
 				if err != nil {
 					w.Results.record(w.eng.Now()-start, 0, true)
-					if !w.stopped {
-						th.Do(w.cfg.OpCost, serveFile)
-					}
+					th.Do(w.cfg.OpCost, serveFile)
 					return
 				}
 				// Per-chunk processing on the VCPU (including the I/O

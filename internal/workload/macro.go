@@ -16,9 +16,8 @@ type Macro struct {
 	target  ethernet.MAC
 	cfg     MacroConfig
 
-	seq     uint64
-	sentAt  map[uint64]sim.Time
-	stopped bool
+	seq    uint64
+	sentAt map[uint64]sim.Time
 }
 
 // MacroConfig parameterizes a macrobenchmark.
@@ -58,13 +57,7 @@ func (m *Macro) Start() {
 	}
 }
 
-// Stop winds the loops down.
-func (m *Macro) Stop() { m.stopped = true }
-
 func (m *Macro) sendNext() {
-	if m.stopped {
-		return
-	}
 	m.seq++
 	seq := m.seq
 	m.sentAt[seq] = m.station.eng.Now()

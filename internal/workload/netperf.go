@@ -15,7 +15,6 @@ type RR struct {
 	target  ethernet.MAC
 	seq     uint64
 	sentAt  map[uint64]sim.Time
-	stopped bool
 	// req is the request payload, rewritten for every request (Send only
 	// borrows it). timers holds the sequence number of each armed loss
 	// timer: the timeout is one constant, so they fire FIFO, each running
@@ -44,13 +43,7 @@ const rrTimeout = 30 * sim.Millisecond
 // Start begins the closed loop.
 func (rr *RR) Start() { rr.sendNext() }
 
-// Stop ends the loop after the in-flight transaction.
-func (rr *RR) Stop() { rr.stopped = true }
-
 func (rr *RR) sendNext() {
-	if rr.stopped {
-		return
-	}
 	rr.seq++
 	now := rr.station.eng.Now()
 	rr.sentAt[rr.seq] = now
@@ -146,7 +139,6 @@ type Stream struct {
 	// (at most window of them). An ack for any other chunk is a duplicate,
 	// or late after the chunk's loss timer fired, and is ignored.
 	outstanding map[uint64]struct{}
-	stopped     bool
 
 	// Lost counts chunks presumed lost and recovered by timeout.
 	Lost uint64
@@ -211,11 +203,8 @@ const chunkTimeout = 100 * sim.Millisecond
 // Start begins streaming.
 func (st *Stream) Start() { st.pump() }
 
-// Stop halts after in-flight chunks drain.
-func (st *Stream) Stop() { st.stopped = true }
-
 func (st *Stream) pump() {
-	for !st.stopped && st.inFlight < st.window {
+	for st.inFlight < st.window {
 		st.inFlight++
 		st.seq++
 		seq := st.seq

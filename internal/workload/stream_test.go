@@ -13,18 +13,24 @@ import (
 
 // lossyGuest is a netServer straight on a NIC VF that loses every
 // dropTx-th frame it sends, so a stream over it runs both its ack path and
-// its loss-timeout path.
+// its loss-timeout path. A halted guest takes no more compute, so the
+// stream sends no chunk after the halt and the ones in flight drain.
 type lossyGuest struct {
 	eng    *sim.Engine
 	vf     *nic.VF
 	onRx   func(ethernet.Frame)
 	dropTx int
 	tx     int
+	halted bool
 }
 
 func (g *lossyGuest) OnNetRx(fn func(ethernet.Frame)) { g.onRx = fn }
-func (g *lossyGuest) Compute(d sim.Time, fn func())   { g.eng.After(d, fn) }
 func (g *lossyGuest) MAC() ethernet.MAC               { return g.vf.MAC() }
+func (g *lossyGuest) Compute(d sim.Time, fn func()) {
+	if !g.halted {
+		g.eng.After(d, fn)
+	}
+}
 func (g *lossyGuest) SendNet(f ethernet.Frame) {
 	if g.tx++; g.tx%g.dropTx == 0 {
 		return
@@ -36,7 +42,7 @@ func (g *lossyGuest) SendNet(f ethernet.Frame) {
 
 // newLossyStream wires a Stream from a lossyGuest to a Station over one
 // cable.
-func newLossyStream(window int) (*sim.Engine, *Stream) {
+func newLossyStream(window int) (*sim.Engine, *lossyGuest, *Stream) {
 	eng := sim.NewEngine()
 	p := params.Default()
 	cable := link.NewDuplex(eng, p.LinkBandwidth10G, p.WireLatency)
@@ -45,7 +51,7 @@ func newLossyStream(window int) (*sim.Engine, *Stream) {
 	guestNIC := nic.New(eng, "guest", cfg, cable.BtoA)
 	cable.AtoB.SetReceiver(guestNIC)
 	cable.BtoA.SetReceiver(genNIC)
-	st := NewStation(eng, &p, cpu.New(eng, "gen", 0), genNIC.AddVF(ethernet.NewMAC(1), nic.ModeInterrupt))
+	st := NewStation(eng, &p, cpu.New(eng, 0), genNIC.AddVF(ethernet.NewMAC(1), nic.ModeInterrupt))
 	gvf := guestNIC.AddVF(ethernet.NewMAC(2), nic.ModeInterrupt)
 	g := &lossyGuest{eng: eng, vf: gvf, dropTx: 7}
 	gvf.OnInterrupt(func(frames [][]byte) {
@@ -58,7 +64,7 @@ func newLossyStream(window int) (*sim.Engine, *Stream) {
 	})
 	s := NewStream(g, st, 1024, 2*sim.Microsecond, window)
 	s.Results.StartMeasuring()
-	return eng, s
+	return eng, g, s
 }
 
 // The stream's duplicate-ack bookkeeping stays bounded by its window: after
@@ -67,7 +73,7 @@ func newLossyStream(window int) (*sim.Engine, *Stream) {
 // are the ones the unbounded bookkeeping produced.
 func TestStreamAckBookkeepingBounded(t *testing.T) {
 	const window = 8
-	eng, s := newLossyStream(window)
+	eng, g, s := newLossyStream(window)
 	s.Start()
 	for s.seq < 10*window && eng.Now() < 10*sim.Second {
 		eng.RunUntil(eng.Now() + sim.Millisecond)
@@ -78,7 +84,7 @@ func TestStreamAckBookkeepingBounded(t *testing.T) {
 	if s.seq < 10*window {
 		t.Fatalf("stream stalled after %d chunks", s.seq)
 	}
-	s.Stop()
+	g.halted = true
 	eng.RunUntil(eng.Now() + 2*chunkTimeout)
 	if s.Lost != 16 || s.Results.Ops != 96 || s.Results.Bytes != 96*1024 || s.Results.Errors != 0 {
 		t.Errorf("lost=%d ops=%d bytes=%d errors=%d, want 16, 96, %d, 0",

@@ -9,17 +9,20 @@
 #    case (a bare exported declaration) cheaply and deterministically.
 # 2. README.md's architecture map must mention every internal/ package, so a
 #    new package cannot land without a row in the map.
-# 3. No dead public surface: an exported function, method or constant in a
-#    non-test internal/ file must be named somewhere besides its own
-#    definition, across the non-test .go files of both modules (the root
-#    and vriobench/), `//` comments stripped. An export that only tests use
-#    belongs in the package's export_test.go, and dead code is deleted. The
-#    exceptions (paper mechanisms and harnesses that other packages' tests
-#    share) are listed in scripts/api_allowlist.txt as package.Name or
+# 3. No dead surface: scripts/deadexports type-checks the non-test files of
+#    both modules (the root and vriobench/) with go/types and reports every
+#    package-level func, const, var and type, and every method, declared in
+#    an internal/ package, unexported ones included, that no non-test file
+#    of either module uses. A use counts only when it resolves to that very
+#    symbol. A method is not reported when its type satisfies, by
+#    types.Implements, an interface of the modules or of an imported
+#    standard-library package that has the method (fmt.Stringer, error,
+#    json.Unmarshaler). A symbol that only tests use belongs in the
+#    package's export_test.go, and dead code is deleted. The exceptions
+#    (paper mechanisms and harnesses that other packages' tests share) are
+#    listed in scripts/api_allowlist.txt as package.Name or
 #    package.Type.Method followed by a reason. A line without a reason, or
-#    one naming a symbol that is no longer unused, fails too. Like check 1
-#    this matches names, not types: a name that also occurs elsewhere
-#    counts as used.
+#    one naming a symbol that is no longer unused, fails too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,51 +55,7 @@ for d in internal/*/; do
   fi
 done
 
-# Check 3. The awk pass prints "package.Name file:line" for every unused
-# export; the allowlist pass then flags unlisted ones, reasonless lines and
-# stale lines.
-mapfile -t gofiles < <(find . -path ./.git -prune -o -name '*.go' ! -name '*_test.go' -print | sort)
-unused=$(awk '
-  FNR == 1 { inconst = 0; pkg = FILENAME; sub(/\/[^\/]*$/, "", pkg); sub(/.*\//, "", pkg) }
-  { line = $0; sub(/\/\/.*/, "", line) }
-  FILENAME ~ /^\.\/internal\// {
-    name = ""; recv = ""
-    if (line ~ /^func [A-Z]/) {
-      name = substr(line, 6)
-    } else if (line ~ /^func \([^)]*\) [A-Z]/) {
-      recv = line; sub(/^func \(/, "", recv); sub(/\).*/, "", recv); sub(/.*[ *]/, "", recv); sub(/\[.*/, "", recv)
-      name = line; sub(/^func \([^)]*\) /, "", name)
-    } else if (line ~ /^const [A-Z]/) {
-      name = substr(line, 7)
-    } else if (inconst && line ~ /^\t[A-Z]/) {
-      name = substr(line, 2)
-    }
-    if (name != "") {
-      sub(/[^A-Za-z0-9_].*/, "", name)
-      def[name] = pkg "." (recv == "" ? "" : recv ".") name " " FILENAME ":" FNR
-    }
-    if (line ~ /^const \($/) inconst = 1
-    else if (line ~ /^\)/) inconst = 0
-  }
-  {
-    n = split(line, tok, /[^A-Za-z0-9_]+/)
-    for (i = 1; i <= n; i++) if (tok[i] != "") count[tok[i]]++
-  }
-  END { for (name in def) if (count[name] == 1) print def[name] }
-' "${gofiles[@]}" | sort)
-bad=$(awk '
-  NR == FNR { if ($1 != "") unused[$1] = $2; next }
-  /^[[:space:]]*(#|$)/ { next }
-  NF < 2 { printf "scripts/api_allowlist.txt:%d: %s has no reason\n", FNR, $1; next }
-  !($1 in unused) { printf "scripts/api_allowlist.txt:%d: %s is not an unused export; drop the line\n", FNR, $1; next }
-  { listed[$1] = 1 }
-  END {
-    for (sym in unused) if (!(sym in listed))
-      printf "%s: %s is named only by its definition (delete it, move it to export_test.go, or allowlist it)\n", unused[sym], sym
-  }
-' <(printf '%s\n' "$unused") scripts/api_allowlist.txt | sort)
-if [ -n "$bad" ]; then
-  echo "$bad"
+if ! go run ./scripts/deadexports scripts/api_allowlist.txt . vriobench; then
   fail=1
 fi
 

@@ -50,7 +50,9 @@ bench:
 #              a block reply gathered from its parts, byte for byte.
 #   blockdev:  a 4 KiB store write + device read fill; what a store
 #              allocates: its page directory, one 4 KiB page on a first
-#              write, nothing on an overwrite.
+#              write, nothing on an overwrite; a whole-page fan-out to a
+#              page three replica stores share, once their free list holds
+#              a page.
 #   ethernet:  a 4 KiB reassembly, and a single-fragment message completed
 #              in place beside a pending partial.
 #   stats:     histogram Record, counter Inc.
@@ -76,13 +78,15 @@ bench:
 # 77.5 kB in 980, Elvis 287 kB in 860, baseline 286 kB in 835),
 # TestNetRRColdStartAllocBudget holds a fresh net-rr testbed's first 10 ms
 # of traffic below 48 KiB per model, and TestBlkColdStartAllocBudget holds
-# a fresh Elvis or baseline blk-rw testbed's first 10 ms of block I/O below
-# 512 KiB.
+# a fresh blk-rw testbed's first 10 ms of block I/O a few percent above its
+# bytes per pipeline (vRIO remote 420 KiB, Elvis 184 KiB, baseline 368 KiB,
+# and the R3/W2 volume 6400 KiB with its write sweep's pages, one per block
+# for its three replicas).
 # The guards also run under `test`.
 BENCH_GUARDS = \
 	./internal/sim/       'TestEngineSteadyStateZeroAlloc|TestEngineTickerZeroAllocPerTick|FuzzEngineSchedule' . \
 	./internal/transport/ 'TestHotPathZeroAlloc|TestHotPathZeroAllocMQ|TestBlkSlabsZeroCopy|TestRespondBlkGatherKeepsWireBytes' 'BenchmarkDatapath' \
-	./internal/blockdev/  'TestStoreWriteAndDeviceReadZeroAlloc|TestStoreWriteAllocs' 'BenchmarkDeviceRW4K' \
+	./internal/blockdev/  'TestStoreWriteAndDeviceReadZeroAlloc|TestStoreWriteAllocs|TestReplicaStoresSharedWriteZeroAlloc' 'BenchmarkDeviceRW4K' \
 	./internal/ethernet/  'TestSingleFragmentAddZeroAlloc'              'BenchmarkReassemble4K' \
 	./internal/stats/     'TestRecordAndIncZeroAlloc'                   'BenchmarkHistogramRecord|BenchmarkCountersInc' \
 	./internal/link/      'TestSwitchForwardZeroAlloc'                  'BenchmarkSwitchForward' \

@@ -8,11 +8,17 @@
 // The store keeps its bytes in fixed 4 KiB pages found through a two-level
 // page table: a directory sized to the capacity, of leaves that each map
 // 2 MiB of the device. A leaf is allocated on the first write in its range,
-// a page on its first write, and a page is written in place after that, so
-// steady-state writes and device reads do not allocate.
+// a page on its first write. The replica stores of one volume form a group
+// that holds a block's bytes once: a whole-page write points at a sibling's
+// page at the same index when that page holds exactly these bytes, a page
+// is written in place only while no sibling shares it, and a shared page is
+// copied first. Pages no store references any more wait on the group's
+// free list for the next copy, so steady-state writes and device reads do
+// not allocate. A standalone store is a group of one.
 package blockdev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -40,11 +46,17 @@ type leaf [leafPages]*page
 var zeroPage page
 
 // Store is an in-memory sector-addressed disk. Unwritten sectors read as
-// zeros. The zero value is not usable; call NewStore.
+// zeros. The zero value is not usable; call NewStore or NewReplicaStores.
 type Store struct {
 	sectorSize int
 	capacity   uint64  // in sectors
 	dir        []*leaf // leaf i maps pages i<<leafShift on; nil until written
+	// group is every store that may share this one's pages, itself among
+	// them. Its stores run on one engine, so sharing needs no lock.
+	group []Store
+	// free holds, on group[0] only, the group's pages that no store
+	// references.
+	free []*page
 }
 
 // Errors returned by Store.
@@ -58,6 +70,22 @@ var (
 
 // NewStore builds a store of capacitySectors sectors of sectorSize bytes.
 func NewStore(sectorSize int, capacitySectors uint64) *Store {
+	return &newGroup(1, sectorSize, capacitySectors)[0]
+}
+
+// NewReplicaStores builds n stores of one geometry that share identical
+// pages: the replica stores of one volume. A write to one never changes
+// what another reads.
+func NewReplicaStores(n, sectorSize int, capacitySectors uint64) []*Store {
+	g := newGroup(n, sectorSize, capacitySectors)
+	stores := make([]*Store, n)
+	for i := range g {
+		stores[i] = &g[i]
+	}
+	return stores
+}
+
+func newGroup(n, sectorSize int, capacitySectors uint64) []Store {
 	if sectorSize <= 0 || sectorSize&(sectorSize-1) != 0 {
 		panic(fmt.Sprintf("blockdev: sector size %d must be a positive power of two", sectorSize))
 	}
@@ -68,11 +96,16 @@ func NewStore(sectorSize int, capacitySectors uint64) *Store {
 		panic(fmt.Sprintf("blockdev: %d sectors of %d bytes overflow a byte offset", capacitySectors, sectorSize))
 	}
 	pages := (capacitySectors*uint64(sectorSize)-1)/pageSize + 1
-	return &Store{
-		sectorSize: sectorSize,
-		capacity:   capacitySectors,
-		dir:        make([]*leaf, (pages-1)>>leafShift+1),
+	g := make([]Store, n)
+	for i := range g {
+		g[i] = Store{
+			sectorSize: sectorSize,
+			capacity:   capacitySectors,
+			dir:        make([]*leaf, (pages-1)>>leafShift+1),
+			group:      g,
+		}
 	}
+	return g
 }
 
 // page returns page idx, or nil while it is unwritten.
@@ -83,19 +116,66 @@ func (s *Store) page(idx uint64) *page {
 	return nil
 }
 
-// writable returns page idx, allocating it, and its leaf, on the first
-// write in their ranges.
-func (s *Store) writable(idx uint64) *page {
+// writePage puts b at byte lo of page idx, allocating the page's leaf on
+// the first write in its range. A whole page that a store of the group
+// holds with exactly these bytes is shared, not copied. Any other write goes
+// in place when no sibling holds the page, and otherwise into a copy.
+func (s *Store) writePage(idx uint64, lo int, b []byte) {
 	l := s.dir[idx>>leafShift]
 	if l == nil {
 		l = new(leaf)
 		s.dir[idx>>leafShift] = l
 	}
-	p := l[idx%leafPages]
-	if p == nil {
-		p = new(page)
-		l[idx%leafPages] = p
+	slot := &l[idx%leafPages]
+	old := *slot
+	if len(b) == pageSize {
+		for i := range s.group {
+			if p := s.group[i].page(idx); p != nil && bytes.Equal(p[:], b) {
+				*slot = p
+				if old != nil && s.holders(idx, old) == 0 {
+					s.group[0].free = append(s.group[0].free, old)
+				}
+				return
+			}
+		}
 	}
+	if old != nil && s.holders(idx, old) == 1 {
+		copy(old[lo:], b)
+		return
+	}
+	p := s.spare()
+	switch {
+	case len(b) == pageSize:
+	case old != nil:
+		*p = *old
+	default:
+		*p = page{}
+	}
+	copy(p[lo:], b)
+	*slot = p // old, if any, is still a sibling's
+}
+
+// holders counts the group's stores that hold p as page idx.
+func (s *Store) holders(idx uint64, p *page) int {
+	n := 0
+	for i := range s.group {
+		if s.group[i].page(idx) == p {
+			n++
+		}
+	}
+	return n
+}
+
+// spare returns a page to copy into: one from the group's free list, or a
+// new one. Its bytes are undefined.
+func (s *Store) spare() *page {
+	free := &s.group[0].free
+	n := len(*free)
+	if n == 0 {
+		return new(page)
+	}
+	p := (*free)[n-1]
+	*free = (*free)[:n-1]
 	return p
 }
 
@@ -127,7 +207,9 @@ func (s *Store) Write(sector uint64, data []byte) error {
 	}
 	off := sector * uint64(s.sectorSize)
 	for len(data) > 0 {
-		n := copy(s.writable(off / pageSize)[off%pageSize:], data)
+		lo := int(off % pageSize)
+		n := min(len(data), pageSize-lo)
+		s.writePage(off/pageSize, lo, data[:n])
 		data = data[n:]
 		off += uint64(n)
 	}
@@ -155,7 +237,8 @@ func (s *Store) checkRead(sector uint64, n int) error {
 // lie inside one page: a view of the page, or of zeroPage when the page is
 // unwritten. It returns nil for a range that crosses a page boundary. The
 // range must already be checked, and the view is valid until the next
-// write; nothing may write through it.
+// write to this store (a sibling's write copies a page this store still
+// holds); nothing may write through it.
 func (s *Store) lend(sector uint64, size int) []byte {
 	off := sector * uint64(s.sectorSize)
 	lo := int(off % pageSize)

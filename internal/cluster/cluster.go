@@ -640,7 +640,8 @@ func (tb *Testbed) buildVRIO(nicCfg nic.Config) {
 }
 
 // buildGuestVolume assembles guest vmID's distributed volume: one replica
-// device (own store + version ledger) registered on EVERY IOhost, one
+// device (own store + version ledger) registered on EVERY IOhost, its
+// stores one group that holds a block's identical replica bytes once, one
 // dedicated transport driver per IOhost riding that VMhost's existing
 // channel cable, and a core.VolumeRouter steering extents across them.
 // Registering a replica on every IOhost — not just the R in an extent's
@@ -655,9 +656,9 @@ func (tb *Testbed) buildGuestVolume(hostIdx, vmID int) {
 	volID := uint16(0x4000 + vmID)
 	drivers := make([]*transport.Driver, spec.NumIOhosts)
 	devs := make([]*blockdev.Device, spec.NumIOhosts)
+	stores := blockdev.NewReplicaStores(spec.NumIOhosts, p.SectorSize, volCapacitySectors)
 	for io := 0; io < spec.NumIOhosts; io++ {
-		store := blockdev.NewStore(p.SectorSize, volCapacitySectors)
-		dev := blockdev.NewDevice(tb.Eng, store, p.RamdiskLatency, blockWays)
+		dev := blockdev.NewDevice(tb.Eng, stores[io], p.RamdiskLatency, blockWays)
 		dev.AttachReplica(blockdev.NewReplicaState(vspec))
 		devs[io] = dev
 		var backend blockdev.Backend = dev
@@ -687,7 +688,7 @@ func (tb *Testbed) buildGuestVolume(hostIdx, vmID int) {
 		hyp.BindClient(volMAC, ch.port)
 		hyp.RegisterVolReplica(volMAC, volID, backend, nil, spec.VolQueues)
 	}
-	router := core.NewVolumeRouter(tb.Eng, vspec, volID, drivers)
+	router := core.NewVolumeRouter(vspec, volID, drivers)
 	tb.Volumes = append(tb.Volumes, router)
 	tb.VolReplicaDevices = append(tb.VolReplicaDevices, devs)
 }

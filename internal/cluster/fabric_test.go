@@ -203,3 +203,33 @@ func TestFabricMACBlocksDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// A volume's replica stores share pages without a lock because they run on
+// one engine: BuildFabric builds each rack, its volumes included, on the
+// rack's own shard, so no shard boundary splits a volume. The fabric runs
+// the blk-rw driver on two racks' R3/W2 volumes at two workers (the race
+// detector watches it in `make race`), and every verified read matches.
+func TestFabricVolumesStayInTheirRack(t *testing.T) {
+	fs := FabricSpec{NumRacks: 2, Rack: blkRWBeds(3)[1].spec}
+	f, err := BuildFabric(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	drivers := make([][]*blkRWGuest, len(f.Racks))
+	for r, tb := range f.Racks {
+		if tb.Eng != f.RackShards[r].Eng || len(tb.Volumes) != len(tb.Guests) {
+			t.Fatalf("rack %d: testbed off its shard's engine, or %d volumes for %d guests", r, len(tb.Volumes), len(tb.Guests))
+		}
+		drivers[r] = newBlkRWDriver(tb, uint64(r+1))
+	}
+	f.Group.RunUntil(8*sim.Millisecond, 2)
+	for r, gs := range drivers {
+		for i, g := range gs {
+			if g.ops == 0 || g.verified == 0 || g.mismatches > 0 || g.errs > 0 {
+				t.Errorf("rack %d guest %d: %d ops, %d verified reads, %d mismatches, %d errors",
+					r, i, g.ops, g.verified, g.mismatches, g.errs)
+			}
+		}
+	}
+}

@@ -35,7 +35,7 @@ func NewBaselineHost(eng *sim.Engine, p *params.P, ioCore *cpu.Core, hostNIC *ni
 // a virtio block device backed by it. netChain and blkChain (optional)
 // interpose on net and block traffic in the host backend.
 func (h *BaselineHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, netChain, blkChain *interpose.Chain) *Guest {
-	g := newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, h.nic.Pool())
+	g := newGuest(hypervisor.NewVM(h.p, id, core), h.p, mac, h.nic.Pool())
 	// The vhost thread serves the devices on the shared I/O core. The guest
 	// kicks with exits (bulk payloads once per BaselineKickBytes, small
 	// messages and block requests once), each waking the vhost thread;

@@ -64,7 +64,7 @@ func NewElvisHost(eng *sim.Engine, p *params.P, sidecores []*cpu.Core, hostNIC *
 // When blk is non-nil the VM gets a block device backed by it. netChain and
 // blkChain (optional) interpose on the VM's net and block traffic.
 func (h *ElvisHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC, blk blockdev.Backend, netChain, blkChain *interpose.Chain) *Guest {
-	g := newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, h.nic.Pool())
+	g := newGuest(hypervisor.NewVM(h.p, id, core), h.p, mac, h.nic.Pool())
 	side := len(h.guests) % len(h.sidecores)
 	h.guests = append(h.guests, elvisGuest{g: g, side: side})
 	// The guest's sidecore serves the devices: posting a frame or a block

@@ -28,7 +28,7 @@ func NewOptimumHost(eng *sim.Engine, p *params.P, hostNIC *nic.NIC) *OptimumHost
 // ramdisk").
 func (h *OptimumHost) AddVM(id int, core *cpu.Core, mac ethernet.MAC) *Guest {
 	vf := h.nic.AddVF(mac, nic.ModeInterrupt)
-	g := newGuest(hypervisor.NewVM(h.eng, h.p, id, core), h.p, mac, vf.Pool())
+	g := newGuest(hypervisor.NewVM(h.p, id, core), h.p, mac, vf.Pool())
 
 	// TX-completion interrupt, delivered exitless — the second guest
 	// interrupt of Table 3.

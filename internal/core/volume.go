@@ -6,7 +6,6 @@ import (
 
 	"vrio/internal/blockdev"
 	"vrio/internal/bufpool"
-	"vrio/internal/sim"
 	"vrio/internal/stats"
 	"vrio/internal/transport"
 	"vrio/internal/virtio"
@@ -42,7 +41,6 @@ import (
 // are all recycled, and a write's payload lives in a slab of the drivers'
 // pool.
 type VolumeRouter struct {
-	eng      *sim.Engine
 	pool     *bufpool.Pool
 	spec     blockdev.VolumeSpec
 	deviceID uint16
@@ -120,7 +118,7 @@ type rebuildJob struct {
 // NewVolumeRouter builds a router for spec over one driver per stripe host
 // (drivers[i] must reach the replica registration on IOhost i under
 // deviceID). Spec must validate and Replicas must be at most maxVolReplicas.
-func NewVolumeRouter(eng *sim.Engine, spec blockdev.VolumeSpec, deviceID uint16, drivers []*transport.Driver) *VolumeRouter {
+func NewVolumeRouter(spec blockdev.VolumeSpec, deviceID uint16, drivers []*transport.Driver) *VolumeRouter {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
@@ -134,7 +132,6 @@ func NewVolumeRouter(eng *sim.Engine, spec blockdev.VolumeSpec, deviceID uint16,
 		panic(fmt.Sprintf("core: volume needs %d drivers, got %d", spec.Stripes, len(drivers)))
 	}
 	r := &VolumeRouter{
-		eng:                eng,
 		spec:               spec,
 		deviceID:           deviceID,
 		drivers:            drivers,
@@ -199,7 +196,6 @@ type volWriteOp struct {
 	data    []byte
 	hosts   [maxVolReplicas]int
 	cbs     [maxVolReplicas]transport.BlkCallback
-	sent    int // replicas targeted
 	pending int // callbacks still outstanding
 	acks    int
 	needed  int
@@ -212,7 +208,7 @@ func (r *VolumeRouter) putWriteOp(op *volWriteOp) {
 		r.pool.PutRaw(op.data)
 	}
 	op.done, op.data = nil, nil
-	op.acks, op.sent, op.pending, op.decided = 0, 0, 0, false
+	op.acks, op.pending, op.decided = 0, 0, false
 	r.writeOps.Put(op)
 }
 
@@ -251,7 +247,7 @@ func (r *VolumeRouter) Write(sector uint64, data []byte, done func(error)) {
 
 	op.req = virtio.BlkReq{Type: virtio.BlkVolOut, Sector: sector, Extent: extent, Version: v}.Append(op.req[:0])
 	op.data = r.pool.Clone(data)
-	op.sent, op.pending, op.needed = n, n, r.spec.WriteQuorum
+	op.pending, op.needed = n, r.spec.WriteQuorum
 	op.done = done
 	r.Counters.Inc("vol_writes", 1)
 	q := uint8(extent % uint64(r.spec.Queues))

@@ -27,7 +27,7 @@ func volRig() (*transport.Rig, *VolumeRouter) {
 		Stripes: 1, Replicas: 1, WriteQuorum: 1,
 		ExtentSectors: 128, CapacitySectors: 4096, Queues: 4,
 	}
-	vr := NewVolumeRouter(r.Eng, spec, 7, []*transport.Driver{r.Driver})
+	vr := NewVolumeRouter(spec, 7, []*transport.Driver{r.Driver})
 	return r, vr
 }
 
@@ -120,7 +120,7 @@ func TestVolumeRouterReadRoundtrip(t *testing.T) {
 		Stripes: 1, Replicas: 1, WriteQuorum: 1,
 		ExtentSectors: 128, CapacitySectors: 4096, Queues: 1,
 	}
-	vr := NewVolumeRouter(r.Eng, spec, 7, []*transport.Driver{r.Driver})
+	vr := NewVolumeRouter(spec, 7, []*transport.Driver{r.Driver})
 	got := 0
 	vr.Read(8, 2, func(data []byte, err error) {
 		if err != nil {

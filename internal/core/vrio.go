@@ -136,7 +136,7 @@ type VMConfig struct {
 func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 	vf := h.chNIC.AddVF(cfg.TransportMAC, nic.ModeInterrupt)
 	c := &VRIOClient{
-		Guest: newGuest(hypervisor.NewVM(h.eng, h.p, cfg.ID, cfg.Core), h.p, cfg.NetMAC, vf.Pool()),
+		Guest: newGuest(hypervisor.NewVM(h.p, cfg.ID, cfg.Core), h.p, cfg.NetMAC, vf.Pool()),
 		host:  h,
 		bare:  cfg.Bare,
 		netID: uint16(2 * cfg.ID),

@@ -22,8 +22,7 @@ const (
 
 // VM is one guest virtual machine: a VCPU pinned to (or sharing) a core.
 type VM struct {
-	eng *sim.Engine
-	p   *params.P
+	p *params.P
 
 	// ID identifies the VM; it is the context-switch owner on shared cores.
 	ID int
@@ -44,8 +43,8 @@ type VM struct {
 }
 
 // NewVM builds a VM on the given core.
-func NewVM(eng *sim.Engine, p *params.P, id int, core *cpu.Core) *VM {
-	vm := &VM{eng: eng, p: p, ID: id, Core: core}
+func NewVM(p *params.P, id int, core *cpu.Core) *VM {
+	vm := &VM{p: p, ID: id, Core: core}
 	vm.injectFn = func() {
 		vm.Counters.Inc(CounterGuestIRQs, 1)
 		vm.eoiq.Push(vm.injq.Pop())

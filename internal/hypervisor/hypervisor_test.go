@@ -18,7 +18,7 @@ func setup() (*sim.Engine, *params.P, *cpu.Core, *cpu.Core) {
 
 func TestComputeChargesVCPU(t *testing.T) {
 	e, p, core, _ := setup()
-	vm := NewVM(e, p, 1, core)
+	vm := NewVM(p, 1, core)
 	ran := false
 	vm.Compute(1000, func() { ran = true })
 	e.Run()
@@ -32,7 +32,7 @@ func TestComputeChargesVCPU(t *testing.T) {
 
 func TestExitCountsAndCharges(t *testing.T) {
 	e, p, core, _ := setup()
-	vm := NewVM(e, p, 1, core)
+	vm := NewVM(p, 1, core)
 	vm.Exit(nil)
 	e.Run()
 	if vm.Counters.Get(CounterExits) != 1 {
@@ -45,7 +45,7 @@ func TestExitCountsAndCharges(t *testing.T) {
 
 func TestExitlessIRQ(t *testing.T) {
 	e, p, core, _ := setup()
-	vm := NewVM(e, p, 1, core)
+	vm := NewVM(p, 1, core)
 	done := false
 	vm.GuestIRQExitless(func() { done = true })
 	e.Run()
@@ -67,7 +67,7 @@ func TestExitlessIRQ(t *testing.T) {
 
 func TestInjectedIRQFullCost(t *testing.T) {
 	e, p, vmCore, hostCore := setup()
-	vm := NewVM(e, p, 1, vmCore)
+	vm := NewVM(p, 1, vmCore)
 	done := false
 	vm.GuestIRQInjected(hostCore, func() { done = true })
 	e.Run()
@@ -90,7 +90,7 @@ func TestInjectedIRQFullCost(t *testing.T) {
 
 func TestHostIRQ(t *testing.T) {
 	e, p, _, hostCore := setup()
-	vm := NewVM(e, p, 1, hostCore)
+	vm := NewVM(p, 1, hostCore)
 	HostIRQ(hostCore, p, &vm.Counters, CounterHostIRQs, nil)
 	HostIRQ(hostCore, p, nil, CounterHostIRQs, nil) // nil counters tolerated
 	e.Run()
@@ -107,7 +107,7 @@ func TestHostIRQ(t *testing.T) {
 func TestTable3Composition(t *testing.T) {
 	// optimum / vrio-with-poll: 2 exitless guest interrupts, nothing else.
 	e, p, core, host := setup()
-	vm := NewVM(e, p, 1, core)
+	vm := NewVM(p, 1, core)
 	vm.GuestIRQExitless(nil)
 	vm.GuestIRQExitless(nil)
 	e.Run()
@@ -123,7 +123,7 @@ func TestTable3Composition(t *testing.T) {
 	// 2 EOI exits) + 2 host IRQs -> exits=3, injections=2, host=2.
 	e2, p2, core2, host2 := setup()
 	_ = host
-	vm2 := NewVM(e2, p2, 1, core2)
+	vm2 := NewVM(p2, 1, core2)
 	vm2.Exit(func() {
 		HostIRQ(host2, p2, &vm2.Counters, CounterHostIRQs, func() {
 			vm2.GuestIRQInjected(host2, nil)

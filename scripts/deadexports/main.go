@@ -2,15 +2,19 @@
 // internal/. It type-checks every package of the given modules with
 // go/types and reports each package-level func, const, var and type, and
 // each method, declared in a non-test file of an internal/ package (exported
-// or not) that no non-test file of those modules uses. Every use resolves to
+// or not) that no non-test file of those modules uses, and each unexported
+// field of a package-level struct type there that no non-test file reads: a
+// field that is only assigned, incremented, set in a composite literal or
+// has an element stored is state nothing observes, while a struct compared
+// with == or != or used as a map key reads every field. Every use resolves to
 // one object, so a name that another type also declares does not count as a
 // use. A method is not reported when its type or the pointer to it
 // implements, by types.Implements, an interface of the modules or of an
 // imported standard-library package that has that method (fmt.Stringer,
 // json.Unmarshaler, error). The exceptions are listed in an allowlist file,
-// one symbol per line as package.Name or package.Type.Method followed by a
-// reason; a line without a reason, or one naming a symbol that is not
-// reported, fails too.
+// one symbol per line as package.Name, package.Type.Method or
+// package.Type.field followed by a reason; a line without a reason, or one
+// naming a symbol that is not reported, fails too.
 //
 // Usage, from the repository root:
 //
@@ -108,8 +112,9 @@ type listedPackage struct {
 }
 
 // unusedSymbols type-checks the non-test files of every package of the
-// modules and returns each unused internal/ symbol, as package.Name or
-// package.Type.Method, with the position of its declaration.
+// modules and returns each unused internal/ symbol, as package.Name,
+// package.Type.Method or package.Type.field, with the position of its
+// declaration.
 func unusedSymbols(modules []string) (map[string]string, error) {
 	fset := token.NewFileSet()
 	imp := &moduleImporter{checked: map[string]*types.Package{}, std: importer.ForCompiler(fset, "source", nil)}
@@ -132,14 +137,25 @@ func unusedSymbols(modules []string) (map[string]string, error) {
 				}
 				files = append(files, f)
 			}
-			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 			pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
 			if err != nil {
 				return nil, err
 			}
 			imp.checked[p.ImportPath] = pkg
-			for _, obj := range info.Uses {
+			writes := fieldWrites(files)
+			for id, obj := range info.Uses {
+				if v, ok := obj.(*types.Var); ok && v.IsField() && writes[id] {
+					continue
+				}
 				used[origin(obj)] = true
+			}
+			for e, tv := range info.Types {
+				if m, ok := tv.Type.Underlying().(*types.Map); ok {
+					readFields(m.Key(), used)
+				} else if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+					readFields(info.TypeOf(b.X), used)
+				}
 			}
 			if isInternal(p.ImportPath) {
 				declared = append(declared, packageSymbols(pkg)...)
@@ -153,7 +169,10 @@ func unusedSymbols(modules []string) (map[string]string, error) {
 	}
 	unused := map[string]string{}
 	for _, s := range declared {
-		if used[s.obj] || s.recv != nil && implementsInterface(s.recv, s.obj.Name(), ifaces) {
+		if used[s.obj] {
+			continue
+		}
+		if _, method := s.obj.(*types.Func); method && s.recv != nil && implementsInterface(s.recv, s.obj.Name(), ifaces) {
 			continue
 		}
 		name := s.obj.Pkg().Name() + "." + s.obj.Name()
@@ -224,15 +243,66 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// symbol is a declared object and, for a method, the type it is declared
-// on.
+// fieldWrites returns the identifiers in files that name what a statement
+// stores to rather than reads: the selector of an assignment's or an
+// increment's target, of the slice, array or map whose element is the
+// target, and a composite literal's keys.
+func fieldWrites(files []*ast.File) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	var target func(ast.Expr)
+	target = func(e ast.Expr) {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			writes[x.Sel] = true
+		case *ast.IndexExpr:
+			target(x.X)
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(x.X)
+			case *ast.KeyValueExpr:
+				if key, ok := x.Key.(*ast.Ident); ok {
+					writes[key] = true
+				}
+			}
+			return true
+		})
+	}
+	return writes
+}
+
+// readFields marks every field of a struct type t, or of the structs it
+// holds by value, as read: comparing a t or hashing it as a map key reads
+// them all.
+func readFields(t types.Type, used map[types.Object]bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			used[u.Field(i).Origin()] = true
+			readFields(u.Field(i).Type(), used)
+		}
+	case *types.Array:
+		readFields(u.Elem(), used)
+	}
+}
+
+// symbol is a declared object and, for a method or a field, the type it is
+// declared on.
 type symbol struct {
 	obj  types.Object
 	recv *types.Named
 }
 
 // packageSymbols returns the package-level funcs, consts, vars and types of
-// pkg and the methods declared on its types.
+// pkg, the methods declared on its types, and the unexported fields, other
+// than embedded ones, of its struct types.
 func packageSymbols(pkg *types.Package) []symbol {
 	var syms []symbol
 	scope := pkg.Scope()
@@ -242,9 +312,18 @@ func packageSymbols(pkg *types.Package) []symbol {
 		if tn, ok := obj.(*types.TypeName); !ok || tn.IsAlias() {
 			continue
 		}
-		if named, ok := obj.Type().(*types.Named); ok {
-			for i := 0; i < named.NumMethods(); i++ {
-				syms = append(syms, symbol{named.Method(i), named})
+		named, ok := obj.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			syms = append(syms, symbol{named.Method(i), named})
+		}
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); !f.Exported() && !f.Embedded() {
+					syms = append(syms, symbol{f, named})
+				}
 			}
 		}
 	}

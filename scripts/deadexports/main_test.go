@@ -19,7 +19,10 @@ var fixture = []string{"testdata/m", "testdata/second"}
 // unexported ones included. Methods that satisfy the module's own interface,
 // fmt.Stringer or json.Unmarshaler, a generic method used through an
 // instantiation, and a function used from the second module are not
-// reported.
+// reported. Of Tally's fields, one that is only written and one that only a
+// test reads are reported; one read by a method used only as a method
+// value, one read through a method value of its own, and the fields of
+// structs read only as a map key or by == are not.
 func TestUnusedSymbols(t *testing.T) {
 	unused, err := unusedSymbols(fixture)
 	if err != nil {
@@ -30,7 +33,7 @@ func TestUnusedSymbols(t *testing.T) {
 		got = append(got, sym)
 	}
 	sort.Strings(got)
-	want := []string{"a.OnlyTests", "a.Other.Close", "a.Unused", "a.unusedHelper"}
+	want := []string{"a.OnlyTests", "a.Other.Close", "a.Tally.forTests", "a.Tally.written", "a.Unused", "a.unusedHelper"}
 	if !slices.Equal(got, want) {
 		t.Errorf("unused = %q, want %q", got, want)
 	}
@@ -53,6 +56,8 @@ a.OnlyTests      a harness other packages' tests share
 a.Other.Close    kept for the test
 a.Unused         kept for the test
 a.unusedHelper   kept for the test
+a.Tally.forTests a field the test reads
+a.Tally.written  kept for the test
 `
 	cases := []struct {
 		name, allowlist string
@@ -64,7 +69,7 @@ a.unusedHelper   kept for the test
 		{"no reason", strings.Replace(complete, "a.Unused         kept for the test", "a.Unused", 1),
 			[]string{"allowlist.txt:5: a.Unused has no reason", "a.go:60: a.Unused is used by no non-test code"}},
 		{"stale line", complete + "a.FromSecond     used from the second module\n",
-			[]string{"allowlist.txt:7: a.FromSecond is not an unused symbol"}},
+			[]string{"allowlist.txt:9: a.FromSecond is not an unused symbol"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,4 +16,8 @@ func main() {
 	_ = json.Unmarshal([]byte("3"), &c)
 	a.NewRunner().Run()
 	fmt.Println(a.Wrap(1).Get(), c.N)
+	tl := a.NewTally(1)
+	tl.Add(2)
+	value, name := tl.Funcs()
+	fmt.Println(value(), name(), a.Count(0, 0))
 }

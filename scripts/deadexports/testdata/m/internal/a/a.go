@@ -60,3 +60,42 @@ func FromSecond() {}
 func Unused() {}
 
 func unusedHelper() {}
+
+// Tally has one field for each case the field check must decide.
+type Tally struct {
+	written  int    // assigned, incremented and set in a literal only: reported
+	forTests int    // read only from a test file: reported
+	viaValue int    // read by a method used only as a method value
+	name     Named  // read through a method value of its own
+	seen     []bool // read as a whole by len
+}
+
+// NewTally returns a Tally that has seen n values.
+func NewTally(n int) *Tally {
+	return &Tally{written: n, seen: make([]bool, n)}
+}
+
+// Add records n.
+func (t *Tally) Add(n int) {
+	t.written = n
+	t.written++
+	t.forTests += n
+	t.viaValue = n
+	t.seen[0] = true
+}
+
+func (t *Tally) value() int { return t.viaValue + len(t.seen) }
+
+// Funcs returns t's value and its name's String as funcs.
+func (t *Tally) Funcs() (func() int, func() string) { return t.value, t.name.String }
+
+// pair's fields are read only as a map key, and point's only by ==.
+type pair struct{ x, y int }
+type point struct{ x, y int }
+
+// Count counts one pair and reports whether it is the origin point.
+func Count(x, y int) bool {
+	m := map[pair]int{}
+	m[pair{x: x, y: y}]++
+	return point{x, y} == point{}
+}

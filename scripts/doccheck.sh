@@ -13,15 +13,18 @@
 #    both modules (the root and vriobench/) with go/types and reports every
 #    package-level func, const, var and type, and every method, declared in
 #    an internal/ package, unexported ones included, that no non-test file
-#    of either module uses. A use counts only when it resolves to that very
-#    symbol. A method is not reported when its type satisfies, by
-#    types.Implements, an interface of the modules or of an imported
-#    standard-library package that has the method (fmt.Stringer, error,
-#    json.Unmarshaler). A symbol that only tests use belongs in the
-#    package's export_test.go, and dead code is deleted. The exceptions
-#    (paper mechanisms and harnesses that other packages' tests share) are
-#    listed in scripts/api_allowlist.txt as package.Name or
-#    package.Type.Method followed by a reason. A line without a reason, or
+#    of either module uses, and every unexported struct field there that
+#    no non-test file reads (a write or an increment is not a read; a
+#    struct compared with == or used as a map key reads every field). A
+#    use counts only when it resolves to that very symbol. A method is not
+#    reported when its type satisfies, by types.Implements, an interface of
+#    the modules or of an imported standard-library package that has the
+#    method (fmt.Stringer, error, json.Unmarshaler). A symbol that only
+#    tests use belongs in the package's export_test.go, and dead code is
+#    deleted. The exceptions (paper mechanisms and harnesses that other
+#    packages' tests share) are listed in scripts/api_allowlist.txt as
+#    package.Name, package.Type.Method or package.Type.field followed by a
+#    reason. A line without a reason, or
 #    one naming a symbol that is no longer unused, fails too.
 set -euo pipefail
 cd "$(dirname "$0")/.."

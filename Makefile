@@ -9,10 +9,12 @@
 # `go build ./...` does not compile vriobench/, so its own step is what
 # catches a change that breaks the benchmark. The race-* targets re-run
 # subsets of `race` for focused local work; `check` does not repeat them.
+# End-to-end timings (the quick suite, serial and parallel, and the sharded
+# fabric's speedup) come from vriobench/ alone; see its README.
 
 GO ?= go
 
-.PHONY: build test vet race bench bench-guards bench-rack bench-fabric race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke memprofile check
+.PHONY: build test vet race bench-guards bench-rack race-rack race-fault race-shard race-trace race-mq race-vol doccheck loadgen-smoke memprofile check
 
 build:
 	$(GO) build ./...
@@ -33,10 +35,6 @@ vet:
 # covers the same experiments.
 race:
 	$(GO) test -race ./...
-
-# Full evaluation benchmarks (quick mode), serial vs parallel.
-bench:
-	$(GO) test -run xxx -bench 'BenchmarkRunAll' -benchmem .
 
 # Zero-allocation guards and the microbenchmarks they guard, one row per
 # package: the package, the guard tests (`-run`), the benchmarks (`-bench`).
@@ -116,12 +114,6 @@ race-rack:
 # (whose cells run concurrently under -parallel).
 race-fault:
 	$(GO) test -race ./internal/fault/ ./internal/transport/ ./internal/experiments/
-
-# Sharded-fabric wall-clock benchmark: the 16-rack cross-rack workload at 1
-# worker vs GOMAXPROCS workers (vriobench's traced run reports the same ratio
-# as sim.shard_speedup).
-bench-fabric:
-	$(GO) test -run xxx -bench 'BenchmarkFabricSharded' -benchtime 2x .
 
 # The sharded simulator under the race detector: shard coordinator, fabric
 # switching, multi-rack cluster assembly, and the datacenter control plane.

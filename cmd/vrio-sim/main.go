@@ -75,6 +75,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	for _, c := range []struct {
+		flag string
+		ok   bool
+	}{
+		{"-vms", *vms > 0}, {"-vmhosts", *hosts > 0}, {"-sidecores", *sidecores > 0},
+		{"-measure", *measure > 0}, {"-oversub", *oversub > 0},
+	} {
+		if !c.ok {
+			fmt.Fprintf(stderr, "%s must be positive\n", c.flag)
+			return 2
+		}
+	}
+
 	valid := map[string]vrio.Model{
 		"baseline": core.ModelBaseline, "elvis": core.ModelElvis,
 		"vrio": core.ModelVRIO, "vrio-nopoll": core.ModelVRIONoPoll,

@@ -57,13 +57,21 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadArgs: an unknown model or workload, and a fabric run of
-// a workload other than rr, exit 2 with a message on stderr.
+// TestRunRejectsBadArgs: an unknown model or workload, a fabric run of a
+// workload other than rr, and a non-positive topology size, duration or
+// oversubscription exit 2 with a message on stderr.
 func TestRunRejectsBadArgs(t *testing.T) {
 	for _, args := range []string{
 		"-model nope",
 		"-workload nope -measure 1ms",
 		"-racks 2 -workload stream",
+		"-sidecores -1",
+		"-racks 2 -sidecores -1",
+		"-measure -5ms",
+		"-measure 0",
+		"-vms -1",
+		"-vmhosts -2",
+		"-racks 2 -oversub 0",
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(strings.Fields(args), &stdout, &stderr); code != 2 {

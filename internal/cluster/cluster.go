@@ -253,6 +253,17 @@ func (s *Spec) defaults() {
 // check here first.
 func (s Spec) Validate() error {
 	s.defaults()
+	for _, c := range []struct {
+		field string
+		n     int
+	}{
+		{"VMHosts", s.VMHosts}, {"VMsPerHost", s.VMsPerHost}, {"SidecoresPerHost", s.SidecoresPerHost},
+		{"IOhostSidecores", s.IOhostSidecores}, {"NumIOhosts", s.NumIOhosts},
+	} {
+		if c.n < 1 {
+			return fmt.Errorf("cluster: %s must be at least 1, got %d", c.field, c.n)
+		}
+	}
 	isVRIO := s.Model == core.ModelVRIO || s.Model == core.ModelVRIONoPoll
 	if (s.NumIOhosts > 1 || s.Placement != nil) && !isVRIO {
 		return fmt.Errorf("cluster: NumIOhosts/Placement require a vRIO model, got %q", s.Model)

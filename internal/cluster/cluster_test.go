@@ -103,6 +103,13 @@ func TestSpecValidate(t *testing.T) {
 			"write quorum must be in [1, replicas"},
 		{"volume past 64 IOhosts", Spec{Model: core.ModelVRIO, NumIOhosts: 65, VolReplicas: 1},
 			"volumes support at most 64 IOhosts"},
+		{"negative VMHosts", Spec{Model: core.ModelVRIO, VMHosts: -2}, "VMHosts must be at least 1, got -2"},
+		{"negative VMsPerHost", Spec{Model: core.ModelVRIO, VMsPerHost: -1}, "VMsPerHost must be at least 1, got -1"},
+		{"negative SidecoresPerHost", Spec{Model: core.ModelElvis, SidecoresPerHost: -1},
+			"SidecoresPerHost must be at least 1, got -1"},
+		{"negative IOhostSidecores", Spec{Model: core.ModelVRIO, IOhostSidecores: -1},
+			"IOhostSidecores must be at least 1, got -1"},
+		{"negative NumIOhosts", Spec{Model: core.ModelVRIO, NumIOhosts: -1}, "NumIOhosts must be at least 1, got -1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

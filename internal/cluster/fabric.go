@@ -99,6 +99,9 @@ func (fs FabricSpec) Validate() error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	if err := fs.Rack.Validate(); err != nil {
+		return err
+	}
 	return fs.linkSpec(p).Validate()
 }
 
@@ -106,9 +109,6 @@ func (fs FabricSpec) Validate() error {
 // on its own shard, the spine switches on a shard of their own, and the
 // coordinator that advances them together.
 type Fabric struct {
-	Spec FabricSpec
-	P    *params.P
-
 	// Group coordinates the shards; Lookahead is its window size.
 	Group     *sim.ShardGroup
 	Lookahead sim.Time
@@ -188,8 +188,6 @@ func BuildFabric(fs FabricSpec) (*Fabric, error) {
 	ls := fs.linkSpec(p)
 
 	f := &Fabric{
-		Spec:      fs,
-		P:         p,
 		Lookahead: p.FabricLinkLatency,
 		Group:     sim.NewShardGroup(p.FabricLinkLatency, 0),
 	}

@@ -163,6 +163,8 @@ func TestFabricSpecValidation(t *testing.T) {
 		{"no racks", func(s *FabricSpec) { s.NumRacks = 0 }, "at least one rack"},
 		{"negative oversubscription", func(s *FabricSpec) { s.Oversubscription = -1 }, "oversubscription"},
 		{"no spines", func(s *FabricSpec) { s.NumSpines = -1 }, "spine"},
+		{"rack without sidecores", func(s *FabricSpec) { s.Rack.IOhostSidecores = -1 }, "IOhostSidecores must be at least 1"},
+		{"rack without VMs", func(s *FabricSpec) { s.Rack.VMsPerHost = -1 }, "VMsPerHost must be at least 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,8 +91,6 @@ type Guest struct {
 	// TxFrames/RxFrames count guest-observed traffic.
 	TxFrames uint64
 	RxFrames uint64
-	TxBytes  uint64
-	RxBytes  uint64
 }
 
 // MAC reports the guest's outward-facing (F) address.
@@ -126,7 +124,6 @@ func (g *Guest) OnNetRx(fn func(f ethernet.Frame)) { g.onNetRx = fn }
 func (g *Guest) SendNet(f ethernet.Frame) {
 	f.Src = g.netMAC
 	g.TxFrames++
-	g.TxBytes += uint64(len(f.Payload))
 	g.sendNet(f)
 }
 
@@ -156,7 +153,6 @@ func (g *Guest) deliverNet() {
 	frame := g.rxq.Pop()
 	f, _ := ethernet.Decode(frame.B) // receiveNet checked the length
 	g.RxFrames++
-	g.RxBytes += uint64(len(f.Payload))
 	if g.onNetRx != nil {
 		g.onNetRx(f)
 	}

@@ -51,9 +51,6 @@ type VRIOClient struct {
 	blkID  uint16
 	netID  uint16
 
-	// DroppedWhilePaused counts frames lost during a migration blackout.
-	DroppedWhilePaused uint64
-
 	// irqs holds the channel's interrupt batches until the guest's handler
 	// runs deliverFn on the VCPU; txIRQFn is the TX-completion interrupt.
 	irqs               nic.BatchQueue
@@ -90,7 +87,6 @@ func (c *VRIOClient) wireChannel(vf *nic.VF) {
 	h := c.host
 	vf.OnInterrupt(func(frames [][]byte) {
 		if c.paused {
-			c.DroppedWhilePaused += uint64(len(frames))
 			for _, f := range frames {
 				vf.Pool().PutRaw(f)
 			}
@@ -178,7 +174,6 @@ func (h *VRIOHost) AddClient(cfg VMConfig) *VRIOClient {
 	}
 	g.sendNet = func(f ethernet.Frame) {
 		if c.paused {
-			c.DroppedWhilePaused++
 			return // migration blackout: the guest is suspended
 		}
 		// Guest stack + transport encapsulation (§4.3's added processing,

@@ -13,30 +13,8 @@ import (
 	"vrio/internal/workload"
 )
 
-// fabric options injected by cmd/vrio-experiments' -racks / -shards /
-// -oversub flags (see SetFabricOptions). Zero values keep the defaults.
-var (
-	fabricRacksOverride   int
-	fabricWorkersOverride int
-	fabricOversubOverride float64
-)
-
-// SetFabricOptions wires the CLI fabric flags into the fabricscaling
-// experiment: racks resizes the scale cell's fabric, shards caps the worker
-// count used to execute it, and oversub replaces the scale cell's
-// oversubscription ratio. Call before running.
-func SetFabricOptions(racks, shards int, oversub float64) {
-	fabricRacksOverride = racks
-	fabricWorkersOverride = shards
-	fabricOversubOverride = oversub
-}
-
-func fabricWorkers() int {
-	if fabricWorkersOverride > 0 {
-		return fabricWorkersOverride
-	}
-	return runtime.NumCPU()
-}
+// fabricWorkers is the worker count of a sharded fabric run: one per CPU.
+func fabricWorkers() int { return runtime.NumCPU() }
 
 // fabricScalingSpec is the study's fabric shape: quick mode shrinks the
 // rack count and population the same way durations() shrinks time.
@@ -75,26 +53,19 @@ func fabricFingerprint(f *cluster.Fabric, rs []*workload.Results) string {
 }
 
 // fabricRacks is the scale cell's rack count and oversubscription: 16 racks
-// (4 in quick mode) at 4:1, unless the -racks and -oversub options override.
+// (4 in quick mode) at 4:1.
 func fabricRacks(quick bool) (int, float64) {
-	racks, oversub := 16, 4.0
-	if fabricRacksOverride > 0 {
-		racks = fabricRacksOverride
-	} else if quick {
-		racks = 4
+	if quick {
+		return 4, 4
 	}
-	if fabricOversubOverride > 0 {
-		oversub = fabricOversubOverride
-	}
-	return racks, oversub
+	return 16, 4
 }
 
 // fabricCell runs the cross-rack RR workload (every guest driven from a
 // station one rack over, so all traffic crosses the spine tier) on the
 // fabric of spec with the given worker count and measures it. Only
 // sim-time observables appear here: wall-clock speedups are
-// machine-dependent and are measured by BenchmarkFabricSharded and
-// vriobench, never in a Result row.
+// machine-dependent and are measured by vriobench, never in a Result row.
 func fabricCell(spec cluster.FabricSpec, warm, dur sim.Time, workers int) (Metrics, string) {
 	f, err := cluster.BuildFabric(spec)
 	if err != nil {
@@ -191,11 +162,10 @@ var fabricScaling = &Grid{
 	),
 }
 
-// FabricBenchRun builds the 16-rack scale fabric (honoring the -racks and
-// -oversub overrides) and runs the cross-rack RR workload with the given
-// worker count, returning total simulated events executed. The caller times
-// it — this is the body of BenchmarkFabricSharded and of vriobench's
-// sim.shard_speedup, kept here so both measure exactly the workload the
+// FabricBenchRun builds the 16-rack scale fabric and runs the cross-rack RR
+// workload with the given worker count, returning total simulated events
+// executed. The caller times it — this is the body of vriobench's
+// sim.shard_speedup, kept here so it measures exactly the workload the
 // fabricscaling experiment reports.
 func FabricBenchRun(quick bool, workers int) uint64 {
 	warm, dur := durations(quick, 4*sim.Millisecond, 60*sim.Millisecond)

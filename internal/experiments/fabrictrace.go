@@ -25,8 +25,6 @@ type FabricTraceResult struct {
 	Metrics []byte
 	// Anomalies is the merged flight-recorder dump stream (JSONL).
 	Anomalies []byte
-	// Summary is the vrio-top style plain-text rollup table.
-	Summary string
 
 	// NumSpans counts merged spans across all shards.
 	NumSpans int
@@ -39,30 +37,19 @@ type FabricTraceResult struct {
 	Dumps []trace.FlightDump
 }
 
-// FabricTraceRun executes a short traced spine-leaf fabric run — cross-rack
-// RR load plus one guest-to-guest probe — with the datacenter rollup
-// sampling every interval, and exports the merged artifacts. Deterministic:
-// the same seed and racks produce byte-identical Spans/Metrics/Anomalies at
-// any worker count.
-func FabricTraceRun(seed uint64, interval sim.Time, racks, workers int) (FabricTraceResult, error) {
-	return fabricTraceRun(seed, interval, sim.Millisecond, 4*sim.Millisecond, racks, workers, -1)
-}
-
-// fabricTraceRun is the parameterized body: failRack >= 0 kills that rack's
-// every IOhost mid-run (the flight-recorder cell's anomaly source).
-func fabricTraceRun(seed uint64, interval, warm, dur sim.Time, racks, workers, failRack int) (FabricTraceResult, error) {
-	if racks < 2 {
-		racks = 4
-	}
-	if workers <= 0 {
-		workers = 1
-	}
+// fabricTraceRun executes a short traced four-rack spine-leaf fabric run —
+// cross-rack RR load plus one guest-to-guest probe — with the datacenter
+// rollup sampling every interval, and exports the merged artifacts.
+// failRack >= 0 kills that rack's every IOhost mid-run (the flight-recorder
+// cell's anomaly source). Deterministic: the same seed produces
+// byte-identical Spans/Metrics/Anomalies at any worker count.
+func fabricTraceRun(seed uint64, interval, warm, dur sim.Time, workers, failRack int) (FabricTraceResult, error) {
 	f, err := cluster.BuildFabric(cluster.FabricSpec{
 		Rack: cluster.Spec{
 			Model: core.ModelVRIO, VMHosts: 1, VMsPerHost: 2,
 			StationPerVM: true, Trace: true, Seed: seed,
 		},
-		NumRacks:         racks,
+		NumRacks:         4,
 		Oversubscription: 4,
 	})
 	if err != nil {
@@ -116,7 +103,7 @@ func fabricTraceRun(seed uint64, interval, warm, dur sim.Time, racks, workers, f
 	ru.Stop()
 	dc.Stop()
 
-	res := FabricTraceResult{Summary: ru.Summary(), Dumps: ru.Anomalies()}
+	res := FabricTraceResult{Dumps: ru.Anomalies()}
 	merged := trace.Merge(f.Tracers())
 	res.NumSpans = len(merged)
 	res.Hops = trace.AssembleFlow(merged, trace.Key48(probeDst.MAC()))
@@ -172,7 +159,7 @@ var fabricTrace = &Grid{
 		const seed = 42
 		warm, dur := durations(quick, sim.Millisecond, 4*sim.Millisecond)
 		run := func(warm, dur sim.Time, workers, failRack int) FabricTraceResult {
-			res, err := fabricTraceRun(seed, sim.Millisecond, warm, dur, 4, workers, failRack)
+			res, err := fabricTraceRun(seed, sim.Millisecond, warm, dur, workers, failRack)
 			if err != nil {
 				panic(err)
 			}

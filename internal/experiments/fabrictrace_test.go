@@ -12,7 +12,7 @@ import (
 // testFabricTrace runs the fabrictrace scenario with short test durations.
 func testFabricTrace(t *testing.T, workers, failRack int) FabricTraceResult {
 	t.Helper()
-	res, err := fabricTraceRun(7, sim.Millisecond/2, sim.Millisecond, 3*sim.Millisecond, 4, workers, failRack)
+	res, err := fabricTraceRun(7, sim.Millisecond/2, sim.Millisecond, 3*sim.Millisecond, workers, failRack)
 	if err != nil {
 		t.Fatalf("fabricTraceRun: %v", err)
 	}

@@ -18,28 +18,8 @@ import (
 // corrupting a quarter of that rate in flight.
 var faultLossSweep = []float64{0, 0.005, 0.01, 0.02, 0.05}
 
-// fault options injected by cmd/vrio-experiments' -fault-profile /
-// -fault-seed flags (see SetFaultOptions).
-var (
-	faultExtraProfile *fault.Profile
-	faultSeedOverride uint64
-)
-
-// SetFaultOptions wires the CLI fault flags into the faulttolerance
-// experiment: a non-nil profile adds a "custom" row to the sweep, and a
-// non-zero seed replaces the default fault-draw seed in every cell. Call
-// before running.
-func SetFaultOptions(prof *fault.Profile, seed uint64) {
-	faultExtraProfile = prof
-	faultSeedOverride = seed
-}
-
-func faultSeed() uint64 {
-	if faultSeedOverride != 0 {
-		return faultSeedOverride
-	}
-	return 901
-}
+// faultSeed is the fault-draw seed of every faulttolerance cell.
+const faultSeed = 901
 
 // ftDrain runs past the worst-case §4.5 give-up time: with the default
 // 10ms initial timeout doubling over 6 retransmits, a request issued just
@@ -134,8 +114,6 @@ func ftCaseFor(row string) ftCase {
 		return ftCase{spec: cluster.Spec{Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
 			VolReplicas: 2, VolQuorum: 2, VolQueues: 2, Seed: 903, Fault: fault.Lossy(0.01)},
 			crash: true, drain: 4 * ftDrain}
-	case "custom":
-		return sweepCase(faultExtraProfile)
 	}
 	for _, rate := range faultLossSweep {
 		if lossLabel(rate) == row {
@@ -154,7 +132,7 @@ func lossLabel(rate float64) string { return fmt.Sprintf("%.1f%%", rate*100) }
 // never-completed must both be zero. Throughput is measured over [0, dur).
 func runFault(quick bool, c ftCase) Metrics {
 	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	c.spec.FaultSeed = faultSeed()
+	c.spec.FaultSeed = faultSeed
 	tb := cluster.Build(c.spec)
 	var ctrl *rack.Controller
 	if c.crash {
@@ -244,9 +222,6 @@ var faultTolerance = &Grid{
 		var rows []string
 		for _, rate := range faultLossSweep {
 			rows = append(rows, lossLabel(rate))
-		}
-		if faultExtraProfile != nil {
-			rows = append(rows, "custom")
 		}
 		return append(rows, "1% + IOhost crash", "2% QD4xNQ2 + stalls", "1% QD4xNQ2 + crash", "1% vol R=2 + crash")
 	}}},

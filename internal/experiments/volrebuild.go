@@ -10,46 +10,6 @@ import (
 	"vrio/internal/stats"
 )
 
-// volume options injected by cmd/vrio-experiments' -vol-replicas /
-// -vol-quorum flags (see SetVolOptions).
-var (
-	volReplicasOverride int
-	volQuorumOverride   int
-)
-
-// SetVolOptions overrides the recovery cells' replication factor and write
-// quorum (zero keeps the defaults R=2, W=1). Call before running. It
-// returns the recovery testbed's validation error when the overrides cannot
-// be built (say, more replicas than IOhosts), so a bad flag is reported
-// instead of panicking mid-run.
-func SetVolOptions(replicas, quorum int) error {
-	volReplicasOverride = replicas
-	volQuorumOverride = quorum
-	return volRecoverySpec().Validate()
-}
-
-func volRecoveryRW() (r, w int) {
-	r, w = 2, 1
-	if volReplicasOverride > 0 {
-		r = volReplicasOverride
-	}
-	if volQuorumOverride > 0 {
-		w = volQuorumOverride
-	}
-	return r, w
-}
-
-// volRecoverySpec is the recovery cells' testbed: a three-IOhost rack with
-// one striped volume per guest at the (possibly overridden) R and W.
-func volRecoverySpec() cluster.Spec {
-	r, w := volRecoveryRW()
-	return cluster.Spec{
-		Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
-		VolReplicas: r, VolQuorum: w, VolQueues: 2,
-		NoJitter: true, Seed: 922,
-	}
-}
-
 // runVolQuorumCell measures quorum write latency and throughput at
 // replication factor r (write quorum = majority) across 3 IOhosts.
 func runVolQuorumCell(quick bool, r int) Metrics {
@@ -74,14 +34,18 @@ func runVolQuorumCell(quick bool, r int) Metrics {
 	return m
 }
 
-// runVolRebuildCell crashes IOhost 1 under a striped R-replicated volume at
+// runVolRebuildCell crashes IOhost 1 under a striped R=2, W=1 volume at
 // the midpoint of a closed-loop write run. The rack controller's heartbeat
 // detector declares the death, which triggers the rebuild engine; the cell
 // reports foreground p99 before and after the crash, the rebuild's copied
 // bytes and bandwidth, and the exactly-once ledger.
 func runVolRebuildCell(quick bool, rebuildConc int) Metrics {
 	_, dur := durations(quick, 0, 50*sim.Millisecond)
-	tb := cluster.Build(volRecoverySpec())
+	tb := cluster.Build(cluster.Spec{
+		Model: core.ModelVRIO, VMsPerHost: 2, NumIOhosts: 3,
+		VolReplicas: 2, VolQuorum: 1, VolQueues: 2,
+		NoJitter: true, Seed: 922,
+	})
 	for _, vol := range tb.Volumes {
 		vol.RebuildConcurrency = rebuildConc
 	}
@@ -184,8 +148,7 @@ var volRebuild = &Grid{
 	Cols: []Col{
 		{"cell", func(r Row) string {
 			if r.Get("rbc") > 0 {
-				recR, recW := volRecoveryRW()
-				return fmt.Sprintf("crash R=%d W=%d rbc=%s", recR, recW, d(r.Get("rbc")))
+				return "crash R=2 W=1 rbc=" + d(r.Get("rbc"))
 			}
 			return fmt.Sprintf("R=%s W=%s", d(r.Get("R")), d(r.Get("W")))
 		}},

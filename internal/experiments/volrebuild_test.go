@@ -67,24 +67,3 @@ func TestVolRebuildDeterministicAcrossShardWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestSetVolOptionsValidates: overrides the three-IOhost recovery rack
-// cannot build come back as errors (the CLI exits 2 on them) instead of
-// panicking inside a cell; buildable ones, and the defaults, are accepted.
-func TestSetVolOptionsValidates(t *testing.T) {
-	t.Cleanup(func() { _ = SetVolOptions(0, 0) })
-	for _, c := range []struct {
-		replicas, quorum int
-		ok               bool
-	}{
-		{9, 0, false}, // more replicas than IOhosts
-		{0, 7, false}, // quorum above the default R=2
-		{0, 0, true},
-		{3, 2, true},
-	} {
-		err := SetVolOptions(c.replicas, c.quorum)
-		if (err == nil) != c.ok {
-			t.Errorf("SetVolOptions(%d, %d) = %v, want ok=%v", c.replicas, c.quorum, err, c.ok)
-		}
-	}
-}

@@ -29,7 +29,7 @@
 //	plan.Start()
 //
 // cluster.Build does all of this when Spec.Fault is set, so most users just
-// set a Profile on the spec (or pass -fault-profile to the CLIs). A nil
+// set a Profile on the spec (or pass -fault-profile to vrio-sim). A nil
 // Profile attaches nothing: the datapath keeps its zero-allocation fast
 // path, enforced by TestHotPathZeroAlloc and the fault_overhead_ns_op
 // benchmark.

@@ -32,10 +32,9 @@ type Rig struct {
 	// retransmission machinery over the real datapath.
 	Cable *link.Duplex
 
-	// NetTxMsgs/NetTxBytes count messages arriving at the endpoint's NetTx
-	// handler (the rig's default handler).
-	NetTxMsgs  uint64
-	NetTxBytes uint64
+	// NetTxMsgs counts messages arriving at the endpoint's NetTx handler
+	// (the rig's default handler).
+	NetTxMsgs uint64
 
 	scratch [][]byte
 }
@@ -88,9 +87,8 @@ func NewRigConfig(cfg Config) *Rig {
 	r.HostPort.OnMessage = func(src ethernet.MAC, msg *bufpool.Frame, _ bool, _ int) {
 		_ = r.Endpoint.DeliverFrame(src, msg)
 	}
-	r.Endpoint.NetTx = func(_ ethernet.MAC, _ uint16, frame []byte) {
+	r.Endpoint.NetTx = func(ethernet.MAC, uint16, []byte) {
 		r.NetTxMsgs++
-		r.NetTxBytes += uint64(len(frame))
 	}
 	// Default block behaviour: echo the request (the benchmark's round
 	// trip). RespondBlk borrows req.B, so releasing right after is safe.
